@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"rsstcp/internal/experiment"
@@ -56,6 +57,17 @@ func generators() []generator {
 	}
 }
 
+// experimentIDs lists what -experiment accepts, in table order; the flag
+// help and the unknown-id error are built from it so neither can drift
+// from generators().
+func experimentIDs() string {
+	var ids []string
+	for _, g := range generators() {
+		ids = append(ids, g.id)
+	}
+	return strings.Join(append(ids, "all"), "|")
+}
+
 func runFigure1(path experiment.PathConfig, duration time.Duration, seed uint64) (*experiment.Table, error) {
 	fig, err := experiment.Figure1(path, duration, seed)
 	if err != nil {
@@ -71,20 +83,13 @@ func runFigure1(path experiment.PathConfig, duration time.Duration, seed uint64)
 
 func main() {
 	var (
-		expName  = flag.String("experiment", "all", "experiment id: figure1|throughput|ifqsweep|rttsweep|tune|setpoint|friendliness|all")
+		expName  = flag.String("experiment", "all", "experiment id: "+experimentIDs())
 		duration = flag.Duration("duration", 25*time.Second, "per-run duration")
 		rtt      = flag.Duration("rtt", 60*time.Millisecond, "round-trip propagation delay")
 		bwMbps   = flag.Int("bw", 100, "bottleneck bandwidth in Mbps")
 		ifq      = flag.Int("ifq", 100, "txqueuelen in packets")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		format   = flag.String("format", "text", "output format: text|csv")
-
-		benchJSON   = flag.String("benchjson", "", "write a machine-readable performance report (e.g. BENCH_campaign.json) and exit")
-		benchDur    = flag.Duration("benchdur", 25*time.Second, "benchjson: virtual duration of each paper-path run")
-		campDur     = flag.Duration("campdur", 5*time.Second, "benchjson: virtual duration of each campaign run")
-		benchReps   = flag.Int("benchreps", 5, "benchjson: paper-path repetitions")
-		bigGridRuns = flag.Int("biggridruns", 10240, "benchjson: run count of the big-grid epoch (traceless, streaming)")
-		bigGridDur  = flag.Duration("biggriddur", time.Second, "benchjson: virtual duration of each big-grid run")
 
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -98,14 +103,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProfiling()
-
-	if *benchJSON != "" {
-		if err := emitBenchJSON(*benchJSON, *benchDur, *campDur, *benchReps, *bigGridRuns, *bigGridDur); err != nil {
-			fmt.Fprintln(os.Stderr, "rsstcp-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	path := experiment.PaperPath()
 	path.RTT = *rtt
@@ -138,7 +135,7 @@ func main() {
 		fmt.Println()
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "rsstcp-bench: unknown experiment %q\n", *expName)
+		fmt.Fprintf(os.Stderr, "rsstcp-bench: unknown experiment %q (valid: %s)\n", *expName, experimentIDs())
 		os.Exit(2)
 	}
 }

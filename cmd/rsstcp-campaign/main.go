@@ -99,9 +99,8 @@ func main() {
 		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the generic report (memory grows with run count)")
 
 		// Sharding flags: cell-aligned multi-process campaigns. Output is
-		// byte-identical at any shard count, balanced or not.
-		shardsF  = flag.String("shards", "1", "split the campaign across this many child processes, one contiguous cell span each (auto = runtime.NumCPU())")
-		balance  = flag.Bool("balance", false, "weight the shard partition by a per-cell cost model (duration x flows/churn x hops) instead of cell count")
+		// byte-identical at any shard count.
+		shardsF  = flag.String("shards", "1", "split the campaign across this many child processes, one contiguous cell span each, cut by estimated cost (auto = runtime.NumCPU())")
 		shardK   = flag.Int("shard", -1, "child mode: run only this shard (0-based) of -shards and emit a shard report instead of campaign output")
 		shardOut = flag.String("shard-out", "-", "child mode: write the shard report JSON here (- for stdout)")
 
@@ -147,9 +146,6 @@ func main() {
 	shardNote := ""
 	if shardsAuto {
 		shardNote = fmt.Sprintf(" (auto: %d CPUs)", shardsN)
-	}
-	if *balance {
-		shardNote += ", balanced"
 	}
 
 	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
@@ -242,11 +238,10 @@ func main() {
 	// run); the registry exists whenever anything wants to read them.
 	self := campaign.NewSelfMetrics()
 	opts := rsstcp.CampaignOptions{
-		Workers:       *workers,
-		RetainRuns:    *retainRuns || *web100,
-		ExportWeb100:  *web100,
-		Self:          self,
-		BalanceShards: *balance,
+		Workers:      *workers,
+		RetainRuns:   *retainRuns || *web100,
+		ExportWeb100: *web100,
+		Self:         self,
 	}
 	var reg *telemetry.Registry
 	if *metricsAddr != "" || *embedTel {
@@ -497,8 +492,8 @@ func shardChild(p rsstcp.Plan, shards, shard int, outPath string, opts rsstcp.Ca
 // shardParent re-invokes this binary once per shard — same flags, plus the
 // child-mode coordinates — collects the shard reports from the children's
 // stdout, and merges them into the exact report an unsharded run produces.
-// Every child re-derives the identical plan (and, under -balance, the
-// identical weighted partition) from the identical flags, so the partition
+// Every child re-derives the identical plan (and with it the identical
+// weighted partition) from the identical flags, so the partition
 // needs no coordination beyond the (shards, shard) pair. Each child's wall
 // time is recorded on self, so the epilogue reports the partition's
 // measured imbalance.

@@ -25,13 +25,24 @@ import (
 	"time"
 
 	"rsstcp"
+	"rsstcp/internal/experiment"
 	"rsstcp/internal/telemetry"
 	"rsstcp/internal/unit"
 )
 
+// algorithmIDs lists what -alg accepts, built from experiment.Algorithms()
+// so the help cannot drift from the code.
+func algorithmIDs() string {
+	var ids []string
+	for _, a := range experiment.Algorithms() {
+		ids = append(ids, string(a))
+	}
+	return strings.Join(ids, "|")
+}
+
 func main() {
 	var (
-		alg      = flag.String("alg", "restricted", "algorithm: standard|restricted|limited|standard-abc|stall-wait")
+		alg      = flag.String("alg", "restricted", "algorithm: "+algorithmIDs())
 		rtt      = flag.Duration("rtt", 60*time.Millisecond, "round-trip propagation delay")
 		bwMbps   = flag.Int("bw", 100, "bottleneck bandwidth in Mbps")
 		nicMbps  = flag.Int("nic", 0, "NIC rate in Mbps (0 = same as bottleneck)")

@@ -1,12 +1,12 @@
 package campaign
 
-// Weighted shard partitioning: the contiguous len*k/N cell split treats
+// Weighted shard partitioning: a contiguous len*k/N cell split treats
 // every cell as equally expensive, so heterogeneous grids (mixed flow
 // counts, durations, hop depths) leave some shard processes idle while the
-// one that drew the heavy cells finishes alone. Balance mode keeps the
-// partition contiguous and cell-aligned — the merge contract is untouched,
-// so output stays byte-identical at any shard count — but places the cut
-// points by cumulative estimated cost instead of cell count.
+// one that drew the heavy cells finishes alone. The partition is contiguous
+// and cell-aligned — which is all the merge contract needs, so output is
+// byte-identical at any shard count — with the cut points placed by
+// cumulative estimated cost instead of cell count.
 //
 // The cost model is deliberately a pure function of the plan and the cell's
 // pre-seed Config: every participating process re-derives the identical
@@ -81,24 +81,13 @@ func churnLoad(cfg experiment.Config) float64 {
 	return src.Rate()
 }
 
-// weightedCuts returns the shards+1 cut points of the weighted contiguous
+// cutsForWeights returns the shards+1 cut points of the weighted contiguous
 // partition: cut k is the smallest index i whose weight prefix sum reaches
 // total*k/shards. The cuts are monotone by construction (the targets
-// increase, the prefix is non-decreasing), cover every cell exactly once,
-// and — like the unweighted split — depend only on the plan, so every
-// process computes the same partition. A plan with zero total weight falls
-// back to the unweighted cut points.
-func weightedCuts(p Plan, cells []PlanCell, shards int) []int {
-	weights := make([]float64, len(cells))
-	for i := range cells {
-		weights[i] = CellWeight(p, cells[i])
-	}
-	return cutsForWeights(weights, shards)
-}
-
-// cutsForWeights places the cut points for an explicit weight vector.
-// Negative or NaN weights (a broken cost model) also take the unweighted
-// fallback: a garbage model must never cost coverage, only balance.
+// increase, the prefix is non-decreasing) and cover every cell exactly
+// once. Negative or NaN weights (a broken cost model) count as zero, and
+// zero total weight falls back to the count split len*k/shards: a garbage
+// model must never cost coverage, only balance.
 func cutsForWeights(weights []float64, shards int) []int {
 	n := len(weights)
 	prefix := make([]float64, n+1)
@@ -128,14 +117,16 @@ func cutsForWeights(weights []float64, shards int) []int {
 	return cuts
 }
 
-// shardSpan returns shard k's contiguous span of the canonical cell list:
-// count-balanced cuts by default, weight-balanced cuts in balance mode.
-// Either way the partition is cell-aligned — a cell's replicates never
-// straddle shards — so MergeShards reassembles byte-identical output.
-func shardSpan(p Plan, cells []PlanCell, shards, shard int, balance bool) []PlanCell {
-	if !balance {
-		return shardCells(cells, shards, shard)
+// shardSpan returns shard k's contiguous span of the canonical cell list,
+// cut by CellWeight. The weights depend only on the plan, so every process
+// computes the same partition, and the partition is cell-aligned — a cell's
+// replicates never straddle shards — so MergeShards reassembles
+// byte-identical output.
+func shardSpan(p Plan, cells []PlanCell, shards, shard int) []PlanCell {
+	weights := make([]float64, len(cells))
+	for i := range cells {
+		weights[i] = CellWeight(p, cells[i])
 	}
-	cuts := weightedCuts(p, cells, shards)
+	cuts := cutsForWeights(weights, shards)
 	return cells[cuts[shard]:cuts[shard+1]]
 }

@@ -125,11 +125,12 @@ func TestCellWeightModel(t *testing.T) {
 	}
 }
 
-// TestBalancedShardByteIdentity is the balance half of the shard
-// determinism contract: with weighted partitioning on, the merged report is
-// byte-identical to the unsharded run — for the naturally balanced churn
-// plan and for a pathologically skewed flows axis — at several shard
-// counts, each shard's report round-tripping the wire format.
+// TestBalancedShardByteIdentity is the weighted-partition half of the shard
+// determinism contract: the merged report is byte-identical to the
+// unsharded run — for the naturally balanced churn plan and for a
+// pathologically skewed flows axis, where the cuts move far from the count
+// split — at several shard counts, each shard's report round-tripping the
+// wire format.
 func TestBalancedShardByteIdentity(t *testing.T) {
 	t.Parallel()
 	skewed := Plan{
@@ -151,7 +152,7 @@ func TestBalancedShardByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{2, 3, 7} {
-			rep, err := ExecuteSharded(p, shards, Options{Workers: 4, BalanceShards: true})
+			rep, err := ExecuteSharded(p, shards, Options{Workers: 4})
 			if err != nil {
 				t.Fatalf("%s at %d shards: %v", name, shards, err)
 			}
@@ -160,16 +161,16 @@ func TestBalancedShardByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.String() != want.String() {
-				t.Errorf("%s diverged at %d balanced shards:\n%s",
+				t.Errorf("%s diverged at %d shards:\n%s",
 					name, shards, firstDiff(want.String(), got.String()))
 			}
 		}
 	}
 }
 
-// TestShardSpanBalancedCoverage: shardSpan in balance mode partitions the
-// real churn plan's cell list completely and contiguously at any shard
-// count, including more shards than cells.
+// TestShardSpanBalancedCoverage: shardSpan partitions the real churn plan's
+// cell list completely and contiguously at any shard count, including more
+// shards than cells.
 func TestShardSpanBalancedCoverage(t *testing.T) {
 	t.Parallel()
 	p := churnPlan().withDefaults()
@@ -177,7 +178,7 @@ func TestShardSpanBalancedCoverage(t *testing.T) {
 	for shards := 1; shards <= len(cells)+2; shards++ {
 		next := 0
 		for k := 0; k < shards; k++ {
-			span := shardSpan(p, cells, shards, k, true)
+			span := shardSpan(p, cells, shards, k)
 			for _, c := range span {
 				if c.Index != next {
 					t.Fatalf("shards=%d shard=%d: cell %d, want %d (contiguous cover)",

@@ -51,11 +51,6 @@ type Options struct {
 	// Anomalous decides which runs the sink sees; nil means the default
 	// predicate (any RTO, or zero aggregate throughput).
 	Anomalous func(Run) bool
-	// BalanceShards switches shard partitioning (ExecuteShard,
-	// ExecuteSharded) from count-balanced to weight-balanced contiguous
-	// spans, using the CellWeight cost model. Partition shape never changes
-	// results — the merge is partition-agnostic — only per-shard wall time.
-	BalanceShards bool
 }
 
 // defaultAnomalous flags the failure modes worth a timeline: a transfer that

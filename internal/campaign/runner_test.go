@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,67 @@ func TestTableHasOneRowPerCell(t *testing.T) {
 	for _, want := range []string{"10Mbps", "50Mbps", "standard", "restricted"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestWorkerRecoversFromFailedReset drives the path Scenario.Reset documents
+// ("on error the scenario is left half-built and must be discarded"): one
+// worker context runs valid → invalid → valid → valid cells. The invalid
+// cell must cost only its own replicate — the context is dropped, and the
+// replicates after it (one on the rebuilt scenario, one Reset onto it) equal
+// fresh-Build runs of the same configs field for field, with no calendar
+// entry leaked. Two invalid shapes: one init rejects before touching the
+// engine, one it rejects after hops and hosts are wired.
+func TestWorkerRecoversFromFailedReset(t *testing.T) {
+	t.Parallel()
+	valid := func(alg experiment.Algorithm, key string) PlanCell {
+		return PlanCell{Key: key, Config: experiment.Config{
+			Path:     experiment.PathConfig{Loss: 0.004},
+			Flows:    []experiment.FlowSpec{{Alg: alg}, {Alg: experiment.AlgStandard, SACK: true}},
+			Duration: time.Second,
+		}}
+	}
+	badSched := valid(experiment.AlgStandard, "bad")
+	badSched.Config.Scheduler = "nope"
+	badFlow := valid(experiment.AlgStandard, "bad")
+	badFlow.Config.Flows[1].Alg = "nope"
+
+	env := &execEnv{
+		p:         Plan{Metrics: []Metric{MetricThroughputMbps, MetricFairness}, BaseSeed: 7},
+		traceless: true,
+		opts:      Options{ExportWeb100: true},
+		self:      NewSelfMetrics(),
+		anomalous: defaultAnomalous,
+	}
+	for name, bad := range map[string]PlanCell{"before wiring": badSched, "after wiring": badFlow} {
+		var rc runContext
+		first := valid(experiment.AlgRestricted, "first")
+		if _, err := rc.runReplicate(env, first, 0); err != nil {
+			t.Fatalf("%s: first cell: %v", name, err)
+		}
+		if _, err := rc.runReplicate(env, bad, 0); err == nil {
+			t.Fatalf("%s: invalid cell ran", name)
+		}
+		if rc.s != nil {
+			t.Fatalf("%s: worker kept the half-built scenario", name)
+		}
+		for i, c := range []PlanCell{valid(experiment.AlgStandard, "third"), valid(experiment.AlgRestricted, "fourth")} {
+			got, err := rc.runReplicate(env, c, 1)
+			if err != nil {
+				t.Fatalf("%s: cell %d after the failure: %v", name, i, err)
+			}
+			var fresh runContext
+			want, err := fresh.runReplicate(env, c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: cell %d after the failure diverged from a fresh build\n got: %+v\nwant: %+v", name, i, got, want)
+			}
+			if n := rc.s.Eng.Leaked(); n != 0 {
+				t.Errorf("%s: cell %d after the failure leaked %d calendar entries", name, i, n)
+			}
 		}
 	}
 }

@@ -60,9 +60,9 @@ type SelfMetrics struct {
 	shardWall []time.Duration
 
 	// Per-cell wall observation (PR 10): the collector attributes each
-	// replicate's wall time to its cell and keeps the slowest cells, so a
-	// balance-mode cost model is calibratable from a prior run's telemetry
-	// tail.
+	// replicate's wall time to its cell and keeps the slowest cells, so the
+	// shard cost model (CellWeight) is calibratable from a prior run's
+	// telemetry tail.
 	cellMu  sync.Mutex
 	slowest []CellWall
 }

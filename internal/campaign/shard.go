@@ -74,16 +74,6 @@ func ReadShardReport(rd io.Reader) (*ShardReport, error) {
 	return &r, nil
 }
 
-// shardCells returns shard k's contiguous span of the canonical cell list.
-// The cut points len(cells)*k/shards are monotone in k, cover every cell
-// exactly once, and depend only on (len(cells), shards) — every process
-// computes the same partition from the same plan.
-func shardCells(cells []PlanCell, shards, shard int) []PlanCell {
-	lo := len(cells) * shard / shards
-	hi := len(cells) * (shard + 1) / shards
-	return cells[lo:hi]
-}
-
 func validateShardArgs(shards, shard int) error {
 	if shards < 1 {
 		return fmt.Errorf("campaign: shard count %d, want >= 1", shards)
@@ -107,7 +97,7 @@ func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error)
 	if err := validateShardArgs(shards, shard); err != nil {
 		return nil, err
 	}
-	owned := shardSpan(p, cells, shards, shard, opts.BalanceShards)
+	owned := shardSpan(p, cells, shards, shard)
 
 	// Capture each cell's exact accumulator state at the instant the cell
 	// completes, before the folder recycles the accumulators.

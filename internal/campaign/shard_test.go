@@ -19,7 +19,7 @@ func TestShardCellPartition(t *testing.T) {
 		seen := 0
 		prev := -1
 		for k := 0; k < shards; k++ {
-			span := shardCells(cells, shards, k)
+			span := shardSpan(Plan{}, cells, shards, k)
 			for _, c := range span {
 				if c.Index != prev+1 {
 					t.Fatalf("shards=%d shard=%d: cell %d follows %d, want contiguous ascending",

@@ -39,8 +39,8 @@ func runPaperPath(tb testing.TB, cfg Config) (uint64, time.Duration) {
 // stays within 1.5x of the heap. The bound is deliberately generous — CI
 // boxes are noisy and the two backends measure within a few percent of
 // each other on quiet hardware; this gate catches structural regressions
-// (an accidental O(n) splice, a lost fast path), while BENCH_campaign.json
-// tracks the absolute trajectory.
+// (an accidental O(n) splice, a lost fast path). Absolute ns/event is
+// bench/'s job (paper_path, and sim.hold8_ns.* for the calendars alone).
 func TestLadderWithinHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf guard: skipped in -short")
@@ -68,50 +68,10 @@ func TestLadderWithinHeapBudget(t *testing.T) {
 	}
 }
 
-// TestArenaWithinPR9Budget is the hop-arena regression guard: the arena data
-// path must keep the paper path's per-event cost within 1.3x of the
-// committed PR-9 rows (the pointer-pipeline epoch it replaced; ladder
-// 59.57 ns/event, heap 63.08, from that PR's BENCH_campaign.json). Unlike
-// TestLadderWithinHeapBudget this is an absolute gate against baked
-// figures, so the bound is generous — it prices machine variance between
-// the recording box and CI, not the ~7% the arena actually saves — and
-// catches only structural regressions (a lost span fast path, pointer
-// chasing creeping back into the hop hand-off).
-func TestArenaWithinPR9Budget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf guard: skipped in -short")
-	}
-	budgets := []struct {
-		sched string
-		pr9Ns float64
-	}{
-		{"ladder", 59.57},
-		{"heap", 63.08},
-	}
-	const reps = 6
-	dur := 10 * time.Second
-	for _, b := range budgets {
-		min := time.Duration(1 << 62)
-		var ev uint64
-		for i := 0; i < reps; i++ {
-			e, w := runPaperPath(t, paperPerfCfg(AlgStandard, b.sched, dur))
-			if w < min {
-				min, ev = w, e
-			}
-		}
-		ns := float64(min.Nanoseconds()) / float64(ev)
-		t.Logf("paper path min-of-%d (%s): %.2f ns/event vs PR 9 %.2f (%.2fx)",
-			reps, b.sched, ns, b.pr9Ns, ns/b.pr9Ns)
-		if ns > 1.3*b.pr9Ns {
-			t.Errorf("%s: %.2f ns/event exceeds 1.3x the PR 9 row (%.2f)", b.sched, ns, b.pr9Ns)
-		}
-	}
-}
-
 // BenchmarkPaperPath measures the full paper-path scenario per calendar
-// backend. The reported ns/event metric is the figure BENCH_campaign.json
-// tracks; run with -benchtime=5x or so — each iteration is a complete 25s
-// simulated run.
+// backend, for measuring while you work; bench/'s paper_path workload is
+// the figure of record. Run with -benchtime=5x or so — each iteration is a
+// complete 25s simulated run.
 func BenchmarkPaperPath(b *testing.B) {
 	for _, alg := range []Algorithm{AlgStandard, AlgRestricted} {
 		for _, v := range []struct {

@@ -396,9 +396,8 @@ type Scenario struct {
 	aggStats  []web100.Stats
 	aggTotals Totals
 
-	// segs is the scenario-private segment allocator. One simulation is
-	// one logical thread, so a private freelist replaces the global
-	// sync.Pool's synchronization on every segment; it survives Reset, so
+	// segs is the scenario's segment allocator: one simulation is one
+	// logical thread, so a plain freelist suffices. It survives Reset, so
 	// campaign replicates after the first run entirely on recycled
 	// segments.
 	segs *packet.Pool

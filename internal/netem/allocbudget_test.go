@@ -14,11 +14,12 @@ import (
 // the delivered segment released back to the pool.
 func TestAllocBudgetLinkLoop(t *testing.T) {
 	eng := sim.NewEngine()
+	pool := packet.NewPool()
 	sink := Func(func(seg *packet.Segment) { seg.Release() })
 	link := NewLink(eng, 100*unit.Mbps, time.Millisecond, NewDropTail(64), sink)
 
 	send := func() {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		link.Receive(seg)
 		eng.RunFor(10 * time.Millisecond)
@@ -40,11 +41,12 @@ func TestAllocBudgetLinkLoop(t *testing.T) {
 // per-segment delivery used to cost a closure allocation.
 func TestAllocBudgetWireLoop(t *testing.T) {
 	eng := sim.NewEngine()
+	pool := packet.NewPool()
 	sink := Func(func(seg *packet.Segment) { seg.Release() })
 	wire := NewWire(eng, time.Millisecond, sink)
 
 	send := func() {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		wire.Receive(seg)
 		eng.RunFor(2 * time.Millisecond)
@@ -83,8 +85,9 @@ func arenaForBudget(qcap int, red bool) (*sim.Engine, *HopArena) {
 // admission test (and its RNG draw) on the second hop.
 func TestAllocBudgetArenaLoop(t *testing.T) {
 	eng, a := arenaForBudget(64, true)
+	pool := packet.NewPool()
 	send := func() {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		a.Receive(0, seg)
 		eng.RunFor(20 * time.Millisecond)
@@ -110,9 +113,10 @@ func TestAllocBudgetArenaDropAccounting(t *testing.T) {
 	sink := Func(func(seg *packet.Segment) { seg.Release() })
 	a := NewHopArena(eng)
 	a.Configure([]HopSpec{{Rate: 1 * unit.Mbps, Queue: 2}}, sink, nil)
+	pool := packet.NewPool()
 	burst := func() {
 		for i := 0; i < 8; i++ {
-			seg := packet.Get()
+			seg := pool.Get()
 			seg.Len = 1448
 			a.Receive(0, seg)
 		}
@@ -136,8 +140,9 @@ func TestAllocBudgetArenaDropAccounting(t *testing.T) {
 // the warmed backing arrays instead of re-allocating per run.
 func TestAllocBudgetArenaReconfigure(t *testing.T) {
 	eng, a := arenaForBudget(64, true)
+	pool := packet.NewPool()
 	send := func() {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		a.Receive(0, seg)
 		eng.RunFor(20 * time.Millisecond)
@@ -173,22 +178,21 @@ func TestArenaReleasesDroppedSegments(t *testing.T) {
 	a := NewHopArena(eng)
 	a.Configure([]HopSpec{{Rate: 1 * unit.Mbps, Queue: 2}}, blackhole, nil)
 
-	gets0, rels0 := packet.PoolCounters()
+	pool := packet.NewPool()
 	for i := 0; i < 16; i++ {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		a.Receive(0, seg)
 	}
 	eng.Run()
-	gets1, rels1 := packet.PoolCounters()
 	if a.DropTotal() == 0 {
 		t.Fatal("expected drops on a 2-packet queue")
 	}
 	if a.Drops(0) != a.DropTotal() {
 		t.Errorf("hop drops %d != total %d", a.Drops(0), a.DropTotal())
 	}
-	if got, rel := gets1-gets0, rels1-rels0; rel < got {
-		t.Errorf("segment leak: %d gets vs %d releases", got, rel)
+	if gets, rels := pool.Counters(); rels != gets {
+		t.Errorf("segment leak: %d gets vs %d releases", gets, rels)
 	}
 }
 
@@ -201,18 +205,17 @@ func TestLinkReleasesDroppedSegments(t *testing.T) {
 	var drops int
 	link.OnDrop = func(*packet.Segment) { drops++ }
 
-	gets0, rels0 := packet.PoolCounters()
+	pool := packet.NewPool()
 	for i := 0; i < 16; i++ {
-		seg := packet.Get()
+		seg := pool.Get()
 		seg.Len = 1448
 		link.Receive(seg)
 	}
 	eng.Run()
-	gets1, rels1 := packet.PoolCounters()
 	if drops == 0 {
 		t.Fatal("expected drops on a 2-packet queue")
 	}
-	if got, rel := gets1-gets0, rels1-rels0; rel < got {
-		t.Errorf("segment leak: %d gets vs %d releases", got, rel)
+	if gets, rels := pool.Counters(); rels != gets {
+		t.Errorf("segment leak: %d gets vs %d releases", gets, rels)
 	}
 }

@@ -18,7 +18,8 @@ func TestDuplicatorClonesBeforeHandoff(t *testing.T) {
 	})
 	d := &Duplicator{P: 1, RNG: sim.NewRNG(1), Next: sink}
 
-	seg := packet.Get()
+	pool := packet.NewPool()
+	seg := pool.Get()
 	seg.Flow = 7
 	seg.Seq = 1000
 	seg.Len = 1460
@@ -34,5 +35,8 @@ func TestDuplicatorClonesBeforeHandoff(t *testing.T) {
 	}
 	if d.Duplicated() != 1 {
 		t.Errorf("Duplicated = %d, want 1", d.Duplicated())
+	}
+	if gets, rels := pool.Counters(); gets != 2 || rels != 2 {
+		t.Errorf("pool saw %d gets, %d releases; want the copy drawn from and returned to the original's pool (2, 2)", gets, rels)
 	}
 }

@@ -66,7 +66,7 @@ const HeaderBytes = 40
 // byte offsets within the flow (no wraparound: a simulated transfer never
 // approaches 2^63 bytes), which keeps the arithmetic honest and testable.
 //
-// Hot paths obtain segments from the pool with Get and pass ownership along
+// Hot paths obtain segments from a Pool with Get and pass ownership along
 // the delivery chain; the terminal consumer calls Release. See the
 // "Performance" section of DESIGN.md for the ownership rules.
 type Segment struct {
@@ -100,13 +100,10 @@ type Segment struct {
 	// to compute sojourn time.
 	Enqueued sim.Time
 
-	// pooled marks a segment currently checked out of a pool. Segments
-	// built by hand (tests, injectors) leave it false, so Release on them
-	// is a no-op and they never enter a pool.
-	pooled bool
-	// owner is the private Pool the segment was checked out of, nil for
-	// the shared global pool. Release dispatches on it, so components
-	// never need to know which allocator fed them.
+	// owner is the Pool the segment is checked out of. Release returns it
+	// there, so components never need to know which allocator fed them.
+	// Segments built by hand (tests, injectors) and segments resting in a
+	// freelist leave it nil, so Release on them is a no-op.
 	owner *Pool
 }
 
@@ -136,14 +133,18 @@ func (s *Segment) String() string {
 }
 
 // Clone returns a deep copy (SACK slice included); injectors that duplicate
-// packets use it so the copies do not alias. The copy comes from the global
-// pool and follows the usual ownership protocol.
+// packets use it so the copies do not alias. The copy is checked out of the
+// original's Pool and follows the usual ownership protocol; a hand-built
+// segment clones to a hand-built one.
 func (s *Segment) Clone() *Segment {
-	c := Get()
+	var c *Segment
+	if s.owner != nil {
+		c = s.owner.Get()
+	} else {
+		c = new(Segment)
+	}
 	sack := c.SACK
 	*c = *s
-	c.pooled = true
-	c.owner = nil
 	c.SACK = append(sack[:0], s.SACK...)
 	return c
 }

@@ -1,10 +1,5 @@
 package packet
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // The segment pool removes the dominant per-segment allocation from the
 // simulation hot path: senders and receivers Get fresh segments, hand
 // ownership down the netem chain, and the terminal consumer (the peer TCP
@@ -22,51 +17,27 @@ import (
 //     across Release.
 //   - Release on a hand-built (non-pool) segment is a no-op, so tests and
 //     one-off injectors can keep building Segment literals.
-//
-// The pool is shared across engines; campaign workers running parallel
-// simulations recycle through it concurrently, which sync.Pool handles.
-var segPool = sync.Pool{New: func() any { return new(Segment) }}
-
-var (
-	poolGets     atomic.Int64
-	poolReleases atomic.Int64
-)
-
-// Get returns a zeroed segment from the pool.
-func Get() *Segment {
-	seg := segPool.Get().(*Segment)
-	seg.pooled = true
-	poolGets.Add(1)
-	return seg
-}
 
 // Release zeroes the segment (keeping SACK capacity) and returns it to the
-// pool it came from — a private Pool when it has one, the shared global
-// pool otherwise. Releasing a segment that did not come from a Get — or
+// Pool it came from. Releasing a segment that did not come from a Pool — or
 // releasing one twice — is a safe no-op, so double-release bugs cannot
-// poison either pool with aliased entries.
+// poison a pool with aliased entries.
 func (s *Segment) Release() {
-	if s == nil || !s.pooled {
+	if s == nil || s.owner == nil {
 		return
 	}
 	owner := s.owner
 	sack := s.SACK[:0]
 	*s = Segment{}
 	s.SACK = sack
-	if owner != nil {
-		owner.put(s)
-		return
-	}
-	poolReleases.Add(1)
-	segPool.Put(s)
+	owner.put(s)
 }
 
-// Pool is a private, single-threaded segment freelist. A simulation that
-// never shares segments across goroutines (every scenario — a campaign
-// worker runs one at a time) allocates from its own Pool and skips the
-// global sync.Pool's atomic counters and per-P dequeues, which show up
-// hard in campaign profiles. The zero value is ready to use; a Pool must
-// not be shared across concurrently running simulations.
+// Pool is a private, single-threaded segment freelist: a simulation never
+// shares segments across goroutines (a campaign worker runs one scenario at
+// a time), so it allocates from its own Pool with no synchronization. The
+// zero value is ready to use; a Pool must not be shared across concurrently
+// running simulations.
 type Pool struct {
 	free     []*Segment
 	gets     int64
@@ -88,7 +59,6 @@ func (p *Pool) Get() *Segment {
 	} else {
 		seg = new(Segment)
 	}
-	seg.pooled = true
 	seg.owner = p
 	p.gets++
 	return seg
@@ -101,15 +71,6 @@ func (p *Pool) put(s *Segment) {
 }
 
 // Counters reports how many segments this pool has handed out and taken
-// back — the same leak-check hook PoolCounters provides for the global
-// pool. In a quiesced simulation the difference is the number of segments
-// still held in queues or delay lines.
+// back — a leak-check hook: in a quiesced simulation the difference is the
+// number of segments still held in queues or delay lines.
 func (p *Pool) Counters() (gets, releases int64) { return p.gets, p.releases }
-
-// PoolCounters reports how many segments have been checked out of and
-// returned to the pool since process start — a test hook for leak checks:
-// in a quiesced simulation the difference is the number of segments still
-// held (queued or leaked).
-func PoolCounters() (gets, releases int64) {
-	return poolGets.Load(), poolReleases.Load()
-}

@@ -132,7 +132,7 @@ func (r *Receiver) onDelAckTimeout() {
 // SACK block containing it to come first, so the sender always learns the
 // newest scoreboard information even when more than four blocks exist.
 func (r *Receiver) sendAck(delayed bool, recentSeq int64) {
-	ack := r.cfg.getSegment()
+	ack := r.cfg.Pool.Get()
 	ack.Flow = r.flow
 	ack.Gen = r.cfg.Gen
 	ack.Ack = r.rcvNxt

@@ -302,7 +302,7 @@ func (s *Sender) trySend() {
 			}
 			return
 		}
-		seg := s.cfg.getSegment()
+		seg := s.cfg.Pool.Get()
 		seg.Flow = s.flow
 		seg.Gen = s.cfg.Gen
 		seg.Seq = s.tbl.sndNxt[s.slot]
@@ -390,7 +390,7 @@ func (s *Sender) sendRetransmit() bool {
 	if rec == nil {
 		return true
 	}
-	seg := s.cfg.getSegment()
+	seg := s.cfg.Pool.Get()
 	seg.Flow = s.flow
 	seg.Gen = s.cfg.Gen
 	seg.Seq = rec.seq
@@ -454,7 +454,7 @@ func (s *Sender) sendSACKRetransmissions() bool {
 		if s.pipe()+int64(rec.length) > min64(s.tbl.cwnd[s.slot], s.tbl.rwnd[s.slot]) {
 			break
 		}
-		seg := s.cfg.getSegment()
+		seg := s.cfg.Pool.Get()
 		seg.Flow = s.flow
 		seg.Gen = s.cfg.Gen
 		seg.Seq = rec.seq

@@ -80,10 +80,9 @@ type Config struct {
 	RTOGranularity time.Duration
 	// Stall selects the send-stall reaction.
 	Stall StallPolicy
-	// Pool, when non-nil, is the private segment allocator the endpoints
-	// draw from (packet.Pool); nil uses the shared global pool. A
-	// single-threaded simulation with its own pool skips the global
-	// pool's synchronization on every segment.
+	// Pool is the segment allocator the endpoints draw from. A scenario
+	// shares one across its flows so the freelist stays warm over resets;
+	// nil gives the endpoint a private pool at construction.
 	Pool *packet.Pool
 	// Wheel, when non-nil, hosts the endpoint timers (the sender's RTO,
 	// the receiver's delayed ACK) on a timer wheel instead of the
@@ -102,14 +101,6 @@ type Config struct {
 	// stray segment of a dead flow from the ID's current owner. Zero (the
 	// default) matches the zero generation of routes that never recycle.
 	Gen uint32
-}
-
-// getSegment draws a segment from the configured allocator.
-func (c *Config) getSegment() *packet.Segment {
-	if c.Pool != nil {
-		return c.Pool.Get()
-	}
-	return packet.Get()
 }
 
 // DefaultConfig returns parameters matching the paper's Linux 2.4 testbed.
@@ -165,6 +156,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RTOGranularity <= 0 {
 		c.RTOGranularity = d.RTOGranularity
+	}
+	if c.Pool == nil {
+		c.Pool = packet.NewPool()
 	}
 	return c
 }

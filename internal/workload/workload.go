@@ -1,13 +1,12 @@
 // Package workload drives simulated applications: bulk transfers, chunked
-// (application-limited) sources, on-off cross traffic and Poisson arrival
-// processes. Generators talk to senders through the small App interface so
-// they stay independent of the TCP machinery.
+// (application-limited) sources and on-off cross traffic. Arrival processes
+// live in internal/lifecycle. Generators talk to senders through the small
+// App interface so they stay independent of the TCP machinery.
 package workload
 
 import (
 	"time"
 
-	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/sim"
 	"rsstcp/internal/unit"
 )
@@ -144,21 +143,4 @@ func (o *OnOff) pump() {
 	o.app.Supply(o.parcel)
 	interval := o.rate.Serialization(unit.ByteSize(o.parcel))
 	o.pumpEv = o.eng.ScheduleAfter(interval, o.pumpFn)
-}
-
-// PoissonArrivals schedules fn at exponentially distributed intervals with
-// the given mean rate (events per second) until the returned stop function
-// is called.
-//
-// Deprecated: use lifecycle.NewPoisson, the FlowSource form of the same
-// process — it exposes Rate/WithRate for the load axis and its Stop
-// cancels the pending arrival instead of letting it fire as a no-op. This
-// shim delegates to it and remains only so existing callers compile.
-func PoissonArrivals(eng *sim.Engine, rng *sim.RNG, perSecond float64, fn func()) (stop func()) {
-	if perSecond <= 0 {
-		panic("workload: PoissonArrivals requires a positive rate")
-	}
-	src := lifecycle.NewPoisson(perSecond)
-	src.Start(eng, rng, fn)
-	return src.Stop
 }

@@ -163,30 +163,3 @@ func TestOnOffStopCancelsTimers(t *testing.T) {
 		t.Errorf("double Stop leaked %d entries", got)
 	}
 }
-
-func TestPoissonArrivalsRate(t *testing.T) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(11)
-	count := 0
-	stop := PoissonArrivals(eng, rng, 100, func() { count++ })
-	eng.RunUntil(sim.At(10 * time.Second))
-	stop()
-	// ~1000 events; Poisson sd ~32.
-	if count < 850 || count > 1150 {
-		t.Errorf("events = %d, want ~1000", count)
-	}
-	n := count
-	eng.RunUntil(sim.At(20 * time.Second))
-	if count != n {
-		t.Error("arrivals continued after stop")
-	}
-}
-
-func TestPoissonArrivalsPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero rate did not panic")
-		}
-	}()
-	PoissonArrivals(sim.NewEngine(), sim.NewRNG(1), 0, func() {})
-}
