@@ -82,3 +82,56 @@ func smallGridBench() Grid {
 func BenchmarkCampaignSerial(b *testing.B)     { benchmarkCampaign(b, 1) }
 func BenchmarkCampaign4Workers(b *testing.B)   { benchmarkCampaign(b, 4) }
 func BenchmarkCampaignGOMAXPROCS(b *testing.B) { benchmarkCampaign(b, 0) }
+
+// turnaroundPlan is the benchmark's campaign_grid shape — 64 cells of 50 ms
+// replicates, ~33 calendar events each — where what a replicate costs beyond
+// its events (Reset, extraction, the hand-off to the collector) is most of
+// the bill.
+func turnaroundPlan(replicates int) Plan {
+	p := Grid{
+		Bandwidths:  []unit.Bandwidth{10 * unit.Mbps, 25 * unit.Mbps, 50 * unit.Mbps, 100 * unit.Mbps},
+		RTTs:        []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond},
+		TxQueueLens: []int{50, 100},
+		Algorithms:  []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted},
+		Duration:    50 * time.Millisecond,
+	}.Plan()
+	p.Replicates = replicates
+	return p
+}
+
+// BenchmarkCampaignTurnaround reports the two figures replicate turnaround
+// moves, on one worker: runs per second and allocations per run.
+func BenchmarkCampaignTurnaround(b *testing.B) {
+	p := turnaroundPlan(32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExecutePlan(p, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	runs := float64(b.N * p.Runs())
+	b.ReportMetric(runs/b.Elapsed().Seconds(), "runs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/runs, "allocs/run")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/runs, "B/run")
+}
+
+// TestCampaignAllocBudgetPerRun pins the amortised allocation cost of a
+// campaign replicate on one worker: the Result's slices, the seeded config's
+// flow list, and a span's worth of shared buffers — not a testbed per run.
+func TestCampaignAllocBudgetPerRun(t *testing.T) {
+	p := turnaroundPlan(32)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ExecutePlan(p, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRun := allocs / float64(p.Runs()); perRun > 10 {
+		t.Errorf("campaign allocates %.1f objects per run amortised, budget 10", perRun)
+	} else {
+		t.Logf("%.2f allocations per run amortised", perRun)
+	}
+}

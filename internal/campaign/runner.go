@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,15 +121,16 @@ type Replicate struct {
 }
 
 // runContext is one worker's reusable simulation state. The first replicate
-// builds a scenario; every later one resets it in place, keeping the
-// engine's event pool and the recorder's storage warm instead of rebuilding
-// the world per run. Reset-vs-fresh equivalence is pinned by
-// experiment.TestResetMatchesFreshBuild.
+// builds a scenario; every later one resets it in place, which recycles the
+// previous replicate's whole testbed (experiment.Scenario.Reset): from a
+// worker's second replicate on, the testbed costs no allocation and runs on
+// queues already grown. A failed Reset discards the context, parked parts
+// included.
 type runContext struct {
 	s *experiment.Scenario
 	// Last-seen scheduler/wheel counter snapshots: the engine and wheel
-	// survive Reset with lifetime counters, so per-replicate telemetry
-	// deltas need the previous reading.
+	// survive Reset with lifetime counters, so telemetry deltas need the
+	// previous reading.
 	lastSched sim.SchedStats
 	lastWheel sim.WheelStats
 }
@@ -137,53 +139,99 @@ type runContext struct {
 // the plan, the resolved options, and the self-metrics instrument set.
 type execEnv struct {
 	p         Plan
+	cells     []PlanCell
 	traceless bool
 	opts      Options
 	self      *SelfMetrics
 	anomalous func(Run) bool
 }
 
-// runReplicate runs one seeded simulation on the (reused) context,
-// condenses it to the stock scalars, and extracts the plan's metrics.
-func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int) (Replicate, error) {
-	p := env.p
-	cfg := p.Config(c, rep)
+// spanResult is what a worker hands the collector: the replicates of one
+// dispatched span, runs [lo, lo+len(reps)) in canonical order. err is the
+// failure of run lo+len(reps), which ended the span early.
+type spanResult struct {
+	lo   int
+	reps []Replicate
+	wall []time.Duration // per-run build+run wall time, for the cell cost account
+	err  error
+}
+
+// runSpan runs the replicates [lo, hi) back to back on the worker's context.
+// The span is the unit of everything that is not simulation: one result
+// message, one backing array for every replicate's Values, one update of the
+// shared self-metrics — a 50 ms replicate is a few microseconds of events,
+// and a channel hand-off per run cost as much again.
+func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
+	n, nm, reps := hi-lo, len(env.p.Metrics), env.p.Replicates
+	sp := spanResult{lo: lo, reps: make([]Replicate, n), wall: make([]time.Duration, n)}
+	values := make([]stats.JSONFloat, n*nm)
+	var build, run time.Duration
+	var ran, events int64
+	for i := range sp.reps {
+		g := lo + i
+		sp.reps[i].Values = values[i*nm : (i+1)*nm : (i+1)*nm]
+		b, r, err := rc.runReplicate(env, env.cells[g/reps], g%reps, &sp.reps[i])
+		ran++
+		if err != nil {
+			sp.reps, sp.wall, sp.err = sp.reps[:i], sp.wall[:i], err
+			break
+		}
+		build, run, sp.wall[i] = build+b, run+r, b+r
+		events += int64(rc.s.Eng.Processed())
+	}
+	env.self.Runs.Add(ran)
+	env.self.phaseBuild.Add(int64(build))
+	env.self.phaseRun.Add(int64(run))
+	env.self.SimEvents.Add(events)
+	if rc.s != nil {
+		env.self.observeSched(rc.s.Eng.SchedStats(), &rc.lastSched)
+		if ws, ok := rc.s.WheelStats(); ok {
+			env.self.observeWheel(ws, &rc.lastWheel)
+		}
+	}
+	return sp
+}
+
+// runReplicate runs one seeded simulation on the (reused) context and
+// condenses it into out — the stock scalars, and the plan's metrics in
+// out.Values, which the caller sized. It reads the clock three times, the
+// boundaries of the two phases it reports: building or resetting the
+// scenario, and running it.
+func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int, out *Replicate) (build, run time.Duration, err error) {
+	// Plan.Config without its deep copy: a scenario only reads the flow
+	// list, topology and churn spec it is given (clipping makes the one
+	// append it may do reallocate), so replicates — on any number of
+	// workers — share the cell's.
+	cfg := c.Config
+	cfg.Flows = slices.Clip(cfg.Flows)
+	cfg.Seed = DeriveSeed(env.p.BaseSeed, c.Key, rep)
 	cfg.Traceless = env.traceless
-	buildStart := time.Now()
+	t0 := time.Now()
 	if rc.s == nil {
 		s, err := experiment.Build(cfg)
 		if err != nil {
-			return Replicate{}, err
+			return 0, 0, err
 		}
 		rc.s = s
 		// Fresh engine, fresh counters: restart the telemetry deltas.
 		rc.lastSched, rc.lastWheel = sim.SchedStats{}, sim.WheelStats{}
 	} else if err := rc.s.Reset(cfg); err != nil {
 		rc.s = nil // half-built context: rebuild on the next job
-		return Replicate{}, err
+		return 0, 0, err
 	}
-	runStart := time.Now()
-	env.self.phaseBuild.Add(int64(runStart.Sub(buildStart)))
+	t1 := time.Now()
 	res := rc.s.Run()
-	env.self.phaseRun.Add(int64(time.Since(runStart)))
-	env.self.SimEvents.Add(int64(rc.s.Eng.Stats().Processed))
-	env.self.observeSched(rc.s.Eng.SchedStats(), &rc.lastSched)
-	if ws, ok := rc.s.WheelStats(); ok {
-		env.self.observeWheel(ws, &rc.lastWheel)
-	}
-	out := Replicate{
-		Run: Run{
-			Replicate:     rep,
-			Seed:          cfg.Seed,
-			Stalls:        res.Totals.Stalls,
-			CongSignals:   res.Totals.CongSignals,
-			Timeouts:      res.Totals.Timeouts,
-			RouterDrops:   res.RouterDrops,
-			InjectedDrops: res.InjectedDrops,
-			Utilization:   res.Utilization,
-			RevDrops:      res.ReverseDrops,
-		},
-		Values: make([]stats.JSONFloat, len(p.Metrics)),
+	t2 := time.Now()
+	out.Run = Run{
+		Replicate:     rep,
+		Seed:          cfg.Seed,
+		Stalls:        res.Totals.Stalls,
+		CongSignals:   res.Totals.CongSignals,
+		Timeouts:      res.Totals.Timeouts,
+		RouterDrops:   res.RouterDrops,
+		InjectedDrops: res.InjectedDrops,
+		Utilization:   res.Utilization,
+		RevDrops:      res.ReverseDrops,
 	}
 	if len(res.Hops) > 1 {
 		out.HopDrops = make([]int64, len(res.Hops))
@@ -194,7 +242,7 @@ func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int) (Replicate
 	for _, tp := range res.FlowThroughputs {
 		out.ThroughputBps += float64(tp)
 	}
-	for i, m := range p.Metrics {
+	for i, m := range env.p.Metrics {
 		out.Values[i] = stats.JSONFloat(m.Extract(res))
 	}
 	if env.opts.ExportWeb100 {
@@ -211,13 +259,14 @@ func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int) (Replicate
 		env.opts.AnomalySink(c.Key, rep, rc.s.FR.AppendJSONL(nil))
 		env.self.Anomalies.Inc()
 	}
-	return out, nil
+	return t1.Sub(t0), t2.Sub(t1), nil
 }
 
 // dispatchSpan sizes the contiguous run spans handed to workers: long
-// enough that channel traffic amortizes over many runs (and a cell's
-// replicates land back to back on one reused scenario), short enough to
-// keep every worker fed and the collector's reorder buffer shallow.
+// enough that the per-span costs (result message, buffers, shared-counter
+// updates) amortize over many runs and a cell's replicates land back to back
+// on one reused scenario, short enough to keep every worker fed and the
+// collector's reorder buffer shallow.
 func dispatchSpan(total, workers int) int {
 	s := total / (workers * 8)
 	if s < 1 {
@@ -229,17 +278,22 @@ func dispatchSpan(total, workers int) int {
 	return s
 }
 
+// spanWindow is how many spans per worker may be dispatched and not yet
+// folded: enough slack that the dispatcher stays off the critical path.
+const spanWindow = 8
+
 // ExecutePlan runs every cell of the plan's axis product, replicated on a
 // bounded worker pool, and summarizes the plan's metrics per cell. It is the
 // engine's entry point; Execute routes legacy grids through it.
 //
-// Aggregation streams: the collector folds each finished replicate into its
-// cell's accumulators strictly in canonical (cell, replicate) order — out-
-// of-order completions wait in a reorder buffer bounded by the worker count
-// and span size — so summaries are bit-identical to a batch Describe over
-// the replicates in order, independent of worker count, and (with
+// Aggregation streams: workers return their replicates a span at a time and
+// the collector folds them strictly in canonical (cell, replicate) order —
+// spans that complete early wait in a reorder buffer bounded by the worker
+// count — so summaries are bit-identical to a batch Describe over the
+// replicates in order, independent of worker count, and (with
 // Options.RetainRuns off) the replicates themselves are dropped as soon as
-// they are folded.
+// they are folded. A failed replicate ends the campaign: nothing further is
+// dispatched, and the error returned is the canonically first one.
 func ExecutePlan(p Plan, opts Options) (*Report, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -261,8 +315,7 @@ func ExecutePlan(p Plan, opts Options) (*Report, error) {
 // the moment the cell completes, before they are recycled — the shard
 // executor uses it to capture exact aggregation state for the merge parent.
 func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int, accs []stats.Accumulator)) ([]ReportCell, error) {
-	reps := p.Replicates
-	total := len(cells) * reps
+	total := len(cells) * p.Replicates
 	if total == 0 {
 		// A shard can legitimately own zero cells (more shards than cells).
 		return []ReportCell{}, nil
@@ -274,6 +327,7 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 	span := dispatchSpan(total, workers)
 	env := &execEnv{
 		p:         p,
+		cells:     cells,
 		traceless: !p.needsTrace(),
 		opts:      opts,
 		self:      opts.Self,
@@ -286,28 +340,22 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		env.anomalous = defaultAnomalous
 	}
 
-	type done struct {
-		idx  int
-		rep  Replicate
-		wall time.Duration
-		err  error
-	}
 	jobs := make(chan [2]int, workers)
-	results := make(chan done, 2*workers)
-	// tokens bounds the runs dispatched but not yet folded, and with them
-	// the collector's reorder buffer: the dispatcher acquires one token
-	// per run before handing out its span, the collector releases one per
-	// fold. If the canonically-first cell is also the slowest, the other
-	// workers stall once the window fills instead of racing ahead and
-	// buffering the whole campaign — the bound is O(workers × span) runs
-	// (a couple of MB at the defaults' ceiling), flat in campaign size.
-	// The constant keeps several spans of slack per worker so the
-	// dispatcher stays off the critical path. Deadlock-free because the
-	// capacity covers at least one full span and the collector folds
-	// eagerly, so the lowest unfolded run is always in flight or queued,
-	// never stuck in the buffer.
-	window := 8 * workers * span
+	results := make(chan spanResult, 2*workers)
+	// tokens bounds the spans dispatched but not yet folded, and with them
+	// the collector's reorder buffer: the dispatcher acquires one token per
+	// span, the collector releases one per span folded. If the canonically-
+	// first cell is also the slowest, the other workers stall once the
+	// window fills instead of racing ahead and buffering the whole campaign
+	// — the bound is O(workers × span) runs (a couple of MB at the
+	// defaults' ceiling), flat in campaign size. Deadlock-free because the
+	// collector folds eagerly, so the lowest unfolded span is always in
+	// flight or queued, never stuck in the buffer. After a failure the
+	// collector keeps its tokens and closes failed: the dispatcher hands
+	// out at most the window it already held, then stops.
+	window := spanWindow * workers
 	tokens := make(chan struct{}, window)
+	failed := make(chan struct{})
 
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -316,34 +364,30 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 			defer wg.Done()
 			var rc runContext
 			for jb := range jobs {
-				for g := jb[0]; g < jb[1]; g++ {
-					start := time.Now()
-					r, err := rc.runReplicate(env, cells[g/reps], g%reps)
-					env.self.Runs.Inc()
-					results <- done{idx: g, rep: r, wall: time.Since(start), err: err}
-				}
+				results <- rc.runSpan(env, jb[0], jb[1])
 			}
 		}()
 	}
 	go func() {
+		defer func() {
+			close(jobs)
+			wg.Wait()
+			close(results)
+		}()
 		for lo := 0; lo < total; lo += span {
-			hi := lo + span
-			if hi > total {
-				hi = total
+			select {
+			case tokens <- struct{}{}:
+			case <-failed:
+				return
 			}
-			for i := lo; i < hi; i++ {
-				tokens <- struct{}{}
-			}
-			jobs <- [2]int{lo, hi}
+			jobs <- [2]int{lo, min(lo+span, total)}
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
 	}()
 
-	// Collector: fold strictly in canonical order. Completions that arrive
-	// early wait in `pending`, whose size the token window caps at
-	// O(workers × span) regardless of how skewed per-cell cost is.
+	// Collector: fold strictly in canonical order. Spans in flight are
+	// consecutive and at most window many, so a span that arrives early
+	// waits in ring slot (its number mod window) — free by construction, no
+	// map. A slot is occupied while its reps are non-nil.
 	out := make([]ReportCell, len(cells))
 	f := folder{
 		p: p, cells: cells, out: out,
@@ -355,23 +399,32 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		onCell:   onCell,
 		self:     env.self,
 	}
-	pending := make(map[int]done, window)
-	next := 0
-	for d := range results {
-		pending[d.idx] = d
+	ring := make([]spanResult, window)
+	next, waiting := 0, 0 // next span to fold; runs parked in the ring
+	for sp := range results {
+		ring[(sp.lo/span)%window] = sp
+		waiting += len(sp.reps)
 		foldStart := time.Now()
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			f.fold(cur.idx, cur.rep, cur.wall, cur.err)
-			<-tokens
+		for slot := &ring[next%window]; slot.reps != nil; slot = &ring[next%window] {
+			cur := *slot
+			*slot = spanResult{}
+			waiting -= len(cur.reps)
 			next++
+			if f.err != nil {
+				continue // failed: only drain what was already out
+			}
+			for i := range cur.reps {
+				f.fold(cur.lo+i, &cur.reps[i], cur.wall[i])
+			}
+			if cur.err != nil {
+				f.fail(cur.lo+len(cur.reps), cur.err)
+				close(failed)
+				continue
+			}
+			<-tokens
 		}
 		env.self.phaseFold.Add(int64(time.Since(foldStart)))
-		env.self.reorderDepth.Store(int64(len(pending)))
+		env.self.reorderDepth.Store(int64(waiting))
 	}
 	if f.err != nil {
 		return nil, f.err
@@ -400,23 +453,21 @@ type folder struct {
 	err      error
 }
 
-func (f *folder) fold(idx int, r Replicate, wall time.Duration, err error) {
+// fail records the campaign's error: run idx, the first failure in canonical
+// order because folding is.
+func (f *folder) fail(idx int, err error) {
+	ci, ri := idx/f.p.Replicates, idx%f.p.Replicates
+	f.err = fmt.Errorf("campaign: cell %d (%s) replicate %d: %w", ci, f.cells[ci].Key, ri, err)
+}
+
+func (f *folder) fold(idx int, r *Replicate, wall time.Duration) {
 	f.cellWall += wall
 	ci, ri := idx/f.p.Replicates, idx%f.p.Replicates
-	if err != nil {
-		// First failure in canonical order wins; later folds only count
-		// toward completion.
-		if f.err == nil {
-			f.err = fmt.Errorf("campaign: cell %d (%s) replicate %d: %w",
-				ci, f.cells[ci].Key, ri, err)
-		}
-	} else {
-		for mi := range f.accs {
-			f.accs[mi].Add(float64(r.Values[mi]))
-		}
-		if f.retain {
-			f.runs = append(f.runs, r)
-		}
+	for mi := range f.accs {
+		f.accs[mi].Add(float64(r.Values[mi]))
+	}
+	if f.retain {
+		f.runs = append(f.runs, *r)
 	}
 	f.done++
 	if f.progress != nil && (f.done == f.total || f.done%f.stride == 0) {

@@ -1,12 +1,15 @@
 package campaign
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"rsstcp/internal/experiment"
+	"rsstcp/internal/stats"
 	"rsstcp/internal/unit"
 )
 
@@ -231,25 +234,30 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 		self:      NewSelfMetrics(),
 		anomalous: defaultAnomalous,
 	}
+	runOn := func(rc *runContext, c PlanCell, rep int) (Replicate, error) {
+		out := Replicate{Values: make([]stats.JSONFloat, len(env.p.Metrics))}
+		_, _, err := rc.runReplicate(env, c, rep, &out)
+		return out, err
+	}
 	for name, bad := range map[string]PlanCell{"before wiring": badSched, "after wiring": badFlow} {
 		var rc runContext
 		first := valid(experiment.AlgRestricted, "first")
-		if _, err := rc.runReplicate(env, first, 0); err != nil {
+		if _, err := runOn(&rc, first, 0); err != nil {
 			t.Fatalf("%s: first cell: %v", name, err)
 		}
-		if _, err := rc.runReplicate(env, bad, 0); err == nil {
+		if _, err := runOn(&rc, bad, 0); err == nil {
 			t.Fatalf("%s: invalid cell ran", name)
 		}
 		if rc.s != nil {
 			t.Fatalf("%s: worker kept the half-built scenario", name)
 		}
 		for i, c := range []PlanCell{valid(experiment.AlgStandard, "third"), valid(experiment.AlgRestricted, "fourth")} {
-			got, err := rc.runReplicate(env, c, 1)
+			got, err := runOn(&rc, c, 1)
 			if err != nil {
 				t.Fatalf("%s: cell %d after the failure: %v", name, i, err)
 			}
 			var fresh runContext
-			want, err := fresh.runReplicate(env, c, 1)
+			want, err := runOn(&fresh, c, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,6 +267,49 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 			if n := rc.s.Eng.Leaked(); n != 0 {
 				t.Errorf("%s: cell %d after the failure leaked %d calendar entries", name, i, n)
 			}
+		}
+	}
+}
+
+// TestFailedReplicateStopsDispatch: once the collector has folded a failure
+// the campaign is lost, so nothing further may be dispatched — the runs that
+// happen are those before the failure plus the spans already out, bounded by
+// the token window, not the rest of a 128 000-run plan. Dispatch and folding
+// are both in canonical order, so the error reported is the canonically
+// first one (cell 1, replicate 0) at every worker count. The bad algorithm
+// rides in on a custom axis, which Validate cannot see through; Build
+// rejects it.
+func TestFailedReplicateStopsDispatch(t *testing.T) {
+	t.Parallel()
+	vals := make([]Value, 64)
+	for i := range vals {
+		alg := experiment.AlgStandard
+		if i == 1 {
+			alg = "nope"
+		}
+		vals[i] = Val(fmt.Sprintf("v%02d", i), func(c *experiment.Config) {
+			c.Flows = []experiment.FlowSpec{{Alg: alg}}
+		})
+	}
+	p := Plan{
+		Axes:       []Axis{{Name: "shape", Values: vals}},
+		Metrics:    []Metric{MetricThroughputMbps},
+		Replicates: 2000,
+		Duration:   10 * time.Millisecond,
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		self := NewSelfMetrics()
+		_, err := ExecutePlan(p, Options{Workers: workers, Self: self})
+		if err == nil || !strings.Contains(err.Error(), "cell 1 (shape=v01) replicate 0:") {
+			t.Fatalf("workers=%d: err = %v, want the cell 1 / replicate 0 failure", workers, err)
+		}
+		// The failing span, everything dispatched before it, and one
+		// window of spans that may already have been out.
+		span := dispatchSpan(p.Runs(), workers)
+		bound := int64((p.Replicates/span + 1 + spanWindow*workers) * span)
+		if got := self.Runs.Value(); got < int64(p.Replicates) || got > bound {
+			t.Errorf("workers=%d: %d runs executed, want between %d and %d (plan: %d)",
+				workers, got, p.Replicates, bound, p.Runs())
 		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 type SelfMetrics struct {
 	started time.Time
 
-	// Runs counts completed replicate runs (successful or failed).
+	// Runs counts completed replicate runs (successful or failed). Workers
+	// update it, SimEvents and the build/run phase clocks once per
+	// dispatched span (at most 64 runs), not per run.
 	Runs telemetry.Counter
 	// SimEvents counts simulator calendar events executed, summed over
 	// every worker's engine.
@@ -46,7 +48,7 @@ type SelfMetrics struct {
 	schedMaxRungs atomic.Int64 // deepest ladder rung stack observed (spray depth)
 	schedMaxSize  atomic.Int64 // calendar occupancy high water over all engines
 
-	reorderDepth atomic.Int64 // pending out-of-order completions at the collector
+	reorderDepth atomic.Int64 // runs of early spans waiting in the collector's reorder buffer
 
 	phaseBuild atomic.Int64 // ns spent building/resetting scenarios
 	phaseRun   atomic.Int64 // ns spent inside Scenario.Run
@@ -100,7 +102,7 @@ func (m *SelfMetrics) Phases() (build, run, fold time.Duration) {
 // observeSched folds one engine's scheduler counters into the campaign
 // totals. The engine's counters are lifetime values that survive Reset and
 // so span every replicate run on a reused scenario; prev carries the last
-// snapshot per worker context, making each fold a per-replicate delta.
+// snapshot per worker context, making each fold the delta since the last.
 func (m *SelfMetrics) observeSched(cur sim.SchedStats, prev *sim.SchedStats) {
 	m.SchedSorts.Add(int64(cur.Sorts - prev.Sorts))
 	m.SchedSprays.Add(int64(cur.Sprays - prev.Sprays))

@@ -37,6 +37,14 @@ type Reno struct {
 // NewReno returns a Reno controller. Zero-value fields of cfg are replaced
 // by defaults.
 func NewReno(cfg RenoConfig) *Reno {
+	r := new(Reno)
+	r.Init(cfg)
+	return r
+}
+
+// Init (re)initializes the controller in place, unattached and with no
+// telemetry; nothing of a previous use survives.
+func (r *Reno) Init(cfg RenoConfig) {
 	def := DefaultRenoConfig()
 	if cfg.IW <= 0 {
 		cfg.IW = def.IW
@@ -47,7 +55,7 @@ func NewReno(cfg RenoConfig) *Reno {
 	if cfg.SS == nil {
 		cfg.SS = StdSlowStart{}
 	}
-	return &Reno{cfg: cfg, ss: cfg.SS}
+	*r = Reno{cfg: cfg, ss: cfg.SS}
 }
 
 // Name identifies the controller and its slow-start policy.

@@ -115,8 +115,9 @@ func alphaFor(tau, dt time.Duration) float64 {
 type RestrictedSlowStart struct {
 	eng    *sim.Engine
 	cfg    Config
-	ctrl   *pid.Controller
-	ticker *sim.Ticker
+	ctrl   pid.Controller
+	ticker sim.Ticker
+	tickFn func() // bound once so re-initializing never allocates
 	// windows are the connections drawing from this controller's budget.
 	// One window is the normal case; several windows model parallel
 	// streams from one host (GridFTP): the process variable (the IFQ) is
@@ -139,15 +140,35 @@ type RestrictedSlowStart struct {
 
 // New builds the policy. The configuration is validated and defaulted.
 func New(eng *sim.Engine, cfg Config) (*RestrictedSlowStart, error) {
+	r := new(RestrictedSlowStart)
+	if err := r.Init(eng, cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Init validates and defaults the configuration and (re)initializes the
+// policy in place: no windows attached, controller state cleared, ticker
+// stopped, counters zeroed. A used value keeps only its window list's
+// backing array and its bound tick callback. On error the policy must not
+// be used.
+func (r *RestrictedSlowStart) Init(eng *sim.Engine, cfg Config) error {
 	if cfg.Sensor == nil {
-		return nil, fmt.Errorf("core: Config.Sensor is required")
+		return fmt.Errorf("core: Config.Sensor is required")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Sensor.Capacity() <= 0 {
-		return nil, fmt.Errorf("core: sensor capacity must be positive")
+		return fmt.Errorf("core: sensor capacity must be positive")
 	}
+	clear(r.windows)
+	windows, tick, ticker := r.windows[:0], r.tickFn, r.ticker
+	if tick == nil {
+		tick = r.tick
+	}
+	*r = RestrictedSlowStart{} // zero, then set: a literal that reads r is built aside and copied
+	r.eng, r.cfg, r.windows, r.tickFn, r.ticker = eng, cfg, windows, tick, ticker
 	setpoint := cfg.SetpointFraction * float64(cfg.Sensor.Capacity())
-	ctrl, err := pid.New(pid.Config{
+	err := r.ctrl.Init(pid.Config{
 		Gains:    cfg.Gains,
 		Setpoint: setpoint,
 		OutMin:   -cfg.OutMaxSegmentsPerSec,
@@ -161,11 +182,10 @@ func New(eng *sim.Engine, cfg Config) (*RestrictedSlowStart, error) {
 		DerivativeAlpha: alphaFor(cfg.DerivativeTau, cfg.Tick),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
-	r := &RestrictedSlowStart{eng: eng, cfg: cfg, ctrl: ctrl}
-	r.ticker = sim.NewTicker(eng, cfg.Tick, r.tick)
-	return r, nil
+	r.ticker.Init(eng, cfg.Tick, r.tickFn)
+	return nil
 }
 
 // MustNew is New for statically-correct configurations.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"rsstcp/internal/host"
 	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/packet"
 	"rsstcp/internal/sim"
@@ -56,7 +55,7 @@ func (c ChurnSpec) withDefaults() ChurnSpec {
 }
 
 // legacyCount reports whether spec is a well-formed legacy arrival spec,
-// and its flow count. Config.withDefaults uses it to expand legacy churn
+// and its flow count. Config.fillDefaults uses it to expand legacy churn
 // statically; malformed specs return false and fail later in initChurn
 // with a real error.
 func legacyCount(spec string) (int, bool) {
@@ -166,9 +165,6 @@ type churnState struct {
 	// because every incarnation of an ID carries its own generation (see
 	// demux).
 	freeIDs []packet.FlowID
-	// spareNICs parks idle NICs of detached flows by first-hop index;
-	// attach reuses them, so steady-state churn allocates no interfaces.
-	spareNICs map[int][]*host.Interface
 	// Ideal-transfer-time model for Slowdown: route propagation (forward
 	// + reverse) plus serialization at the route's slowest hop.
 	baseRTT time.Duration
@@ -237,8 +233,7 @@ func (c *churnState) fctSummary() *FCTSummary {
 }
 
 // reset clears per-run state but keeps backing arrays warm for the next
-// replicate; the NIC free list is dropped because its interfaces drain
-// into the previous topology's hops.
+// replicate (Scenario.Reset has already parked the live flows).
 func (c *churnState) reset() {
 	c.src, c.dist, c.sizeRNG = nil, nil, nil
 	c.tmpl = FlowSpec{}
@@ -250,7 +245,6 @@ func (c *churnState) reset() {
 	c.totals = Totals{}
 	c.bytesAcked, c.refused, c.nextID = 0, 0, 0
 	c.freeIDs = c.freeIDs[:0]
-	c.spareNICs = nil
 	c.baseRTT, c.perByte = 0, 0
 	c.stopped = false
 	c.fctBytes, c.fctRetrans, c.fctSum, c.sdSum = 0, 0, 0, 0
@@ -258,17 +252,6 @@ func (c *churnState) reset() {
 	c.fctP99 = stats.P2{}
 	c.classN = [NumSizeClasses]int64{}
 	c.classSD = [NumSizeClasses]float64{}
-}
-
-func (c *churnState) takeNIC(firstHop int) *host.Interface {
-	list := c.spareNICs[firstHop]
-	if n := len(list); n > 0 {
-		nic := list[n-1]
-		c.spareNICs[firstHop] = list[:n-1]
-		nic.Recycle()
-		return nic
-	}
-	return nil
 }
 
 // add folds another Totals in (used when combining static and churn
@@ -281,9 +264,10 @@ func (t *Totals) add(o Totals) {
 }
 
 // initChurn validates the churn spec and starts the arrival process on the
-// freshly built scenario (legacy specs were expanded away in withDefaults
+// freshly built scenario (legacy specs were expanded away in fillDefaults
 // and never reach here).
-func (s *Scenario) initChurn(cfg Config) error {
+func (s *Scenario) initChurn() error {
+	cfg := &s.Cfg
 	spec := *cfg.Churn
 	src, err := lifecycle.ParseSource(spec.Arrivals)
 	if err != nil {
@@ -330,7 +314,6 @@ func (s *Scenario) initChurn(cfg Config) error {
 
 	s.churn.src, s.churn.dist, s.churn.tmpl = src, dist, tmpl
 	s.churn.sizeRNG = sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltSizes))
-	s.churn.spareNICs = map[int][]*host.Interface{}
 	src.Start(s.Eng, sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltArrivals)), s.launchChurnFlow)
 	return nil
 }
@@ -384,7 +367,7 @@ func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 		id, fromFree = s.churn.freeIDs[n-1], true
 		s.churn.freeIDs = s.churn.freeIDs[:n-1]
 	}
-	f, err := buildFlow(s, spec, id, true)
+	f, err := buildFlow(s, &spec, id, true)
 	if err != nil {
 		if fromFree {
 			s.churn.freeIDs = append(s.churn.freeIDs, id)
@@ -435,8 +418,9 @@ func (s *Scenario) completeChurnFlow(f *Flow) {
 // entries are cancelled, a private RSS controller's ticker stops, and the
 // demux routes are cleared so stray in-flight segments are released back
 // to the pool on arrival. A dynamic flow's counters fold into the churn
-// totals and its private NIC, once idle, is parked for reuse by the next
-// attach. Idempotent; detaching a static (configured) flow stops it
+// totals and its private NIC, if idle, is parked for the next flow that
+// needs one (nothing else of the bundle is: that waits for Reset).
+// Idempotent; detaching a static (configured) flow stops it
 // without folding, so its Result entry still reads correctly.
 func (s *Scenario) DetachFlow(f *Flow) {
 	if f.detached {
@@ -485,11 +469,7 @@ func (s *Scenario) DetachFlow(f *Flow) {
 		s.churn.freeIDs = append(s.churn.freeIDs, f.ID)
 	}
 	if dynamic && f.Spec.Host == 0 && f.NIC.Idle() {
-		if s.churn.spareNICs == nil {
-			s.churn.spareNICs = map[int][]*host.Interface{}
-		}
-		first, _ := s.arena.Span(f.ID)
-		s.churn.spareNICs[first] = append(s.churn.spareNICs[first], f.NIC)
+		s.parkNIC(f.NIC)
 	}
 	s.aggValid = false
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"bytes"
 	"testing"
 	"time"
+
+	"rsstcp/internal/unit"
 )
 
 // resetCfgs is a pair of deliberately different shapes, so the reuse path
@@ -229,5 +232,189 @@ func TestTracelessScalarsMatchTraced(t *testing.T) {
 	if bare.Eng.Processed() >= traced.Eng.Processed() {
 		t.Errorf("traceless run processed %d events, traced %d — sampling ticker not removed",
 			bare.Eng.Processed(), traced.Eng.Processed())
+	}
+}
+
+// gridCells is the 64-cell shape of the benchmark's campaign_grid workload
+// (bandwidth × RTT × txqueuelen × algorithm, 50 ms, traceless): the short
+// replicates whose turnaround the recycling store exists for.
+func gridCells() []Config {
+	var cells []Config
+	for _, bw := range []unit.Bandwidth{10 * unit.Mbps, 25 * unit.Mbps, 50 * unit.Mbps, 100 * unit.Mbps} {
+		for _, rtt := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond} {
+			for _, txq := range []int{50, 100} {
+				for _, alg := range []Algorithm{AlgStandard, AlgRestricted} {
+					cells = append(cells, Config{
+						Path:      PathConfig{Bottleneck: bw, RTT: rtt, RouterQueue: 250, TxQueueLen: txq},
+						Flows:     []FlowSpec{{Alg: alg}},
+						Duration:  50 * time.Millisecond,
+						Seed:      uint64(len(cells) + 1),
+						Traceless: true,
+					})
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// TestResetReturnsCheckedOutSegments: a 50 ms run ends with segments in
+// IFQs, hop queues, propagation FIFOs and ACK lines (and, on the shapes
+// appended to the grid, in the reverse link and in deferred reorder
+// deliveries). Reset must hand every one back to the scenario's pool, or a
+// reused context leaks a few segments per replicate forever.
+func TestResetReturnsCheckedOutSegments(t *testing.T) {
+	t.Parallel()
+	cells := gridCells()
+	lot := parkingLot(AlgRestricted)
+	lot.Traceless = true
+	reorder := cells[0]
+	reorder.Topology = &Topology{Hops: []Hop{{
+		Rate: 100 * unit.Mbps, Delay: 5 * time.Millisecond, Queue: 250, ReorderP: 0.2, DuplicateP: 0.05,
+	}}}
+	cells = append(cells, lot, reorder)
+
+	s, err := Build(cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := int64(0)
+	for i := 0; i < 200; i++ {
+		s.Run()
+		gets, releases := s.SegCounters()
+		held += gets - releases
+		if err := s.Reset(cells[(i+1)%len(cells)]); err != nil {
+			t.Fatal(err)
+		}
+		if gets, releases = s.SegCounters(); gets != releases {
+			t.Fatalf("cycle %d: %d segments still checked out right after Reset", i, gets-releases)
+		}
+	}
+	if held == 0 {
+		t.Fatal("no run ended with segments in flight — bad test premise")
+	}
+}
+
+// TestResetRunAllocBudget pins what a steady-state replicate allocates on a
+// reused scenario: the slices of its Result and nothing for the testbed.
+func TestResetRunAllocBudget(t *testing.T) {
+	cells := gridCells()
+	for _, cfg := range []Config{cells[0], cells[1], cells[len(cells)-1]} {
+		s, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := s.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+		})
+		if allocs > 6 {
+			t.Errorf("%s bw=%v: Reset+Run allocates %.1f objects, budget 6",
+				cfg.Flows[0].Alg, cfg.Path.Bottleneck, allocs)
+		}
+	}
+}
+
+// TestResetAcrossShapesMatchesFreshBuild drives one scenario through a chain
+// of deliberately unlike shapes, so every parked component is re-initialized
+// for a job unlike its last one: a sender that ran SACK recovery at MSS 1000
+// next runs a plain dumbbell, a NIC shared by two restricted flows next
+// carries churn arrivals, delay lines are re-keyed, the reverse link comes
+// and goes. After each Reset the run must be indistinguishable from a fresh
+// Build's — Result, per-hop counters, completed-flow records and the flight
+// recorder's bytes — which is what "recycled state carries nothing over"
+// means.
+func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
+	t.Parallel()
+	dumbbell := Config{Flows: []FlowSpec{{Alg: AlgStandard}}, Duration: 2 * time.Second, Seed: 3}
+
+	shared := Config{
+		Flows: []FlowSpec{
+			{Alg: AlgRestricted, Host: 1},
+			{Alg: AlgRestricted, Host: 1, StartAt: 200 * time.Millisecond},
+			{Alg: AlgRestricted, SetpointFraction: 0.8},
+		},
+		Duration: 2 * time.Second, Seed: 11, Traceless: true,
+	}
+
+	redHop := Hop{Rate: 100 * unit.Mbps, Delay: 10 * time.Millisecond, Queue: 250, Discipline: DiscRED}
+	lossy := redHop
+	lossy.Loss = 0.01
+	redLot := Config{
+		Topology: &Topology{Hops: []Hop{lossy, redHop, redHop}},
+		Flows: []FlowSpec{
+			{Alg: AlgStandard, SACK: true, MSS: 1000},
+			{Alg: AlgStandard, Cross: true, Route: Route{FirstHop: 1, Hops: 1}, StartAt: 500 * time.Millisecond},
+		},
+		Duration: 2 * time.Second, Seed: 5, Traceless: true,
+	}
+
+	revCongested := Config{Flows: []FlowSpec{{Alg: AlgRestricted}}, Duration: 2 * time.Second, Seed: 8}
+	if err := ApplyPreset(&revCongested, "reverse-congested"); err != nil {
+		t.Fatal(err)
+	}
+
+	churn := churnCfg()
+	churn.Duration = 2 * time.Second
+	churn.TimerWheel = true
+
+	stallWait := Config{Flows: []FlowSpec{{Alg: AlgStallWait}}, Duration: 2 * time.Second, Seed: 13, Traceless: true}
+
+	chain := []struct {
+		name string
+		cfg  Config
+	}{
+		{"three flows, shared host, restricted", shared},
+		{"RED parking lot, loss, SACK, MSS 1000", redLot},
+		{"reverse-congested", revCongested},
+		{"poisson churn, timer wheel", churn},
+		{"stall-wait", stallWait},
+		{"dumbbell again", dumbbell},
+	}
+
+	s, err := Build(dumbbell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	for _, step := range chain {
+		fresh, err := Build(step.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		want := fresh.Run()
+		if err := s.Reset(step.cfg); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		got := s.Run()
+
+		sameChurnResult(t, step.name, want, got)
+		if len(want.Hops) != len(got.Hops) {
+			t.Fatalf("%s: %d hops (fresh) vs %d (reused)", step.name, len(want.Hops), len(got.Hops))
+		}
+		for i := range want.Hops {
+			if want.Hops[i] != got.Hops[i] {
+				t.Errorf("%s: hop %d diverged: %+v (fresh) vs %+v (reused)", step.name, i, want.Hops[i], got.Hops[i])
+			}
+		}
+		if want.ReverseDrops != got.ReverseDrops {
+			t.Errorf("%s: reverse drops %d (fresh) vs %d (reused)", step.name, want.ReverseDrops, got.ReverseDrops)
+		}
+		for i := range want.FlowStats {
+			if want.FlowStats[i] != got.FlowStats[i] {
+				t.Errorf("%s: flow %d Web100 snapshot diverged", step.name, i)
+			}
+		}
+		if w, g := fresh.FR.AppendJSONL(nil), s.FR.AppendJSONL(nil); !bytes.Equal(w, g) {
+			t.Errorf("%s: flight recorder diverged (%d bytes fresh, %d reused)", step.name, len(w), len(g))
+		} else if len(w) == 0 {
+			t.Errorf("%s: flight recorder empty — bad test premise", step.name)
+		}
+		if got := s.Eng.Leaked(); got != 0 {
+			t.Errorf("%s: reused engine leaked %d events", step.name, got)
+		}
 	}
 }

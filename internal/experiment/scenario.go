@@ -5,6 +5,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rsstcp/internal/cc"
@@ -102,7 +103,7 @@ func PaperPath() PathConfig {
 	}
 }
 
-func (p PathConfig) withDefaults() PathConfig {
+func (p *PathConfig) fillDefaults() {
 	if p.Bottleneck <= 0 {
 		p.Bottleneck = 100 * unit.Mbps
 	}
@@ -118,7 +119,6 @@ func (p PathConfig) withDefaults() PathConfig {
 	if p.TxQueueLen <= 0 {
 		p.TxQueueLen = 100
 	}
-	return p
 }
 
 // FlowSpec describes one sender/receiver pair.
@@ -233,8 +233,10 @@ type Config struct {
 	RetainFlows int `json:",omitempty"`
 }
 
-func (c Config) withDefaults() Config {
-	c.Path = c.Path.withDefaults()
+// fillDefaults resolves zero fields in place. Slices and pointers the
+// caller's Config shares are replaced, never written through.
+func (c *Config) fillDefaults() {
+	c.Path.fillDefaults()
 	if c.Churn != nil {
 		churn := c.Churn.withDefaults()
 		c.Churn = &churn
@@ -283,7 +285,6 @@ func (c Config) withDefaults() Config {
 	if c.Scheduler == "wheel" {
 		c.TimerWheel = true
 	}
-	return c
 }
 
 // SchedulerKind resolves the Scheduler field to the backend that will run:
@@ -303,7 +304,9 @@ func (c Config) SchedulerKind() (string, error) {
 	return "", fmt.Errorf("experiment: unknown scheduler %q (want heap, wheel, or ladder)", c.Scheduler)
 }
 
-// Flow bundles the components of one connection.
+// Flow bundles the components of one connection. A Flow and everything it
+// points to belong to the scenario: Reset parks the bundle and a later flow
+// may be built on it, so a *Flow is valid only until the next Reset.
 type Flow struct {
 	Spec     FlowSpec
 	ID       packet.FlowID
@@ -313,6 +316,12 @@ type Flow struct {
 	// RSS is non-nil for AlgRestricted.
 	RSS    *core.RestrictedSlowStart
 	Stalls *trace.Counter
+
+	// The bundle's own controller and the stall hook bound to Stalls: with
+	// Sender, Receiver and Stalls they are allocated once per bundle and
+	// re-initialized by every flow built on it (see takeFlow).
+	reno    *cc.Reno
+	onStall func()
 
 	// Lifecycle bookkeeping: birth time, the on/off source to stop at
 	// detach, the flow's slot in the live churn set (-1 for static flows)
@@ -348,7 +357,8 @@ type Scenario struct {
 	// byte-identical no matter which worker or process ran the replicate.
 	FR *telemetry.FlightRecorder
 	// Topo is the resolved topology the scenario was built from (explicit,
-	// or compiled from Cfg.Path).
+	// or compiled from Cfg.Path). Its hop list is scenario-owned scratch,
+	// rewritten by the next Reset.
 	Topo Topology
 	// Bottleneck is the lowest-static-rate forward hop (ties resolve to the
 	// earliest hop) — the nominal bottleneck, as a handle into the hop
@@ -381,6 +391,13 @@ type Scenario struct {
 	hostEntry map[int]int                       // shared NICs' first-hop index
 	rssByHost map[int]*core.RestrictedSlowStart // shared controllers by FlowSpec.Host
 
+	// park is where Reset puts the previous run's components and where
+	// init and buildFlow look before allocating (see parked).
+	park parked
+	// startFn starts a static flow's workload at its StartAt; bound once
+	// so scheduling it (ScheduleArg, the flow as argument) never allocates.
+	startFn func(any)
+
 	// churn is the dynamic-flow machinery (Cfg.Churn != nil): arrival
 	// source, size stream, live set and completed-flow records. Its nextID
 	// counter is live even without churn so manual AttachFlow works on any
@@ -397,8 +414,9 @@ type Scenario struct {
 	aggTotals Totals
 
 	// segs is the scenario's segment allocator: one simulation is one
-	// logical thread, so a plain freelist suffices. It survives Reset, so
-	// campaign replicates after the first run entirely on recycled
+	// logical thread, so a plain freelist suffices. It survives Reset, and
+	// Reset returns every segment the previous run still had checked out,
+	// so campaign replicates after the first run entirely on recycled
 	// segments.
 	segs *packet.Pool
 
@@ -424,12 +442,74 @@ type demux struct {
 }
 
 func (d *demux) set(id packet.FlowID, gen uint32, r netem.Receiver) {
-	for int(id) >= len(d.routes) {
-		d.routes = append(d.routes, nil)
-		d.gens = append(d.gens, 0)
-	}
+	d.routes = extend(d.routes, int(id)+1)
+	d.gens = extend(d.gens, int(id)+1)
 	d.routes[id] = r
 	d.gens[id] = gen
+}
+
+// reset empties the table, keeping its capacity.
+func (d *demux) reset() {
+	clear(d.routes)
+	clear(d.gens)
+	d.routes, d.gens = d.routes[:0], d.gens[:0]
+}
+
+// extend returns s lengthened to at least n entries in one step. The added
+// entries read zero as long as whoever shortens s clears it first, which
+// every reset in this package does.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return slices.Grow(s, n-len(s))[:n]
+}
+
+// parked is the scenario's recycling store. Reset flushes the previous
+// run's flow bundles, NICs and restricted-slow-start controllers and parks
+// them here; init and buildFlow take a parked component and re-initialize
+// it (each type's Init, the routine its constructor runs too) before they
+// allocate a new one. A replicate after the first therefore allocates
+// nothing for its testbed, and its rings, windows and FIFOs start at the
+// capacity earlier runs grew them to. Between Resets only detach adds to it
+// (an idle NIC).
+type parked struct {
+	flows []*Flow
+	nics  []*host.Interface
+	rss   []*core.RestrictedSlowStart
+	// tables backs the scenario's three demux pointers (forward, real
+	// reverse, ideal reverse); hops and specs are init's topology scratch.
+	tables [3]demux
+	hops   []Hop
+	specs  []netem.HopSpec
+}
+
+// take pops a parked component, or returns a zero one for Init to shape.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
+}
+
+// takeFlow returns a flow bundle: a zero Flow but for its 1:1 parts, every
+// one of which buildFlow still has to Init.
+func (s *Scenario) takeFlow() *Flow {
+	f := take(&s.park.flows)
+	if f.Sender == nil {
+		f.Sender, f.Receiver = new(tcp.Sender), new(tcp.Receiver)
+		f.Stalls, f.reno = new(trace.Counter), new(cc.Reno)
+		f.onStall = f.Stalls.Inc
+	}
+	snd, rcv, stalls, reno, onStall := f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall
+	*f = Flow{}
+	f.liveIdx = -1
+	f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall = snd, rcv, stalls, reno, onStall
+	return f
 }
 
 func (d *demux) Receive(seg *packet.Segment) {
@@ -450,51 +530,87 @@ func Build(cfg Config) (*Scenario, error) {
 		rssByHost: map[int]*core.RestrictedSlowStart{},
 		segs:      packet.NewPool(),
 	}
-	if err := s.init(cfg); err != nil {
+	s.startFn = func(f any) { s.startWorkload(f.(*Flow)) }
+	if err := s.init(&cfg); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Reset rebuilds the scenario in place for cfg, reusing the run context a
-// fresh Build would allocate again: the engine (with its warm event pool),
-// the recorder's series storage, and the scenario's own bookkeeping. A
-// reused scenario produces results identical to a freshly built one — see
-// TestResetMatchesFreshBuild — which is what lets campaign workers run
-// replicates back to back on one context without re-deriving anything. On
-// error the scenario is left half-built and must be discarded.
+// Reset rebuilds the scenario in place for cfg on the run context a fresh
+// Build would allocate again. The engine keeps its event pool, the recorder
+// its series storage, the arena, flow table, wheel and segment pool their
+// backing arrays; the previous run's per-flow components are parked and
+// re-initialized instead of reallocated (see parked). Every segment the
+// previous run left checked out — in an IFQ, a hop queue, a propagation
+// FIFO, an ACK line, the reverse link, a deferred reorder delivery — is
+// released first, so SegCounters balances right after Reset. A reused
+// scenario produces results identical to a freshly built one whatever ran on
+// it before (TestResetMatchesFreshBuild,
+// TestResetAcrossShapesMatchesFreshBuild), which is what lets campaign
+// workers run replicates back to back on one context. The previous run's
+// Flows are invalid afterwards. On error the scenario is left half-built
+// and must be discarded.
 func (s *Scenario) Reset(cfg Config) error {
 	s.Eng.Reset()
 	s.Rec.Reset()
-	for i := range s.Flows {
-		s.Flows[i] = nil
+	for _, set := range [2][]*Flow{s.Flows, s.churn.live} {
+		for i, f := range set {
+			if f.Spec.Host == 0 {
+				s.parkNIC(f.NIC)
+				if f.RSS != nil {
+					s.park.rss = append(s.park.rss, f.RSS)
+				}
+			}
+			s.park.flows = append(s.park.flows, f)
+			set[i] = nil
+		}
 	}
 	s.Flows = s.Flows[:0]
-	clear(s.hosts)
-	clear(s.hostEntry)
-	clear(s.rssByHost)
-	s.Bottleneck, s.dm = netem.HopRef{}, nil
-	s.hops = s.hops[:0]
-	s.flowGen = s.flowGen[:0]
-	s.revLink, s.revQ, s.revDemux = nil, nil, nil
-	s.ackDemux = nil
-	for i := range s.ackLines {
-		s.ackLines[i] = nil
+	if len(s.hosts) > 0 { // shared hosts are the rare shape; skip the map walks without them
+		for _, nic := range s.hosts {
+			s.parkNIC(nic)
+		}
+		for _, rss := range s.rssByHost {
+			s.park.rss = append(s.park.rss, rss)
+		}
+		clear(s.hosts)
+		clear(s.hostEntry)
+		clear(s.rssByHost)
 	}
-	s.ackLines = s.ackLines[:0]
+	s.Bottleneck = netem.HopRef{}
+	s.hops = s.hops[:0]
+	clear(s.flowGen)
+	s.flowGen = s.flowGen[:0]
+	if s.revLink != nil {
+		s.revLink.Flush()
+	}
+	s.revLink, s.revQ = nil, nil
+	for _, l := range s.ackLines {
+		l.Flush()
+	}
 	s.ackDelays = s.ackDelays[:0]
 	s.revDrops = 0
-	s.aggValid, s.aggTps, s.aggStats = false, nil, nil
+	s.aggValid = false
 	s.churn.reset()
 	s.FR.Reset()
-	return s.init(cfg)
+	return s.init(&cfg)
+}
+
+// parkNIC returns a NIC to the free list buildFlow draws from, releasing
+// whatever it still holds (nothing, when detach parks an idle one mid-run).
+func (s *Scenario) parkNIC(nic *host.Interface) {
+	nic.Flush()
+	s.park.nics = append(s.park.nics, nic)
 }
 
 // init wires the testbed into the scenario's (fresh or reset) engine and
 // recorder. Everything the simulation can observe is rebuilt from cfg, so a
 // run is bit-identical whether its context is new or reused.
-func (s *Scenario) init(cfg Config) error {
-	cfg = cfg.withDefaults()
+func (s *Scenario) init(in *Config) error {
+	s.Cfg = *in
+	cfg := &s.Cfg
+	cfg.fillDefaults()
 	eng := s.Eng
 	// Select the calendar backend before anything touches the (empty,
 	// just-built or just-reset) engine. Switching per replicate is free:
@@ -507,7 +623,6 @@ func (s *Scenario) init(cfg Config) error {
 	eng.UseLadder(sched == "ladder")
 	rec := s.Rec
 	rec.SetEnabled(!cfg.Traceless)
-	s.Cfg = cfg
 	// The flight recorder survives Reset (same capacity ⇒ same ring, just
 	// emptied); a capacity change re-sizes it.
 	if cap := cfg.EventLog; s.FR == nil || (cap > 0 && s.FR.Cap() != cap) {
@@ -528,7 +643,8 @@ func (s *Scenario) init(cfg Config) error {
 	if cfg.TimerWheel && s.wheel == nil {
 		s.wheel = sim.NewWheel(eng, sim.DefaultWheelGran, sim.DefaultWheelSlots)
 	}
-	topo := cfg.topology()
+	topo := cfg.topology(s.park.hops)
+	s.park.hops = topo.Hops
 	if err := topo.Validate(); err != nil {
 		return err
 	}
@@ -547,15 +663,17 @@ func (s *Scenario) init(cfg Config) error {
 	// figures (Utilization, TimeToUtil90, the "util" gauge) read the
 	// max-utilization hop; the exported Bottleneck handle holds the
 	// lowest-static-rate hop for callers that want the nominal bottleneck.
-	dm := &demux{}
+	dm := &s.park.tables[0]
+	dm.reset()
 	s.dm = dm
 	n := len(topo.Hops)
 	if s.arena == nil {
 		s.arena = netem.NewHopArena(eng)
 	}
-	specs := make([]netem.HopSpec, n)
+	specs := extend(s.park.specs[:0], n)
+	s.park.specs = specs
 	for i := range topo.Hops {
-		hc := topo.Hops[i]
+		hc := &topo.Hops[i]
 		sp := netem.HopSpec{Rate: hc.Rate, Delay: hc.Delay, Queue: hc.Queue, Watch: 0.9}
 		if hc.Discipline == DiscRED {
 			red := netem.DefaultREDConfig(hc.Queue)
@@ -613,12 +731,14 @@ func (s *Scenario) init(cfg Config) error {
 	// from every flow queue behind one serializer, then a reverse demux
 	// hands them to their senders. With Rate zero each flow keeps its own
 	// ideal pure-delay wire (built per flow, below).
+	s.revDemux, s.ackDemux = nil, nil
 	if topo.Reverse.Rate > 0 {
 		rd := topo.Reverse.Delay
 		if rd <= 0 {
 			rd = topo.ForwardDelay()
 		}
-		s.revDemux = &demux{}
+		s.revDemux = &s.park.tables[1]
+		s.revDemux.reset()
 		s.revQ = netem.NewDropTail(topo.Reverse.Queue)
 		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, s.revQ, s.revDemux)
 		s.revLink.OnDrop = func(*packet.Segment) { s.revDrops++ }
@@ -627,12 +747,13 @@ func (s *Scenario) init(cfg Config) error {
 		// Ideal reverse: one shared delay line per distinct reverse delay
 		// (created on demand in flow build order), all feeding the ACK
 		// demux, which routes by FlowID + generation to each sender.
-		s.ackDemux = &demux{}
+		s.ackDemux = &s.park.tables[2]
+		s.ackDemux.reset()
 	}
 
-	for i, spec := range cfg.Flows {
+	for i := range cfg.Flows {
 		id := packet.FlowID(i + 1)
-		flow, err := buildFlow(s, spec, id, false)
+		flow, err := buildFlow(s, &cfg.Flows[i], id, false)
 		if err != nil {
 			return fmt.Errorf("experiment: flow %d: %w", i, err)
 		}
@@ -640,17 +761,17 @@ func (s *Scenario) init(cfg Config) error {
 	}
 	s.churn.nextID = packet.FlowID(len(cfg.Flows) + 1)
 	if cfg.Churn != nil {
-		if err := s.initChurn(cfg); err != nil {
+		if err := s.initChurn(); err != nil {
 			return fmt.Errorf("experiment: churn: %w", err)
 		}
 	}
 
-	// Scenario-global gauge: cumulative bottleneck utilization, sampled so
-	// time-to-threshold metrics can read the ramp from the recorder.
-	rec.Gauge("util", func() float64 {
-		return s.bottleneck(eng.Now()).Utilization(eng.Now())
-	})
 	if rec.Enabled() {
+		// Scenario-global gauge: cumulative bottleneck utilization, sampled
+		// so time-to-threshold metrics can read the ramp from the recorder.
+		rec.Gauge("util", func() float64 {
+			return s.bottleneck(eng.Now()).Utilization(eng.Now())
+		})
 		// Per-hop and reverse-queue occupancy gauges, only when the
 		// topology actually has them: a one-hop ideal-reverse scenario
 		// records exactly the pre-topology series set.
@@ -685,42 +806,45 @@ func (s *Scenario) bottleneck(now sim.Time) netem.HopRef {
 	return s.arena.Hop(best)
 }
 
-// ackLine returns the shared ideal-reverse delay line for delay d, creating
-// it on first use. Lines are keyed by exact delay (a handful of distinct
-// values per topology), so a linear scan beats any map.
+// ackLine returns the shared ideal-reverse delay line for delay d, setting
+// it up on first use. Lines are keyed by exact delay (a handful of distinct
+// values per topology), so a linear scan beats any map. ackLines keeps every
+// line the scenario ever made; the first len(ackDelays) are this run's, the
+// rest wait (flushed) for a run that needs more.
 func (s *Scenario) ackLine(d time.Duration) *netem.DelayLine {
 	for i, ad := range s.ackDelays {
 		if ad == d {
 			return s.ackLines[i]
 		}
 	}
-	l := netem.NewDelayLine(s.Eng, d, s.ackDemux)
+	i := len(s.ackDelays)
+	if i == len(s.ackLines) {
+		s.ackLines = append(s.ackLines, new(netem.DelayLine))
+	}
+	s.ackLines[i].Init(s.Eng, d, s.ackDemux)
 	s.ackDelays = append(s.ackDelays, d)
-	s.ackLines = append(s.ackLines, l)
-	return l
+	return s.ackLines[i]
 }
 
 // nextGen advances and returns the FlowID's incarnation counter. The first
 // owner of an ID gets generation 1, so a cleared route (generation 0) can
 // never match a stamped segment.
 func (s *Scenario) nextGen(id packet.FlowID) uint32 {
-	for int(id) >= len(s.flowGen) {
-		s.flowGen = append(s.flowGen, 0)
-	}
+	s.flowGen = extend(s.flowGen, int(id)+1)
 	s.flowGen[id]++
 	return s.flowGen[id]
 }
 
-// buildFlow wires one sender/receiver pair into the scenario. Static flows
-// (dynamic=false) register traced gauges and start their workload at
-// StartAt; dynamic flows — churn arrivals attached mid-run — recycle idle
-// NICs from earlier detaches, keep their stall counter anonymous (a
-// short-lived flow must not grow the recorder's series set), and start
-// their workload synchronously at attach time.
-func buildFlow(s *Scenario, spec FlowSpec, id packet.FlowID, dynamic bool) (*Flow, error) {
+// buildFlow wires one sender/receiver pair into the scenario, on parked
+// components where there are any (see parked): every part is shaped by its
+// Init, so a recycled bundle and a new one are indistinguishable. Static
+// flows (dynamic=false) register traced gauges and start their workload at
+// StartAt; dynamic flows — churn arrivals attached mid-run — keep their
+// stall counter anonymous (a short-lived flow must not grow the recorder's
+// series set), and start their workload synchronously at attach time.
+func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Flow, error) {
 	eng := s.Eng
-	cfg := s.Cfg
-	dm := s.dm
+	cfg := &s.Cfg
 
 	first, last, err := spec.Route.span(len(s.hops))
 	if err != nil {
@@ -752,11 +876,9 @@ func buildFlow(s *Scenario, spec FlowSpec, id packet.FlowID, dynamic bool) (*Flo
 				spec.Host, s.hostEntry[spec.Host], first)
 		}
 	}
-	if nic == nil && dynamic && spec.Host == 0 {
-		nic = s.churn.takeNIC(first)
-	}
 	if nic == nil {
-		nic = host.NewInterface(eng, host.InterfaceConfig{
+		nic = take(&s.park.nics)
+		nic.Init(eng, host.InterfaceConfig{
 			Rate:       cfg.Path.NICRate,
 			TxQueueLen: cfg.Path.TxQueueLen,
 		}, s.arena.Ingress(first))
@@ -766,14 +888,10 @@ func buildFlow(s *Scenario, spec FlowSpec, id packet.FlowID, dynamic bool) (*Flo
 		}
 	}
 
-	flow := &Flow{Spec: spec, ID: id, NIC: nic, started: eng.Now(), liveIdx: -1}
-
-	ctrl, err := buildController(s, spec, nic, flow)
-	if err != nil {
+	flow := s.takeFlow()
+	flow.Spec, flow.ID, flow.NIC, flow.started = *spec, id, nic, eng.Now()
+	if err := buildController(s, flow); err != nil {
 		return nil, err
-	}
-	if reno, ok := ctrl.(*cc.Reno); ok {
-		reno.SetTelemetry(s.FR, int32(id))
 	}
 
 	// Reverse path: receiver -> reverse channel -> sender. With a real
@@ -783,8 +901,9 @@ func buildFlow(s *Scenario, spec FlowSpec, id packet.FlowID, dynamic bool) (*Flo
 	// registered right after the sender exists, before any data (and hence
 	// any ACK) can be in flight.
 	var ackPath netem.Receiver
+	sndDemux := s.ackDemux
 	if s.revLink != nil {
-		ackPath = s.revLink
+		ackPath, sndDemux = s.revLink, s.revDemux
 	} else {
 		rd := s.Topo.Reverse.Delay
 		if rd <= 0 {
@@ -794,98 +913,103 @@ func buildFlow(s *Scenario, spec FlowSpec, id packet.FlowID, dynamic bool) (*Flo
 		}
 		ackPath = s.ackLine(rd)
 	}
-	flow.Receiver = tcp.NewReceiver(eng, tcpCfg, id, ackPath)
-	dm.set(id, gen, flow.Receiver)
+	flow.Receiver.Init(eng, tcpCfg, id, ackPath)
+	s.dm.set(id, gen, flow.Receiver)
 
-	flow.Sender = tcp.NewSender(eng, tcpCfg, id, ctrl, nic)
+	flow.Sender.Init(eng, tcpCfg, id, flow.reno, nic)
 	flow.Sender.SetFlightRecorder(s.FR)
-	if s.revLink != nil {
-		s.revDemux.set(id, gen, flow.Sender)
-	} else {
-		s.ackDemux.set(id, gen, flow.Sender)
-	}
+	sndDemux.set(id, gen, flow.Sender)
 	if s.Rec.Enabled() && !dynamic {
-		flow.Stalls = trace.NewCounter(s.Rec, fmt.Sprintf("stalls/%d", id))
-
-		// Gauges for this flow.
-		s.Rec.Gauge(fmt.Sprintf("cwnd_segs/%d", id), func() float64 {
-			return float64(flow.Sender.Cwnd()) / float64(tcpCfg.MSS)
-		})
-		s.Rec.Gauge(fmt.Sprintf("ifq/%d", id), func() float64 {
-			return float64(nic.Len())
-		})
-		s.Rec.Gauge(fmt.Sprintf("goodput_mbps/%d", id), func() float64 {
-			return float64(flow.Sender.Stats().Throughput(eng.Now())) / 1e6
-		})
+		flow.Stalls.Init(s.Rec, fmt.Sprintf("stalls/%d", id))
+		registerFlowGauges(s, flow)
 	} else {
 		// Traceless: the counter still counts (Result.Stalls reads it)
 		// but records no points — and skips the name formatting.
-		flow.Stalls = trace.NewCounter(s.Rec, "")
+		flow.Stalls.Init(s.Rec, "")
 	}
-	flow.Sender.OnStall = flow.Stalls.Inc
+	flow.Sender.OnStall = flow.onStall
 
 	// Workload: dynamic flows start at attach time (now), static flows at
 	// their configured StartAt.
-	startWorkload := func() {
-		switch {
-		case spec.OnOff != nil:
-			src := workload.NewOnOff(eng, flow.Sender,
-				spec.OnOff.On, spec.OnOff.Off, spec.OnOff.Rate, int64(tcpCfg.MSS))
-			flow.onoff = src
-			src.Start()
-		case spec.Bytes > 0:
-			workload.Bulk(flow.Sender, spec.Bytes)
-		default:
-			workload.Unbounded(flow.Sender)
-		}
-	}
 	if dynamic {
-		startWorkload()
+		s.startWorkload(flow)
 	} else {
-		eng.Schedule(sim.At(spec.StartAt), startWorkload)
+		eng.ScheduleArg(sim.At(spec.StartAt), s.startFn, flow)
 	}
 	return flow, nil
 }
 
-func buildController(s *Scenario, spec FlowSpec, nic *host.Interface, flow *Flow) (cc.Controller, error) {
-	eng := s.Eng
+// registerFlowGauges adds a static flow's sampled series to the recorder.
+func registerFlowGauges(s *Scenario, flow *Flow) {
+	eng, nic, mss := s.Eng, flow.NIC, float64(flow.Sender.MSS())
+	s.Rec.Gauge(fmt.Sprintf("cwnd_segs/%d", flow.ID), func() float64 {
+		return float64(flow.Sender.Cwnd()) / mss
+	})
+	s.Rec.Gauge(fmt.Sprintf("ifq/%d", flow.ID), func() float64 {
+		return float64(nic.Len())
+	})
+	s.Rec.Gauge(fmt.Sprintf("goodput_mbps/%d", flow.ID), func() float64 {
+		return float64(flow.Sender.Stats().Throughput(eng.Now())) / 1e6
+	})
+}
+
+// startWorkload hands the flow's sender its data source.
+func (s *Scenario) startWorkload(flow *Flow) {
+	switch spec := &flow.Spec; {
+	case spec.OnOff != nil:
+		src := workload.NewOnOff(s.Eng, flow.Sender,
+			spec.OnOff.On, spec.OnOff.Off, spec.OnOff.Rate, int64(flow.Sender.MSS()))
+		flow.onoff = src
+		src.Start()
+	case spec.Bytes > 0:
+		workload.Bulk(flow.Sender, spec.Bytes)
+	default:
+		workload.Unbounded(flow.Sender)
+	}
+}
+
+// buildController initializes the flow bundle's Reno with the slow-start
+// policy its spec selects, wiring a (parked or new) restricted-slow-start
+// controller to the flow's NIC for AlgRestricted.
+func buildController(s *Scenario, flow *Flow) error {
+	spec := &flow.Spec
+	var ss cc.SlowStartPolicy // nil: Reno's standard slow-start
 	switch spec.Alg {
 	case AlgRestricted:
 		// Flows sharing a host share the per-interface controller (the
 		// process variable is the interface queue); the first flow's
 		// gains and set point apply.
-		if spec.Host != 0 {
-			if rss := s.rssByHost[spec.Host]; rss != nil {
-				flow.RSS = rss
-				return cc.NewReno(cc.RenoConfig{SS: rss}), nil
+		rss := s.rssByHost[spec.Host] // Host 0 is never stored
+		if rss == nil {
+			rss = take(&s.park.rss)
+			err := rss.Init(s.Eng, core.Config{
+				Sensor:           flow.NIC,
+				Gains:            spec.Gains,
+				SetpointFraction: spec.SetpointFraction,
+				Tick:             spec.Tick,
+				AllowShrink:      spec.AllowShrink,
+			})
+			if err != nil {
+				return err
+			}
+			if spec.Host != 0 {
+				s.rssByHost[spec.Host] = rss
 			}
 		}
-		ctrl, rss, err := core.NewController(eng, core.Config{
-			Sensor:           nic,
-			Gains:            spec.Gains,
-			SetpointFraction: spec.SetpointFraction,
-			Tick:             spec.Tick,
-			AllowShrink:      spec.AllowShrink,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if spec.Host != 0 {
-			s.rssByHost[spec.Host] = rss
-		}
-		flow.RSS = rss
-		return ctrl, nil
+		flow.RSS, ss = rss, rss
 	case AlgLimited:
-		return cc.NewReno(cc.RenoConfig{SS: cc.LimitedSlowStart{}}), nil
+		ss = cc.LimitedSlowStart{}
 	case AlgStandardABC:
-		return cc.NewReno(cc.RenoConfig{SS: cc.StdSlowStart{ABC: true}}), nil
+		ss = cc.StdSlowStart{ABC: true}
 	case AlgHyStart:
-		return cc.NewReno(cc.RenoConfig{SS: cc.NewHyStart()}), nil
+		ss = cc.NewHyStart()
 	case AlgStandard, AlgStallWait, "":
-		return cc.NewReno(cc.RenoConfig{}), nil
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q", spec.Alg)
+		return fmt.Errorf("unknown algorithm %q", spec.Alg)
 	}
+	flow.reno.Init(cc.RenoConfig{SS: ss})
+	flow.reno.SetTelemetry(s.FR, int32(flow.ID))
+	return nil
 }
 
 // Totals aggregates counters over every flow of the scenario; the rest of
@@ -1053,8 +1177,10 @@ func (s *Scenario) resultFor(i int) Result {
 // returned slices are copies, so callers may keep or mutate them freely.
 func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stats, Totals) {
 	if !s.aggValid || s.aggAt != now {
-		tps := make([]unit.Bandwidth, len(s.Flows))
-		stats := make([]web100.Stats, len(s.Flows))
+		// Every entry is assigned below, so the cache's previous contents
+		// (an earlier instant, an earlier run) need no clearing.
+		tps := extend(s.aggTps[:0], len(s.Flows))
+		stats := extend(s.aggStats[:0], len(s.Flows))
 		var totals Totals
 		for j, fl := range s.Flows {
 			fst := fl.Sender.Stats().Snapshot(now)

@@ -102,10 +102,17 @@ type Topology struct {
 	Reverse Reverse
 }
 
-// withDefaults returns a deep copy with zero fields resolved. The receiver
-// is never mutated: topologies may be shared across campaign cells.
-func (t Topology) withDefaults() Topology {
-	t.Hops = append([]Hop(nil), t.Hops...)
+// cloneInto returns a deep copy with zero fields resolved, its hop list built
+// in buf's backing array (nil, or a scenario's scratch). The receiver is
+// never mutated: topologies may be shared across campaign cells.
+func (t Topology) cloneInto(buf []Hop) Topology {
+	t.Hops = append(buf[:0], t.Hops...)
+	t.resolve()
+	return t
+}
+
+// resolve fills zero fields in place; the hop list must be private to t.
+func (t *Topology) resolve() {
 	for i := range t.Hops {
 		h := &t.Hops[i]
 		if h.Discipline == "" {
@@ -122,19 +129,19 @@ func (t Topology) withDefaults() Topology {
 	if t.Reverse.Rate > 0 && t.Reverse.Queue <= 0 {
 		t.Reverse.Queue = 100
 	}
-	return t
 }
 
 // Clone returns a deep copy; campaign axis mutators edit clones so sibling
 // cells never alias one another's hop lists.
-func (t Topology) Clone() Topology { return t.withDefaults() }
+func (t Topology) Clone() Topology { return t.cloneInto(nil) }
 
 // Validate rejects hop graphs the assembly layer cannot build.
 func (t Topology) Validate() error {
 	if len(t.Hops) == 0 {
 		return fmt.Errorf("experiment: topology has no hops")
 	}
-	for i, h := range t.Hops {
+	for i := range t.Hops {
+		h := &t.Hops[i]
 		if h.Rate <= 0 {
 			return fmt.Errorf("experiment: hop %d: non-positive rate %v", i, h.Rate)
 		}
@@ -216,15 +223,18 @@ func (r Route) span(n int) (first, last int, err error) {
 // identical stages: same rate and buffer per hop, the one-way delay divided
 // evenly (remainder on the last hop so the total is exact), loss injection on
 // the first hop only, so end-to-end loss probability matches the dumbbell.
-func (p PathConfig) Topology() Topology {
-	p = p.withDefaults()
+func (p PathConfig) Topology() Topology { return p.compileInto(nil) }
+
+// compileInto is Topology with the hop list built in buf's backing array.
+func (p *PathConfig) compileInto(buf []Hop) Topology {
+	p.fillDefaults()
 	n := p.Hops
 	if n < 1 {
 		n = 1
 	}
 	owd := p.RTT / 2
 	per := owd / time.Duration(n)
-	t := Topology{Hops: make([]Hop, n)}
+	t := Topology{Hops: extend(buf[:0], n)}
 	for i := range t.Hops {
 		d := per
 		if i == n-1 {
@@ -239,16 +249,18 @@ func (p PathConfig) Topology() Topology {
 	}
 	t.Hops[0].Loss = p.Loss
 	t.Reverse = Reverse{Rate: p.ReverseRate, Delay: p.ReverseDelay, Queue: p.ReverseQueue}
-	return t.withDefaults()
+	t.resolve()
+	return t
 }
 
-// topology resolves the configuration's network description: an explicit
-// Topology wins; otherwise the PathConfig compiles to a one-hop instance.
-func (c Config) topology() Topology {
+// topology resolves the configuration's network description into buf's
+// backing array: an explicit Topology wins; otherwise the PathConfig
+// compiles to a one-hop instance.
+func (c *Config) topology(buf []Hop) Topology {
 	if c.Topology != nil {
-		return c.Topology.withDefaults()
+		return c.Topology.cloneInto(buf)
 	}
-	return c.Path.Topology()
+	return c.Path.compileInto(buf)
 }
 
 // Injector RNG salts. Every per-hop random element gets its own generator
@@ -321,7 +333,7 @@ func ApplyPreset(cfg *Config, name string) error {
 		cfg.Topology = &t
 	case "parking-lot":
 		hop := Hop{Rate: 100 * unit.Mbps, Delay: 10 * time.Millisecond, Queue: 250}
-		t := Topology{Hops: []Hop{hop, hop, hop}}.withDefaults()
+		t := Topology{Hops: []Hop{hop, hop, hop}}.Clone()
 		cfg.Topology = &t
 		cfg.Flows = append(cfg.Flows, FlowSpec{
 			Alg:     AlgStandard,

@@ -67,6 +67,17 @@ type Interface struct {
 
 // NewInterface builds a NIC draining into dst.
 func NewInterface(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) *Interface {
+	i := new(Interface)
+	i.Init(eng, cfg, dst)
+	return i
+}
+
+// Init (re)initializes the NIC in place: idle, empty, counters zeroed,
+// draining into dst. A used interface keeps only its IFQ ring, its waker
+// arrays and its bound callbacks, so a recycled NIC is indistinguishable
+// from a fresh one and costs no allocation. Init does not release segments:
+// an interface that may still hold any must be flushed first.
+func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) {
 	if cfg.Rate <= 0 {
 		panic("host: NIC rate must be positive")
 	}
@@ -74,22 +85,35 @@ func NewInterface(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) *Int
 		panic("host: TxQueueLen must be positive")
 	}
 	if dst == nil {
-		panic("host: NewInterface with nil destination")
+		panic("host: interface with nil destination")
 	}
-	i := &Interface{
-		eng:   eng,
-		cfg:   cfg,
-		ser:   unit.NewSerializer(cfg.Rate),
-		queue: netem.NewDropTail(cfg.TxQueueLen),
-		dst:   dst,
+	q := i.queue
+	if q == nil {
+		q = new(netem.DropTail)
 	}
-	i.txDone = i.transmitDone
-	i.recvFn = netem.Func(func(seg *packet.Segment) {
-		if !i.Send(seg) {
-			seg.Release()
-		}
-	})
-	return i
+	q.Init(cfg.TxQueueLen)
+	wakers, spare, txDone, recvFn := i.wakers[:0], i.spare[:0], i.txDone, i.recvFn
+	*i = Interface{} // zero, then set: a literal that reads i is built aside and copied
+	i.eng, i.cfg, i.ser, i.queue, i.dst = eng, cfg, unit.NewSerializer(cfg.Rate), q, dst
+	i.wakers, i.spare, i.txDone, i.recvFn = wakers, spare, txDone, recvFn
+	i.occLast = eng.Now()
+	if i.txDone == nil {
+		i.txDone = i.transmitDone
+		i.recvFn = netem.Func(func(seg *packet.Segment) {
+			if !i.Send(seg) {
+				seg.Release()
+			}
+		})
+	}
+}
+
+// Flush releases every segment the NIC holds — queued in the IFQ or on the
+// serializer — and leaves it idle. It is for teardown after the engine was
+// reset: the pending transmit-completion entry must already be gone.
+func (i *Interface) Flush() {
+	netem.Flush(i.queue)
+	i.txSeg.Release()
+	i.txSeg, i.busy = nil, false
 }
 
 // Send offers a segment to the IFQ. It returns false — a send-stall — when
@@ -195,21 +219,6 @@ func (i *Interface) AvgOccupancy() float64 {
 // Idle reports whether the NIC has nothing in flight and an empty IFQ —
 // the precondition for recycling it to a new flow.
 func (i *Interface) Idle() bool { return !i.busy && i.queue.Len() == 0 }
-
-// Recycle prepares an idle NIC for reuse by a new flow: wakers armed by a
-// previous owner are dropped and the counters restart from zero, so the
-// new owner observes a NIC indistinguishable from a fresh one (the drain
-// destination is fixed at construction and carries over). Recycling a
-// non-idle NIC panics — a busy transmit callback must drain first.
-func (i *Interface) Recycle() {
-	if !i.Idle() {
-		panic("host: Recycle on a non-idle interface")
-	}
-	i.wakers = i.wakers[:0]
-	i.stats = InterfaceStats{}
-	i.accumulateOccupancy()
-	i.occWeight = 0
-}
 
 // Stats returns a copy of the NIC counters.
 func (i *Interface) Stats() InterfaceStats { return i.stats }

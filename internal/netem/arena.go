@@ -50,7 +50,8 @@ type redState struct {
 //
 // Configure rebuilds the arena in place, reusing every backing slice, so a
 // campaign worker's Scenario.Reset re-shapes the path without allocating on
-// the hot path again.
+// the hot path again. Segments the previous shape still held go back to
+// their pool first.
 type HopArena struct {
 	eng *sim.Engine
 	out Receiver // egress for flows exiting the path (the scenario demux)
@@ -141,13 +142,36 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
+// flush releases every segment the configured hops hold — buffered, on a
+// serializer, in propagation — and empties their FIFOs, keeping capacity.
+func (a *HopArena) flush() {
+	for i := 0; i < a.n; i++ {
+		for _, seg := range a.qseg[i][a.qhead[i]:] {
+			seg.Release()
+		}
+		clear(a.qseg[i])
+		a.qseg[i], a.qhead[i] = a.qseg[i][:0], 0
+		a.cur[i].Release()
+		a.cur[i] = nil
+		for _, d := range a.pq[i][a.phead[i]:] {
+			d.seg.Release()
+		}
+		clear(a.pq[i])
+		a.pq[i], a.phead[i] = a.pq[i][:0], 0
+	}
+}
+
 // Configure (re)shapes the arena for the given hop chain, delivering exiting
 // segments to out and recording queue refusals in fr. All backing storage is
-// reused; per-hop queues keep their warmed capacity from earlier runs.
+// reused; per-hop queues keep their warmed capacity from earlier runs, and
+// whatever the previous shape left in them is released. Reconfiguring is for
+// an engine that was reset: the arena's pending calendar entries must
+// already be gone.
 func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.FlightRecorder) {
 	if out == nil {
 		panic("netem: HopArena.Configure with nil egress")
 	}
+	a.flush()
 	n := len(specs)
 	a.out, a.fr, a.n = out, fr, n
 
@@ -175,28 +199,14 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 	a.first = a.first[:0]
 	a.exit = a.exit[:0]
 
-	// Queues and delay lines keep their backing arrays (emptied), so a
+	// Queues and delay lines keep their (flushed) backing arrays, so a
 	// reset scenario re-runs on warm capacity.
 	for len(a.qseg) < n {
 		a.qseg = append(a.qseg, nil)
-	}
-	for len(a.pq) < n {
 		a.pq = append(a.pq, nil)
 	}
 	a.qhead = grow(a.qhead, n)
 	a.phead = grow(a.phead, n)
-	for i := 0; i < n; i++ {
-		q := a.qseg[i]
-		for j := range q {
-			q[j] = nil
-		}
-		a.qseg[i] = q[:0]
-		p := a.pq[i]
-		for j := range p {
-			p[j] = delayed{}
-		}
-		a.pq[i] = p[:0]
-	}
 
 	// Bound callbacks persist; only new hop ids allocate.
 	for len(a.txDone) < n {

@@ -43,12 +43,35 @@ type DelayLine struct {
 
 // NewDelayLine returns a pure-delay FIFO element feeding dst.
 func NewDelayLine(eng *sim.Engine, delay time.Duration, dst Receiver) *DelayLine {
-	if dst == nil {
-		panic("netem: NewDelayLine with nil destination")
-	}
-	l := &DelayLine{eng: eng, delay: delay, dst: dst}
-	l.fireFn = l.fire
+	l := new(DelayLine)
+	l.Init(eng, delay, dst)
 	return l
+}
+
+// Init (re)initializes the line in place, empty and unarmed, keeping only
+// the FIFO's backing array and the bound fire callback of a used value. A
+// used line must be flushed first.
+func (l *DelayLine) Init(eng *sim.Engine, delay time.Duration, dst Receiver) {
+	if dst == nil {
+		panic("netem: delay line with nil destination")
+	}
+	q, fire := l.q[:0], l.fireFn
+	if fire == nil {
+		fire = l.fire
+	}
+	*l = DelayLine{}
+	l.eng, l.delay, l.dst, l.q, l.fireFn = eng, delay, dst, q, fire
+}
+
+// Flush releases every segment in flight and leaves the line empty and
+// unarmed. It is for tearing a line down after its engine was reset: the
+// armed calendar entry, if any, must already be gone.
+func (l *DelayLine) Flush() {
+	for i := l.head; i < len(l.q); i++ {
+		l.q[i].seg.Release()
+	}
+	clear(l.q)
+	l.q, l.head, l.armed = l.q[:0], 0, false
 }
 
 // Receive admits the segment for delivery one delay from now, after every

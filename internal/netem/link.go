@@ -132,6 +132,16 @@ func (l *Link) transmitDone() {
 	l.maybeTransmit()
 }
 
+// Flush releases every segment the link holds — queued, on the serializer,
+// in propagation — and leaves it idle. Like DelayLine.Flush it is for
+// teardown after the engine was reset.
+func (l *Link) Flush() {
+	Flush(l.queue)
+	l.cur.Release()
+	l.cur, l.busy = nil, false
+	l.prop.Flush()
+}
+
 // Queue exposes the attached discipline (for occupancy inspection).
 func (l *Link) Queue() Queue { return l.queue }
 

@@ -52,7 +52,26 @@ type DropTail struct {
 // NewDropTail returns a FIFO holding at most capPackets packets.
 // capPackets <= 0 means unlimited.
 func NewDropTail(capPackets int) *DropTail {
-	return &DropTail{cap: capPackets}
+	q := new(DropTail)
+	q.Init(capPackets)
+	return q
+}
+
+// Init (re)initializes the queue in place as an empty FIFO of capPackets
+// with zeroed counters, keeping only the ring's backing array. A used queue
+// must be emptied first (Flush): Init does not release what it still holds.
+func (q *DropTail) Init(capPackets int) {
+	segs := q.segs[:0]
+	*q = DropTail{}
+	q.cap, q.segs = capPackets, segs
+}
+
+// Flush empties a discipline whose owner is being torn down, releasing every
+// segment it still holds back to its pool.
+func Flush(q Queue) {
+	for seg := q.Dequeue(); seg != nil; seg = q.Dequeue() {
+		seg.Release()
+	}
 }
 
 // Enqueue appends the segment, or drops it when the queue is full.

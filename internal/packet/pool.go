@@ -17,6 +17,9 @@ package packet
 //     across Release.
 //   - Release on a hand-built (non-pool) segment is a no-op, so tests and
 //     one-off injectors can keep building Segment literals.
+//   - A holder that is torn down with segments still in it releases them:
+//     Scenario.Reset flushes every queue, serializer and delay line, so a
+//     reused scenario's gets and releases balance right after each Reset.
 
 // Release zeroes the segment (keeping SACK capacity) and returns it to the
 // Pool it came from. Releasing a segment that did not come from a Pool — or
@@ -48,8 +51,9 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // Get returns a zeroed segment owned by this pool; its Release will come
-// back here. The freelist stays warm across Scenario resets, so campaign
-// replicates after the first recycle the previous run's segments.
+// back here. The freelist stays warm across Scenario resets (and gets back
+// whatever the previous run still held), so campaign replicates after the
+// first run on recycled segments only.
 func (p *Pool) Get() *Segment {
 	var seg *Segment
 	if n := len(p.free); n > 0 {

@@ -66,22 +66,33 @@ type Controller struct {
 
 // New validates the configuration and returns a controller.
 func New(cfg Config) (*Controller, error) {
+	c := new(Controller)
+	if err := c.Init(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Init validates the configuration and (re)initializes the controller in
+// place with cleared dynamic state; on error the controller is unchanged.
+func (c *Controller) Init(cfg Config) error {
 	if cfg.Gains.Kp < 0 {
-		return nil, fmt.Errorf("pid: negative Kp %v", cfg.Gains.Kp)
+		return fmt.Errorf("pid: negative Kp %v", cfg.Gains.Kp)
 	}
 	if cfg.Gains.Ti < 0 || cfg.Gains.Td < 0 {
-		return nil, fmt.Errorf("pid: negative time constant (Ti=%v Td=%v)", cfg.Gains.Ti, cfg.Gains.Td)
+		return fmt.Errorf("pid: negative time constant (Ti=%v Td=%v)", cfg.Gains.Ti, cfg.Gains.Td)
 	}
 	if cfg.OutMax <= cfg.OutMin {
-		return nil, fmt.Errorf("pid: OutMax %v must exceed OutMin %v", cfg.OutMax, cfg.OutMin)
+		return fmt.Errorf("pid: OutMax %v must exceed OutMin %v", cfg.OutMax, cfg.OutMin)
 	}
 	if cfg.DerivativeAlpha < 0 || cfg.DerivativeAlpha >= 1 {
-		return nil, fmt.Errorf("pid: DerivativeAlpha %v outside [0,1)", cfg.DerivativeAlpha)
+		return fmt.Errorf("pid: DerivativeAlpha %v outside [0,1)", cfg.DerivativeAlpha)
 	}
 	if cfg.IntegralBand < 0 {
-		return nil, fmt.Errorf("pid: negative IntegralBand %v", cfg.IntegralBand)
+		return fmt.Errorf("pid: negative IntegralBand %v", cfg.IntegralBand)
 	}
-	return &Controller{cfg: cfg}, nil
+	*c = Controller{cfg: cfg}
+	return nil
 }
 
 // MustNew is New for statically-known configurations; it panics on error.

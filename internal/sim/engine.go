@@ -119,18 +119,21 @@ func (e *Engine) LadderEnabled() bool { return e.lad != nil }
 // and sequence counter rewind to zero, and the freed calendar and free-list
 // capacity carry over. A campaign worker resets one engine per replicate
 // instead of allocating a new one, so steady-state sweeps reuse the same
-// entries run after run. Resetting mid-run (from inside an event) is a
-// logic error and panics.
+// entries run after run. A discarded entry whose ScheduleArg argument has a
+// Release method (a pooled segment waiting on a deferred delivery) gets it
+// called: the delivery will never run, so nothing else can return the
+// resource. Resetting mid-run (from inside an event) is a logic error and
+// panics.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset inside Run")
 	}
 	if e.lad != nil {
-		e.lad.drain(e.recycle)
+		e.lad.drain(e.discard)
 	} else {
 		for i, ev := range e.queue {
 			ev.index = -1
-			e.recycle(ev)
+			e.discard(ev)
 			e.queue[i] = nil
 		}
 		e.queue = e.queue[:0]
@@ -302,6 +305,15 @@ func (e *Engine) push(ev *event) {
 	} else {
 		e.heapPush(ev)
 	}
+}
+
+// discard recycles an entry Reset removed unfired, releasing an argument
+// that owns a pooled resource.
+func (e *Engine) discard(ev *event) {
+	if r, ok := ev.arg.(interface{ Release() }); ok {
+		r.Release()
+	}
+	e.recycle(ev)
 }
 
 // recycle returns a popped (index == -1) entry to the free list.

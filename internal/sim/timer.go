@@ -38,8 +38,8 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil func")
 	}
-	t := &Timer{eng: eng, fn: fn, wSlot: -1}
-	t.fireFn = t.fire
+	t := new(Timer)
+	t.Init(eng, nil, fn)
 	return t
 }
 
@@ -48,20 +48,28 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // identical to a plain timer on the same engine; only the bookkeeping cost
 // differs.
 func NewWheelTimer(w *Wheel, fn func()) *Timer {
-	t := NewTimer(w.eng, fn)
-	t.wheel = w
+	t := new(Timer)
+	t.Init(w.eng, w, fn)
 	return t
 }
 
-// Init (re)initializes a zero Timer value in place, the allocation-free
+// Init (re)initializes a Timer value in place, the allocation-free
 // equivalent of NewTimer for timers embedded by value in a larger per-flow
-// struct. w may be nil for a plain heap-backed timer.
+// struct. w may be nil for a plain heap-backed timer. Re-initializing a used
+// timer keeps its bound fire callback (it closes over the timer's address,
+// which has not moved) and forgets everything else, so a recycled owner
+// re-inits without allocating; whatever entry the old deadline held must
+// already be gone (engine or wheel reset).
 func (t *Timer) Init(eng *Engine, w *Wheel, fn func()) {
 	if fn == nil {
 		panic("sim: Timer.Init with nil func")
 	}
-	*t = Timer{eng: eng, fn: fn, wheel: w, wSlot: -1}
-	t.fireFn = t.fire
+	fire := t.fireFn
+	if fire == nil {
+		fire = t.fire
+	}
+	*t = Timer{} // zero, then set: a literal that reads t is built aside and copied
+	t.eng, t.fn, t.fireFn, t.wheel, t.wSlot = eng, fn, fire, w, -1
 }
 
 // Arm (re)schedules the timer to fire d from now, superseding any earlier
@@ -143,15 +151,26 @@ type Ticker struct {
 
 // NewTicker returns a stopped ticker with the given period and callback.
 func NewTicker(eng *Engine, period Duration, fn func()) *Ticker {
+	t := new(Ticker)
+	t.Init(eng, period, fn)
+	return t
+}
+
+// Init (re)initializes a Ticker value in place as a stopped ticker; like
+// Timer.Init it keeps only the bound tick callback of a used value.
+func (t *Ticker) Init(eng *Engine, period Duration, fn func()) {
 	if period <= 0 {
-		panic("sim: NewTicker with non-positive period")
+		panic("sim: ticker with non-positive period")
 	}
 	if fn == nil {
-		panic("sim: NewTicker with nil func")
+		panic("sim: ticker with nil func")
 	}
-	t := &Ticker{eng: eng, fn: fn, period: period}
-	t.tickFn = t.tick
-	return t
+	tick := t.tickFn
+	if tick == nil {
+		tick = t.tick
+	}
+	*t = Ticker{}
+	t.eng, t.fn, t.tickFn, t.period = eng, fn, tick, period
 }
 
 // Start begins ticking; the first tick is one period from now.

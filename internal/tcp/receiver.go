@@ -30,19 +30,34 @@ type Receiver struct {
 	ooo     []packet.SACKBlock // sorted, disjoint
 	pending int                // in-order segments since last ACK
 	delack  sim.Timer
+	delFn   func() // onDelAckTimeout, bound once (see Sender.rtoFn)
 	stopped bool
 	stats   ReceiverStats
 }
 
 // NewReceiver wires a receiver whose ACKs flow into out (the reverse path).
 func NewReceiver(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Receiver) *Receiver {
-	if out == nil {
-		panic("tcp: NewReceiver with nil ACK path")
-	}
-	cfg = cfg.withDefaults()
-	r := &Receiver{eng: eng, cfg: cfg, flow: flow, out: out}
-	r.delack.Init(eng, cfg.Wheel, r.onDelAckTimeout)
+	r := new(Receiver)
+	r.Init(eng, cfg, flow, out)
 	return r
+}
+
+// Init (re)initializes the receiver in place as a fresh connection; a used
+// receiver keeps only its reassembly list's backing array and its bound
+// timer callback (see Sender.Init).
+func (r *Receiver) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Receiver) {
+	if out == nil {
+		panic("tcp: receiver with nil ACK path")
+	}
+	ooo, delack, delFn := r.ooo[:0], r.delack, r.delFn
+	if delFn == nil {
+		delFn = r.onDelAckTimeout
+	}
+	*r = Receiver{} // zero, then set (see Sender.Init)
+	r.eng, r.cfg, r.flow, r.out = eng, cfg, flow, out
+	r.cfg.fillDefaults()
+	r.ooo, r.delack, r.delFn = ooo, delack, delFn
+	r.delack.Init(eng, r.cfg.Wheel, r.delFn)
 }
 
 // RcvNxt returns the next expected sequence number.

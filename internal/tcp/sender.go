@@ -70,6 +70,7 @@ type Sender struct {
 	stallCwrHigh int64  // suppress repeated stall-congestion until una passes
 	wakerArmed   bool   // a resume waker is registered with the NIC
 	resumeFn     func() // the waker callback, bound once (no per-stall closure)
+	rtoFn        func() // onRTO, bound once so Init re-arms the timer for free
 
 	finished bool
 
@@ -83,39 +84,50 @@ type Sender struct {
 // NewSender wires a sender to its congestion controller and transmit path.
 // The controller is attached (initializing cwnd/ssthresh) immediately.
 func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) *Sender {
+	s := new(Sender)
+	s.Init(eng, cfg, flow, ctrl, path)
+	return s
+}
+
+// Init (re)initializes the sender in place as a fresh connection and
+// attaches the controller. A used sender keeps only storage — its record
+// list's backing array, its Web100 block, its bound callbacks — and nothing
+// of the previous connection's state or hooks, so a recycled sender behaves
+// exactly like a new one and costs no allocation. The previous row, if any,
+// is not freed: the owner resets or frees the table's rows itself.
+func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) {
 	if ctrl == nil {
-		panic("tcp: NewSender with nil controller")
+		panic("tcp: sender with nil controller")
 	}
 	if path == nil {
-		panic("tcp: NewSender with nil transmit path")
+		panic("tcp: sender with nil transmit path")
 	}
-	cfg = cfg.withDefaults()
-	tbl := cfg.Table
-	if tbl == nil {
+	stats, segs, rto, rtoFn, resumeFn := s.stats, s.segs[:0], s.rto, s.rtoFn, s.resumeFn
+	if stats == nil {
+		stats = new(web100.Stats)
+		rtoFn = s.onRTO
+		resumeFn = func() {
+			s.wakerArmed = false
+			s.trySend()
+		}
+	}
+	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
+	s.eng, s.cfg, s.flow, s.ctrl, s.path = eng, cfg, flow, ctrl, path
+	s.cfg.fillDefaults()
+	s.stats, s.segs, s.rto, s.rtoFn, s.resumeFn = stats, segs, rto, rtoFn, resumeFn
+	s.tbl = s.cfg.Table
+	if s.tbl == nil {
 		// Unshared sender: a private one-row table keeps the hot-state
 		// access pattern identical without requiring callers to care.
-		tbl = NewFlowTable(1)
+		s.tbl = NewFlowTable(1)
 	}
-	s := &Sender{
-		eng:   eng,
-		cfg:   cfg,
-		flow:  flow,
-		ctrl:  ctrl,
-		path:  path,
-		tbl:   tbl,
-		slot:  tbl.Alloc(),
-		stats: web100.New(eng.Now()),
-		est:   newRTTEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO, cfg.RTOGranularity),
-	}
-	s.tbl.rwnd[s.slot] = cfg.RcvWnd
-	s.rto.Init(eng, cfg.Wheel, s.onRTO)
-	s.resumeFn = func() {
-		s.wakerArmed = false
-		s.trySend()
-	}
+	s.slot = s.tbl.Alloc()
+	s.est = newRTTEstimator(s.cfg.InitialRTO, s.cfg.MinRTO, s.cfg.MaxRTO, s.cfg.RTOGranularity)
+	s.stats.Init(eng.Now())
+	s.tbl.rwnd[s.slot] = s.cfg.RcvWnd
+	s.rto.Init(eng, s.cfg.Wheel, s.rtoFn)
 	ctrl.Attach(s)
 	s.stats.CurRTO = s.est.RTO()
-	return s
 }
 
 // Slot returns the sender's flow-table row index (-1 after ReleaseRow).

@@ -121,8 +121,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
+// fillDefaults fills zero fields from DefaultConfig, in place.
+func (c *Config) fillDefaults() {
 	d := DefaultConfig()
 	if c.MSS <= 0 {
 		c.MSS = d.MSS
@@ -160,5 +160,4 @@ func (c Config) withDefaults() Config {
 	if c.Pool == nil {
 		c.Pool = packet.NewPool()
 	}
-	return c
 }

@@ -267,10 +267,18 @@ type Counter struct {
 // name. On a disabled recorder the counter still counts but records no
 // points (and creates no series).
 func NewCounter(rec *Recorder, name string) *Counter {
-	if rec.disabled {
-		return &Counter{}
+	c := new(Counter)
+	c.Init(rec, name)
+	return c
+}
+
+// Init (re)initializes the counter in place at zero, recording into rec's
+// series of the given name (see NewCounter).
+func (c *Counter) Init(rec *Recorder, name string) {
+	*c = Counter{}
+	if !rec.disabled {
+		c.series, c.eng = rec.Series(name), rec.eng
 	}
-	return &Counter{series: rec.Series(name), eng: rec.eng}
 }
 
 // Inc increments the counter and records the new cumulative value.

@@ -102,12 +102,17 @@ type Stats struct {
 
 // New returns a Stats tracking a connection that begins at start.
 func New(start sim.Time) *Stats {
-	return &Stats{
-		StartTime:   start,
-		MinRTT:      -1, // unset sentinel
-		MinSsthresh: -1,
-		curLimSince: start,
-	}
+	s := new(Stats)
+	s.Init(start)
+	return s
+}
+
+// Init (re)initializes the instrument set in place for a connection that
+// begins at start.
+func (s *Stats) Init(start sim.Time) {
+	*s = Stats{}
+	s.StartTime, s.curLimSince = start, start
+	s.MinRTT, s.MinSsthresh = -1, -1 // unset sentinels
 }
 
 // ObserveRTT folds one RTT sample into the min/max gauges (the smoothed
