@@ -11,6 +11,7 @@ import (
 	"rsstcp/internal/sim"
 	"rsstcp/internal/stats"
 	"rsstcp/internal/telemetry"
+	"rsstcp/internal/web100"
 )
 
 // ChurnSpec describes a dynamic flow population: an arrival process births
@@ -349,13 +350,16 @@ func (s *Scenario) launchChurnFlow() {
 	}
 }
 
-// AttachFlow binds a new dynamic flow to the warm engine mid-run: a fresh
-// sender/receiver pair on the spec's route, workload started immediately.
-// Flows with a positive Bytes run to byte-completion, record a FlowRecord
-// and detach themselves, releasing every timer, queue slot and pooled
-// segment; unbounded or on/off flows live until DetachFlow. The flow does
-// not join Scenario.Flows — static per-flow results and gauges cover only
-// the configured flow list.
+// AttachFlow binds a new dynamic flow to the warm engine mid-run: a
+// sender/receiver pair on the spec's route — a parked bundle re-initialized
+// when there is one, so steady turnover allocates nothing — workload started
+// immediately. Flows with a positive Bytes run to byte-completion, record a
+// FlowRecord and detach themselves, releasing every timer, queue slot and
+// pooled segment; unbounded or on/off flows live until DetachFlow. The flow
+// does not join Scenario.Flows — static per-flow results and gauges cover
+// only the configured flow list. The returned *Flow is valid until the flow
+// completes or is detached: after that the bundle belongs to the store and
+// then to a later arrival (as Reset invalidates Scenario.Flows).
 func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 	// Recycle a detached flow's ID when one is free — the route tables and
 	// the shared flow table then stay sized to the peak live population.
@@ -379,7 +383,7 @@ func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 	}
 	f.liveIdx = len(s.churn.live)
 	s.churn.live = append(s.churn.live, f)
-	f.Sender.OnComplete = func() { s.completeChurnFlow(f) }
+	f.Sender.OnComplete = f.onComplete
 	s.aggValid = false
 	s.FR.Record(s.Eng.Now(), telemetry.KindFlowStart, int32(id), -1,
 		spec.Bytes, int64(len(s.churn.live)))
@@ -410,27 +414,54 @@ func (s *Scenario) completeChurnFlow(f *Flow) {
 	}
 	s.FR.Record(now, telemetry.KindFlowComplete, int32(f.ID), -1,
 		f.Spec.Bytes, int64(fct))
-	s.DetachFlow(f)
+	s.detach(f, &st, true)
 }
+
+// Bounds on what detach parks. Both are fixed by construction: LIFO reuse
+// sooner or later hands every bundle an elephant, and an unbounded store of
+// elephant-sized record lists nearly doubled a churn run's live heap.
+const (
+	// parkedRecordCap is the largest sent-record list (in records, 32 bytes
+	// each) a parked sender keeps.
+	parkedRecordCap = 64
+	// parkedFloor is how many bundles stay parked however small the live
+	// population is; above it the store holds a quarter of the live count.
+	// Without the floor a handful of short flows arriving in batches finds
+	// the store empty every time.
+	parkedFloor = 16
+)
 
 // DetachFlow releases a flow's hold on the engine: the RTO and
 // delayed-ACK timers are cancelled, an on/off workload's toggle and pump
 // entries are cancelled, a private RSS controller's ticker stops, and the
 // demux routes are cleared so stray in-flight segments are released back
 // to the pool on arrival. A dynamic flow's counters fold into the churn
-// totals and its private NIC, if idle, is parked for the next flow that
-// needs one (nothing else of the bundle is: that waits for Reset).
-// Idempotent; detaching a static (configured) flow stops it
-// without folding, so its Result entry still reads correctly.
+// totals and its bundle is parked for a later arrival (see detach), which
+// ends the life of f as a handle. Detaching a static (configured) flow stops
+// it without folding or parking, so its Result entry still reads correctly,
+// and is idempotent.
 func (s *Scenario) DetachFlow(f *Flow) {
 	if f.detached {
 		return
 	}
+	st := f.Sender.Stats().Snapshot(s.Eng.Now())
+	s.detach(f, &st, false)
+}
+
+// detach tears an attached flow down, given its sender's snapshot at this
+// instant, and parks a dynamic flow's whole bundle: the Flow with its sender,
+// receiver, controller and counters, its private RSS controller and — when
+// idle; a busy one is left to drain — its private NIC. Two cases keep the
+// Flow out of the store. A sender whose resume waker is still registered
+// with its NIC is dropped, because the wake would reach the bundle's next
+// owner. And when completing (the call comes from the sender's completion
+// hook, inside its Receive) the Flow is held back one completion, see
+// parked.held. What is parked is bounded by parkedRecordCap and by
+// max(parkedFloor, live/4) components of each kind.
+func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 	f.detached = true
 	dynamic := f.liveIdx >= 0
 	if dynamic {
-		now := s.Eng.Now()
-		st := f.Sender.Stats().Snapshot(now)
 		s.churn.totals.Stalls += f.Stalls.Value()
 		s.churn.totals.CongSignals += st.CongSignals
 		s.churn.totals.Timeouts += st.Timeouts
@@ -465,13 +496,32 @@ func (s *Scenario) DetachFlow(f *Flow) {
 	if s.ackDemux != nil {
 		s.ackDemux.set(f.ID, 0, nil)
 	}
-	if dynamic {
-		s.churn.freeIDs = append(s.churn.freeIDs, f.ID)
-	}
-	if dynamic && f.Spec.Host == 0 && f.NIC.Idle() {
-		s.parkNIC(f.NIC)
-	}
 	s.aggValid = false
+	if !dynamic {
+		return
+	}
+	s.churn.freeIDs = append(s.churn.freeIDs, f.ID)
+	if f.Spec.Host == 0 {
+		if f.NIC.Idle() {
+			s.parkNIC(f.NIC)
+		}
+		if f.RSS != nil {
+			s.park.rss = append(s.park.rss, f.RSS)
+		}
+	}
+	if !f.Sender.WakerArmed() {
+		f.Sender.ShedRecords(parkedRecordCap)
+		if completing {
+			f, s.park.held = s.park.held, f
+		}
+		if f != nil {
+			s.park.flows = append(s.park.flows, f)
+		}
+	}
+	limit := max(parkedFloor, len(s.churn.live)/4)
+	trim(&s.park.flows, limit)
+	trim(&s.park.nics, limit)
+	trim(&s.park.rss, limit)
 }
 
 // StopChurn halts the arrival process: no further flows are born. Live

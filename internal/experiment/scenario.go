@@ -305,8 +305,9 @@ func (c Config) SchedulerKind() (string, error) {
 }
 
 // Flow bundles the components of one connection. A Flow and everything it
-// points to belong to the scenario: Reset parks the bundle and a later flow
-// may be built on it, so a *Flow is valid only until the next Reset.
+// points to belong to the scenario, which parks the bundle and builds a later
+// flow on it: a static flow's *Flow is valid until the next Reset, a dynamic
+// flow's (AttachFlow) only until that flow completes or is detached.
 type Flow struct {
 	Spec     FlowSpec
 	ID       packet.FlowID
@@ -317,11 +318,13 @@ type Flow struct {
 	RSS    *core.RestrictedSlowStart
 	Stalls *trace.Counter
 
-	// The bundle's own controller and the stall hook bound to Stalls: with
-	// Sender, Receiver and Stalls they are allocated once per bundle and
-	// re-initialized by every flow built on it (see takeFlow).
-	reno    *cc.Reno
-	onStall func()
+	// The bundle's own controller, the stall hook bound to Stalls and the
+	// completion hook bound to the bundle: with Sender, Receiver and Stalls
+	// they are allocated once per bundle and re-initialized by every flow
+	// built on it (see takeFlow).
+	reno       *cc.Reno
+	onStall    func()
+	onComplete func()
 
 	// Lifecycle bookkeeping: birth time, the on/off source to stop at
 	// detach, the flow's slot in the live churn set (-1 for static flows)
@@ -467,16 +470,21 @@ func extend[T any](s []T, n int) []T {
 
 // parked is the scenario's recycling store. Reset flushes the previous
 // run's flow bundles, NICs and restricted-slow-start controllers and parks
-// them here; init and buildFlow take a parked component and re-initialize
-// it (each type's Init, the routine its constructor runs too) before they
-// allocate a new one. A replicate after the first therefore allocates
-// nothing for its testbed, and its rings, windows and FIFOs start at the
-// capacity earlier runs grew them to. Between Resets only detach adds to it
-// (an idle NIC).
+// them here, and detach parks a dynamic flow's (see Scenario.detach); init
+// and buildFlow take a parked component and re-initialize it (each type's
+// Init, the routine its constructor runs too) before they allocate a new
+// one. A replicate after the first therefore allocates nothing for its
+// testbed, steady flow turnover allocates nothing per arrival, and rings,
+// windows and FIFOs start at the capacity earlier owners grew them to.
 type parked struct {
 	flows []*Flow
 	nics  []*host.Interface
 	rss   []*core.RestrictedSlowStart
+	// held is the bundle that completed last. Its sender's Receive may
+	// still be unwinding around the completion hook (it goes on to trySend),
+	// so take must not see it yet: the next completion — a later engine
+	// event — or Reset moves it to flows.
+	held *Flow
 	// tables backs the scenario's three demux pointers (forward, real
 	// reverse, ideal reverse); hops and specs are init's topology scratch.
 	tables [3]demux
@@ -496,19 +504,30 @@ func take[T any](free *[]*T) *T {
 	return v
 }
 
+// trim drops the parked components beyond the first n.
+func trim[T any](free *[]*T, n int) {
+	if len(*free) > n {
+		clear((*free)[n:])
+		*free = (*free)[:n]
+	}
+}
+
 // takeFlow returns a flow bundle: a zero Flow but for its 1:1 parts, every
-// one of which buildFlow still has to Init.
+// one of which buildFlow still has to Init. A parked bundle comes back at the
+// address it had, so whoever kept the *Flow of its previous owner now holds
+// this flow's.
 func (s *Scenario) takeFlow() *Flow {
 	f := take(&s.park.flows)
 	if f.Sender == nil {
 		f.Sender, f.Receiver = new(tcp.Sender), new(tcp.Receiver)
 		f.Stalls, f.reno = new(trace.Counter), new(cc.Reno)
 		f.onStall = f.Stalls.Inc
+		f.onComplete = func() { s.completeChurnFlow(f) }
 	}
-	snd, rcv, stalls, reno, onStall := f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall
+	snd, rcv, stalls, reno, onStall, onComplete := f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall, f.onComplete
 	*f = Flow{}
 	f.liveIdx = -1
-	f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall = snd, rcv, stalls, reno, onStall
+	f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall, f.onComplete = snd, rcv, stalls, reno, onStall, onComplete
 	return f
 }
 
@@ -554,6 +573,9 @@ func Build(cfg Config) (*Scenario, error) {
 func (s *Scenario) Reset(cfg Config) error {
 	s.Eng.Reset()
 	s.Rec.Reset()
+	if s.park.held != nil {
+		s.park.flows, s.park.held = append(s.park.flows, s.park.held), nil
+	}
 	for _, set := range [2][]*Flow{s.Flows, s.churn.live} {
 		for i, f := range set {
 			if f.Spec.Host == 0 {

@@ -60,9 +60,8 @@ type Interface struct {
 	txDone func()
 	recvFn netem.Receiver // AsReceiver adapter, built once
 	// occupancy integral for average-occupancy reporting
-	occLast    sim.Time
-	occWeight  int64 // ∫ len dt in packet·nanoseconds (converted on read)
-	onSendDone func()
+	occLast   sim.Time
+	occWeight int64 // ∫ len dt in packet·nanoseconds (converted on read)
 }
 
 // NewInterface builds a NIC draining into dst.
@@ -164,9 +163,6 @@ func (i *Interface) transmitDone() {
 	// IFQ room, so the waker observes the post-dequeue occupancy.
 	i.maybeTransmit()
 	i.wake()
-	if i.onSendDone != nil {
-		i.onSendDone()
-	}
 }
 
 func (i *Interface) wake() {

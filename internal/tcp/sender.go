@@ -148,6 +148,25 @@ func (s *Sender) ReleaseRow() {
 	s.slot = -1
 }
 
+// WakerArmed reports whether the transmit path still holds this sender's
+// resume callback. The callback outlives Stop, so a sender in that state must
+// not be re-initialized while the engine runs: the wake would land on the
+// next connection.
+func (s *Sender) WakerArmed() bool { return s.wakerArmed }
+
+// ShedRecords drops a record list whose backing array outgrew n records, so
+// a sender parked for reuse holds a bounded amount; the next connection grows
+// its own.
+func (s *Sender) ShedRecords(n int) {
+	if cap(s.segs) > n {
+		s.segs = nil
+	}
+}
+
+// RecordCap returns the capacity, in records, of the record list's backing
+// array.
+func (s *Sender) RecordCap() int { return cap(s.segs) }
+
 // --- cc.Window implementation ---
 
 // MSS returns the segment payload size.
