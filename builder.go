@@ -6,7 +6,7 @@ import (
 	"rsstcp/internal/campaign"
 )
 
-// Generic sweep types, re-exported so callers compose campaigns without
+// Sweep types, re-exported so callers compose campaigns without
 // importing internal packages.
 type (
 	// Axis is a named sweep dimension: labeled Options mutators whose
@@ -17,11 +17,11 @@ type (
 	// Metric is a named per-replicate extractor func(Result) float64;
 	// campaigns summarize a caller-chosen metric set per cell.
 	Metric = campaign.Metric
-	// Plan is a declarative generic campaign: axes × replicates, with a
-	// metric set. Build one with NewCampaign or compile a Grid.
+	// Plan is a declarative campaign: axes × replicates, with a metric
+	// set. Build one with NewCampaign or compile a Grid.
 	Plan = campaign.Plan
-	// Report is a completed generic campaign with per-cell metric
-	// summaries and JSON/CSV/table exporters.
+	// Report is a completed campaign with per-cell metric summaries and
+	// JSON/CSV/table exporters.
 	Report = campaign.Report
 	// ReportCell is one aggregated axis-product cell of a Report.
 	ReportCell = campaign.ReportCell
@@ -29,7 +29,8 @@ type (
 	MetricSummary = campaign.MetricSummary
 )
 
-// Stock metrics: the legacy six plus the new figures of merit.
+// Stock metrics: the default six (StockMetrics) plus further figures of
+// merit.
 var (
 	// MetricThroughput is aggregate goodput over all flows, Mbps.
 	MetricThroughput = campaign.MetricThroughputMbps
@@ -71,9 +72,6 @@ var (
 	ParseAxis = campaign.ParseAxis
 	// StockAxisNames lists the stock axis names NewAxis/Sweep accept.
 	StockAxisNames = campaign.StockAxisNames
-	// IsLegacyAxis reports whether a name is one of the seven grid
-	// dimensions.
-	IsLegacyAxis = campaign.IsLegacyAxis
 	// StockMetrics returns the default metric set.
 	StockMetrics = campaign.StockMetrics
 	// AllMetrics lists every registered metric.
@@ -173,7 +171,7 @@ func BaseSeed(s uint64) CampaignOpt {
 	return func(c *Campaign) { c.plan.BaseSeed = s }
 }
 
-// FromGrid seeds the campaign from a legacy Grid: its seven fields become
+// FromGrid seeds the campaign from a Grid: its seven fields become
 // stock axes, and its replicate/duration/seed knobs carry over only where
 // the grid actually sets them (zero grid fields never clobber values chosen
 // by other options). Later options may add further axes and metrics on top.
@@ -218,9 +216,8 @@ func (c *Campaign) Run(opts CampaignOptions) (*Report, error) {
 	return campaign.ExecutePlan(c.plan, opts)
 }
 
-// RunPlan executes a generic campaign plan directly — the non-builder
-// entry point, symmetric with RunCampaign for grids. See Campaign.Run for
-// the streaming-aggregation behaviour.
+// RunPlan executes a campaign plan directly — the non-builder entry point.
+// See Campaign.Run for the streaming-aggregation behaviour.
 func RunPlan(p Plan, opts CampaignOptions) (*Report, error) {
 	return campaign.ExecutePlan(p, opts)
 }

@@ -1,12 +1,13 @@
 // Command rsstcp-campaign sweeps a parameter space on a bounded worker pool
 // and prints per-cell aggregates (replicate mean, stddev, percentiles).
 //
-// The classic flags (-bw, -rtt, -rq, -ifq, -loss, -alg, -flows) declare the
-// legacy seven-dimension grid. New-style flags open the generic axis engine:
-// -setpoints, -ticks and the repeatable -axis flag add sweep dimensions the
-// fixed grid cannot express, and -metrics selects and orders the output
-// columns from the pluggable metric registry. Using any new-style flag
-// switches the output to the generic report (axis columns + chosen metrics).
+// Every sweep flag compiles to a named axis through one parser (ParseAxis):
+// the classic seven (-bw, -rtt, -rq, -ifq, -loss, -alg, -flows) are always
+// present with their defaults, -setpoints, -ticks and the repeatable -axis
+// flag stack further dimensions, and -metrics selects and orders the output
+// columns from the pluggable metric registry (default: the six stock
+// metrics). There is one plan, one engine and one report: axis columns, then
+// mean and std per metric.
 //
 // Results are byte-identical for any -workers value: replicate seeds are
 // derived from the base seed and each cell's parameters, never from the
@@ -15,9 +16,7 @@
 // Campaigns execute streaming: each finished replicate folds into its
 // cell's running summaries and is dropped, so memory scales with the cell
 // count, not the run count — large grids (10⁵–10⁶ runs) export aggregates
-// only. Pass -retain-runs to keep every raw replicate in the generic
-// report's JSON. The legacy fixed-grid output always retains runs (its
-// format predates streaming); use the generic flags for very large sweeps.
+// only. Pass -retain-runs to keep every raw replicate in the JSON report.
 //
 // Examples:
 //
@@ -67,7 +66,6 @@ import (
 	"rsstcp"
 	"rsstcp/internal/campaign"
 	"rsstcp/internal/telemetry"
-	"rsstcp/internal/unit"
 )
 
 func main() {
@@ -87,7 +85,7 @@ func main() {
 		csvPath    = flag.String("csv", "", "write the aggregate table as CSV to this file, or - for stdout")
 		quiet      = flag.Bool("quiet", false, "suppress progress reporting on stderr")
 
-		// New-style flags: the generic axis/metric engine.
+		// Further axes and the metric columns.
 		metrics    = flag.String("metrics", "", "metric columns to report, in order (comma list; known: "+strings.Join(rsstcp.MetricNames(), ",")+")")
 		setpoints  = flag.String("setpoints", "", "RSS IFQ set-point fractions to sweep (comma list; adds a 'setpoint' axis)")
 		ticks      = flag.String("ticks", "", "RSS control periods to sweep (comma list of durations; adds a 'tick' axis)")
@@ -96,7 +94,7 @@ func main() {
 		fsizes     = flag.String("fsizes", "", "dynamic transfer-size distributions to sweep, e.g. exp:100k or pareto:1.2:4k:10M (comma list; adds an 'fsize' axis)")
 		topoNames  = flag.String("topo", "", "topology presets to sweep (comma list of "+strings.Join(rsstcp.TopologyPresets(), ",")+"; adds a 'topo' axis)")
 		rev        = flag.String("rev", "", "real reverse channel for every cell as rate=Mbps[,delay=D][,queue=N] (adds an 'rbw' axis value)")
-		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the generic report (memory grows with run count)")
+		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the JSON report (memory grows with run count)")
 
 		// Sharding flags: cell-aligned multi-process campaigns. Output is
 		// byte-identical at any shard count.
@@ -108,24 +106,18 @@ func main() {
 		metricsAddr   = flag.String("metrics-addr", "", "serve campaign self-metrics as OpenMetrics on this address (e.g. 127.0.0.1:9137)")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint alive this long after the campaign finishes (for scrapers)")
 		anomalyDir    = flag.String("anomaly-dir", "", "dump each anomalous replicate's flight-recorder timeline as JSONL into this directory")
-		web100        = flag.Bool("web100", false, "attach per-flow Web100 snapshots to retained replicates (generic report, implies per-run detail)")
-		embedTel      = flag.Bool("telemetry", false, "embed the self-metrics snapshot into the JSON report (generic report; makes output wall-clock-dependent)")
+		web100        = flag.Bool("web100", false, "attach per-flow Web100 snapshots to retained replicates (implies -retain-runs)")
+		embedTel      = flag.Bool("telemetry", false, "embed the self-metrics snapshot into the JSON report (makes output wall-clock-dependent)")
 
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	var extraAxes []rsstcp.Axis
+	// -axis values are compiled after flag.Parse, like every other sweep
+	// flag, so a bad one exits 1 with a one-line message, not a usage dump.
+	var axisFlags []string
 	flag.Func("axis", "extra sweep axis as name=v1,v2 (repeatable; names: "+strings.Join(rsstcp.StockAxisNames(), ",")+")", func(s string) error {
-		name, vals, ok := strings.Cut(s, "=")
-		if !ok {
-			return fmt.Errorf("want name=v1,v2, got %q", s)
-		}
-		a, err := rsstcp.ParseAxis(name, split(vals))
-		if err != nil {
-			return err
-		}
-		extraAxes = append(extraAxes, a)
+		axisFlags = append(axisFlags, s)
 		return nil
 	})
 	var customHops []rsstcp.Hop
@@ -154,29 +146,24 @@ func main() {
 	}
 	defer stopProfiling()
 
-	grid := rsstcp.Grid{
-		RouterQueues: parseInts(*rqs, "rq"),
-		TxQueueLens:  parseInts(*ifqs, "ifq"),
-		LossRates:    parseFloats(*losses, "loss"),
-		FlowCounts:   parseInts(*flows, "flows"),
-		Replicates:   *replicates,
-		Duration:     *duration,
-		BaseSeed:     *seed,
-	}
-	for _, mbps := range parseInts(*bws, "bw") {
-		grid.Bandwidths = append(grid.Bandwidths, unit.Bandwidth(mbps)*unit.Mbps)
-	}
-	for _, s := range split(*rtts) {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			fatalf("bad -rtt value %q: %v", s, err)
-		}
-		grid.RTTs = append(grid.RTTs, d)
-	}
-	for _, s := range split(*algs) {
-		grid.Algorithms = append(grid.Algorithms, rsstcp.Algorithm(s))
+	// The classic flags compile through the same ParseAxis as -axis, in
+	// canonical order; each shares its axis's name (-rtt sets axis "rtt").
+	var gridAxes []rsstcp.Axis
+	for _, f := range []struct{ name, csv string }{
+		{"bw", *bws}, {"rtt", *rtts}, {"rq", *rqs}, {"ifq", *ifqs},
+		{"loss", *losses}, {"alg", *algs}, {"flows", *flows},
+	} {
+		axisOrDie(&gridAxes, f.name, f.csv)
 	}
 
+	var extraAxes []rsstcp.Axis
+	for _, s := range axisFlags {
+		name, vals, ok := strings.Cut(s, "=")
+		if !ok {
+			fatalf("bad -axis %q: want name=v1,v2", s)
+		}
+		axisOrDie(&extraAxes, name, vals)
+	}
 	if *setpoints != "" {
 		axisOrDie(&extraAxes, "setpoint", *setpoints)
 	}
@@ -185,9 +172,9 @@ func main() {
 	}
 
 	// Churn flags: each compiles to one of the flow-lifecycle axes. They
-	// must precede the grid's alg axis (which then decorates the dynamic
-	// flow template), so they are collected separately and stacked ahead of
-	// the grid axes below.
+	// must precede the alg axis (which then decorates the dynamic flow
+	// template), so they are collected separately and stacked ahead of the
+	// classic axes below.
 	var churnAxes []rsstcp.Axis
 	if *loads != "" {
 		axisOrDie(&churnAxes, "load", *loads)
@@ -342,140 +329,86 @@ func main() {
 		}
 	}
 
-	if len(extraAxes) > 0 || len(topoAxes) > 0 || len(churnAxes) > 0 || *metrics != "" {
-		// Generic path: legacy flags compile to stock axes, new flags
-		// stack more dimensions and choose the metric columns — no
-		// campaign-internal edits involved.
-		//
-		// Reconcile the grid's seven default axes with the generic flags.
-		// An -axis naming a legacy dimension supersedes that dimension's
-		// default axis (the legacy flag and -axis together are ambiguous
-		// and rejected), and the matchup axis replaces the flow list, so
-		// it cannot coexist with the grid's alg/flows axes. Legacy flags
-		// conveniently share their axis names (-rtt sets axis "rtt").
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		gridAxes := grid.Axes()
-		for _, a := range extraAxes {
-			if rsstcp.IsLegacyAxis(a.Name) {
-				if explicit[a.Name] {
-					fatalf("-%s and -axis %s=... both sweep the %q axis; use one", a.Name, a.Name, a.Name)
-				}
-				gridAxes = dropAxes(gridAxes, a.Name)
+	// Reconcile the seven classic axes with the other flags. An -axis naming
+	// a classic dimension supersedes that dimension's default (the classic
+	// flag and -axis together are ambiguous and rejected), and the matchup
+	// axis replaces the flow list, so it cannot coexist with alg/flows.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	for _, a := range extraAxes {
+		if hasAxis(gridAxes, a.Name) {
+			if explicit[a.Name] {
+				fatalf("-%s and -axis %s=... both sweep the %q axis; use one", a.Name, a.Name, a.Name)
 			}
+			gridAxes = dropAxes(gridAxes, a.Name)
 		}
-		if hasAxis(extraAxes, "matchup") {
-			if explicit["alg"] || explicit["flows"] {
-				fatalf("-axis matchup=... replaces the flow list; drop the -alg and -flows flags")
-			}
-			gridAxes = dropAxes(gridAxes, "alg", "flows")
-		}
-		// An explicit topology overrides the dumbbell's path fields, so the
-		// grid's path axes come off the plan (and explicitly set path flags
-		// are rejected — their cell labels would lie about what ran).
-		if len(topoAxes) > 0 || hasAxis(extraAxes, "topo") {
-			for _, n := range []string{"bw", "rtt", "rq", "loss"} {
-				if explicit[n] {
-					fatalf("a topology (-topo, -hop or -axis topo=...) replaces the path; drop the -%s flag", n)
-				}
-			}
-			gridAxes = dropAxes(gridAxes, "bw", "rtt", "rq", "loss")
-		}
-		// A dynamic workload replaces the default single static flow, so the
-		// grid's flows axis comes off the plan — unless -flows was set on
-		// purpose, which keeps that many static flows as background load.
-		if len(churnAxes) > 0 && !explicit["flows"] {
-			gridAxes = dropAxes(gridAxes, "flows")
-		}
-		builderOpts := []rsstcp.CampaignOpt{
-			rsstcp.SweepAxis(topoAxes...),
-			rsstcp.SweepAxis(churnAxes...),
-			rsstcp.SweepAxis(gridAxes...),
-			rsstcp.SweepAxis(extraAxes...),
-			rsstcp.Replicates(*replicates),
-			rsstcp.Duration(*duration),
-			rsstcp.BaseSeed(*seed),
-		}
-		if *metrics != "" {
-			builderOpts = append(builderOpts, rsstcp.MeasureNamed(split(*metrics)...))
-		}
-		c := rsstcp.NewCampaign(builderOpts...)
-		plan, err := c.Plan()
-		if err == nil {
-			err = plan.Validate()
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *shardK >= 0 {
-			shardChild(plan, shardsN, *shardK, *shardOut, opts)
-			finish()
-			return
-		}
-		var rep *rsstcp.Report
-		if shardsN > 1 {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "campaign: %d runs across %d shard processes%s\n",
-					plan.Runs(), shardsN, shardNote)
-			}
-			rep, err = shardParent(plan, shardsN, self)
-		} else {
-			progress(plan.Runs())
-			rep, err = c.Run(opts)
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *embedTel {
-			rep.Telemetry = reg.Snapshot()
-		}
-		render(*jsonPath, *csvPath, rep.WriteJSON, rep.WriteCSV, func(w io.Writer) error {
-			return rep.Table().Render(w)
-		})
-		finish()
-		return
 	}
-
-	// Legacy path: fixed grid in, fixed columns out (byte-compatible with
-	// the original engine).
+	if hasAxis(extraAxes, "matchup") {
+		if explicit["alg"] || explicit["flows"] {
+			fatalf("-axis matchup=... replaces the flow list; drop the -alg and -flows flags")
+		}
+		gridAxes = dropAxes(gridAxes, "alg", "flows")
+	}
+	// An explicit topology overrides the dumbbell's path fields, so the path
+	// axes come off the plan (and explicitly set path flags are rejected —
+	// their cell labels would lie about what ran).
+	if len(topoAxes) > 0 || hasAxis(extraAxes, "topo") {
+		for _, n := range []string{"bw", "rtt", "rq", "loss"} {
+			if explicit[n] {
+				fatalf("a topology (-topo, -hop or -axis topo=...) replaces the path; drop the -%s flag", n)
+			}
+		}
+		gridAxes = dropAxes(gridAxes, "bw", "rtt", "rq", "loss")
+	}
+	// A dynamic workload replaces the default single static flow, so the
+	// flows axis comes off the plan — unless -flows was set on purpose,
+	// which keeps that many static flows as background load.
+	if len(churnAxes) > 0 && !explicit["flows"] {
+		gridAxes = dropAxes(gridAxes, "flows")
+	}
+	builderOpts := []rsstcp.CampaignOpt{
+		rsstcp.SweepAxis(topoAxes...),
+		rsstcp.SweepAxis(churnAxes...),
+		rsstcp.SweepAxis(gridAxes...),
+		rsstcp.SweepAxis(extraAxes...),
+		rsstcp.Replicates(*replicates),
+		rsstcp.Duration(*duration),
+		rsstcp.BaseSeed(*seed),
+	}
+	if *metrics != "" {
+		builderOpts = append(builderOpts, rsstcp.MeasureNamed(split(*metrics)...))
+	}
+	c := rsstcp.NewCampaign(builderOpts...)
+	plan, err := c.Plan()
+	if err == nil {
+		err = plan.Validate()
+	}
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if *shardK >= 0 {
-		// The legacy Result shape exposes raw runs, so shard reports must
-		// carry them for the merging parent.
-		opts.RetainRuns = true
-		shardChild(grid.Plan(), shardsN, *shardK, *shardOut, opts)
+		shardChild(plan, shardsN, *shardK, *shardOut, opts)
 		finish()
 		return
 	}
-	var res *rsstcp.CampaignResult
+	var rep *rsstcp.Report
 	if shardsN > 1 {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "campaign: %d runs across %d shard processes%s\n",
-				grid.Runs(), shardsN, shardNote)
+				plan.Runs(), shardsN, shardNote)
 		}
-		rep, err := shardParent(grid.Plan(), shardsN, self)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if res, err = campaign.ResultFromReport(grid, rep); err != nil {
-			fatalf("%v", err)
-		}
+		rep, err = shardParent(plan, shardsN, self)
 	} else {
-		progress(grid.Runs())
-		var err error
-		if res, err = rsstcp.RunCampaign(grid, opts); err != nil {
-			fatalf("%v", err)
-		}
+		progress(plan.Runs())
+		rep, err = c.Run(opts)
+	}
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if *embedTel {
-		// The legacy fixed-grid JSON shape is byte-pinned, so the snapshot
-		// goes to stderr as an OpenMetrics exposition instead.
-		if err := reg.WriteOpenMetrics(os.Stderr); err != nil {
-			fatalf("%v", err)
-		}
+		rep.Telemetry = reg.Snapshot()
 	}
-	render(*jsonPath, *csvPath, res.WriteJSON, res.WriteCSV, func(w io.Writer) error {
-		return res.Table().Render(w)
-	})
+	render(*jsonPath, *csvPath, rep)
 	finish()
 }
 
@@ -569,18 +502,18 @@ func sanitizeKey(key string) string {
 
 // render dispatches the selected exports; with no export flags (or when both
 // went to files), the aggregate table goes to stdout.
-func render(jsonPath, csvPath string, writeJSON, writeCSV, table func(io.Writer) error) {
+func render(jsonPath, csvPath string, rep *rsstcp.Report) {
 	wrote := false
 	if jsonPath != "" {
-		writeTo(jsonPath, writeJSON)
+		writeTo(jsonPath, rep.WriteJSON)
 		wrote = true
 	}
 	if csvPath != "" {
-		writeTo(csvPath, writeCSV)
+		writeTo(csvPath, rep.WriteCSV)
 		wrote = true
 	}
 	if !wrote || (jsonPath != "-" && csvPath != "-") {
-		if err := table(os.Stdout); err != nil {
+		if err := rep.Table().Render(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -662,30 +595,6 @@ func split(s string) []string {
 		if part = strings.TrimSpace(part); part != "" {
 			out = append(out, part)
 		}
-	}
-	return out
-}
-
-func parseInts(s, flagName string) []int {
-	var out []int
-	for _, part := range split(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			fatalf("bad -%s value %q: %v", flagName, part, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloats(s, flagName string) []float64 {
-	var out []float64
-	for _, part := range split(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			fatalf("bad -%s value %q: %v", flagName, part, err)
-		}
-		out = append(out, v)
 	}
 	return out
 }

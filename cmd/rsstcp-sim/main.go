@@ -54,7 +54,7 @@ func main() {
 		rev      = flag.String("rev", "", "real reverse channel as rate=Mbps[,delay=D][,queue=N] (default: ideal wire)")
 		duration = flag.Duration("duration", 25*time.Second, "run length")
 		bytes    = flag.Int64("bytes", 0, "transfer size (0 = backlogged for the whole run)")
-		arrivals = flag.String("arrivals", "", "dynamic flow arrivals: poisson:RATE|mmpp:LO:HI:SOJOURN|web:S:F:THINK|legacy:N (default: one static flow)")
+		arrivals = flag.String("arrivals", "", "dynamic flow arrivals: poisson:RATE|mmpp:LO:HI:SOJOURN|web:S:F:THINK (default: one static flow)")
 		fsize    = flag.String("fsize", "", "dynamic transfer sizes: fixed:64k|exp:100k|pareto:A:MIN:MAX|lognorm:MED:SIGMA (default exp:100k)")
 		load     = flag.Float64("load", 0, "offered load as a fraction of the bottleneck (rescales -arrivals; 0 = use the spec's own rate)")
 		maxflows = flag.Int("maxflows", 0, "admission cap on concurrently live dynamic flows (0 = unbounded)")

@@ -1,8 +1,9 @@
-// Campaign example, in two acts. First the legacy grid shorthand: sweep
-// restricted vs standard slow-start across a small bandwidth × RTT ×
-// txqueuelen grid with replicated lossy runs, executed on all cores. Then
-// the composable builder: a set-point sweep with fairness and ramp-time
-// metric columns — a campaign the fixed grid cannot express.
+// Campaign example, in two acts. First the Grid shorthand: sweep restricted
+// vs standard slow-start across a small bandwidth × RTT × txqueuelen grid
+// with replicated lossy runs, executed on all cores. Then the composable
+// builder: a set-point sweep with fairness and ramp-time metric columns — a
+// campaign the seven grid fields cannot express. Both compile to a Plan and
+// return the same Report.
 package main
 
 import (
@@ -25,13 +26,13 @@ func main() {
 		Duration:    5 * time.Second,
 	}
 	fmt.Printf("sweeping %d cells × %d replicates on %d workers...\n",
-		len(grid.Cells()), grid.Replicates, rsstcp.DefaultCampaignWorkers())
+		grid.Plan().Size(), grid.Replicates, rsstcp.DefaultCampaignWorkers())
 
-	res, err := rsstcp.RunCampaign(grid, rsstcp.CampaignOptions{})
+	rep, err := rsstcp.RunCampaign(grid, rsstcp.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := res.Table().Render(os.Stdout); err != nil {
+	if err := rep.Table().Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
@@ -39,14 +40,14 @@ func main() {
 	// much does restricting slow-start buy, and how stable is the answer
 	// across replicates (the std column) once the path is lossy?
 	fmt.Println()
-	fmt.Println("Each row is one cell; mbps-std is the replicate-to-replicate")
-	fmt.Println("spread introduced by seeded random loss.")
+	fmt.Println("Each row is one cell; throughput_mbps-std is the replicate-to-")
+	fmt.Println("replicate spread introduced by seeded random loss.")
 
 	// Act two: the builder composes axes the grid does not have — here the
 	// RSS IFQ set point — and picks the metric columns, including Jain's
 	// fairness over two concurrent flows and the time to 90% utilization.
 	fmt.Println()
-	rep, err := rsstcp.NewCampaign(
+	rep, err = rsstcp.NewCampaign(
 		rsstcp.Sweep("rtt", "20ms", "60ms"),
 		rsstcp.Sweep("alg", rsstcp.Restricted),
 		rsstcp.Sweep("flows", 2),

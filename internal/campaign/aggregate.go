@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"rsstcp/internal/experiment"
 	"rsstcp/internal/stats"
@@ -69,8 +68,8 @@ type ReportCell struct {
 	Runs []Replicate `json:"runs,omitempty"`
 	// Metrics are the per-metric summaries, in plan-metric order.
 	Metrics []MetricSummary `json:"metrics"`
-	// config is the cell's composed configuration, kept for legacy-shape
-	// conversion without re-expanding the axis product (not serialized).
+	// config is the cell's composed configuration, kept so callers need not
+	// re-expand the axis product (not serialized).
 	config experiment.Config
 }
 
@@ -88,8 +87,8 @@ func (c ReportCell) Metric(name string) (stats.Summary, bool) {
 	return stats.Summary{}, false
 }
 
-// Report is a completed generic campaign: the (defaulted) plan and one
-// aggregated entry per cell, in canonical expansion order.
+// Report is a completed campaign — the only result shape: the (defaulted)
+// plan and one aggregated entry per cell, in canonical expansion order.
 type Report struct {
 	Plan  Plan
 	Cells []ReportCell
@@ -99,83 +98,4 @@ type Report struct {
 	// phase times — so embedding it trades byte-determinism of the export
 	// for self-description; nil (the default) keeps output deterministic.
 	Telemetry map[string]float64
-}
-
-// CellResult is one legacy grid cell's replicate set plus its aggregate
-// statistics. ThroughputMbps is summarized in Mbps (not bps) so exported
-// numbers match the tables the rest of the repo prints.
-type CellResult struct {
-	Cell Cell  `json:"cell"`
-	Runs []Run `json:"runs"`
-
-	ThroughputMbps stats.Summary `json:"throughput_mbps"`
-	Stalls         stats.Summary `json:"stalls"`
-	CongSignals    stats.Summary `json:"cong_signals"`
-	RouterDrops    stats.Summary `json:"router_drops"`
-	InjectedDrops  stats.Summary `json:"injected_drops"`
-	Utilization    stats.Summary `json:"utilization"`
-}
-
-// Result is a completed legacy grid campaign: the (defaulted) grid and one
-// aggregated entry per cell, in canonical grid order.
-type Result struct {
-	Grid  Grid         `json:"grid"`
-	Cells []CellResult `json:"cells"`
-}
-
-// ResultFromReport folds a generic report of the grid's compiled plan back
-// into the legacy fixed-field Result — the exported entry point for callers
-// that executed the plan themselves (e.g. a shard-merging parent) rather
-// than through Execute. The report must retain raw runs.
-func ResultFromReport(g Grid, rep *Report) (*Result, error) {
-	g = g.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return legacyResult(g, rep)
-}
-
-// legacyResult folds a generic report of a grid-compiled plan back into the
-// legacy fixed-field Result. The report's stock-metric summaries become the
-// named summary fields, and each cell's composed config is projected onto
-// the legacy (Path, Alg, Flows) triple.
-func legacyResult(g Grid, rep *Report) (*Result, error) {
-	res := &Result{Grid: g, Cells: make([]CellResult, len(rep.Cells))}
-	for i, rc := range rep.Cells {
-		cfg := rc.Config()
-		if len(cfg.Flows) == 0 {
-			return nil, fmt.Errorf("campaign: cell %d (%s): no flows after axis composition", i, rc.Key)
-		}
-		out := CellResult{
-			Cell: Cell{
-				Index: rc.Index,
-				Path:  cfg.Path,
-				Alg:   cfg.Flows[0].Alg,
-				Flows: len(cfg.Flows),
-			},
-			Runs: make([]Run, len(rc.Runs)),
-		}
-		for ri, r := range rc.Runs {
-			out.Runs[ri] = r.Run
-		}
-		for _, want := range []struct {
-			name string
-			dst  *stats.Summary
-		}{
-			{MetricThroughputMbps.Name, &out.ThroughputMbps},
-			{MetricStalls.Name, &out.Stalls},
-			{MetricCongSignals.Name, &out.CongSignals},
-			{MetricRouterDrops.Name, &out.RouterDrops},
-			{MetricInjectedDrops.Name, &out.InjectedDrops},
-			{MetricUtilization.Name, &out.Utilization},
-		} {
-			s, ok := rc.Metric(want.name)
-			if !ok {
-				return nil, fmt.Errorf("campaign: grid plan missing stock metric %q", want.name)
-			}
-			*want.dst = s
-		}
-		res.Cells[i] = out
-	}
-	return res, nil
 }

@@ -53,8 +53,7 @@ func (a *Axis) fail(format string, args ...any) {
 // cartesian product of Axes into cells, runs Replicates seeded simulations
 // per cell, and summarizes the Metrics over each cell's replicates.
 //
-// Plan generalizes Grid: Grid.Plan() compiles the seven fixed grid fields to
-// stock axes, and Execute runs grids through this engine.
+// Grid.Plan() compiles the seven fixed grid fields to such a plan.
 type Plan struct {
 	// Axes are the sweep dimensions, outermost first. No axes means a
 	// single cell of pure defaults.
@@ -131,7 +130,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	// The topo axis installs an explicit topology, which overrides the
-	// PathConfig fields the legacy path axes sweep — combining them would
+	// PathConfig fields the dumbbell path axes sweep — combining them would
 	// make cell labels lie — and the reverse/AQM axes mutate the explicit
 	// topology, so they must come after it or the preset clobbers them.
 	if ti, ok := axisPos["topo"]; ok {

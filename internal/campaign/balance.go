@@ -52,9 +52,8 @@ func CellWeight(p Plan, c PlanCell) float64 {
 
 // churnLoad converts a cell's churn spec into a static-flow equivalent: the
 // long-run arrival rate in flows/sec stands in for the extra concurrent
-// population the arrivals sustain. Legacy sources expand to N static copies
-// at build time, so they weigh exactly N; an unparseable spec (it would fail
-// the build anyway) weighs like the default source.
+// population the arrivals sustain. An unparseable spec (it would fail the
+// build anyway) weighs like the default source.
 func churnLoad(cfg experiment.Config) float64 {
 	ch := cfg.Churn
 	if ch == nil {
@@ -74,9 +73,6 @@ func churnLoad(cfg experiment.Config) float64 {
 	src, err := lifecycle.ParseSource(spec)
 	if err != nil {
 		return 100
-	}
-	if l, ok := src.(*lifecycle.Legacy); ok {
-		return float64(l.N)
 	}
 	return src.Rate()
 }

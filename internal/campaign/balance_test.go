@@ -89,7 +89,7 @@ func TestWeightedCutsBalance(t *testing.T) {
 
 // TestCellWeightModel pins the cost model's monotonicity: more virtual
 // time, more flows, churn load, and deeper hop chains each weigh a cell
-// heavier; a legacy churn source weighs like its static expansion.
+// heavier.
 func TestCellWeightModel(t *testing.T) {
 	t.Parallel()
 	p := Plan{Duration: 5 * time.Second}.withDefaults()
@@ -115,13 +115,6 @@ func TestCellWeightModel(t *testing.T) {
 		if w := CellWeight(p, c); w <= w0 {
 			t.Errorf("%s: weight %v, want > base %v", name, w, w0)
 		}
-	}
-	legacy := base
-	legacy.Config.Churn = &experiment.ChurnSpec{Arrivals: "legacy:6"}
-	static := base
-	static.Config.Flows = make([]experiment.FlowSpec, 7) // 1 default + 6 expanded
-	if lw, sw := CellWeight(p, legacy), CellWeight(p, static); lw != sw {
-		t.Errorf("legacy:6 weighs %v, 7 static flows weigh %v; want equal", lw, sw)
 	}
 }
 

@@ -36,18 +36,18 @@ func TestParallelSpeedup(t *testing.T) {
 	g := speedupGrid()
 
 	// Warm up once so allocator/cache effects don't bias the serial leg.
-	if _, err := Execute(g, Options{Workers: 4}); err != nil {
+	if _, err := ExecutePlan(g.Plan(), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 
 	start := time.Now()
-	if _, err := Execute(g, Options{Workers: 1}); err != nil {
+	if _, err := ExecutePlan(g.Plan(), Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	serial := time.Since(start)
 
 	start = time.Now()
-	if _, err := Execute(g, Options{Workers: 4}); err != nil {
+	if _, err := ExecutePlan(g.Plan(), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	parallel := time.Since(start)
@@ -63,7 +63,7 @@ func benchmarkCampaign(b *testing.B, workers int) {
 	g := smallGridBench()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(g, Options{Workers: workers}); err != nil {
+		if _, err := ExecutePlan(g.Plan(), Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,10 @@
 //     float64. Each cell summarizes a caller-chosen metric set (means,
 //     deviations, percentiles) instead of a fixed struct.
 //
-// The legacy Grid — seven fixed fields — survives as a thin compiler onto
-// stock axes (Grid.Plan); Execute runs grids through the same engine and
-// reproduces the original output byte-for-byte (see TestGridGoldenOutput).
+// ExecutePlan runs a Plan and returns a Report, the one result shape, with
+// JSON/CSV/table exporters. Grid — seven fixed fields — is a struct
+// shorthand that compiles onto stock axes (Grid.Plan); TestPlanGoldenOutput
+// pins its report byte for byte.
 //
 // Determinism is the design invariant: each replicate's seed is derived
 // from the plan's base seed and the cell's canonical "axis=value" key

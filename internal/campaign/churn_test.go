@@ -69,9 +69,15 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 	bad := []Axis{
 		AxisArrivals("bogus:1"),
 		AxisArrivals("poisson:0"),
+		AxisArrivals("poisson:NaN"),
+		AxisArrivals("poisson:Inf"),
+		AxisArrivals("legacy:3"),
 		AxisFlowSizes("exp:notasize"),
 		AxisFlowSizes("pareto:1.2:4k"),
+		AxisFlowSizes("fixed:Inf"),
 		AxisLoads(0),
+		AxisLoads(math.NaN()),
+		AxisLoads(math.Inf(1)),
 	}
 	for i, a := range bad {
 		p := Plan{Axes: []Axis{a}}
@@ -80,7 +86,7 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 		}
 	}
 	good := Plan{Axes: []Axis{
-		AxisArrivals("poisson:50", "mmpp:10:200:500ms", "web:5:8:100ms", "legacy:3"),
+		AxisArrivals("poisson:50", "mmpp:10:200:500ms", "web:5:8:100ms"),
 		AxisFlowSizes("fixed:64k", "exp:100k", "pareto:1.2:4k:10M", "lognorm:30k:1.5"),
 		AxisLoads(0.4, 0.8, 1.2),
 	}}

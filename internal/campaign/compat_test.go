@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,9 +12,11 @@ import (
 	"rsstcp/internal/unit"
 )
 
-// goldenGrid is the exact campaign that produced testdata/grid_golden.json
-// on the PR-1 fixed-field engine, before the axis redesign. Do not change
-// it: the golden file is the byte-compatibility contract.
+// goldenGrid is the exact campaign behind testdata/grid_golden.json. Do not
+// change it: the golden file is the byte-compatibility contract. The file
+// was captured at the last commit that still had the PR-1 fixed-field
+// exporter, where its 16 cells × 2 runs and six stock summaries were checked
+// value for value against that exporter's golden.
 func goldenGrid() Grid {
 	return Grid{
 		Bandwidths: []unit.Bandwidth{10 * unit.Mbps, 50 * unit.Mbps},
@@ -27,26 +30,27 @@ func goldenGrid() Grid {
 	}
 }
 
-// TestGridGoldenOutput pins the redesign's back-compat guarantee: a legacy
-// Grid campaign, now compiled to axes and run by the generic engine, must
-// emit WriteJSON bytes identical to the pre-redesign engine's output
-// (captured in testdata before the refactor).
-func TestGridGoldenOutput(t *testing.T) {
+// goldenJSON runs a plan retaining raw runs and renders the report.
+func goldenJSON(t *testing.T, p Plan, workers int) string {
+	t.Helper()
+	rep, err := ExecutePlan(p, Options{Workers: workers, RetainRuns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := render(t, rep)
+	return j
+}
+
+// TestPlanGoldenOutput pins the simulator's observable behaviour end to end:
+// the golden grid, compiled to a plan and run with raw runs retained, must
+// emit Report.WriteJSON bytes identical to the committed golden file.
+func TestPlanGoldenOutput(t *testing.T) {
 	want, err := os.ReadFile("testdata/grid_golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(goldenGrid(), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if got != string(want) {
-		t.Fatalf("grid JSON diverged from pre-redesign golden output\ngolden %d bytes, got %d bytes\n%s",
+	if got := goldenJSON(t, goldenGrid().Plan(), 4); got != string(want) {
+		t.Fatalf("plan JSON diverged from golden output\ngolden %d bytes, got %d bytes\n%s",
 			len(want), len(got), firstDiff(string(want), got))
 	}
 }
@@ -76,17 +80,10 @@ func firstDiff(a, b string) string {
 	return "one output is a prefix of the other"
 }
 
-// TestGridMatchesHandCompiledAxes proves the grid path has no bespoke
-// execution logic left: a plan assembled by hand from the stock axis
-// constructors reproduces the legacy engine's cell keys, seeds, runs and
-// summaries exactly.
+// TestGridMatchesHandCompiledAxes proves Grid is only a compiler: a plan
+// assembled by hand from the stock axis constructors renders the same bytes
+// — cell keys, seeds, runs and summaries — as the grid-compiled plan.
 func TestGridMatchesHandCompiledAxes(t *testing.T) {
-	g := goldenGrid()
-	legacy, err := Execute(g, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	plan := Plan{
 		Axes: []Axis{
 			AxisBandwidths(10*unit.Mbps, 50*unit.Mbps),
@@ -102,32 +99,44 @@ func TestGridMatchesHandCompiledAxes(t *testing.T) {
 		Duration:   time.Second,
 		BaseSeed:   7,
 	}
-	rep, err := ExecutePlan(plan, Options{Workers: 3, RetainRuns: true})
-	if err != nil {
-		t.Fatal(err)
+	if grid, hand := goldenJSON(t, goldenGrid().Plan(), 2), goldenJSON(t, plan, 3); grid != hand {
+		t.Fatalf("grid-compiled and hand-compiled plans diverged\n%s", firstDiff(grid, hand))
 	}
+}
 
-	if len(rep.Cells) != len(legacy.Cells) {
-		t.Fatalf("cells: %d generic vs %d legacy", len(rep.Cells), len(legacy.Cells))
+// TestClassicFlagsCompileToGridPlan pins the CLI collapse: the seven classic
+// flag strings, compiled by the ParseAxis that -axis uses, expand to the
+// cell keys and derived seeds of Grid{...}.Plan() — so `-bw 10,50` and
+// Grid.Bandwidths cannot drift apart.
+func TestClassicFlagsCompileToGridPlan(t *testing.T) {
+	var flags Plan
+	for _, f := range []struct{ name, csv string }{
+		{"bw", "10,50"}, {"rtt", "10ms,40ms"}, {"rq", "250"}, {"ifq", "100"},
+		{"loss", "0.005"}, {"alg", "standard,restricted"}, {"flows", "1,2"},
+	} {
+		a, err := ParseAxis(f.name, strings.Split(f.csv, ","))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags.Axes = append(flags.Axes, a)
 	}
-	legacyCells := g.Cells()
-	for i, rc := range rep.Cells {
-		if rc.Key != legacyCells[i].Key() {
-			t.Errorf("cell %d key %q != legacy key %q", i, rc.Key, legacyCells[i].Key())
+	flags.Replicates, flags.Duration, flags.BaseSeed = 2, time.Second, 7
+	grid := goldenGrid().Plan()
+	fc, gc := flags.Cells(), grid.Cells()
+	if len(fc) != len(gc) {
+		t.Fatalf("cells: %d from flags, %d from the grid", len(fc), len(gc))
+	}
+	for i := range gc {
+		if fc[i].Key != gc[i].Key {
+			t.Fatalf("cell %d key %q from flags, %q from the grid", i, fc[i].Key, gc[i].Key)
 		}
-		for ri, r := range rc.Runs {
-			if r.Run != legacy.Cells[i].Runs[ri] {
-				t.Errorf("cell %d replicate %d diverged:\ngeneric %+v\nlegacy  %+v",
-					i, ri, r.Run, legacy.Cells[i].Runs[ri])
+		if !reflect.DeepEqual(fc[i].Config, gc[i].Config) {
+			t.Errorf("cell %d config from flags\n%+v\nfrom the grid\n%+v", i, fc[i].Config, gc[i].Config)
+		}
+		for rep := 0; rep < grid.Replicates; rep++ {
+			if fs, gs := flags.Config(fc[i], rep).Seed, grid.Config(gc[i], rep).Seed; fs != gs {
+				t.Errorf("cell %d replicate %d seed %d from flags, %d from the grid", i, rep, fs, gs)
 			}
-		}
-		thr, ok := rc.Metric("throughput_mbps")
-		if !ok {
-			t.Fatalf("cell %d missing throughput_mbps", i)
-		}
-		if thr != legacy.Cells[i].ThroughputMbps {
-			t.Errorf("cell %d throughput summary diverged: %+v vs %+v",
-				i, thr, legacy.Cells[i].ThroughputMbps)
 		}
 	}
 }

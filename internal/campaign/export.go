@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"rsstcp/internal/experiment"
 )
@@ -17,9 +16,9 @@ import (
 // (see TestStreamedReportJSONMatchesEncoder) while the peak encoding buffer
 // is one cell, not the whole report — what keeps a retained-runs export of
 // a large campaign from materializing twice.
-// A nil tail value emits exactly the historical two-key shape; a non-nil
-// tail appends `"<tailName>": <tail>` after the list, so opt-in extras
-// (the telemetry snapshot) never perturb legacy byte-pinned exports.
+// A nil tail value emits exactly the two-key shape; a non-nil tail appends
+// `"<tailName>": <tail>` after the list, so opt-in extras (the telemetry
+// snapshot) never perturb byte-pinned exports.
 func streamJSON(w io.Writer, headName string, head any, listName string, n int, item func(int) any, tailName string, tail any) error {
 	hb, err := json.MarshalIndent(head, "  ", "  ")
 	if err != nil {
@@ -75,111 +74,7 @@ func streamCSV(w io.Writer, header []string, n int, row func(int) []any) error {
 	return nil
 }
 
-// --- legacy grid exporters ---
-
-var legacyHeader = []string{
-	"bw", "rtt-ms", "rq", "ifq", "loss", "alg", "flows",
-	"mbps-mean", "mbps-std", "mbps-p90",
-	"stalls-mean", "cong-mean", "drops-mean", "util-mean",
-}
-
-// legacyRow builds one aggregate table row for a legacy cell.
-func legacyRow(c CellResult) []any {
-	return []any{
-		c.Cell.Path.Bottleneck.String(),
-		int(c.Cell.Path.RTT / time.Millisecond),
-		c.Cell.Path.RouterQueue,
-		c.Cell.Path.TxQueueLen,
-		fmt.Sprintf("%g", c.Cell.Path.Loss),
-		string(c.Cell.Alg),
-		c.Cell.Flows,
-		c.ThroughputMbps.Mean,
-		c.ThroughputMbps.Std,
-		c.ThroughputMbps.P90,
-		c.Stalls.Mean,
-		c.CongSignals.Mean,
-		c.RouterDrops.Mean,
-		fmt.Sprintf("%.3f", c.Utilization.Mean),
-	}
-}
-
-// Table renders the per-cell aggregates as an experiment.Table, one row per
-// cell in canonical grid order, ready for aligned text or CSV output.
-func (r *Result) Table() *experiment.Table {
-	t := &experiment.Table{
-		Title: fmt.Sprintf("Campaign: %d cells × %d replicates (%v per run)",
-			len(r.Cells), r.Grid.Replicates, r.Grid.Duration),
-		Header: legacyHeader,
-		Notes: []string{
-			fmt.Sprintf("base seed %d; replicate seeds derived per cell key", r.Grid.BaseSeed),
-		},
-	}
-	for _, c := range r.Cells {
-		t.Add(legacyRow(c)...)
-	}
-	return t
-}
-
-// WriteCSV writes the aggregate table as CSV, one cell at a time.
-func (r *Result) WriteCSV(w io.Writer) error {
-	return streamCSV(w, legacyHeader, len(r.Cells), func(i int) []any {
-		return legacyRow(r.Cells[i])
-	})
-}
-
-// jsonResult documents the serialized shape — the grid flattened to strings
-// so the file is self-describing without Go-specific types — which
-// WriteJSON streams cell by cell rather than marshaling in one piece.
-type jsonResult struct {
-	Grid  jsonGrid     `json:"grid"`
-	Cells []CellResult `json:"cells"`
-}
-
-type jsonGrid struct {
-	Bandwidths   []string  `json:"bandwidths"`
-	RTTs         []string  `json:"rtts"`
-	RouterQueues []int     `json:"router_queues"`
-	TxQueueLens  []int     `json:"tx_queue_lens"`
-	LossRates    []float64 `json:"loss_rates"`
-	Algorithms   []string  `json:"algorithms"`
-	FlowCounts   []int     `json:"flow_counts"`
-	Replicates   int       `json:"replicates"`
-	Duration     string    `json:"duration"`
-	BaseSeed     uint64    `json:"base_seed"`
-}
-
-// WriteJSON writes the full campaign — grid, per-replicate runs and
-// per-cell aggregates — as indented JSON, streaming per cell. Output is
-// byte-deterministic for a given grid regardless of worker count (and
-// byte-identical to the pre-streaming encoder: see TestGridGoldenOutput).
-func (r *Result) WriteJSON(w io.Writer) error {
-	g := r.Grid.withDefaults()
-	jg := jsonGrid{
-		RouterQueues: g.RouterQueues,
-		TxQueueLens:  g.TxQueueLens,
-		LossRates:    g.LossRates,
-		FlowCounts:   g.FlowCounts,
-		Replicates:   g.Replicates,
-		Duration:     g.Duration.String(),
-		BaseSeed:     g.BaseSeed,
-	}
-	for _, bw := range g.Bandwidths {
-		jg.Bandwidths = append(jg.Bandwidths, bw.String())
-	}
-	for _, rtt := range g.RTTs {
-		jg.RTTs = append(jg.RTTs, rtt.String())
-	}
-	for _, a := range g.Algorithms {
-		jg.Algorithms = append(jg.Algorithms, string(a))
-	}
-	return streamJSON(w, "grid", jg, "cells", len(r.Cells), func(i int) any {
-		return r.Cells[i]
-	}, "", nil)
-}
-
-// --- generic report exporters ---
-
-// jsonReport documents the serialized shape of a generic campaign: the plan
+// jsonReport documents the serialized shape of a campaign: the plan
 // flattened to axis/metric names so the file is self-describing. WriteJSON
 // streams it cell by cell.
 type jsonReport struct {
@@ -230,7 +125,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	}, "telemetry", tail)
 }
 
-// reportHeader builds the generic aggregate table's column set: one column
+// reportHeader builds the aggregate table's column set: one column
 // per axis, then mean and std per plan metric.
 func reportHeader(p Plan) []string {
 	var h []string
@@ -243,7 +138,7 @@ func reportHeader(p Plan) []string {
 	return h
 }
 
-// reportRow builds one aggregate table row for a generic cell.
+// reportRow builds one aggregate table row.
 func reportRow(c ReportCell) []any {
 	row := make([]any, 0, len(c.Labels)+2*len(c.Metrics))
 	for _, l := range c.Labels {

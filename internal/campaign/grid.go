@@ -1,16 +1,16 @@
 package campaign
 
 import (
-	"fmt"
 	"time"
 
 	"rsstcp/internal/experiment"
 	"rsstcp/internal/unit"
 )
 
-// Grid declares a parameter sweep as the cartesian product of its axes.
-// An empty axis collapses to the paper-path value for that parameter, so
-// the zero Grid is a single cell on the Section 4 testbed.
+// Grid declares the classic seven-dimension sweep as a struct and compiles
+// it to a Plan; it has no execution or result shape of its own. An empty
+// field collapses to the paper-path value for that parameter, so the zero
+// Grid is standard vs restricted on the Section 4 testbed.
 type Grid struct {
 	// Bandwidths are the bottleneck rates to sweep.
 	Bandwidths []unit.Bandwidth
@@ -72,63 +72,10 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Size returns the number of cells the grid expands to.
-func (g Grid) Size() int { return len(g.Cells()) }
-
-// Runs returns the total number of simulations (cells × replicates).
-func (g Grid) Runs() int {
-	g = g.withDefaults()
-	return g.Size() * g.Replicates
-}
-
-// Validate rejects axis values the experiment harness cannot build.
-func (g Grid) Validate() error {
-	g = g.withDefaults()
-	for _, bw := range g.Bandwidths {
-		if bw <= 0 {
-			return fmt.Errorf("campaign: non-positive bandwidth %v", bw)
-		}
-	}
-	for _, rtt := range g.RTTs {
-		if rtt <= 0 {
-			return fmt.Errorf("campaign: non-positive RTT %v", rtt)
-		}
-	}
-	for _, q := range g.RouterQueues {
-		if q <= 0 {
-			return fmt.Errorf("campaign: non-positive router queue %d", q)
-		}
-	}
-	for _, q := range g.TxQueueLens {
-		if q <= 0 {
-			return fmt.Errorf("campaign: non-positive txqueuelen %d", q)
-		}
-	}
-	for _, p := range g.LossRates {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("campaign: loss rate %v outside [0, 1]", p)
-		}
-	}
-	known := map[experiment.Algorithm]bool{}
-	for _, a := range experiment.Algorithms() {
-		known[a] = true
-	}
-	for _, a := range g.Algorithms {
-		if !known[a] {
-			return fmt.Errorf("campaign: unknown algorithm %q", a)
-		}
-	}
-	for _, n := range g.FlowCounts {
-		if n <= 0 {
-			return fmt.Errorf("campaign: non-positive flow count %d", n)
-		}
-	}
-	return nil
-}
-
 // Axes compiles the (defaulted) grid's seven fixed fields to stock axes in
-// canonical grid order. The compiled axes reproduce the legacy cell keys —
-// and therefore the legacy derived seeds — exactly.
+// canonical order: bandwidth outermost, then RTT, router queue, txqueuelen,
+// loss, algorithm, and flow count innermost. The axis constructors reject
+// out-of-range values; Plan.Validate surfaces that before anything runs.
 func (g Grid) Axes() []Axis {
 	g = g.withDefaults()
 	return []Axis{
@@ -142,9 +89,8 @@ func (g Grid) Axes() []Axis {
 	}
 }
 
-// Plan compiles the grid to a generic campaign plan: the seven stock axes
-// plus the legacy stock metrics. Grid is now a thin frontend — Execute runs
-// grids exclusively through the axis engine.
+// Plan compiles the grid to a campaign plan: the seven stock axes plus the
+// stock metrics.
 func (g Grid) Plan() Plan {
 	g = g.withDefaults()
 	return Plan{
@@ -153,76 +99,6 @@ func (g Grid) Plan() Plan {
 		Replicates: g.Replicates,
 		Duration:   g.Duration,
 		BaseSeed:   g.BaseSeed,
-	}
-}
-
-// Cell is one point of the expanded grid: a fully specified scenario shape,
-// before replication.
-type Cell struct {
-	// Index is the cell's position in canonical grid order.
-	Index int
-	Path  experiment.PathConfig
-	Alg   experiment.Algorithm
-	Flows int
-}
-
-// Key is the canonical label of the cell's parameters. It is stable across
-// runs and worker counts, and it is the sole cell-side input to replicate
-// seed derivation.
-func (c Cell) Key() string {
-	return fmt.Sprintf("bw=%s/rtt=%s/rq=%d/ifq=%d/loss=%g/alg=%s/flows=%d",
-		c.Path.Bottleneck, c.Path.RTT, c.Path.RouterQueue, c.Path.TxQueueLen,
-		c.Path.Loss, c.Alg, c.Flows)
-}
-
-// Cells expands the grid in canonical order: bandwidth outermost, then RTT,
-// router queue, txqueuelen, loss, algorithm, and flow count innermost.
-func (g Grid) Cells() []Cell {
-	g = g.withDefaults()
-	var cells []Cell
-	for _, bw := range g.Bandwidths {
-		for _, rtt := range g.RTTs {
-			for _, rq := range g.RouterQueues {
-				for _, ifq := range g.TxQueueLens {
-					for _, loss := range g.LossRates {
-						for _, alg := range g.Algorithms {
-							for _, flows := range g.FlowCounts {
-								cells = append(cells, Cell{
-									Index: len(cells),
-									Path: experiment.PathConfig{
-										Bottleneck:  bw,
-										RTT:         rtt,
-										RouterQueue: rq,
-										TxQueueLen:  ifq,
-										Loss:        loss,
-									},
-									Alg:   alg,
-									Flows: flows,
-								})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return cells
-}
-
-// Config assembles the experiment configuration for one replicate of the
-// cell. Flows all run the cell's algorithm on separate hosts (Host = 0),
-// sharing only the bottleneck.
-func (g Grid) Config(c Cell, replicate int) experiment.Config {
-	g = g.withDefaults()
-	flows := make([]experiment.FlowSpec, c.Flows)
-	for i := range flows {
-		flows[i] = experiment.FlowSpec{Alg: c.Alg}
-	}
-	return experiment.Config{
-		Path:     c.Path,
-		Flows:    flows,
-		Duration: g.Duration,
-		Seed:     DeriveSeed(g.BaseSeed, c.Key(), replicate),
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -21,22 +22,22 @@ func sweepGrid() Grid {
 }
 
 func TestGridExpansionOrderAndSize(t *testing.T) {
-	g := sweepGrid()
-	cells := g.Cells()
+	p := sweepGrid().Plan()
+	cells := p.Cells()
 	if len(cells) != 3*2*2*2 {
 		t.Fatalf("cells = %d, want 24", len(cells))
 	}
-	if g.Runs() != 48 {
-		t.Errorf("runs = %d, want 48", g.Runs())
+	if p.Runs() != 48 {
+		t.Errorf("runs = %d, want 48", p.Runs())
 	}
 	// Canonical order: bandwidth outermost, flow count innermost.
-	if cells[0].Path.Bottleneck != 10*unit.Mbps || cells[0].Alg != experiment.AlgStandard {
+	if cells[0].Config.Path.Bottleneck != 10*unit.Mbps || cells[0].Config.Flows[0].Alg != experiment.AlgStandard {
 		t.Errorf("first cell = %+v", cells[0])
 	}
-	if cells[1].Alg != experiment.AlgRestricted {
+	if cells[1].Config.Flows[0].Alg != experiment.AlgRestricted {
 		t.Errorf("algorithm must vary fastest among the set axes, got %+v", cells[1])
 	}
-	last := cells[len(cells)-1]
+	last := cells[len(cells)-1].Config
 	if last.Path.Bottleneck != 500*unit.Mbps || last.Path.TxQueueLen != 100 {
 		t.Errorf("last cell = %+v", last)
 	}
@@ -48,15 +49,12 @@ func TestGridExpansionOrderAndSize(t *testing.T) {
 }
 
 func TestGridDefaultsCollapseToPaperPath(t *testing.T) {
-	cells := Grid{}.Cells()
+	cells := Grid{}.Plan().Cells()
 	if len(cells) != 2 { // standard + restricted on the paper path
 		t.Fatalf("cells = %d, want 2", len(cells))
 	}
-	paper := experiment.PaperPath()
-	got := cells[0].Path
-	got.Loss = 0
-	if got != paper {
-		t.Errorf("default cell path = %+v, want paper path %+v", cells[0].Path, paper)
+	if got, paper := cells[0].Config.Path, experiment.PaperPath(); got != paper {
+		t.Errorf("default cell path = %+v, want paper path %+v", got, paper)
 	}
 }
 
@@ -70,31 +68,32 @@ func TestGridValidate(t *testing.T) {
 		{LossRates: []float64{-0.1}},
 		{Algorithms: []experiment.Algorithm{"bogus"}},
 		{FlowCounts: []int{0}},
+		{LossRates: []float64{math.NaN()}},
 	}
 	for i, g := range bad {
-		if err := g.Validate(); err == nil {
+		if err := g.Plan().Validate(); err == nil {
 			t.Errorf("grid %d accepted: %+v", i, g)
 		}
 	}
-	if err := sweepGrid().Validate(); err != nil {
+	if err := sweepGrid().Plan().Validate(); err != nil {
 		t.Errorf("valid grid rejected: %v", err)
 	}
 }
 
 func TestCellKeyUniqueAndStable(t *testing.T) {
-	cells := sweepGrid().Cells()
+	cells := sweepGrid().Plan().Cells()
 	seen := map[string]int{}
 	for _, c := range cells {
-		if prev, dup := seen[c.Key()]; dup {
-			t.Fatalf("cells %d and %d share key %q", prev, c.Index, c.Key())
+		if prev, dup := seen[c.Key]; dup {
+			t.Fatalf("cells %d and %d share key %q", prev, c.Index, c.Key)
 		}
-		seen[c.Key()] = c.Index
+		seen[c.Key] = c.Index
 	}
 	// The key must not depend on expansion order (only on parameters).
-	again := sweepGrid().Cells()
+	again := sweepGrid().Plan().Cells()
 	for i := range cells {
-		if cells[i].Key() != again[i].Key() {
-			t.Fatalf("key unstable across expansions: %q vs %q", cells[i].Key(), again[i].Key())
+		if cells[i].Key != again[i].Key {
+			t.Fatalf("key unstable across expansions: %q vs %q", cells[i].Key, again[i].Key)
 		}
 	}
 }
@@ -106,20 +105,21 @@ func TestReplicateSeedsNeverCollide(t *testing.T) {
 	g := sweepGrid()
 	g.LossRates = []float64{0, 0.001, 0.01}
 	g.Replicates = 8
-	cells := g.Cells()
+	p := g.Plan()
+	cells := p.Cells()
 	seeds := map[uint64]string{}
 	for _, c := range cells {
 		for rep := 0; rep < g.Replicates; rep++ {
-			cfg := g.Config(c, rep)
+			cfg := p.Config(c, rep)
 			if cfg.Seed == 0 {
-				t.Fatalf("zero seed for %s rep %d (would collapse to the default)", c.Key(), rep)
+				t.Fatalf("zero seed for %s rep %d (would collapse to the default)", c.Key, rep)
 			}
-			who := fmt.Sprintf("%s#%d", c.Key(), rep)
+			who := fmt.Sprintf("%s#%d", c.Key, rep)
 			if prev, dup := seeds[cfg.Seed]; dup {
 				t.Fatalf("seed %d shared by %s and %s", cfg.Seed, prev, who)
 			}
 			seeds[cfg.Seed] = who
-			if again := g.Config(c, rep); again.Seed != cfg.Seed {
+			if again := p.Config(c, rep); again.Seed != cfg.Seed {
 				t.Fatalf("seed not stable for %s", who)
 			}
 		}
@@ -143,12 +143,12 @@ func TestDeriveSeedSensitivity(t *testing.T) {
 }
 
 func TestConfigBuildsRequestedFlows(t *testing.T) {
-	g := Grid{FlowCounts: []int{3}, Algorithms: []experiment.Algorithm{experiment.AlgRestricted}}
-	cells := g.Cells()
+	p := Grid{FlowCounts: []int{3}, Algorithms: []experiment.Algorithm{experiment.AlgRestricted}}.Plan()
+	cells := p.Cells()
 	if len(cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(cells))
 	}
-	cfg := g.Config(cells[0], 0)
+	cfg := p.Config(cells[0], 0)
 	if len(cfg.Flows) != 3 {
 		t.Fatalf("flows = %d, want 3", len(cfg.Flows))
 	}

@@ -27,8 +27,8 @@ type Metric struct {
 	NeedsTrace bool
 }
 
-// Stock metrics. The first six mirror the legacy CellResult summaries; the
-// rest are new dimensions of merit the fixed struct could not report.
+// Stock metrics. The first six are the default set (StockMetrics); the rest
+// are further figures of merit a plan can ask for by name.
 var (
 	// MetricThroughputMbps is aggregate goodput over all flows, Mbps.
 	MetricThroughputMbps = Metric{
@@ -281,8 +281,8 @@ func meanSlowdown(r experiment.Result, class int) float64 {
 	return sum / float64(n)
 }
 
-// StockMetrics returns the default metric set — the six summaries the legacy
-// grid engine reported per cell, in the legacy column order.
+// StockMetrics returns the default metric set, in column order. The Plan
+// golden pins both the set and the order.
 func StockMetrics() []Metric {
 	return []Metric{
 		MetricThroughputMbps, MetricStalls, MetricCongSignals,

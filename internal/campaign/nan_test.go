@@ -121,12 +121,11 @@ func TestSummaryJSONNaNTolerance(t *testing.T) {
 // TestLossRateOneIsValid locks in the widened validation range.
 func TestLossRateOneIsValid(t *testing.T) {
 	g := Grid{LossRates: []float64{0, 0.5, 1.0}}
-	g = g.withDefaults()
-	if err := g.Validate(); err != nil {
+	if err := g.Plan().Validate(); err != nil {
 		t.Fatalf("loss rate 1.0 rejected: %v", err)
 	}
 	g.LossRates = []float64{1.1}
-	if err := g.Validate(); err == nil {
+	if err := g.Plan().Validate(); err == nil {
 		t.Fatal("loss rate 1.1 accepted")
 	}
 }

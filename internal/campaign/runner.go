@@ -33,12 +33,11 @@ type Options struct {
 	// RetainRuns keeps every raw Replicate on its ReportCell. Off (the
 	// default), each finished replicate is folded into its cell's
 	// streaming accumulators and dropped, so peak memory is governed by
-	// the cell count, not the run count. Grid Execute always retains: the
-	// legacy Result shape exposes raw runs.
+	// the cell count, not the run count.
 	RetainRuns bool
 	// ExportWeb100 attaches every flow's full Web100 snapshot to each
 	// Replicate (the "web100" block of retained-run JSON exports). Off by
-	// default: legacy exports stay byte-identical.
+	// default: byte-pinned exports stay identical.
 	ExportWeb100 bool
 	// Self, when non-nil, receives live self-observation updates (runs/sec,
 	// events/sec, reorder depth, phase wall times) as the campaign executes.
@@ -49,14 +48,11 @@ type Options struct {
 	// for a fixed plan the set of (cellKey, replicate) calls and each call's
 	// bytes are identical at any worker count — only the call order varies.
 	AnomalySink func(cellKey string, replicate int, events []byte)
-	// Anomalous decides which runs the sink sees; nil means the default
-	// predicate (any RTO, or zero aggregate throughput).
-	Anomalous func(Run) bool
 }
 
-// defaultAnomalous flags the failure modes worth a timeline: a transfer that
-// hit a retransmission timeout, or one that moved no data at all.
-func defaultAnomalous(r Run) bool {
+// anomalous flags the failure modes worth a timeline: a transfer that hit a
+// retransmission timeout, or one that moved no data at all.
+func anomalous(r Run) bool {
 	return r.Timeouts > 0 || r.ThroughputBps == 0
 }
 
@@ -97,8 +93,8 @@ type Run struct {
 	InjectedDrops int64   `json:"injected_drops"`
 	Utilization   float64 `json:"utilization"`
 	// RevDrops counts ACKs refused by a real reverse channel's queue; it is
-	// omitempty (and Run stays comparable) so legacy ideal-reverse exports
-	// are byte-identical.
+	// omitempty (and Run stays comparable) so ideal-reverse exports are
+	// byte-identical.
 	RevDrops int64 `json:"rev_drops,omitempty"`
 }
 
@@ -108,15 +104,14 @@ type Replicate struct {
 	Run
 	// HopDrops lists per-hop queue refusals in forward order, populated
 	// only for multi-hop topologies (a dumbbell's single figure is already
-	// router_drops), so legacy exports are unchanged.
+	// router_drops), so dumbbell exports are unchanged.
 	HopDrops []int64 `json:"hop_drops,omitempty"`
 	// Values holds one extracted value per plan metric. Values are
 	// NaN-tolerant on the wire: a metric that yields NaN (degenerate
 	// cells) serializes as JSON null instead of breaking the export.
 	Values []stats.JSONFloat `json:"values"`
 	// Web100 carries every flow's full instrument-set snapshot in flow
-	// order, populated only under Options.ExportWeb100 so legacy exports
-	// are unchanged.
+	// order, populated only under Options.ExportWeb100.
 	Web100 []web100.Export `json:"web100,omitempty"`
 }
 
@@ -143,7 +138,6 @@ type execEnv struct {
 	traceless bool
 	opts      Options
 	self      *SelfMetrics
-	anomalous func(Run) bool
 }
 
 // spanResult is what a worker hands the collector: the replicates of one
@@ -255,7 +249,7 @@ func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int, out *Repli
 	// reused — so the ring still holds exactly this replicate's timeline.
 	// The recorder's contents are a pure function of (Config, Seed), which
 	// makes the dumped bytes worker-count-independent.
-	if env.opts.AnomalySink != nil && env.anomalous(out.Run) {
+	if env.opts.AnomalySink != nil && anomalous(out.Run) {
 		env.opts.AnomalySink(c.Key, rep, rc.s.FR.AppendJSONL(nil))
 		env.self.Anomalies.Inc()
 	}
@@ -284,7 +278,7 @@ const spanWindow = 8
 
 // ExecutePlan runs every cell of the plan's axis product, replicated on a
 // bounded worker pool, and summarizes the plan's metrics per cell. It is the
-// engine's entry point; Execute routes legacy grids through it.
+// engine's entry point.
 //
 // Aggregation streams: workers return their replicates a span at a time and
 // the collector folds them strictly in canonical (cell, replicate) order —
@@ -331,13 +325,9 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		traceless: !p.needsTrace(),
 		opts:      opts,
 		self:      opts.Self,
-		anomalous: opts.Anomalous,
 	}
 	if env.self == nil {
 		env.self = NewSelfMetrics()
-	}
-	if env.anomalous == nil {
-		env.anomalous = defaultAnomalous
 	}
 
 	jobs := make(chan [2]int, workers)
@@ -505,22 +495,4 @@ func (f *folder) finalize(ci int) {
 		f.runs = f.runs[:0]
 	}
 	f.out[ci] = out
-}
-
-// Execute runs a legacy grid campaign: the grid is compiled to stock axes
-// (Grid.Plan) and executed by the generic engine, then the report is folded
-// back into the legacy Result shape. Raw runs are always retained — the
-// legacy Result exposes them — and output is byte-identical to the original
-// fixed-field engine; see TestGridGoldenOutput.
-func Execute(g Grid, opts Options) (*Result, error) {
-	g = g.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	opts.RetainRuns = true
-	rep, err := ExecutePlan(g.Plan(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return legacyResult(g, rep)
 }

@@ -27,7 +27,7 @@ func smallGrid() Grid {
 	}
 }
 
-func render(t *testing.T, r *Result) (jsonOut, csvOut string) {
+func render(t *testing.T, r *Report) (jsonOut, csvOut string) {
 	t.Helper()
 	var j, c strings.Builder
 	if err := r.WriteJSON(&j); err != nil {
@@ -42,12 +42,12 @@ func render(t *testing.T, r *Result) (jsonOut, csvOut string) {
 // TestWorkerCountDoesNotChangeResults is the tentpole invariant: one worker
 // and eight workers must emit byte-identical JSON and CSV.
 func TestWorkerCountDoesNotChangeResults(t *testing.T) {
-	g := smallGrid()
-	serial, err := Execute(g, Options{Workers: 1})
+	p := smallGrid().Plan()
+	serial, err := ExecutePlan(p, Options{Workers: 1, RetainRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Execute(g, Options{Workers: 8})
+	parallel, err := ExecutePlan(p, Options{Workers: 8, RetainRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 
 func TestExecuteShape(t *testing.T) {
 	g := smallGrid()
-	res, err := Execute(g, Options{Workers: 4})
+	res, err := ExecutePlan(g.Plan(), Options{Workers: 4, RetainRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestExecuteShape(t *testing.T) {
 		t.Fatalf("cells = %d, want 8", len(res.Cells))
 	}
 	for i, c := range res.Cells {
-		if c.Cell.Index != i {
-			t.Errorf("cell %d out of order (index %d)", i, c.Cell.Index)
+		if c.Index != i {
+			t.Errorf("cell %d out of order (index %d)", i, c.Index)
 		}
 		if len(c.Runs) != g.Replicates {
 			t.Fatalf("cell %d has %d runs, want %d", i, len(c.Runs), g.Replicates)
@@ -88,11 +88,12 @@ func TestExecuteShape(t *testing.T) {
 				t.Errorf("cell %d run %d made no progress", i, rep)
 			}
 		}
-		if c.ThroughputMbps.N != g.Replicates {
-			t.Errorf("cell %d summary over %d samples, want %d", i, c.ThroughputMbps.N, g.Replicates)
+		thr, _ := c.Metric("throughput_mbps")
+		if thr.N != g.Replicates {
+			t.Errorf("cell %d summary over %d samples, want %d", i, thr.N, g.Replicates)
 		}
-		if c.ThroughputMbps.Mean <= 0 {
-			t.Errorf("cell %d mean throughput %v", i, c.ThroughputMbps.Mean)
+		if thr.Mean <= 0 {
+			t.Errorf("cell %d mean throughput %v", i, thr.Mean)
 		}
 	}
 }
@@ -109,7 +110,7 @@ func TestLossMakesReplicatesDistinct(t *testing.T) {
 		Replicates: 4,
 		Duration:   2 * time.Second,
 	}
-	res, err := Execute(g, Options{})
+	res, err := ExecutePlan(g.Plan(), Options{RetainRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +125,18 @@ func TestLossMakesReplicatesDistinct(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Errorf("all %d replicates injected identical drop counts %v — seeds not differentiating", len(cell.Runs), cell.Runs)
 	}
-	if cell.InjectedDrops.Std == 0 && cell.ThroughputMbps.Std == 0 {
+	inj, _ := cell.Metric("injected_drops")
+	thr, _ := cell.Metric("throughput_mbps")
+	if inj.Std == 0 && thr.Std == 0 {
 		t.Error("zero variance across lossy replicates")
 	}
 }
 
 func TestProgressCountsEveryRun(t *testing.T) {
-	g := smallGrid()
+	g := smallGrid().Plan()
 	var calls int
 	var lastDone, lastTotal int
-	_, err := Execute(g, Options{Workers: 3, ProgressEvery: 1, Progress: func(done, total int) {
+	_, err := ExecutePlan(g, Options{Workers: 3, ProgressEvery: 1, Progress: func(done, total int) {
 		calls++
 		if done != calls {
 			t.Errorf("progress out of order: call %d reported done=%d", calls, done)
@@ -155,9 +158,9 @@ func TestProgressCountsEveryRun(t *testing.T) {
 // TestProgressCoarsening: ProgressEvery > 1 must deliver only every Nth
 // completion plus the final one, still in canonical order.
 func TestProgressCoarsening(t *testing.T) {
-	g := smallGrid() // 16 runs
+	g := smallGrid().Plan() // 16 runs
 	var dones []int
-	_, err := Execute(g, Options{Workers: 3, ProgressEvery: 5, Progress: func(done, total int) {
+	_, err := ExecutePlan(g, Options{Workers: 3, ProgressEvery: 5, Progress: func(done, total int) {
 		dones = append(dones, done)
 		if total != g.Runs() {
 			t.Errorf("total = %d, want %d", total, g.Runs())
@@ -178,7 +181,7 @@ func TestProgressCoarsening(t *testing.T) {
 }
 
 func TestExecuteRejectsInvalidGrid(t *testing.T) {
-	_, err := Execute(Grid{Algorithms: []experiment.Algorithm{"bogus"}}, Options{})
+	_, err := ExecutePlan(Grid{Algorithms: []experiment.Algorithm{"bogus"}}.Plan(), Options{})
 	if err == nil {
 		t.Fatal("invalid grid accepted")
 	}
@@ -188,8 +191,7 @@ func TestExecuteRejectsInvalidGrid(t *testing.T) {
 }
 
 func TestTableHasOneRowPerCell(t *testing.T) {
-	g := smallGrid()
-	res, err := Execute(g, Options{Workers: 2})
+	res, err := ExecutePlan(smallGrid().Plan(), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,6 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 		traceless: true,
 		opts:      Options{ExportWeb100: true},
 		self:      NewSelfMetrics(),
-		anomalous: defaultAnomalous,
 	}
 	runOn := func(rc *runContext, c PlanCell, rep int) (Replicate, error) {
 		out := Replicate{Values: make([]stats.JSONFloat, len(env.p.Metrics))}

@@ -60,12 +60,8 @@ func TestGridGoldenSchedulerBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := legacyResult(g, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sb strings.Builder
-		if err := res.WriteJSON(&sb); err != nil {
+		if err := rep.WriteJSON(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if got := sb.String(); got != string(want) {

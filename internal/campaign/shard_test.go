@@ -66,7 +66,7 @@ func TestShardedChurnByteIdentity(t *testing.T) {
 }
 
 // TestShardedGridGolden pins the golden grid bytes across shard counts:
-// the legacy export reproduces exactly when the campaign is cell-sharded,
+// the export reproduces exactly when the campaign is cell-sharded,
 // including retained raw runs riding the shard wire format.
 func TestShardedGridGolden(t *testing.T) {
 	t.Parallel()
@@ -80,12 +80,8 @@ func TestShardedGridGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := legacyResult(g, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sb strings.Builder
-		if err := res.WriteJSON(&sb); err != nil {
+		if err := rep.WriteJSON(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if got := sb.String(); got != string(want) {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,11 +18,9 @@ import (
 // can be built from untyped values (NewAxis) or command-line strings
 // (ParseAxis) without touching the engine.
 //
-// The first seven (bw, rtt, rq, ifq, loss, alg, flows) are the legacy Grid
-// fields; their labels reproduce the Grid cell-key format exactly, which is
-// what keeps grid-compiled plans byte-identical to the PR-1 engine. The rest
-// (setpoint, tick, mss, sack, nic, matchup, bytes) are new dimensions the
-// fixed Grid could never express.
+// The first seven (bw, rtt, rq, ifq, loss, alg, flows) are the Grid fields
+// and the CLI's classic flags; their labels are pinned by the Plan golden,
+// because cell keys feed the derived replicate seeds.
 
 // Stock-axis semantic constraints around "matchup", which replaces the
 // whole flow list. Plan.Validate enforces both:
@@ -68,20 +67,6 @@ var (
 	churnHardConflicts = []string{"bytes"}
 	churnAfterAxes     = []string{"alg", "setpoint", "tick", "mss", "sack"}
 )
-
-// legacyAxisNames are the seven grid dimensions, exported order.
-var legacyAxisNames = []string{"bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
-
-// IsLegacyAxis reports whether name is one of the seven grid dimensions
-// (useful to CLIs that must reconcile grid flags with generic axis flags).
-func IsLegacyAxis(name string) bool {
-	for _, n := range legacyAxisNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
 
 // eachFlow applies f to every measured flow of the config, materializing one
 // default flow first if none exist, so per-flow axes compose in any order.
@@ -205,7 +190,7 @@ func AxisLossRates(vs ...float64) Axis {
 	a := Axis{Name: "loss"}
 	for _, v := range vs {
 		v := v
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			a.fail("loss rate %g outside [0, 1]", v)
 		}
 		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
@@ -262,7 +247,7 @@ func AxisSetpoints(vs ...float64) Axis {
 	a := Axis{Name: "setpoint"}
 	for _, v := range vs {
 		v := v
-		if v <= 0 || v > 1 {
+		if !(v > 0 && v <= 1) {
 			a.fail("set point %g outside (0, 1]", v)
 		}
 		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
@@ -390,8 +375,8 @@ func AxisLoads(vs ...float64) Axis {
 	a := Axis{Name: "load"}
 	for _, v := range vs {
 		v := v
-		if v <= 0 {
-			a.fail("non-positive offered load %g", v)
+		if !(v > 0) || math.IsInf(v, 0) {
+			a.fail("offered load %g is not a positive finite number", v)
 		}
 		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
 			ensureChurn(cfg).Load = v
@@ -401,8 +386,8 @@ func AxisLoads(vs ...float64) Axis {
 }
 
 // AxisArrivals sweeps the flow arrival process ("arrivals"): each value is a
-// lifecycle source spec — "poisson:RATE", "mmpp:LO:HI:SOJOURN",
-// "web:SESSIONS:FLOWS:THINK", or "legacy:N". Specs are validated at
+// lifecycle source spec — "poisson:RATE", "mmpp:LO:HI:SOJOURN" or
+// "web:SESSIONS:FLOWS:THINK". Specs are validated at
 // construction so a typo fails Plan.Validate instead of running defaults
 // under a lying label. The spec string is the cell label (':' is legal in
 // labels; '=' and '/' are not, and no source spec contains them).
@@ -612,7 +597,7 @@ func parseAlgs(names []string) ([]experiment.Algorithm, error) {
 
 func specBandwidth(name string, build func(...unit.Bandwidth) Axis) axisSpec {
 	fromString := func(s string) (Axis, error) {
-		mbps, err := strconv.ParseFloat(s, 64)
+		mbps, err := lifecycle.ParseFinite(s)
 		if err != nil {
 			return Axis{}, fmt.Errorf("%s: want a rate in Mbps, got %q", name, s)
 		}
@@ -688,7 +673,7 @@ func specInt(name, help string, build func(...int) Axis) axisSpec {
 
 func specFloat(name, help string, build func(...float64) Axis) axisSpec {
 	fromString := func(s string) (Axis, error) {
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := lifecycle.ParseFinite(s)
 		if err != nil {
 			return Axis{}, fmt.Errorf("%s: bad number %q", name, s)
 		}
@@ -841,7 +826,7 @@ var stockAxes = map[string]axisSpec{
 		return AxisLoads(vs...)
 	}),
 	"arrivals": {
-		help: "arrival process spec (poisson:RATE, mmpp:LO:HI:SOJOURN, web:S:F:THINK, legacy:N)",
+		help: "arrival process spec (poisson:RATE, mmpp:LO:HI:SOJOURN, web:S:F:THINK)",
 		fromAny: func(v any) (Axis, error) {
 			switch x := v.(type) {
 			case string:

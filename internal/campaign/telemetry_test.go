@@ -91,24 +91,6 @@ func TestAnomalyDumpDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAnomalyPredicateOverride: a custom predicate sees every run.
-func TestAnomalyPredicateOverride(t *testing.T) {
-	p := anomalyPlan()
-	m := newSinkMap()
-	_, err := ExecutePlan(p, Options{
-		Workers:     2,
-		AnomalySink: m.sink,
-		Anomalous:   func(Run) bool { return true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(p.Cells()) * p.withDefaults().Replicates
-	if len(m.dumps) != total {
-		t.Fatalf("always-true predicate dumped %d of %d runs", len(m.dumps), total)
-	}
-}
-
 // TestWeb100ExportOptIn: the web100 block appears on replicates only under
 // Options.ExportWeb100, and serializes under the "web100" key.
 func TestWeb100ExportOptIn(t *testing.T) {
@@ -130,7 +112,7 @@ func TestWeb100ExportOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(b), "web100") {
-		t.Fatalf("legacy replicate JSON mentions web100: %s", b)
+		t.Fatalf("replicate JSON mentions web100 without opt-in: %s", b)
 	}
 
 	on, err := ExecutePlan(p, Options{Workers: 1, RetainRuns: true, ExportWeb100: true})

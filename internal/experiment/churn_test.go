@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,37 +120,20 @@ func TestChurnLeakGate10k(t *testing.T) {
 	}
 }
 
-// TestLegacyChurnMatchesStatic pins the legacy source's byte-identity
-// contract: a "legacy:N" churn spec produces exactly the result of listing
-// N template copies in Flows.
-func TestLegacyChurnMatchesStatic(t *testing.T) {
+// TestChurnRejectsUnusableLoadRate: a load that resolves to no arrival rate
+// — a non-finite Load, or a size distribution whose mean is NaN although
+// every parameter is finite — is a Build error, not a source constructor's
+// panic or a run that never ends.
+func TestChurnRejectsUnusableLoadRate(t *testing.T) {
 	t.Parallel()
-	static := Config{
-		Flows:    []FlowSpec{{Alg: AlgStandard}, {Alg: AlgStandard}, {Alg: AlgStandard}},
-		Duration: 2 * time.Second,
-		Seed:     5,
-	}
-	legacy := Config{
-		Churn:    &ChurnSpec{Arrivals: "legacy:3", Flow: FlowSpec{Alg: AlgStandard}},
-		Duration: 2 * time.Second,
-		Seed:     5,
-	}
-	ss, err := Build(static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := Build(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls.Flows) != 3 {
-		t.Fatalf("legacy:3 built %d static flows", len(ls.Flows))
-	}
-	resS, resL := ss.Run(), ls.Run()
-	sameResult(t, "legacy-vs-static", resS, resL)
-	if len(resL.Flows) != 0 || resL.FlowsActive != 0 {
-		t.Errorf("legacy source produced dynamic flows: %d records, %d active",
-			len(resL.Flows), resL.FlowsActive)
+	for _, ch := range []ChurnSpec{
+		{Load: math.Inf(1)},
+		{Load: 0.5, Size: "pareto:1e300:1k:1M"},
+	} {
+		ch := ch
+		if _, err := Build(Config{Churn: &ch, Duration: time.Second}); err == nil || !strings.Contains(err.Error(), "arrival rate") {
+			t.Errorf("churn %+v: err = %v, want the arrival-rate error", ch, err)
+		}
 	}
 }
 

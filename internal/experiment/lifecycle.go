@@ -2,8 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 	"time"
 
 	"rsstcp/internal/lifecycle"
@@ -21,14 +20,11 @@ import (
 // function of (Config, Seed) at any worker count.
 type ChurnSpec struct {
 	// Arrivals is a lifecycle.ParseSource spec — "poisson:100",
-	// "mmpp:20:200:500ms", "web:5:8:2s", or "legacy:N" (default
-	// "poisson:100"). A legacy source expands into N static template
-	// copies at build time and runs the classic path byte-identically.
+	// "mmpp:20:200:500ms" or "web:5:8:2s" (default "poisson:100").
 	Arrivals string
 	// Load, when > 0, overrides the spec's arrival rate so the offered
 	// load — rate × E[size] — equals this fraction of the template
-	// route's bottleneck rate. Incompatible with legacy sources, which
-	// have no rate.
+	// route's bottleneck rate.
 	Load float64 `json:",omitempty"`
 	// Size is a lifecycle.ParseSizeDist spec — "fixed:64k", "exp:100k",
 	// "pareto:1.3:10k:10M", "lognorm:100k:1.5" (default "exp:100k").
@@ -53,22 +49,6 @@ func (c ChurnSpec) withDefaults() ChurnSpec {
 		c.Flow.Alg = AlgStandard
 	}
 	return c
-}
-
-// legacyCount reports whether spec is a well-formed legacy arrival spec,
-// and its flow count. Config.fillDefaults uses it to expand legacy churn
-// statically; malformed specs return false and fail later in initChurn
-// with a real error.
-func legacyCount(spec string) (int, bool) {
-	rest, ok := strings.CutPrefix(spec, "legacy:")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 1 {
-		return 0, false
-	}
-	return n, true
 }
 
 // FlowRecord is one completed dynamic flow: birth and completion times,
@@ -265,8 +245,7 @@ func (t *Totals) add(o Totals) {
 }
 
 // initChurn validates the churn spec and starts the arrival process on the
-// freshly built scenario (legacy specs were expanded away in fillDefaults
-// and never reach here).
+// freshly built scenario.
 func (s *Scenario) initChurn() error {
 	cfg := &s.Cfg
 	spec := *cfg.Churn
@@ -305,12 +284,14 @@ func (s *Scenario) initChurn() error {
 	s.churn.perByte = 1 / bottleneck.BytesPerSecond()
 
 	if spec.Load > 0 {
-		if src.Rate() <= 0 {
-			return fmt.Errorf("load %.2f needs a rated arrival process, %q has none", spec.Load, spec.Arrivals)
+		// A finite spec can still have no usable mean (a Pareto tail index
+		// of 1e300 yields NaN), and Load is a plain field: check the rate
+		// the sources' constructors would otherwise panic on.
+		rate := spec.Load * bottleneck.BytesPerSecond() / dist.Mean()
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			return fmt.Errorf("load %g over size dist %q gives arrival rate %g", spec.Load, spec.Size, rate)
 		}
-		src = src.WithRate(spec.Load * bottleneck.BytesPerSecond() / dist.Mean())
-	} else if src.Rate() <= 0 {
-		return fmt.Errorf("arrival process %q has no rate; set Load or use a rated source", spec.Arrivals)
+		src = src.WithRate(rate)
 	}
 
 	s.churn.src, s.churn.dist, s.churn.tmpl = src, dist, tmpl

@@ -184,10 +184,8 @@ type Config struct {
 	// Churn, when non-nil, adds dynamic flows on top of Flows: an arrival
 	// process births flows from a template spec, each runs to
 	// byte-completion (size drawn from a distribution) and detaches,
-	// leaving a FlowRecord in Result.Flows. A "legacy:N" arrival spec
-	// expands into N static template copies at build time — byte-identical
-	// to listing them in Flows — and with Churn set, Flows may be empty or
-	// all-cross: no default measured flow is injected.
+	// leaving a FlowRecord in Result.Flows. With Churn set, Flows may be
+	// empty or all-cross: no default measured flow is injected.
 	Churn *ChurnSpec `json:",omitempty"`
 	// Duration ends the run (default 25 s, the span of Figure 1).
 	Duration time.Duration
@@ -240,17 +238,6 @@ func (c *Config) fillDefaults() {
 	if c.Churn != nil {
 		churn := c.Churn.withDefaults()
 		c.Churn = &churn
-		// The legacy source is static by definition: expand it into
-		// template copies in Flows and drop the churn spec entirely, so
-		// the classic build path runs and the output is byte-identical to
-		// a hand-written N-flow configuration. Unparseable specs fall
-		// through for initChurn to report.
-		if n, ok := legacyCount(churn.Arrivals); ok {
-			for i := 0; i < n; i++ {
-				c.Flows = append(c.Flows, churn.Flow)
-			}
-			c.Churn = nil
-		}
 	}
 	if len(c.Flows) == 0 {
 		// A churn-only run measures its dynamic flows; only a fully static

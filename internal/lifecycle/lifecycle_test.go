@@ -30,8 +30,10 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseSize("x12"); err == nil {
-		t.Error("parseSize(x12) should fail")
+	for _, bad := range []string{"x12", "NaN", "Inf", "-Inf", "infk", "1e308G", "1e19"} {
+		if _, err := parseSize(bad); err == nil {
+			t.Errorf("parseSize(%q) should fail", bad)
+		}
 	}
 }
 
@@ -92,6 +94,9 @@ func TestParseSizeDistRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"", "zipf:2", "fixed", "fixed:0", "exp:-1", "pareto:1.3:10k",
 		"pareto:0:1:2", "pareto:1.3:10M:10k", "lognorm:100k:-1",
+		"fixed:Inf", "fixed:NaN", "exp:NaN", "exp:Inf", "pareto:NaN:1k:1M",
+		"pareto:Inf:1k:1M", "pareto:1.3:1k:Inf", "pareto:1.3:NaN:1M",
+		"lognorm:NaN:1", "lognorm:100k:NaN", "lognorm:100k:Inf",
 	} {
 		if _, err := ParseSizeDist(bad); err == nil {
 			t.Errorf("ParseSizeDist(%q) should fail", bad)
@@ -101,7 +106,7 @@ func TestParseSizeDistRoundTrip(t *testing.T) {
 
 func TestParseSourceRoundTrip(t *testing.T) {
 	for _, spec := range []string{
-		"poisson:100", "mmpp:20:200:500ms", "web:5:8:2s", "legacy:4",
+		"poisson:100", "mmpp:20:200:500ms", "web:5:8:2s",
 	} {
 		s, err := ParseSource(spec)
 		if err != nil {
@@ -113,7 +118,9 @@ func TestParseSourceRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "uniform:3", "poisson", "poisson:0", "mmpp:20:200",
-		"mmpp:0:1:1s", "mmpp:1:1:0s", "web:5:0:1s", "web:5:8:junk", "legacy:0",
+		"mmpp:0:1:1s", "mmpp:1:1:0s", "web:5:0:1s", "web:5:8:junk", "legacy:4",
+		"poisson:NaN", "poisson:Inf", "poisson:-Inf", "mmpp:NaN:200:1s",
+		"mmpp:20:Inf:1s", "web:NaN:8:2s", "web:Inf:8:2s",
 	} {
 		if _, err := ParseSource(bad); err == nil {
 			t.Errorf("ParseSource(%q) should fail", bad)
@@ -159,18 +166,6 @@ func TestWebSessionRate(t *testing.T) {
 	// under the long-run rate.
 	if want := 40 * 200; math.Abs(float64(n-want))/float64(want) > 0.10 {
 		t.Errorf("got %d arrivals, want ~%d", n, want)
-	}
-}
-
-func TestLegacyLaunchesSynchronously(t *testing.T) {
-	eng := sim.NewEngine()
-	n := 0
-	NewLegacy(7).Start(eng, sim.NewRNG(1), func() { n++ })
-	if n != 7 {
-		t.Fatalf("legacy launched %d flows at Start, want 7", n)
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("legacy left %d calendar entries", eng.Pending())
 	}
 }
 

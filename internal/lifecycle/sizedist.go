@@ -151,7 +151,7 @@ func ParseSizeDist(spec string) (SizeDist, error) {
 		if len(parts) != 4 {
 			return bad("want pareto:ALPHA:MIN:MAX")
 		}
-		a, err := strconv.ParseFloat(parts[1], 64)
+		a, err := ParseFinite(parts[1])
 		if err != nil || a <= 0 {
 			return bad("bad alpha %q", parts[1])
 		}
@@ -172,7 +172,7 @@ func ParseSizeDist(spec string) (SizeDist, error) {
 		if err != nil || med <= 0 {
 			return bad("bad median %q", parts[1])
 		}
-		sig, err := strconv.ParseFloat(parts[2], 64)
+		sig, err := ParseFinite(parts[2])
 		if err != nil || sig < 0 {
 			return bad("bad sigma %q", parts[2])
 		}
@@ -194,11 +194,28 @@ func parseSize(s string) (float64, error) {
 			mult, s = 1e9, s[:n-1]
 		}
 	}
+	v, err := ParseFinite(s)
+	if err != nil {
+		return 0, err
+	}
+	if v *= mult; v >= math.MaxInt64 {
+		return 0, fmt.Errorf("size %q overflows a byte count", s)
+	}
+	return v, nil
+}
+
+// ParseFinite is strconv.ParseFloat restricted to finite values. Spec and
+// axis parsers go through it: their range checks are ordered comparisons,
+// which NaN slips past, and an infinite rate or size has no simulation.
+func ParseFinite(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, err
 	}
-	return v * mult, nil
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite number %q", s)
+	}
+	return v, nil
 }
 
 // formatSize renders a byte count compactly, reusing the decimal suffixes

@@ -53,7 +53,7 @@ type Poisson struct {
 
 // NewPoisson returns a Poisson source at the given rate (flows/sec).
 func NewPoisson(perSecond float64) *Poisson {
-	if perSecond <= 0 {
+	if !(perSecond > 0) {
 		panic("lifecycle: Poisson rate must be positive")
 	}
 	return &Poisson{PerSecond: perSecond}
@@ -115,7 +115,7 @@ type MMPP struct {
 // NewMMPP returns a two-phase MMPP source. Both rates must be positive and
 // the mean sojourn nonzero.
 func NewMMPP(lo, hi float64, sojourn sim.Duration) *MMPP {
-	if lo <= 0 || hi <= 0 {
+	if !(lo > 0 && hi > 0) {
 		panic("lifecycle: MMPP rates must be positive")
 	}
 	if sojourn <= 0 {
@@ -224,7 +224,7 @@ type webChain struct {
 
 // NewWebSession returns a web-session source.
 func NewWebSession(sessionsPerSec float64, flowsPerSession int, think sim.Duration) *WebSession {
-	if sessionsPerSec <= 0 {
+	if !(sessionsPerSec > 0) {
 		panic("lifecycle: session rate must be positive")
 	}
 	if flowsPerSession < 1 {
@@ -326,53 +326,14 @@ func (w *WebSession) Label() string {
 		formatFloat(w.SessionsPerSec), w.FlowsPerSession, time.Duration(w.Think))
 }
 
-// Legacy is the fixed-count source: exactly N flows, all born at start.
-// The experiment layer special-cases it — a legacy churn spec expands into
-// the static flow list before the scenario is built, so its output is
-// byte-identical to a hand-written N-flow configuration. Used directly as
-// a FlowSource it launches N flows synchronously at Start.
-type Legacy struct {
-	N       int
-	stopped bool
-}
-
-// NewLegacy returns a fixed-count source.
-func NewLegacy(n int) *Legacy {
-	if n < 1 {
-		panic("lifecycle: legacy flow count must be ≥ 1")
-	}
-	return &Legacy{N: n}
-}
-
-// Start launches all N flows immediately.
-func (l *Legacy) Start(eng *sim.Engine, rng *sim.RNG, launch func()) {
-	l.stopped = false
-	for i := 0; i < l.N && !l.stopped; i++ {
-		launch()
-	}
-}
-
-// Stop halts any remaining synchronous launches; there are no calendar
-// entries to cancel.
-func (l *Legacy) Stop() { l.stopped = true }
-
-// Rate is 0: a fixed count has no arrival rate, so the load axis rejects
-// legacy sources.
-func (l *Legacy) Rate() float64 { return 0 }
-
-// WithRate returns the source unchanged; callers that need a rate must
-// validate Rate() > 0 first.
-func (l *Legacy) WithRate(float64) FlowSource { return l }
-
-// Label returns the canonical spec, e.g. "legacy:4".
-func (l *Legacy) Label() string { return "legacy:" + strconv.Itoa(l.N) }
-
 // ParseSource builds a FlowSource from its colon-separated spec:
 //
 //	poisson:RATE            memoryless arrivals at RATE flows/sec
 //	mmpp:LO:HI:SOJOURN      two-phase bursty arrivals (e.g. mmpp:20:200:500ms)
 //	web:SESSIONS:FLOWS:THINK  web sessions (e.g. web:5:8:2s)
-//	legacy:N                N static flows, byte-identical to a hand-written list
+//
+// Rates must be finite and positive: NaN slips past an ordered range check,
+// and an infinite rate draws zero-length gaps forever.
 func ParseSource(spec string) (FlowSource, error) {
 	parts := strings.Split(spec, ":")
 	bad := func(format string, args ...any) (FlowSource, error) {
@@ -383,7 +344,7 @@ func ParseSource(spec string) (FlowSource, error) {
 		if len(parts) != 2 {
 			return bad("want poisson:RATE")
 		}
-		r, err := strconv.ParseFloat(parts[1], 64)
+		r, err := ParseFinite(parts[1])
 		if err != nil || r <= 0 {
 			return bad("bad rate %q", parts[1])
 		}
@@ -392,11 +353,11 @@ func ParseSource(spec string) (FlowSource, error) {
 		if len(parts) != 4 {
 			return bad("want mmpp:LO:HI:SOJOURN")
 		}
-		lo, err := strconv.ParseFloat(parts[1], 64)
+		lo, err := ParseFinite(parts[1])
 		if err != nil || lo <= 0 {
 			return bad("bad low rate %q", parts[1])
 		}
-		hi, err := strconv.ParseFloat(parts[2], 64)
+		hi, err := ParseFinite(parts[2])
 		if err != nil || hi <= 0 {
 			return bad("bad high rate %q", parts[2])
 		}
@@ -409,7 +370,7 @@ func ParseSource(spec string) (FlowSource, error) {
 		if len(parts) != 4 {
 			return bad("want web:SESSIONS:FLOWS:THINK")
 		}
-		sess, err := strconv.ParseFloat(parts[1], 64)
+		sess, err := ParseFinite(parts[1])
 		if err != nil || sess <= 0 {
 			return bad("bad session rate %q", parts[1])
 		}
@@ -422,15 +383,6 @@ func ParseSource(spec string) (FlowSource, error) {
 			return bad("bad think time %q", parts[3])
 		}
 		return NewWebSession(sess, flows, think), nil
-	case "legacy":
-		if len(parts) != 2 {
-			return bad("want legacy:N")
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil || n < 1 {
-			return bad("bad flow count %q", parts[1])
-		}
-		return NewLegacy(n), nil
 	}
-	return bad("unknown process %q (want poisson|mmpp|web|legacy)", parts[0])
+	return bad("unknown process %q (want poisson|mmpp|web)", parts[0])
 }

@@ -19,9 +19,9 @@
 //	})
 //	fmt.Println(res.Throughput, res.Stalls)
 //
-// Parameter sweeps compose from generic axes and pluggable metrics (see
-// NewCampaign); the fixed-field Grid remains as a shorthand for the classic
-// seven-dimension sweep:
+// Parameter sweeps compose from axes and pluggable metrics (see
+// NewCampaign); Grid is a struct shorthand that compiles the classic
+// seven-dimension sweep to the same Plan:
 //
 //	rep, err := rsstcp.NewCampaign(
 //		rsstcp.Sweep("setpoint", 0.5, 0.7, 0.9),
@@ -85,14 +85,10 @@ type (
 	Bandwidth = unit.Bandwidth
 	// Grid declares a parameter sweep: the cartesian product of bandwidth,
 	// RTT, queue, loss, algorithm and flow-count axes, with replicates.
+	// Grid.Plan compiles it to a Plan.
 	Grid = campaign.Grid
 	// CampaignOptions tunes sweep execution (worker count, progress).
 	CampaignOptions = campaign.Options
-	// CampaignResult is a completed sweep: per-cell replicate runs plus
-	// aggregate statistics, with JSON/CSV/table exporters.
-	CampaignResult = campaign.Result
-	// CampaignCell is one aggregated grid cell of a CampaignResult.
-	CampaignCell = campaign.CellResult
 )
 
 // Algorithms.
@@ -168,11 +164,11 @@ func Tune(path Path, duration time.Duration, rule TuneRule) (TuneResult, Gains, 
 	return experiment.Tune(path, duration, rule)
 }
 
-// RunCampaign expands the grid into cells and executes every replicate on
-// a bounded worker pool. Aggregated results are byte-identical regardless
-// of the worker count.
-func RunCampaign(g Grid, opts CampaignOptions) (*CampaignResult, error) {
-	return campaign.Execute(g, opts)
+// RunCampaign compiles the grid to a Plan and executes every replicate on a
+// bounded worker pool: RunPlan(g.Plan(), opts). Aggregated results are
+// byte-identical regardless of the worker count.
+func RunCampaign(g Grid, opts CampaignOptions) (*Report, error) {
+	return campaign.ExecutePlan(g.Plan(), opts)
 }
 
 // DefaultCampaignWorkers returns the worker-pool size used when

@@ -25,8 +25,8 @@ func ExampleRun() {
 	// Output: alg=restricted stalls=0 moving-data=true
 }
 
-// ExampleRunCampaign sweeps the legacy fixed-field grid: algorithms × RTTs,
-// with cells in canonical order and parameter-derived keys.
+// ExampleRunCampaign sweeps the Grid shorthand: algorithms × RTTs, with cells
+// in canonical order and parameter-derived keys.
 func ExampleRunCampaign() {
 	res, err := rsstcp.RunCampaign(rsstcp.Grid{
 		RTTs:       []time.Duration{20 * time.Millisecond, 60 * time.Millisecond},
@@ -37,7 +37,7 @@ func ExampleRunCampaign() {
 		log.Fatal(err)
 	}
 	for _, c := range res.Cells {
-		fmt.Println(c.Cell.Key())
+		fmt.Println(c.Key)
 	}
 	// Output:
 	// bw=100Mbps/rtt=20ms/rq=250/ifq=100/loss=0/alg=restricted/flows=1
@@ -150,8 +150,8 @@ func TestRunCampaignFacade(t *testing.T) {
 		t.Fatalf("cells = %d, want 4", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		if c.ThroughputMbps.Mean <= 0 {
-			t.Errorf("cell %s made no progress", c.Cell.Key())
+		if thr, _ := c.Metric("throughput_mbps"); thr.Mean <= 0 {
+			t.Errorf("cell %s made no progress", c.Key)
 		}
 	}
 	if rsstcp.DefaultCampaignWorkers() < 1 {
