@@ -124,7 +124,7 @@ func main() {
 	flag.Func("hop", "add one forward hop to a custom topology for every cell, as rate=Mbps,delay=D,queue=N[,aqm=red][,loss=P][,reorder=P:D][,dup=P] (repeatable; adds a single-valued 'topo' axis)", func(s string) error {
 		h, err := rsstcp.ParseHop(s)
 		if err != nil {
-			return err
+			fatalf("%v", err) // exit 1 with one line; returning it gets flag's usage dump and 2
 		}
 		customHops = append(customHops, h)
 		return nil

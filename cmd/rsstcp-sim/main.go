@@ -76,7 +76,7 @@ func main() {
 	flag.Func("hop", "add one forward hop as rate=Mbps,delay=D,queue=N[,aqm=red][,loss=P][,reorder=P:D][,dup=P] (repeatable)", func(s string) error {
 		h, err := rsstcp.ParseHop(s)
 		if err != nil {
-			return err
+			fatal(err) // exit 1 with one line; returning it gets flag's usage dump and 2
 		}
 		hopSpecs = append(hopSpecs, h)
 		return nil

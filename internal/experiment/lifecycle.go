@@ -1,8 +1,8 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"time"
 
 	"rsstcp/internal/lifecycle"
@@ -285,11 +285,12 @@ func (s *Scenario) initChurn() error {
 
 	if spec.Load > 0 {
 		// A finite spec can still have no usable mean (a Pareto tail index
-		// of 1e300 yields NaN), and Load is a plain field: check the rate
-		// the sources' constructors would otherwise panic on.
+		// of 1e300 yields NaN), and Load is a plain field: check the rates
+		// the sources' constructors would otherwise panic on. Rescaling
+		// multiplies every gap rate of the source by the same factor.
 		rate := spec.Load * bottleneck.BytesPerSecond() / dist.Mean()
-		if !(rate > 0) || math.IsInf(rate, 0) {
-			return fmt.Errorf("load %g over size dist %q gives arrival rate %g", spec.Load, spec.Size, rate)
+		if err := cmp.Or(lifecycle.CheckRate(rate), lifecycle.CheckRate(src.Peak()*(rate/src.Rate()))); err != nil {
+			return fmt.Errorf("load %g over size dist %q gives an unusable arrival rate: %w", spec.Load, spec.Size, err)
 		}
 		src = src.WithRate(rate)
 	}

@@ -306,9 +306,9 @@ type Flow struct {
 	Stalls *trace.Counter
 
 	// The bundle's own controller, the stall hook bound to Stalls and the
-	// completion hook bound to the bundle: with Sender, Receiver and Stalls
-	// they are allocated once per bundle and re-initialized by every flow
-	// built on it (see takeFlow).
+	// completion hook bound to the bundle. Sender, Receiver, Stalls and reno
+	// point into the flowBundle this Flow heads; every flow built on the
+	// bundle re-initializes them (see takeFlow).
 	reno       *cc.Reno
 	onStall    func()
 	onComplete func()
@@ -499,18 +499,39 @@ func trim[T any](free *[]*T, n int) {
 	}
 }
 
+// flowBundle is the storage of one connection: the Flow and the 1:1 parts
+// that live and die with it, in one object. The Flow's pointer fields point
+// into the bundle it heads, so nothing else has to know the layout.
+type flowBundle struct {
+	Flow
+	sender   tcp.Sender
+	receiver tcp.Receiver
+	stalls   trace.Counter
+	reno     cc.Reno
+}
+
+// newFlowBundle allocates a bundle and binds its hooks. The completion
+// closure must capture a variable assigned once, hence a function of its own:
+// in takeFlow it would move f to the heap on every call, parked bundle or not.
+func newFlowBundle(s *Scenario) *Flow {
+	b := new(flowBundle)
+	f := &b.Flow
+	f.liveIdx = -1
+	f.Sender, f.Receiver, f.Stalls, f.reno = &b.sender, &b.receiver, &b.stalls, &b.reno
+	f.onStall = f.Stalls.Inc
+	f.onComplete = func() { s.completeChurnFlow(f) }
+	return f
+}
+
 // takeFlow returns a flow bundle: a zero Flow but for its 1:1 parts, every
 // one of which buildFlow still has to Init. A parked bundle comes back at the
 // address it had, so whoever kept the *Flow of its previous owner now holds
 // this flow's.
 func (s *Scenario) takeFlow() *Flow {
-	f := take(&s.park.flows)
-	if f.Sender == nil {
-		f.Sender, f.Receiver = new(tcp.Sender), new(tcp.Receiver)
-		f.Stalls, f.reno = new(trace.Counter), new(cc.Reno)
-		f.onStall = f.Stalls.Inc
-		f.onComplete = func() { s.completeChurnFlow(f) }
+	if len(s.park.flows) == 0 {
+		return newFlowBundle(s)
 	}
+	f := take(&s.park.flows)
 	snd, rcv, stalls, reno, onStall, onComplete := f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall, f.onComplete
 	*f = Flow{}
 	f.liveIdx = -1

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/netem"
 	"rsstcp/internal/unit"
 )
@@ -141,34 +142,48 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("experiment: topology has no hops")
 	}
 	for i := range t.Hops {
-		h := &t.Hops[i]
-		if h.Rate <= 0 {
-			return fmt.Errorf("experiment: hop %d: non-positive rate %v", i, h.Rate)
-		}
-		if h.Delay < 0 {
-			return fmt.Errorf("experiment: hop %d: negative delay %v", i, h.Delay)
-		}
-		if h.Queue <= 0 {
-			return fmt.Errorf("experiment: hop %d: non-positive queue %d", i, h.Queue)
-		}
-		if !knownDiscipline(h.Discipline) {
-			return fmt.Errorf("experiment: hop %d: unknown queue discipline %q", i, h.Discipline)
-		}
-		if h.Loss < 0 || h.Loss > 1 {
-			return fmt.Errorf("experiment: hop %d: loss %g outside [0, 1]", i, h.Loss)
-		}
-		if h.ReorderP < 0 || h.ReorderP > 1 {
-			return fmt.Errorf("experiment: hop %d: reorder probability %g outside [0, 1]", i, h.ReorderP)
-		}
-		if h.DuplicateP < 0 || h.DuplicateP > 1 {
-			return fmt.Errorf("experiment: hop %d: duplicate probability %g outside [0, 1]", i, h.DuplicateP)
+		if err := t.Hops[i].validate(); err != nil {
+			return fmt.Errorf("experiment: hop %d: %w", i, err)
 		}
 	}
-	if t.Reverse.Rate < 0 {
-		return fmt.Errorf("experiment: negative reverse rate %v", t.Reverse.Rate)
+	if err := t.Reverse.validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
-	if t.Reverse.Delay < 0 {
-		return fmt.Errorf("experiment: negative reverse delay %v", t.Reverse.Delay)
+	return nil
+}
+
+// validate is Validate's per-hop half, which ParseHop applies to outside
+// input. The probability checks are written so that NaN fails them.
+func (h *Hop) validate() error {
+	if h.Rate <= 0 {
+		return fmt.Errorf("non-positive rate %v", h.Rate)
+	}
+	if h.Delay < 0 {
+		return fmt.Errorf("negative delay %v", h.Delay)
+	}
+	if h.Queue <= 0 {
+		return fmt.Errorf("non-positive queue %d", h.Queue)
+	}
+	if !knownDiscipline(h.Discipline) {
+		return fmt.Errorf("unknown queue discipline %q", h.Discipline)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"loss", h.Loss}, {"reorder probability", h.ReorderP}, {"duplicate probability", h.DuplicateP}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("%s %g outside [0, 1]", p.name, p.v)
+		}
+	}
+	return nil
+}
+
+func (r Reverse) validate() error {
+	if r.Rate < 0 {
+		return fmt.Errorf("negative reverse rate %v", r.Rate)
+	}
+	if r.Delay < 0 {
+		return fmt.Errorf("negative reverse delay %v", r.Delay)
 	}
 	return nil
 }
@@ -394,12 +409,9 @@ func parseKV(what, s string, required []string, fields map[string]func(string) e
 // Field setters shared by the parsers.
 func setMbps(dst *unit.Bandwidth) func(string) error {
 	return func(val string) error {
-		mbps, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return err
-		}
+		mbps, err := lifecycle.ParseFinite(val)
 		*dst = unit.Bandwidth(mbps * float64(unit.Mbps))
-		return nil
+		return err
 	}
 }
 
@@ -421,7 +433,7 @@ func setInt(dst *int) func(string) error {
 
 func setFloat(dst *float64) func(string) error {
 	return func(val string) error {
-		f, err := strconv.ParseFloat(val, 64)
+		f, err := lifecycle.ParseFinite(val)
 		*dst = f
 		return err
 	}
@@ -461,6 +473,9 @@ func ParseHop(s string) (Hop, error) {
 	if err != nil {
 		return Hop{}, err
 	}
+	if err := h.validate(); err != nil {
+		return Hop{}, fmt.Errorf("hop: %w", err)
+	}
 	return h, nil
 }
 
@@ -478,6 +493,9 @@ func ParseReverse(s string) (Reverse, error) {
 	})
 	if err != nil {
 		return Reverse{}, err
+	}
+	if err := r.validate(); err != nil {
+		return Reverse{}, fmt.Errorf("rev: %w", err)
 	}
 	return r, nil
 }

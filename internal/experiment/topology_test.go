@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -314,6 +315,9 @@ func TestTopologyValidation(t *testing.T) {
 		"zero queue":     {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond}}},
 		"bad discipline": {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, Discipline: "codel"}}},
 		"bad loss":       {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, Loss: 1.5}}},
+		"nan loss":       {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, Loss: math.NaN()}}},
+		"nan reorder":    {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, ReorderP: math.NaN()}}},
+		"nan dup":        {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, DuplicateP: math.NaN()}}},
 		"neg reverse":    {Hops: []Hop{good}, Reverse: Reverse{Rate: -1}},
 	} {
 		topo := topo
@@ -363,4 +367,71 @@ func TestPresetListMatchesApply(t *testing.T) {
 			t.Errorf("listed discipline %q not known", d)
 		}
 	}
+}
+
+// TestParseHopAndReverse: the -hop/-rev parsers accept the documented forms
+// and refuse, with an error, what used to slip through strconv.ParseFloat:
+// NaN probabilities ran lossless and exited 0, an infinite rate overflowed
+// into a negative bandwidth.
+func TestParseHopAndReverse(t *testing.T) {
+	t.Parallel()
+	h, err := ParseHop("rate=100,delay=10ms,queue=250,aqm=red,loss=0.01,reorder=0.02:2ms,dup=0.001")
+	want := Hop{Rate: 100 * unit.Mbps, Delay: 10 * time.Millisecond, Queue: 250, Discipline: DiscRED,
+		Loss: 0.01, ReorderP: 0.02, ReorderDelay: 2 * time.Millisecond, DuplicateP: 0.001}
+	if err != nil || h != want {
+		t.Errorf("full hop parsed to %+v, %v", h, err)
+	}
+	for _, bad := range []string{
+		"rate=100,delay=10ms,queue=50,loss=NaN", "rate=100,delay=10ms,queue=50,dup=NaN",
+		"rate=100,delay=10ms,queue=50,reorder=nan:1ms", "rate=100,delay=10ms,queue=50,loss=Inf",
+		"rate=Inf,delay=10ms,queue=50", "rate=NaN,delay=10ms,queue=50", "rate=-5,delay=10ms,queue=50",
+		"rate=100,delay=10ms,queue=50,loss=1.5", "rate=100,delay=-1ms,queue=50", "rate=100,delay=10ms,queue=0",
+		"rate=100,delay=10ms", "rate=100,delay=10ms,queue=50,aqm=codel", "rate=100,rate=10,delay=1ms,queue=5",
+	} {
+		if h, err := ParseHop(bad); err == nil {
+			t.Errorf("ParseHop(%q) accepted as %+v", bad, h)
+		}
+	}
+	r, err := ParseReverse("rate=10,delay=30ms,queue=50")
+	if err != nil || r != (Reverse{Rate: 10 * unit.Mbps, Delay: 30 * time.Millisecond, Queue: 50}) {
+		t.Errorf("full reverse parsed to %+v, %v", r, err)
+	}
+	for _, bad := range []string{"rate=NaN", "rate=Inf", "rate=-1", "rate=10,delay=-1ms", "delay=30ms", "rate=10,mtu=9000"} {
+		if r, err := ParseReverse(bad); err == nil {
+			t.Errorf("ParseReverse(%q) accepted as %+v", bad, r)
+		}
+	}
+}
+
+// FuzzParseHop: the -hop parser never panics, and a hop it accepts holds
+// only finite values and passes Topology.Validate as it stands.
+func FuzzParseHop(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		h, err := ParseHop(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{h.Loss, h.ReorderP, h.DuplicateP} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q accepted with a non-finite value: %+v", s, h)
+			}
+		}
+		if err := (Topology{Hops: []Hop{h}}).Validate(); err != nil {
+			t.Fatalf("%q accepted as %+v, which Validate rejects: %v", s, h, err)
+		}
+	})
+}
+
+// FuzzParseReverse: likewise for -rev, validated behind a stock hop.
+func FuzzParseReverse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseReverse(s)
+		if err != nil {
+			return
+		}
+		hop := Hop{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50}
+		if err := (Topology{Hops: []Hop{hop}, Reverse: r}).Validate(); err != nil {
+			t.Fatalf("%q accepted as %+v, which Validate rejects: %v", s, r, err)
+		}
+	})
 }

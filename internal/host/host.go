@@ -46,7 +46,7 @@ type Interface struct {
 	eng    *sim.Engine
 	cfg    InterfaceConfig
 	ser    unit.Serializer
-	queue  *netem.DropTail
+	queue  netem.DropTail
 	dst    netem.Receiver
 	busy   bool
 	wakers []func()
@@ -72,9 +72,10 @@ func NewInterface(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) *Int
 }
 
 // Init (re)initializes the NIC in place: idle, empty, counters zeroed,
-// draining into dst. A used interface keeps only its IFQ ring, its waker
-// arrays and its bound callbacks, so a recycled NIC is indistinguishable
-// from a fresh one and costs no allocation. Init does not release segments:
+// draining into dst. A used interface keeps only its IFQ (held by value,
+// re-initialized around its ring), its waker arrays and its bound callbacks,
+// so a recycled NIC is indistinguishable from a fresh one and costs no
+// allocation. Init does not release segments:
 // an interface that may still hold any must be flushed first.
 func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) {
 	if cfg.Rate <= 0 {
@@ -86,15 +87,11 @@ func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receive
 	if dst == nil {
 		panic("host: interface with nil destination")
 	}
-	q := i.queue
-	if q == nil {
-		q = new(netem.DropTail)
-	}
-	q.Init(cfg.TxQueueLen)
-	wakers, spare, txDone, recvFn := i.wakers[:0], i.spare[:0], i.txDone, i.recvFn
+	queue, wakers, spare, txDone, recvFn := i.queue, i.wakers[:0], i.spare[:0], i.txDone, i.recvFn
 	*i = Interface{} // zero, then set: a literal that reads i is built aside and copied
-	i.eng, i.cfg, i.ser, i.queue, i.dst = eng, cfg, unit.NewSerializer(cfg.Rate), q, dst
-	i.wakers, i.spare, i.txDone, i.recvFn = wakers, spare, txDone, recvFn
+	i.eng, i.cfg, i.ser, i.dst = eng, cfg, unit.NewSerializer(cfg.Rate), dst
+	i.queue, i.wakers, i.spare, i.txDone, i.recvFn = queue, wakers, spare, txDone, recvFn
+	i.queue.Init(cfg.TxQueueLen)
 	i.occLast = eng.Now()
 	if i.txDone == nil {
 		i.txDone = i.transmitDone
@@ -110,7 +107,7 @@ func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receive
 // serializer — and leaves it idle. It is for teardown after the engine was
 // reset: the pending transmit-completion entry must already be gone.
 func (i *Interface) Flush() {
-	netem.Flush(i.queue)
+	netem.Flush(&i.queue)
 	i.txSeg.Release()
 	i.txSeg, i.busy = nil, false
 }

@@ -15,7 +15,7 @@ func finite(vs ...float64) bool {
 }
 
 // FuzzParseSource: the arrival-spec parser never panics, accepts only
-// finite positive rates and positive durations, and its labels are a fixed
+// finite positive rates no finer than the calendar and positive durations, and its labels are a fixed
 // point — Parse(x.Label()).Label() == x.Label(). The non-finite seeds in
 // testdata/fuzz used to parse (NaN passes `r <= 0`) and then hang the run
 // that drew gaps from them.
@@ -27,15 +27,15 @@ func FuzzParseSource(f *testing.F) {
 		}
 		switch s := src.(type) {
 		case *Poisson:
-			if !finite(s.PerSecond) || s.PerSecond <= 0 {
+			if CheckRate(s.PerSecond) != nil {
 				t.Fatalf("%q accepted with rate %v", spec, s.PerSecond)
 			}
 		case *MMPP:
-			if !finite(s.Lo, s.Hi) || s.Lo <= 0 || s.Hi <= 0 || s.Sojourn <= 0 {
+			if CheckRate(s.Lo) != nil || CheckRate(s.Hi) != nil || s.Sojourn <= 0 {
 				t.Fatalf("%q accepted as %+v", spec, s)
 			}
 		case *WebSession:
-			if !finite(s.SessionsPerSec) || s.SessionsPerSec <= 0 || s.FlowsPerSession < 1 || s.Think <= 0 {
+			if CheckRate(s.SessionsPerSec) != nil || s.FlowsPerSession < 1 || s.Think <= 0 {
 				t.Fatalf("%q accepted as %+v", spec, s)
 			}
 		default:

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,10 +122,19 @@ func TestParseSourceRoundTrip(t *testing.T) {
 		"mmpp:0:1:1s", "mmpp:1:1:0s", "web:5:0:1s", "web:5:8:junk", "legacy:4",
 		"poisson:NaN", "poisson:Inf", "poisson:-Inf", "mmpp:NaN:200:1s",
 		"mmpp:20:Inf:1s", "web:NaN:8:2s", "web:Inf:8:2s",
+		"poisson:1e10", "poisson:1000000001", "mmpp:1:1e10:1s", "mmpp:1e12:1:1s", "web:1e10:8:2s",
 	} {
 		if _, err := ParseSource(bad); err == nil {
 			t.Errorf("ParseSource(%q) should fail", bad)
 		}
+	}
+	// A rate finer than the calendar is refused with the reason, and the
+	// boundary itself is a legal rate.
+	if _, err := ParseSource("poisson:1e10"); err == nil || !strings.Contains(err.Error(), "1 ns resolution") {
+		t.Errorf("poisson:1e10: error %v does not name the 1 ns resolution", err)
+	}
+	if _, err := ParseSource("poisson:1e9"); err != nil {
+		t.Errorf("poisson:1e9 refused: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,16 +16,29 @@ import (
 // handful of live calendar entries, and cancel every one of them in Stop —
 // a stopped source leaves the calendar exactly as it found it.
 //
-// Rate reports the long-run arrival rate in flows/sec; WithRate returns a
-// copy rescaled to the given rate (the load axis uses it to convert an
-// offered-load fraction into arrivals). Label is the canonical spec string
-// accepted by ParseSource.
+// Rate reports the long-run arrival rate in flows/sec and Peak the highest
+// rate the process draws arrival gaps at; WithRate returns a copy rescaled to
+// the given rate (the load axis uses it to convert an offered-load fraction
+// into arrivals) and panics, like the constructors, when CheckRate refuses a
+// rescaled rate. Label is the canonical spec string accepted by ParseSource.
 type FlowSource interface {
 	Start(eng *sim.Engine, rng *sim.RNG, launch func())
 	Stop()
 	Rate() float64
+	Peak() float64
 	WithRate(r float64) FlowSource
 	Label() string
+}
+
+// CheckRate reports why r (flows/sec) cannot be an arrival rate: not positive
+// (or NaN), or above 1e9. The calendar resolves 1 ns: a mean gap below that
+// truncates to zero and the source re-arms at the same instant, so simulated
+// time stops advancing. Single zero gaps are legitimate and are not clamped.
+func CheckRate(r float64) error {
+	if !(r > 0 && r <= 1e9) {
+		return fmt.Errorf("rate %g/s outside (0, 1e9]: arrivals are scheduled at 1 ns resolution", r)
+	}
+	return nil
 }
 
 // expGap converts a mean-1 exponential draw into a calendar gap at the
@@ -53,8 +67,8 @@ type Poisson struct {
 
 // NewPoisson returns a Poisson source at the given rate (flows/sec).
 func NewPoisson(perSecond float64) *Poisson {
-	if !(perSecond > 0) {
-		panic("lifecycle: Poisson rate must be positive")
+	if err := CheckRate(perSecond); err != nil {
+		panic("lifecycle: Poisson " + err.Error())
 	}
 	return &Poisson{PerSecond: perSecond}
 }
@@ -83,8 +97,9 @@ func (p *Poisson) Stop() {
 	p.eng.Cancel(p.ev)
 }
 
-// Rate returns the arrival rate in flows/sec.
+// Rate returns the arrival rate in flows/sec; Peak is the same rate.
 func (p *Poisson) Rate() float64 { return p.PerSecond }
+func (p *Poisson) Peak() float64 { return p.PerSecond }
 
 // WithRate returns a fresh Poisson source at the given rate.
 func (p *Poisson) WithRate(r float64) FlowSource { return NewPoisson(r) }
@@ -115,8 +130,8 @@ type MMPP struct {
 // NewMMPP returns a two-phase MMPP source. Both rates must be positive and
 // the mean sojourn nonzero.
 func NewMMPP(lo, hi float64, sojourn sim.Duration) *MMPP {
-	if !(lo > 0 && hi > 0) {
-		panic("lifecycle: MMPP rates must be positive")
+	if err := cmp.Or(CheckRate(lo), CheckRate(hi)); err != nil {
+		panic("lifecycle: MMPP " + err.Error())
 	}
 	if sojourn <= 0 {
 		panic("lifecycle: MMPP sojourn must be positive")
@@ -180,6 +195,9 @@ func (m *MMPP) Stop() {
 // mean sojourn, so the process spends half its time in each.
 func (m *MMPP) Rate() float64 { return (m.Lo + m.Hi) / 2 }
 
+// Peak returns the faster phase's rate.
+func (m *MMPP) Peak() float64 { return max(m.Lo, m.Hi) }
+
 // WithRate returns a fresh MMPP with both phase rates scaled so the
 // average hits r; the burstiness ratio Hi/Lo and the sojourn are kept.
 func (m *MMPP) WithRate(r float64) FlowSource {
@@ -224,8 +242,8 @@ type webChain struct {
 
 // NewWebSession returns a web-session source.
 func NewWebSession(sessionsPerSec float64, flowsPerSession int, think sim.Duration) *WebSession {
-	if !(sessionsPerSec > 0) {
-		panic("lifecycle: session rate must be positive")
+	if err := CheckRate(sessionsPerSec); err != nil {
+		panic("lifecycle: session " + err.Error())
 	}
 	if flowsPerSession < 1 {
 		panic("lifecycle: flows per session must be ≥ 1")
@@ -314,6 +332,9 @@ func (w *WebSession) Rate() float64 {
 	return w.SessionsPerSec * float64(w.FlowsPerSession)
 }
 
+// Peak returns the session rate, the one gap rate WithRate scales.
+func (w *WebSession) Peak() float64 { return w.SessionsPerSec }
+
 // WithRate returns a fresh source with the session rate scaled so the
 // aggregate flow rate hits r; flows per session and think time are kept.
 func (w *WebSession) WithRate(r float64) FlowSource {
@@ -332,8 +353,8 @@ func (w *WebSession) Label() string {
 //	mmpp:LO:HI:SOJOURN      two-phase bursty arrivals (e.g. mmpp:20:200:500ms)
 //	web:SESSIONS:FLOWS:THINK  web sessions (e.g. web:5:8:2s)
 //
-// Rates must be finite and positive: NaN slips past an ordered range check,
-// and an infinite rate draws zero-length gaps forever.
+// Rates must be finite and pass CheckRate: NaN slips past an ordered range
+// check, and a rate finer than the calendar draws zero-length gaps forever.
 func ParseSource(spec string) (FlowSource, error) {
 	parts := strings.Split(spec, ":")
 	bad := func(format string, args ...any) (FlowSource, error) {
@@ -345,8 +366,8 @@ func ParseSource(spec string) (FlowSource, error) {
 			return bad("want poisson:RATE")
 		}
 		r, err := ParseFinite(parts[1])
-		if err != nil || r <= 0 {
-			return bad("bad rate %q", parts[1])
+		if err = cmp.Or(err, CheckRate(r)); err != nil {
+			return bad("bad rate %q: %v", parts[1], err)
 		}
 		return NewPoisson(r), nil
 	case "mmpp":
@@ -354,12 +375,12 @@ func ParseSource(spec string) (FlowSource, error) {
 			return bad("want mmpp:LO:HI:SOJOURN")
 		}
 		lo, err := ParseFinite(parts[1])
-		if err != nil || lo <= 0 {
-			return bad("bad low rate %q", parts[1])
+		if err = cmp.Or(err, CheckRate(lo)); err != nil {
+			return bad("bad low rate %q: %v", parts[1], err)
 		}
 		hi, err := ParseFinite(parts[2])
-		if err != nil || hi <= 0 {
-			return bad("bad high rate %q", parts[2])
+		if err = cmp.Or(err, CheckRate(hi)); err != nil {
+			return bad("bad high rate %q: %v", parts[2], err)
 		}
 		soj, err := time.ParseDuration(parts[3])
 		if err != nil || soj <= 0 {
@@ -371,8 +392,8 @@ func ParseSource(spec string) (FlowSource, error) {
 			return bad("want web:SESSIONS:FLOWS:THINK")
 		}
 		sess, err := ParseFinite(parts[1])
-		if err != nil || sess <= 0 {
-			return bad("bad session rate %q", parts[1])
+		if err = cmp.Or(err, CheckRate(sess)); err != nil {
+			return bad("bad session rate %q: %v", parts[1], err)
 		}
 		flows, err := strconv.Atoi(parts[2])
 		if err != nil || flows < 1 {

@@ -424,3 +424,112 @@ func TestStatQueueImplementations(t *testing.T) {
 	var _ StatQueue = NewDropTail(10)
 	var _ StatQueue = NewRED(DefaultREDConfig(10), sim.NewRNG(1))
 }
+
+// TestDropTailRingFollowsOccupancy: a queue that never holds more than two
+// segments keeps a ring sized for two, however many pass through it, and
+// cycles without allocating. When the dead prefix was only reclaimed past 64
+// entries the same traffic grew the ring to 128 slots in eight reallocations.
+func TestDropTailRingFollowsOccupancy(t *testing.T) {
+	q := NewDropTail(1000)
+	a, b := seg(1), seg(2)
+	q.Enqueue(a)
+	cycle := func() {
+		// Occupancy 1 → 2 → 1, never empty: only the slide can reclaim.
+		q.Enqueue(b)
+		q.Dequeue()
+		a, b = b, a
+	}
+	for i := 0; i < 10000; i++ {
+		cycle()
+	}
+	if c := cap(q.segs); c > 8 {
+		t.Errorf("ring capacity %d after 10000 cycles at occupancy ≤ 2, want ≤ 8", c)
+	}
+	if q.Len() != 1 || q.Stats().MaxLen != 2 {
+		t.Fatalf("Len=%d MaxLen=%d, want 1 and 2", q.Len(), q.Stats().MaxLen)
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("a warm enqueue/dequeue cycle allocates %.1f objects, want 0", allocs)
+	}
+	// The other rule: a dequeue that empties the queue rewinds it.
+	q.Dequeue()
+	if q.head != 0 || len(q.segs) != 0 {
+		t.Errorf("emptied queue sits at head=%d len=%d, want 0/0", q.head, len(q.segs))
+	}
+}
+
+// FuzzDropTailAgainstModel drives random enqueue/dequeue/Flush/Init sequences
+// against a plain-slice FIFO: same segments in the same order, same Len,
+// Bytes and Stats, drops exactly at capacity. On top of the model it checks
+// what the growth rule promises — the ring never exceeds four times the
+// occupancy high-water of its lifetime (Init keeps the ring, so the mark
+// survives it) — and that no slot outside the live part pins a segment.
+func FuzzDropTailAgainstModel(f *testing.F) {
+	churn := make([]byte, 0, 600)
+	for i := 0; i < 300; i++ {
+		churn = append(churn, 10, 200) // enqueue, dequeue: occupancy ≤ 2
+	}
+	f.Add(uint8(0), append([]byte{1}, churn...))
+	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 200, 6, 200, 200, 200, 200, 7})
+	f.Add(uint8(0), []byte{1, 2, 3, 251, 4, 255, 5, 200, 6, 7, 8, 9, 200, 200})
+	f.Fuzz(func(t *testing.T, limit uint8, ops []byte) {
+		q := NewDropTail(int(limit))
+		var model []*packet.Segment
+		var bytes unit.ByteSize
+		var want QueueStats
+		high := 0
+		for i, op := range ops {
+			switch {
+			case op < 160:
+				s := &packet.Segment{Seq: int64(i), Len: int(op)}
+				full := limit > 0 && len(model) >= int(limit)
+				if ok := q.Enqueue(s); ok == full {
+					t.Fatalf("op %d: Enqueue = %v with %d queued, capacity %d", i, ok, len(model), limit)
+				}
+				if full {
+					want.Dropped++
+					break
+				}
+				model = append(model, s)
+				bytes += s.Size()
+				want.Enqueued++
+				want.MaxLen = max(want.MaxLen, len(model))
+			case op < 250:
+				got := q.Dequeue()
+				if len(model) == 0 {
+					if got != nil {
+						t.Fatalf("op %d: Dequeue on empty returned %+v", i, got)
+					}
+					break
+				}
+				if got != model[0] {
+					t.Fatalf("op %d: Dequeue returned seq %d, model says %d", i, got.Seq, model[0].Seq)
+				}
+				bytes -= got.Size()
+				want.Dequeued++
+				model = model[1:]
+			default:
+				Flush(q)
+				want.Dequeued += int64(len(model))
+				model, bytes = nil, 0
+				if op >= 253 {
+					q.Init(int(limit))
+					want = QueueStats{}
+				}
+			}
+			high = max(high, len(model))
+			if q.Len() != len(model) || q.Bytes() != bytes || q.Stats() != want {
+				t.Fatalf("op %d: Len=%d Bytes=%d Stats=%+v, model has %d, %d, %+v",
+					i, q.Len(), q.Bytes(), q.Stats(), len(model), bytes, want)
+			}
+			if c := cap(q.segs); c > 4*max(1, high) {
+				t.Fatalf("op %d: ring capacity %d with occupancy high-water %d", i, c, high)
+			}
+		}
+		for j, s := range q.segs[:cap(q.segs)] {
+			if live := j >= q.head && j < len(q.segs); !live && s != nil {
+				t.Fatalf("slot %d outside the live part [%d, %d) still holds a segment", j, q.head, len(q.segs))
+			}
+		}
+	})
+}

@@ -41,6 +41,9 @@ type StatQueue interface {
 
 // DropTail is a FIFO queue with a fixed packet-count capacity, the classic
 // router discipline and the model for the Linux pfifo qdisc.
+// The queue is segs[head:], and its backing array is sized by what it has held
+// at once, not by what has passed through: a dequeue that empties it rewinds
+// to the front, and a full array slides before it grows (see Enqueue).
 type DropTail struct {
 	cap   int
 	segs  []*packet.Segment
@@ -80,6 +83,12 @@ func (q *DropTail) Enqueue(seg *packet.Segment) bool {
 		q.stats.Dropped++
 		return false
 	}
+	// Slide before growing. The head*2 >= len guard keeps the copy amortized
+	// O(1): each slide moves at most as many segments as were dequeued since
+	// the last one. A mostly live ring fails it and grows.
+	if len(q.segs) == cap(q.segs) && q.head > 0 && q.head*2 >= len(q.segs) {
+		q.compact()
+	}
 	q.segs = append(q.segs, seg)
 	q.bytes += seg.Size()
 	q.stats.Enqueued++
@@ -99,16 +108,21 @@ func (q *DropTail) Dequeue() *packet.Segment {
 	q.head++
 	q.bytes -= seg.Size()
 	q.stats.Dequeued++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.segs) {
-		n := copy(q.segs, q.segs[q.head:])
-		for i := n; i < len(q.segs); i++ {
-			q.segs[i] = nil
-		}
-		q.segs = q.segs[:n]
-		q.head = 0
+	if q.head == len(q.segs) {
+		q.segs, q.head = q.segs[:0], 0 // empty: rewind, nothing to copy
+	} else if q.head > 64 && q.head*2 >= len(q.segs) {
+		// Compact once the dead prefix dominates, keeping amortized O(1).
+		q.compact()
 	}
 	return seg
+}
+
+// compact moves the live part to the front of the backing array.
+func (q *DropTail) compact() {
+	n := copy(q.segs, q.segs[q.head:])
+	clear(q.segs[n:])
+	q.segs = q.segs[:n]
+	q.head = 0
 }
 
 // Len returns the number of queued packets.

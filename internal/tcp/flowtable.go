@@ -4,8 +4,8 @@ package tcp
 // window and sequence state as parallel slices indexed by a compact flow
 // slot. A 10k-flow scenario touches this state on every ACK; keeping it in
 // a handful of contiguous arrays instead of 10k pointer-rich Sender structs
-// keeps the per-ACK working set dense and the per-flow marginal cost at a
-// couple of cache lines.
+// keeps sequential passes dense and the cold struct small. A random-access
+// ACK still touches up to eleven cache lines, one per array (DESIGN.md).
 //
 // A Sender owns one row from NewSender until ReleaseRow; released rows go
 // on a free list and are recycled (zeroed) by the next Alloc, so a churn

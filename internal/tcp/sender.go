@@ -45,7 +45,7 @@ type Sender struct {
 	tbl  *FlowTable // hot state rows; private single-row table if unshared
 	slot int32      // row owned by this sender, -1 after ReleaseRow
 
-	stats *web100.Stats
+	stats web100.Stats
 	fr    *telemetry.FlightRecorder // nil-safe: unset means no recording
 
 	closed bool // application will supply no more
@@ -54,7 +54,9 @@ type Sender struct {
 	// head index is table state). ACKs consume from the front by advancing
 	// segHead (with amortized compaction) instead of copying the surviving
 	// window down — at paper-path windows a per-ACK copy moved the whole
-	// flight every ACK and dominated the profile's memmove time.
+	// flight every ACK and dominated the profile's memmove time. The array
+	// follows the window, not the connection's age: an ACK that empties
+	// the list rewinds it, a full array slides before it grows (trySend).
 	segs []sentRecord
 
 	est     rttEstimator
@@ -91,10 +93,11 @@ func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controll
 
 // Init (re)initializes the sender in place as a fresh connection and
 // attaches the controller. A used sender keeps only storage — its record
-// list's backing array, its Web100 block, its bound callbacks — and nothing
-// of the previous connection's state or hooks, so a recycled sender behaves
-// exactly like a new one and costs no allocation. The previous row, if any,
-// is not freed: the owner resets or frees the table's rows itself.
+// list's backing array, its bound callbacks — and nothing of the previous
+// connection's state, hooks or Web100 counters (that block is held by value
+// and zeroed with the rest), so a recycled sender behaves exactly like a new
+// one and costs no allocation. The previous row, if any, is not freed: the
+// owner resets or frees the table's rows itself.
 func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) {
 	if ctrl == nil {
 		panic("tcp: sender with nil controller")
@@ -102,9 +105,8 @@ func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.C
 	if path == nil {
 		panic("tcp: sender with nil transmit path")
 	}
-	stats, segs, rto, rtoFn, resumeFn := s.stats, s.segs[:0], s.rto, s.rtoFn, s.resumeFn
-	if stats == nil {
-		stats = new(web100.Stats)
+	segs, rto, rtoFn, resumeFn := s.segs[:0], s.rto, s.rtoFn, s.resumeFn
+	if rtoFn == nil {
 		rtoFn = s.onRTO
 		resumeFn = func() {
 			s.wakerArmed = false
@@ -114,7 +116,7 @@ func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.C
 	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
 	s.eng, s.cfg, s.flow, s.ctrl, s.path = eng, cfg, flow, ctrl, path
 	s.cfg.fillDefaults()
-	s.stats, s.segs, s.rto, s.rtoFn, s.resumeFn = stats, segs, rto, rtoFn, resumeFn
+	s.segs, s.rto, s.rtoFn, s.resumeFn = segs, rto, rtoFn, resumeFn
 	s.tbl = s.cfg.Table
 	if s.tbl == nil {
 		// Unshared sender: a private one-row table keeps the hot-state
@@ -248,7 +250,7 @@ func (s *Sender) Close() {
 func (s *Sender) Finished() bool { return s.finished }
 
 // Stats returns the live Web100-style instrument set.
-func (s *Sender) Stats() *web100.Stats { return s.stats }
+func (s *Sender) Stats() *web100.Stats { return &s.stats }
 
 // SetFlightRecorder attaches a telemetry ring; the sender records its
 // congestion events (cwnd changes, loss detection, RTOs, stalls, slow-start
@@ -347,6 +349,13 @@ func (s *Sender) trySend() {
 			seg.Release()
 			s.onSendStall()
 			return
+		}
+		// Slide before growing, when the dead prefix is at least as long as
+		// the window. A deep window (head*2 < len) fails the guard and
+		// grows, so the copy stays amortized O(1) per record.
+		if head := int(s.tbl.segHead[s.slot]); len(s.segs) == cap(s.segs) && head > 0 && head*2 >= len(s.segs) {
+			s.segs = s.segs[:copy(s.segs, s.segs[head:])]
+			s.tbl.segHead[s.slot] = 0
 		}
 		s.segs = append(s.segs, sentRecord{
 			seq: s.tbl.sndNxt[s.slot], length: n, sentAt: s.eng.Now(), rtx: rtx,
@@ -700,7 +709,9 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 	// Consume the acked prefix by advancing the window head; compact the
 	// backing array only once the dead prefix dominates (amortized O(1)).
 	head := int(s.tbl.segHead[s.slot]) + i
-	if head > 64 && head*2 >= len(s.segs) {
+	if head == len(s.segs) {
+		s.segs, head = s.segs[:0], 0 // everything acked: rewind, nothing to copy
+	} else if head > 64 && head*2 >= len(s.segs) {
 		n := copy(s.segs, s.segs[head:])
 		s.segs = s.segs[:n]
 		head = 0

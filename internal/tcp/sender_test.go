@@ -463,3 +463,73 @@ func TestSenderPanicsOnNilDeps(t *testing.T) {
 		}()
 	}
 }
+
+// sinkPath accepts every segment and hands it straight back to its pool.
+type sinkPath struct{}
+
+func (sinkPath) Send(seg *packet.Segment) bool { seg.Release(); return true }
+func (sinkPath) SetWaker(func())               {}
+
+// TestSenderRecordListFollowsWindow: a sender held to a two-segment window
+// keeps a record list sized for it through any number of ACKs, and an ACK
+// round allocates nothing. Reclaiming the dead prefix only past 64 records
+// grew the list to 128 records (4 KiB) for the same connection.
+func TestSenderRecordListFollowsWindow(t *testing.T) {
+	eng := sim.NewEngine()
+	s := NewSender(eng, Config{MSS: 1000, RcvWnd: 2000}, 1, cc.NewReno(cc.RenoConfig{IW: 2}), sinkPath{})
+	s.Supply(1 << 40)
+	var ack packet.Segment
+	round := func() {
+		// One segment acknowledged, one sent: the list never empties, so
+		// only the slide can give the dead prefix back.
+		ack = packet.Segment{Flags: packet.FlagACK, Ack: s.SndUna() + 1000, Wnd: 2000}
+		s.Receive(&ack)
+	}
+	for i := 0; i < 1000; i++ {
+		round()
+	}
+	if s.FlightSize() != 2000 {
+		t.Fatalf("flight %d bytes, want the two-segment window", s.FlightSize())
+	}
+	if c := s.RecordCap(); c > 8 {
+		t.Errorf("record list capacity %d after 1000 ACK rounds at window 2, want ≤ 8", c)
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Errorf("a warm ACK round allocates %.1f objects, want 0", allocs)
+	}
+	// The other rule: the ACK that empties the list rewinds it.
+	ack = packet.Segment{Flags: packet.FlagACK, Ack: s.SndNxt(), Wnd: 0}
+	s.Receive(&ack)
+	if head := s.tbl.segHead[s.slot]; head != 0 || len(s.segs) != 0 {
+		t.Errorf("fully acknowledged list sits at head=%d len=%d, want 0/0", head, len(s.segs))
+	}
+}
+
+// TestSenderDeepWindowGrowsWithoutSliding: with over a thousand records in
+// flight and a dead prefix shorter than the window, a full record list grows
+// and the live records stay where they are — the head*2 >= len guard is what
+// keeps the paper path from copying its whole flight on every append.
+func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
+	eng := sim.NewEngine()
+	s := NewSender(eng, Config{MSS: 1000, MaxBurst: -1}, 1, cc.NewReno(cc.RenoConfig{IW: 1200}), sinkPath{})
+	s.Supply(1 << 40)
+	if n := len(s.live()); n < 1000 {
+		t.Fatalf("%d records in flight, want ≥ 1000", n)
+	}
+	grewBehindHead := 0
+	for acks := 1; acks <= 600; acks++ {
+		before := cap(s.segs)
+		ackUpTo(s, s.SndUna()+1000)
+		// Slow start sends two segments per ACK, so the dead prefix (one
+		// more record per ACK) stays shorter than the live window.
+		if head := int(s.tbl.segHead[s.slot]); head != acks {
+			t.Fatalf("after %d ACKs the head is at %d: the live window was moved", acks, head)
+		}
+		if cap(s.segs) > before {
+			grewBehindHead++
+		}
+	}
+	if grewBehindHead == 0 {
+		t.Fatal("the record list never filled up behind a dead prefix: the guard was not exercised")
+	}
+}
