@@ -113,10 +113,8 @@ func NewCampaign(opts ...CampaignOpt) *Campaign {
 	return c
 }
 
-// Sweep adds a stock axis by name ("bw", "rtt", "rq", "ifq", "loss", "alg",
-// "flows", "setpoint", "tick", "mss", "sack", "nic", "matchup", "bytes",
-// "load", "arrivals", "fsize") from loosely typed values — native Go types
-// or their string forms.
+// Sweep adds a stock axis by name (any of StockAxisNames()) from loosely
+// typed values — native Go types or their string forms.
 func Sweep(name string, values ...any) CampaignOpt {
 	return func(c *Campaign) {
 		a, err := campaign.NewAxis(name, values...)

@@ -58,6 +58,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,6 +68,10 @@ import (
 	"rsstcp/internal/campaign"
 	"rsstcp/internal/telemetry"
 )
+
+// classicAxes names the seven always-present sweep flags in canonical axis
+// order; each flag shares its axis's name (-rtt sets axis "rtt").
+var classicAxes = []string{"bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
 
 func main() {
 	var (
@@ -116,7 +121,11 @@ func main() {
 	// -axis values are compiled after flag.Parse, like every other sweep
 	// flag, so a bad one exits 1 with a one-line message, not a usage dump.
 	var axisFlags []string
-	flag.Func("axis", "extra sweep axis as name=v1,v2 (repeatable; names: "+strings.Join(rsstcp.StockAxisNames(), ",")+")", func(s string) error {
+	axisUsage := "extra sweep axis as name=v1,v2 (repeatable), name and values one of:"
+	for _, n := range rsstcp.StockAxisNames() {
+		axisUsage += "\n" + n + ": " + campaign.AxisHelp(n)
+	}
+	flag.Func("axis", axisUsage, func(s string) error {
 		axisFlags = append(axisFlags, s)
 		return nil
 	})
@@ -147,13 +156,10 @@ func main() {
 	defer stopProfiling()
 
 	// The classic flags compile through the same ParseAxis as -axis, in
-	// canonical order; each shares its axis's name (-rtt sets axis "rtt").
+	// canonical (classicAxes) order.
 	var gridAxes []rsstcp.Axis
-	for _, f := range []struct{ name, csv string }{
-		{"bw", *bws}, {"rtt", *rtts}, {"rq", *rqs}, {"ifq", *ifqs},
-		{"loss", *losses}, {"alg", *algs}, {"flows", *flows},
-	} {
-		axisOrDie(&gridAxes, f.name, f.csv)
+	for i, csv := range []string{*bws, *rtts, *rqs, *ifqs, *losses, *algs, *flows} {
+		axisOrDie(&gridAxes, classicAxes[i], csv)
 	}
 
 	var extraAxes []rsstcp.Axis
@@ -207,11 +213,7 @@ func main() {
 		topoAxes = append(topoAxes, rsstcp.TopologyAxis("custom", *t))
 	}
 	if *topoNames != "" {
-		a, err := rsstcp.ParseAxis("topo", split(*topoNames))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		topoAxes = append(topoAxes, a)
+		axisOrDie(&topoAxes, "topo", *topoNames)
 	}
 	if *rev != "" && !customTopo {
 		r, err := rsstcp.ParseReverse(*rev)
@@ -331,8 +333,7 @@ func main() {
 
 	// Reconcile the seven classic axes with the other flags. An -axis naming
 	// a classic dimension supersedes that dimension's default (the classic
-	// flag and -axis together are ambiguous and rejected), and the matchup
-	// axis replaces the flow list, so it cannot coexist with alg/flows.
+	// flag and -axis together are ambiguous and rejected).
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	for _, a := range extraAxes {
@@ -343,22 +344,24 @@ func main() {
 			gridAxes = dropAxes(gridAxes, a.Name)
 		}
 	}
-	if hasAxis(extraAxes, "matchup") {
-		if explicit["alg"] || explicit["flows"] {
-			fatalf("-axis matchup=... replaces the flow list; drop the -alg and -flows flags")
-		}
-		gridAxes = dropAxes(gridAxes, "alg", "flows")
-	}
-	// An explicit topology overrides the dumbbell's path fields, so the path
-	// axes come off the plan (and explicitly set path flags are rejected —
-	// their cell labels would lie about what ran).
-	if len(topoAxes) > 0 || hasAxis(extraAxes, "topo") {
-		for _, n := range []string{"bw", "rtt", "rq", "loss"} {
+	// The matchup axis replaces the flow list and an explicit topology the
+	// dumbbell's path fields, so the classic axes each cannot share a plan
+	// with (the campaign rule table's AxisConflicts) come off it — and one
+	// set on purpose is rejected: its cell labels would lie about what ran.
+	dropConflicts := func(owner, why string) {
+		clash := campaign.AxisConflicts(owner)
+		for _, n := range clash {
 			if explicit[n] {
-				fatalf("a topology (-topo, -hop or -axis topo=...) replaces the path; drop the -%s flag", n)
+				fatalf("%s; drop the -%s flag", why, n)
 			}
 		}
-		gridAxes = dropAxes(gridAxes, "bw", "rtt", "rq", "loss")
+		gridAxes = dropAxes(gridAxes, clash...)
+	}
+	if hasAxis(extraAxes, "matchup") {
+		dropConflicts("matchup", "-axis matchup=... replaces the flow list")
+	}
+	if len(topoAxes) > 0 || hasAxis(extraAxes, "topo") {
+		dropConflicts("topo", "a topology (-topo, -hop or -axis topo=...) replaces the path")
 	}
 	// A dynamic workload replaces the default single static flow, so the
 	// flows axis comes off the plan — unless -flows was set on purpose,
@@ -528,28 +531,11 @@ func axisOrDie(axes *[]rsstcp.Axis, name, csv string) {
 }
 
 func hasAxis(axes []rsstcp.Axis, name string) bool {
-	for _, a := range axes {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(axes, func(a rsstcp.Axis) bool { return a.Name == name })
 }
 
 func dropAxes(axes []rsstcp.Axis, names ...string) []rsstcp.Axis {
-	var out []rsstcp.Axis
-	for _, a := range axes {
-		drop := false
-		for _, n := range names {
-			if a.Name == n {
-				drop = true
-			}
-		}
-		if !drop {
-			out = append(out, a)
-		}
-	}
-	return out
+	return slices.DeleteFunc(axes, func(a rsstcp.Axis) bool { return slices.Contains(names, a.Name) })
 }
 
 // parseShards resolves the -shards flag: a literal count, or "auto" for

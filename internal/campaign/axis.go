@@ -42,10 +42,10 @@ type Axis struct {
 	err error
 }
 
-// fail records the axis's first construction error.
-func (a *Axis) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf("campaign: axis %q: "+format, append([]any{a.Name}, args...)...)
+// fail records the axis's first construction error; nil is none.
+func (a *Axis) fail(err error) {
+	if err != nil && a.err == nil {
+		a.err = fmt.Errorf("campaign: axis %q: %v", a.Name, err)
 	}
 }
 
@@ -96,7 +96,8 @@ func (p Plan) withDefaults() Plan {
 }
 
 // Validate rejects plans whose axes or metrics would corrupt cell keys or
-// crash the runner: duplicate or malformed axis names, empty axes, duplicate
+// crash the runner: duplicate or malformed axis names, stock axes the rule
+// table (rules.go) forbids together or in that order, empty axes, duplicate
 // or malformed value labels, nil mutators, and unnamed or nil metrics.
 func (p Plan) Validate() error {
 	p = p.withDefaults()
@@ -113,58 +114,8 @@ func (p Plan) Validate() error {
 		}
 		axisPos[a.Name] = i
 	}
-	// Stock-axis semantic conflicts around matchup, which replaces the
-	// flow list: alg/flows clash in either order, and per-flow axes are
-	// silently discarded when matchup comes after them — both would make
-	// cell labels lie about what ran.
-	if mi, ok := axisPos["matchup"]; ok {
-		for _, clash := range matchupHardConflicts {
-			if _, ok := axisPos[clash]; ok {
-				return fmt.Errorf("campaign: axis %q replaces the flow list and conflicts with axis %q; sweep one or the other", "matchup", clash)
-			}
-		}
-		for _, pf := range perFlowAxes {
-			if pi, ok := axisPos[pf]; ok && pi < mi {
-				return fmt.Errorf("campaign: axis %q must come before axis %q, whose values it would otherwise discard when rebuilding the flow list", "matchup", pf)
-			}
-		}
-	}
-	// The topo axis installs an explicit topology, which overrides the
-	// PathConfig fields the dumbbell path axes sweep — combining them would
-	// make cell labels lie — and the reverse/AQM axes mutate the explicit
-	// topology, so they must come after it or the preset clobbers them.
-	if ti, ok := axisPos["topo"]; ok {
-		for _, clash := range topoHardConflicts {
-			if _, ok := axisPos[clash]; ok {
-				return fmt.Errorf("campaign: axis %q installs an explicit topology and conflicts with path axis %q; sweep one or the other", "topo", clash)
-			}
-		}
-		for _, ta := range topoAfterAxes {
-			if pi, ok := axisPos[ta]; ok && pi < ti {
-				return fmt.Errorf("campaign: axis %q must come before axis %q, whose values it would otherwise clobber when installing the topology", "topo", ta)
-			}
-		}
-	}
-	// The churn axes (load/arrivals/fsize) switch the workload to dynamic
-	// flow arrivals, whose per-arrival size samples discard any swept
-	// "bytes" value — a hard conflict — and whose flow template the
-	// per-flow/alg axes only reach once a churn axis has installed it, so
-	// those must come after.
-	for _, cn := range churnAxisNames {
-		ci, ok := axisPos[cn]
-		if !ok {
-			continue
-		}
-		for _, clash := range churnHardConflicts {
-			if _, ok := axisPos[clash]; ok {
-				return fmt.Errorf("campaign: axis %q drives a dynamic workload whose arrivals sample their own sizes and conflicts with axis %q; sweep one or the other", cn, clash)
-			}
-		}
-		for _, af := range churnAfterAxes {
-			if pi, ok := axisPos[af]; ok && pi < ci {
-				return fmt.Errorf("campaign: axis %q must come before axis %q, which otherwise mutates the static flow list instead of the dynamic flow template", cn, af)
-			}
-		}
+	if err := checkAxisRules(axisPos); err != nil {
+		return err
 	}
 	for _, a := range p.Axes {
 		if len(a.Values) == 0 {

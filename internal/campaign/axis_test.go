@@ -12,7 +12,7 @@ import (
 func TestPlanExpansionOrderKeysAndSeeds(t *testing.T) {
 	p := Plan{
 		Axes: []Axis{
-			AxisSetpoints(0.5, 0.9),
+			stockAxis(t, "setpoint", 0.5, 0.9),
 			AxisRTTs(20*time.Millisecond, 60*time.Millisecond),
 		},
 		Replicates: 2,
@@ -51,14 +51,14 @@ func TestPlanExpansionOrderKeysAndSeeds(t *testing.T) {
 
 func TestAxisMutatorsCompose(t *testing.T) {
 	p := Plan{Axes: []Axis{
-		AxisSetpoints(0.7),
-		AxisTicks(5 * time.Millisecond),
-		AxisMSS(9000),
-		AxisSACK(true),
+		stockAxis(t, "setpoint", 0.7),
+		stockAxis(t, "tick", 5*time.Millisecond),
+		stockAxis(t, "mss", 9000),
+		stockAxis(t, "sack", true),
 		AxisAlgorithms(experiment.AlgRestricted),
 		AxisFlowCounts(3),
-		AxisNICRates(unit.Gbps),
-		AxisBytes(1 << 20),
+		stockAxis(t, "nic", unit.Gbps),
+		stockAxis(t, "bytes", 1<<20),
 	}}
 	cells := p.Cells()
 	if len(cells) != 1 {
@@ -85,7 +85,7 @@ func TestAxisCellsDoNotAliasFlows(t *testing.T) {
 	// another cell.
 	p := Plan{Axes: []Axis{
 		AxisFlowCounts(2),
-		AxisSetpoints(0.5, 0.9),
+		stockAxis(t, "setpoint", 0.5, 0.9),
 	}}
 	cells := p.Cells()
 	if len(cells) != 2 {
@@ -104,8 +104,7 @@ func TestAxisCellsDoNotAliasFlows(t *testing.T) {
 }
 
 func TestAxisMatchupBuildsOneFlowPerAlgorithm(t *testing.T) {
-	a := AxisMatchups(
-		[]experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted},
+	a := stockAxis(t, "matchup", []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted},
 		[]experiment.Algorithm{experiment.AlgRestricted, experiment.AlgRestricted},
 	)
 	if a.Values[0].Label != "standard+restricted" {
@@ -137,7 +136,7 @@ func TestPlanValidateRejectsMalformedAxes(t *testing.T) {
 			t.Errorf("plan %d accepted", i)
 		}
 	}
-	if err := (Plan{Axes: []Axis{AxisSetpoints(0.5)}}).Validate(); err != nil {
+	if err := (Plan{Axes: []Axis{stockAxis(t, "setpoint", 0.5)}}).Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }
@@ -157,14 +156,7 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 		AxisLossRates(-0.1),
 		AxisAlgorithms("bogus"),
 		AxisFlowCounts(0),
-		AxisSetpoints(0),
-		AxisSetpoints(1.5),
-		AxisTicks(0),
-		AxisMSS(0),
-		AxisNICRates(0),
-		AxisMatchups([]experiment.Algorithm{}),
-		AxisMatchups([]experiment.Algorithm{"bogus"}),
-		AxisBytes(-1),
+		AxisFlowCounts(3_000_000_000), // the mutator would allocate the list
 	}
 	for i, a := range bad {
 		if err := (Plan{Axes: []Axis{a}}).Validate(); err == nil {
@@ -172,8 +164,22 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 		}
 	}
 	// The registry surfaces the same domain errors eagerly.
-	if _, err := NewAxis("setpoint", 0.0); err == nil {
-		t.Error("NewAxis accepted setpoint 0")
+	for _, c := range []struct {
+		name string
+		v    any
+	}{
+		{"setpoint", 0.0},
+		{"setpoint", 1.5},
+		{"tick", time.Duration(0)},
+		{"mss", 0},
+		{"nic", unit.Bandwidth(0)},
+		{"matchup", []experiment.Algorithm{}},
+		{"matchup", []experiment.Algorithm{"bogus"}},
+		{"bytes", int64(-1)},
+	} {
+		if _, err := NewAxis(c.name, c.v); err == nil {
+			t.Errorf("NewAxis accepted %s %v", c.name, c.v)
+		}
 	}
 	if _, err := ParseAxis("bw", []string{"0"}); err == nil {
 		t.Error("ParseAxis accepted bw 0")
@@ -183,7 +189,7 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 // TestPlanValidateRejectsMatchupConflicts: matchup replaces the flow list,
 // so combining it with the alg or flows axes would run mislabeled cells.
 func TestPlanValidateRejectsMatchupConflicts(t *testing.T) {
-	matchup := AxisMatchups([]experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted})
+	matchup := stockAxis(t, "matchup", []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted})
 	for _, clash := range []Axis{
 		AxisAlgorithms(experiment.AlgStandard),
 		AxisFlowCounts(1, 2),
@@ -199,7 +205,7 @@ func TestPlanValidateRejectsMatchupConflicts(t *testing.T) {
 	// Per-flow axes compose with matchup only when they come after it:
 	// matchup-first decorates the rebuilt flow list; matchup-last would
 	// silently discard the per-flow values under a lying label.
-	perFlow := AxisSetpoints(0.5, 0.9)
+	perFlow := stockAxis(t, "setpoint", 0.5, 0.9)
 	if err := (Plan{Axes: []Axis{perFlow, matchup}}).Validate(); err == nil {
 		t.Error("setpoint before matchup accepted — its values would be discarded")
 	}

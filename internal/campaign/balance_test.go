@@ -135,7 +135,7 @@ func TestBalancedShardByteIdentity(t *testing.T) {
 		Replicates: 2,
 		Duration:   time.Second,
 	}
-	for name, p := range map[string]Plan{"churn": churnPlan(), "skewed": skewed} {
+	for name, p := range map[string]Plan{"churn": churnPlan(t), "skewed": skewed} {
 		base, err := ExecutePlan(p, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -166,7 +166,7 @@ func TestBalancedShardByteIdentity(t *testing.T) {
 // shards than cells.
 func TestShardSpanBalancedCoverage(t *testing.T) {
 	t.Parallel()
-	p := churnPlan().withDefaults()
+	p := churnPlan(t).withDefaults()
 	cells := p.Cells()
 	for shards := 1; shards <= len(cells)+2; shards++ {
 		next := 0

@@ -10,14 +10,16 @@ import (
 	"rsstcp/internal/experiment"
 )
 
-// syntheticFlows is a hand-built result with one flow per size class, so
-// every FCT/slowdown metric has a known closed-form value.
+// syntheticFlows is a hand-built result with one flow per size class, its
+// digest folded by the code a run folds completions with, so every
+// FCT/slowdown metric has a known closed-form value.
 func syntheticFlows() experiment.Result {
-	return experiment.Result{Flows: []experiment.FlowRecord{
+	flows := []experiment.FlowRecord{
 		{Start: 0, End: 100 * time.Millisecond, Bytes: 50_000, Slowdown: 2, Class: 0},
 		{Start: time.Second, End: 1300 * time.Millisecond, Bytes: 500_000, Slowdown: 4, Class: 1},
 		{Start: 0, End: 2 * time.Second, Bytes: 5_000_000, Slowdown: 3, Class: 2},
-	}}
+	}
+	return experiment.Result{Flows: flows, FCT: experiment.SummarizeFCT(flows)}
 }
 
 func TestFCTMetricsExtract(t *testing.T) {
@@ -28,7 +30,7 @@ func TestFCTMetricsExtract(t *testing.T) {
 		want float64
 	}{
 		{MetricFCTMean, (0.1 + 0.3 + 2.0) / 3},
-		{MetricFCTP99, 2.0}, // p99 of 3 samples is the max
+		{MetricFCTP99, 0.3 + 0.98*(2.0-0.3)}, // rank 0.99·(3−1) = 1.98, interpolated between the top two
 		{MetricSlowdownMean, 3},
 		{MetricSlowdownSmall, 2},
 		{MetricSlowdownMedium, 4},
@@ -62,33 +64,33 @@ func TestFCTMetricsEmptyResult(t *testing.T) {
 }
 
 // TestChurnAxisSpecValidation: malformed arrival/size specs fail at axis
-// construction, surfaced by Plan.Validate — never a default running under a
-// lying cell label.
+// construction — never a default running under a lying cell label.
 func TestChurnAxisSpecValidation(t *testing.T) {
 	t.Parallel()
-	bad := []Axis{
-		AxisArrivals("bogus:1"),
-		AxisArrivals("poisson:0"),
-		AxisArrivals("poisson:NaN"),
-		AxisArrivals("poisson:Inf"),
-		AxisArrivals("legacy:3"),
-		AxisFlowSizes("exp:notasize"),
-		AxisFlowSizes("pareto:1.2:4k"),
-		AxisFlowSizes("fixed:Inf"),
-		AxisLoads(0),
-		AxisLoads(math.NaN()),
-		AxisLoads(math.Inf(1)),
-	}
-	for i, a := range bad {
-		p := Plan{Axes: []Axis{a}}
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad churn axis %d (%s) passed validation", i, a.Name)
+	for _, bad := range []struct {
+		name string
+		v    any
+	}{
+		{"arrivals", "bogus:1"},
+		{"arrivals", "poisson:0"},
+		{"arrivals", "poisson:NaN"},
+		{"arrivals", "poisson:Inf"},
+		{"arrivals", "legacy:3"},
+		{"fsize", "exp:notasize"},
+		{"fsize", "pareto:1.2:4k"},
+		{"fsize", "fixed:Inf"},
+		{"load", 0.0},
+		{"load", math.NaN()},
+		{"load", math.Inf(1)},
+	} {
+		if _, err := NewAxis(bad.name, bad.v); err == nil {
+			t.Errorf("bad churn axis value %s=%v accepted", bad.name, bad.v)
 		}
 	}
 	good := Plan{Axes: []Axis{
-		AxisArrivals("poisson:50", "mmpp:10:200:500ms", "web:5:8:100ms"),
-		AxisFlowSizes("fixed:64k", "exp:100k", "pareto:1.2:4k:10M", "lognorm:30k:1.5"),
-		AxisLoads(0.4, 0.8, 1.2),
+		stockAxis(t, "arrivals", "poisson:50", "mmpp:10:200:500ms", "web:5:8:100ms"),
+		stockAxis(t, "fsize", "fixed:64k", "exp:100k", "pareto:1.2:4k:10M", "lognorm:30k:1.5"),
+		stockAxis(t, "load", 0.4, 0.8, 1.2),
 	}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("well-formed churn axes rejected: %v", err)
@@ -100,16 +102,16 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 // install the template.
 func TestChurnAxisOrderingRules(t *testing.T) {
 	t.Parallel()
-	if err := (Plan{Axes: []Axis{AxisLoads(0.5), AxisBytes(1000)}}).Validate(); err == nil {
+	if err := (Plan{Axes: []Axis{stockAxis(t, "load", 0.5), stockAxis(t, "bytes", 1000)}}).Validate(); err == nil {
 		t.Error("load + bytes passed validation; per-flow bytes are discarded under churn")
 	}
 	if err := (Plan{Axes: []Axis{
-		AxisAlgorithms(experiment.AlgStandard), AxisLoads(0.5),
+		AxisAlgorithms(experiment.AlgStandard), stockAxis(t, "load", 0.5),
 	}}).Validate(); err == nil {
 		t.Error("alg before load passed validation; alg would miss the churn template")
 	}
 	if err := (Plan{Axes: []Axis{
-		AxisLoads(0.5), AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
+		stockAxis(t, "load", 0.5), AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
 	}}).Validate(); err != nil {
 		t.Errorf("load before alg rejected: %v", err)
 	}
@@ -120,7 +122,7 @@ func TestChurnAxisOrderingRules(t *testing.T) {
 // neighbors.
 func TestChurnCellsDoNotAlias(t *testing.T) {
 	t.Parallel()
-	p := Plan{Axes: []Axis{AxisLoads(0.4, 0.8), AxisFlowSizes("exp:40k", "fixed:64k")}}
+	p := Plan{Axes: []Axis{stockAxis(t, "load", 0.4, 0.8), stockAxis(t, "fsize", "exp:40k", "fixed:64k")}}
 	cells := p.Cells()
 	seen := map[*experiment.ChurnSpec]string{}
 	for _, c := range cells {
@@ -136,11 +138,12 @@ func TestChurnCellsDoNotAlias(t *testing.T) {
 
 // churnPlan is the load × fsize sweep the tentpole promises: completion-time
 // metrics over a dynamic workload, traceless and streaming.
-func churnPlan() Plan {
+func churnPlan(t testing.TB) Plan {
+	t.Helper()
 	return Plan{
 		Axes: []Axis{
-			AxisLoads(0.4, 0.8),
-			AxisFlowSizes("exp:40k", "pareto:1.3:4k:2M"),
+			stockAxis(t, "load", 0.4, 0.8),
+			stockAxis(t, "fsize", "exp:40k", "pareto:1.3:4k:2M"),
 		},
 		Metrics: []Metric{
 			MetricFCTMean, MetricFCTP99, MetricSlowdownMean,
@@ -157,7 +160,7 @@ func churnPlan() Plan {
 // workers — dynamic flow birth/death included in the invariant.
 func TestChurnCampaignWorkerCountDeterminism(t *testing.T) {
 	t.Parallel()
-	p := churnPlan()
+	p := churnPlan(t)
 	render := func(workers int) (string, string) {
 		rep, err := ExecutePlan(p, Options{Workers: workers})
 		if err != nil {
@@ -192,7 +195,7 @@ func TestChurnCampaignWorkerCountDeterminism(t *testing.T) {
 func TestChurnCampaignTimerWheelDeterminism(t *testing.T) {
 	t.Parallel()
 	render := func(wheel bool, workers int) string {
-		p := churnPlan()
+		p := churnPlan(t)
 		p.Base.TimerWheel = wheel
 		rep, err := ExecutePlan(p, Options{Workers: workers})
 		if err != nil {
@@ -217,7 +220,7 @@ func TestChurnCampaignTimerWheelDeterminism(t *testing.T) {
 // completes flows and reports finite completion times.
 func TestChurnCampaignProducesFlows(t *testing.T) {
 	t.Parallel()
-	p := churnPlan()
+	p := churnPlan(t)
 	rep, err := ExecutePlan(p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func TestClassicFlagsCompileToGridPlan(t *testing.T) {
 func TestPlanWorkerCountDoesNotChangeReport(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
-			AxisSetpoints(0.5, 0.9),
+			stockAxis(t, "setpoint", 0.5, 0.9),
 			AxisAlgorithms(experiment.AlgRestricted),
 			AxisLossRates(0.005),
 		},

@@ -15,7 +15,11 @@ import (
 // configuration, and (c) — except for the bandwidth axes, whose labels carry
 // a unit the parser does not take — re-parses from its own labels to the same
 // labels. The non-finite seeds in testdata/fuzz used to be accepted:
-// `-loss NaN` ran and printed a NaN cell, `-loads Inf` hung.
+// `-loss NaN` ran and printed a NaN cell, `-loads Inf` hung; so did the two
+// -huge ones, whose mutators then died allocating (`-flows 3000000000` asked
+// for a 408 GB flow list). An accepted value is applied to a configuration
+// here, so the bounds also cap what one execution allocates (a 1<<20-entry
+// flow list, ~140 MB).
 func FuzzParseAxis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, csv string) {
 		a, err := ParseAxis(name, strings.Split(csv, ","))

@@ -74,18 +74,18 @@ func (g Grid) withDefaults() Grid {
 
 // Axes compiles the (defaulted) grid's seven fixed fields to stock axes in
 // canonical order: bandwidth outermost, then RTT, router queue, txqueuelen,
-// loss, algorithm, and flow count innermost. The axis constructors reject
-// out-of-range values; Plan.Validate surfaces that before anything runs.
+// loss, algorithm, and flow count innermost. The declarations' range checks
+// mark out-of-range values; Plan.Validate surfaces that before anything runs.
 func (g Grid) Axes() []Axis {
 	g = g.withDefaults()
 	return []Axis{
-		AxisBandwidths(g.Bandwidths...),
-		AxisRTTs(g.RTTs...),
-		AxisRouterQueues(g.RouterQueues...),
-		AxisTxQueueLens(g.TxQueueLens...),
-		AxisLossRates(g.LossRates...),
-		AxisAlgorithms(g.Algorithms...),
-		AxisFlowCounts(g.FlowCounts...),
+		dimBW.axis(g.Bandwidths...),
+		dimRTT.axis(g.RTTs...),
+		dimRQ.axis(g.RouterQueues...),
+		dimIFQ.axis(g.TxQueueLens...),
+		dimLoss.axis(g.LossRates...),
+		dimAlg.axis(g.Algorithms...),
+		dimFlows.axis(g.FlowCounts...),
 	}
 }
 

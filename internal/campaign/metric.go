@@ -109,28 +109,14 @@ var (
 	// bottleneck's cumulative utilization first reached 90% — a ramp-speed
 	// figure of merit for slow-start schemes. Runs that never get there
 	// score the full run duration. It reads the link's running counter
-	// mark (Result.TimeToUtil90) whenever the run produced one, traced or
-	// not, so its values never depend on whether some other plan metric
-	// forced tracing; the sampled "util" series is only a fallback for
-	// results that predate the mark (e.g. hand-built in tests).
+	// mark (Result.TimeToUtil90: the latched instant, or -1 when the mark
+	// never tripped), traced or not, so its values never depend on whether
+	// some other plan metric forced tracing.
 	MetricTimeToUtil90 = Metric{
 		Name: "t90_util_s",
 		Extract: func(r experiment.Result) float64 {
 			if r.TimeToUtil90 > 0 {
 				return r.TimeToUtil90.Seconds()
-			}
-			if r.TimeToUtil90 < 0 {
-				// The mark was armed and never tripped.
-				return r.Duration.Seconds()
-			}
-			if r.Rec != nil {
-				if s := r.Rec.Lookup("util"); s != nil {
-					for _, p := range s.Points {
-						if p.V >= 0.9 {
-							return p.T.Seconds()
-						}
-					}
-				}
 			}
 			return r.Duration.Seconds()
 		},
@@ -160,49 +146,30 @@ var (
 	}
 	// MetricFCTMean is the mean flow completion time, in seconds, over the
 	// run's completed dynamic flows (NaN when the run had none — the
-	// NaN-tolerant exports render it null). It reads the streaming
-	// Result.FCT digest — full-population even when RetainFlows capped the
-	// record list — falling back to a Result.Flows scan for hand-built
-	// results that predate the digest.
+	// NaN-tolerant exports render it null). Like every completion metric
+	// below it reads the streaming Result.FCT digest, which covers the full
+	// population even when RetainFlows capped the record list and is nil
+	// exactly when nothing completed.
 	MetricFCTMean = Metric{
 		Name: "fct_mean",
 		Extract: func(r experiment.Result) float64 {
-			if r.FCT != nil {
-				return r.FCT.Mean
-			}
-			if len(r.Flows) == 0 {
+			if r.FCT == nil {
 				return math.NaN()
 			}
-			var sum float64
-			for _, f := range r.Flows {
-				sum += f.FCT().Seconds()
-			}
-			return sum / float64(len(r.Flows))
+			return r.FCT.Mean
 		},
 	}
 	// MetricFCTP99 is the 99th-percentile flow completion time in seconds —
 	// the tail figure short-flow studies care about (NaN with no flows).
-	// Via the digest it is exact through the first 4096 completions and a
-	// deterministic P² estimate beyond.
+	// It is exact (sorted-sample linear interpolation) through the first
+	// 4096 completions and a deterministic P² estimate beyond.
 	MetricFCTP99 = Metric{
 		Name: "fct_p99",
 		Extract: func(r experiment.Result) float64 {
-			if r.FCT != nil {
-				return r.FCT.P99
-			}
-			if len(r.Flows) == 0 {
+			if r.FCT == nil {
 				return math.NaN()
 			}
-			fcts := make([]float64, len(r.Flows))
-			for i, f := range r.Flows {
-				fcts[i] = f.FCT().Seconds()
-			}
-			sort.Float64s(fcts)
-			idx := int(math.Ceil(0.99*float64(len(fcts)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			return fcts[idx]
+			return r.FCT.P99
 		},
 	}
 	// MetricSlowdownMean is the mean slowdown — completion time over the
@@ -235,10 +202,10 @@ var (
 	MetricFlowsDone = Metric{
 		Name: "flows_done",
 		Extract: func(r experiment.Result) float64 {
-			if r.FCT != nil {
-				return float64(r.FCT.Count)
+			if r.FCT == nil {
+				return 0
 			}
-			return float64(len(r.Flows))
+			return float64(r.FCT.Count)
 		},
 	}
 	// MetricFlowsRefused counts arrivals turned away by the churn
@@ -252,33 +219,18 @@ var (
 	}
 )
 
-// meanSlowdown averages FlowRecord.Slowdown over completed flows, filtered
-// to one size class (-1 = all). NaN when no flow matches. The streaming
-// digest answers when present; the Flows scan is the legacy fallback.
+// meanSlowdown reads the digest's mean of FlowRecord.Slowdown over completed
+// flows, for one size class or (-1) all of them. NaN when no flow matches.
 func meanSlowdown(r experiment.Result, class int) float64 {
-	if r.FCT != nil {
-		if class < 0 {
-			return r.FCT.SlowdownMean
-		}
-		c := r.FCT.Class[class]
-		if c.Count == 0 {
-			return math.NaN()
-		}
-		return c.SlowdownMean
-	}
-	var sum float64
-	n := 0
-	for _, f := range r.Flows {
-		if class >= 0 && f.Class != class {
-			continue
-		}
-		sum += f.Slowdown
-		n++
-	}
-	if n == 0 {
+	switch {
+	case r.FCT == nil:
+		return math.NaN()
+	case class < 0:
+		return r.FCT.SlowdownMean
+	case r.FCT.Class[class].Count == 0:
 		return math.NaN()
 	}
-	return sum / float64(n)
+	return r.FCT.Class[class].SlowdownMean
 }
 
 // StockMetrics returns the default metric set, in column order. The Plan

@@ -104,7 +104,7 @@ func TestCustomMetricsEndToEnd(t *testing.T) {
 func TestSetpointAxisChangesBehaviour(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
-			AxisSetpoints(0.2, 0.9),
+			stockAxis(t, "setpoint", 0.2, 0.9),
 			AxisAlgorithms(experiment.AlgRestricted),
 		},
 		Metrics:  []Metric{MetricThroughputMbps, MetricUtilization},

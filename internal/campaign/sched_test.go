@@ -19,7 +19,7 @@ var schedulerBackends = []string{"", "heap", "wheel", "ladder"}
 func TestChurnCampaignSchedulerDeterminism(t *testing.T) {
 	t.Parallel()
 	render := func(sched string, workers int) string {
-		p := churnPlan()
+		p := churnPlan(t)
 		p.Base.Scheduler = sched
 		rep, err := ExecutePlan(p, Options{Workers: workers})
 		if err != nil {

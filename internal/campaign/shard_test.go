@@ -41,7 +41,7 @@ func TestShardCellPartition(t *testing.T) {
 // report making a JSON round trip through the wire format before merging).
 func TestShardedChurnByteIdentity(t *testing.T) {
 	t.Parallel()
-	p := churnPlan()
+	p := churnPlan(t)
 	render := func(rep *Report) string {
 		var sb strings.Builder
 		if err := rep.WriteJSON(&sb); err != nil {
@@ -95,7 +95,7 @@ func TestShardedGridGolden(t *testing.T) {
 // merge still reassembles the full report.
 func TestShardMoreShardsThanCells(t *testing.T) {
 	t.Parallel()
-	p := churnPlan()
+	p := churnPlan(t)
 	n := p.Size()
 	rep, err := ExecuteSharded(p, n+3, Options{Workers: 2})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestShardMoreShardsThanCells(t *testing.T) {
 // shard sets instead of silently emitting a partial report.
 func TestMergeShardsValidation(t *testing.T) {
 	t.Parallel()
-	p := churnPlan().withDefaults()
+	p := churnPlan(t).withDefaults()
 	r0, err := ExecuteShard(p, 2, 0, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestMergeShardsValidation(t *testing.T) {
 // monotone and finishes at the exact campaign total.
 func TestShardedProgress(t *testing.T) {
 	t.Parallel()
-	p := churnPlan()
+	p := churnPlan(t)
 	var last atomic.Int64
 	mono := true
 	_, err := ExecuteSharded(p, 2, Options{

@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -13,60 +15,197 @@ import (
 	"rsstcp/internal/unit"
 )
 
-// This file defines the stock axes: typed constructors for every dimension
-// the engine knows how to sweep out of the box, plus a name registry so axes
-// can be built from untyped values (NewAxis) or command-line strings
-// (ParseAxis) without touching the engine.
+// This file declares the stock axes: every dimension the engine knows how to
+// sweep out of the box is one dim value — name, help, value kind, range check
+// and mutator, each written once — and the typed builder (dim.axis), NewAxis
+// (native Go values) and ParseAxis (command-line tokens) all run off that
+// declaration. Which stock axes may not share a plan, or must keep an order,
+// is the rule table in rules.go.
 //
 // The first seven (bw, rtt, rq, ifq, loss, alg, flows) are the Grid fields
 // and the CLI's classic flags; their labels are pinned by the Plan golden,
 // because cell keys feed the derived replicate seeds.
 
-// Stock-axis semantic constraints around "matchup", which replaces the
-// whole flow list. Plan.Validate enforces both:
-//
-//   - matchupHardConflicts can never share a plan with matchup: whichever
-//     of alg/flows applies later clobbers the other's mutation, so some
-//     cell labels would lie about what ran.
-//   - perFlowAxes mutate fields of the existing flows, so they compose
-//     with matchup only when they come after it (matchup first builds the
-//     flow list, then per-flow axes decorate it); the other order silently
-//     discards their values.
-var (
-	matchupHardConflicts = []string{"alg", "flows"}
-	perFlowAxes          = []string{"setpoint", "tick", "mss", "sack", "bytes"}
+// kind is how one Go value type enters and leaves an axis: the parser for a
+// command-line token, the native Go types accepted in its place, and the
+// canonical label.
+type kind[T any] struct {
+	parse func(string) (T, error)
+	// widen converts a non-string Go value; false if not of a type it takes.
+	widen func(any) (T, bool)
+	label func(T) string
+}
+
+// dim declares one stock dimension over values of type T.
+type dim[T any] struct {
+	name string
+	// help is a one-line value-syntax hint for CLIs.
+	help string
+	kind[T]
+	// check returns why a value is outside the dimension's domain. The
+	// experiment harness silently replaces out-of-range values with paper
+	// defaults, so an unchecked value would run the default while its cell
+	// label claims the bad one. Nil means every T is in range.
+	check func(T) error
+	set   func(*experiment.Config, T)
+}
+
+// stockDim is a dim with its value type erased, as the name registry holds it.
+type stockDim interface {
+	decl() (name, help string)
+	build(raw []any) (Axis, error)
+}
+
+func (d dim[T]) decl() (name, help string) { return d.name, d.help }
+
+// axis builds the dimension's axis from typed values. A value outside the
+// domain is recorded on the axis (Axis.fail) for Plan.Validate to surface,
+// so code-built plans keep a value-returning constructor.
+func (d dim[T]) axis(vs ...T) Axis {
+	a := Axis{Name: d.name}
+	for _, v := range vs {
+		if d.check != nil {
+			a.fail(d.check(v))
+		}
+		a.Values = append(a.Values, Val(d.label(v), func(cfg *experiment.Config) { d.set(cfg, v) }))
+	}
+	return a
+}
+
+// convert turns one loosely typed value into a T: strings go through the
+// token parser, anything else through widen.
+func (d dim[T]) convert(raw any) (v T, err error) {
+	if s, ok := raw.(string); ok {
+		return d.parse(s)
+	}
+	if v, ok := d.widen(raw); ok {
+		return v, nil
+	}
+	return v, fmt.Errorf("cannot use a value of type %T", raw)
+}
+
+// build is axis over loosely typed values, with a conversion failure or a
+// domain violation returned as an error instead of deferred to Validate.
+func (d dim[T]) build(raw []any) (Axis, error) {
+	vs := make([]T, len(raw))
+	for i, r := range raw {
+		v, err := d.convert(r)
+		if err != nil {
+			return Axis{}, fmt.Errorf("campaign: axis %q: %v; want %s", d.name, err, d.help)
+		}
+		vs[i] = v
+	}
+	a := d.axis(vs...)
+	return a, a.err // already prefixed by Axis.fail
+}
+
+// as is the widen of a kind that takes exactly its own type.
+func as[T any](v any) (T, bool) {
+	t, ok := v.(T)
+	return t, ok
+}
+
+// orInt is the widen of a numeric kind that also takes a plain int.
+func orInt[T int64 | float64](v any) (T, bool) {
+	if n, ok := v.(int); ok {
+		return T(n), true
+	}
+	return as[T](v)
+}
+
+// token adapts a strconv-style parser to a kind's parse: the error names
+// what was wanted and the token (build adds the dimension's syntax hint).
+func token[T any](what string, parse func(string) (T, error)) func(string) (T, error) {
+	return func(s string) (T, error) {
+		v, err := parse(s)
+		if err != nil {
+			return v, fmt.Errorf("bad %s %q", what, s)
+		}
+		return v, nil
+	}
+}
+
+// Value kinds shared by more than one dimension, and their syntax hints.
+const (
+	mbpsHelp     = "rate in Mbps (e.g. 100)"
+	durationHelp = "duration (e.g. 60ms)"
 )
 
-// Stock-axis semantic constraints around "topo", which installs an explicit
-// topology (and possibly cross flows) on the configuration. Plan.Validate
-// enforces both:
-//
-//   - topoHardConflicts sweep PathConfig fields an explicit topology
-//     overrides entirely, so their cell labels would lie about what ran.
-//   - topoAfterAxes mutate the explicit topology when one is set, so they
-//     compose with topo only when they come after it; the other order lets
-//     the preset clobber their values.
 var (
-	topoHardConflicts = []string{"hops", "bw", "rtt", "rq", "loss"}
-	topoAfterAxes     = []string{"rbw", "aqm"}
+	// number is a finite float: the range checks below are ordered
+	// comparisons, which NaN would slip past.
+	number = kind[float64]{
+		parse: token("number", lifecycle.ParseFinite),
+		widen: orInt[float64],
+		label: func(v float64) string { return fmt.Sprintf("%g", v) },
+	}
+	// mbps reads a rate as a number of Mbps, token or native; a
+	// unit.Bandwidth is taken as it is. The label carries the unit
+	// (Bandwidth.String), which is why bandwidth labels do not re-parse.
+	mbps = kind[unit.Bandwidth]{
+		parse: token("rate in Mbps", func(s string) (unit.Bandwidth, error) {
+			f, err := lifecycle.ParseFinite(s)
+			return unit.Bandwidth(f * float64(unit.Mbps)), err
+		}),
+		widen: func(v any) (unit.Bandwidth, bool) {
+			if f, ok := number.widen(v); ok {
+				return unit.Bandwidth(f * float64(unit.Mbps)), true
+			}
+			return as[unit.Bandwidth](v)
+		},
+		label: unit.Bandwidth.String,
+	}
+	duration = kind[time.Duration]{token("duration", time.ParseDuration), as[time.Duration], time.Duration.String}
+	integer  = kind[int]{token("integer", strconv.Atoi), as[int], strconv.Itoa}
 )
 
-// Stock-axis semantic constraints around the churn axes (load, arrivals,
-// fsize), which switch the configuration from a static flow list to a
-// dynamic flow-lifecycle workload. Plan.Validate enforces both:
-//
-//   - churnHardConflicts can never share a plan with a churn axis: every
-//     dynamic arrival samples its transfer size from the churn size
-//     distribution, so a swept per-flow "bytes" value would be silently
-//     discarded and its cell labels would lie.
-//   - churnAfterAxes mutate the flow template through eachFlow, which only
-//     sees the churn template once a churn axis has installed it; they
-//     compose with churn axes only when they come after them.
-var (
-	churnAxisNames     = []string{"load", "arrivals", "fsize"}
-	churnHardConflicts = []string{"bytes"}
-	churnAfterAxes     = []string{"alg", "setpoint", "tick", "mss", "sack"}
-)
+// named is the kind of a string-typed value whose text is its own label:
+// algorithm and discipline names, preset names, colon specs. Whether the
+// name means anything is the dimension's check.
+func named[T ~string]() kind[T] {
+	return kind[T]{
+		parse: func(s string) (T, error) { return T(s), nil },
+		widen: as[T],
+		label: func(v T) string { return string(v) },
+	}
+}
+
+// joined renders string-typed values separated by sep.
+func joined[T ~string](vs []T, sep string) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = string(v)
+	}
+	return strings.Join(parts, sep)
+}
+
+// must is the check made of a predicate and, as a format for the value, what
+// to say of one that fails it. Predicates on floats are written so that NaN
+// fails them.
+func must[T any](ok func(T) bool, complaint string) func(T) error {
+	return func(v T) error {
+		if !ok(v) {
+			return fmt.Errorf(complaint, v)
+		}
+		return nil
+	}
+}
+
+// positive is the check of a dimension whose values must exceed zero.
+func positive[T ~int | ~int64](what string) func(T) error {
+	return must(func(v T) bool { return v > 0 }, "non-positive "+what+" %v")
+}
+
+// count is the check of a positive count that sizes an allocation before
+// anything runs, so it has an upper bound as well.
+func count(what string, max int) func(int) error {
+	return must(func(v int) bool { return v > 0 && v <= max }, what+" %d outside [1, "+strconv.Itoa(max)+"]")
+}
+
+// oneOf is the check of a name that must be among those its owner lists.
+func oneOf[T ~string](what string, known func() []T) func(T) error {
+	return must(func(v T) bool { return slices.Contains(known(), v) }, "unknown "+what+" %q")
+}
 
 // eachFlow applies f to every measured flow of the config, materializing one
 // default flow first if none exist, so per-flow axes compose in any order.
@@ -78,7 +217,7 @@ var (
 func eachFlow(cfg *experiment.Config, f func(*experiment.FlowSpec)) {
 	if cfg.Churn != nil {
 		f(&cfg.Churn.Flow)
-	} else if len(measuredFlows(cfg.Flows)) == 0 {
+	} else if len(flowsOf(cfg.Flows, false)) == 0 {
 		cfg.Flows = append([]experiment.FlowSpec{{}}, cfg.Flows...)
 	}
 	for i := range cfg.Flows {
@@ -101,381 +240,238 @@ func ensureChurn(cfg *experiment.Config) *experiment.ChurnSpec {
 	return cfg.Churn
 }
 
-// measuredFlows returns the non-cross flows, in order.
-func measuredFlows(flows []experiment.FlowSpec) []experiment.FlowSpec {
+// flowsOf returns the measured (cross false) or the cross-traffic flows, in
+// order.
+func flowsOf(flows []experiment.FlowSpec, cross bool) []experiment.FlowSpec {
 	var out []experiment.FlowSpec
 	for _, fl := range flows {
-		if !fl.Cross {
+		if fl.Cross == cross {
 			out = append(out, fl)
 		}
 	}
 	return out
 }
 
-// crossFlows returns the cross-traffic flows, in order.
-func crossFlows(flows []experiment.FlowSpec) []experiment.FlowSpec {
-	var out []experiment.FlowSpec
-	for _, fl := range flows {
-		if fl.Cross {
-			out = append(out, fl)
-		}
+// The declarations: path, then per-flow and workload, churn, topology.
+var (
+	// dimBW sweeps the bottleneck rate.
+	dimBW = dim[unit.Bandwidth]{
+		name: "bw", help: mbpsHelp, kind: mbps,
+		check: positive[unit.Bandwidth]("bandwidth"),
+		set:   func(cfg *experiment.Config, v unit.Bandwidth) { cfg.Path.Bottleneck = v },
 	}
-	return out
-}
-
-// AxisBandwidths sweeps the bottleneck rate ("bw").
-func AxisBandwidths(vs ...unit.Bandwidth) Axis {
-	a := Axis{Name: "bw"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive bandwidth %v", v)
-		}
-		a.Values = append(a.Values, Val(v.String(), func(cfg *experiment.Config) {
-			cfg.Path.Bottleneck = v
-		}))
+	// dimRTT sweeps the round-trip propagation delay.
+	dimRTT = dim[time.Duration]{
+		name: "rtt", help: durationHelp, kind: duration,
+		check: positive[time.Duration]("RTT"),
+		set:   func(cfg *experiment.Config, v time.Duration) { cfg.Path.RTT = v },
 	}
-	return a
-}
-
-// AxisRTTs sweeps the round-trip propagation delay ("rtt").
-func AxisRTTs(vs ...time.Duration) Axis {
-	a := Axis{Name: "rtt"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive RTT %v", v)
-		}
-		a.Values = append(a.Values, Val(v.String(), func(cfg *experiment.Config) {
-			cfg.Path.RTT = v
-		}))
+	// dimRQ sweeps the bottleneck buffer in packets.
+	dimRQ = dim[int]{
+		name: "rq", help: "router queue in packets", kind: integer,
+		check: positive[int]("router queue"),
+		set:   func(cfg *experiment.Config, v int) { cfg.Path.RouterQueue = v },
 	}
-	return a
-}
-
-// AxisRouterQueues sweeps the bottleneck buffer in packets ("rq").
-func AxisRouterQueues(vs ...int) Axis {
-	a := Axis{Name: "rq"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive router queue %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.Itoa(v), func(cfg *experiment.Config) {
-			cfg.Path.RouterQueue = v
-		}))
+	// dimIFQ sweeps the sender IFQ capacity in packets.
+	dimIFQ = dim[int]{
+		name: "ifq", help: "txqueuelen in packets", kind: integer,
+		check: positive[int]("txqueuelen"),
+		set:   func(cfg *experiment.Config, v int) { cfg.Path.TxQueueLen = v },
 	}
-	return a
-}
-
-// AxisTxQueueLens sweeps the sender IFQ capacity in packets ("ifq").
-func AxisTxQueueLens(vs ...int) Axis {
-	a := Axis{Name: "ifq"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive txqueuelen %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.Itoa(v), func(cfg *experiment.Config) {
-			cfg.Path.TxQueueLen = v
-		}))
+	// dimLoss sweeps the bottleneck-ingress drop probability. 1.0 — a
+	// blackholed path — is a legal value: it is exactly the degenerate cell
+	// the fairness metric and the NaN-tolerant exporters are tested on.
+	dimLoss = dim[float64]{
+		name: "loss", help: "drop probability in [0,1]", kind: number,
+		check: must(func(v float64) bool { return v >= 0 && v <= 1 }, "loss rate %g outside [0, 1]"),
+		set:   func(cfg *experiment.Config, v float64) { cfg.Path.Loss = v },
 	}
-	return a
-}
-
-// AxisLossRates sweeps the bottleneck-ingress drop probability ("loss").
-// 1.0 — a blackholed path — is a legal value: it is exactly the degenerate
-// cell the fairness metric and the NaN-tolerant exporters are tested on.
-func AxisLossRates(vs ...float64) Axis {
-	a := Axis{Name: "loss"}
-	for _, v := range vs {
-		v := v
-		if !(v >= 0 && v <= 1) {
-			a.fail("loss rate %g outside [0, 1]", v)
-		}
-		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
-			cfg.Path.Loss = v
-		}))
+	// dimNIC sweeps the sender NIC line rate; zero means "equal to the
+	// bottleneck" and is not a sweepable value here.
+	dimNIC = dim[unit.Bandwidth]{
+		name: "nic", help: mbpsHelp, kind: mbps,
+		check: positive[unit.Bandwidth]("NIC rate"),
+		set:   func(cfg *experiment.Config, v unit.Bandwidth) { cfg.Path.NICRate = v },
 	}
-	return a
-}
+	// dimHops sweeps the number of forward hops the path is split into:
+	// each cell's dumbbell compiles to that many identical store-and-forward
+	// stages (rate and buffer repeated, delay divided). It mutates
+	// PathConfig, so it composes with bw/rtt/rq in any order.
+	dimHops = dim[int]{
+		name: "hops", help: "forward hop count (path split into identical stages)", kind: integer,
+		check: count("hop count", experiment.MaxHops),
+		set:   func(cfg *experiment.Config, v int) { cfg.Path.Hops = v },
+	}
 
-// AxisAlgorithms sweeps the slow-start scheme, applied to every flow
-// ("alg").
-func AxisAlgorithms(vs ...experiment.Algorithm) Axis {
-	a := Axis{Name: "alg"}
-	for _, v := range vs {
-		v := v
-		if !knownAlg(v) {
-			a.fail("unknown algorithm %q", v)
-		}
-		a.Values = append(a.Values, Val(string(v), func(cfg *experiment.Config) {
+	// dimAlg sweeps the slow-start scheme, applied to every flow.
+	dimAlg = dim[experiment.Algorithm]{
+		name: "alg", help: "algorithm name (" + joined(experiment.Algorithms(), ", ") + ")",
+		kind: named[experiment.Algorithm](), check: oneOf("algorithm", experiment.Algorithms),
+		set: func(cfg *experiment.Config, v experiment.Algorithm) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Alg = v })
-		}))
+		},
 	}
-	return a
-}
-
-// AxisFlowCounts sweeps the number of concurrent flows ("flows"): the first
-// flow spec (default if none) is replicated n times, each on its own host.
-func AxisFlowCounts(vs ...int) Axis {
-	a := Axis{Name: "flows"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive flow count %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.Itoa(v), func(cfg *experiment.Config) {
+	// dimFlows sweeps the number of concurrent flows: the first flow spec
+	// (default if none) is replicated n times, each on its own host. The
+	// mutator allocates the list, hence the upper bound.
+	dimFlows = dim[int]{
+		name: "flows", help: "concurrent flow count", kind: integer,
+		check: count("flow count", experiment.MaxFlows),
+		set: func(cfg *experiment.Config, n int) {
 			base := experiment.FlowSpec{}
-			if m := measuredFlows(cfg.Flows); len(m) > 0 {
+			if m := flowsOf(cfg.Flows, false); len(m) > 0 {
 				base = m[0]
 			}
-			cross := crossFlows(cfg.Flows)
-			flows := make([]experiment.FlowSpec, v, v+len(cross))
+			cross := flowsOf(cfg.Flows, true)
+			flows := make([]experiment.FlowSpec, n, n+len(cross))
 			for i := range flows {
 				flows[i] = base
 			}
 			cfg.Flows = append(flows, cross...)
-		}))
+		},
 	}
-	return a
-}
-
-// AxisSetpoints sweeps the RSS IFQ set-point fraction on every flow
-// ("setpoint"). Only AlgRestricted flows consume it.
-func AxisSetpoints(vs ...float64) Axis {
-	a := Axis{Name: "setpoint"}
-	for _, v := range vs {
-		v := v
-		if !(v > 0 && v <= 1) {
-			a.fail("set point %g outside (0, 1]", v)
-		}
-		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
-			eachFlow(cfg, func(f *experiment.FlowSpec) { f.SetpointFraction = v })
-		}))
-	}
-	return a
-}
-
-// AxisTicks sweeps the RSS control period on every flow ("tick").
-func AxisTicks(vs ...time.Duration) Axis {
-	a := Axis{Name: "tick"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive tick %v", v)
-		}
-		a.Values = append(a.Values, Val(v.String(), func(cfg *experiment.Config) {
-			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Tick = v })
-		}))
-	}
-	return a
-}
-
-// AxisMSS sweeps the segment size on every flow ("mss").
-func AxisMSS(vs ...int) Axis {
-	a := Axis{Name: "mss"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive MSS %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.Itoa(v), func(cfg *experiment.Config) {
-			eachFlow(cfg, func(f *experiment.FlowSpec) { f.MSS = v })
-		}))
-	}
-	return a
-}
-
-// AxisSACK sweeps selective acknowledgments on/off on every flow ("sack").
-func AxisSACK(vs ...bool) Axis {
-	a := Axis{Name: "sack"}
-	for _, v := range vs {
-		v := v
-		a.Values = append(a.Values, Val(strconv.FormatBool(v), func(cfg *experiment.Config) {
-			eachFlow(cfg, func(f *experiment.FlowSpec) { f.SACK = v })
-		}))
-	}
-	return a
-}
-
-// AxisNICRates sweeps the sender NIC line rate ("nic"); zero means "equal to
-// the bottleneck" and is not a sweepable value here.
-func AxisNICRates(vs ...unit.Bandwidth) Axis {
-	a := Axis{Name: "nic"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive NIC rate %v", v)
-		}
-		a.Values = append(a.Values, Val(v.String(), func(cfg *experiment.Config) {
-			cfg.Path.NICRate = v
-		}))
-	}
-	return a
-}
-
-// AxisMatchups sweeps mixed-algorithm contests ("matchup"): each value is a
-// set of algorithms that replaces the flow list with one flow per algorithm,
-// all sharing the bottleneck (e.g. standard vs restricted head-to-head).
-// Labels join the algorithms with '+'. Plan.Validate rejects plans that
-// combine matchup with the alg or flows axes, whose mutators it would
-// clobber.
-func AxisMatchups(vs ...[]experiment.Algorithm) Axis {
-	a := Axis{Name: "matchup"}
-	for _, algs := range vs {
-		algs := append([]experiment.Algorithm(nil), algs...)
-		if len(algs) == 0 {
-			a.fail("empty algorithm set")
-		}
-		for _, al := range algs {
-			if !knownAlg(al) {
-				a.fail("unknown algorithm %q", al)
+	// dimMatchup sweeps mixed-algorithm contests: each value is a set of
+	// algorithms that replaces the flow list with one flow per algorithm,
+	// all sharing the bottleneck (e.g. standard vs restricted head-to-head).
+	dimMatchup = dim[[]experiment.Algorithm]{
+		name: "matchup", help: "algorithms joined with '+' (e.g. standard+restricted)",
+		kind: kind[[]experiment.Algorithm]{
+			parse: func(s string) ([]experiment.Algorithm, error) {
+				var algs []experiment.Algorithm
+				for _, n := range strings.Split(s, "+") {
+					algs = append(algs, experiment.Algorithm(n))
+				}
+				return algs, nil
+			},
+			widen: func(v any) ([]experiment.Algorithm, bool) {
+				algs, ok := v.([]experiment.Algorithm)
+				return append([]experiment.Algorithm(nil), algs...), ok // the mutator keeps it
+			},
+			label: func(algs []experiment.Algorithm) string { return joined(algs, "+") },
+		},
+		check: func(algs []experiment.Algorithm) error {
+			if len(algs) == 0 {
+				return errors.New("empty algorithm set")
 			}
-		}
-		parts := make([]string, len(algs))
-		for i, al := range algs {
-			parts[i] = string(al)
-		}
-		a.Values = append(a.Values, Val(strings.Join(parts, "+"), func(cfg *experiment.Config) {
-			cross := crossFlows(cfg.Flows)
+			for _, al := range algs {
+				if err := dimAlg.check(al); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		set: func(cfg *experiment.Config, algs []experiment.Algorithm) {
+			cross := flowsOf(cfg.Flows, true)
 			flows := make([]experiment.FlowSpec, len(algs), len(algs)+len(cross))
 			for i, al := range algs {
 				flows[i] = experiment.FlowSpec{Alg: al}
 			}
 			cfg.Flows = append(flows, cross...)
-		}))
+		},
 	}
-	return a
-}
-
-// AxisBytes sweeps the workload shape ("bytes"): a fixed transfer size per
-// flow, with 0 meaning backlogged for the whole run.
-func AxisBytes(vs ...int64) Axis {
-	a := Axis{Name: "bytes"}
-	for _, v := range vs {
-		v := v
-		if v < 0 {
-			a.fail("negative transfer size %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.FormatInt(v, 10), func(cfg *experiment.Config) {
+	// dimSetpoint sweeps the RSS IFQ set-point fraction on every flow. Only
+	// AlgRestricted flows consume it.
+	dimSetpoint = dim[float64]{
+		name: "setpoint", help: "IFQ set-point fraction in (0,1]", kind: number,
+		check: must(func(v float64) bool { return v > 0 && v <= 1 }, "set point %g outside (0, 1]"),
+		set: func(cfg *experiment.Config, v float64) {
+			eachFlow(cfg, func(f *experiment.FlowSpec) { f.SetpointFraction = v })
+		},
+	}
+	// dimTick sweeps the RSS control period on every flow.
+	dimTick = dim[time.Duration]{
+		name: "tick", help: durationHelp, kind: duration,
+		check: positive[time.Duration]("tick"),
+		set: func(cfg *experiment.Config, v time.Duration) {
+			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Tick = v })
+		},
+	}
+	// dimMSS sweeps the segment size on every flow.
+	dimMSS = dim[int]{
+		name: "mss", help: "segment size in bytes", kind: integer,
+		check: positive[int]("MSS"),
+		set: func(cfg *experiment.Config, v int) {
+			eachFlow(cfg, func(f *experiment.FlowSpec) { f.MSS = v })
+		},
+	}
+	// dimSACK sweeps selective acknowledgments on/off on every flow.
+	dimSACK = dim[bool]{
+		name: "sack", help: "true or false",
+		kind: kind[bool]{token("bool", strconv.ParseBool), as[bool], strconv.FormatBool},
+		set: func(cfg *experiment.Config, v bool) {
+			eachFlow(cfg, func(f *experiment.FlowSpec) { f.SACK = v })
+		},
+	}
+	// dimBytes sweeps the workload shape: a fixed transfer size per flow,
+	// with 0 meaning backlogged for the whole run.
+	dimBytes = dim[int64]{
+		name: "bytes", help: "transfer size in bytes (0 = backlogged)",
+		kind: kind[int64]{
+			parse: token("integer", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }),
+			widen: orInt[int64],
+			label: func(v int64) string { return strconv.FormatInt(v, 10) },
+		},
+		check: must(func(v int64) bool { return v >= 0 }, "negative transfer size %d"),
+		set: func(cfg *experiment.Config, v int64) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Bytes = v })
-		}))
+		},
 	}
-	return a
-}
 
-// AxisLoads sweeps the offered load of a dynamic flow-lifecycle workload
-// ("load"), as a fraction of the bottleneck rate: the scenario rescales the
-// arrival process so mean arrival rate × mean transfer size equals the
-// fraction of the bottleneck's byte rate. Values above 1 deliberately
-// overdrive the link. Sweeping load on a static config installs a default
-// churn spec (Poisson arrivals, exponential sizes).
-func AxisLoads(vs ...float64) Axis {
-	a := Axis{Name: "load"}
-	for _, v := range vs {
-		v := v
-		if !(v > 0) || math.IsInf(v, 0) {
-			a.fail("offered load %g is not a positive finite number", v)
-		}
-		a.Values = append(a.Values, Val(fmt.Sprintf("%g", v), func(cfg *experiment.Config) {
-			ensureChurn(cfg).Load = v
-		}))
+	// dimLoad sweeps the offered load of a dynamic flow-lifecycle workload,
+	// as a fraction of the bottleneck rate: the scenario rescales the
+	// arrival process so mean arrival rate × mean transfer size equals the
+	// fraction of the bottleneck's byte rate. Values above 1 deliberately
+	// overdrive the link. Sweeping load on a static config installs a
+	// default churn spec (Poisson arrivals, exponential sizes).
+	dimLoad = dim[float64]{
+		name: "load", help: "offered load as a fraction of the bottleneck (e.g. 0.8)", kind: number,
+		check: must(func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }, "offered load %g is not a positive finite number"),
+		set:   func(cfg *experiment.Config, v float64) { ensureChurn(cfg).Load = v },
 	}
-	return a
-}
-
-// AxisArrivals sweeps the flow arrival process ("arrivals"): each value is a
-// lifecycle source spec — "poisson:RATE", "mmpp:LO:HI:SOJOURN" or
-// "web:SESSIONS:FLOWS:THINK". Specs are validated at
-// construction so a typo fails Plan.Validate instead of running defaults
-// under a lying label. The spec string is the cell label (':' is legal in
-// labels; '=' and '/' are not, and no source spec contains them).
-func AxisArrivals(specs ...string) Axis {
-	a := Axis{Name: "arrivals"}
-	for _, s := range specs {
-		s := s
-		if _, err := lifecycle.ParseSource(s); err != nil {
-			a.fail("%v", err)
-		}
-		a.Values = append(a.Values, Val(s, func(cfg *experiment.Config) {
-			ensureChurn(cfg).Arrivals = s
-		}))
+	// dimArrivals sweeps the flow arrival process; each value is a lifecycle
+	// source spec, validated by its owner's parser so a typo is an error
+	// instead of defaults running under a lying label, and is its own cell
+	// label (':' is legal in labels; '=' and '/' are not, and no source spec
+	// contains them).
+	dimArrivals = dim[string]{
+		name: "arrivals", help: "arrival process spec (poisson:RATE, mmpp:LO:HI:SOJOURN, web:S:F:THINK)",
+		kind:  named[string](),
+		check: func(s string) error { _, err := lifecycle.ParseSource(s); return err },
+		set:   func(cfg *experiment.Config, s string) { ensureChurn(cfg).Arrivals = s },
 	}
-	return a
-}
-
-// AxisFlowSizes sweeps the transfer-size distribution of dynamic flows
-// ("fsize"): each value is a lifecycle size-dist spec — "fixed:64k",
-// "exp:100k", "pareto:ALPHA:MIN:MAX", or "lognorm:MEDIAN:SIGMA". Validated
-// at construction; the spec string is the cell label.
-func AxisFlowSizes(specs ...string) Axis {
-	a := Axis{Name: "fsize"}
-	for _, s := range specs {
-		s := s
-		if _, err := lifecycle.ParseSizeDist(s); err != nil {
-			a.fail("%v", err)
-		}
-		a.Values = append(a.Values, Val(s, func(cfg *experiment.Config) {
-			ensureChurn(cfg).Size = s
-		}))
+	// dimFSize sweeps the transfer-size distribution of dynamic flows; each
+	// value is a lifecycle size-dist spec and is its own cell label.
+	dimFSize = dim[string]{
+		name: "fsize", help: "transfer-size distribution spec (fixed:64k, exp:100k, pareto:A:MIN:MAX, lognorm:MED:SIGMA)",
+		kind:  named[string](),
+		check: func(s string) error { _, err := lifecycle.ParseSizeDist(s); return err },
+		set:   func(cfg *experiment.Config, s string) { ensureChurn(cfg).Size = s },
 	}
-	return a
-}
 
-// AxisHopCounts sweeps the number of forward hops the path is split into
-// ("hops"): each cell's dumbbell compiles to that many identical store-and-
-// forward stages (rate and buffer repeated, delay divided). It mutates
-// PathConfig, so it composes with bw/rtt/rq in any order — and conflicts
-// with the "topo" axis, which installs an explicit hop list.
-func AxisHopCounts(vs ...int) Axis {
-	a := Axis{Name: "hops"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive hop count %d", v)
-		}
-		a.Values = append(a.Values, Val(strconv.Itoa(v), func(cfg *experiment.Config) {
-			cfg.Path.Hops = v
-		}))
-	}
-	return a
-}
-
-// AxisReverseRates sweeps the reverse-channel bottleneck rate ("rbw"): ACKs
-// serialize through a real queued link at this rate, so asymmetric paths and
-// ACK compression become a sweep dimension. With an explicit topology on the
-// cell (the "topo" axis) the rate lands on its Reverse; otherwise on the
-// dumbbell's ReverseRate.
-func AxisReverseRates(vs ...unit.Bandwidth) Axis {
-	a := Axis{Name: "rbw"}
-	for _, v := range vs {
-		v := v
-		if v <= 0 {
-			a.fail("non-positive reverse rate %v", v)
-		}
-		a.Values = append(a.Values, Val(v.String(), func(cfg *experiment.Config) {
+	// dimRBW sweeps the reverse-channel bottleneck rate: ACKs serialize
+	// through a real queued link at this rate, so asymmetric paths and ACK
+	// compression become a sweep dimension. With an explicit topology on the
+	// cell (the "topo" axis) the rate lands on its Reverse; otherwise on the
+	// dumbbell's ReverseRate.
+	dimRBW = dim[unit.Bandwidth]{
+		name: "rbw", help: mbpsHelp, kind: mbps,
+		check: positive[unit.Bandwidth]("reverse rate"),
+		set: func(cfg *experiment.Config, v unit.Bandwidth) {
 			if cfg.Topology != nil {
 				cfg.Topology.Reverse.Rate = v
 				return
 			}
 			cfg.Path.ReverseRate = v
-		}))
+		},
 	}
-	return a
-}
-
-// AxisAQMs sweeps the hop queue discipline ("aqm"): drop-tail versus RED on
-// every hop of the cell's path. With an explicit topology it rewrites each
-// hop's discipline; otherwise it sets the dumbbell's AQM field.
-func AxisAQMs(vs ...experiment.QueueDiscipline) Axis {
-	a := Axis{Name: "aqm"}
-	for _, v := range vs {
-		v := v
-		if !knownAQM(v) {
-			a.fail("unknown queue discipline %q", v)
-		}
-		a.Values = append(a.Values, Val(string(v), func(cfg *experiment.Config) {
+	// dimAQM sweeps the hop queue discipline on every hop of the cell's
+	// path. With an explicit topology it rewrites each hop's discipline;
+	// otherwise it sets the dumbbell's AQM field.
+	dimAQM = dim[experiment.QueueDiscipline]{
+		name: "aqm", help: "queue discipline (" + joined(experiment.QueueDisciplines(), ", ") + ")",
+		kind:  named[experiment.QueueDiscipline](),
+		check: oneOf("queue discipline", experiment.QueueDisciplines),
+		set: func(cfg *experiment.Config, v experiment.QueueDiscipline) {
 			if cfg.Topology != nil {
 				for i := range cfg.Topology.Hops {
 					cfg.Topology.Hops[i].Discipline = v
@@ -483,39 +479,66 @@ func AxisAQMs(vs ...experiment.QueueDiscipline) Axis {
 				return
 			}
 			cfg.Path.AQM = v
-		}))
+		},
 	}
-	return a
-}
+	// dimTopo sweeps stock topology presets: each value installs a named
+	// topology — and, for parking-lot, its cross traffic — on the cell. A
+	// name is validated by asking the owner: ApplyPreset on a throwaway
+	// config is the single source of truth, so the axis can never accept a
+	// name the experiment layer rejects (or vice versa).
+	dimTopo = dim[string]{
+		name: "topo", help: "topology preset name (" + strings.Join(experiment.TopologyPresets(), ", ") + ")",
+		kind:  named[string](),
+		check: func(n string) error { return experiment.ApplyPreset(&experiment.Config{}, n) },
+		// The name passed check; ApplyPreset cannot fail here.
+		set: func(cfg *experiment.Config, n string) { _ = experiment.ApplyPreset(cfg, n) },
+	}
+)
 
-// AxisTopologies sweeps stock topology presets ("topo"): each value installs
-// a named topology — and, for parking-lot, its cross traffic — on the cell.
-// Plan.Validate rejects plans combining it with path axes it would override
-// (hops, bw, rtt, rq, loss) and requires rbw/aqm to come after it.
-func AxisTopologies(names ...string) Axis {
-	a := Axis{Name: "topo"}
-	for _, n := range names {
-		n := n
-		if !knownPreset(n) {
-			a.fail("unknown topology preset %q (known: %s)", n, strings.Join(experiment.TopologyPresets(), ", "))
-		}
-		a.Values = append(a.Values, Val(n, func(cfg *experiment.Config) {
-			// Preset names were validated at construction; ApplyPreset
-			// cannot fail here.
-			_ = experiment.ApplyPreset(cfg, n)
-		}))
+// stockAxes is the name registry behind NewAxis and ParseAxis.
+var stockAxes = func() map[string]stockDim {
+	m := map[string]stockDim{}
+	for _, d := range []stockDim{
+		dimBW, dimRTT, dimRQ, dimIFQ, dimLoss, dimNIC, dimHops,
+		dimAlg, dimFlows, dimMatchup, dimSetpoint, dimTick, dimMSS, dimSACK, dimBytes,
+		dimLoad, dimArrivals, dimFSize, dimRBW, dimAQM, dimTopo,
+	} {
+		name, _ := d.decl()
+		m[name] = d
 	}
-	return a
-}
+	return m
+}()
+
+// The Grid dimensions keep typed constructors, so code that assembles a
+// classic plan by hand gets the axes Grid.Axes compiles.
+
+// AxisBandwidths sweeps the bottleneck rate ("bw").
+func AxisBandwidths(vs ...unit.Bandwidth) Axis { return dimBW.axis(vs...) }
+
+// AxisRTTs sweeps the round-trip propagation delay ("rtt").
+func AxisRTTs(vs ...time.Duration) Axis { return dimRTT.axis(vs...) }
+
+// AxisRouterQueues sweeps the bottleneck buffer in packets ("rq").
+func AxisRouterQueues(vs ...int) Axis { return dimRQ.axis(vs...) }
+
+// AxisTxQueueLens sweeps the sender IFQ capacity in packets ("ifq").
+func AxisTxQueueLens(vs ...int) Axis { return dimIFQ.axis(vs...) }
+
+// AxisLossRates sweeps the bottleneck-ingress drop probability ("loss").
+func AxisLossRates(vs ...float64) Axis { return dimLoss.axis(vs...) }
+
+// AxisAlgorithms sweeps the slow-start scheme on every flow ("alg").
+func AxisAlgorithms(vs ...experiment.Algorithm) Axis { return dimAlg.axis(vs...) }
+
+// AxisFlowCounts sweeps the number of concurrent flows ("flows").
+func AxisFlowCounts(vs ...int) Axis { return dimFlows.axis(vs...) }
 
 // AxisTopologyValue builds a single-valued "topo" axis from an explicit
 // topology (the CLIs' repeatable -hop flags compile to one): every cell runs
 // a private clone of it, labeled for the cell key.
 func AxisTopologyValue(label string, t experiment.Topology) Axis {
-	a := Axis{Name: "topo"}
-	if err := t.Validate(); err != nil {
-		a.fail("%v", err)
-	}
+	a := Axis{Name: dimTopo.name}
+	a.fail(t.Validate())
 	a.Values = append(a.Values, Val(label, func(cfg *experiment.Config) {
 		ct := t.Clone()
 		cfg.Topology = &ct
@@ -526,14 +549,10 @@ func AxisTopologyValue(label string, t experiment.Topology) Axis {
 // AxisReverseValue builds a single-valued "rbw" axis from a full reverse
 // description (rate + delay + queue, the CLIs' -rev flag), applied to the
 // cell's explicit topology when one is set, or to its dumbbell otherwise.
-// It shares the "rbw" name so Plan.Validate's ordering rule against "topo"
-// covers it.
+// It shares the "rbw" name so the ordering rule against "topo" covers it.
 func AxisReverseValue(r experiment.Reverse) Axis {
-	a := Axis{Name: "rbw"}
-	if r.Rate <= 0 {
-		a.fail("non-positive reverse rate %v", r.Rate)
-	}
-	a.Values = append(a.Values, Val(r.Rate.String(), func(cfg *experiment.Config) {
+	a := dimRBW.axis(r.Rate) // the name, the rate's range check and its label
+	a.Values[0].Set = func(cfg *experiment.Config) {
 		if cfg.Topology != nil {
 			cfg.Topology.Reverse = r
 			return
@@ -541,349 +560,18 @@ func AxisReverseValue(r experiment.Reverse) Axis {
 		cfg.Path.ReverseRate = r.Rate
 		cfg.Path.ReverseDelay = r.Delay
 		cfg.Path.ReverseQueue = r.Queue
-	}))
+	}
 	return a
 }
 
-func knownAQM(d experiment.QueueDiscipline) bool {
-	for _, k := range experiment.QueueDisciplines() {
-		if d == k {
-			return true
-		}
-	}
-	return false
-}
-
-// knownPreset validates a preset name by asking the owner: ApplyPreset on a
-// throwaway config is the single source of truth, so the axis can never
-// accept a name the experiment layer rejects (or vice versa).
-func knownPreset(n string) bool {
-	return experiment.ApplyPreset(&experiment.Config{}, n) == nil
-}
-
-// axisSpec adapts one stock axis to untyped and string-typed construction.
-type axisSpec struct {
-	// help is a one-line usage hint (value syntax) for CLIs.
-	help string
-	// fromAny converts one value of any supported Go type; strings fall
-	// back to fromString.
-	fromAny func(v any) (Axis, error)
-	// fromString parses one CLI token.
-	fromString func(s string) (Axis, error)
-}
-
-// knownAlg reports whether a is a selectable algorithm.
-func knownAlg(a experiment.Algorithm) bool {
-	for _, k := range experiment.Algorithms() {
-		if a == k {
-			return true
-		}
-	}
-	return false
-}
-
-// parseAlgs validates a list of algorithm names.
-func parseAlgs(names []string) ([]experiment.Algorithm, error) {
-	out := make([]experiment.Algorithm, len(names))
-	for i, n := range names {
-		a := experiment.Algorithm(n)
-		if !knownAlg(a) {
-			return nil, fmt.Errorf("unknown algorithm %q", n)
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-func specBandwidth(name string, build func(...unit.Bandwidth) Axis) axisSpec {
-	fromString := func(s string) (Axis, error) {
-		mbps, err := lifecycle.ParseFinite(s)
-		if err != nil {
-			return Axis{}, fmt.Errorf("%s: want a rate in Mbps, got %q", name, s)
-		}
-		return build(unit.Bandwidth(mbps * float64(unit.Mbps))), nil
-	}
-	return axisSpec{
-		help: "rate in Mbps (e.g. 100)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case unit.Bandwidth:
-				return build(x), nil
-			case int:
-				return build(unit.Bandwidth(x) * unit.Mbps), nil
-			case float64:
-				return build(unit.Bandwidth(x * float64(unit.Mbps))), nil
-			case string:
-				return fromString(x)
-			default:
-				return Axis{}, fmt.Errorf("%s: want unit.Bandwidth, int/float Mbps or string, got %T", name, v)
-			}
-		},
-		fromString: fromString,
-	}
-}
-
-func specDuration(name string, build func(...time.Duration) Axis) axisSpec {
-	fromString := func(s string) (Axis, error) {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return Axis{}, fmt.Errorf("%s: bad duration %q: %v", name, s, err)
-		}
-		return build(d), nil
-	}
-	return axisSpec{
-		help: "duration (e.g. 60ms)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case time.Duration:
-				return build(x), nil
-			case string:
-				return fromString(x)
-			default:
-				return Axis{}, fmt.Errorf("%s: want time.Duration or string, got %T", name, v)
-			}
-		},
-		fromString: fromString,
-	}
-}
-
-func specInt(name, help string, build func(...int) Axis) axisSpec {
-	fromString := func(s string) (Axis, error) {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return Axis{}, fmt.Errorf("%s: bad integer %q", name, s)
-		}
-		return build(n), nil
-	}
-	return axisSpec{
-		help: help,
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case int:
-				return build(x), nil
-			case string:
-				return fromString(x)
-			default:
-				return Axis{}, fmt.Errorf("%s: want int or string, got %T", name, v)
-			}
-		},
-		fromString: fromString,
-	}
-}
-
-func specFloat(name, help string, build func(...float64) Axis) axisSpec {
-	fromString := func(s string) (Axis, error) {
-		f, err := lifecycle.ParseFinite(s)
-		if err != nil {
-			return Axis{}, fmt.Errorf("%s: bad number %q", name, s)
-		}
-		return build(f), nil
-	}
-	return axisSpec{
-		help: help,
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case float64:
-				return build(x), nil
-			case int:
-				return build(float64(x)), nil
-			case string:
-				return fromString(x)
-			default:
-				return Axis{}, fmt.Errorf("%s: want float or string, got %T", name, v)
-			}
-		},
-		fromString: fromString,
-	}
-}
-
-var stockAxes = map[string]axisSpec{
-	"bw":  specBandwidth("bw", AxisBandwidths),
-	"rtt": specDuration("rtt", AxisRTTs),
-	"rq":  specInt("rq", "router queue in packets", AxisRouterQueues),
-	"ifq": specInt("ifq", "txqueuelen in packets", AxisTxQueueLens),
-	"loss": specFloat("loss", "drop probability in [0,1)", func(vs ...float64) Axis {
-		return AxisLossRates(vs...)
-	}),
-	"alg": {
-		help: "algorithm name (standard, restricted, ...)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case experiment.Algorithm:
-				return axisFromAlgs([]string{string(x)})
-			case string:
-				return axisFromAlgs([]string{x})
-			default:
-				return Axis{}, fmt.Errorf("alg: want experiment.Algorithm or string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return axisFromAlgs([]string{s}) },
-	},
-	"flows": specInt("flows", "concurrent flow count", AxisFlowCounts),
-	"setpoint": specFloat("setpoint", "IFQ set-point fraction in (0,1]", func(vs ...float64) Axis {
-		return AxisSetpoints(vs...)
-	}),
-	"tick": specDuration("tick", AxisTicks),
-	"mss":  specInt("mss", "segment size in bytes", AxisMSS),
-	"sack": {
-		help: "true or false",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case bool:
-				return AxisSACK(x), nil
-			case string:
-				b, err := strconv.ParseBool(x)
-				if err != nil {
-					return Axis{}, fmt.Errorf("sack: bad bool %q", x)
-				}
-				return AxisSACK(b), nil
-			default:
-				return Axis{}, fmt.Errorf("sack: want bool or string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) {
-			b, err := strconv.ParseBool(s)
-			if err != nil {
-				return Axis{}, fmt.Errorf("sack: bad bool %q", s)
-			}
-			return AxisSACK(b), nil
-		},
-	},
-	"nic":  specBandwidth("nic", AxisNICRates),
-	"hops": specInt("hops", "forward hop count (path split into identical stages)", AxisHopCounts),
-	"rbw":  specBandwidth("rbw", AxisReverseRates),
-	"aqm": {
-		help: "queue discipline (droptail, red)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case experiment.QueueDiscipline:
-				return AxisAQMs(x), nil
-			case string:
-				return AxisAQMs(experiment.QueueDiscipline(x)), nil
-			default:
-				return Axis{}, fmt.Errorf("aqm: want experiment.QueueDiscipline or string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return AxisAQMs(experiment.QueueDiscipline(s)), nil },
-	},
-	"topo": {
-		help: "topology preset name (dumbbell, parking-lot, reverse-congested)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case string:
-				return AxisTopologies(x), nil
-			default:
-				return Axis{}, fmt.Errorf("topo: want string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return AxisTopologies(s), nil },
-	},
-	"matchup": {
-		help: "algorithms joined with '+' (e.g. standard+restricted)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case []experiment.Algorithm:
-				names := make([]string, len(x))
-				for i, a := range x {
-					names[i] = string(a)
-				}
-				return axisFromMatchup(names)
-			case string:
-				return axisFromMatchup(strings.Split(x, "+"))
-			default:
-				return Axis{}, fmt.Errorf("matchup: want []experiment.Algorithm or string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return axisFromMatchup(strings.Split(s, "+")) },
-	},
-	"bytes": {
-		help: "transfer size in bytes (0 = backlogged)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case int64:
-				return AxisBytes(x), nil
-			case int:
-				return AxisBytes(int64(x)), nil
-			case string:
-				n, err := strconv.ParseInt(x, 10, 64)
-				if err != nil {
-					return Axis{}, fmt.Errorf("bytes: bad integer %q", x)
-				}
-				return AxisBytes(n), nil
-			default:
-				return Axis{}, fmt.Errorf("bytes: want int64, int or string, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return Axis{}, fmt.Errorf("bytes: bad integer %q", s)
-			}
-			return AxisBytes(n), nil
-		},
-	},
-	"load": specFloat("load", "offered load as a fraction of the bottleneck (e.g. 0.8)", func(vs ...float64) Axis {
-		return AxisLoads(vs...)
-	}),
-	"arrivals": {
-		help: "arrival process spec (poisson:RATE, mmpp:LO:HI:SOJOURN, web:S:F:THINK)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case string:
-				return AxisArrivals(x), nil
-			default:
-				return Axis{}, fmt.Errorf("arrivals: want string spec, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return AxisArrivals(s), nil },
-	},
-	"fsize": {
-		help: "transfer-size distribution spec (fixed:64k, exp:100k, pareto:A:MIN:MAX, lognorm:MED:SIGMA)",
-		fromAny: func(v any) (Axis, error) {
-			switch x := v.(type) {
-			case string:
-				return AxisFlowSizes(x), nil
-			default:
-				return Axis{}, fmt.Errorf("fsize: want string spec, got %T", v)
-			}
-		},
-		fromString: func(s string) (Axis, error) { return AxisFlowSizes(s), nil },
-	},
-}
-
-func axisFromAlgs(names []string) (Axis, error) {
-	algs, err := parseAlgs(names)
-	if err != nil {
-		return Axis{}, err
-	}
-	return AxisAlgorithms(algs...), nil
-}
-
-func axisFromMatchup(names []string) (Axis, error) {
-	algs, err := parseAlgs(names)
-	if err != nil {
-		return Axis{}, err
-	}
-	if len(algs) == 0 {
-		return Axis{}, fmt.Errorf("matchup: empty algorithm set")
-	}
-	return AxisMatchups(algs), nil
-}
-
 // StockAxisNames lists the registered stock axis names, sorted.
-func StockAxisNames() []string {
-	names := make([]string, 0, len(stockAxes))
-	for n := range stockAxes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func StockAxisNames() []string { return slices.Sorted(maps.Keys(stockAxes)) }
 
 // AxisHelp returns the one-line value-syntax hint for a stock axis name.
 func AxisHelp(name string) string {
-	if spec, ok := stockAxes[name]; ok {
-		return spec.help
+	if d, ok := stockAxes[name]; ok {
+		_, help := d.decl()
+		return help
 	}
 	return ""
 }
@@ -893,7 +581,7 @@ func AxisHelp(name string) string {
 // their string forms, freely mixed. It is the dispatcher behind the facade's
 // Sweep(name, values...) builder.
 func NewAxis(name string, values ...any) (Axis, error) {
-	spec, ok := stockAxes[name]
+	d, ok := stockAxes[name]
 	if !ok {
 		return Axis{}, fmt.Errorf("campaign: unknown axis %q (stock axes: %s)",
 			name, strings.Join(StockAxisNames(), ", "))
@@ -901,42 +589,16 @@ func NewAxis(name string, values ...any) (Axis, error) {
 	if len(values) == 0 {
 		return Axis{}, fmt.Errorf("campaign: axis %q: no values", name)
 	}
-	out := Axis{Name: name}
-	for _, v := range values {
-		a, err := spec.fromAny(v)
-		if err != nil {
-			return Axis{}, fmt.Errorf("campaign: axis %q: %v", name, err)
-		}
-		if a.err != nil {
-			return Axis{}, a.err // already prefixed by Axis.fail
-		}
-		out.Values = append(out.Values, a.Values...)
-	}
-	return out, nil
+	return d.build(values)
 }
 
-// ParseAxis builds a stock axis from command-line string tokens — the same
-// registry as NewAxis, restricted to string parsing. CLIs use it so new
-// sweep dimensions need no campaign-internal edits.
+// ParseAxis builds a stock axis from command-line string tokens — NewAxis
+// restricted to (whitespace-trimmed) strings. CLIs use it so new sweep
+// dimensions need no campaign-internal edits.
 func ParseAxis(name string, raw []string) (Axis, error) {
-	spec, ok := stockAxes[name]
-	if !ok {
-		return Axis{}, fmt.Errorf("campaign: unknown axis %q (stock axes: %s)",
-			name, strings.Join(StockAxisNames(), ", "))
+	values := make([]any, len(raw))
+	for i, s := range raw {
+		values[i] = strings.TrimSpace(s)
 	}
-	if len(raw) == 0 {
-		return Axis{}, fmt.Errorf("campaign: axis %q: no values", name)
-	}
-	out := Axis{Name: name}
-	for _, s := range raw {
-		a, err := spec.fromString(strings.TrimSpace(s))
-		if err != nil {
-			return Axis{}, fmt.Errorf("campaign: axis %q: %v", name, err)
-		}
-		if a.err != nil {
-			return Axis{}, a.err // already prefixed by Axis.fail
-		}
-		out.Values = append(out.Values, a.Values...)
-	}
-	return out, nil
+	return NewAxis(name, values...)
 }

@@ -35,7 +35,7 @@ func TestTopologyAxesParse(t *testing.T) {
 		}
 	}
 	for _, bad := range [][2]string{
-		{"hops", "0"}, {"rbw", "-1"}, {"aqm", "codel"}, {"topo", "clos"},
+		{"hops", "0"}, {"hops", "2000000000"}, {"rbw", "-1"}, {"aqm", "codel"}, {"topo", "clos"},
 	} {
 		if _, err := ParseAxis(bad[0], []string{bad[1]}); err == nil {
 			t.Errorf("%s=%s accepted", bad[0], bad[1])
@@ -48,33 +48,33 @@ func TestTopologyAxesParse(t *testing.T) {
 func TestTopologyAxisMutations(t *testing.T) {
 	t.Parallel()
 	var cfg experiment.Config
-	AxisHopCounts(3).Values[0].Set(&cfg)
+	stockAxis(t, "hops", 3).Values[0].Set(&cfg)
 	if cfg.Path.Hops != 3 {
 		t.Errorf("hops axis: Path.Hops = %d", cfg.Path.Hops)
 	}
-	AxisReverseRates(5 * unit.Mbps).Values[0].Set(&cfg)
+	stockAxis(t, "rbw", 5*unit.Mbps).Values[0].Set(&cfg)
 	if cfg.Path.ReverseRate != 5*unit.Mbps {
 		t.Errorf("rbw axis: Path.ReverseRate = %v", cfg.Path.ReverseRate)
 	}
-	AxisAQMs(experiment.DiscRED).Values[0].Set(&cfg)
+	stockAxis(t, "aqm", experiment.DiscRED).Values[0].Set(&cfg)
 	if cfg.Path.AQM != experiment.DiscRED {
 		t.Errorf("aqm axis: Path.AQM = %q", cfg.Path.AQM)
 	}
 
 	var lot experiment.Config
-	AxisTopologies("parking-lot").Values[0].Set(&lot)
+	stockAxis(t, "topo", "parking-lot").Values[0].Set(&lot)
 	if lot.Topology == nil || len(lot.Topology.Hops) != 3 {
 		t.Fatalf("topo axis did not install the 3-hop parking lot: %+v", lot.Topology)
 	}
 	if len(lot.Flows) != 1 || !lot.Flows[0].Cross {
 		t.Fatalf("parking-lot preset flows = %+v, want one cross flow", lot.Flows)
 	}
-	AxisReverseRates(2 * unit.Mbps).Values[0].Set(&lot)
+	stockAxis(t, "rbw", 2*unit.Mbps).Values[0].Set(&lot)
 	if lot.Topology.Reverse.Rate != 2*unit.Mbps || lot.Path.ReverseRate != 0 {
 		t.Errorf("rbw after topo: topology reverse %v, path reverse %v",
 			lot.Topology.Reverse.Rate, lot.Path.ReverseRate)
 	}
-	AxisAQMs(experiment.DiscRED).Values[0].Set(&lot)
+	stockAxis(t, "aqm", experiment.DiscRED).Values[0].Set(&lot)
 	for i, h := range lot.Topology.Hops {
 		if h.Discipline != experiment.DiscRED {
 			t.Errorf("aqm after topo: hop %d discipline %q", i, h.Discipline)
@@ -87,9 +87,9 @@ func TestTopologyAxisMutations(t *testing.T) {
 // (rbw/aqm before topo).
 func TestTopoAxisValidation(t *testing.T) {
 	t.Parallel()
-	topo := AxisTopologies("parking-lot")
+	topo := stockAxis(t, "topo", "parking-lot")
 	for _, clash := range []Axis{
-		AxisHopCounts(2),
+		stockAxis(t, "hops", 2),
 		AxisBandwidths(10 * unit.Mbps),
 		AxisRTTs(10 * time.Millisecond),
 		AxisRouterQueues(100),
@@ -100,16 +100,16 @@ func TestTopoAxisValidation(t *testing.T) {
 			t.Errorf("topo + %s accepted", clash.Name)
 		}
 	}
-	bad := Plan{Axes: []Axis{AxisReverseRates(unit.Mbps), topo}}
+	bad := Plan{Axes: []Axis{stockAxis(t, "rbw", unit.Mbps), topo}}
 	if err := bad.Validate(); err == nil {
 		t.Error("rbw before topo accepted")
 	}
-	good := Plan{Axes: []Axis{topo, AxisReverseRates(unit.Mbps), AxisAQMs(experiment.DiscRED)}}
+	good := Plan{Axes: []Axis{topo, stockAxis(t, "rbw", unit.Mbps), stockAxis(t, "aqm", experiment.DiscRED)}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("topo then rbw/aqm rejected: %v", err)
 	}
 	// Without topo, the path-level axes compose freely.
-	free := Plan{Axes: []Axis{AxisHopCounts(1, 3), AxisBandwidths(10 * unit.Mbps), AxisReverseRates(unit.Mbps)}}
+	free := Plan{Axes: []Axis{stockAxis(t, "hops", 1, 3), AxisBandwidths(10 * unit.Mbps), stockAxis(t, "rbw", unit.Mbps)}}
 	if err := free.Validate(); err != nil {
 		t.Errorf("hops + bw + rbw rejected: %v", err)
 	}
@@ -120,30 +120,30 @@ func TestTopoAxisValidation(t *testing.T) {
 func TestCrossFlowsSurviveFlowAxes(t *testing.T) {
 	t.Parallel()
 	var cfg experiment.Config
-	AxisTopologies("parking-lot").Values[0].Set(&cfg)
+	stockAxis(t, "topo", "parking-lot").Values[0].Set(&cfg)
 
 	AxisAlgorithms(experiment.AlgRestricted).Values[0].Set(&cfg)
-	cross := crossFlows(cfg.Flows)
+	cross := flowsOf(cfg.Flows, true)
 	if len(cross) != 1 || cross[0].Alg != experiment.AlgStandard {
 		t.Fatalf("alg axis touched the cross flow: %+v", cfg.Flows)
 	}
-	measured := measuredFlows(cfg.Flows)
+	measured := flowsOf(cfg.Flows, false)
 	if len(measured) != 1 || measured[0].Alg != experiment.AlgRestricted {
 		t.Fatalf("alg axis did not materialize a restricted measured flow: %+v", cfg.Flows)
 	}
 
 	AxisFlowCounts(3).Values[0].Set(&cfg)
-	if len(measuredFlows(cfg.Flows)) != 3 || len(crossFlows(cfg.Flows)) != 1 {
+	if len(flowsOf(cfg.Flows, false)) != 3 || len(flowsOf(cfg.Flows, true)) != 1 {
 		t.Fatalf("flows axis lost flows: %+v", cfg.Flows)
 	}
-	for _, f := range measuredFlows(cfg.Flows) {
+	for _, f := range flowsOf(cfg.Flows, false) {
 		if f.Alg != experiment.AlgRestricted {
 			t.Errorf("replicated measured flow alg = %q", f.Alg)
 		}
 	}
 
-	AxisMatchups([]experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted}).Values[0].Set(&cfg)
-	if len(measuredFlows(cfg.Flows)) != 2 || len(crossFlows(cfg.Flows)) != 1 {
+	stockAxis(t, "matchup", []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted}).Values[0].Set(&cfg)
+	if len(flowsOf(cfg.Flows, false)) != 2 || len(flowsOf(cfg.Flows, true)) != 1 {
 		t.Fatalf("matchup axis lost the cross flow: %+v", cfg.Flows)
 	}
 }
@@ -156,9 +156,9 @@ func TestTopologyMatrixSmoke(t *testing.T) {
 	t.Parallel()
 	plan := Plan{
 		Axes: []Axis{
-			AxisTopologies("parking-lot"),
-			AxisReverseRates(500 * unit.Kbps),
-			AxisAQMs(experiment.DiscDropTail, experiment.DiscRED),
+			stockAxis(t, "topo", "parking-lot"),
+			stockAxis(t, "rbw", 500*unit.Kbps),
+			stockAxis(t, "aqm", experiment.DiscDropTail, experiment.DiscRED),
 			AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
 		},
 		Metrics: []Metric{MetricThroughputMbps, MetricHopDropsMax, MetricReverseDrops},
@@ -223,7 +223,7 @@ func TestWorkerCountStableOnTopologyPlans(t *testing.T) {
 	t.Parallel()
 	plan := Plan{
 		Axes: []Axis{
-			AxisTopologies("parking-lot", "reverse-congested"),
+			stockAxis(t, "topo", "parking-lot", "reverse-congested"),
 			AxisAlgorithms(experiment.AlgRestricted),
 		},
 		Metrics:    []Metric{MetricThroughputMbps, MetricHopDropsMax, MetricReverseDrops},

@@ -213,6 +213,16 @@ func (c *churnState) fctSummary() *FCTSummary {
 	return f
 }
 
+// SummarizeFCT folds completed-flow records, in completion order, into the
+// digest a run of exactly those completions reports as Result.FCT.
+func SummarizeFCT(recs []FlowRecord) *FCTSummary {
+	var c churnState
+	for _, rec := range recs {
+		c.foldRecord(rec)
+	}
+	return c.fctSummary()
+}
+
 // reset clears per-run state but keeps backing arrays warm for the next
 // replicate (Scenario.Reset has already parked the live flows).
 func (c *churnState) reset() {

@@ -170,6 +170,12 @@ type OnOffSpec struct {
 	Rate    unit.Bandwidth
 }
 
+// MaxFlows bounds Config.Flows. A flow count arrives from outside (a CLI
+// flag, a sweep axis) and sizes per-flow allocations before anything runs;
+// the bound — well above the 50k-flow density runs — turns an absurd one
+// into an error instead of a fatal out-of-memory.
+const MaxFlows = 1 << 20
+
 // Config describes a full experiment run.
 type Config struct {
 	Path PathConfig
@@ -641,6 +647,9 @@ func (s *Scenario) init(in *Config) error {
 	s.Cfg = *in
 	cfg := &s.Cfg
 	cfg.fillDefaults()
+	if n := len(cfg.Flows); n > MaxFlows {
+		return fmt.Errorf("experiment: %d flows exceeds the limit of %d per scenario", n, MaxFlows)
+	}
 	eng := s.Eng
 	// Select the calendar backend before anything touches the (empty,
 	// just-built or just-reset) engine. Switching per replicate is free:
@@ -673,7 +682,10 @@ func (s *Scenario) init(in *Config) error {
 	if cfg.TimerWheel && s.wheel == nil {
 		s.wheel = sim.NewWheel(eng, sim.DefaultWheelGran, sim.DefaultWheelSlots)
 	}
-	topo := cfg.topology(s.park.hops)
+	topo, err := cfg.topology(s.park.hops)
+	if err != nil {
+		return err
+	}
 	s.park.hops = topo.Hops
 	if err := topo.Validate(); err != nil {
 		return err

@@ -103,6 +103,18 @@ type Topology struct {
 	Reverse Reverse
 }
 
+// MaxHops bounds a path's hop list, explicit or split from the dumbbell
+// (PathConfig.Hops): a hop count from outside sizes the compiled topology
+// and every per-hop array of the arena.
+const MaxHops = 1 << 10
+
+func checkHopCount(n int) error {
+	if n > MaxHops {
+		return fmt.Errorf("experiment: %d hops exceeds the limit of %d per path", n, MaxHops)
+	}
+	return nil
+}
+
 // cloneInto returns a deep copy with zero fields resolved, its hop list built
 // in buf's backing array (nil, or a scenario's scratch). The receiver is
 // never mutated: topologies may be shared across campaign cells.
@@ -140,6 +152,9 @@ func (t Topology) Clone() Topology { return t.cloneInto(nil) }
 func (t Topology) Validate() error {
 	if len(t.Hops) == 0 {
 		return fmt.Errorf("experiment: topology has no hops")
+	}
+	if err := checkHopCount(len(t.Hops)); err != nil {
+		return err
 	}
 	for i := range t.Hops {
 		if err := t.Hops[i].validate(); err != nil {
@@ -270,12 +285,16 @@ func (p *PathConfig) compileInto(buf []Hop) Topology {
 
 // topology resolves the configuration's network description into buf's
 // backing array: an explicit Topology wins; otherwise the PathConfig
-// compiles to a one-hop instance.
-func (c *Config) topology(buf []Hop) Topology {
+// compiles to a one-hop instance. The split count is checked here, before
+// the compiler allocates that many hops.
+func (c *Config) topology(buf []Hop) (Topology, error) {
 	if c.Topology != nil {
-		return c.Topology.cloneInto(buf)
+		return c.Topology.cloneInto(buf), nil
 	}
-	return c.Path.compileInto(buf)
+	if err := checkHopCount(c.Path.Hops); err != nil {
+		return Topology{}, err
+	}
+	return c.Path.compileInto(buf), nil
 }
 
 // Injector RNG salts. Every per-hop random element gets its own generator

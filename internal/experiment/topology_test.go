@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,11 +320,32 @@ func TestTopologyValidation(t *testing.T) {
 		"nan reorder":    {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, ReorderP: math.NaN()}}},
 		"nan dup":        {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, DuplicateP: math.NaN()}}},
 		"neg reverse":    {Hops: []Hop{good}, Reverse: Reverse{Rate: -1}},
+		"too many hops":  {Hops: make([]Hop, MaxHops+1)},
 	} {
 		topo := topo
 		if _, err := Build(Config{Topology: &topo}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestBuildRejectsOversizedCounts: a hop split or a flow list beyond the
+// package's bounds is a one-line error naming the limit, returned before the
+// topology compiler or the per-flow build allocates for it. `-hops
+// 2000000000` used to die in the compiler asking for a 160 GB block.
+func TestBuildRejectsOversizedCounts(t *testing.T) {
+	t.Parallel()
+	for name, cfg := range map[string]Config{
+		"hops":  {Path: PathConfig{Hops: 2_000_000_000}},
+		"flows": {Flows: make([]FlowSpec, MaxFlows+1)},
+	} {
+		_, err := Build(cfg)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("%s: err = %v, want the limit named", name, err)
+		}
+	}
+	if _, err := Build(Config{Path: PathConfig{Hops: MaxHops}, Duration: time.Millisecond}); err != nil {
+		t.Errorf("a path of exactly MaxHops hops rejected: %v", err)
 	}
 }
 

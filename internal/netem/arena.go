@@ -34,7 +34,7 @@ type redState struct {
 
 // HopArena is the forward path flattened into parallel arrays indexed by hop
 // id: the serializer, drop-tail/RED queue, propagation delay line and
-// per-hop counters that netem.Link + StatQueue + DelayLine hold behind three
+// per-hop counters that netem.Link + Queue + DelayLine hold behind three
 // pointer hops live here as packed per-hop slices, so one segment's
 // traversal of the chain touches contiguous memory instead of chasing a
 // heap-allocated object graph. Semantics are bit-identical to the object
@@ -289,7 +289,8 @@ func (a *HopArena) accOcc(i int, now sim.Time) {
 
 // enqueue applies hop i's admission test (tail drop, or RED in front of it)
 // and appends the segment, returning false on refusal. Counter updates match
-// DropTail.Enqueue / RED.Enqueue exactly.
+// DropTail.Enqueue; a RED refusal, early or at capacity, also restarts the
+// inter-drop count.
 func (a *HopArena) enqueue(i int, seg *packet.Segment) bool {
 	st := &a.qstats[i]
 	if a.isRED[i] {
@@ -322,7 +323,9 @@ func (a *HopArena) enqueue(i int, seg *packet.Segment) bool {
 	return true
 }
 
-// redDrop evaluates the early-drop probability (see RED.drop).
+// redDrop evaluates the early-drop probability for the current average (see
+// REDConfig), with inter-drop gaps uniformized by the count of arrivals since
+// the last drop as in the original paper.
 func (a *HopArena) redDrop(r *redState) bool {
 	switch {
 	case r.avg < r.cfg.MinThreshold:

@@ -319,10 +319,21 @@ func TestReordererHoldsBack(t *testing.T) {
 	}
 }
 
+// redHop returns a one-hop arena whose hop runs RED with cfg, and its engine.
+// The tests below drive the hop's admission and service halves (enqueue,
+// dequeue) directly, holding the queue length where they want it; the last
+// two go through Receive and the serializer.
+func redHop(cfg REDConfig, seed uint64) (*sim.Engine, *HopArena) {
+	eng := sim.NewEngine()
+	a := NewHopArena(eng)
+	a.Configure([]HopSpec{{Rate: 100 * unit.Mbps, Queue: cfg.Capacity, RED: &cfg, REDSeed: seed}}, &Sink{}, nil)
+	return eng, a
+}
+
 func TestREDBelowMinNeverDrops(t *testing.T) {
-	q := NewRED(DefaultREDConfig(100), sim.NewRNG(1))
+	_, a := redHop(DefaultREDConfig(100), 1)
 	for i := 0; i < 10; i++ {
-		if !q.Enqueue(seg(1)) {
+		if !a.enqueue(0, seg(1)) {
 			t.Fatal("RED dropped below MinThreshold")
 		}
 	}
@@ -331,41 +342,36 @@ func TestREDBelowMinNeverDrops(t *testing.T) {
 func TestREDFullAlwaysDrops(t *testing.T) {
 	cfg := DefaultREDConfig(100)
 	cfg.Weight = 1 // instant average so the threshold bites immediately
-	q := NewRED(cfg, sim.NewRNG(1))
+	_, a := redHop(cfg, 1)
 	dropped := false
 	for i := 0; i < 200; i++ {
-		if !q.Enqueue(seg(1)) {
+		if !a.enqueue(0, seg(1)) {
 			dropped = true
 		}
 	}
 	if !dropped {
 		t.Error("RED never dropped despite overload")
 	}
-	if q.Len() > 100 {
-		t.Errorf("RED exceeded capacity: %d", q.Len())
+	if a.QueueLen(0) > 100 {
+		t.Errorf("RED exceeded capacity: %d", a.QueueLen(0))
 	}
 }
 
 func TestREDIntermediateDropsProbabilistically(t *testing.T) {
 	cfg := DefaultREDConfig(100) // min 25, max 75
 	cfg.Weight = 1
-	q := NewRED(cfg, sim.NewRNG(1))
+	_, a := redHop(cfg, 1)
 	// Hold the instantaneous length near 50 and count drops.
 	for i := 0; i < 50; i++ {
-		q.Enqueue(seg(1))
+		a.enqueue(0, seg(1))
 	}
-	drops := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if !q.Enqueue(seg(1)) {
-			// keep length constant
-		} else {
-			q.Dequeue()
-		}
-		if q.Stats().Dropped > int64(drops) {
-			drops = int(q.Stats().Dropped)
+		if a.enqueue(0, seg(1)) {
+			a.dequeue(0) // keep length constant
 		}
 	}
+	drops := a.QueueStats(0).Dropped
 	if drops == 0 {
 		t.Error("RED never early-dropped in the intermediate band")
 	}
@@ -374,19 +380,40 @@ func TestREDIntermediateDropsProbabilistically(t *testing.T) {
 	}
 }
 
+// TestREDStatsConsistency: on the hop's own counters, every segment offered
+// is forwarded, dropped, buffered or on the serializer — mid-run and after
+// the hop drains.
 func TestREDStatsConsistency(t *testing.T) {
-	q := NewRED(DefaultREDConfig(10), sim.NewRNG(2))
-	for i := 0; i < 100; i++ {
-		q.Enqueue(seg(1))
+	eng, a := redHop(DefaultREDConfig(10), 2)
+	const offered = 100
+	check := func(when string) {
+		t.Helper()
+		inService := 0
+		if a.busy[0] {
+			inService = 1
+		}
+		got := a.Stats(0).Sent + a.Drops(0) + int64(a.QueueLen(0)+inService)
+		if got != offered {
+			t.Errorf("%s: forwarded %d + dropped %d + queued %d + in service %d = %d, want %d",
+				when, a.Stats(0).Sent, a.Drops(0), a.QueueLen(0), inService, got, offered)
+		}
+		if st := a.QueueStats(0); st.Dropped != a.Drops(0) || st.Enqueued+st.Dropped != offered {
+			t.Errorf("%s: queue counters %+v disagree with %d drops of %d offered", when, st, a.Drops(0), offered)
+		}
 	}
-	for q.Dequeue() != nil {
+	for i := 0; i < offered; i++ {
+		a.Receive(0, seg(1460))
 	}
-	st := q.Stats()
-	if st.Enqueued-st.Dequeued != 0 {
-		t.Errorf("enqueued %d != dequeued %d after drain", st.Enqueued, st.Dequeued)
+	if a.Drops(0) == 0 {
+		t.Fatal("a 100-segment burst into a 10-packet RED hop dropped nothing")
 	}
-	if st.Enqueued+st.Dropped != 100 {
-		t.Errorf("enqueued+dropped = %d, want 100", st.Enqueued+st.Dropped)
+	check("after the burst")
+	eng.RunFor(300 * time.Microsecond) // two and a half serializations in
+	check("mid-drain")
+	eng.Run()
+	check("drained")
+	if st := a.QueueStats(0); a.QueueLen(0) != 0 || st.Enqueued != st.Dequeued {
+		t.Errorf("drained hop still holds %d (enqueued %d, dequeued %d)", a.QueueLen(0), st.Enqueued, st.Dequeued)
 	}
 }
 
@@ -396,7 +423,7 @@ func TestREDPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("bad RED config did not panic")
 		}
 	}()
-	NewRED(REDConfig{Capacity: 10, MinThreshold: 5, MaxThreshold: 5}, nil)
+	redHop(REDConfig{Capacity: 10, MinThreshold: 5, MaxThreshold: 5}, 0)
 }
 
 func TestLinkAvgQueueLen(t *testing.T) {
@@ -416,13 +443,6 @@ func TestLinkAvgQueueLen(t *testing.T) {
 	if got < 0.49 || got > 0.51 {
 		t.Errorf("AvgQueueLen = %v, want 0.5", got)
 	}
-}
-
-func TestStatQueueImplementations(t *testing.T) {
-	// Both stock disciplines satisfy StatQueue, which is what lets the
-	// experiment layer read per-hop counters without knowing the type.
-	var _ StatQueue = NewDropTail(10)
-	var _ StatQueue = NewRED(DefaultREDConfig(10), sim.NewRNG(1))
 }
 
 // TestDropTailRingFollowsOccupancy: a queue that never holds more than two

@@ -6,7 +6,7 @@ import (
 )
 
 // Queue is a packet queueing discipline. Enqueue returns false when the
-// discipline drops the segment (tail drop, RED discard, ...). Implementations
+// discipline drops the segment (tail drop, an AQM discard, ...). Implementations
 // keep their own drop statistics.
 type Queue interface {
 	// Enqueue offers a segment; false means the segment was dropped.
@@ -28,15 +28,6 @@ type QueueStats struct {
 	Dequeued int64 // segments handed downstream
 	Dropped  int64 // segments refused
 	MaxLen   int   // high-water mark in packets
-}
-
-// StatQueue is a Queue that reports its counters. Both stock disciplines
-// (DropTail, RED) implement it; the experiment layer reads per-hop drop and
-// occupancy aggregates through this interface without knowing which
-// discipline a hop runs.
-type StatQueue interface {
-	Queue
-	Stats() QueueStats
 }
 
 // DropTail is a FIFO queue with a fixed packet-count capacity, the classic

@@ -1,15 +1,8 @@
 package netem
 
-import (
-	"math"
-
-	"rsstcp/internal/packet"
-	"rsstcp/internal/sim"
-	"rsstcp/internal/unit"
-)
-
-// REDConfig parameterizes a Random Early Detection queue (Floyd & Jacobson
-// 1993). Thresholds are in packets to match the drop-tail discipline.
+// REDConfig parameterizes Random Early Detection (Floyd & Jacobson 1993) on
+// an arena hop (HopSpec.RED; HopArena.enqueue runs the admission test).
+// Thresholds are in packets to match the drop-tail discipline.
 type REDConfig struct {
 	// Capacity is the hard packet limit (tail drop beyond it).
 	Capacity int
@@ -36,94 +29,3 @@ func DefaultREDConfig(capPackets int) REDConfig {
 		Weight:       0.002,
 	}
 }
-
-// RED implements Random Early Detection over a FIFO. It exists so the
-// friendliness experiments can also be run against an AQM bottleneck, and
-// as a second Queue implementation exercising the interface.
-type RED struct {
-	cfg   REDConfig
-	fifo  *DropTail
-	rng   *sim.RNG
-	avg   float64 // EWMA of queue length in packets
-	count int     // packets since last drop (for uniformization)
-	stats QueueStats
-}
-
-// NewRED returns a RED queue with the given configuration, drawing drop
-// decisions from rng.
-func NewRED(cfg REDConfig, rng *sim.RNG) *RED {
-	if cfg.Capacity <= 0 {
-		panic("netem: RED requires a positive capacity")
-	}
-	if cfg.MaxThreshold <= cfg.MinThreshold {
-		panic("netem: RED MaxThreshold must exceed MinThreshold")
-	}
-	if rng == nil {
-		rng = sim.NewRNG(0)
-	}
-	return &RED{cfg: cfg, fifo: NewDropTail(cfg.Capacity), rng: rng}
-}
-
-// Enqueue applies the RED admission test then appends the segment.
-func (q *RED) Enqueue(seg *packet.Segment) bool {
-	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(q.fifo.Len())
-	if q.drop() {
-		q.stats.Dropped++
-		q.count = 0
-		return false
-	}
-	if !q.fifo.Enqueue(seg) {
-		q.stats.Dropped++
-		q.count = 0
-		return false
-	}
-	q.count++
-	q.stats.Enqueued++
-	if n := q.Len(); n > q.stats.MaxLen {
-		q.stats.MaxLen = n
-	}
-	return true
-}
-
-// drop evaluates the early-drop probability for the current average.
-func (q *RED) drop() bool {
-	switch {
-	case q.avg < q.cfg.MinThreshold:
-		return false
-	case q.avg >= q.cfg.MaxThreshold:
-		return true
-	default:
-		p := q.cfg.MaxP * (q.avg - q.cfg.MinThreshold) /
-			(q.cfg.MaxThreshold - q.cfg.MinThreshold)
-		// Uniformize inter-drop gaps as in the original paper.
-		pa := p / math.Max(1e-9, 1-float64(q.count)*p)
-		if pa < 0 || pa > 1 {
-			pa = 1
-		}
-		return q.rng.Bool(pa)
-	}
-}
-
-// Dequeue removes the oldest queued segment.
-func (q *RED) Dequeue() *packet.Segment {
-	seg := q.fifo.Dequeue()
-	if seg != nil {
-		q.stats.Dequeued++
-	}
-	return seg
-}
-
-// Len returns queued packets.
-func (q *RED) Len() int { return q.fifo.Len() }
-
-// Bytes returns queued bytes.
-func (q *RED) Bytes() unit.ByteSize { return q.fifo.Bytes() }
-
-// Capacity returns the hard packet limit.
-func (q *RED) Capacity() int { return q.cfg.Capacity }
-
-// AvgLen returns the EWMA queue length estimate (for tests/inspection).
-func (q *RED) AvgLen() float64 { return q.avg }
-
-// Stats returns a copy of the queue counters.
-func (q *RED) Stats() QueueStats { return q.stats }

@@ -96,7 +96,8 @@ func SweepTopology(label string, t Topology) CampaignOpt {
 }
 
 // TopologyAxis builds the single-valued "topo" axis SweepTopology wraps;
-// CLIs that assemble axis lists by hand use it directly.
+// CLIs that assemble axis lists by hand use it directly. Being named "topo",
+// it falls under that axis's rule: no path axes beside it, rbw/aqm after it.
 func TopologyAxis(label string, t Topology) Axis {
 	return campaign.AxisTopologyValue(label, t)
 }
