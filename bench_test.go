@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper's evaluation. One benchmark per
-// experiment in DESIGN.md's index: each iteration performs the full
-// simulated experiment and reports the figures the paper's tables would
-// hold (throughput in Mbps, send-stall counts) as custom metrics.
+// Benchmarks regenerating the paper's evaluation: F1, the tables of
+// campaign.PaperSuite, T4's tuning session and the GridFTP workload. Each
+// iteration performs the full simulated experiment and reports the figures
+// the paper's tables would hold (throughput in Mbps, send-stall counts) as
+// custom metrics.
 //
 //	go test -bench=. -benchmem
 package rsstcp_test
@@ -11,31 +12,9 @@ import (
 	"time"
 
 	"rsstcp"
-	"rsstcp/internal/experiment"
 )
 
 const paperDuration = 25 * time.Second
-
-func benchAlg(b *testing.B, path rsstcp.Path, alg rsstcp.Algorithm) {
-	b.Helper()
-	var lastThr float64
-	var lastStalls int64
-	for i := 0; i < b.N; i++ {
-		res, err := rsstcp.Run(rsstcp.Options{
-			Path:     path,
-			Flows:    []rsstcp.Flow{{Alg: alg}},
-			Duration: paperDuration,
-			Seed:     uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastThr = float64(res.Throughput) / 1e6
-		lastStalls = res.Stalls
-	}
-	b.ReportMetric(lastThr, "Mbps")
-	b.ReportMetric(float64(lastStalls), "stalls")
-}
 
 // BenchmarkFigure1 regenerates F1: the cumulative send-stall series for
 // both schemes on the paper path (100 Mbps, 60 ms RTT, IFQ 100).
@@ -60,47 +39,22 @@ func BenchmarkFigure1(b *testing.B) {
 	})
 }
 
-// BenchmarkTable1 regenerates T1: the Section-4 throughput comparison. The
-// paper reports ~40% improvement of restricted over standard.
-func BenchmarkTable1(b *testing.B) {
-	for _, alg := range []rsstcp.Algorithm{
-		rsstcp.Standard, rsstcp.Restricted, rsstcp.Limited,
-		rsstcp.StandardABC, rsstcp.StallWait,
-	} {
-		b.Run(string(alg), func(b *testing.B) {
-			benchAlg(b, rsstcp.PaperPath(), alg)
+// BenchmarkPaperSuite regenerates the paper's tables T1–T3 and T5–T8, one
+// sub-benchmark per study: each iteration runs the study's plan through the
+// campaign engine and reports its first cell's throughput.
+func BenchmarkPaperSuite(b *testing.B) {
+	for _, st := range rsstcp.PaperSuite(paperDuration) {
+		b.Run(st.ID, func(b *testing.B) {
+			var rep *rsstcp.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = rsstcp.RunPlan(st.Plan, rsstcp.CampaignOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			thr, _ := rep.Cells[0].Metric("throughput_mbps")
+			b.ReportMetric(thr.Mean, "Mbps")
 		})
-	}
-}
-
-// BenchmarkIFQSweep regenerates T2: throughput across txqueuelen sizes —
-// the memory-for-throughput trade of paper §2.
-func BenchmarkIFQSweep(b *testing.B) {
-	for _, q := range []int{50, 100, 200, 500, 1000, 2000} {
-		path := rsstcp.PaperPath()
-		path.TxQueueLen = q
-		b.Run("ifq="+itoa(q)+"/standard", func(b *testing.B) {
-			benchAlg(b, path, rsstcp.Standard)
-		})
-		b.Run("ifq="+itoa(q)+"/restricted", func(b *testing.B) {
-			benchAlg(b, path, rsstcp.Restricted)
-		})
-	}
-}
-
-// BenchmarkRTTSweep regenerates T3: the advantage versus RTT.
-func BenchmarkRTTSweep(b *testing.B) {
-	for _, rtt := range []time.Duration{
-		10 * time.Millisecond, 30 * time.Millisecond, 60 * time.Millisecond,
-		120 * time.Millisecond, 200 * time.Millisecond,
-	} {
-		path := rsstcp.PaperPath()
-		path.RTT = rtt
-		for _, alg := range []rsstcp.Algorithm{rsstcp.Standard, rsstcp.Limited, rsstcp.Restricted} {
-			b.Run("rtt="+rtt.String()+"/"+string(alg), func(b *testing.B) {
-				benchAlg(b, path, alg)
-			})
-		}
 	}
 }
 
@@ -114,62 +68,6 @@ func BenchmarkZNTune(b *testing.B) {
 		}
 		b.ReportMetric(res.Critical.Kc, "Kc")
 		b.ReportMetric(res.Critical.Tc.Seconds(), "Tc-sec")
-	}
-}
-
-// BenchmarkSetpointSweep regenerates T5: the IFQ set-point ablation around
-// the paper's 90% choice.
-func BenchmarkSetpointSweep(b *testing.B) {
-	for _, f := range []float64{0.5, 0.7, 0.9, 0.95, 1.0} {
-		f := f
-		b.Run("setpoint="+ftoa(f), func(b *testing.B) {
-			var thr float64
-			var stalls int64
-			for i := 0; i < b.N; i++ {
-				res, err := rsstcp.Run(rsstcp.Options{
-					Path:     rsstcp.PaperPath(),
-					Flows:    []rsstcp.Flow{{Alg: rsstcp.Restricted, SetpointFraction: f}},
-					Duration: paperDuration,
-					Seed:     uint64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = float64(res.Throughput) / 1e6
-				stalls = res.Stalls
-			}
-			b.ReportMetric(thr, "Mbps")
-			b.ReportMetric(float64(stalls), "stalls")
-		})
-	}
-}
-
-// BenchmarkFriendliness regenerates T6: each scheme against a standard
-// cross flow through a shared bottleneck.
-func BenchmarkFriendliness(b *testing.B) {
-	for _, alg := range []rsstcp.Algorithm{rsstcp.Standard, rsstcp.Restricted, rsstcp.Limited} {
-		b.Run(string(alg), func(b *testing.B) {
-			var primary, cross float64
-			for i := 0; i < b.N; i++ {
-				s, err := rsstcp.Build(rsstcp.Options{
-					Path: rsstcp.PaperPath(),
-					Flows: []rsstcp.Flow{
-						{Alg: alg},
-						{Alg: rsstcp.Standard, StartAt: 2 * time.Second},
-					},
-					Duration: 30 * time.Second,
-					Seed:     uint64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Run()
-				primary = float64(s.ResultFor(0).Throughput) / 1e6
-				cross = float64(s.ResultFor(1).Throughput) / 1e6
-			}
-			b.ReportMetric(primary, "primary-Mbps")
-			b.ReportMetric(cross, "cross-Mbps")
-		})
 	}
 }
 
@@ -207,27 +105,4 @@ func BenchmarkParallelStreams(b *testing.B) {
 			b.ReportMetric(float64(stalls), "stalls")
 		})
 	}
-}
-
-// The experiment package is imported directly so the bench binary always
-// exercises the same generators cmd/rsstcp-bench ships.
-var _ = experiment.PaperPath
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func ftoa(f float64) string {
-	n := int(f*100 + 0.5)
-	return itoa(n/100) + "." + itoa(n/10%10) + itoa(n%10)
 }

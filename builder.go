@@ -27,6 +27,8 @@ type (
 	ReportCell = campaign.ReportCell
 	// MetricSummary is one metric's aggregate statistics in a ReportCell.
 	MetricSummary = campaign.MetricSummary
+	// Study is one of the paper's tables declared as a Plan (PaperSuite).
+	Study = campaign.Study
 )
 
 // Stock metrics: the default six (StockMetrics) plus further figures of
@@ -82,6 +84,8 @@ var (
 	MetricsByName = campaign.MetricsByName
 	// AxisValueOf builds a custom axis value from a label and mutator.
 	AxisValueOf = campaign.Val
+	// PaperSuite declares the paper's tables T1–T3 and T5–T8 as plans.
+	PaperSuite = campaign.PaperSuite
 )
 
 // Campaign is a sweep under construction: a builder over the generic axis

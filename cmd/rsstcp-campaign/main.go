@@ -3,11 +3,11 @@
 //
 // Every sweep flag compiles to a named axis through one parser (ParseAxis):
 // the classic seven (-bw, -rtt, -rq, -ifq, -loss, -alg, -flows) are always
-// present with their defaults, -setpoints, -ticks and the repeatable -axis
-// flag stack further dimensions, and -metrics selects and orders the output
-// columns from the pluggable metric registry (default: the six stock
-// metrics). There is one plan, one engine and one report: axis columns, then
-// mean and std per metric.
+// present with their defaults, the repeatable -axis flag stacks further
+// dimensions, and -metrics selects and orders the output columns from the
+// pluggable metric registry (default: the six stock metrics). There is one
+// plan, one engine and one report: axis columns, then mean and std per
+// metric.
 //
 // Results are byte-identical for any -workers value: replicate seeds are
 // derived from the base seed and each cell's parameters, never from the
@@ -24,7 +24,7 @@
 //	rsstcp-campaign -bw 10,100,500 -rtt 20ms,60ms -alg standard,restricted -replicates 3
 //	rsstcp-campaign -loss 0,0.001,0.01 -duration 10s -workers 4 -json out.json -csv out.csv
 //	rsstcp-campaign -bw 100 -rtt 20ms,60ms -ifq 100 -alg restricted \
-//	    -setpoints 0.5,0.7,0.9 -metrics throughput_mbps,fairness,t90_util_s
+//	    -axis setpoint=0.5,0.7,0.9 -metrics throughput_mbps,fairness,t90_util_s
 //	rsstcp-campaign -bw 100 -rtt 60ms -ifq 100 -alg restricted \
 //	    -axis tick=5ms,10ms,20ms -axis mss=1448,8948 -metrics throughput_mbps,collapses
 //
@@ -92,8 +92,6 @@ func main() {
 
 		// Further axes and the metric columns.
 		metrics    = flag.String("metrics", "", "metric columns to report, in order (comma list; known: "+strings.Join(rsstcp.MetricNames(), ",")+")")
-		setpoints  = flag.String("setpoints", "", "RSS IFQ set-point fractions to sweep (comma list; adds a 'setpoint' axis)")
-		ticks      = flag.String("ticks", "", "RSS control periods to sweep (comma list of durations; adds a 'tick' axis)")
 		loads      = flag.String("loads", "", "offered-load fractions of the bottleneck to sweep under dynamic arrivals (comma list; adds a 'load' axis)")
 		arrivalsF  = flag.String("arrivals", "", "flow arrival processes to sweep, e.g. poisson:50 or mmpp:10:200:500ms (comma list; adds an 'arrivals' axis)")
 		fsizes     = flag.String("fsizes", "", "dynamic transfer-size distributions to sweep, e.g. exp:100k or pareto:1.2:4k:10M (comma list; adds an 'fsize' axis)")
@@ -169,12 +167,6 @@ func main() {
 			fatalf("bad -axis %q: want name=v1,v2", s)
 		}
 		axisOrDie(&extraAxes, name, vals)
-	}
-	if *setpoints != "" {
-		axisOrDie(&extraAxes, "setpoint", *setpoints)
-	}
-	if *ticks != "" {
-		axisOrDie(&extraAxes, "tick", *ticks)
 	}
 
 	// Churn flags: each compiles to one of the flow-lifecycle axes. They

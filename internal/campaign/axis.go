@@ -69,13 +69,14 @@ type Plan struct {
 	// BaseSeed roots every derived replicate seed (default 1).
 	BaseSeed uint64
 	// Base seeds every cell's configuration before axis mutators run.
-	// It carries plan-wide toggles that are not sweep dimensions —
-	// timer backend (TimerWheel), record retention (RetainFlows) — and
-	// deliberately does not contribute to cell keys, so flipping a Base
-	// field never perturbs the derived replicate seeds: a plan run with
-	// TimerWheel on is byte-comparable to the same plan with it off.
-	// Plan.Duration and the runner's trace policy still override the
-	// corresponding Base fields.
+	// It carries what the plan holds fixed rather than sweeps: the path
+	// (PaperSuite's PaperPath), a flow list the per-flow axes decorate
+	// (a SACK-on flow) or leave alone (a Cross flow), and toggles such as
+	// TimerWheel or RetainFlows. It deliberately does not contribute to
+	// cell keys, so flipping a Base field never perturbs the derived
+	// replicate seeds: a plan run with TimerWheel on is byte-comparable to
+	// the same plan with it off. Plan.Duration and the runner's trace
+	// policy still override the corresponding Base fields.
 	Base experiment.Config
 }
 

@@ -217,6 +217,13 @@ var (
 		Name:    "flows_refused",
 		Extract: func(r experiment.Result) float64 { return float64(r.FlowsRefused) },
 	}
+	// MetricIFQMax is the measured flow's sender-IFQ high-water mark in
+	// packets: how close the RSS set point lets the queue come to
+	// txqueuelen (the paper suite's T5 and T8).
+	MetricIFQMax = Metric{
+		Name:    "ifq_max",
+		Extract: func(r experiment.Result) float64 { return float64(r.NIC.MaxQueue) },
+	}
 )
 
 // meanSlowdown reads the digest's mean of FlowRecord.Slowdown over completed
@@ -251,7 +258,7 @@ func Metrics() []Metric {
 		MetricHopDropsMax, MetricReverseDrops,
 		MetricFCTMean, MetricFCTP99, MetricSlowdownMean,
 		MetricSlowdownSmall, MetricSlowdownMedium, MetricSlowdownLarge,
-		MetricFlowsDone, MetricFlowsRefused,
+		MetricFlowsDone, MetricFlowsRefused, MetricIFQMax,
 	}
 }
 

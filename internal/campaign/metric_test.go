@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,22 @@ func TestMetricRegistrySelectsAndOrders(t *testing.T) {
 		if !seen[m.Name] {
 			t.Errorf("stock metric %q not in registry", m.Name)
 		}
+	}
+}
+
+// TestMetricIFQMax: ifq_max reads the measured flow's IFQ high-water mark,
+// is selectable by name, and stays out of the stock set the Plan golden pins.
+func TestMetricIFQMax(t *testing.T) {
+	var r experiment.Result
+	r.NIC.MaxQueue = 93
+	if v := MetricIFQMax.Extract(r); v != 93 {
+		t.Errorf("ifq_max = %g, want 93", v)
+	}
+	if !slices.Contains(MetricNames(), "ifq_max") {
+		t.Errorf("ifq_max missing from MetricNames() %v", MetricNames())
+	}
+	if slices.ContainsFunc(StockMetrics(), func(m Metric) bool { return m.Name == "ifq_max" }) {
+		t.Error("ifq_max is in StockMetrics(); it would move the Plan golden")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rsstcp/internal/pid"
 	"rsstcp/internal/sim"
 	"rsstcp/internal/unit"
 )
@@ -76,256 +75,6 @@ func (f Figure1Result) Table() *Table {
 			fmt.Sprintf("%.0f", f.Restricted[i]))
 	}
 	return t
-}
-
-// ThroughputTable reproduces the Section 4 headline comparison — the paper
-// reports ~40% throughput improvement of the modified TCP over standard —
-// and includes the other baselines for context.
-func ThroughputTable(path PathConfig, duration time.Duration, seed uint64) (*Table, error) {
-	t := &Table{
-		Title: "Section 4: throughput on the paper path (100 Mbps, 60 ms RTT, IFQ 100)",
-		Header: []string{"algorithm", "throughput-mbps", "send-stalls", "cong-signals",
-			"timeouts", "util", "vs-standard"},
-		Notes: []string{"paper reports ~1.40x for restricted vs standard (40% improvement)"},
-	}
-	var base float64
-	for _, alg := range Algorithms() {
-		res, _, err := runOne(path, FlowSpec{Alg: alg}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		thr := float64(res.Throughput)
-		if alg == AlgStandard {
-			base = thr
-		}
-		ratio := "1.00x"
-		if base > 0 {
-			ratio = fmt.Sprintf("%.2fx", thr/base)
-		}
-		t.Add(string(alg), mbps(thr), res.Stalls, res.Stats.CongSignals,
-			res.Stats.Timeouts, fmt.Sprintf("%.3f", res.Utilization), ratio)
-	}
-	return t, nil
-}
-
-// IFQSweep measures both schemes across IFQ sizes (T2): the paper's Section
-// 2 argument is that growing the soft components buys throughput only at a
-// memory cost, while RSS reaches the same utilization with the small queue.
-func IFQSweep(path PathConfig, sizes []int, duration time.Duration, seed uint64) (*Table, error) {
-	if len(sizes) == 0 {
-		sizes = []int{50, 100, 200, 500, 1000, 2000}
-	}
-	t := &Table{
-		Title: "IFQ (txqueuelen) sweep: throughput vs soft-component memory",
-		Header: []string{"ifq-pkts", "std-mbps", "std-stalls", "rss-mbps", "rss-stalls",
-			"rss-advantage", "ifq-memory-kb"},
-		Notes: []string{"paper §2: enlarging soft components trades memory for throughput; RSS needs no extra memory"},
-	}
-	for _, q := range sizes {
-		p := path
-		p.TxQueueLen = q
-		std, _, err := runOne(p, FlowSpec{Alg: AlgStandard}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		rss, _, err := runOne(p, FlowSpec{Alg: AlgRestricted}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		adv := fmt.Sprintf("%.2fx", float64(rss.Throughput)/float64(std.Throughput))
-		memKB := q * 1500 / 1000
-		t.Add(q, mbps(float64(std.Throughput)), std.Stalls,
-			mbps(float64(rss.Throughput)), rss.Stalls, adv, memKB)
-	}
-	return t, nil
-}
-
-// RTTSweep compares slow-start schemes across round-trip times (T3): the
-// cost of a spurious collapse grows with the bandwidth-delay product.
-func RTTSweep(path PathConfig, rtts []time.Duration, duration time.Duration, seed uint64) (*Table, error) {
-	if len(rtts) == 0 {
-		rtts = []time.Duration{
-			10 * time.Millisecond, 30 * time.Millisecond, 60 * time.Millisecond,
-			120 * time.Millisecond, 200 * time.Millisecond,
-		}
-	}
-	t := &Table{
-		Title:  "RTT sweep: throughput (Mbps) by slow-start scheme",
-		Header: []string{"rtt-ms", "standard", "limited-ss", "hystart", "restricted", "rss-vs-std"},
-		Notes: []string{
-			"recovery from a stall-collapse costs ~BDP/2 round trips, so the gap widens with RTT",
-			"hystart's round-granularity detectors lose the race on short RTTs and win on long ones",
-		},
-	}
-	for _, rtt := range rtts {
-		p := path
-		p.RTT = rtt
-		std, _, err := runOne(p, FlowSpec{Alg: AlgStandard}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		lim, _, err := runOne(p, FlowSpec{Alg: AlgLimited}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		hys, _, err := runOne(p, FlowSpec{Alg: AlgHyStart}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		rss, _, err := runOne(p, FlowSpec{Alg: AlgRestricted}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(int(rtt/time.Millisecond), mbps(float64(std.Throughput)),
-			mbps(float64(lim.Throughput)), mbps(float64(hys.Throughput)),
-			mbps(float64(rss.Throughput)),
-			fmt.Sprintf("%.2fx", float64(rss.Throughput)/float64(std.Throughput)))
-	}
-	return t, nil
-}
-
-// SetpointSweep varies the IFQ set-point fraction (T5), probing the paper's
-// choice of 90%.
-func SetpointSweep(path PathConfig, fractions []float64, duration time.Duration, seed uint64) (*Table, error) {
-	if len(fractions) == 0 {
-		fractions = []float64{0.5, 0.7, 0.9, 0.95, 1.0}
-	}
-	t := &Table{
-		Title:  "Set-point sweep: RSS with varying IFQ target",
-		Header: []string{"setpoint", "throughput-mbps", "stalls", "max-ifq", "util"},
-		Notes:  []string{"paper uses 90% of max IFQ; higher set points risk stalls, lower waste headroom"},
-	}
-	for _, f := range fractions {
-		res, _, err := runOne(path, FlowSpec{Alg: AlgRestricted, SetpointFraction: f}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("%.0f%%", f*100), mbps(float64(res.Throughput)),
-			res.Stalls, res.NIC.MaxQueue, fmt.Sprintf("%.3f", res.Utilization))
-	}
-	return t, nil
-}
-
-// FriendlinessTable runs the scheme against a standard cross flow through a
-// shared bottleneck (T6): RSS must not starve a competing connection.
-func FriendlinessTable(path PathConfig, duration time.Duration, seed uint64) (*Table, error) {
-	t := &Table{
-		Title: "Network friendliness: primary + standard cross flow on a shared bottleneck",
-		Header: []string{"primary-alg", "primary-mbps", "cross-mbps", "jain-fairness",
-			"router-drops"},
-		Notes: []string{"cross flow starts at t=2s; fairness of 1.0 is a perfect split"},
-	}
-	for _, alg := range []Algorithm{AlgStandard, AlgRestricted, AlgLimited} {
-		s, err := Build(Config{
-			Path: path,
-			Flows: []FlowSpec{
-				{Alg: alg},
-				{Alg: AlgStandard, StartAt: 2 * time.Second},
-			},
-			Duration: duration,
-			Seed:     seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		primary := s.Run()
-		cross := s.ResultFor(1)
-		p := float64(primary.Throughput)
-		c := float64(cross.Throughput)
-		fair := 0.0
-		if p+c > 0 {
-			fair = (p + c) * (p + c) / (2 * (p*p + c*c))
-		}
-		t.Add(string(alg), mbps(p), mbps(c), fmt.Sprintf("%.3f", fair), primary.RouterDrops)
-	}
-	return t, nil
-}
-
-// NICRateTable (T7) varies the sender NIC rate against a fixed 100 Mbps
-// bottleneck: the send-stall pathology requires the NIC to be the binding
-// queue (NIC ≈ bottleneck). With a faster NIC the slow-start burst lands in
-// the router buffer instead — drops, not stalls — confirming the paper's §2
-// claim that the signals are host-local, not network congestion.
-func NICRateTable(path PathConfig, rates []unit.Bandwidth, duration time.Duration, seed uint64) (*Table, error) {
-	if len(rates) == 0 {
-		rates = []unit.Bandwidth{100 * unit.Mbps, 200 * unit.Mbps, 1000 * unit.Mbps}
-	}
-	t := &Table{
-		Title: "NIC rate sweep vs a 100 Mbps bottleneck: where does the burst land?",
-		Header: []string{"nic", "std-mbps", "std-stalls", "std-drops",
-			"rss-mbps", "rss-stalls", "rss-drops"},
-		Notes: []string{
-			"paper §2: send-stalls are host-local; a fast NIC shifts the overload to the router",
-			"SACK enabled (the 2.4.19 default) so router-burst losses recover realistically",
-		},
-	}
-	for _, rate := range rates {
-		p := path
-		p.NICRate = rate
-		std, _, err := runOne(p, FlowSpec{Alg: AlgStandard, SACK: true}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		rss, _, err := runOne(p, FlowSpec{Alg: AlgRestricted, SACK: true}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(rate.String(), mbps(float64(std.Throughput)), std.Stalls, std.RouterDrops,
-			mbps(float64(rss.Throughput)), rss.Stalls, rss.RouterDrops)
-	}
-	return t, nil
-}
-
-// TickSweep (T8) varies the RSS control period: too slow a tick re-creates
-// the round-granularity race that defeats HyStart; too fast adds nothing.
-func TickSweep(path PathConfig, ticks []time.Duration, duration time.Duration, seed uint64) (*Table, error) {
-	if len(ticks) == 0 {
-		ticks = []time.Duration{
-			time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
-			10 * time.Millisecond, 20 * time.Millisecond, 60 * time.Millisecond,
-		}
-	}
-	t := &Table{
-		Title:  "RSS control-tick sweep",
-		Header: []string{"tick", "throughput-mbps", "stalls", "max-ifq"},
-		Notes:  []string{"the controller must act well within one RTT (60 ms here) to beat the burst"},
-	}
-	for _, tick := range ticks {
-		res, _, err := runOne(path, FlowSpec{Alg: AlgRestricted, Tick: tick}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(tick.String(), mbps(float64(res.Throughput)), res.Stalls, res.NIC.MaxQueue)
-	}
-	return t, nil
-}
-
-// TuneTable runs the Ziegler-Nichols procedure (T4) on the path and prints
-// the critical point with the gains each rule derives, then validates the
-// paper rule by a full run.
-func TuneTable(path PathConfig, duration time.Duration, seed uint64) (*Table, error) {
-	res, _, err := Tune(path, 30*time.Second, pid.RulePaper)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Ziegler-Nichols closed-loop tuning: Kc=%.3f Tc=%v (%d trials)",
-			res.Critical.Kc, res.Critical.Tc, len(res.Trials)),
-		Header: []string{"rule", "Kp", "Ti-ms", "Td-ms", "throughput-mbps", "stalls"},
-		Notes:  []string{"paper rule: Kp=0.33Kc Ti=0.5Tc Td=0.33Tc; each rule validated by a full transfer"},
-	}
-	for _, rule := range []pid.Rule{pid.RulePaper, pid.RuleClassic, pid.RulePI, pid.RuleNoOvershoot} {
-		g := res.Gains(rule)
-		run, _, err := runOne(path, FlowSpec{Alg: AlgRestricted, Gains: g}, duration, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(string(rule), fmt.Sprintf("%.3f", g.Kp),
-			fmt.Sprintf("%.0f", float64(g.Ti)/float64(time.Millisecond)),
-			fmt.Sprintf("%.0f", float64(g.Td)/float64(time.Millisecond)),
-			mbps(float64(run.Throughput)), run.Stalls)
-	}
-	return t, nil
 }
 
 // ThroughputOf is a small helper used by benches: run one algorithm on the

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -106,121 +105,4 @@ func TestRestrictedApproachesIdealUpperBound(t *testing.T) {
 		t.Errorf("rss %.1f Mbps below 95%% of stall-free ideal %.1f Mbps",
 			float64(rss)/1e6, float64(ideal)/1e6)
 	}
-}
-
-func TestThroughputTableContainsAllAlgorithms(t *testing.T) {
-	if testing.Short() {
-		t.Skip("six 10s runs")
-	}
-	t.Parallel()
-	tbl, err := ThroughputTable(PaperPath(), 10*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(Algorithms()) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(Algorithms()))
-	}
-	s := tbl.String()
-	for _, alg := range Algorithms() {
-		if !strings.Contains(s, string(alg)) {
-			t.Errorf("table missing %s:\n%s", alg, s)
-		}
-	}
-}
-
-func TestIFQSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four 20s runs")
-	}
-	t.Parallel()
-	tbl, err := IFQSweep(PaperPath(), []int{100, 2000}, 20*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	// At IFQ 100 the advantage is large; at IFQ 2000 the standard sender
-	// no longer stalls during the run, closing most of the gap — the
-	// memory-for-throughput trade of paper §2.
-	small := parseRatio(t, tbl.Rows[0][5])
-	large := parseRatio(t, tbl.Rows[1][5])
-	if small < 1.10 {
-		t.Errorf("advantage at IFQ 100 = %.2f, want >= 1.10", small)
-	}
-	if large >= small {
-		t.Errorf("advantage at IFQ 2000 (%.2f) not smaller than at 100 (%.2f)", large, small)
-	}
-}
-
-func TestRTTSweepAdvantageGrowsWithRTT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("eight 25s runs")
-	}
-	t.Parallel()
-	tbl, err := RTTSweep(PaperPath(), []time.Duration{10 * time.Millisecond, 120 * time.Millisecond},
-		25*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := parseRatio(t, tbl.Rows[0][5])
-	long := parseRatio(t, tbl.Rows[1][5])
-	if long <= short {
-		t.Errorf("advantage at 120ms (%.2f) not above 10ms (%.2f)", long, short)
-	}
-}
-
-func TestSetpointSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two 15s runs")
-	}
-	t.Parallel()
-	tbl, err := SetpointSweep(PaperPath(), []float64{0.5, 0.9}, 15*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	// Both set points avoid stalls on the paper path.
-	for _, row := range tbl.Rows {
-		if row[2] != "0" {
-			t.Errorf("setpoint %s produced %s stalls", row[0], row[2])
-		}
-	}
-}
-
-func TestFriendlinessPrimaryDoesNotStarveCross(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three 30s two-flow runs")
-	}
-	t.Parallel()
-	tbl, err := FriendlinessTable(PaperPath(), 30*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row order: standard, restricted, limited. Compare the cross flow's
-	// share under RSS vs under a standard primary.
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
-	}
-	fairRSS := parseFloat(t, tbl.Rows[1][3])
-	if fairRSS < 0.5 {
-		t.Errorf("Jain fairness with RSS primary = %.3f, want >= 0.5", fairRSS)
-	}
-}
-
-func parseRatio(t *testing.T, s string) float64 {
-	t.Helper()
-	s = strings.TrimSuffix(s, "x")
-	return parseFloat(t, s)
-}
-
-func parseFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	var v float64
-	if _, err := fmt.Sscan(s, &v); err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	return v
 }

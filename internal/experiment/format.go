@@ -111,5 +111,3 @@ func pad(s string, n int) string {
 	}
 	return s + strings.Repeat(" ", n-len(s))
 }
-
-func mbps(bps float64) string { return fmt.Sprintf("%.2f", bps/1e6) }

@@ -153,11 +153,6 @@ func Figure1(path Path, duration time.Duration, seed uint64) (Figure1Data, error
 	return experiment.Figure1(path, duration, seed)
 }
 
-// ThroughputTable regenerates the Section 4 throughput comparison.
-func ThroughputTable(path Path, duration time.Duration, seed uint64) (*Table, error) {
-	return experiment.ThroughputTable(path, duration, seed)
-}
-
 // Tune runs the Ziegler-Nichols closed-loop procedure of Section 3 on the
 // path and derives gains with the given rule.
 func Tune(path Path, duration time.Duration, rule TuneRule) (TuneResult, Gains, error) {
