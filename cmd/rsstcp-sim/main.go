@@ -1,10 +1,16 @@
 // Command rsstcp-sim runs a single simulated transfer and prints a
 // Web100-style summary, optionally dumping the recorded time series as CSV.
 //
-// The network defaults to the paper's dumbbell (shaped by -bw/-rtt/-rq);
-// multi-hop topologies come from a preset (-topo), from repeatable -hop
-// flags, or from splitting the dumbbell (-hops). -rev replaces the ideal
-// reverse wire with a real rate-limited, queued ACK channel.
+// The run is a one-cell campaign plan. Every network, flow, churn and
+// topology flag (-bw, -rtt, -ifq, -alg, -arrivals, -topo, ...) is the stock
+// campaign axis of the same name with a single value, so it parses,
+// range-checks and labels its value exactly as rsstcp-campaign does, and the
+// campaign's rule table rejects flags that cannot meet (-topo with -bw). An
+// unset flag leaves the paper's path: 100 Mbps, 60 ms RTT, a 250-packet
+// router queue and txqueuelen 100. Multi-hop topologies come from a preset
+// (-topo), from repeatable -hop flags, or from splitting the dumbbell
+// (-hops). -rev replaces the ideal reverse wire with a real rate-limited,
+// queued ACK channel.
 //
 // Examples:
 //
@@ -21,47 +27,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"rsstcp"
-	"rsstcp/internal/experiment"
+	"rsstcp/internal/campaign"
 	"rsstcp/internal/telemetry"
 	"rsstcp/internal/unit"
 )
 
-// algorithmIDs lists what -alg accepts, built from experiment.Algorithms()
-// so the help cannot drift from the code.
-func algorithmIDs() string {
-	var ids []string
-	for _, a := range experiment.Algorithms() {
-		ids = append(ids, string(a))
-	}
-	return strings.Join(ids, "|")
-}
+// axisFlags are the flags that are stock campaign axes of the same name, in
+// an order the campaign rule table accepts: topology, churn, path, then
+// per-flow.
+var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "nic", "hops", "aqm", "alg", "setpoint", "bytes", "sack"}
 
 func main() {
+	// raw holds each axis flag's value as given; alg alone has a default.
+	raw := map[string]string{"alg": "restricted"}
+	for _, n := range axisFlags {
+		help := campaign.AxisHelp(n)
+		if def, ok := raw[n]; ok {
+			help += " (default " + def + ")"
+		}
+		keep := func(s string) error { raw[n] = s; return nil }
+		if n == "sack" {
+			flag.BoolFunc(n, help, keep)
+		} else {
+			flag.Func(n, help, keep)
+		}
+	}
 	var (
-		alg      = flag.String("alg", "restricted", "algorithm: "+algorithmIDs())
-		rtt      = flag.Duration("rtt", 60*time.Millisecond, "round-trip propagation delay")
-		bwMbps   = flag.Int("bw", 100, "bottleneck bandwidth in Mbps")
-		nicMbps  = flag.Int("nic", 0, "NIC rate in Mbps (0 = same as bottleneck)")
-		ifq      = flag.Int("ifq", 100, "txqueuelen (IFQ capacity) in packets")
-		rq       = flag.Int("rq", 250, "router queue per hop in packets")
-		hops     = flag.Int("hops", 0, "split the dumbbell into this many identical hops (0 = 1)")
-		aqm      = flag.String("aqm", "", "hop queue discipline: droptail|red (default droptail)")
-		topo     = flag.String("topo", "", "topology preset: "+strings.Join(rsstcp.TopologyPresets(), "|"))
 		rev      = flag.String("rev", "", "real reverse channel as rate=Mbps[,delay=D][,queue=N] (default: ideal wire)")
 		duration = flag.Duration("duration", 25*time.Second, "run length")
-		bytes    = flag.Int64("bytes", 0, "transfer size (0 = backlogged for the whole run)")
-		arrivals = flag.String("arrivals", "", "dynamic flow arrivals: poisson:RATE|mmpp:LO:HI:SOJOURN|web:S:F:THINK (default: one static flow)")
-		fsize    = flag.String("fsize", "", "dynamic transfer sizes: fixed:64k|exp:100k|pareto:A:MIN:MAX|lognorm:MED:SIGMA (default exp:100k)")
-		load     = flag.Float64("load", 0, "offered load as a fraction of the bottleneck (rescales -arrivals; 0 = use the spec's own rate)")
 		maxflows = flag.Int("maxflows", 0, "admission cap on concurrently live dynamic flows (0 = unbounded)")
 		wheel    = flag.Bool("wheel", false, "run flow timers on the hierarchical timer wheel (byte-identical results, cheaper at high flow counts)")
 		retain   = flag.Int("retain", 0, "per-flow completion records to retain under churn: 0 = all, -1 = digest only, N = first N (the FCT summary always covers every flow)")
-		setpoint = flag.Float64("setpoint", 0, "RSS IFQ set point fraction (0 = paper's 0.9)")
-		sack     = flag.Bool("sack", false, "enable SACK")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csvPath  = flag.String("csv", "", "write recorded time series to this CSV file")
 
@@ -89,84 +88,41 @@ func main() {
 	}
 	defer stopProfiling()
 
-	path := rsstcp.Path{
-		Bottleneck:  rsstcp.Bandwidth(*bwMbps) * rsstcp.Mbps,
-		NICRate:     rsstcp.Bandwidth(*nicMbps) * rsstcp.Mbps,
-		RTT:         *rtt,
-		RouterQueue: *rq,
-		TxQueueLen:  *ifq,
-		Hops:        *hops,
-		AQM:         rsstcp.QueueDiscipline(*aqm),
-	}
-	flowSpec := rsstcp.Flow{
-		Alg:              rsstcp.Algorithm(*alg),
-		Bytes:            *bytes,
-		SetpointFraction: *setpoint,
-		SACK:             *sack,
-	}
-	opts := rsstcp.Options{
-		Path:        path,
-		Duration:    *duration,
-		Seed:        *seed,
-		EventLog:    *eventsCap,
-		TimerWheel:  *wheel,
-		RetainFlows: *retain,
-	}
-	if *arrivals != "" || *fsize != "" || *load > 0 || *maxflows > 0 {
-		// A dynamic workload replaces the single static flow: the flag-derived
-		// spec becomes the template every arrival is stamped from. Sizes come
-		// from -fsize, so an explicit -bytes would silently never run.
-		if *bytes != 0 {
-			fatal(fmt.Errorf("-bytes conflicts with a dynamic workload; transfer sizes come from -fsize"))
-		}
-		flowSpec.Bytes = 0
-		opts.Churn = &rsstcp.Churn{
-			Arrivals: *arrivals,
-			Size:     *fsize,
-			Load:     *load,
-			MaxLive:  *maxflows,
-			Flow:     flowSpec,
-		}
-	} else {
-		opts.Flows = []rsstcp.Flow{flowSpec}
-	}
-	if *topo != "" && len(hopSpecs) > 0 {
-		fatal(fmt.Errorf("-topo and -hop are mutually exclusive"))
-	}
-	if *topo != "" || len(hopSpecs) > 0 {
-		// An explicit topology overrides the dumbbell entirely; silently
-		// ignoring explicitly-set path flags would attribute the results to
-		// parameters that never ran (the campaign CLI rejects the same
-		// combination).
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		for _, n := range []string{"bw", "rtt", "rq", "aqm", "hops"} {
-			if explicit[n] {
-				fatal(fmt.Errorf("-topo/-hop replace the path; drop the -%s flag", n))
-			}
-		}
-	}
-	if *topo != "" {
-		if err := rsstcp.ApplyPreset(&opts, *topo); err != nil {
-			fatal(err)
-		}
-	}
+	// The -hop chain is a "topo" axis, so it leads like -topo; the reverse
+	// channel refines whichever path the axes before it built.
+	plan := rsstcp.Plan{Duration: *duration, Base: rsstcp.Options{
+		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
 	if len(hopSpecs) > 0 {
-		opts.Topology = rsstcp.NewTopology(hopSpecs...)
+		plan.Axes = append(plan.Axes, rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: hopSpecs}))
+	}
+	for _, n := range axisFlags {
+		if v, ok := raw[n]; ok {
+			a, err := rsstcp.ParseAxis(n, []string{v})
+			if err != nil {
+				fatal(err)
+			}
+			plan.Axes = append(plan.Axes, a)
+		}
 	}
 	if *rev != "" {
 		r, err := rsstcp.ParseReverse(*rev)
 		if err != nil {
 			fatal(err)
 		}
-		if opts.Topology != nil {
-			opts.Topology.Reverse = r
-		} else {
-			opts.Path.ReverseRate = r.Rate
-			opts.Path.ReverseDelay = r.Delay
-			opts.Path.ReverseQueue = r.Queue
-		}
+		plan.Axes = append(plan.Axes, rsstcp.ReverseAxis(r))
 	}
+	if *maxflows > 0 {
+		// -maxflows is no axis, so the rule table cannot see it meet -bytes.
+		if _, ok := raw["bytes"]; ok {
+			fatal(fmt.Errorf("-bytes conflicts with a dynamic workload; transfer sizes come from -fsize"))
+		}
+		plan.Base.Churn = &rsstcp.Churn{MaxLive: *maxflows}
+	}
+	if err := plan.Validate(); err != nil {
+		fatal(err)
+	}
+	opts := plan.Cells()[0].Config
+	opts.Seed = *seed
 
 	s, err := rsstcp.Build(opts)
 	if err != nil {
@@ -174,14 +130,15 @@ func main() {
 	}
 	res := s.Run()
 
-	// With an explicit topology the -bw/-rtt flag values never ran; describe
-	// (and itemize, below) the hops that did.
+	// The path line reads the config that ran. With an explicit topology the
+	// dumbbell fields never did; describe (and itemize, below) the hops.
 	explicitTopo := opts.Topology != nil
 	st := res.Stats
 	fmt.Printf("algorithm        %s\n", res.Alg)
-	topoDesc := fmt.Sprintf("%v bottleneck, %v RTT, IFQ %d pkts", path.Bottleneck, *rtt, *ifq)
+	path := s.Cfg.Path
+	topoDesc := fmt.Sprintf("%v bottleneck, %v RTT, IFQ %d pkts", path.Bottleneck, path.RTT, path.TxQueueLen)
 	if explicitTopo || len(s.Topo.Hops) > 1 {
-		topoDesc = fmt.Sprintf("%d hops, %v one-way, IFQ %d pkts", len(s.Topo.Hops), s.Topo.ForwardDelay(), *ifq)
+		topoDesc = fmt.Sprintf("%d hops, %v one-way, IFQ %d pkts", len(s.Topo.Hops), s.Topo.ForwardDelay(), path.TxQueueLen)
 	}
 	fmt.Printf("path             %s\n", topoDesc)
 	fmt.Printf("duration         %v\n", res.Duration)

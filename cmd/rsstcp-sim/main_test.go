@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"slices"
+	"strings"
+	"testing"
+
+	"rsstcp/internal/campaign"
+)
+
+// validToken is one in-domain value per axis flag, plus "rbw", the axis -rev
+// compiles to after the list.
+var validToken = map[string]string{
+	"topo": "parking-lot", "load": "0.5", "arrivals": "poisson:10", "fsize": "exp:100k",
+	"bw": "100", "rtt": "60ms", "rq": "250", "ifq": "100", "nic": "200", "hops": "2",
+	"aqm": "red", "alg": "standard", "setpoint": "0.9", "bytes": "1000000", "sack": "true",
+	"rbw": "5",
+}
+
+// TestAxisFlagsAreStockAxes: every axis flag names a stock axis, and its help
+// line comes from the axis declaration.
+func TestAxisFlagsAreStockAxes(t *testing.T) {
+	stock := campaign.StockAxisNames()
+	for _, n := range axisFlags {
+		if !slices.Contains(stock, n) {
+			t.Errorf("-%s is not a stock axis", n)
+		}
+		if campaign.AxisHelp(n) == "" {
+			t.Errorf("stock axis %q has no help line", n)
+		}
+	}
+}
+
+// TestAxisFlagOrderFollowsRules: any two axis flags, in the order main stacks
+// them (the -hop chain is a "topo" axis up front, -rev an "rbw" axis at the
+// end), either compose or conflict. None may fail the rule table's order
+// check, which would reject an invocation only for where main put the axis.
+func TestAxisFlagOrderFollowsRules(t *testing.T) {
+	order := append(slices.Clone(axisFlags), "rbw")
+	for i, a := range order {
+		for _, b := range order[i+1:] {
+			var p campaign.Plan
+			for _, n := range []string{a, b} {
+				ax, err := campaign.ParseAxis(n, []string{validToken[n]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Axes = append(p.Axes, ax)
+			}
+			if err := p.Validate(); err != nil && !strings.Contains(err.Error(), "conflicts with") {
+				t.Errorf("-%s then -%s: %v", a, b, err)
+			}
+		}
+	}
+}
+
+// TestOutOfDomainFlagsFailCleanly: a value outside its axis's domain, or a
+// flag the rule table forbids beside another, is one line on stderr and exit
+// 1 before anything runs.
+func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
+	bin := buildSim(t)
+	for _, args := range []string{
+		"-bw -5", "-ifq -3", "-setpoint 7", "-topo parking-lot -bw 50", "-rtt 60",
+		"-hops 0", "-hops 2000000000", "-alg bogus", "-topo bogus", "-load 0",
+		"-topo parking-lot -hop rate=100,delay=10ms,queue=50", "-arrivals poisson:10 -bytes 1000",
+		"-maxflows 5 -bytes 1000", "-arrivals poisson:1e10 -maxflows 10 -duration 1ms",
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(args)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: %v, want exit 1", args, err)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "rsstcp-sim: ") {
+			t.Errorf("%s: stderr %q, want one rsstcp-sim line", args, msg)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%s: printed %q before failing", args, stdout.String())
+		}
+	}
+}

@@ -3,6 +3,10 @@
 // controller until the IFQ-occupancy loop sustains oscillation, reports the
 // critical gain Kc and period Tc, and derives PID gains under each rule.
 //
+// -bw, -rtt and -ifq are the stock campaign axes of the same name, parsed and
+// range-checked as rsstcp-campaign does; an unset one leaves the paper path's
+// value (100 Mbps, 60 ms RTT, txqueuelen 100).
+//
 // Example:
 //
 //	rsstcp-tune -rtt 60ms -bw 100 -ifq 100
@@ -15,17 +19,19 @@ import (
 	"time"
 
 	"rsstcp"
-	"rsstcp/internal/experiment"
-	"rsstcp/internal/pid"
+	"rsstcp/internal/campaign"
 	"rsstcp/internal/telemetry"
-	"rsstcp/internal/unit"
 )
 
+// axisFlags are the flags that are stock campaign axes of the same name.
+var axisFlags = []string{"bw", "rtt", "ifq"}
+
 func main() {
+	raw := map[string]string{}
+	for _, n := range axisFlags {
+		flag.Func(n, campaign.AxisHelp(n)+" (default: the paper path's)", func(s string) error { raw[n] = s; return nil })
+	}
 	var (
-		rtt      = flag.Duration("rtt", 60*time.Millisecond, "round-trip propagation delay")
-		bwMbps   = flag.Int("bw", 100, "bottleneck bandwidth in Mbps")
-		ifq      = flag.Int("ifq", 100, "txqueuelen in packets")
 		duration = flag.Duration("probe", 30*time.Second, "per-probe run length")
 		validate = flag.Bool("validate", true, "run a full transfer with each derived gain set")
 
@@ -37,23 +43,31 @@ func main() {
 
 	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rsstcp-tune:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer stopProfiling()
 
-	path := experiment.PaperPath()
-	path.RTT = *rtt
-	path.Bottleneck = unit.Bandwidth(*bwMbps) * unit.Mbps
-	path.TxQueueLen = *ifq
+	plan := rsstcp.Plan{Base: rsstcp.Options{Path: rsstcp.PaperPath()}}
+	for _, n := range axisFlags {
+		if v, ok := raw[n]; ok {
+			a, err := rsstcp.ParseAxis(n, []string{v})
+			if err != nil {
+				fatal(err)
+			}
+			plan.Axes = append(plan.Axes, a)
+		}
+	}
+	if err := plan.Validate(); err != nil {
+		fatal(err)
+	}
+	path := plan.Cells()[0].Config.Path
 
 	fmt.Printf("tuning on %v bottleneck, %v RTT, IFQ %d pkts\n\n",
-		path.Bottleneck, *rtt, *ifq)
+		path.Bottleneck, path.RTT, path.TxQueueLen)
 
-	res, _, err := experiment.Tune(path, *duration, pid.RulePaper)
+	res, _, err := rsstcp.Tune(path, *duration, rsstcp.RulePaper)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rsstcp-tune:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	fmt.Println("gain sweep (proportional control alone):")
@@ -67,7 +81,7 @@ func main() {
 	}
 	fmt.Printf("\ncritical point: Kc=%.4f Tc=%v\n\n", res.Critical.Kc, res.Critical.Tc)
 
-	rules := []pid.Rule{pid.RulePaper, pid.RuleClassic, pid.RulePI, pid.RuleNoOvershoot}
+	rules := []rsstcp.TuneRule{rsstcp.RulePaper, rsstcp.RuleClassic, rsstcp.RulePI, rsstcp.RuleNoOvershoot}
 	for _, rule := range rules {
 		g := res.Gains(rule)
 		fmt.Printf("%-14s %v\n", rule, g)
@@ -80,10 +94,14 @@ func main() {
 			Duration: 25 * time.Second,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rsstcp-tune:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("               -> %.2f Mbps, %d stalls\n",
 			float64(run.Throughput)/1e6, run.Stalls)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "rsstcp-tune:", err)
+	os.Exit(1)
 }

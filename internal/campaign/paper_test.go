@@ -1,6 +1,12 @@
 package campaign
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,6 +15,85 @@ import (
 	"rsstcp/internal/experiment"
 	"rsstcp/internal/unit"
 )
+
+var updatePaperGolden = flag.Bool("update-paper-golden", false,
+	"rewrite testdata/paper_golden.json from this build's output (TestPaperSuiteGolden the hashes, TestPaperSuite the means)")
+
+const paperGoldenPath = "testdata/paper_golden.json"
+
+// paperGolden is testdata/paper_golden.json: the paper suite pinned at two
+// durations, so a change that moves any of the paper's numbers fails a test
+// that -short runs, and the full-length means stay exact.
+type paperGolden struct {
+	Note string `json:"note"`
+	// ReportSHA256 is the SHA-256 of each study's Report.WriteJSON for
+	// PaperSuite(3 s) run with Options{}.
+	ReportSHA256 map[string]string `json:"report_sha256_3s"`
+	// Means are the 25 s suite's cell means, keyed "study cell-key metric".
+	Means map[string]float64 `json:"means_25s"`
+}
+
+// readPaperGolden loads the golden file; when updating, a missing file reads
+// as empty.
+func readPaperGolden(t *testing.T) paperGolden {
+	t.Helper()
+	var g paperGolden
+	raw, err := os.ReadFile(paperGoldenPath)
+	if err != nil {
+		if *updatePaperGolden && os.IsNotExist(err) {
+			return g
+		}
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func writePaperGolden(t *testing.T, g paperGolden) {
+	t.Helper()
+	js, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paperGoldenPath, append(js, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPaperSuiteGolden runs the whole suite at 3 s and checks each study's
+// JSON report against its pinned hash: the paper's numbers, not only the
+// grid golden's 16 cells, are held fixed in -short.
+func TestPaperSuiteGolden(t *testing.T) {
+	got := map[string]string{}
+	for _, st := range PaperSuite(3 * time.Second) {
+		rep, err := ExecutePlan(st.Plan, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", st.ID, err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[st.ID] = hex.EncodeToString(sum[:])
+	}
+	g := readPaperGolden(t)
+	if *updatePaperGolden {
+		g.ReportSHA256 = got
+		writePaperGolden(t, g)
+		return
+	}
+	if len(g.ReportSHA256) != len(got) {
+		t.Fatalf("golden holds %d studies, the suite has %d", len(g.ReportSHA256), len(got))
+	}
+	for id, want := range g.ReportSHA256 {
+		if got[id] != want {
+			t.Errorf("%s: report SHA-256 %s, golden %s", id, got[id], want)
+		}
+	}
+}
 
 // studyByID returns the suite's study with the given id.
 func studyByID(t *testing.T, suite []Study, id string) Study {
@@ -86,8 +171,9 @@ func TestPaperSuiteDeclarations(t *testing.T) {
 
 // TestPaperSuite runs the paper's tables through the campaign engine and
 // asserts the shapes EXPERIMENTS.md reports, reading cell means off the
-// report. Each subtest carries what was a figures_test.go test before the
-// tables became plans.
+// report, and checks every cell mean exactly against testdata/paper_golden.json.
+// Each subtest carries what was a figures_test.go test before the tables
+// became plans.
 func TestPaperSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("58 full 25 s runs")
@@ -100,6 +186,28 @@ func TestPaperSuite(t *testing.T) {
 			t.Fatalf("%s: %v", st.ID, err)
 		}
 		reports[st.ID] = rep
+	}
+	means := map[string]float64{}
+	for id, rep := range reports {
+		for _, c := range rep.Cells {
+			for _, m := range c.Metrics {
+				means[id+" "+c.Key+" "+m.Name] = m.Mean
+			}
+		}
+	}
+	g := readPaperGolden(t)
+	if *updatePaperGolden {
+		g.Means = means
+		writePaperGolden(t, g)
+	} else {
+		if len(g.Means) != len(means) {
+			t.Errorf("golden holds %d cell means, the suite makes %d", len(g.Means), len(means))
+		}
+		for k, want := range g.Means {
+			if got, ok := means[k]; !ok || got != want {
+				t.Errorf("%s: mean %v, golden %v", k, got, want)
+			}
+		}
 	}
 	mean := func(t *testing.T, id, key, metric string) float64 {
 		t.Helper()
