@@ -14,7 +14,7 @@ type (
 	Axis = campaign.Axis
 	// AxisValue is one labeled point of an Axis.
 	AxisValue = campaign.Value
-	// Metric is a named per-replicate extractor func(Result) float64;
+	// Metric is a named per-replicate extractor func(*Result) float64;
 	// campaigns summarize a caller-chosen metric set per cell.
 	Metric = campaign.Metric
 	// Plan is a declarative campaign: axes × replicates, with a metric

@@ -195,55 +195,65 @@ func (p Plan) needsTrace() bool {
 }
 
 // Cells expands the axis product in canonical order: the first axis is
-// outermost, the last varies fastest. Mutators are applied in axis order on
-// a fresh configuration per cell.
+// outermost, the last varies fastest. Mutators are applied in axis order, each
+// on a copy of the configuration one depth up; each "name=label" pair is built
+// once, and every cell's Labels is a capacity-clipped window of one array.
 func (p Plan) Cells() []PlanCell {
 	p = p.withDefaults()
-	cells := make([]PlanCell, 0, p.Size())
-	labels := make([]string, len(p.Axes))
-	var rec func(axis int, cfg experiment.Config)
-	rec = func(axis int, cfg experiment.Config) {
-		if axis == len(p.Axes) {
-			cells = append(cells, PlanCell{
-				Index:  len(cells),
-				Key:    strings.Join(labels, "/"),
-				Labels: append([]string(nil), labels...),
-				Config: cfg,
-			})
-			return
-		}
-		a := p.Axes[axis]
-		for _, v := range a.Values {
-			labels[axis] = a.Name + "=" + v.Label
-			next := cloneConfig(cfg)
-			v.Set(&next)
-			rec(axis+1, next)
+	k, n := len(p.Axes), p.Size()
+	cells, path, pairs := make([]PlanCell, n), make([]string, k), make([][]string, k)
+	for a, ax := range p.Axes {
+		pairs[a] = make([]string, len(ax.Values))
+		for v, val := range ax.Values {
+			pairs[a][v] = ax.Name + "=" + val.Label
 		}
 	}
-	base := cloneConfig(p.Base)
-	base.Duration = p.Duration
-	rec(0, base)
+	var labels []string // stays nil without axes: the one cell exports "labels": null
+	if k > 0 {
+		labels = make([]string, n*k)
+	}
+	cfgs, i := make([]experiment.Config, k+1), 0 // cfgs[d]: axes 0..d-1 applied
+	var rec func(axis int)
+	rec = func(axis int) {
+		if axis == k {
+			c := &cells[i]
+			c.Index, c.Key, c.Config = i, strings.Join(path, "/"), cfgs[k]
+			c.Labels = labels[i*k : (i+1)*k : (i+1)*k]
+			copy(c.Labels, path)
+			i++
+			return
+		}
+		for v, val := range p.Axes[axis].Values {
+			path[axis] = pairs[axis][v]
+			cloneConfig(&cfgs[axis+1], &cfgs[axis])
+			val.Set(&cfgs[axis+1])
+			rec(axis + 1)
+		}
+	}
+	cloneConfig(&cfgs[0], &p.Base)
+	cfgs[0].Duration = p.Duration
+	rec(0)
 	return cells
 }
 
-// cloneConfig deep-copies the parts of a Config that axis mutators touch, so
-// sibling cells never alias each other's flow specs or hop lists.
-func cloneConfig(cfg experiment.Config) experiment.Config {
-	out := cfg
-	out.Flows = append([]experiment.FlowSpec(nil), cfg.Flows...)
-	if cfg.Topology != nil {
-		t := cfg.Topology.Clone()
-		out.Topology = &t
+// cloneConfig copies src into dst, deeply in the parts of a Config that axis
+// mutators touch, so sibling cells never alias each other's flow specs or
+// hop lists.
+func cloneConfig(dst, src *experiment.Config) {
+	*dst = *src
+	dst.Flows = append([]experiment.FlowSpec(nil), src.Flows...)
+	if src.Topology != nil {
+		t := src.Topology.Clone()
+		dst.Topology = &t
 	}
-	if cfg.Churn != nil {
-		ch := *cfg.Churn
+	if src.Churn != nil {
+		ch := *src.Churn
 		if ch.Flow.OnOff != nil {
 			oo := *ch.Flow.OnOff
 			ch.Flow.OnOff = &oo
 		}
-		out.Churn = &ch
+		dst.Churn = &ch
 	}
-	return out
 }
 
 // Config returns the fully seeded configuration for one replicate of the
@@ -251,7 +261,8 @@ func cloneConfig(cfg experiment.Config) experiment.Config {
 // scheduling — preserving the byte-determinism invariant.
 func (p Plan) Config(c PlanCell, replicate int) experiment.Config {
 	p = p.withDefaults()
-	cfg := cloneConfig(c.Config)
+	var cfg experiment.Config
+	cloneConfig(&cfg, &c.Config)
 	cfg.Seed = DeriveSeed(p.BaseSeed, c.Key, replicate)
 	return cfg
 }

@@ -103,6 +103,70 @@ func TestAxisCellsDoNotAliasFlows(t *testing.T) {
 	}
 }
 
+// TestCellLabelsAreClippedWindows: all cells' Labels share one backing array,
+// so each must be clipped to its own window — an append to one cell's Labels
+// must not write over its neighbour's.
+func TestCellLabelsAreClippedWindows(t *testing.T) {
+	p := Plan{Axes: []Axis{AxisBandwidths(10*unit.Mbps, 50*unit.Mbps), AxisTxQueueLens(50, 100)}}
+	cells := p.Cells()
+	_ = append(cells[0].Labels, "extra")
+	want := [][]string{{"bw=10Mbps", "ifq=50"}, {"bw=10Mbps", "ifq=100"}, {"bw=50Mbps", "ifq=50"}, {"bw=50Mbps", "ifq=100"}}
+	for i, c := range cells {
+		if strings.Join(c.Labels, "/") != strings.Join(want[i], "/") || cap(c.Labels) != len(c.Labels) {
+			t.Errorf("cell %d labels %q (cap %d), want %q", i, c.Labels, cap(c.Labels), want[i])
+		}
+	}
+}
+
+// TestZeroAxisPlanExportBytes pins the whole export of a plan with no axes:
+// its one cell has nil Labels, which serialize as "labels": null (not []),
+// and an empty key and label columns.
+func TestZeroAxisPlanExportBytes(t *testing.T) {
+	one := Metric{Name: "one", Extract: func(*experiment.Result) float64 { return 1 }}
+	rep, err := ExecutePlan(Plan{Metrics: []Metric{one}, Duration: time.Millisecond}, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, c := render(t, rep)
+	const wantJSON = `{
+  "plan": {
+    "axes": null,
+    "metrics": [
+      "one"
+    ],
+    "replicates": 1,
+    "duration": "1ms",
+    "base_seed": 1
+  },
+  "cells": [
+    {
+      "index": 0,
+      "key": "",
+      "labels": null,
+      "metrics": [
+        {
+          "name": "one",
+          "n": 1,
+          "mean": 1,
+          "std": 0,
+          "min": 1,
+          "max": 1,
+          "p50": 1,
+          "p90": 1
+        }
+      ]
+    }
+  ]
+}
+`
+	if j != wantJSON {
+		t.Errorf("zero-axis JSON:\n%s\nwant:\n%s", j, wantJSON)
+	}
+	if want := "one-mean,one-std\n1.00,0.00\n"; c != want {
+		t.Errorf("zero-axis CSV %q, want %q", c, want)
+	}
+}
+
 func TestAxisMatchupBuildsOneFlowPerAlgorithm(t *testing.T) {
 	a := stockAxis(t, "matchup", []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted},
 		[]experiment.Algorithm{experiment.AlgRestricted, experiment.AlgRestricted},

@@ -120,8 +120,9 @@ func BenchmarkCampaignTurnaround(b *testing.B) {
 }
 
 // TestCampaignAllocBudgetPerRun pins the amortised allocation cost of a
-// campaign replicate on one worker: the Result's slices, the seeded config's
-// flow list, and a span's worth of shared buffers — not a testbed per run.
+// campaign replicate on one worker: a replicate itself allocates nothing (the
+// testbed is recycled, the Result borrowed), so what is left is the first
+// Build, the plan's cells, a span's shared buffers and a cell's summaries.
 func TestCampaignAllocBudgetPerRun(t *testing.T) {
 	p := turnaroundPlan(32)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -129,9 +130,37 @@ func TestCampaignAllocBudgetPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perRun := allocs / float64(p.Runs()); perRun > 10 {
-		t.Errorf("campaign allocates %.1f objects per run amortised, budget 10", perRun)
+	if perRun := allocs / float64(p.Runs()); perRun > 1 {
+		t.Errorf("campaign allocates %.2f objects per run amortised, budget 1", perRun)
 	} else {
 		t.Logf("%.2f allocations per run amortised", perRun)
 	}
+}
+
+// TestPlanCellsAllocBudget pins what compiling the campaign_grid plan costs
+// per cell: its key, its flow lists and what the mutators allocate — no label
+// slice or "name=label" string per cell or per node.
+func TestPlanCellsAllocBudget(t *testing.T) {
+	p := turnaroundPlan(1)
+	allocs := testing.AllocsPerRun(10, func() { p.Cells() })
+	if perCell := allocs / float64(p.Size()); perCell > 6 {
+		t.Errorf("Cells allocates %.2f objects per cell, budget 6", perCell)
+	} else {
+		t.Logf("%.2f allocations per cell", perCell)
+	}
+}
+
+// BenchmarkPlanCells reports the plan-compile cost of the campaign_grid shape:
+// ns per Cells call and allocations per cell.
+func BenchmarkPlanCells(b *testing.B) {
+	p := turnaroundPlan(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	calls := 0
+	for b.Loop() {
+		p.Cells()
+		calls++
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(calls*p.Size()), "allocs/cell")
 }

@@ -38,7 +38,7 @@ func TestFCTMetricsExtract(t *testing.T) {
 		{MetricFlowsDone, 3},
 	}
 	for _, c := range checks {
-		if got := c.m.Extract(res); math.Abs(got-c.want) > 1e-12 {
+		if got := c.m.Extract(&res); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s = %g, want %g", c.m.Name, got, c.want)
 		}
 	}
@@ -54,11 +54,11 @@ func TestFCTMetricsEmptyResult(t *testing.T) {
 		MetricFCTMean, MetricFCTP99, MetricSlowdownMean,
 		MetricSlowdownSmall, MetricSlowdownMedium, MetricSlowdownLarge,
 	} {
-		if got := m.Extract(res); !math.IsNaN(got) {
+		if got := m.Extract(&res); !math.IsNaN(got) {
 			t.Errorf("%s on empty result = %g, want NaN", m.Name, got)
 		}
 	}
-	if got := MetricFlowsDone.Extract(res); got != 0 {
+	if got := MetricFlowsDone.Extract(&res); got != 0 {
 		t.Errorf("flows_done on empty result = %g, want 0", got)
 	}
 }

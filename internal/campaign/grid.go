@@ -108,19 +108,26 @@ func (g Grid) Plan() Plan {
 // apart. The result is never zero (zero means "use the default seed"
 // downstream).
 func DeriveSeed(base uint64, key string, replicate int) uint64 {
-	const (
-		fnvOffset = 1469598103934665603
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
+	return mixSeed(base, keyDigest(key), replicate)
+}
+
+const fnvPrime = 1099511628211
+
+// keyDigest is DeriveSeed's FNV-1a pass over the key, shared by its replicates.
+func keyDigest(key string) uint64 {
+	h := uint64(1469598103934665603) // FNV-1a offset basis
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= fnvPrime
 	}
+	return h
+}
+
+// mixSeed is DeriveSeed's per-replicate part, from the key's digest on.
+func mixSeed(base, h uint64, replicate int) uint64 {
 	h ^= uint64(replicate) + 0x9e3779b97f4a7c15
 	h *= fnvPrime
 	h ^= base
-
 	// splitmix64 finalizer.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

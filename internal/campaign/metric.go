@@ -18,8 +18,8 @@ import (
 type Metric struct {
 	// Name is the column/JSON name, e.g. "throughput_mbps".
 	Name string
-	// Extract reads the metric from one replicate's result.
-	Extract func(experiment.Result) float64
+	// Extract reads the metric from one replicate's (borrowed) result.
+	Extract func(*experiment.Result) float64
 	// NeedsTrace forces campaigns measuring this metric to record gauge
 	// series. Every stock metric reads running counters and leaves it
 	// false, so campaigns run traceless — no sampling ticker, no series
@@ -33,7 +33,7 @@ var (
 	// MetricThroughputMbps is aggregate goodput over all flows, Mbps.
 	MetricThroughputMbps = Metric{
 		Name: "throughput_mbps",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			var bps float64
 			for _, tp := range r.FlowThroughputs {
 				bps += float64(tp)
@@ -44,32 +44,32 @@ var (
 	// MetricStalls is the send-stall count summed over all flows.
 	MetricStalls = Metric{
 		Name:    "stalls",
-		Extract: func(r experiment.Result) float64 { return float64(r.Totals.Stalls) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.Totals.Stalls) },
 	}
 	// MetricCongSignals is the congestion-episode count over all flows.
 	MetricCongSignals = Metric{
 		Name:    "cong_signals",
-		Extract: func(r experiment.Result) float64 { return float64(r.Totals.CongSignals) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.Totals.CongSignals) },
 	}
 	// MetricRouterDrops counts segments dropped at the bottleneck buffer.
 	MetricRouterDrops = Metric{
 		Name:    "router_drops",
-		Extract: func(r experiment.Result) float64 { return float64(r.RouterDrops) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.RouterDrops) },
 	}
 	// MetricInjectedDrops counts segments discarded by the loss injector.
 	MetricInjectedDrops = Metric{
 		Name:    "injected_drops",
-		Extract: func(r experiment.Result) float64 { return float64(r.InjectedDrops) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.InjectedDrops) },
 	}
 	// MetricUtilization is the bottleneck's cumulative busy fraction.
 	MetricUtilization = Metric{
 		Name:    "utilization",
-		Extract: func(r experiment.Result) float64 { return r.Utilization },
+		Extract: func(r *experiment.Result) float64 { return r.Utilization },
 	}
 	// MetricTimeouts is the RTO count summed over all flows.
 	MetricTimeouts = Metric{
 		Name:    "timeouts",
-		Extract: func(r experiment.Result) float64 { return float64(r.Totals.Timeouts) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.Totals.Timeouts) },
 	}
 	// MetricFairness is Jain's fairness index over per-flow goodputs:
 	// (Σx)² / (n·Σx²), 1.0 when all flows share equally, 1/n when one
@@ -81,7 +81,7 @@ var (
 	// WriteJSON regression.
 	MetricFairness = Metric{
 		Name: "fairness",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			var sum, sumsq float64
 			for _, tp := range r.FlowThroughputs {
 				x := float64(tp)
@@ -103,7 +103,7 @@ var (
 	// slow-start exists to eliminate.
 	MetricCollapses = Metric{
 		Name:    "collapses",
-		Extract: func(r experiment.Result) float64 { return float64(r.Totals.Collapses) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.Totals.Collapses) },
 	}
 	// MetricTimeToUtil90 is the virtual time, in seconds, at which the
 	// bottleneck's cumulative utilization first reached 90% — a ramp-speed
@@ -114,7 +114,7 @@ var (
 	// some other plan metric forced tracing.
 	MetricTimeToUtil90 = Metric{
 		Name: "t90_util_s",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			if r.TimeToUtil90 > 0 {
 				return r.TimeToUtil90.Seconds()
 			}
@@ -127,7 +127,7 @@ var (
 	// totals. On a one-hop dumbbell the two coincide.
 	MetricHopDropsMax = Metric{
 		Name: "hop_drops_max",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			var max int64
 			for _, h := range r.Hops {
 				if h.Drops > max {
@@ -142,7 +142,7 @@ var (
 	// asymmetric-path (ACK compression) sweeps.
 	MetricReverseDrops = Metric{
 		Name:    "rev_drops",
-		Extract: func(r experiment.Result) float64 { return float64(r.ReverseDrops) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.ReverseDrops) },
 	}
 	// MetricFCTMean is the mean flow completion time, in seconds, over the
 	// run's completed dynamic flows (NaN when the run had none — the
@@ -152,7 +152,7 @@ var (
 	// exactly when nothing completed.
 	MetricFCTMean = Metric{
 		Name: "fct_mean",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			if r.FCT == nil {
 				return math.NaN()
 			}
@@ -165,7 +165,7 @@ var (
 	// 4096 completions and a deterministic P² estimate beyond.
 	MetricFCTP99 = Metric{
 		Name: "fct_p99",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			if r.FCT == nil {
 				return math.NaN()
 			}
@@ -178,30 +178,30 @@ var (
 	// and loss recovery (NaN with no flows).
 	MetricSlowdownMean = Metric{
 		Name:    "slowdown_mean",
-		Extract: func(r experiment.Result) float64 { return meanSlowdown(r, -1) },
+		Extract: func(r *experiment.Result) float64 { return meanSlowdown(r, -1) },
 	}
 	// MetricSlowdownSmall is the mean slowdown of flows under 100 kB — the
 	// mice whose FCT restricted slow-start claims to protect.
 	MetricSlowdownSmall = Metric{
 		Name:    "slowdown_small",
-		Extract: func(r experiment.Result) float64 { return meanSlowdown(r, 0) },
+		Extract: func(r *experiment.Result) float64 { return meanSlowdown(r, 0) },
 	}
 	// MetricSlowdownMedium is the mean slowdown of flows in [100 kB, 1 MB).
 	MetricSlowdownMedium = Metric{
 		Name:    "slowdown_medium",
-		Extract: func(r experiment.Result) float64 { return meanSlowdown(r, 1) },
+		Extract: func(r *experiment.Result) float64 { return meanSlowdown(r, 1) },
 	}
 	// MetricSlowdownLarge is the mean slowdown of flows of 1 MB and above.
 	MetricSlowdownLarge = Metric{
 		Name:    "slowdown_large",
-		Extract: func(r experiment.Result) float64 { return meanSlowdown(r, 2) },
+		Extract: func(r *experiment.Result) float64 { return meanSlowdown(r, 2) },
 	}
 	// MetricFlowsDone counts dynamic flows that ran to byte-completion
 	// within the run (0, not NaN, for static runs — "no churn" and "no
 	// completions under churn" both mean zero finished transfers).
 	MetricFlowsDone = Metric{
 		Name: "flows_done",
-		Extract: func(r experiment.Result) float64 {
+		Extract: func(r *experiment.Result) float64 {
 			if r.FCT == nil {
 				return 0
 			}
@@ -215,20 +215,20 @@ var (
 	// nothing.
 	MetricFlowsRefused = Metric{
 		Name:    "flows_refused",
-		Extract: func(r experiment.Result) float64 { return float64(r.FlowsRefused) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.FlowsRefused) },
 	}
 	// MetricIFQMax is the measured flow's sender-IFQ high-water mark in
 	// packets: how close the RSS set point lets the queue come to
 	// txqueuelen (the paper suite's T5 and T8).
 	MetricIFQMax = Metric{
 		Name:    "ifq_max",
-		Extract: func(r experiment.Result) float64 { return float64(r.NIC.MaxQueue) },
+		Extract: func(r *experiment.Result) float64 { return float64(r.NIC.MaxQueue) },
 	}
 )
 
 // meanSlowdown reads the digest's mean of FlowRecord.Slowdown over completed
 // flows, for one size class or (-1) all of them. NaN when no flow matches.
-func meanSlowdown(r experiment.Result, class int) float64 {
+func meanSlowdown(r *experiment.Result, class int) float64 {
 	switch {
 	case r.FCT == nil:
 		return math.NaN()

@@ -12,7 +12,7 @@ import (
 
 func TestMetricFairness(t *testing.T) {
 	jain := func(tps ...unit.Bandwidth) float64 {
-		return MetricFairness.Extract(experiment.Result{FlowThroughputs: tps})
+		return MetricFairness.Extract(&experiment.Result{FlowThroughputs: tps})
 	}
 	if f := jain(50 * unit.Mbps); f != 1 {
 		t.Errorf("single flow fairness = %g, want 1", f)
@@ -68,7 +68,7 @@ func TestMetricRegistrySelectsAndOrders(t *testing.T) {
 func TestMetricIFQMax(t *testing.T) {
 	var r experiment.Result
 	r.NIC.MaxQueue = 93
-	if v := MetricIFQMax.Extract(r); v != 93 {
+	if v := MetricIFQMax.Extract(&r); v != 93 {
 		t.Errorf("ifq_max = %g, want 93", v)
 	}
 	if !slices.Contains(MetricNames(), "ifq_max") {

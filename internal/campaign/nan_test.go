@@ -26,7 +26,7 @@ func TestFairnessAllZeroGoodput(t *testing.T) {
 		{"all zero", experiment.Result{FlowThroughputs: zeroTps(3)}, 1},
 	}
 	for _, c := range cases {
-		got := MetricFairness.Extract(c.res)
+		got := MetricFairness.Extract(&c.res)
 		if math.IsNaN(got) {
 			t.Fatalf("%s: fairness is NaN", c.name)
 		}

@@ -123,11 +123,16 @@ type Replicate struct {
 // included.
 type runContext struct {
 	s *experiment.Scenario
+	// res is the last run's Result, kept here so Extract(&res) does not escape.
+	res experiment.Result
 	// Last-seen scheduler/wheel counter snapshots: the engine and wheel
 	// survive Reset with lifetime counters, so telemetry deltas need the
 	// previous reading.
 	lastSched sim.SchedStats
 	lastWheel sim.WheelStats
+	// digest caches keyDigest(digestKey) for DeriveSeed's per-replicate mix.
+	digestKey string
+	digest    uint64
 }
 
 // execEnv is the per-campaign execution context shared by every worker:
@@ -152,19 +157,20 @@ type spanResult struct {
 
 // runSpan runs the replicates [lo, hi) back to back on the worker's context.
 // The span is the unit of everything that is not simulation: one result
-// message, one backing array for every replicate's Values, one update of the
-// shared self-metrics — a 50 ms replicate is a few microseconds of events,
-// and a channel hand-off per run cost as much again.
+// message, one backing array each for every replicate's Values and HopDrops,
+// one update of the shared self-metrics — a 50 ms replicate is a few
+// microseconds of events, and a channel hand-off per run cost as much again.
 func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 	n, nm, reps := hi-lo, len(env.p.Metrics), env.p.Replicates
 	sp := spanResult{lo: lo, reps: make([]Replicate, n), wall: make([]time.Duration, n)}
 	values := make([]stats.JSONFloat, n*nm)
+	var hopDrops []int64
 	var build, run time.Duration
 	var ran, events int64
 	for i := range sp.reps {
 		g := lo + i
 		sp.reps[i].Values = values[i*nm : (i+1)*nm : (i+1)*nm]
-		b, r, err := rc.runReplicate(env, env.cells[g/reps], g%reps, &sp.reps[i])
+		b, r, err := rc.runReplicate(env, &env.cells[g/reps], g%reps, &sp.reps[i])
 		ran++
 		if err != nil {
 			sp.reps, sp.wall, sp.err = sp.reps[:i], sp.wall[:i], err
@@ -172,6 +178,15 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 		}
 		build, run, sp.wall[i] = build+b, run+r, b+r
 		events += int64(rc.s.Eng.Processed())
+		if hops := rc.res.Hops; len(hops) > 1 { // a dumbbell's one figure is router_drops
+			if cap(hopDrops)-len(hopDrops) < len(hops) {
+				hopDrops = make([]int64, 0, len(hops)*(n-i))
+			}
+			for _, h := range hops {
+				hopDrops = append(hopDrops, h.Drops)
+			}
+			sp.reps[i].HopDrops = hopDrops[len(hopDrops)-len(hops) : len(hopDrops) : len(hopDrops)]
+		}
 	}
 	env.self.Runs.Add(ran)
 	env.self.phaseBuild.Add(int64(build))
@@ -188,17 +203,20 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 
 // runReplicate runs one seeded simulation on the (reused) context and
 // condenses it into out — the stock scalars, and the plan's metrics in
-// out.Values, which the caller sized. It reads the clock three times, the
-// boundaries of the two phases it reports: building or resetting the
-// scenario, and running it.
-func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int, out *Replicate) (build, run time.Duration, err error) {
+// out.Values, which the caller sized; the run's Result stays in rc.res until
+// the next replicate. It reads the clock three times, the boundaries of the
+// two phases it reports: building or resetting the scenario, and running it.
+func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Replicate) (build, run time.Duration, err error) {
 	// Plan.Config without its deep copy: a scenario only reads the flow
 	// list, topology and churn spec it is given (clipping makes the one
 	// append it may do reallocate), so replicates — on any number of
 	// workers — share the cell's.
 	cfg := c.Config
 	cfg.Flows = slices.Clip(cfg.Flows)
-	cfg.Seed = DeriveSeed(env.p.BaseSeed, c.Key, rep)
+	if c.Key != rc.digestKey || rc.digest == 0 { // a span hashes each of its cells' keys once
+		rc.digestKey, rc.digest = c.Key, keyDigest(c.Key)
+	}
+	cfg.Seed = mixSeed(env.p.BaseSeed, rc.digest, rep)
 	cfg.Traceless = env.traceless
 	t0 := time.Now()
 	if rc.s == nil {
@@ -214,8 +232,9 @@ func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int, out *Repli
 		return 0, 0, err
 	}
 	t1 := time.Now()
-	res := rc.s.Run()
+	rc.res = rc.s.Run()
 	t2 := time.Now()
+	res := &rc.res
 	out.Run = Run{
 		Replicate:     rep,
 		Seed:          cfg.Seed,
@@ -226,12 +245,6 @@ func (rc *runContext) runReplicate(env *execEnv, c PlanCell, rep int, out *Repli
 		InjectedDrops: res.InjectedDrops,
 		Utilization:   res.Utilization,
 		RevDrops:      res.ReverseDrops,
-	}
-	if len(res.Hops) > 1 {
-		out.HopDrops = make([]int64, len(res.Hops))
-		for i, h := range res.Hops {
-			out.HopDrops[i] = h.Drops
-		}
 	}
 	for _, tp := range res.FlowThroughputs {
 		out.ThroughputBps += float64(tp)

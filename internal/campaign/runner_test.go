@@ -237,7 +237,7 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 	}
 	runOn := func(rc *runContext, c PlanCell, rep int) (Replicate, error) {
 		out := Replicate{Values: make([]stats.JSONFloat, len(env.p.Metrics))}
-		_, _, err := rc.runReplicate(env, c, rep, &out)
+		_, _, err := rc.runReplicate(env, &c, rep, &out)
 		return out, err
 	}
 	for name, bad := range map[string]PlanCell{"before wiring": badSched, "after wiring": badFlow} {
@@ -267,6 +267,30 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 			}
 			if n := rc.s.Eng.Leaked(); n != 0 {
 				t.Errorf("%s: cell %d after the failure leaked %d calendar entries", name, i, n)
+			}
+		}
+	}
+}
+
+// TestRunnerSeedsMatchDeriveSeed: a worker hashes a cell key once and mixes
+// in each replicate, so its seeds must still equal DeriveSeed's bit for bit —
+// for every paper-suite cell and replicates 0–4, on two workers whose spans
+// cross cell boundaries. The runs are cut to 1 ms; keys, and so seeds, do not
+// depend on the duration.
+func TestRunnerSeedsMatchDeriveSeed(t *testing.T) {
+	t.Parallel()
+	for _, st := range PaperSuite(3 * time.Second) {
+		p := st.Plan
+		p.Duration, p.Replicates = time.Millisecond, 5
+		rep, err := ExecutePlan(p, Options{Workers: 2, RetainRuns: true})
+		if err != nil {
+			t.Fatalf("%s: %v", st.ID, err)
+		}
+		for _, c := range rep.Cells {
+			for _, r := range c.Runs {
+				if want := DeriveSeed(rep.Plan.BaseSeed, c.Key, r.Replicate); r.Seed != want {
+					t.Errorf("%s %s replicate %d: runner seed %d, DeriveSeed %d", st.ID, c.Key, r.Replicate, r.Seed, want)
+				}
 			}
 		}
 	}

@@ -217,7 +217,7 @@ func oneOf[T ~string](what string, known func() []T) func(T) error {
 func eachFlow(cfg *experiment.Config, f func(*experiment.FlowSpec)) {
 	if cfg.Churn != nil {
 		f(&cfg.Churn.Flow)
-	} else if len(flowsOf(cfg.Flows, false)) == 0 {
+	} else if !slices.ContainsFunc(cfg.Flows, measured) {
 		cfg.Flows = append([]experiment.FlowSpec{{}}, cfg.Flows...)
 	}
 	for i := range cfg.Flows {
@@ -240,16 +240,19 @@ func ensureChurn(cfg *experiment.Config) *experiment.ChurnSpec {
 	return cfg.Churn
 }
 
-// flowsOf returns the measured (cross false) or the cross-traffic flows, in
-// order.
-func flowsOf(flows []experiment.FlowSpec, cross bool) []experiment.FlowSpec {
-	var out []experiment.FlowSpec
-	for _, fl := range flows {
-		if fl.Cross == cross {
-			out = append(out, fl)
+// measured reports whether a flow is a subject of per-flow axes, not cross
+// traffic.
+func measured(fl experiment.FlowSpec) bool { return !fl.Cross }
+
+// withMeasured makes ms the config's measured flows, keeping its cross
+// traffic after them in order.
+func withMeasured(cfg *experiment.Config, ms []experiment.FlowSpec) {
+	for _, fl := range cfg.Flows {
+		if fl.Cross {
+			ms = append(ms, fl)
 		}
 	}
-	return out
+	cfg.Flows = ms
 }
 
 // The declarations: path, then per-flow and workload, churn, topology.
@@ -319,15 +322,14 @@ var (
 		check: count("flow count", experiment.MaxFlows),
 		set: func(cfg *experiment.Config, n int) {
 			base := experiment.FlowSpec{}
-			if m := flowsOf(cfg.Flows, false); len(m) > 0 {
-				base = m[0]
+			if i := slices.IndexFunc(cfg.Flows, measured); i >= 0 {
+				base = cfg.Flows[i]
 			}
-			cross := flowsOf(cfg.Flows, true)
-			flows := make([]experiment.FlowSpec, n, n+len(cross))
+			flows := make([]experiment.FlowSpec, n)
 			for i := range flows {
 				flows[i] = base
 			}
-			cfg.Flows = append(flows, cross...)
+			withMeasured(cfg, flows)
 		},
 	}
 	// dimMatchup sweeps mixed-algorithm contests: each value is a set of
@@ -361,12 +363,11 @@ var (
 			return nil
 		},
 		set: func(cfg *experiment.Config, algs []experiment.Algorithm) {
-			cross := flowsOf(cfg.Flows, true)
-			flows := make([]experiment.FlowSpec, len(algs), len(algs)+len(cross))
+			flows := make([]experiment.FlowSpec, len(algs))
 			for i, al := range algs {
 				flows[i] = experiment.FlowSpec{Alg: al}
 			}
-			cfg.Flows = append(flows, cross...)
+			withMeasured(cfg, flows)
 		},
 	}
 	// dimSetpoint sweeps the RSS IFQ set-point fraction on every flow. Only

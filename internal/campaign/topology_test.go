@@ -115,6 +115,18 @@ func TestTopoAxisValidation(t *testing.T) {
 	}
 }
 
+// flowsOf returns the measured (cross false) or the cross-traffic flows, in
+// order.
+func flowsOf(flows []experiment.FlowSpec, cross bool) []experiment.FlowSpec {
+	var out []experiment.FlowSpec
+	for _, fl := range flows {
+		if fl.Cross == cross {
+			out = append(out, fl)
+		}
+	}
+	return out
+}
+
 // TestCrossFlowsSurviveFlowAxes: per-flow and flow-list axes shape only the
 // measured flows; a preset's cross traffic rides along untouched.
 func TestCrossFlowsSurviveFlowAxes(t *testing.T) {

@@ -266,7 +266,7 @@ func TestTimerWheelMatchesHeapChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resH, resW := hs.Run(), ws.Run()
+	resH, resW := hs.Run(), owned(ws.Run())
 	sameChurnResult(t, "heap-vs-wheel", resH, resW)
 	if (resH.FCT == nil) != (resW.FCT == nil) {
 		t.Fatal("digest presence diverged between timer backends")

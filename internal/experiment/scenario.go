@@ -402,12 +402,13 @@ type Scenario struct {
 
 	// Cross-flow aggregate cache, keyed by the virtual time it was
 	// computed at, so repeated ResultFor calls after a run stay O(flows)
-	// total instead of O(flows²).
+	// total instead of O(flows²). A Result borrows it and hopStats.
 	aggAt     sim.Time
 	aggValid  bool
 	aggTps    []unit.Bandwidth
 	aggStats  []web100.Stats
 	aggTotals Totals
+	hopStats  []HopStats
 
 	// segs is the scenario's segment allocator: one simulation is one
 	// logical thread, so a plain freelist suffices. It survives Reset, and
@@ -1070,7 +1071,9 @@ type Totals struct {
 	Collapses int64
 }
 
-// Result summarizes the measured (first) flow after a run.
+// Result summarizes the measured (first) flow after a run. Its slices are
+// borrowed from the scenario: valid until its next Run or Reset (or, with Eng
+// driven by hand, its next ResultFor at a later instant); copy to keep them.
 type Result struct {
 	Alg         Algorithm
 	Stats       web100.Stats
@@ -1134,10 +1137,11 @@ func (s *Scenario) Run() Result {
 		s.Rec.Sample(s.Cfg.Sample)
 	}
 	s.Eng.RunUntil(sim.At(s.Cfg.Duration))
-	return s.resultFor(0)
+	return s.ResultFor(0)
 }
 
-func (s *Scenario) resultFor(i int) Result {
+// ResultFor summarizes any flow by index (after Run).
+func (s *Scenario) ResultFor(i int) Result {
 	now := s.Eng.Now()
 	// Per-flow figures come from the indexed static flow; a churn-only run
 	// has none, so those fields describe the dynamic population instead
@@ -1149,7 +1153,7 @@ func (s *Scenario) resultFor(i int) Result {
 		panic(fmt.Sprintf("experiment: no flow %d", i))
 	}
 	var injected int64
-	hops := make([]HopStats, len(s.hops))
+	s.hopStats = extend(s.hopStats[:0], len(s.hops))
 	for hi := range s.hops {
 		h := &s.hops[hi]
 		hs := HopStats{
@@ -1168,14 +1172,9 @@ func (s *Scenario) resultFor(i int) Result {
 		if h.dup != nil {
 			hs.Duplicated = h.dup.Duplicated()
 		}
-		hops[hi] = hs
+		s.hopStats[hi] = hs
 	}
 	tps, flowStats, totals := s.flowAggregates(now)
-	if s.Cfg.Churn != nil {
-		// The dynamic population appears as one aggregate goodput entry, so
-		// cross-flow metrics (throughput sums, fairness) see churn traffic.
-		tps = append(tps, unit.Throughput(unit.ByteSize(s.churnBytesAcked(now)), now.Duration()))
-	}
 	bn := s.bottleneck(now)
 	t90 := time.Duration(-1)
 	if at, ok := bn.UtilizationReachedAt(); ok {
@@ -1190,14 +1189,14 @@ func (s *Scenario) resultFor(i int) Result {
 		FlowStats:       flowStats,
 		Totals:          totals,
 		TimeToUtil90:    t90,
-		Hops:            hops,
+		Hops:            slices.Clip(s.hopStats),
 		ReverseDrops:    s.revDrops,
 		FlowsActive:     len(s.churn.live),
 		FlowsRefused:    s.churn.refused,
 		Rec:             s.Rec,
 	}
 	if len(s.churn.records) > 0 {
-		res.Flows = append([]FlowRecord(nil), s.churn.records...)
+		res.Flows = slices.Clip(s.churn.records)
 	}
 	res.FCT = s.churn.fctSummary()
 	if f != nil {
@@ -1215,8 +1214,9 @@ func (s *Scenario) resultFor(i int) Result {
 }
 
 // flowAggregates computes (and caches per virtual time) the cross-flow
-// throughput list, per-flow Web100 snapshots and counter totals. The
-// returned slices are copies, so callers may keep or mutate them freely.
+// throughput list (churn traffic as one last aggregate entry, so cross-flow
+// metrics see it), per-flow Web100 snapshots and counter totals. The slices
+// returned are the cache, capacity-clipped, for a Result to borrow.
 func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stats, Totals) {
 	if !s.aggValid || s.aggAt != now {
 		// Every entry is assigned below, so the cache's previous contents
@@ -1243,15 +1243,13 @@ func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stat
 			totals.Timeouts += fst.Timeouts
 			totals.Collapses += fst.LocalCongCwnd
 		}
+		if s.Cfg.Churn != nil {
+			tps = append(tps, unit.Throughput(unit.ByteSize(s.churnBytesAcked(now)), now.Duration()))
+		}
 		s.aggTps, s.aggStats, s.aggTotals, s.aggAt, s.aggValid = tps, stats, totals, now, true
 	}
-	return append([]unit.Bandwidth(nil), s.aggTps...),
-		append([]web100.Stats(nil), s.aggStats...),
-		s.aggTotals
+	return slices.Clip(s.aggTps), slices.Clip(s.aggStats), s.aggTotals
 }
-
-// ResultFor summarizes any flow by index (after Run).
-func (s *Scenario) ResultFor(i int) Result { return s.resultFor(i) }
 
 // WheelStats returns the endpoint-timer wheel's lifetime counters, and
 // whether the scenario has ever run with a wheel (the wheel survives Reset,

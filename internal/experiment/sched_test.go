@@ -103,7 +103,7 @@ func TestSchedulerBackendsMatchChurn(t *testing.T) {
 		if want := sched == "ladder"; s.Eng.LadderEnabled() != want {
 			t.Fatalf("%s scenario: LadderEnabled = %v, want %v", sched, !want, want)
 		}
-		res := s.Run()
+		res := owned(s.Run())
 		sameChurnResult(t, "heap-vs-"+sched, resH, res)
 		if (resH.FCT == nil) != (res.FCT == nil) {
 			t.Fatalf("%s: digest presence diverged from heap", sched)
