@@ -24,14 +24,13 @@ func DefaultRenoConfig() RenoConfig {
 // inflation/deflation and the multiplicative decrease, plus the Linux 2.4
 // local-congestion (send-stall) response.
 type Reno struct {
-	cfg        RenoConfig
-	w          Window
-	ss         SlowStartPolicy
-	inRecovery bool
-	caAccum    int64 // byte-counting accumulator for congestion avoidance
+	cfg     RenoConfig // cfg.SS is the active slow-start policy
+	w       Window
+	caAccum int64 // byte-counting accumulator for congestion avoidance
 
-	fr   *telemetry.FlightRecorder // nil-safe: unset means no recording
-	flow int32
+	fr         *telemetry.FlightRecorder // nil-safe: unset means no recording
+	flow       int32
+	inRecovery bool
 }
 
 // NewReno returns a Reno controller. Zero-value fields of cfg are replaced
@@ -55,21 +54,21 @@ func (r *Reno) Init(cfg RenoConfig) {
 	if cfg.SS == nil {
 		cfg.SS = StdSlowStart{}
 	}
-	*r = Reno{cfg: cfg, ss: cfg.SS}
+	*r = Reno{cfg: cfg}
 }
 
 // Name identifies the controller and its slow-start policy.
-func (r *Reno) Name() string { return "reno/" + r.ss.Name() }
+func (r *Reno) Name() string { return "reno/" + r.cfg.SS.Name() }
 
 // SlowStartPolicy returns the active slow-start growth policy.
-func (r *Reno) SlowStartPolicy() SlowStartPolicy { return r.ss }
+func (r *Reno) SlowStartPolicy() SlowStartPolicy { return r.cfg.SS }
 
 // Attach initializes cwnd and ssthresh on the sender's window.
 func (r *Reno) Attach(w Window) {
 	r.w = w
 	w.SetCwnd(int64(r.cfg.IW) * int64(w.MSS()))
 	w.SetSsthresh(r.cfg.InitialSsthresh)
-	r.ss.Reset(w)
+	r.cfg.SS.Reset(w)
 }
 
 // SetTelemetry attaches a flight recorder; the controller records its
@@ -95,7 +94,7 @@ func (r *Reno) InSlowStart() bool {
 func (r *Reno) OnAck(acked int64) {
 	mss := int64(r.w.MSS())
 	if r.InSlowStart() {
-		inc := r.ss.Advance(r.w, acked)
+		inc := r.cfg.SS.Advance(r.w, acked)
 		if inc < 0 {
 			inc = 0
 		}
@@ -163,7 +162,7 @@ func (r *Reno) OnRTO() {
 	r.w.SetCwnd(mss)
 	r.inRecovery = false
 	r.caAccum = 0
-	r.ss.Reset(r.w)
+	r.cfg.SS.Reset(r.w)
 }
 
 // OnLocalStall applies the Linux 2.4 response to IFQ saturation: treat it

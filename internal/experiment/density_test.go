@@ -3,14 +3,74 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rsstcp/internal/sim"
 	"rsstcp/internal/stats"
+	"rsstcp/internal/tcp"
 	"rsstcp/internal/unit"
 )
+
+// endpointConfig returns the connection config a tcp.Sender or tcp.Receiver
+// holds (its unexported cfg pointer).
+func endpointConfig(endpoint any) *tcp.Config {
+	return (*tcp.Config)(reflect.ValueOf(endpoint).Elem().FieldByName("cfg").UnsafePointer())
+}
+
+// TestFlowBundleSizeClass pins what one connection costs to store, and the
+// sharing that pays for it. Go rounds every allocation up to a size class
+// (…, 1024, 1152, 1280, 1408, 1536, 1792 B), so bytes saved in the bundle
+// only count once the bundle crosses a class boundary. With a 128-B
+// tcp.Config copied into both the sender and the receiver, and the RTO
+// bounds into the estimator, the bundle was 1,496 B, in the 1,536-B class.
+// Pointers to one config per scenario make it 1,232 B (1,280-B class), and
+// packing the flags and 32-bit fields of Flow, Sender, Receiver, sim.Timer
+// and cc.Reno into shared words 1,136 B: the 1,152-B class.
+func TestFlowBundleSizeClass(t *testing.T) {
+	t.Parallel()
+	const sizeClass = 1152
+	if got := unsafe.Sizeof(flowBundle{}); got > sizeClass {
+		t.Errorf("flowBundle is %d B, over the %d-B size class", got, sizeClass)
+	}
+
+	// Flows 0 and 1 differ only in what tcp.Config does not carry; flow 2
+	// differs in MSS. The churn flows share the template's config.
+	cfg := churnCfg()
+	cfg.Flows = []FlowSpec{{Alg: AlgStandard}, {Alg: AlgRestricted, StartAt: time.Millisecond}, {Alg: AlgStandard, MSS: 1000}}
+	cfg.Churn.Flow.SACK = true
+	cfg.Churn.Arrivals = "poisson:400"
+	cfg.Duration = 200 * time.Millisecond
+	s, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if len(s.churn.live) < 2 {
+		t.Fatalf("%d churn flows live, want at least 2", len(s.churn.live))
+	}
+	shared := func(label string, flows []*Flow) *tcp.Config {
+		c := endpointConfig(flows[0].Sender)
+		for _, f := range flows {
+			if endpointConfig(f.Sender) != c || endpointConfig(f.Receiver) != c {
+				t.Errorf("%s: flow %d's endpoints do not share flow %d's config", label, f.ID, flows[0].ID)
+			}
+		}
+		return c
+	}
+	std := shared("same spec", s.Flows[:2])
+	mss := shared("MSS 1000", s.Flows[2:])
+	churn := shared("churn template", s.churn.live)
+	if std == mss || std == churn || mss == churn {
+		t.Error("flows with different connection parameters share a config")
+	}
+	if mss.MSS != 1000 || !churn.SACK || std.MSS != tcp.DefaultConfig().MSS {
+		t.Errorf("configs carry the wrong parameters: %+v, %+v, %+v", *std, *mss, *churn)
+	}
+}
 
 // TestChurnTablesBoundedByPeakLive pins the density contract of FlowID
 // recycling: after thousands of flow lifetimes under a small admission cap,
@@ -59,8 +119,8 @@ func TestChurnTablesBoundedByPeakLive(t *testing.T) {
 
 // TestManyFlows10kConcurrentHeapGate is the CI density gate: one scenario
 // holds ≥10k concurrently live flows on the wheel-backed timers, with heap
-// bounded (< 256 MiB total, ≤ 3 KiB per flow and no growth with the flows'
-// age) and a clean teardown — zero leaked calendar entries, balanced segment
+// bounded (< 256 MiB total, ≤ 2.25 KiB per flow and no growth with the
+// flows' age) and a clean teardown — zero leaked calendar entries, balanced segment
 // pool.
 //
 // Not Parallel: it reads global heap statistics.
@@ -107,11 +167,11 @@ func TestManyFlows10kConcurrentHeapGate(t *testing.T) {
 			s.Eng.Now(), live, float64(m1.HeapAlloc)/(1<<20), perFlow, s.wheel.Stats())
 		return perFlow
 	}
-	// ~2.3 KiB/flow measured (flow bundle, SoA row, NIC, routes, rings and
+	// ~1.9 KiB/flow measured (flow bundle, SoA row, NIC, routes, rings and
 	// record lists sized for a one-to-two segment window).
 	perFlow := perFlowHeap()
-	if perFlow > 3<<10 {
-		t.Errorf("per-flow heap footprint %.0f B, want ≤ 3 KiB", perFlow)
+	if perFlow > 2304 {
+		t.Errorf("per-flow heap footprint %.0f B, want ≤ 2.25 KiB", perFlow)
 	}
 	// The footprint follows what the flows hold, not how long they have
 	// lived: the same population at three times the age reads the same.

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"rsstcp/internal/tcp"
 	"rsstcp/internal/unit"
 )
 
@@ -429,6 +431,75 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 		}
 		if got := s.Eng.Leaked(); got != 0 {
 			t.Errorf("%s: reused engine leaked %d events", step.name, got)
+		}
+	}
+}
+
+// TestResetSharedConfigMatchesFreshBuild: a scenario's endpoints point at
+// connection configs it owns and Reset rebuilds in place, so a replicate must
+// never run on the parameters of the one before it. One context alternates
+// MSS, SACK and the stall policy, then runs a static flow beside churn (two
+// distinct configs live at once); each replicate's Result and configs must
+// deep-equal a fresh Build's.
+func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
+	t.Parallel()
+	var chain []Config
+	for i, f := range []FlowSpec{
+		{Alg: AlgStandard, MSS: 1000},
+		{Alg: AlgStandard, SACK: true},
+		{Alg: AlgStandard, StallWait: true},
+		{Alg: AlgRestricted, SACK: true, MSS: 536},
+		{Alg: AlgStandard},
+	} {
+		chain = append(chain, Config{
+			Path:     PathConfig{Loss: 0.002},
+			Flows:    []FlowSpec{f},
+			Duration: time.Second, Seed: uint64(30 + i), Traceless: true,
+		})
+	}
+	mixed := churnCfg()
+	mixed.Flows = []FlowSpec{{Alg: AlgStandard, SACK: true, MSS: 1000}}
+	mixed.Duration = time.Second
+	chain = append(chain, mixed, chain[0])
+
+	// The parameters of a config, without the scenario's own pool, table
+	// and wheel.
+	params := func(cfgs []*tcp.Config) []tcp.Config {
+		var out []tcp.Config
+		for _, c := range cfgs {
+			v := *c
+			v.Pool, v.Table, v.Wheel = nil, nil, nil
+			out = append(out, v)
+		}
+		return out
+	}
+	s, err := Build(chain[len(chain)-2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	for i, cfg := range chain {
+		fresh, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := owned(fresh.Run())
+		if err := s.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got := owned(s.Run())
+		if got.Throughput == 0 {
+			t.Fatalf("replicate %d moved no data — bad test premise", i)
+		}
+		want.Rec, got.Rec = nil, nil
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("replicate %d: reused-context result diverged from fresh build\nfresh:  %+v\nreused: %+v", i, want, got)
+		}
+		if w, g := params(fresh.tcpCfgs), params(s.tcpCfgs); !reflect.DeepEqual(w, g) {
+			t.Errorf("replicate %d: connection configs diverged\nfresh:  %+v\nreused: %+v", i, w, g)
+		}
+		if cfg.Churn != nil && len(s.tcpCfgs) != 2 {
+			t.Errorf("replicate %d: static flow beside churn ran on %d configs, want 2", i, len(s.tcpCfgs))
 		}
 	}
 }

@@ -304,6 +304,7 @@ func (c Config) SchedulerKind() (string, error) {
 type Flow struct {
 	Spec     FlowSpec
 	ID       packet.FlowID
+	detached bool // set by detach; sits in ID's word
 	Sender   *tcp.Sender
 	Receiver *tcp.Receiver
 	NIC      *host.Interface
@@ -320,12 +321,10 @@ type Flow struct {
 	onComplete func()
 
 	// Lifecycle bookkeeping: birth time, the on/off source to stop at
-	// detach, the flow's slot in the live churn set (-1 for static flows)
-	// and whether it has been detached.
-	started  sim.Time
-	onoff    *workload.OnOff
-	liveIdx  int
-	detached bool
+	// detach and the flow's slot in the live churn set (-1 for static flows).
+	started sim.Time
+	onoff   *workload.OnOff
+	liveIdx int
 }
 
 // builtHop is one forward hop's per-scenario metadata: its resolved config
@@ -425,6 +424,11 @@ type Scenario struct {
 	// across replicates.
 	ftab  *tcp.FlowTable
 	wheel *sim.Wheel
+	// tcpCfgs are this run's connection configs, one per distinct MSS, SACK
+	// and stall policy among its flows. Every sender and receiver holds a
+	// pointer to its flow's entry instead of a copy (see tcpConfig); Reset
+	// parks them for the next run to rebuild in place.
+	tcpCfgs []*tcp.Config
 }
 
 // demux routes segments to per-flow receivers. Flow IDs are dense small
@@ -463,17 +467,19 @@ func extend[T any](s []T, n int) []T {
 }
 
 // parked is the scenario's recycling store. Reset flushes the previous
-// run's flow bundles, NICs and restricted-slow-start controllers and parks
-// them here, and detach parks a dynamic flow's (see Scenario.detach); init
-// and buildFlow take a parked component and re-initialize it (each type's
-// Init, the routine its constructor runs too) before they allocate a new
-// one. A replicate after the first therefore allocates nothing for its
-// testbed, steady flow turnover allocates nothing per arrival, and rings,
-// windows and FIFOs start at the capacity earlier owners grew them to.
+// run's flow bundles, NICs, restricted-slow-start controllers and connection
+// configs and parks them here, and detach parks a dynamic flow's (see
+// Scenario.detach); init and buildFlow take a parked component and
+// re-initialize it (each type's Init, the routine its constructor runs too,
+// or a fresh DefaultConfig) before they allocate a new one. A replicate
+// after the first therefore allocates nothing for its testbed, steady flow
+// turnover allocates nothing per arrival, and rings, windows and FIFOs start
+// at the capacity earlier owners grew them to.
 type parked struct {
 	flows []*Flow
 	nics  []*host.Interface
 	rss   []*core.RestrictedSlowStart
+	cfgs  []*tcp.Config
 	// held is the bundle that completed last. Its sender's Receive may
 	// still be unwinding around the completion hook (it goes on to trySend),
 	// so take must not see it yet: the next completion — a later engine
@@ -604,6 +610,7 @@ func (s *Scenario) Reset(cfg Config) error {
 		}
 	}
 	s.Flows = s.Flows[:0]
+	s.park.cfgs, s.tcpCfgs = append(s.park.cfgs, s.tcpCfgs...), s.tcpCfgs[:0]
 	if len(s.hosts) > 0 { // shared hosts are the rare shape; skip the map walks without them
 		for _, nic := range s.hosts {
 			s.parkNIC(nic)
@@ -895,21 +902,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	}
 	s.arena.SetSpan(id, first, last)
 	gen := s.nextGen(id)
-
-	tcpCfg := tcp.DefaultConfig()
-	tcpCfg.Pool = s.segs
-	tcpCfg.Table = s.ftab
-	tcpCfg.Gen = gen
-	if cfg.TimerWheel {
-		tcpCfg.Wheel = s.wheel
-	}
-	if spec.MSS > 0 {
-		tcpCfg.MSS = spec.MSS
-	}
-	tcpCfg.SACK = spec.SACK
-	if spec.Alg == AlgStallWait || spec.StallWait {
-		tcpCfg.Stall = tcp.StallWait
-	}
+	tcpCfg := s.tcpConfig(spec)
 
 	var nic *host.Interface
 	if spec.Host != 0 {
@@ -956,10 +949,10 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		}
 		ackPath = s.ackLine(rd)
 	}
-	flow.Receiver.Init(eng, tcpCfg, id, ackPath)
+	flow.Receiver.Init(eng, tcpCfg, id, gen, ackPath)
 	s.dm.set(id, gen, flow.Receiver)
 
-	flow.Sender.Init(eng, tcpCfg, id, flow.reno, nic)
+	flow.Sender.Init(eng, tcpCfg, id, gen, flow.reno, nic)
 	flow.Sender.SetFlightRecorder(s.FR)
 	sndDemux.set(id, gen, flow.Sender)
 	if s.Rec.Enabled() && !dynamic {
@@ -980,6 +973,33 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		eng.ScheduleArg(sim.At(spec.StartAt), s.startFn, flow)
 	}
 	return flow, nil
+}
+
+// tcpConfig returns this run's shared connection config for spec, filling a
+// parked (or new) one from DefaultConfig for the first flow that needs it. A
+// run's flows differ in a few knobs at most, so a scan beats any map.
+func (s *Scenario) tcpConfig(spec *FlowSpec) *tcp.Config {
+	want := tcp.DefaultConfig()
+	want.Pool, want.Table = s.segs, s.ftab
+	if s.Cfg.TimerWheel {
+		want.Wheel = s.wheel
+	}
+	if spec.MSS > 0 {
+		want.MSS = spec.MSS
+	}
+	want.SACK = spec.SACK
+	if spec.Alg == AlgStallWait || spec.StallWait {
+		want.Stall = tcp.StallWait
+	}
+	for _, c := range s.tcpCfgs {
+		if *c == want {
+			return c
+		}
+	}
+	c := take(&s.park.cfgs)
+	*c = want
+	s.tcpCfgs = append(s.tcpCfgs, c)
+	return c
 }
 
 // registerFlowGauges adds a static flow's sampled series to the recorder.

@@ -22,7 +22,6 @@ type Timer struct {
 	ev     Event
 	at     Time   // target deadline, meaningful while armed
 	seq    uint64 // sequence number reserved by the latest Arm
-	armed  bool
 
 	// Wheel-backed mode (see Wheel): when wheel is non-nil, Arm and Stop
 	// route through the wheel's O(1) slot lists instead of the calendar
@@ -31,6 +30,8 @@ type Timer struct {
 	wheel        *Wheel
 	wNext, wPrev *Timer
 	wSlot        int32
+
+	armed bool // after wSlot, in its word's padding
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it expires.

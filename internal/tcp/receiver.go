@@ -23,29 +23,32 @@ type ReceiverStats struct {
 // the well-buffered receivers of the paper's testbed.
 type Receiver struct {
 	eng     *sim.Engine
-	cfg     Config
+	cfg     *Config // shared, read-only (see Sender.Init)
 	flow    packet.FlowID
+	gen     uint32 // stamped on every ACK sent
 	out     netem.Receiver
 	rcvNxt  int64
 	ooo     []packet.SACKBlock // sorted, disjoint
-	pending int                // in-order segments since last ACK
+	pending int32              // in-order segments since last ACK
+	stopped bool
 	delack  sim.Timer
 	delFn   func() // onDelAckTimeout, bound once (see Sender.rtoFn)
-	stopped bool
 	stats   ReceiverStats
 }
 
-// NewReceiver wires a receiver whose ACKs flow into out (the reverse path).
+// NewReceiver wires a receiver whose ACKs flow into out (the reverse path),
+// on a private copy of cfg whose zero fields take DefaultConfig's values.
 func NewReceiver(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Receiver) *Receiver {
+	cfg.fillDefaults()
 	r := new(Receiver)
-	r.Init(eng, cfg, flow, out)
+	r.Init(eng, &cfg, flow, 0, out)
 	return r
 }
 
 // Init (re)initializes the receiver in place as a fresh connection; a used
 // receiver keeps only its reassembly list's backing array and its bound
-// timer callback (see Sender.Init).
-func (r *Receiver) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Receiver) {
+// timer callback. cfg and gen are held and stamped as by Sender.Init.
+func (r *Receiver) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint32, out netem.Receiver) {
 	if out == nil {
 		panic("tcp: receiver with nil ACK path")
 	}
@@ -54,10 +57,9 @@ func (r *Receiver) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, out net
 		delFn = r.onDelAckTimeout
 	}
 	*r = Receiver{} // zero, then set (see Sender.Init)
-	r.eng, r.cfg, r.flow, r.out = eng, cfg, flow, out
-	r.cfg.fillDefaults()
+	r.eng, r.cfg, r.flow, r.gen, r.out = eng, cfg, flow, gen, out
 	r.ooo, r.delack, r.delFn = ooo, delack, delFn
-	r.delack.Init(eng, r.cfg.Wheel, r.delFn)
+	r.delack.Init(eng, cfg.Wheel, r.delFn)
 }
 
 // RcvNxt returns the next expected sequence number.
@@ -105,7 +107,7 @@ func (r *Receiver) Receive(seg *packet.Segment) {
 		// An ACK must go out immediately while holes exist or were just
 		// filled (loss recovery depends on it), or at the delayed-ACK
 		// threshold.
-		if hadHole || len(r.ooo) > 0 || r.pending >= r.cfg.AckEvery {
+		if hadHole || len(r.ooo) > 0 || int(r.pending) >= r.cfg.AckEvery {
 			r.sendAck(false, -1)
 		} else if !r.delack.Armed() {
 			r.delack.Arm(r.cfg.DelAckTimeout)
@@ -149,7 +151,7 @@ func (r *Receiver) onDelAckTimeout() {
 func (r *Receiver) sendAck(delayed bool, recentSeq int64) {
 	ack := r.cfg.Pool.Get()
 	ack.Flow = r.flow
-	ack.Gen = r.cfg.Gen
+	ack.Gen = r.gen
 	ack.Ack = r.rcvNxt
 	ack.Flags = packet.FlagACK
 	ack.Wnd = r.cfg.RcvWnd

@@ -5,32 +5,22 @@ import "time"
 // rttEstimator implements RFC 6298 retransmission-timeout computation:
 // SRTT/RTTVAR exponential averages, clock-granularity floor, exponential
 // backoff, and min/max clamps (Linux uses a 200 ms floor, far below the
-// RFC's 1 s, and that is what the paper's kernel did).
+// RFC's 1 s, and that is what the paper's kernel did). The floor, the clamps
+// and the granularity are connection parameters: Update and Backoff read
+// them from the Config the sender shares, so the estimator holds only the
+// per-connection state.
 type rttEstimator struct {
-	srtt       time.Duration
-	rttvar     time.Duration
-	rto        time.Duration
-	hasSample  bool
-	granny     time.Duration // clock granularity G
-	minRTO     time.Duration
-	maxRTO     time.Duration
-	backoffExp uint // consecutive backoffs since last valid sample
-}
-
-func newRTTEstimator(initial, minRTO, maxRTO, granularity time.Duration) rttEstimator {
-	return rttEstimator{
-		rto:    initial,
-		granny: granularity,
-		minRTO: minRTO,
-		maxRTO: maxRTO,
-	}
+	srtt      time.Duration
+	rttvar    time.Duration
+	rto       time.Duration
+	hasSample bool
 }
 
 // Update folds a new RTT measurement in (RFC 6298 §2) and recomputes the
 // RTO, clearing any backoff.
-func (e *rttEstimator) Update(sample time.Duration) {
+func (e *rttEstimator) Update(sample time.Duration, c *Config) {
 	if sample <= 0 {
-		sample = e.granny
+		sample = c.RTOGranularity
 	}
 	if !e.hasSample {
 		e.srtt = sample
@@ -46,15 +36,13 @@ func (e *rttEstimator) Update(sample time.Duration) {
 		// SRTT <- 7/8 SRTT + 1/8 R'
 		e.srtt = (7*e.srtt + sample) / 8
 	}
-	e.backoffExp = 0
-	rto := e.srtt + max4(e.granny, 4*e.rttvar)
-	e.rto = clampDur(rto, e.minRTO, e.maxRTO)
+	rto := e.srtt + max4(c.RTOGranularity, 4*e.rttvar)
+	e.rto = clampDur(rto, c.MinRTO, c.MaxRTO)
 }
 
 // Backoff doubles the RTO after a retransmission timeout (Karn).
-func (e *rttEstimator) Backoff() {
-	e.backoffExp++
-	e.rto = clampDur(e.rto*2, e.minRTO, e.maxRTO)
+func (e *rttEstimator) Backoff(c *Config) {
+	e.rto = clampDur(e.rto*2, c.MinRTO, c.MaxRTO)
 }
 
 // RTO returns the current retransmission timeout.

@@ -5,19 +5,22 @@ import (
 	"time"
 )
 
-func newTestEstimator() rttEstimator {
-	return newRTTEstimator(time.Second, 200*time.Millisecond, 120*time.Second, time.Millisecond)
+// newTestEstimator returns a fresh estimator and the (default) RTO
+// parameters it reads: initial 1 s, floor 200 ms, cap 120 s, G 1 ms.
+func newTestEstimator() (rttEstimator, *Config) {
+	c := DefaultConfig()
+	return rttEstimator{rto: c.InitialRTO}, &c
 }
 
 func TestRTTFirstSample(t *testing.T) {
-	e := newTestEstimator()
+	e, c := newTestEstimator()
 	if e.HasSample() {
 		t.Error("fresh estimator claims a sample")
 	}
 	if e.RTO() != time.Second {
 		t.Errorf("initial RTO = %v, want 1s", e.RTO())
 	}
-	e.Update(60 * time.Millisecond)
+	e.Update(60*time.Millisecond, c)
 	if e.SRTT() != 60*time.Millisecond {
 		t.Errorf("SRTT = %v, want 60ms", e.SRTT())
 	}
@@ -31,9 +34,9 @@ func TestRTTFirstSample(t *testing.T) {
 }
 
 func TestRTTSmoothing(t *testing.T) {
-	e := newTestEstimator()
-	e.Update(100 * time.Millisecond)
-	e.Update(200 * time.Millisecond)
+	e, c := newTestEstimator()
+	e.Update(100*time.Millisecond, c)
+	e.Update(200*time.Millisecond, c)
 	// SRTT = 7/8*100 + 1/8*200 = 112.5ms
 	want := 112500 * time.Microsecond
 	if e.SRTT() != want {
@@ -46,9 +49,9 @@ func TestRTTSmoothing(t *testing.T) {
 }
 
 func TestRTTConvergesOnSteadySamples(t *testing.T) {
-	e := newTestEstimator()
+	e, c := newTestEstimator()
 	for i := 0; i < 100; i++ {
-		e.Update(60 * time.Millisecond)
+		e.Update(60*time.Millisecond, c)
 	}
 	if d := e.SRTT() - 60*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
 		t.Errorf("SRTT = %v, want ~60ms", e.SRTT())
@@ -60,23 +63,24 @@ func TestRTTConvergesOnSteadySamples(t *testing.T) {
 }
 
 func TestRTTBackoffDoubles(t *testing.T) {
-	e := newTestEstimator()
-	e.Update(100 * time.Millisecond)
+	e, c := newTestEstimator()
+	e.Update(100*time.Millisecond, c)
 	r0 := e.RTO()
-	e.Backoff()
+	e.Backoff(c)
 	if e.RTO() != 2*r0 {
 		t.Errorf("RTO after backoff = %v, want %v", e.RTO(), 2*r0)
 	}
-	e.Backoff()
+	e.Backoff(c)
 	if e.RTO() != 4*r0 {
 		t.Errorf("RTO after 2 backoffs = %v, want %v", e.RTO(), 4*r0)
 	}
 }
 
 func TestRTTBackoffClampsAtMax(t *testing.T) {
-	e := newRTTEstimator(time.Second, 200*time.Millisecond, 5*time.Second, time.Millisecond)
+	e, c := newTestEstimator()
+	c.MaxRTO = 5 * time.Second
 	for i := 0; i < 10; i++ {
-		e.Backoff()
+		e.Backoff(c)
 	}
 	if e.RTO() != 5*time.Second {
 		t.Errorf("RTO = %v, want clamped at 5s", e.RTO())
@@ -84,11 +88,11 @@ func TestRTTBackoffClampsAtMax(t *testing.T) {
 }
 
 func TestRTTUpdateClearsBackoff(t *testing.T) {
-	e := newTestEstimator()
-	e.Update(100 * time.Millisecond)
-	e.Backoff()
-	e.Backoff()
-	e.Update(100 * time.Millisecond)
+	e, c := newTestEstimator()
+	e.Update(100*time.Millisecond, c)
+	e.Backoff(c)
+	e.Backoff(c)
+	e.Update(100*time.Millisecond, c)
 	// A fresh sample recomputes RTO from SRTT/RTTVAR rather than the
 	// backed-off value.
 	if e.RTO() > time.Second {
@@ -97,8 +101,8 @@ func TestRTTUpdateClearsBackoff(t *testing.T) {
 }
 
 func TestRTTNonPositiveSampleUsesGranularity(t *testing.T) {
-	e := newTestEstimator()
-	e.Update(0)
+	e, c := newTestEstimator()
+	e.Update(0, c)
 	if e.SRTT() != time.Millisecond {
 		t.Errorf("SRTT = %v, want granularity 1ms", e.SRTT())
 	}

@@ -37,18 +37,18 @@ func (s *Sender) live() []sentRecord { return s.segs[s.tbl.segHead[s.slot]:] }
 // recovery mode, and instrumentation.
 type Sender struct {
 	eng  *sim.Engine
-	cfg  Config
+	cfg  *Config // shared with every endpoint configured alike; read-only
 	flow packet.FlowID
+	gen  uint32 // stamped on every segment sent (see Init)
 	ctrl cc.Controller
 	path TransmitPath
 
-	tbl  *FlowTable // hot state rows; private single-row table if unshared
-	slot int32      // row owned by this sender, -1 after ReleaseRow
+	tbl     *FlowTable // hot state rows; private single-row table if unshared
+	slot    int32      // row owned by this sender, -1 after ReleaseRow
+	dupAcks int32      // duplicate ACKs since the last advance of snd.una
 
 	stats web100.Stats
 	fr    *telemetry.FlightRecorder // nil-safe: unset means no recording
-
-	closed bool // application will supply no more
 
 	// Outstanding records, ordered by seq, live in segs[segHead:] (the
 	// head index is table state). ACKs consume from the front by advancing
@@ -64,30 +64,33 @@ type Sender struct {
 	lastRTT time.Duration // most recent raw sample, for delay heuristics
 
 	// loss recovery
-	dupAcks      int
-	recover      int64 // NewReno recovery point
-	inRecovery   bool
-	rtxPending   bool   // a fast-retransmit segment is waiting for IFQ room
+	recover      int64  // NewReno recovery point
 	rtxHigh      int64  // segments below this are retransmissions (Karn)
 	stallCwrHigh int64  // suppress repeated stall-congestion until una passes
-	wakerArmed   bool   // a resume waker is registered with the NIC
 	resumeFn     func() // the waker callback, bound once (no per-stall closure)
 	rtoFn        func() // onRTO, bound once so Init re-arms the timer for free
-
-	finished bool
 
 	// OnComplete fires once when all supplied data is acknowledged after
 	// Close.
 	OnComplete func()
 	// OnStall fires on every send-stall; the Figure-1 counter hooks here.
 	OnStall func()
+
+	// The flags sit together at the end, where they share one word.
+	closed     bool // application will supply no more
+	inRecovery bool
+	rtxPending bool // a fast-retransmit segment is waiting for IFQ room
+	wakerArmed bool // a resume waker is registered with the NIC
+	finished   bool
 }
 
-// NewSender wires a sender to its congestion controller and transmit path.
+// NewSender wires a sender to its congestion controller and transmit path
+// on a private copy of cfg, whose zero fields take DefaultConfig's values.
 // The controller is attached (initializing cwnd/ssthresh) immediately.
 func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) *Sender {
+	cfg.fillDefaults()
 	s := new(Sender)
-	s.Init(eng, cfg, flow, ctrl, path)
+	s.Init(eng, &cfg, flow, 0, ctrl, path)
 	return s
 }
 
@@ -98,7 +101,13 @@ func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controll
 // and zeroed with the rest), so a recycled sender behaves exactly like a new
 // one and costs no allocation. The previous row, if any, is not freed: the
 // owner resets or frees the table's rows itself.
-func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) {
+//
+// cfg is held, not copied: it must be filled (DefaultConfig with a Pool, or
+// NewSender's copy) and stay unchanged while the sender runs. gen is stamped
+// on every segment sent (packet.Segment.Gen): scenarios that recycle FlowIDs
+// give each incarnation a fresh one, so their demultiplexers can tell a stray
+// segment of a dead flow from the ID's current owner (zero never recycles).
+func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint32, ctrl cc.Controller, path TransmitPath) {
 	if ctrl == nil {
 		panic("tcp: sender with nil controller")
 	}
@@ -114,20 +123,19 @@ func (s *Sender) Init(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.C
 		}
 	}
 	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
-	s.eng, s.cfg, s.flow, s.ctrl, s.path = eng, cfg, flow, ctrl, path
-	s.cfg.fillDefaults()
+	s.eng, s.cfg, s.flow, s.gen, s.ctrl, s.path = eng, cfg, flow, gen, ctrl, path
 	s.segs, s.rto, s.rtoFn, s.resumeFn = segs, rto, rtoFn, resumeFn
-	s.tbl = s.cfg.Table
+	s.tbl = cfg.Table
 	if s.tbl == nil {
 		// Unshared sender: a private one-row table keeps the hot-state
 		// access pattern identical without requiring callers to care.
 		s.tbl = NewFlowTable(1)
 	}
 	s.slot = s.tbl.Alloc()
-	s.est = newRTTEstimator(s.cfg.InitialRTO, s.cfg.MinRTO, s.cfg.MaxRTO, s.cfg.RTOGranularity)
+	s.est = rttEstimator{rto: cfg.InitialRTO}
 	s.stats.Init(eng.Now())
-	s.tbl.rwnd[s.slot] = s.cfg.RcvWnd
-	s.rto.Init(eng, s.cfg.Wheel, s.rtoFn)
+	s.tbl.rwnd[s.slot] = cfg.RcvWnd
+	s.rto.Init(eng, cfg.Wheel, s.rtoFn)
 	ctrl.Attach(s)
 	s.stats.CurRTO = s.est.RTO()
 }
@@ -337,7 +345,7 @@ func (s *Sender) trySend() {
 		}
 		seg := s.cfg.Pool.Get()
 		seg.Flow = s.flow
-		seg.Gen = s.cfg.Gen
+		seg.Gen = s.gen
 		seg.Seq = s.tbl.sndNxt[s.slot]
 		seg.Len = n
 		seg.Flags = packet.FlagACK
@@ -377,7 +385,7 @@ func (s *Sender) trySend() {
 func (s *Sender) effectiveWindow() int64 {
 	wnd := min64(s.tbl.cwnd[s.slot], s.tbl.rwnd[s.slot])
 	if s.cfg.LimitedTransmit && !s.inRecovery &&
-		s.dupAcks > 0 && s.dupAcks < s.cfg.DupThresh {
+		s.dupAcks > 0 && int(s.dupAcks) < s.cfg.DupThresh {
 		wnd += int64(s.dupAcks) * int64(s.cfg.MSS)
 	}
 	return wnd
@@ -432,7 +440,7 @@ func (s *Sender) sendRetransmit() bool {
 	}
 	seg := s.cfg.Pool.Get()
 	seg.Flow = s.flow
-	seg.Gen = s.cfg.Gen
+	seg.Gen = s.gen
 	seg.Seq = rec.seq
 	seg.Len = rec.length
 	seg.Flags = packet.FlagACK
@@ -496,7 +504,7 @@ func (s *Sender) sendSACKRetransmissions() bool {
 		}
 		seg := s.cfg.Pool.Get()
 		seg.Flow = s.flow
-		seg.Gen = s.cfg.Gen
+		seg.Gen = s.gen
 		seg.Seq = rec.seq
 		seg.Len = rec.length
 		seg.Flags = packet.FlagACK
@@ -596,7 +604,7 @@ func (s *Sender) onNewAck(ack int64) {
 	}
 	s.stats.ThruOctetsAcked += acked
 	if sample, ok := s.popAcked(ack); ok {
-		s.est.Update(sample)
+		s.est.Update(sample, s.cfg)
 		s.lastRTT = sample
 		s.stats.ObserveRTT(sample)
 		s.stats.SmoothedRTT = s.est.SRTT()
@@ -651,7 +659,7 @@ func (s *Sender) onDupAck() {
 		if !s.cfg.SACK {
 			s.ctrl.OnDupAck()
 		}
-	case s.dupAcks == s.cfg.DupThresh:
+	case int(s.dupAcks) == s.cfg.DupThresh:
 		// RFC 6582 "careful" variant (non-SACK): duplicate ACKs at or
 		// below the previous recovery point are echoes of segments
 		// retransmitted during that recovery; re-entering would cut the
@@ -762,7 +770,7 @@ func (s *Sender) onRTO() {
 	s.stats.CongSignals++
 	s.fr.Record(s.eng.Now(), telemetry.KindRTO, int32(s.flow), -1, s.tbl.sndUna[s.slot], s.tbl.sndNxt[s.slot]-s.tbl.sndUna[s.slot])
 	s.ctrl.OnRTO()
-	s.est.Backoff()
+	s.est.Backoff(s.cfg)
 	s.stats.CurRTO = s.est.RTO()
 	// Go-back-N: everything beyond snd.una is resent under the collapsed
 	// window; mark the range so Karn's rule skips its RTT samples.

@@ -50,6 +50,10 @@ func (p StallPolicy) String() string {
 }
 
 // Config carries the connection parameters shared by sender and receiver.
+// Endpoints built with Init hold a pointer to it rather than a copy, so one
+// Config serves every connection configured alike: a scenario keeps one per
+// distinct configuration for all of its flows. It must stay unchanged while
+// an endpoint built on it runs.
 type Config struct {
 	// MSS is the maximum segment payload in bytes. 1448 matches an
 	// Ethernet MTU minus IP/TCP headers with timestamps.
@@ -70,7 +74,8 @@ type Config struct {
 	// MaxBurst caps the segments released by one send opportunity (one
 	// ACK arrival, one waker). Large cumulative ACKs — recovery exit,
 	// hole repair — otherwise dump hundreds of segments into the IFQ at
-	// once. 0 disables the cap; the default is 8 (the ns-2/BSD classic).
+	// once. Zero selects the default of 8 (the ns-2/BSD classic); a
+	// negative value disables the cap.
 	MaxBurst int
 	// MinRTO, MaxRTO, InitialRTO parameterize RFC 6298 (Linux values).
 	MinRTO     time.Duration
@@ -95,12 +100,6 @@ type Config struct {
 	// private one-row table. A many-flows scenario shares one table so
 	// per-ACK state stays dense.
 	Table *FlowTable
-	// Gen is stamped on every segment the endpoints emit
-	// (packet.Segment.Gen); scenarios that recycle FlowIDs give each
-	// incarnation a fresh generation so their demultiplexers can tell a
-	// stray segment of a dead flow from the ID's current owner. Zero (the
-	// default) matches the zero generation of routes that never recycle.
-	Gen uint32
 }
 
 // DefaultConfig returns parameters matching the paper's Linux 2.4 testbed.
@@ -121,7 +120,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// fillDefaults fills zero fields from DefaultConfig, in place.
+// fillDefaults fills zero fields from DefaultConfig, in place. It is
+// idempotent: a filled config comes back unchanged.
 func (c *Config) fillDefaults() {
 	d := DefaultConfig()
 	if c.MSS <= 0 {
@@ -141,9 +141,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBurst == 0 {
 		c.MaxBurst = d.MaxBurst
-	}
-	if c.MaxBurst < 0 {
-		c.MaxBurst = 0 // explicit "unlimited"
 	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = d.MinRTO
