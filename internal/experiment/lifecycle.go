@@ -417,9 +417,10 @@ const (
 	// each) a parked sender keeps.
 	parkedRecordCap = 64
 	// parkedFloor is how many bundles stay parked however small the live
-	// population is; above it the store holds a quarter of the live count.
-	// Without the floor a handful of short flows arriving in batches finds
-	// the store empty every time.
+	// population is; above it the store holds as many as are live, so a
+	// population that falls and rises again is rebuilt from its own
+	// bundles. Without the floor a handful of short flows arriving in
+	// batches finds the store empty every time.
 	parkedFloor = 16
 )
 
@@ -449,7 +450,7 @@ func (s *Scenario) DetachFlow(f *Flow) {
 // owner. And when completing (the call comes from the sender's completion
 // hook, inside its Receive) the Flow is held back one completion, see
 // parked.held. What is parked is bounded by parkedRecordCap and by
-// max(parkedFloor, live/4) components of each kind.
+// max(parkedFloor, live) components of each kind.
 func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 	f.detached = true
 	dynamic := f.liveIdx >= 0
@@ -510,7 +511,7 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 			s.park.flows = append(s.park.flows, f)
 		}
 	}
-	limit := max(parkedFloor, len(s.churn.live)/4)
+	limit := max(parkedFloor, len(s.churn.live))
 	trim(&s.park.flows, limit)
 	trim(&s.park.nics, limit)
 	trim(&s.park.rss, limit)

@@ -8,9 +8,14 @@ import (
 // are recycled onto a free list the moment they fire or are canceled, so a
 // steady-state simulation schedules millions of events with a handful of
 // allocations. External code never sees *event; it holds an Event handle.
+//
+// The layout is 88 bytes, inside Go's 96-byte size class; a field that
+// crosses it costs every pending event 16 bytes (TestCalendarEntrySizeClass).
 type event struct {
 	at    Time
 	seq   uint64 // FIFO tie-break among events at the same instant
+	next  *event // ladder only: rung bucket list links (see rung)
+	prev  *event
 	index int32  // position in its container, -1 once removed
 	bkt   int32  // ladder only: bucket slot within the rung
 	lvl   int16  // ladder only: rung index
@@ -19,7 +24,6 @@ type event struct {
 	fn    func()
 	argFn func(any) // alternative callback form: reused func + per-event arg
 	arg   any
-	name  string // optional label for debugging
 }
 
 // Event is a handle to a scheduled callback, returned by the Engine's
@@ -39,14 +43,6 @@ func (h Event) At() Time {
 		return 0
 	}
 	return h.ev.at
-}
-
-// Name returns the optional debug label given at scheduling time.
-func (h Event) Name() string {
-	if !h.Pending() {
-		return ""
-	}
-	return h.ev.name
 }
 
 // Pending reports whether the event is still waiting to fire.
@@ -208,7 +204,7 @@ type SchedStats struct {
 	Rebases   uint64 // overflow-band redistributions (bucket resizes)
 	Demotes   uint64 // oversized drain lists split back to the overflow band
 	MaxRungs  int    // deepest rung stack observed (spray depth)
-	MaxBottom int    // largest single sorted bucket
+	MaxBottom int    // largest live drain list
 	MaxSize   int    // calendar high water (HeapHighWater's counterpart)
 }
 
@@ -237,12 +233,12 @@ func (e *Engine) Leaked() int {
 	return int(issued-e.recycled) - e.Pending()
 }
 
-func (e *Engine) get(at Time, name string) *event {
+func (e *Engine) get(at Time) *event {
 	e.seq++
-	return e.getReserved(at, name, e.seq)
+	return e.getReserved(at, e.seq)
 }
 
-func (e *Engine) getReserved(at Time, name string, seq uint64) *event {
+func (e *Engine) getReserved(at Time, seq uint64) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -255,7 +251,6 @@ func (e *Engine) getReserved(at Time, name string, seq uint64) *event {
 	}
 	ev.at = at
 	ev.seq = seq
-	ev.name = name
 	return ev
 }
 
@@ -284,7 +279,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func()) Event {
 	if seq == 0 || seq > e.seq {
 		panic("sim: ScheduleReserved with an unreserved sequence number")
 	}
-	ev := e.getReserved(at, "", seq)
+	ev := e.getReserved(at, seq)
 	ev.fn = fn
 	e.push(ev)
 	return Event{ev: ev, gen: ev.gen}
@@ -322,7 +317,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
-	ev.name = ""
 	e.recycled++
 	e.free = append(e.free, ev)
 }
@@ -330,18 +324,13 @@ func (e *Engine) recycle(ev *event) {
 // Schedule arranges for fn to run at instant at. Scheduling in the past
 // panics: it is always a logic error in a discrete-event model.
 func (e *Engine) Schedule(at Time, fn func()) Event {
-	return e.ScheduleNamed(at, "", fn)
-}
-
-// ScheduleNamed is Schedule with a debug label attached to the event.
-func (e *Engine) ScheduleNamed(at Time, name string, fn func()) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at %v, now %v", at, e.now))
 	}
 	if fn == nil {
 		panic("sim: schedule with nil func")
 	}
-	ev := e.get(at, name)
+	ev := e.get(at)
 	ev.fn = fn
 	e.push(ev)
 	return Event{ev: ev, gen: ev.gen}
@@ -367,7 +356,7 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: schedule with nil func")
 	}
-	ev := e.get(at, "")
+	ev := e.get(at)
 	ev.argFn = fn
 	ev.arg = arg
 	e.push(ev)

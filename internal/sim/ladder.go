@@ -20,6 +20,8 @@ import (
 //	rungs   stack of bucket arrays. rungs[len-1] (deepest) covers the
 //	        earliest window at the finest granularity; each shallower rung
 //	        covers the window after its child at ~256× coarser granularity.
+//	        A bucket is an intrusive list threaded through the entries'
+//	        next/prev links, so a rung owns no per-bucket storage.
 //	over    unsorted far-future band beyond the top rung's horizon.
 //
 // Ordering invariant: every event in rungs/over fires at or after botEnd,
@@ -54,7 +56,7 @@ const (
 const (
 	locNone   int8 = iota
 	locBottom      // ladder.bottom, position found by (at, seq) search; index pinned at 0
-	locRung        // rungs[lvl].bucket[bkt], index = position in the bucket
+	locRung        // list rungs[lvl].head[bkt]; index pinned at 0
 	locOver        // ladder.over, index = position
 )
 
@@ -62,13 +64,70 @@ const (
 // granularity 1<<shift ns. Bucket k (absolute index, k = at>>shift) lives in
 // slot k&255; the window [curK, hiK) spans at most 256 buckets so slots are
 // unique. curK only advances, and buckets behind it are always empty.
+//
+// A bucket is a doubly-linked list of its entries in insertion order, run
+// through event.next/prev: the head's prev names the tail (so appends are
+// O(1) without a tail array) and the tail's next is nil. Insert and cancel
+// allocate nothing, and a drained rung keeps no backing storage.
 type rung struct {
-	shift  uint  // bucket granularity = 1<<shift ns
-	curK   int64 // next bucket index to consume; coverage = [curK, hiK)
-	hiK    int64 // exclusive end of coverage, in bucket units
-	count  int   // events resident across all buckets
-	occ    [ladderBuckets / 64]uint64
-	bucket [ladderBuckets][]*event
+	shift uint  // bucket granularity = 1<<shift ns
+	curK  int64 // next bucket index to consume; coverage = [curK, hiK)
+	hiK   int64 // exclusive end of coverage, in bucket units
+	count int   // events resident across all buckets
+	occ   [ladderBuckets / 64]uint64
+	head  [ladderBuckets]*event // first entry of each bucket's list
+	n     [ladderBuckets]int32  // entries per bucket (the spray test)
+}
+
+// push appends ev to bucket s.
+func (r *rung) push(s int, ev *event) {
+	if h := r.head[s]; h == nil {
+		r.head[s] = ev
+		ev.prev = ev
+		r.occ[s>>6] |= 1 << (uint(s) & 63)
+	} else {
+		t := h.prev
+		t.next = ev
+		ev.prev = t
+		h.prev = ev
+	}
+	ev.next = nil
+	r.n[s]++
+	r.count++
+}
+
+// unlink removes ev from bucket s in O(1).
+func (r *rung) unlink(s int, ev *event) {
+	if h := r.head[s]; ev == h {
+		if nx := ev.next; nx != nil {
+			nx.prev = ev.prev
+			r.head[s] = nx
+		} else {
+			r.head[s] = nil
+			r.occ[s>>6] &^= 1 << (uint(s) & 63)
+		}
+	} else {
+		ev.prev.next = ev.next
+		if ev.next != nil {
+			ev.next.prev = ev.prev
+		} else {
+			h.prev = ev.prev
+		}
+	}
+	r.n[s]--
+	r.count--
+}
+
+// take empties bucket s and returns its list, first entry first, for the
+// caller to walk by next. Links left on an entry outside a rung are never
+// read: push sets both before the entry joins another list.
+func (r *rung) take(s int) *event {
+	h := r.head[s]
+	r.head[s] = nil
+	r.count -= int(r.n[s])
+	r.n[s] = 0
+	r.occ[s>>6] &^= 1 << (uint(s) & 63)
+	return h
 }
 
 // nextOccupied returns the smallest occupied bucket index >= curK. The
@@ -120,17 +179,14 @@ type ladder struct {
 // eventAscending is the drain-list order: (at, seq) ascending — the exact
 // total order the heap's less() induces.
 func eventAscending(x, y *event) int {
-	if x.at != y.at {
-		if x.at < y.at {
-			return -1
-		}
-		return 1
-	}
-	if x.seq < y.seq {
+	if before(x, y) {
 		return -1
 	}
 	return 1
 }
+
+// before reports whether x orders ahead of y in (at, seq).
+func before(x, y *event) bool { return x.at < y.at || (x.at == y.at && x.seq < y.seq) }
 
 // Entry placement: an event goes to bottom if it precedes botEnd, else to
 // the deepest rung whose window covers it, else to the overflow band. The
@@ -149,10 +205,8 @@ func (l *ladder) insertHigh(ev *event) {
 			ev.where = locRung
 			ev.lvl = int16(i)
 			ev.bkt = int32(s)
-			ev.index = int32(len(r.bucket[s]))
-			r.bucket[s] = append(r.bucket[s], ev)
-			r.occ[s>>6] |= 1 << (uint(s) & 63)
-			r.count++
+			ev.index = 0
+			r.push(s, ev)
 			return
 		}
 	}
@@ -182,16 +236,11 @@ func (l *ladder) insertBottom(ev *event) {
 	// have to rewrite every shifted entry's index); the constant 0 keeps
 	// Pending()'s index >= 0 liveness contract intact.
 	ev.index = 0
-	if l.head == len(b) { // empty: restart the window at slot 0
-		b = b[:0]
+	switch {
+	case l.head == len(b): // empty: restart the window at slot 0
 		l.head = 0
-		l.bottom = append(b, ev)
-		if l.maxBottom < 1 {
-			l.maxBottom = 1
-		}
-		return
-	}
-	if last := b[len(b)-1]; last.at < ev.at || (last.at == ev.at && last.seq < ev.seq) {
+		l.bottom = append(b[:0], ev)
+	case before(b[len(b)-1], ev):
 		// Compact the dead prefix before growing the array under it.
 		if l.head > 64 && l.head*2 >= len(b) {
 			n := copy(b, b[l.head:])
@@ -202,39 +251,33 @@ func (l *ladder) insertBottom(ev *event) {
 			l.head = 0
 		}
 		l.bottom = append(b, ev)
-		if live := len(l.bottom) - l.head; live > l.maxBottom {
-			l.maxBottom = live
-		}
-		return
-	}
-	if h := b[l.head]; l.head > 0 && (ev.at < h.at || (ev.at == h.at && ev.seq < h.seq)) {
+	case l.head > 0 && before(ev, b[l.head]):
 		l.head--
 		b[l.head] = ev
-		return
-	}
-	// General splice: first live index whose entry orders after ev.
-	lo, hi := l.head, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		o := b[mid]
-		if ev.at < o.at || (ev.at == o.at && ev.seq < o.seq) {
-			hi = mid
+	default:
+		// General splice: first live index whose entry orders after ev.
+		lo, hi := l.head, len(b)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if before(ev, b[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if l.head > 0 && lo-l.head <= len(b)-lo {
+			// Shift the shorter prefix left into the vacated slot.
+			copy(b[l.head-1:], b[l.head:lo])
+			l.head--
+			b[lo-1] = ev
 		} else {
-			lo = mid + 1
+			b = append(b, nil)
+			copy(b[lo+1:], b[lo:])
+			b[lo] = ev
+			l.bottom = b
 		}
 	}
-	if l.head > 0 && lo-l.head <= len(b)-lo {
-		// Shift the shorter prefix left into the vacated slot.
-		copy(b[l.head-1:], b[l.head:lo])
-		l.head--
-		b[lo-1] = ev
-		return
-	}
-	b = append(b, nil)
-	copy(b[lo+1:], b[lo:])
-	b[lo] = ev
-	l.bottom = b
-	if live := len(b) - l.head; live > l.maxBottom {
+	if live := len(l.bottom) - l.head; live > l.maxBottom {
 		l.maxBottom = live
 	}
 }
@@ -256,8 +299,8 @@ func (l *ladder) popHead() *event {
 }
 
 // remove unlinks a canceled entry from whichever container holds it:
-// ordered removal in bottom (suffix reindex), swap-remove in a rung bucket
-// or the overflow band.
+// ordered removal in bottom, a list unlink in a rung bucket, swap-remove in
+// the overflow band.
 func (l *ladder) remove(ev *event) {
 	switch ev.where {
 	case locBottom:
@@ -269,8 +312,7 @@ func (l *ladder) remove(ev *event) {
 		lo, hi := l.head, n
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			o := b[mid]
-			if o.at < ev.at || (o.at == ev.at && o.seq < ev.seq) {
+			if before(b[mid], ev) {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -299,21 +341,7 @@ func (l *ladder) remove(ev *event) {
 			l.bottom = b[:n-1]
 		}
 	case locRung:
-		r := l.rungs[ev.lvl]
-		s := int(ev.bkt)
-		b := r.bucket[s]
-		i := int(ev.index)
-		n := len(b) - 1
-		if i != n {
-			b[i] = b[n]
-			b[i].index = int32(i)
-		}
-		b[n] = nil
-		r.bucket[s] = b[:n]
-		if n == 0 {
-			r.occ[s>>6] &^= 1 << (uint(s) & 63)
-		}
-		r.count--
+		l.rungs[ev.lvl].unlink(int(ev.bkt), ev)
 	case locOver:
 		o := l.over
 		i := int(ev.index)
@@ -347,26 +375,25 @@ func (l *ladder) refill() bool {
 			}
 			k := r.nextOccupied()
 			s := int(k & ladderBucketMask)
-			b := r.bucket[s]
-			if len(b) > ladderSprayThresh && r.shift > 0 && n < ladderMaxRungs {
+			if r.n[s] > ladderSprayThresh && r.shift > 0 && n < ladderMaxRungs {
 				l.spray(r, k, s)
 				continue
 			}
-			// Sort the bucket into bottom and advance the window. The
-			// events are removed from the rung but stay at the same
-			// logical position in time, so ordering is unaffected.
-			slices.SortFunc(b, eventAscending)
-			l.bottom = append(l.bottom[:0], b...)
-			l.head = 0
-			for _, ev := range l.bottom {
+			// Move the bucket into bottom in insertion order, which is
+			// nearly sorted, then sort it and advance the window. The
+			// events leave the rung but stay at the same logical position
+			// in time, so ordering is unaffected.
+			b := l.bottom[:0]
+			for ev := r.take(s); ev != nil; ev = ev.next {
 				ev.where = locBottom
+				b = append(b, ev)
 			}
+			slices.SortFunc(b, eventAscending)
+			l.bottom = b
+			l.head = 0
 			if len(b) > l.maxBottom {
 				l.maxBottom = len(b)
 			}
-			r.bucket[s] = b[:0]
-			r.occ[s>>6] &^= 1 << (uint(s) & 63)
-			r.count -= len(b)
 			r.curK = k + 1
 			if k+1 > int64(Infinity)>>r.shift {
 				l.botEnd = Infinity
@@ -481,21 +508,15 @@ func (l *ladder) spray(r *rung, k int64, s int) {
 	c.shift = childShift
 	c.curK = k << diff
 	c.hiK = (k + 1) << diff
-	b := r.bucket[s]
 	lvl := int16(len(l.rungs))
-	for _, ev := range b {
-		k2 := int64(ev.at) >> childShift
-		s2 := int(k2 & ladderBucketMask)
+	for ev := r.take(s); ev != nil; {
+		nx := ev.next
+		s2 := int((int64(ev.at) >> childShift) & ladderBucketMask)
 		ev.lvl = lvl
 		ev.bkt = int32(s2)
-		ev.index = int32(len(c.bucket[s2]))
-		c.bucket[s2] = append(c.bucket[s2], ev)
-		c.occ[s2>>6] |= 1 << (uint(s2) & 63)
+		c.push(s2, ev)
+		ev = nx
 	}
-	c.count = len(b)
-	r.bucket[s] = b[:0]
-	r.occ[s>>6] &^= 1 << (uint(s) & 63)
-	r.count -= c.count
 	r.curK = k + 1
 	l.rungs = append(l.rungs, c)
 	l.sprays++
@@ -527,16 +548,13 @@ func (l *ladder) rebase() {
 	r.curK = int64(lo) >> shift
 	r.hiK = r.curK + ladderBuckets
 	for _, ev := range o {
-		k := int64(ev.at) >> shift
-		s := int(k & ladderBucketMask)
+		s := int((int64(ev.at) >> shift) & ladderBucketMask)
 		ev.where = locRung
 		ev.lvl = 0
 		ev.bkt = int32(s)
-		ev.index = int32(len(r.bucket[s]))
-		r.bucket[s] = append(r.bucket[s], ev)
-		r.occ[s>>6] |= 1 << (uint(s) & 63)
+		ev.index = 0
+		r.push(s, ev)
 	}
-	r.count = len(o)
 	l.over = o[:0]
 	l.rungs = append(l.rungs, r)
 	l.rebases++
@@ -556,7 +574,7 @@ func (l *ladder) newRung() *rung {
 }
 
 // releaseRung retires a drained rung to the pool. A rung with count == 0
-// has every bucket at length zero and every occupancy bit clear (consume,
+// has every bucket list empty and every occupancy bit clear (consume,
 // cancel, and spray all maintain this), so only the scalars need resetting.
 func (l *ladder) releaseRung(r *rung) {
 	r.shift, r.curK, r.hiK, r.count = 0, 0, 0, 0
@@ -564,7 +582,8 @@ func (l *ladder) releaseRung(r *rung) {
 }
 
 // drain recycles every resident entry through recycle and empties the
-// ladder, keeping slice capacities and pooled rungs warm (Engine.Reset).
+// ladder, keeping the drain list's and band's capacity and the pooled rungs
+// warm (Engine.Reset).
 func (l *ladder) drain(recycle func(*event)) {
 	for i := l.head; i < len(l.bottom); i++ {
 		ev := l.bottom[i]
@@ -586,20 +605,13 @@ func (l *ladder) drain(recycle func(*event)) {
 		r := l.rungs[n-1]
 		l.rungs[n-1] = nil
 		l.rungs = l.rungs[:n-1]
-		for s := range r.bucket {
-			b := r.bucket[s]
-			for i, ev := range b {
+		for s := range r.head {
+			for ev := r.take(s); ev != nil; ev = ev.next {
 				ev.index = -1
 				ev.where = locNone
 				recycle(ev)
-				b[i] = nil
 			}
-			r.bucket[s] = b[:0]
 		}
-		for i := range r.occ {
-			r.occ[i] = 0
-		}
-		r.count = 0
 		l.releaseRung(r)
 	}
 	l.botEnd = 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // schedFiring is one observable delivery: which logical event fired and at
@@ -62,7 +63,7 @@ func runSchedFuzz(useLadder bool, seed uint64, spawnLimit int) ([]schedFiring, *
 		case 1:
 			h = e.ScheduleArg(at, argFire, id)
 		default:
-			h = e.ScheduleNamed(at, "fuzz", func() { fire(id) })
+			h = e.ScheduleAfter(at.Sub(e.Now()), func() { fire(id) })
 		}
 		ring[rng.Intn(len(ring))] = h
 	}
@@ -341,5 +342,46 @@ func TestLadderSchedStats(t *testing.T) {
 	}
 	if hs := NewEngine().SchedStats(); hs.Backend != "heap" {
 		t.Fatalf("heap backend reports %q", hs.Backend)
+	}
+}
+
+// TestLadderMaxBottomCountsHeadSlotInserts: an insert into a slot the head
+// cursor vacated grows the live drain list as much as an append does, and
+// SchedStats.MaxBottom must see it. Two steps leave two vacated slots in
+// front of 30; the last two inserts fill them, by the O(1) front insert
+// twice or by a front insert and the shorter-prefix splice, for three live
+// entries.
+func TestLadderMaxBottomCountsHeadSlotInserts(t *testing.T) {
+	for _, last := range []Time{24, 27} {
+		e := NewLadderEngine()
+		e.Schedule(10, func() {})
+		e.Schedule(20, func() {})
+		e.Step()
+		e.Schedule(30, func() {})
+		e.Step()
+		e.Schedule(25, func() {})
+		e.Schedule(last, func() {})
+		if live := len(e.lad.bottom) - e.lad.head; live != 3 || e.lad.head != 0 {
+			t.Fatalf("last insert %v: %d live entries from slot %d, want 3 from slot 0 — bad test premise",
+				last, live, e.lad.head)
+		}
+		if got := e.SchedStats().MaxBottom; got != 3 {
+			t.Errorf("last insert %v: MaxBottom = %d with three entries in the drain list", last, got)
+		}
+	}
+}
+
+// TestCalendarEntrySizeClass pins what the calendar stores. Go rounds each
+// allocation up to a size class (…, 80, 96, 112 B): event is 88 B with its
+// list links, in the 96-B class it held with the debug label it replaced,
+// so neither backend pays for the ladder's lists. A rung is two 256-entry
+// arrays (list heads and counts) and a bitmap, about 3.1 KB; its slice
+// buckets were 6,208 B plus backing arrays that kept their peak capacity.
+func TestCalendarEntrySizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 96 {
+		t.Errorf("event is %d B, over the 96-B size class", got)
+	}
+	if got := unsafe.Sizeof(rung{}); got > 3200 {
+		t.Errorf("rung is %d B, budget 3,200", got)
 	}
 }

@@ -145,7 +145,7 @@ func (w *Wheel) arm(t *Timer) {
 	if !w.flushEv.Pending() || flush < w.flushAt {
 		w.eng.Cancel(w.flushEv)
 		w.flushAt = flush
-		w.flushEv = w.eng.ScheduleNamed(flush, "wheel-flush", w.flushFn)
+		w.flushEv = w.eng.Schedule(flush, w.flushFn)
 	}
 }
 
@@ -193,7 +193,7 @@ func (w *Wheel) flush() {
 	for i := int64(1); i <= w.mask+1; i++ {
 		if w.slots[int((s+i)&w.mask)] != nil {
 			w.flushAt = Time((s + i) * int64(w.gran))
-			w.flushEv = w.eng.ScheduleNamed(w.flushAt, "wheel-flush", w.flushFn)
+			w.flushEv = w.eng.Schedule(w.flushAt, w.flushFn)
 			return
 		}
 	}
