@@ -1,13 +1,14 @@
 // Command rsstcp-campaign sweeps a parameter space on a bounded worker pool
 // and prints per-cell aggregates (replicate mean, stddev, percentiles).
 //
-// Every sweep flag compiles to a named axis through one parser (ParseAxis):
-// the classic seven (-bw, -rtt, -rq, -ifq, -loss, -alg, -flows) are always
-// present with their defaults, the repeatable -axis flag stacks further
-// dimensions, and -metrics selects and orders the output columns from the
-// pluggable metric registry (default: the six stock metrics). There is one
-// plan, one engine and one report: axis columns, then mean and std per
-// metric.
+// Every sweep flag is the stock campaign axis of the same name, compiled by
+// the flag compiler rsstcp-sim and rsstcp-tune share: the classic seven
+// (-bw, -rtt, -rq, -ifq, -loss, -alg, -flows) have defaults, which an axis
+// given on purpose that sweeps or conflicts with them replaces; the
+// repeatable -axis flag stacks further dimensions after them; and -metrics
+// selects and orders the output columns from the pluggable metric registry
+// (default: the six stock metrics). There is one plan, one engine and one
+// report: axis columns, then mean and std per metric.
 //
 // Results are byte-identical for any -workers value: replicate seeds are
 // derived from the base seed and each cell's parameters, never from the
@@ -28,12 +29,12 @@
 //	rsstcp-campaign -bw 100 -rtt 60ms -ifq 100 -alg restricted \
 //	    -axis tick=5ms,10ms,20ms -axis mss=1448,8948 -metrics throughput_mbps,collapses
 //
-// Dynamic workloads sweep too: -loads, -arrivals and -fsizes open the
+// Dynamic workloads sweep too: -load, -arrivals and -fsize open the
 // flow-lifecycle axes (offered load, arrival process, transfer-size
 // distribution), with completion-time metrics to match:
 //
 //	rsstcp-campaign -bw 100 -rtt 60ms -alg standard,restricted \
-//	    -loads 0.4,0.8 -fsizes exp:100k,pareto:1.2:4k:10M \
+//	    -load 0.4,0.8 -fsize exp:100k,pareto:1.2:4k:10M \
 //	    -metrics fct_mean,fct_p99,slowdown_mean,flows_done
 //
 // Topologies sweep too: -topo sweeps stock presets (parking-lot,
@@ -58,7 +59,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,19 +69,15 @@ import (
 	"rsstcp/internal/telemetry"
 )
 
-// classicAxes names the seven always-present sweep flags in canonical axis
-// order; each flag shares its axis's name (-rtt sets axis "rtt").
-var classicAxes = []string{"bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
+// axisFlags are the flags that are stock campaign axes of the same name, in
+// canonical order: topology, churn, then the classic seven.
+var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
 
 func main() {
+	defaults := map[string]string{"bw": "10,100,500", "rtt": "20ms,60ms", "rq": "250",
+		"ifq": "50,100", "loss": "0", "alg": "standard,restricted", "flows": "1"}
+	axes := campaign.NewAxisFlags(flag.CommandLine, axisFlags, defaults, true)
 	var (
-		bws        = flag.String("bw", "10,100,500", "bottleneck bandwidths in Mbps (comma list)")
-		rtts       = flag.String("rtt", "20ms,60ms", "round-trip delays (comma list of durations)")
-		rqs        = flag.String("rq", "250", "router queue sizes in packets (comma list)")
-		ifqs       = flag.String("ifq", "50,100", "txqueuelen values in packets (comma list)")
-		losses     = flag.String("loss", "0", "bottleneck loss probabilities (comma list)")
-		algs       = flag.String("alg", "standard,restricted", "algorithms (comma list)")
-		flows      = flag.String("flows", "1", "concurrent flow counts (comma list)")
 		replicates = flag.Int("replicates", 2, "replicates per cell")
 		duration   = flag.Duration("duration", 10*time.Second, "virtual run length per replicate")
 		seed       = flag.Uint64("seed", 1, "base seed for replicate derivation")
@@ -90,12 +86,8 @@ func main() {
 		csvPath    = flag.String("csv", "", "write the aggregate table as CSV to this file, or - for stdout")
 		quiet      = flag.Bool("quiet", false, "suppress progress reporting on stderr")
 
-		// Further axes and the metric columns.
+		// The metric columns, and a reverse channel for every cell.
 		metrics    = flag.String("metrics", "", "metric columns to report, in order (comma list; known: "+strings.Join(rsstcp.MetricNames(), ",")+")")
-		loads      = flag.String("loads", "", "offered-load fractions of the bottleneck to sweep under dynamic arrivals (comma list; adds a 'load' axis)")
-		arrivalsF  = flag.String("arrivals", "", "flow arrival processes to sweep, e.g. poisson:50 or mmpp:10:200:500ms (comma list; adds an 'arrivals' axis)")
-		fsizes     = flag.String("fsizes", "", "dynamic transfer-size distributions to sweep, e.g. exp:100k or pareto:1.2:4k:10M (comma list; adds an 'fsize' axis)")
-		topoNames  = flag.String("topo", "", "topology presets to sweep (comma list of "+strings.Join(rsstcp.TopologyPresets(), ",")+"; adds a 'topo' axis)")
 		rev        = flag.String("rev", "", "real reverse channel for every cell as rate=Mbps[,delay=D][,queue=N] (adds an 'rbw' axis value)")
 		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the JSON report (memory grows with run count)")
 
@@ -116,15 +108,14 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	// -axis values are compiled after flag.Parse, like every other sweep
-	// flag, so a bad one exits 1 with a one-line message, not a usage dump.
-	var axisFlags []string
+	// A bad -axis value, like a bad flag value, rides on its axis to
+	// Plan.Validate: one line and exit 1, not a usage dump.
 	axisUsage := "extra sweep axis as name=v1,v2 (repeatable), name and values one of:"
 	for _, n := range rsstcp.StockAxisNames() {
 		axisUsage += "\n" + n + ": " + campaign.AxisHelp(n)
 	}
 	flag.Func("axis", axisUsage, func(s string) error {
-		axisFlags = append(axisFlags, s)
+		axes.Extra(s)
 		return nil
 	})
 	var customHops []rsstcp.Hop
@@ -153,66 +144,35 @@ func main() {
 	}
 	defer stopProfiling()
 
-	// The classic flags compile through the same ParseAxis as -axis, in
-	// canonical (classicAxes) order.
-	var gridAxes []rsstcp.Axis
-	for i, csv := range []string{*bws, *rtts, *rqs, *ifqs, *losses, *algs, *flows} {
-		axisOrDie(&gridAxes, classicAxes[i], csv)
+	// A dynamic workload replaces the default single static flow, unless
+	// -flows was set on purpose to keep that many static flows as background
+	// load. -hop builds one custom topology for every cell, which takes the
+	// place of -topo and carries -rev; otherwise -rev is an "rbw" axis after
+	// the -axis ones.
+	if axes.Set("load") || axes.Set("arrivals") || axes.Set("fsize") {
+		delete(defaults, "flows")
 	}
-
-	var extraAxes []rsstcp.Axis
-	for _, s := range axisFlags {
-		name, vals, ok := strings.Cut(s, "=")
-		if !ok {
-			fatalf("bad -axis %q: want name=v1,v2", s)
-		}
-		axisOrDie(&extraAxes, name, vals)
-	}
-
-	// Churn flags: each compiles to one of the flow-lifecycle axes. They
-	// must precede the alg axis (which then decorates the dynamic flow
-	// template), so they are collected separately and stacked ahead of the
-	// classic axes below.
-	var churnAxes []rsstcp.Axis
-	if *loads != "" {
-		axisOrDie(&churnAxes, "load", *loads)
-	}
-	if *arrivalsF != "" {
-		axisOrDie(&churnAxes, "arrivals", *arrivalsF)
-	}
-	if *fsizes != "" {
-		axisOrDie(&churnAxes, "fsize", *fsizes)
-	}
-
-	// Topology flags: -topo sweeps stock presets, repeatable -hop builds one
-	// custom hop chain for every cell; either becomes a leading "topo" axis
-	// so the reverse/AQM axes that follow may refine it. -rev rides the
-	// custom topology directly, or becomes a single-valued "rbw" axis.
-	if *topoNames != "" && len(customHops) > 0 {
-		fatalf("-topo and -hop are mutually exclusive; presets and custom hop chains cannot mix")
-	}
-	var topoAxes []rsstcp.Axis
-	customTopo := len(customHops) > 0
-	if customTopo {
-		t := rsstcp.NewTopology(customHops...)
-		if *rev != "" {
-			r, err := rsstcp.ParseReverse(*rev)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			t.Reverse = r
-		}
-		topoAxes = append(topoAxes, rsstcp.TopologyAxis("custom", *t))
-	}
-	if *topoNames != "" {
-		axisOrDie(&topoAxes, "topo", *topoNames)
-	}
-	if *rev != "" && !customTopo {
-		r, err := rsstcp.ParseReverse(*rev)
-		if err != nil {
+	var reverse rsstcp.Reverse
+	var trail []rsstcp.Axis
+	if *rev != "" {
+		if reverse, err = rsstcp.ParseReverse(*rev); err != nil {
 			fatalf("%v", err)
 		}
-		extraAxes = append(extraAxes, rsstcp.ReverseAxis(r))
+		if len(customHops) == 0 {
+			trail = append(trail, rsstcp.ReverseAxis(reverse))
+		}
+	}
+	if len(customHops) > 0 {
+		axes.Pin(rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: customHops, Reverse: reverse}))
+	}
+	plan := rsstcp.Plan{Axes: axes.Axes(trail...), Replicates: *replicates, Duration: *duration, BaseSeed: *seed}
+	if *metrics != "" {
+		if plan.Metrics, err = rsstcp.MetricsByName(split(*metrics)...); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	if err := plan.Validate(); err != nil {
+		fatalf("%v", err)
 	}
 
 	// Self-metrics are always collected (the cost is two clock reads per
@@ -323,64 +283,6 @@ func main() {
 		}
 	}
 
-	// Reconcile the seven classic axes with the other flags. An -axis naming
-	// a classic dimension supersedes that dimension's default (the classic
-	// flag and -axis together are ambiguous and rejected).
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	for _, a := range extraAxes {
-		if hasAxis(gridAxes, a.Name) {
-			if explicit[a.Name] {
-				fatalf("-%s and -axis %s=... both sweep the %q axis; use one", a.Name, a.Name, a.Name)
-			}
-			gridAxes = dropAxes(gridAxes, a.Name)
-		}
-	}
-	// The matchup axis replaces the flow list and an explicit topology the
-	// dumbbell's path fields, so the classic axes each cannot share a plan
-	// with (the campaign rule table's AxisConflicts) come off it — and one
-	// set on purpose is rejected: its cell labels would lie about what ran.
-	dropConflicts := func(owner, why string) {
-		clash := campaign.AxisConflicts(owner)
-		for _, n := range clash {
-			if explicit[n] {
-				fatalf("%s; drop the -%s flag", why, n)
-			}
-		}
-		gridAxes = dropAxes(gridAxes, clash...)
-	}
-	if hasAxis(extraAxes, "matchup") {
-		dropConflicts("matchup", "-axis matchup=... replaces the flow list")
-	}
-	if len(topoAxes) > 0 || hasAxis(extraAxes, "topo") {
-		dropConflicts("topo", "a topology (-topo, -hop or -axis topo=...) replaces the path")
-	}
-	// A dynamic workload replaces the default single static flow, so the
-	// flows axis comes off the plan — unless -flows was set on purpose,
-	// which keeps that many static flows as background load.
-	if len(churnAxes) > 0 && !explicit["flows"] {
-		gridAxes = dropAxes(gridAxes, "flows")
-	}
-	builderOpts := []rsstcp.CampaignOpt{
-		rsstcp.SweepAxis(topoAxes...),
-		rsstcp.SweepAxis(churnAxes...),
-		rsstcp.SweepAxis(gridAxes...),
-		rsstcp.SweepAxis(extraAxes...),
-		rsstcp.Replicates(*replicates),
-		rsstcp.Duration(*duration),
-		rsstcp.BaseSeed(*seed),
-	}
-	if *metrics != "" {
-		builderOpts = append(builderOpts, rsstcp.MeasureNamed(split(*metrics)...))
-	}
-	c := rsstcp.NewCampaign(builderOpts...)
-	plan, err := c.Plan()
-	if err == nil {
-		err = plan.Validate()
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
 	if *shardK >= 0 {
 		shardChild(plan, shardsN, *shardK, *shardOut, opts)
 		finish()
@@ -395,7 +297,7 @@ func main() {
 		rep, err = shardParent(plan, shardsN, self)
 	} else {
 		progress(plan.Runs())
-		rep, err = c.Run(opts)
+		rep, err = rsstcp.RunPlan(plan, opts)
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -512,22 +414,6 @@ func render(jsonPath, csvPath string, rep *rsstcp.Report) {
 			fatalf("%v", err)
 		}
 	}
-}
-
-func axisOrDie(axes *[]rsstcp.Axis, name, csv string) {
-	a, err := rsstcp.ParseAxis(name, split(csv))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	*axes = append(*axes, a)
-}
-
-func hasAxis(axes []rsstcp.Axis, name string) bool {
-	return slices.ContainsFunc(axes, func(a rsstcp.Axis) bool { return a.Name == name })
-}
-
-func dropAxes(axes []rsstcp.Axis, names ...string) []rsstcp.Axis {
-	return slices.DeleteFunc(axes, func(a rsstcp.Axis) bool { return slices.Contains(names, a.Name) })
 }
 
 // parseShards resolves the -shards flag: a literal count, or "auto" for

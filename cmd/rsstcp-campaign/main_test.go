@@ -1,24 +1,53 @@
 package main
 
 import (
+	"flag"
 	"slices"
+	"strings"
 	"testing"
 
 	"rsstcp/internal/campaign"
 )
 
-// TestClassicAxesAreStockAxes: every classic flag names a registered axis,
-// and the rule-table lookups main relies on name axes that exist.
-func TestClassicAxesAreStockAxes(t *testing.T) {
+// validToken is one in-domain value per axis flag.
+var validToken = map[string]string{
+	"topo": "parking-lot", "load": "0.5", "arrivals": "poisson:10", "fsize": "exp:100k",
+	"bw": "100", "rtt": "60ms", "rq": "250", "ifq": "100", "loss": "0",
+	"alg": "standard", "flows": "1",
+}
+
+// TestAxisFlagsFollowCanonicalOrder: every axis flag names a stock axis, and
+// with all of them set the flag compiler stacks them in list order — so the
+// list is a sub-sequence of the canonical order — where any two either
+// compose or conflict, and none fails the rule table's order check.
+func TestAxisFlagsFollowCanonicalOrder(t *testing.T) {
 	stock := campaign.StockAxisNames()
-	for _, n := range classicAxes {
+	var args []string
+	for _, n := range axisFlags {
 		if !slices.Contains(stock, n) {
-			t.Errorf("classic flag -%s is not a stock axis", n)
+			t.Errorf("-%s is not a stock axis", n)
 		}
+		args = append(args, "-"+n, validToken[n])
 	}
-	for _, owner := range []string{"matchup", "topo"} {
-		if len(campaign.AxisConflicts(owner)) == 0 {
-			t.Errorf("rule table lists no conflicts for %q; main drops classic axes by it", owner)
+	fs := flag.NewFlagSet("rsstcp-campaign", flag.ContinueOnError)
+	axes := campaign.NewAxisFlags(fs, axisFlags, nil, true)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	compiled := axes.Axes()
+	var names []string
+	for _, a := range compiled {
+		names = append(names, a.Name)
+	}
+	if !slices.Equal(names, axisFlags) {
+		t.Fatalf("compiled axis order %v, flag list %v: not a sub-sequence of the canonical order", names, axisFlags)
+	}
+	for i, a := range compiled {
+		for _, b := range compiled[i+1:] {
+			err := campaign.Plan{Axes: []campaign.Axis{a, b}}.Validate()
+			if err != nil && !strings.Contains(err.Error(), "conflicts with") {
+				t.Errorf("-%s then -%s: %v", a.Name, b.Name, err)
+			}
 		}
 	}
 }

@@ -3,9 +3,10 @@
 //
 // The run is a one-cell campaign plan. Every network, flow, churn and
 // topology flag (-bw, -rtt, -ifq, -alg, -arrivals, -topo, ...) is the stock
-// campaign axis of the same name with a single value, so it parses,
-// range-checks and labels its value exactly as rsstcp-campaign does, and the
-// campaign's rule table rejects flags that cannot meet (-topo with -bw). An
+// campaign axis of the same name with a single value, compiled by the flag
+// compiler rsstcp-campaign uses, so it parses, range-checks and labels its
+// value exactly as rsstcp-campaign does, and the campaign's rule table
+// rejects flags that cannot meet (-topo with -bw). An
 // unset flag leaves the paper's path: 100 Mbps, 60 ms RTT, a 250-packet
 // router queue and txqueuelen 100. Multi-hop topologies come from a preset
 // (-topo), from repeatable -hop flags, or from splitting the dumbbell
@@ -36,25 +37,12 @@ import (
 )
 
 // axisFlags are the flags that are stock campaign axes of the same name, in
-// an order the campaign rule table accepts: topology, churn, path, then
-// per-flow.
+// canonical order: topology, churn, path, then per-flow.
 var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "nic", "hops", "aqm", "alg", "setpoint", "bytes", "sack"}
 
 func main() {
-	// raw holds each axis flag's value as given; alg alone has a default.
-	raw := map[string]string{"alg": "restricted"}
-	for _, n := range axisFlags {
-		help := campaign.AxisHelp(n)
-		if def, ok := raw[n]; ok {
-			help += " (default " + def + ")"
-		}
-		keep := func(s string) error { raw[n] = s; return nil }
-		if n == "sack" {
-			flag.BoolFunc(n, help, keep)
-		} else {
-			flag.Func(n, help, keep)
-		}
-	}
+	// alg alone has a default.
+	axes := campaign.NewAxisFlags(flag.CommandLine, axisFlags, map[string]string{"alg": "restricted"}, false)
 	var (
 		rev      = flag.String("rev", "", "real reverse channel as rate=Mbps[,delay=D][,queue=N] (default: ideal wire)")
 		duration = flag.Duration("duration", 25*time.Second, "run length")
@@ -88,32 +76,24 @@ func main() {
 	}
 	defer stopProfiling()
 
-	// The -hop chain is a "topo" axis, so it leads like -topo; the reverse
+	// The -hop chain is a "topo" axis, so it takes -topo's place; the reverse
 	// channel refines whichever path the axes before it built.
-	plan := rsstcp.Plan{Duration: *duration, Base: rsstcp.Options{
-		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
 	if len(hopSpecs) > 0 {
-		plan.Axes = append(plan.Axes, rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: hopSpecs}))
+		axes.Pin(rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: hopSpecs}))
 	}
-	for _, n := range axisFlags {
-		if v, ok := raw[n]; ok {
-			a, err := rsstcp.ParseAxis(n, []string{v})
-			if err != nil {
-				fatal(err)
-			}
-			plan.Axes = append(plan.Axes, a)
-		}
-	}
+	var trail []rsstcp.Axis
 	if *rev != "" {
 		r, err := rsstcp.ParseReverse(*rev)
 		if err != nil {
 			fatal(err)
 		}
-		plan.Axes = append(plan.Axes, rsstcp.ReverseAxis(r))
+		trail = append(trail, rsstcp.ReverseAxis(r))
 	}
+	plan := rsstcp.Plan{Axes: axes.Axes(trail...), Duration: *duration, Base: rsstcp.Options{
+		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
 	if *maxflows > 0 {
 		// -maxflows is no axis, so the rule table cannot see it meet -bytes.
-		if _, ok := raw["bytes"]; ok {
+		if axes.Set("bytes") {
 			fatal(fmt.Errorf("-bytes conflicts with a dynamic workload; transfer sizes come from -fsize"))
 		}
 		plan.Base.Churn = &rsstcp.Churn{MaxLive: *maxflows}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os/exec"
 	"slices"
 	"strings"
@@ -34,24 +35,34 @@ func TestAxisFlagsAreStockAxes(t *testing.T) {
 	}
 }
 
-// TestAxisFlagOrderFollowsRules: any two axis flags, in the order main stacks
-// them (the -hop chain is a "topo" axis up front, -rev an "rbw" axis at the
-// end), either compose or conflict. None may fail the rule table's order
-// check, which would reject an invocation only for where main put the axis.
+// TestAxisFlagOrderFollowsRules: with every axis flag set, the flag compiler
+// stacks them in list order — so the list is a sub-sequence of the canonical
+// order — then -rev's "rbw" axis after them, and any two either compose or conflict; none fails the rule
+// table's order check, which would reject an invocation only for where the
+// compiler put the axis.
 func TestAxisFlagOrderFollowsRules(t *testing.T) {
-	order := append(slices.Clone(axisFlags), "rbw")
-	for i, a := range order {
-		for _, b := range order[i+1:] {
-			var p campaign.Plan
-			for _, n := range []string{a, b} {
-				ax, err := campaign.ParseAxis(n, []string{validToken[n]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.Axes = append(p.Axes, ax)
-			}
-			if err := p.Validate(); err != nil && !strings.Contains(err.Error(), "conflicts with") {
-				t.Errorf("-%s then -%s: %v", a, b, err)
+	var args []string
+	for _, n := range axisFlags {
+		args = append(args, "-"+n+"="+validToken[n])
+	}
+	fs := flag.NewFlagSet("rsstcp-sim", flag.ContinueOnError)
+	axes := campaign.NewAxisFlags(fs, axisFlags, nil, false)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	compiled := axes.Axes(campaign.ParseAxis("rbw", []string{validToken["rbw"]}))
+	var names []string
+	for _, a := range compiled {
+		names = append(names, a.Name)
+	}
+	if want := append(slices.Clone(axisFlags), "rbw"); !slices.Equal(names, want) {
+		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, want)
+	}
+	for i, a := range compiled {
+		for _, b := range compiled[i+1:] {
+			err := campaign.Plan{Axes: []campaign.Axis{a, b}}.Validate()
+			if err != nil && !strings.Contains(err.Error(), "conflicts with") {
+				t.Errorf("-%s then -%s: %v", a.Name, b.Name, err)
 			}
 		}
 	}

@@ -3,8 +3,8 @@
 // controller until the IFQ-occupancy loop sustains oscillation, reports the
 // critical gain Kc and period Tc, and derives PID gains under each rule.
 //
-// -bw, -rtt and -ifq are the stock campaign axes of the same name, parsed and
-// range-checked as rsstcp-campaign does; an unset one leaves the paper path's
+// -bw, -rtt and -ifq are the stock campaign axes of the same name, compiled by
+// the flag compiler rsstcp-campaign uses; an unset one leaves the paper path's
 // value (100 Mbps, 60 ms RTT, txqueuelen 100).
 //
 // Example:
@@ -23,14 +23,12 @@ import (
 	"rsstcp/internal/telemetry"
 )
 
-// axisFlags are the flags that are stock campaign axes of the same name.
+// axisFlags are the flags that are stock campaign axes of the same name, in
+// canonical order.
 var axisFlags = []string{"bw", "rtt", "ifq"}
 
 func main() {
-	raw := map[string]string{}
-	for _, n := range axisFlags {
-		flag.Func(n, campaign.AxisHelp(n)+" (default: the paper path's)", func(s string) error { raw[n] = s; return nil })
-	}
+	axes := campaign.NewAxisFlags(flag.CommandLine, axisFlags, nil, false)
 	var (
 		duration = flag.Duration("probe", 30*time.Second, "per-probe run length")
 		validate = flag.Bool("validate", true, "run a full transfer with each derived gain set")
@@ -47,16 +45,7 @@ func main() {
 	}
 	defer stopProfiling()
 
-	plan := rsstcp.Plan{Base: rsstcp.Options{Path: rsstcp.PaperPath()}}
-	for _, n := range axisFlags {
-		if v, ok := raw[n]; ok {
-			a, err := rsstcp.ParseAxis(n, []string{v})
-			if err != nil {
-				fatal(err)
-			}
-			plan.Axes = append(plan.Axes, a)
-		}
-	}
+	plan := rsstcp.Plan{Axes: axes.Axes(), Base: rsstcp.Options{Path: rsstcp.PaperPath()}}
 	if err := plan.Validate(); err != nil {
 		fatal(err)
 	}

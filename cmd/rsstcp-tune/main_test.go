@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"slices"
 	"strings"
 	"testing"
@@ -25,21 +26,34 @@ func TestAxisFlagsAreStockAxes(t *testing.T) {
 	}
 }
 
-// TestAxisFlagOrderFollowsRules: any two axis flags, in list order, either
-// compose or conflict; none fails the rule table's order check.
+// TestAxisFlagOrderFollowsRules: with every axis flag set, the flag compiler
+// stacks them in list order — so the list is a sub-sequence of the canonical
+// order — and any two either compose or conflict; none fails the rule
+// table's order check, which would reject an invocation only for where the
+// compiler put the axis.
 func TestAxisFlagOrderFollowsRules(t *testing.T) {
-	for i, a := range axisFlags {
-		for _, b := range axisFlags[i+1:] {
-			var p campaign.Plan
-			for _, n := range []string{a, b} {
-				ax, err := campaign.ParseAxis(n, []string{validToken[n]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.Axes = append(p.Axes, ax)
-			}
-			if err := p.Validate(); err != nil && !strings.Contains(err.Error(), "conflicts with") {
-				t.Errorf("-%s then -%s: %v", a, b, err)
+	var args []string
+	for _, n := range axisFlags {
+		args = append(args, "-"+n+"="+validToken[n])
+	}
+	fs := flag.NewFlagSet("rsstcp-tune", flag.ContinueOnError)
+	axes := campaign.NewAxisFlags(fs, axisFlags, nil, false)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	compiled := axes.Axes()
+	var names []string
+	for _, a := range compiled {
+		names = append(names, a.Name)
+	}
+	if want := axisFlags; !slices.Equal(names, want) {
+		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, want)
+	}
+	for i, a := range compiled {
+		for _, b := range compiled[i+1:] {
+			err := campaign.Plan{Axes: []campaign.Axis{a, b}}.Validate()
+			if err != nil && !strings.Contains(err.Error(), "conflicts with") {
+				t.Errorf("-%s then -%s: %v", a.Name, b.Name, err)
 			}
 		}
 	}

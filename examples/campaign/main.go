@@ -1,9 +1,9 @@
 // Campaign example, in two acts. First the Grid shorthand: sweep restricted
 // vs standard slow-start across a small bandwidth × RTT × txqueuelen grid
-// with replicated lossy runs, executed on all cores. Then the composable
-// builder: a set-point sweep with fairness and ramp-time metric columns — a
-// campaign the seven grid fields cannot express. Both compile to a Plan and
-// return the same Report.
+// with replicated lossy runs, executed on all cores. Then a Plan literal: a
+// set-point sweep with fairness and ramp-time metric columns — a campaign the
+// seven grid fields cannot express. Both are a Plan, run by RunPlan into the
+// same Report.
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("sweeping %d cells × %d replicates on %d workers...\n",
 		grid.Plan().Size(), grid.Replicates, rsstcp.DefaultCampaignWorkers())
 
-	rep, err := rsstcp.RunCampaign(grid, rsstcp.CampaignOptions{})
+	rep, err := rsstcp.RunPlan(grid.Plan(), rsstcp.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,18 +43,20 @@ func main() {
 	fmt.Println("Each row is one cell; throughput_mbps-std is the replicate-to-")
 	fmt.Println("replicate spread introduced by seeded random loss.")
 
-	// Act two: the builder composes axes the grid does not have — here the
-	// RSS IFQ set point — and picks the metric columns, including Jain's
+	// Act two: a plan literal composes axes the grid does not have — here
+	// the RSS IFQ set point — and picks the metric columns, including Jain's
 	// fairness over two concurrent flows and the time to 90% utilization.
 	fmt.Println()
-	rep, err = rsstcp.NewCampaign(
-		rsstcp.Sweep("rtt", "20ms", "60ms"),
-		rsstcp.Sweep("alg", rsstcp.Restricted),
-		rsstcp.Sweep("flows", 2),
-		rsstcp.Sweep("setpoint", 0.5, 0.9),
-		rsstcp.Measure(rsstcp.MetricThroughput, rsstcp.MetricFairness, rsstcp.MetricTimeToUtil90),
-		rsstcp.Duration(5*time.Second),
-	).Run(rsstcp.CampaignOptions{})
+	rep, err = rsstcp.RunPlan(rsstcp.Plan{
+		Axes: []rsstcp.Axis{
+			rsstcp.NewAxis("rtt", "20ms", "60ms"),
+			rsstcp.NewAxis("alg", rsstcp.Restricted),
+			rsstcp.NewAxis("flows", 2),
+			rsstcp.NewAxis("setpoint", 0.5, 0.9),
+		},
+		Metrics:  []rsstcp.Metric{rsstcp.MetricThroughput, rsstcp.MetricFairness, rsstcp.MetricTimeToUtil90},
+		Duration: 5 * time.Second,
+	}, rsstcp.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,5 +65,5 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("Same engine, open axes: adding a sweep dimension or a metric")
-	fmt.Println("is one option in the builder, not a campaign-engine edit.")
+	fmt.Println("is one entry in the plan literal, not a campaign-engine edit.")
 }

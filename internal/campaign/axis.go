@@ -34,7 +34,8 @@ type Axis struct {
 	Name string
 	// Values are the points swept along this axis, in declaration order.
 	Values []Value
-	// err records a domain violation caught at construction (e.g. a
+	// err records the first construction error: an unknown stock name, a
+	// value that does not convert, or one outside the domain (e.g. a
 	// non-positive bandwidth). The experiment harness silently replaces
 	// out-of-range values with paper defaults, so an unvalidated axis
 	// would run the default while its cell label claims the bad value;

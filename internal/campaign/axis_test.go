@@ -227,7 +227,7 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 			t.Errorf("axis %d (%s) accepted an out-of-domain value", i, a.Name)
 		}
 	}
-	// The registry surfaces the same domain errors eagerly.
+	// The registry records the same domain errors on the axis.
 	for _, c := range []struct {
 		name string
 		v    any
@@ -241,11 +241,11 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 		{"matchup", []experiment.Algorithm{"bogus"}},
 		{"bytes", int64(-1)},
 	} {
-		if _, err := NewAxis(c.name, c.v); err == nil {
+		if err := (Plan{Axes: []Axis{NewAxis(c.name, c.v)}}).Validate(); err == nil {
 			t.Errorf("NewAxis accepted %s %v", c.name, c.v)
 		}
 	}
-	if _, err := ParseAxis("bw", []string{"0"}); err == nil {
+	if ParseAxis("bw", []string{"0"}).err == nil {
 		t.Error("ParseAxis accepted bw 0")
 	}
 }
@@ -285,43 +285,43 @@ func TestPlanValidateRejectsMatchupConflicts(t *testing.T) {
 }
 
 func TestNewAxisRegistry(t *testing.T) {
-	a, err := NewAxis("setpoint", 0.5, "0.7", 0.9)
-	if err != nil {
-		t.Fatal(err)
+	a := NewAxis("setpoint", 0.5, "0.7", 0.9)
+	if a.err != nil {
+		t.Fatal(a.err)
 	}
 	if len(a.Values) != 3 || a.Values[1].Label != "0.7" {
 		t.Fatalf("axis = %+v", a)
 	}
-	if _, err := NewAxis("bogus", 1); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if err := NewAxis("bogus", 1).err; err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown axis error = %v", err)
 	}
-	if _, err := NewAxis("setpoint"); err == nil {
+	if NewAxis("setpoint").err == nil {
 		t.Error("empty value list accepted")
 	}
-	if _, err := NewAxis("alg", "nope"); err == nil {
+	if NewAxis("alg", "nope").err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := NewAxis("rtt", "not-a-duration"); err == nil {
+	if NewAxis("rtt", "not-a-duration").err == nil {
 		t.Error("bad duration accepted")
 	}
 }
 
 func TestParseAxisMatchesCLIConventions(t *testing.T) {
-	bw, err := ParseAxis("bw", []string{"10", "100"})
-	if err != nil {
-		t.Fatal(err)
+	bw := ParseAxis("bw", []string{"10", "100"})
+	if bw.err != nil {
+		t.Fatal(bw.err)
 	}
 	if bw.Values[0].Label != "10Mbps" || bw.Values[1].Label != "100Mbps" {
 		t.Errorf("bw labels = %q, %q", bw.Values[0].Label, bw.Values[1].Label)
 	}
-	m, err := ParseAxis("matchup", []string{"standard+restricted"})
-	if err != nil {
-		t.Fatal(err)
+	m := ParseAxis("matchup", []string{"standard+restricted"})
+	if m.err != nil {
+		t.Fatal(m.err)
 	}
 	if m.Values[0].Label != "standard+restricted" {
 		t.Errorf("matchup label = %q", m.Values[0].Label)
 	}
-	if _, err := ParseAxis("sack", []string{"maybe"}); err == nil {
+	if ParseAxis("sack", []string{"maybe"}).err == nil {
 		t.Error("bad bool accepted")
 	}
 	for _, name := range StockAxisNames() {

@@ -83,7 +83,7 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 		{"load", math.NaN()},
 		{"load", math.Inf(1)},
 	} {
-		if _, err := NewAxis(bad.name, bad.v); err == nil {
+		if NewAxis(bad.name, bad.v).err == nil {
 			t.Errorf("bad churn axis value %s=%v accepted", bad.name, bad.v)
 		}
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"flag"
 	"os"
 	"reflect"
 	"strconv"
@@ -105,22 +106,18 @@ func TestGridMatchesHandCompiledAxes(t *testing.T) {
 }
 
 // TestClassicFlagsCompileToGridPlan pins the CLI collapse: the seven classic
-// flag strings, compiled by the ParseAxis that -axis uses, expand to the
-// cell keys and derived seeds of Grid{...}.Plan() — so `-bw 10,50` and
+// flags on a real FlagSet, compiled by the CLIs' flag compiler, expand to
+// the cell keys and derived seeds of Grid{...}.Plan() — so `-bw 10,50` and
 // Grid.Bandwidths cannot drift apart.
 func TestClassicFlagsCompileToGridPlan(t *testing.T) {
-	var flags Plan
-	for _, f := range []struct{ name, csv string }{
-		{"bw", "10,50"}, {"rtt", "10ms,40ms"}, {"rq", "250"}, {"ifq", "100"},
-		{"loss", "0.005"}, {"alg", "standard,restricted"}, {"flows", "1,2"},
-	} {
-		a, err := ParseAxis(f.name, strings.Split(f.csv, ","))
-		if err != nil {
-			t.Fatal(err)
-		}
-		flags.Axes = append(flags.Axes, a)
+	fs := flag.NewFlagSet("rsstcp-campaign", flag.ContinueOnError)
+	classic := []string{"bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
+	axes := NewAxisFlags(fs, classic, map[string]string{"rq": "250", "ifq": "100"}, true)
+	if err := fs.Parse([]string{"-flows", "1,2", "-alg", "standard, restricted", "-loss", "0.005",
+		"-rtt", "10ms,40ms", "-bw", "10,,50"}); err != nil {
+		t.Fatal(err)
 	}
-	flags.Replicates, flags.Duration, flags.BaseSeed = 2, time.Second, 7
+	flags := Plan{Axes: axes.Axes(), Replicates: 2, Duration: time.Second, BaseSeed: 7}
 	grid := goldenGrid().Plan()
 	fc, gc := flags.Cells(), grid.Cells()
 	if len(fc) != len(gc) {

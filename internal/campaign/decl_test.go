@@ -14,9 +14,9 @@ import (
 // stockAxis is NewAxis for values the test knows to be valid.
 func stockAxis(t testing.TB, name string, values ...any) Axis {
 	t.Helper()
-	a, err := NewAxis(name, values...)
-	if err != nil {
-		t.Fatal(err)
+	a := NewAxis(name, values...)
+	if a.err != nil {
+		t.Fatal(a.err)
 	}
 	return a
 }
@@ -56,10 +56,10 @@ var declCases = map[string]struct {
 }
 
 // TestStockAxisDeclarations holds every registered axis to the contract of
-// its one declaration: NewAxis and ParseAxis agree on label and effect, both
-// return a domain violation as an error while an axis built in code defers
-// it to Plan.Validate, labels re-parse to themselves, and the help text is
-// there — listing, where the values belong to another package, all of them.
+// its one declaration: NewAxis and ParseAxis agree on label and effect, a
+// domain violation rides on the axis to Plan.Validate however the axis was
+// built, labels re-parse to themselves, and the help text is there —
+// listing, where the values belong to another package, all of them.
 func TestStockAxisDeclarations(t *testing.T) {
 	for _, name := range StockAxisNames() {
 		c, ok := declCases[name]
@@ -79,17 +79,16 @@ func TestStockAxisDeclarations(t *testing.T) {
 		}
 		// Bandwidth labels carry a unit the parser does not take.
 		if label := native.Values[0].Label; name != "bw" && name != "nic" && name != "rbw" {
-			again, err := ParseAxis(name, []string{label})
-			if err != nil || again.Values[0].Label != label {
-				t.Errorf("%s: label %q is not a fixed point of ParseAxis: %+v, %v", name, label, again.Values, err)
+			again := ParseAxis(name, []string{label})
+			if again.err != nil || again.Values[0].Label != label {
+				t.Errorf("%s: label %q is not a fixed point of ParseAxis: %+v, %v", name, label, again.Values, again.err)
 			}
 		}
 		if c.badNative != nil {
-			if _, err := NewAxis(name, c.badNative); err == nil {
-				t.Errorf("%s: NewAxis accepted %v", name, c.badNative)
-			}
-			if _, err := ParseAxis(name, []string{c.badText}); err == nil {
-				t.Errorf("%s: ParseAxis accepted %q", name, c.badText)
+			for _, bad := range []Axis{NewAxis(name, c.badNative), ParseAxis(name, []string{c.badText})} {
+				if err := (Plan{Axes: []Axis{bad}}).Validate(); err == nil || !strings.Contains(err.Error(), name) {
+					t.Errorf("%s: Plan.Validate on %+v = %v", name, bad.Values, err)
+				}
 			}
 			if len(c.badBuilt.Values) != 1 {
 				t.Errorf("%s: an out-of-domain value built in code should still yield its value, got %d", name, len(c.badBuilt.Values))
@@ -114,7 +113,7 @@ func TestStockAxisDeclarations(t *testing.T) {
 			if !strings.Contains(AxisHelp(name), v) {
 				t.Errorf("%s help %q omits %q", name, AxisHelp(name), v)
 			}
-			if _, err := ParseAxis(name, []string{v}); err != nil {
+			if err := ParseAxis(name, []string{v}).err; err != nil {
 				t.Errorf("%s rejects %q, which its owner lists: %v", name, v, err)
 			}
 		}

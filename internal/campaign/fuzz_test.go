@@ -9,21 +9,24 @@ import (
 	"rsstcp/internal/lifecycle"
 )
 
-// FuzzParseAxis: the CLI's one axis parser never panics, and an axis it
-// accepts (a) survives Plan.Validate unless two tokens collapsed to one
+// FuzzParseAxis: the CLIs' one axis parser never panics, an axis it rejects
+// carries its error to Plan.Validate, and an axis it accepts (a) survives Plan.Validate unless two tokens collapsed to one
 // label, (b) imprints only finite, in-range numbers and parseable specs on a
 // configuration, and (c) — except for the bandwidth axes, whose labels carry
 // a unit the parser does not take — re-parses from its own labels to the same
 // labels. The non-finite seeds in testdata/fuzz used to be accepted:
-// `-loss NaN` ran and printed a NaN cell, `-loads Inf` hung; so did the two
+// `-loss NaN` ran and printed a NaN cell, `-load Inf` hung; so did the two
 // -huge ones, whose mutators then died allocating (`-flows 3000000000` asked
 // for a 408 GB flow list). An accepted value is applied to a configuration
 // here, so the bounds also cap what one execution allocates (a 1<<20-entry
 // flow list, ~140 MB).
 func FuzzParseAxis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, csv string) {
-		a, err := ParseAxis(name, strings.Split(csv, ","))
-		if err != nil {
+		a := ParseAxis(name, strings.Split(csv, ","))
+		if a.err != nil {
+			if err := (Plan{Axes: []Axis{a}}).Validate(); err != a.err {
+				t.Fatalf("%s=%q: Plan.Validate = %v, want the axis's own error %v", name, csv, err, a.err)
+			}
 			return
 		}
 		if err := (Plan{Axes: []Axis{a}}).Validate(); err != nil && !strings.Contains(err.Error(), "duplicate value") {
@@ -41,9 +44,9 @@ func FuzzParseAxis(f *testing.F) {
 		if name == "bw" || name == "nic" || name == "rbw" {
 			return
 		}
-		again, err := ParseAxis(name, labels)
-		if err != nil {
-			t.Fatalf("%s=%q: labels %q do not re-parse: %v", name, csv, labels, err)
+		again := ParseAxis(name, labels)
+		if again.err != nil {
+			t.Fatalf("%s=%q: labels %q do not re-parse: %v", name, csv, labels, again.err)
 		}
 		for i, v := range again.Values {
 			if v.Label != labels[i] {

@@ -72,29 +72,23 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Axes compiles the (defaulted) grid's seven fixed fields to stock axes in
-// canonical order: bandwidth outermost, then RTT, router queue, txqueuelen,
-// loss, algorithm, and flow count innermost. The declarations' range checks
-// mark out-of-range values; Plan.Validate surfaces that before anything runs.
-func (g Grid) Axes() []Axis {
-	g = g.withDefaults()
-	return []Axis{
-		dimBW.axis(g.Bandwidths...),
-		dimRTT.axis(g.RTTs...),
-		dimRQ.axis(g.RouterQueues...),
-		dimIFQ.axis(g.TxQueueLens...),
-		dimLoss.axis(g.LossRates...),
-		dimAlg.axis(g.Algorithms...),
-		dimFlows.axis(g.FlowCounts...),
-	}
-}
-
-// Plan compiles the grid to a campaign plan: the seven stock axes plus the
-// stock metrics.
+// Plan compiles the grid to a campaign plan: the seven fixed fields become
+// stock axes in canonical order — bandwidth outermost, then RTT, router
+// queue, txqueuelen, loss, algorithm, and flow count innermost — plus the
+// stock metrics. The declarations' range checks mark out-of-range values;
+// Plan.Validate surfaces that before anything runs.
 func (g Grid) Plan() Plan {
 	g = g.withDefaults()
 	return Plan{
-		Axes:       g.Axes(),
+		Axes: []Axis{
+			dimBW.axis(g.Bandwidths...),
+			dimRTT.axis(g.RTTs...),
+			dimRQ.axis(g.RouterQueues...),
+			dimIFQ.axis(g.TxQueueLens...),
+			dimLoss.axis(g.LossRates...),
+			dimAlg.axis(g.Algorithms...),
+			dimFlows.axis(g.FlowCounts...),
+		},
 		Metrics:    StockMetrics(),
 		Replicates: g.Replicates,
 		Duration:   g.Duration,

@@ -18,9 +18,11 @@ import (
 // This file declares the stock axes: every dimension the engine knows how to
 // sweep out of the box is one dim value — name, help, value kind, range check
 // and mutator, each written once — and the typed builder (dim.axis), NewAxis
-// (native Go values) and ParseAxis (command-line tokens) all run off that
-// declaration. Which stock axes may not share a plan, or must keep an order,
-// is the rule table in rules.go.
+// (native Go values), ParseAxis (command-line tokens) and the CLIs' flags
+// (flags.go) all run off that declaration. Each returns an Axis that carries
+// its first error for Plan.Validate, so a plan is one literal. Which stock
+// axes may not share a plan, or must keep an order, is the rule table in
+// rules.go.
 //
 // The first seven (bw, rtt, rq, ifq, loss, alg, flows) are the Grid fields
 // and the CLI's classic flags; their labels are pinned by the Plan golden,
@@ -53,7 +55,7 @@ type dim[T any] struct {
 // stockDim is a dim with its value type erased, as the name registry holds it.
 type stockDim interface {
 	decl() (name, help string)
-	build(raw []any) (Axis, error)
+	build(raw []any) Axis
 }
 
 func (d dim[T]) decl() (name, help string) { return d.name, d.help }
@@ -84,19 +86,20 @@ func (d dim[T]) convert(raw any) (v T, err error) {
 	return v, fmt.Errorf("cannot use a value of type %T", raw)
 }
 
-// build is axis over loosely typed values, with a conversion failure or a
-// domain violation returned as an error instead of deferred to Validate.
-func (d dim[T]) build(raw []any) (Axis, error) {
+// build is axis over loosely typed values. A value that does not convert
+// leaves an axis with no values and that failure as its error.
+func (d dim[T]) build(raw []any) Axis {
 	vs := make([]T, len(raw))
 	for i, r := range raw {
 		v, err := d.convert(r)
 		if err != nil {
-			return Axis{}, fmt.Errorf("campaign: axis %q: %v; want %s", d.name, err, d.help)
+			a := Axis{Name: d.name}
+			a.fail(fmt.Errorf("%v; want %s", err, d.help))
+			return a
 		}
 		vs[i] = v
 	}
-	a := d.axis(vs...)
-	return a, a.err // already prefixed by Axis.fail
+	return d.axis(vs...)
 }
 
 // as is the widen of a kind that takes exactly its own type.
@@ -496,14 +499,20 @@ var (
 	}
 )
 
+// canonicalOrder is every stock axis in the one order the CLIs stack their
+// flag axes in: topology, churn, path, then per-flow. The rule table
+// (rules.go) accepts it, since each owner comes before what must follow it,
+// and each CLI's flags keep their place in it.
+var canonicalOrder = []stockDim{
+	dimTopo, dimLoad, dimArrivals, dimFSize,
+	dimBW, dimRTT, dimRQ, dimIFQ, dimLoss, dimNIC, dimHops, dimRBW, dimAQM,
+	dimAlg, dimFlows, dimMatchup, dimSetpoint, dimTick, dimMSS, dimBytes, dimSACK,
+}
+
 // stockAxes is the name registry behind NewAxis and ParseAxis.
 var stockAxes = func() map[string]stockDim {
 	m := map[string]stockDim{}
-	for _, d := range []stockDim{
-		dimBW, dimRTT, dimRQ, dimIFQ, dimLoss, dimNIC, dimHops,
-		dimAlg, dimFlows, dimMatchup, dimSetpoint, dimTick, dimMSS, dimSACK, dimBytes,
-		dimLoad, dimArrivals, dimFSize, dimRBW, dimAQM, dimTopo,
-	} {
+	for _, d := range canonicalOrder {
 		name, _ := d.decl()
 		m[name] = d
 	}
@@ -511,7 +520,7 @@ var stockAxes = func() map[string]stockDim {
 }()
 
 // The Grid dimensions keep typed constructors, so code that assembles a
-// classic plan by hand gets the axes Grid.Axes compiles.
+// classic plan by hand gets the axes Grid.Plan compiles.
 
 // AxisBandwidths sweeps the bottleneck rate ("bw").
 func AxisBandwidths(vs ...unit.Bandwidth) Axis { return dimBW.axis(vs...) }
@@ -579,24 +588,25 @@ func AxisHelp(name string) string {
 
 // NewAxis builds a stock axis from loosely typed values: native Go types
 // (unit.Bandwidth, time.Duration, int, float64, bool, Algorithm, ...) or
-// their string forms, freely mixed. It is the dispatcher behind the facade's
-// Sweep(name, values...) builder.
-func NewAxis(name string, values ...any) (Axis, error) {
+// their string forms, freely mixed. An unknown name, no values, a value that
+// does not convert or one outside the domain is the axis's error, which
+// Plan.Validate and ExecutePlan report before anything runs.
+func NewAxis(name string, values ...any) Axis {
 	d, ok := stockAxes[name]
 	if !ok {
-		return Axis{}, fmt.Errorf("campaign: unknown axis %q (stock axes: %s)",
-			name, strings.Join(StockAxisNames(), ", "))
+		return Axis{Name: name, err: fmt.Errorf("campaign: unknown axis %q (stock axes: %s)",
+			name, strings.Join(StockAxisNames(), ", "))}
 	}
 	if len(values) == 0 {
-		return Axis{}, fmt.Errorf("campaign: axis %q: no values", name)
+		return Axis{Name: name, err: fmt.Errorf("campaign: axis %q: no values", name)}
 	}
 	return d.build(values)
 }
 
 // ParseAxis builds a stock axis from command-line string tokens — NewAxis
-// restricted to (whitespace-trimmed) strings. CLIs use it so new sweep
-// dimensions need no campaign-internal edits.
-func ParseAxis(name string, raw []string) (Axis, error) {
+// restricted to (whitespace-trimmed) strings. The CLIs reach it through
+// their flags (flags.go).
+func ParseAxis(name string, raw []string) Axis {
 	values := make([]any, len(raw))
 	for i, s := range raw {
 		values[i] = strings.TrimSpace(s)

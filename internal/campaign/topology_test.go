@@ -23,9 +23,9 @@ func TestTopologyAxesParse(t *testing.T) {
 		{"aqm", []string{"droptail", "red"}, []string{"droptail", "red"}},
 		{"topo", []string{"parking-lot", "reverse-congested"}, []string{"parking-lot", "reverse-congested"}},
 	} {
-		a, err := ParseAxis(tc.name, tc.raw)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
+		a := ParseAxis(tc.name, tc.raw)
+		if a.err != nil {
+			t.Errorf("%s: %v", tc.name, a.err)
 			continue
 		}
 		for i, want := range tc.labels {
@@ -37,7 +37,7 @@ func TestTopologyAxesParse(t *testing.T) {
 	for _, bad := range [][2]string{
 		{"hops", "0"}, {"hops", "2000000000"}, {"rbw", "-1"}, {"aqm", "codel"}, {"topo", "clos"},
 	} {
-		if _, err := ParseAxis(bad[0], []string{bad[1]}); err == nil {
+		if ParseAxis(bad[0], []string{bad[1]}).err == nil {
 			t.Errorf("%s=%s accepted", bad[0], bad[1])
 		}
 	}

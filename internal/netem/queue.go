@@ -77,8 +77,12 @@ func (q *DropTail) Enqueue(seg *packet.Segment) bool {
 	// Slide before growing. The head*2 >= len guard keeps the copy amortized
 	// O(1): each slide moves at most as many segments as were dequeued since
 	// the last one. A mostly live ring fails it and grows.
-	if len(q.segs) == cap(q.segs) && q.head > 0 && q.head*2 >= len(q.segs) {
-		q.compact()
+	if len(q.segs) == cap(q.segs) {
+		if q.head > 0 && q.head*2 >= len(q.segs) {
+			q.compact()
+		} else {
+			q.grow()
+		}
 	}
 	q.segs = append(q.segs, seg)
 	q.bytes += seg.Size()
@@ -106,6 +110,17 @@ func (q *DropTail) Dequeue() *packet.Segment {
 		q.compact()
 	}
 	return seg
+}
+
+// grow moves the live part to the front of a new array twice its length.
+// append would instead double the whole array, dead prefix included, and
+// round up to a size class: a ring under half dead could end up more than
+// four times its occupancy.
+func (q *DropTail) grow() {
+	live := q.segs[q.head:]
+	segs := make([]*packet.Segment, len(live), max(2*len(live), 1))
+	copy(segs, live)
+	q.segs, q.head = segs, 0
 }
 
 // compact moves the live part to the front of the backing array.

@@ -19,15 +19,18 @@
 //	})
 //	fmt.Println(res.Throughput, res.Stalls)
 //
-// Parameter sweeps compose from axes and pluggable metrics (see
-// NewCampaign); Grid is a struct shorthand that compiles the classic
-// seven-dimension sweep to the same Plan:
+// Parameter sweeps are Plan literals of axes and pluggable metrics, run by
+// RunPlan; an axis carries its own construction error, which RunPlan
+// reports. Grid is a struct shorthand that compiles the classic
+// seven-dimension sweep to the same Plan (RunPlan(g.Plan(), opts)):
 //
-//	rep, err := rsstcp.NewCampaign(
-//		rsstcp.Sweep("setpoint", 0.5, 0.7, 0.9),
-//		rsstcp.Sweep("alg", rsstcp.Restricted),
-//		rsstcp.Measure(rsstcp.MetricThroughput, rsstcp.MetricFairness),
-//	).Run(rsstcp.CampaignOptions{})
+//	rep, err := rsstcp.RunPlan(rsstcp.Plan{
+//		Axes: []rsstcp.Axis{
+//			rsstcp.NewAxis("setpoint", 0.5, 0.7, 0.9),
+//			rsstcp.NewAxis("alg", rsstcp.Restricted),
+//		},
+//		Metrics: []rsstcp.Metric{rsstcp.MetricThroughput, rsstcp.MetricFairness},
+//	}, rsstcp.CampaignOptions{})
 package rsstcp
 
 import (
@@ -157,13 +160,6 @@ func Figure1(path Path, duration time.Duration, seed uint64) (Figure1Data, error
 // path and derives gains with the given rule.
 func Tune(path Path, duration time.Duration, rule TuneRule) (TuneResult, Gains, error) {
 	return experiment.Tune(path, duration, rule)
-}
-
-// RunCampaign compiles the grid to a Plan and executes every replicate on a
-// bounded worker pool: RunPlan(g.Plan(), opts). Aggregated results are
-// byte-identical regardless of the worker count.
-func RunCampaign(g Grid, opts CampaignOptions) (*Report, error) {
-	return campaign.ExecutePlan(g.Plan(), opts)
 }
 
 // DefaultCampaignWorkers returns the worker-pool size used when

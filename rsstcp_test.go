@@ -25,14 +25,14 @@ func ExampleRun() {
 	// Output: alg=restricted stalls=0 moving-data=true
 }
 
-// ExampleRunCampaign sweeps the Grid shorthand: algorithms × RTTs, with cells
-// in canonical order and parameter-derived keys.
-func ExampleRunCampaign() {
-	res, err := rsstcp.RunCampaign(rsstcp.Grid{
+// ExampleRunPlan sweeps the Grid shorthand: algorithms × RTTs, with cells in
+// canonical order and parameter-derived keys.
+func ExampleRunPlan() {
+	res, err := rsstcp.RunPlan(rsstcp.Grid{
 		RTTs:       []time.Duration{20 * time.Millisecond, 60 * time.Millisecond},
 		Algorithms: []rsstcp.Algorithm{rsstcp.Restricted},
 		Duration:   time.Second,
-	}, rsstcp.CampaignOptions{Workers: 2})
+	}.Plan(), rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,15 +44,17 @@ func ExampleRunCampaign() {
 	// bw=100Mbps/rtt=60ms/rq=250/ifq=100/loss=0/alg=restricted/flows=1
 }
 
-// ExampleNewCampaign composes a sweep the fixed grid cannot express: the
-// RSS set point becomes an axis and fairness a reported metric.
-func ExampleNewCampaign() {
-	rep, err := rsstcp.NewCampaign(
-		rsstcp.Sweep("setpoint", 0.5, 0.9),
-		rsstcp.Sweep("alg", rsstcp.Restricted),
-		rsstcp.Measure(rsstcp.MetricThroughput, rsstcp.MetricFairness),
-		rsstcp.Duration(time.Second),
-	).Run(rsstcp.CampaignOptions{Workers: 2})
+// ExamplePlan writes a sweep the fixed grid cannot express as one literal:
+// the RSS set point becomes an axis and fairness a reported metric.
+func ExamplePlan() {
+	rep, err := rsstcp.RunPlan(rsstcp.Plan{
+		Axes: []rsstcp.Axis{
+			rsstcp.NewAxis("setpoint", 0.5, 0.9),
+			rsstcp.NewAxis("alg", rsstcp.Restricted),
+		},
+		Metrics:  []rsstcp.Metric{rsstcp.MetricThroughput, rsstcp.MetricFairness},
+		Duration: time.Second,
+	}, rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,12 +139,12 @@ func TestFigure1Facade(t *testing.T) {
 	}
 }
 
-func TestRunCampaignFacade(t *testing.T) {
-	res, err := rsstcp.RunCampaign(rsstcp.Grid{
+func TestRunPlanFacade(t *testing.T) {
+	res, err := rsstcp.RunPlan(rsstcp.Grid{
 		RTTs:       []time.Duration{20 * time.Millisecond, 60 * time.Millisecond},
 		Algorithms: []rsstcp.Algorithm{rsstcp.Standard, rsstcp.Restricted},
 		Duration:   time.Second,
-	}, rsstcp.CampaignOptions{Workers: 2})
+	}.Plan(), rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,27 +161,23 @@ func TestRunCampaignFacade(t *testing.T) {
 	}
 }
 
-func TestNewCampaignBuilder(t *testing.T) {
-	// FromGrid + extra axis + named metrics: the grid's axes carry over
-	// and the new dimension stacks on top.
-	c := rsstcp.NewCampaign(
-		rsstcp.FromGrid(rsstcp.Grid{
-			Algorithms: []rsstcp.Algorithm{rsstcp.Restricted},
-			Duration:   time.Second,
-		}),
-		rsstcp.Sweep("setpoint", 0.5, 0.9),
-		rsstcp.MeasureNamed("throughput_mbps", "t90_util_s"),
-		rsstcp.Replicates(1),
-		rsstcp.BaseSeed(11),
-	)
-	plan, err := c.Plan()
-	if err != nil {
+func TestPlanLiteralExtendsGrid(t *testing.T) {
+	// A grid's plan + an extra axis + named metrics: the grid's axes and
+	// knobs carry over and the new dimension stacks on top.
+	plan := rsstcp.Grid{
+		Algorithms: []rsstcp.Algorithm{rsstcp.Restricted},
+		Duration:   time.Second,
+		BaseSeed:   11,
+	}.Plan()
+	plan.Axes = append(plan.Axes, rsstcp.NewAxis("setpoint", 0.5, 0.9))
+	var err error
+	if plan.Metrics, err = rsstcp.MetricsByName("throughput_mbps", "t90_util_s"); err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Axes) != 8 { // 7 grid axes + setpoint
 		t.Fatalf("axes = %d, want 8", len(plan.Axes))
 	}
-	rep, err := c.Run(rsstcp.CampaignOptions{Workers: 2})
+	rep, err := rsstcp.RunPlan(plan, rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,45 +194,19 @@ func TestNewCampaignBuilder(t *testing.T) {
 	}
 }
 
-func TestFromGridKeepsEarlierKnobs(t *testing.T) {
-	// A zero grid field must not clobber a knob set by an earlier option.
-	plan, err := rsstcp.NewCampaign(
-		rsstcp.Replicates(5),
-		rsstcp.Duration(2*time.Second),
-		rsstcp.FromGrid(rsstcp.Grid{Algorithms: []rsstcp.Algorithm{rsstcp.Standard}}),
-	).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Replicates != 5 || plan.Duration != 2*time.Second {
-		t.Errorf("grid defaults clobbered earlier options: replicates=%d duration=%v",
-			plan.Replicates, plan.Duration)
-	}
-	// A grid that sets the knobs still wins over earlier options.
-	plan, err = rsstcp.NewCampaign(
-		rsstcp.Replicates(5),
-		rsstcp.FromGrid(rsstcp.Grid{Replicates: 3}),
-	).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Replicates != 3 {
-		t.Errorf("explicit grid replicates ignored: %d", plan.Replicates)
-	}
-}
-
-func TestNewCampaignBuilderSurfacesErrors(t *testing.T) {
-	if _, err := rsstcp.NewCampaign(rsstcp.Sweep("bogus-axis", 1)).Run(rsstcp.CampaignOptions{}); err == nil {
+func TestPlanLiteralSurfacesErrors(t *testing.T) {
+	// An axis carries its construction error; RunPlan and Validate report it.
+	if _, err := rsstcp.RunPlan(rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("bogus-axis", 1)}}, rsstcp.CampaignOptions{}); err == nil {
 		t.Error("unknown axis accepted")
 	}
-	if _, err := rsstcp.NewCampaign(
-		rsstcp.Sweep("setpoint", 0.5),
-		rsstcp.MeasureNamed("bogus-metric"),
-	).Run(rsstcp.CampaignOptions{}); err == nil {
-		t.Error("unknown metric accepted")
-	}
-	if _, err := rsstcp.NewCampaign(rsstcp.Sweep("rtt", "not-a-duration")).Plan(); err == nil {
+	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("rtt", "not-a-duration")}}).Validate(); err == nil {
 		t.Error("bad axis value accepted")
+	}
+	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.ParseAxis("bw", []string{"-5"})}}).Validate(); err == nil {
+		t.Error("out-of-domain axis value accepted")
+	}
+	if _, err := rsstcp.MetricsByName("bogus-metric"); err == nil {
+		t.Error("unknown metric accepted")
 	}
 }
 
@@ -302,18 +274,24 @@ func TestTopologyFacade(t *testing.T) {
 
 func TestTopologyCampaignFacade(t *testing.T) {
 	t.Parallel()
-	// A custom topology pinned on a sweep through SweepTopology, refined by
-	// the rbw axis, reporting the per-hop metrics.
+	// A custom topology pinned on a sweep through TopologyAxis, reporting
+	// the per-hop metrics.
 	topo := rsstcp.NewTopology(
 		rsstcp.HopAt(50*rsstcp.Mbps, 5*time.Millisecond, 120),
 		rsstcp.HopAt(25*rsstcp.Mbps, 5*time.Millisecond, 60),
 	)
-	rep, err := rsstcp.NewCampaign(
-		rsstcp.SweepTopology("two-bottleneck", *topo),
-		rsstcp.Sweep("alg", rsstcp.Restricted),
-		rsstcp.MeasureNamed("throughput_mbps", "hop_drops_max", "rev_drops"),
-		rsstcp.Duration(time.Second),
-	).Run(rsstcp.CampaignOptions{Workers: 2})
+	metrics, err := rsstcp.MetricsByName("throughput_mbps", "hop_drops_max", "rev_drops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rsstcp.RunPlan(rsstcp.Plan{
+		Axes: []rsstcp.Axis{
+			rsstcp.TopologyAxis("two-bottleneck", *topo),
+			rsstcp.NewAxis("alg", rsstcp.Restricted),
+		},
+		Metrics:  metrics,
+		Duration: time.Second,
+	}, rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +305,10 @@ func TestTopologyCampaignFacade(t *testing.T) {
 		t.Errorf("hop_drops_max summary = %+v, %v", m, ok)
 	}
 	// topo + a conflicting path axis must fail validation end to end.
-	_, err = rsstcp.NewCampaign(
-		rsstcp.SweepTopology("two-bottleneck", *topo),
-		rsstcp.Sweep("bw", 10),
-	).Run(rsstcp.CampaignOptions{})
+	_, err = rsstcp.RunPlan(rsstcp.Plan{Axes: []rsstcp.Axis{
+		rsstcp.TopologyAxis("two-bottleneck", *topo),
+		rsstcp.NewAxis("bw", 10),
+	}}, rsstcp.CampaignOptions{})
 	if err == nil {
 		t.Error("topo + bw axis accepted")
 	}
@@ -339,17 +317,19 @@ func TestTopologyCampaignFacade(t *testing.T) {
 func TestChurnCampaignFacade(t *testing.T) {
 	t.Parallel()
 	// The tentpole surface: a load × fsize sweep under Poisson arrivals,
-	// measuring completion-time metrics, assembled entirely through the
-	// facade builder.
-	rep, err := rsstcp.NewCampaign(
-		rsstcp.Sweep("load", 0.5),
-		rsstcp.Sweep("arrivals", "poisson:50"),
-		rsstcp.Sweep("fsize", "exp:40k"),
-		rsstcp.Sweep("alg", rsstcp.Restricted),
-		rsstcp.Measure(rsstcp.MetricFCTMean, rsstcp.MetricFCTP99,
-			rsstcp.MetricSlowdownMean, rsstcp.MetricFlowsDone),
-		rsstcp.Duration(2*time.Second),
-	).Run(rsstcp.CampaignOptions{Workers: 2})
+	// measuring completion-time metrics, written as one Plan literal through
+	// the facade.
+	rep, err := rsstcp.RunPlan(rsstcp.Plan{
+		Axes: []rsstcp.Axis{
+			rsstcp.NewAxis("load", 0.5),
+			rsstcp.NewAxis("arrivals", "poisson:50"),
+			rsstcp.NewAxis("fsize", "exp:40k"),
+			rsstcp.NewAxis("alg", rsstcp.Restricted),
+		},
+		Metrics: []rsstcp.Metric{rsstcp.MetricFCTMean, rsstcp.MetricFCTP99,
+			rsstcp.MetricSlowdownMean, rsstcp.MetricFlowsDone},
+		Duration: 2 * time.Second,
+	}, rsstcp.CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +346,10 @@ func TestChurnCampaignFacade(t *testing.T) {
 		t.Errorf("fct_mean = %+v, %v", m, ok)
 	}
 	// Churn axes after a template-mutating axis must fail validation.
-	_, err = rsstcp.NewCampaign(
-		rsstcp.Sweep("alg", rsstcp.Standard),
-		rsstcp.Sweep("load", 0.5),
-	).Run(rsstcp.CampaignOptions{})
+	_, err = rsstcp.RunPlan(rsstcp.Plan{Axes: []rsstcp.Axis{
+		rsstcp.NewAxis("alg", rsstcp.Standard),
+		rsstcp.NewAxis("load", 0.5),
+	}}, rsstcp.CampaignOptions{})
 	if err == nil {
 		t.Error("alg-before-load plan accepted")
 	}

@@ -88,16 +88,11 @@ func ParseHop(s string) (Hop, error) { return experiment.ParseHop(s) }
 // rate in Mbps).
 func ParseReverse(s string) (Reverse, error) { return experiment.ParseReverse(s) }
 
-// SweepTopology adds a single-valued "topo" axis from an explicit topology,
-// labeled for the cell key — how a campaign pins a custom hop graph built
-// with NewTopology (stock presets sweep by name via Sweep("topo", ...)).
-func SweepTopology(label string, t Topology) CampaignOpt {
-	return SweepAxis(TopologyAxis(label, t))
-}
-
-// TopologyAxis builds the single-valued "topo" axis SweepTopology wraps;
-// CLIs that assemble axis lists by hand use it directly. Being named "topo",
-// it falls under that axis's rule: no path axes beside it, rbw/aqm after it.
+// TopologyAxis builds a single-valued "topo" axis from an explicit topology,
+// labeled for the cell key — how a plan pins a custom hop graph built with
+// NewTopology (stock presets sweep by name: NewAxis("topo", ...)). Being
+// named "topo", it falls under that axis's rule: no path axes beside it,
+// rbw/aqm after it.
 func TopologyAxis(label string, t Topology) Axis {
 	return campaign.AxisTopologyValue(label, t)
 }
