@@ -68,8 +68,6 @@ var (
 	// unknown name or a bad value is the axis's error, which RunPlan and
 	// Plan.Validate report.
 	NewAxis = campaign.NewAxis
-	// ParseAxis builds a stock axis by name from CLI string tokens.
-	ParseAxis = campaign.ParseAxis
 	// StockAxisNames lists the stock axis names NewAxis accepts.
 	StockAxisNames = campaign.StockAxisNames
 	// StockMetrics returns the default metric set.

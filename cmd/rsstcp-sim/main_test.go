@@ -9,16 +9,15 @@ import (
 	"strings"
 	"testing"
 
+	"rsstcp"
 	"rsstcp/internal/campaign"
 )
 
-// validToken is one in-domain value per axis flag, plus "rbw", the axis -rev
-// compiles to after the list.
+// validToken is one in-domain value per axis flag.
 var validToken = map[string]string{
 	"topo": "parking-lot", "load": "0.5", "arrivals": "poisson:10", "fsize": "exp:100k",
 	"bw": "100", "rtt": "60ms", "rq": "250", "ifq": "100", "nic": "200", "hops": "2",
 	"aqm": "red", "alg": "standard", "setpoint": "0.9", "bytes": "1000000", "sack": "true",
-	"rbw": "5",
 }
 
 // TestAxisFlagsAreStockAxes: every axis flag names a stock axis, and its help
@@ -37,9 +36,9 @@ func TestAxisFlagsAreStockAxes(t *testing.T) {
 
 // TestAxisFlagOrderFollowsRules: with every axis flag set, the flag compiler
 // stacks them in list order — so the list is a sub-sequence of the canonical
-// order — then -rev's "rbw" axis after them, and any two either compose or conflict; none fails the rule
-// table's order check, which would reject an invocation only for where the
-// compiler put the axis.
+// order — and -rev's "rbw" axis after them, and any two either compose or
+// conflict; none fails the rule table's order check, which would reject an
+// invocation only for where the compiler put the axis.
 func TestAxisFlagOrderFollowsRules(t *testing.T) {
 	var args []string
 	for _, n := range axisFlags {
@@ -50,7 +49,7 @@ func TestAxisFlagOrderFollowsRules(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	compiled := axes.Axes(campaign.ParseAxis("rbw", []string{validToken["rbw"]}))
+	compiled := axes.Axes(rsstcp.ReverseAxis(rsstcp.Reverse{Rate: 5 * rsstcp.Mbps}))
 	var names []string
 	for _, a := range compiled {
 		names = append(names, a.Name)

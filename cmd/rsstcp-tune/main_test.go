@@ -46,8 +46,8 @@ func TestAxisFlagOrderFollowsRules(t *testing.T) {
 	for _, a := range compiled {
 		names = append(names, a.Name)
 	}
-	if want := axisFlags; !slices.Equal(names, want) {
-		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, want)
+	if !slices.Equal(names, axisFlags) {
+		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, axisFlags)
 	}
 	for i, a := range compiled {
 		for _, b := range compiled[i+1:] {

@@ -202,7 +202,7 @@ func TestPlanLiteralSurfacesErrors(t *testing.T) {
 	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("rtt", "not-a-duration")}}).Validate(); err == nil {
 		t.Error("bad axis value accepted")
 	}
-	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.ParseAxis("bw", []string{"-5"})}}).Validate(); err == nil {
+	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("bw", "-5")}}).Validate(); err == nil {
 		t.Error("out-of-domain axis value accepted")
 	}
 	if _, err := rsstcp.MetricsByName("bogus-metric"); err == nil {
