@@ -8,8 +8,6 @@ type (
 	// Axis is a named sweep dimension: labeled Options mutators whose
 	// cartesian product the campaign engine runs.
 	Axis = campaign.Axis
-	// AxisValue is one labeled point of an Axis.
-	AxisValue = campaign.Value
 	// Metric is a named per-replicate extractor func(*Result) float64;
 	// campaigns summarize a caller-chosen metric set per cell.
 	Metric = campaign.Metric
@@ -72,14 +70,10 @@ var (
 	StockAxisNames = campaign.StockAxisNames
 	// StockMetrics returns the default metric set.
 	StockMetrics = campaign.StockMetrics
-	// AllMetrics lists every registered metric.
-	AllMetrics = campaign.Metrics
 	// MetricNames lists the registered metric names, sorted.
 	MetricNames = campaign.MetricNames
 	// MetricsByName resolves registered metrics in the order requested.
 	MetricsByName = campaign.MetricsByName
-	// AxisValueOf builds a custom axis value from a label and mutator.
-	AxisValueOf = campaign.Val
 	// PaperSuite declares the paper's tables T1–T3 and T5–T8 as plans.
 	PaperSuite = campaign.PaperSuite
 )

@@ -249,10 +249,6 @@ func cloneConfig(dst, src *experiment.Config) {
 	}
 	if src.Churn != nil {
 		ch := *src.Churn
-		if ch.Flow.OnOff != nil {
-			oo := *ch.Flow.OnOff
-			ch.Flow.OnOff = &oo
-		}
 		dst.Churn = &ch
 	}
 }

@@ -13,7 +13,7 @@ func TestPlanExpansionOrderKeysAndSeeds(t *testing.T) {
 	p := Plan{
 		Axes: []Axis{
 			stockAxis(t, "setpoint", 0.5, 0.9),
-			AxisRTTs(20*time.Millisecond, 60*time.Millisecond),
+			stockAxis(t, "rtt", 20*time.Millisecond, 60*time.Millisecond),
 		},
 		Replicates: 2,
 		BaseSeed:   5,
@@ -55,8 +55,8 @@ func TestAxisMutatorsCompose(t *testing.T) {
 		stockAxis(t, "tick", 5*time.Millisecond),
 		stockAxis(t, "mss", 9000),
 		stockAxis(t, "sack", true),
-		AxisAlgorithms(experiment.AlgRestricted),
-		AxisFlowCounts(3),
+		stockAxis(t, "alg", experiment.AlgRestricted),
+		stockAxis(t, "flows", 3),
 		stockAxis(t, "nic", unit.Gbps),
 		stockAxis(t, "bytes", 1<<20),
 	}}
@@ -84,7 +84,7 @@ func TestAxisCellsDoNotAliasFlows(t *testing.T) {
 	// (as the matchup axis and runner seeding do) must not leak into
 	// another cell.
 	p := Plan{Axes: []Axis{
-		AxisFlowCounts(2),
+		stockAxis(t, "flows", 2),
 		stockAxis(t, "setpoint", 0.5, 0.9),
 	}}
 	cells := p.Cells()
@@ -107,7 +107,7 @@ func TestAxisCellsDoNotAliasFlows(t *testing.T) {
 // so each must be clipped to its own window — an append to one cell's Labels
 // must not write over its neighbour's.
 func TestCellLabelsAreClippedWindows(t *testing.T) {
-	p := Plan{Axes: []Axis{AxisBandwidths(10*unit.Mbps, 50*unit.Mbps), AxisTxQueueLens(50, 100)}}
+	p := Plan{Axes: []Axis{stockAxis(t, "bw", 10*unit.Mbps, 50*unit.Mbps), stockAxis(t, "ifq", 50, 100)}}
 	cells := p.Cells()
 	_ = append(cells[0].Labels, "extra")
 	want := [][]string{{"bw=10Mbps", "ifq=50"}, {"bw=10Mbps", "ifq=100"}, {"bw=50Mbps", "ifq=50"}, {"bw=50Mbps", "ifq=100"}}
@@ -208,19 +208,19 @@ func TestPlanValidateRejectsMalformedAxes(t *testing.T) {
 // TestPlanValidateRejectsOutOfDomainValues: the experiment harness silently
 // replaces out-of-range values with paper defaults, so an unvalidated axis
 // would run the default while its label claims the bad value. Every stock
-// constructor must catch its domain at construction.
+// declaration must catch its domain at construction.
 func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 	bad := []Axis{
-		AxisBandwidths(0),
-		AxisBandwidths(-unit.Mbps),
-		AxisRTTs(0),
-		AxisRouterQueues(0),
-		AxisTxQueueLens(-1),
-		AxisLossRates(1.5),
-		AxisLossRates(-0.1),
-		AxisAlgorithms("bogus"),
-		AxisFlowCounts(0),
-		AxisFlowCounts(3_000_000_000), // the mutator would allocate the list
+		dimBW.axis(0),
+		dimBW.axis(-unit.Mbps),
+		dimRTT.axis(0),
+		dimRQ.axis(0),
+		dimIFQ.axis(-1),
+		dimLoss.axis(1.5),
+		dimLoss.axis(-0.1),
+		dimAlg.axis("bogus"),
+		dimFlows.axis(0),
+		dimFlows.axis(3_000_000_000), // the mutator would allocate the list
 	}
 	for i, a := range bad {
 		if err := (Plan{Axes: []Axis{a}}).Validate(); err == nil {
@@ -255,8 +255,8 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 func TestPlanValidateRejectsMatchupConflicts(t *testing.T) {
 	matchup := stockAxis(t, "matchup", []experiment.Algorithm{experiment.AlgStandard, experiment.AlgRestricted})
 	for _, clash := range []Axis{
-		AxisAlgorithms(experiment.AlgStandard),
-		AxisFlowCounts(1, 2),
+		stockAxis(t, "alg", experiment.AlgStandard),
+		stockAxis(t, "flows", 1, 2),
 	} {
 		p := Plan{Axes: []Axis{clash, matchup}}
 		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "matchup") {

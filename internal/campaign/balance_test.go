@@ -128,8 +128,8 @@ func TestBalancedShardByteIdentity(t *testing.T) {
 	t.Parallel()
 	skewed := Plan{
 		Axes: []Axis{
-			AxisFlowCounts(1, 2, 3, 4, 12),
-			AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
+			stockAxis(t, "flows", 1, 2, 3, 4, 12),
+			stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted),
 		},
 		Metrics:    []Metric{MetricThroughputMbps, MetricUtilization},
 		Replicates: 2,

@@ -106,12 +106,12 @@ func TestChurnAxisOrderingRules(t *testing.T) {
 		t.Error("load + bytes passed validation; per-flow bytes are discarded under churn")
 	}
 	if err := (Plan{Axes: []Axis{
-		AxisAlgorithms(experiment.AlgStandard), stockAxis(t, "load", 0.5),
+		stockAxis(t, "alg", experiment.AlgStandard), stockAxis(t, "load", 0.5),
 	}}).Validate(); err == nil {
 		t.Error("alg before load passed validation; alg would miss the churn template")
 	}
 	if err := (Plan{Axes: []Axis{
-		stockAxis(t, "load", 0.5), AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
+		stockAxis(t, "load", 0.5), stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted),
 	}}).Validate(); err != nil {
 		t.Errorf("load before alg rejected: %v", err)
 	}

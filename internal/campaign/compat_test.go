@@ -87,13 +87,13 @@ func firstDiff(a, b string) string {
 func TestGridMatchesHandCompiledAxes(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
-			AxisBandwidths(10*unit.Mbps, 50*unit.Mbps),
-			AxisRTTs(10*time.Millisecond, 40*time.Millisecond),
-			AxisRouterQueues(250),
-			AxisTxQueueLens(100),
-			AxisLossRates(0.005),
-			AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
-			AxisFlowCounts(1, 2),
+			stockAxis(t, "bw", 10*unit.Mbps, 50*unit.Mbps),
+			stockAxis(t, "rtt", 10*time.Millisecond, 40*time.Millisecond),
+			stockAxis(t, "rq", 250),
+			stockAxis(t, "ifq", 100),
+			stockAxis(t, "loss", 0.005),
+			stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted),
+			stockAxis(t, "flows", 1, 2),
 		},
 		Metrics:    StockMetrics(),
 		Replicates: 2,
@@ -145,8 +145,8 @@ func TestPlanWorkerCountDoesNotChangeReport(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
 			stockAxis(t, "setpoint", 0.5, 0.9),
-			AxisAlgorithms(experiment.AlgRestricted),
-			AxisLossRates(0.005),
+			stockAxis(t, "alg", experiment.AlgRestricted),
+			stockAxis(t, "loss", 0.005),
 		},
 		Metrics:    []Metric{MetricThroughputMbps, MetricFairness, MetricTimeToUtil90},
 		Replicates: 2,

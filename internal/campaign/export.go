@@ -60,8 +60,9 @@ func streamJSON(w io.Writer, headName string, head any, listName string, n int, 
 	return err
 }
 
-// streamCSV writes a header and one formatted row per cell, byte-identical
-// to Table.CSV over the same rows but without materializing them.
+// streamCSV writes a header and one formatted row per cell: each row's cells
+// rendered by experiment.FormatRow and joined by commas, streamed without
+// materializing the rows.
 func streamCSV(w io.Writer, header []string, n int, row func(int) []any) error {
 	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
 		return err

@@ -85,8 +85,8 @@ func TestMetricIFQMax(t *testing.T) {
 func TestCustomMetricsEndToEnd(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
-			AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
-			AxisFlowCounts(2),
+			stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted),
+			stockAxis(t, "flows", 2),
 		},
 		Metrics:  []Metric{MetricFairness, MetricCollapses, MetricTimeToUtil90, MetricTimeouts},
 		Duration: 3 * time.Second,
@@ -122,7 +122,7 @@ func TestSetpointAxisChangesBehaviour(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
 			stockAxis(t, "setpoint", 0.2, 0.9),
-			AxisAlgorithms(experiment.AlgRestricted),
+			stockAxis(t, "alg", experiment.AlgRestricted),
 		},
 		Metrics:  []Metric{MetricThroughputMbps, MetricUtilization},
 		Duration: 3 * time.Second,

@@ -42,8 +42,8 @@ func TestFairnessAllZeroGoodput(t *testing.T) {
 func TestHundredPercentLossCampaignExportsJSON(t *testing.T) {
 	p := Plan{
 		Axes: []Axis{
-			AxisLossRates(1.0),
-			AxisFlowCounts(2),
+			stockAxis(t, "loss", 1.0),
+			stockAxis(t, "flows", 2),
 		},
 		Metrics:    []Metric{MetricFairness, MetricThroughputMbps, MetricTimeouts},
 		Replicates: 2,

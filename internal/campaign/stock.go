@@ -519,30 +519,6 @@ var stockAxes = func() map[string]stockDim {
 	return m
 }()
 
-// The Grid dimensions keep typed constructors, so code that assembles a
-// classic plan by hand gets the axes Grid.Plan compiles.
-
-// AxisBandwidths sweeps the bottleneck rate ("bw").
-func AxisBandwidths(vs ...unit.Bandwidth) Axis { return dimBW.axis(vs...) }
-
-// AxisRTTs sweeps the round-trip propagation delay ("rtt").
-func AxisRTTs(vs ...time.Duration) Axis { return dimRTT.axis(vs...) }
-
-// AxisRouterQueues sweeps the bottleneck buffer in packets ("rq").
-func AxisRouterQueues(vs ...int) Axis { return dimRQ.axis(vs...) }
-
-// AxisTxQueueLens sweeps the sender IFQ capacity in packets ("ifq").
-func AxisTxQueueLens(vs ...int) Axis { return dimIFQ.axis(vs...) }
-
-// AxisLossRates sweeps the bottleneck-ingress drop probability ("loss").
-func AxisLossRates(vs ...float64) Axis { return dimLoss.axis(vs...) }
-
-// AxisAlgorithms sweeps the slow-start scheme on every flow ("alg").
-func AxisAlgorithms(vs ...experiment.Algorithm) Axis { return dimAlg.axis(vs...) }
-
-// AxisFlowCounts sweeps the number of concurrent flows ("flows").
-func AxisFlowCounts(vs ...int) Axis { return dimFlows.axis(vs...) }
-
 // AxisTopologyValue builds a single-valued "topo" axis from an explicit
 // topology (the CLIs' repeatable -hop flags compile to one): every cell runs
 // a private clone of it, labeled for the cell key.

@@ -113,8 +113,8 @@ func TestStreamingWorkerCountDoesNotChangeReport(t *testing.T) {
 func TestStreamedReportJSONMatchesEncoder(t *testing.T) {
 	p := Plan{
 		Axes: []Axis{
-			AxisLossRates(0, 1), // a 100%-loss cell exercises NaN -> null
-			AxisAlgorithms(experiment.AlgStandard),
+			stockAxis(t, "loss", 0, 1), // a 100%-loss cell exercises NaN -> null
+			stockAxis(t, "alg", experiment.AlgStandard),
 		},
 		Metrics:    []Metric{MetricThroughputMbps, MetricFairness},
 		Replicates: 2,

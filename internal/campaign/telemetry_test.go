@@ -16,11 +16,11 @@ import (
 // anomalyPlan mixes a healthy cell with a 100%-loss cell, so the default
 // anomaly predicate (RTOs or zero throughput) fires for exactly half the
 // runs.
-func anomalyPlan() Plan {
+func anomalyPlan(t testing.TB) Plan {
 	return Plan{
 		Axes: []Axis{
-			AxisLossRates(0, 1),
-			AxisAlgorithms(experiment.AlgStandard),
+			stockAxis(t, "loss", 0, 1),
+			stockAxis(t, "alg", experiment.AlgStandard),
 		},
 		Metrics:    []Metric{MetricThroughputMbps},
 		Replicates: 2,
@@ -47,7 +47,7 @@ func (m *sinkMap) sink(cellKey string, rep int, events []byte) {
 // JSONL bytes must be identical whether the campaign ran on one worker or
 // four.
 func TestAnomalyDumpDeterministicAcrossWorkers(t *testing.T) {
-	p := anomalyPlan()
+	p := anomalyPlan(t)
 	collect := func(workers int) map[string][]byte {
 		m := newSinkMap()
 		if _, err := ExecutePlan(p, Options{Workers: workers, AnomalySink: m.sink}); err != nil {
@@ -95,7 +95,7 @@ func TestAnomalyDumpDeterministicAcrossWorkers(t *testing.T) {
 // Options.ExportWeb100, and serializes under the "web100" key.
 func TestWeb100ExportOptIn(t *testing.T) {
 	p := Plan{
-		Axes:       []Axis{AxisAlgorithms(experiment.AlgStandard)},
+		Axes:       []Axis{stockAxis(t, "alg", experiment.AlgStandard)},
 		Metrics:    []Metric{MetricThroughputMbps},
 		Replicates: 1,
 		Duration:   2 * time.Second,
@@ -143,7 +143,7 @@ func TestWeb100ExportOptIn(t *testing.T) {
 // set fills its counters and phase clocks, and the set round-trips through
 // an OpenMetrics registry.
 func TestSelfMetricsPopulated(t *testing.T) {
-	p := anomalyPlan()
+	p := anomalyPlan(t)
 	self := NewSelfMetrics()
 	if _, err := ExecutePlan(p, Options{Workers: 2, Self: self}); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestSelfMetricsPopulated(t *testing.T) {
 // counters — and the counters reach the OpenMetrics exposition.
 func TestSelfMetricsSchedulerCounters(t *testing.T) {
 	run := func(sched string, wheel bool) *SelfMetrics {
-		p := anomalyPlan()
+		p := anomalyPlan(t)
 		p.Base.Scheduler = sched
 		p.Base.TimerWheel = wheel
 		self := NewSelfMetrics()
@@ -234,7 +234,7 @@ func TestSelfMetricsSchedulerCounters(t *testing.T) {
 // trailing "telemetry" object; nil leaves the historical shape untouched.
 func TestReportTelemetryTail(t *testing.T) {
 	p := Plan{
-		Axes:       []Axis{AxisAlgorithms(experiment.AlgStandard)},
+		Axes:       []Axis{stockAxis(t, "alg", experiment.AlgStandard)},
 		Metrics:    []Metric{MetricThroughputMbps},
 		Replicates: 1,
 		Duration:   time.Second,

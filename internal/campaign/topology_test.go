@@ -90,10 +90,10 @@ func TestTopoAxisValidation(t *testing.T) {
 	topo := stockAxis(t, "topo", "parking-lot")
 	for _, clash := range []Axis{
 		stockAxis(t, "hops", 2),
-		AxisBandwidths(10 * unit.Mbps),
-		AxisRTTs(10 * time.Millisecond),
-		AxisRouterQueues(100),
-		AxisLossRates(0.01),
+		stockAxis(t, "bw", 10*unit.Mbps),
+		stockAxis(t, "rtt", 10*time.Millisecond),
+		stockAxis(t, "rq", 100),
+		stockAxis(t, "loss", 0.01),
 	} {
 		p := Plan{Axes: []Axis{topo, clash}}
 		if err := p.Validate(); err == nil {
@@ -109,7 +109,7 @@ func TestTopoAxisValidation(t *testing.T) {
 		t.Errorf("topo then rbw/aqm rejected: %v", err)
 	}
 	// Without topo, the path-level axes compose freely.
-	free := Plan{Axes: []Axis{stockAxis(t, "hops", 1, 3), AxisBandwidths(10 * unit.Mbps), stockAxis(t, "rbw", unit.Mbps)}}
+	free := Plan{Axes: []Axis{stockAxis(t, "hops", 1, 3), stockAxis(t, "bw", 10*unit.Mbps), stockAxis(t, "rbw", unit.Mbps)}}
 	if err := free.Validate(); err != nil {
 		t.Errorf("hops + bw + rbw rejected: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestCrossFlowsSurviveFlowAxes(t *testing.T) {
 	var cfg experiment.Config
 	stockAxis(t, "topo", "parking-lot").Values[0].Set(&cfg)
 
-	AxisAlgorithms(experiment.AlgRestricted).Values[0].Set(&cfg)
+	stockAxis(t, "alg", experiment.AlgRestricted).Values[0].Set(&cfg)
 	cross := flowsOf(cfg.Flows, true)
 	if len(cross) != 1 || cross[0].Alg != experiment.AlgStandard {
 		t.Fatalf("alg axis touched the cross flow: %+v", cfg.Flows)
@@ -144,7 +144,7 @@ func TestCrossFlowsSurviveFlowAxes(t *testing.T) {
 		t.Fatalf("alg axis did not materialize a restricted measured flow: %+v", cfg.Flows)
 	}
 
-	AxisFlowCounts(3).Values[0].Set(&cfg)
+	stockAxis(t, "flows", 3).Values[0].Set(&cfg)
 	if len(flowsOf(cfg.Flows, false)) != 3 || len(flowsOf(cfg.Flows, true)) != 1 {
 		t.Fatalf("flows axis lost flows: %+v", cfg.Flows)
 	}
@@ -171,7 +171,7 @@ func TestTopologyMatrixSmoke(t *testing.T) {
 			stockAxis(t, "topo", "parking-lot"),
 			stockAxis(t, "rbw", 500*unit.Kbps),
 			stockAxis(t, "aqm", experiment.DiscDropTail, experiment.DiscRED),
-			AxisAlgorithms(experiment.AlgStandard, experiment.AlgRestricted),
+			stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted),
 		},
 		Metrics: []Metric{MetricThroughputMbps, MetricHopDropsMax, MetricReverseDrops},
 		// The preset's cross flow starts at 1 s; two virtual seconds make it
@@ -236,7 +236,7 @@ func TestWorkerCountStableOnTopologyPlans(t *testing.T) {
 	plan := Plan{
 		Axes: []Axis{
 			stockAxis(t, "topo", "parking-lot", "reverse-congested"),
-			AxisAlgorithms(experiment.AlgRestricted),
+			stockAxis(t, "alg", experiment.AlgRestricted),
 		},
 		Metrics:    []Metric{MetricThroughputMbps, MetricHopDropsMax, MetricReverseDrops},
 		Replicates: 2,

@@ -323,16 +323,4 @@ func (r *RestrictedSlowStart) Ticks() int64 { return r.ticks }
 // ThrottledTicks returns control steps whose output was non-positive.
 func (r *RestrictedSlowStart) ThrottledTicks() int64 { return r.throttled }
 
-// NewController is a convenience that assembles the full paper sender:
-// Reno loss recovery and congestion avoidance with the RSS policy in the
-// slow-start slot.
-func NewController(eng *sim.Engine, cfg Config) (cc.Controller, *RestrictedSlowStart, error) {
-	rss, err := New(eng, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctrl := cc.NewReno(cc.RenoConfig{SS: rss})
-	return ctrl, rss, nil
-}
-
 var _ cc.SlowStartPolicy = (*RestrictedSlowStart)(nil)

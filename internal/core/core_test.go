@@ -260,12 +260,13 @@ func TestResetRestartsCleanly(t *testing.T) {
 	}
 }
 
-func TestNewControllerAssemblesRenoWithRSS(t *testing.T) {
+func TestRenoWithRSSInSlowStartSlot(t *testing.T) {
 	eng := sim.NewEngine()
-	ctrl, rss, err := NewController(eng, Config{Sensor: &fakeSensor{cap: 100}})
+	rss, err := New(eng, Config{Sensor: &fakeSensor{cap: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl := cc.NewReno(cc.RenoConfig{SS: rss})
 	if ctrl.Name() != "reno/restricted" {
 		t.Errorf("Name = %q, want reno/restricted", ctrl.Name())
 	}

@@ -262,43 +262,3 @@ func TestChurnAttachDetachManual(t *testing.T) {
 		t.Errorf("%d calendar entries leaked after manual detach", got)
 	}
 }
-
-// TestChurnOnOffDetachLeavesNoTimers pins the satellite fix end to end: a
-// detached on/off flow cancels its toggle and pump entries.
-func TestChurnOnOffDetachLeavesNoTimers(t *testing.T) {
-	t.Parallel()
-	// The static measured flow is finite so that at drain time no live
-	// flow legitimately holds in-flight segments — any pool imbalance is
-	// then a real leak.
-	cfg := Config{
-		Flows:    []FlowSpec{{Alg: AlgStandard, Bytes: 2_000_000}},
-		Duration: 2 * time.Second, Seed: 3, Traceless: true,
-	}
-	s, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f *Flow
-	s.Eng.Schedule(sim.At(100*time.Millisecond), func() {
-		var err error
-		f, err = s.AttachFlow(FlowSpec{
-			Alg:   AlgStandard,
-			OnOff: &OnOffSpec{On: 50 * time.Millisecond, Off: 50 * time.Millisecond, Rate: 20 * unit.Mbps},
-		})
-		if err != nil {
-			t.Errorf("attach: %v", err)
-		}
-	})
-	s.Eng.Schedule(sim.At(1*time.Second), func() { s.DetachFlow(f) })
-	s.Run()
-	// Drain in-flight transmissions; afterwards nothing flow-owned may
-	// remain on the calendar.
-	s.Eng.RunUntil(sim.At(3 * time.Second))
-	if got := s.Eng.Leaked(); got != 0 {
-		t.Errorf("%d calendar entries leaked after on/off detach", got)
-	}
-	gets, releases := s.SegCounters()
-	if gets != releases {
-		t.Errorf("segment pool imbalance: %d gets, %d releases", gets, releases)
-	}
-}

@@ -85,19 +85,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// CSV writes the table as comma-separated values (header + rows).
-func (t *Table) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Header, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // String renders the table to a string (aligned text form).
 func (t *Table) String() string {
 	var sb strings.Builder

@@ -33,20 +33,6 @@ func TestTableRenderAlignment(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{Header: []string{"a", "b"}}
-	tbl.Add(1, 2)
-	tbl.Add("x", "y")
-	var sb strings.Builder
-	if err := tbl.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,2\nx,y\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestTableEmptyRows(t *testing.T) {
 	tbl := &Table{Header: []string{"only"}}
 	out := tbl.String()

@@ -30,8 +30,7 @@ type ChurnSpec struct {
 	// "pareto:1.3:10k:10M", "lognorm:100k:1.5" (default "exp:100k").
 	Size string `json:",omitempty"`
 	// Flow is the template each arrival instantiates; Bytes and StartAt
-	// are replaced per arrival (size draw, birth time). OnOff templates
-	// never complete by byte count and so never detach on their own.
+	// are replaced per arrival (size draw, birth time).
 	Flow FlowSpec
 	// MaxLive caps concurrently live dynamic flows; arrivals beyond the
 	// cap are refused and counted in Result.FlowsRefused (0 = unlimited).
@@ -455,7 +454,7 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 	f.detached = true
 	dynamic := f.liveIdx >= 0
 	if dynamic {
-		s.churn.totals.Stalls += f.Stalls.Value()
+		s.churn.totals.Stalls += st.SendStall
 		s.churn.totals.CongSignals += st.CongSignals
 		s.churn.totals.Timeouts += st.Timeouts
 		s.churn.totals.Collapses += st.LocalCongCwnd
@@ -475,9 +474,6 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 		// attach; the cold Sender keeps its Web100 counters (already
 		// folded above) but its window accessors go quiet.
 		f.Sender.ReleaseRow()
-	}
-	if f.onoff != nil {
-		f.onoff.Stop()
 	}
 	if f.RSS != nil && f.Spec.Host == 0 {
 		f.RSS.Stop()
@@ -530,9 +526,6 @@ func (s *Scenario) StopChurn() {
 // LiveFlows reports how many dynamic flows are currently attached.
 func (s *Scenario) LiveFlows() int { return len(s.churn.live) }
 
-// ChurnRefused reports arrivals turned away by ChurnSpec.MaxLive.
-func (s *Scenario) ChurnRefused() int64 { return s.churn.refused }
-
 // SegCounters exposes the scenario-private segment pool's cumulative
 // get/release counters; outside a callback they must balance, which the
 // flow-leak gates assert after churn runs.
@@ -546,11 +539,4 @@ func (s *Scenario) churnBytesAcked(now sim.Time) int64 {
 		total += f.Sender.Stats().Snapshot(now).ThruOctetsAcked
 	}
 	return total
-}
-
-// IdealTransferTime is the Slowdown denominator for a dynamic flow of the
-// given size: route propagation plus serialization at the route's
-// bottleneck rate.
-func (s *Scenario) IdealTransferTime(bytes int64) time.Duration {
-	return s.churn.baseRTT + time.Duration(float64(bytes)*s.churn.perByte*float64(time.Second))
 }

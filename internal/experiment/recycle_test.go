@@ -335,7 +335,8 @@ func stalledDetachRun(t *testing.T, fresh bool) (web100.Stats, int64) {
 	}
 	b := mustAttach(t, s, spec)
 	s.Eng.RunFor(2 * time.Second)
-	return b.Sender.Stats().Snapshot(s.Eng.Now()), b.Stalls.Value()
+	st := b.Sender.Stats().Snapshot(s.Eng.Now())
+	return st, st.SendStall
 }
 
 // TestDetachWhileStalledDoesNotWakeNextOwner: a sender detached while

@@ -20,7 +20,6 @@ import (
 	"rsstcp/internal/trace"
 	"rsstcp/internal/unit"
 	"rsstcp/internal/web100"
-	"rsstcp/internal/workload"
 )
 
 // Algorithm selects the sender's congestion behaviour.
@@ -150,9 +149,6 @@ type FlowSpec struct {
 	// non-zero Host value share one NIC and IFQ (parallel streams, as in
 	// GridFTP). Zero gives the flow a host of its own.
 	Host int
-	// OnOff, when non-nil, replaces the backlogged workload with bursty
-	// on-off traffic (used for cross flows).
-	OnOff *OnOffSpec
 	// Route pins the flow to a contiguous hop span of the topology; the
 	// zero value traverses the whole path. Hop-local cross traffic in a
 	// parking-lot topology sets a sub-span (e.g. Route{FirstHop:1, Hops:1}).
@@ -162,12 +158,6 @@ type FlowSpec struct {
 	// it, so sweeps shape only the measured flows while the topology's
 	// background load stays fixed.
 	Cross bool
-}
-
-// OnOffSpec describes an on-off source: On at Rate, then Off, repeating.
-type OnOffSpec struct {
-	On, Off time.Duration
-	Rate    unit.Bandwidth
 }
 
 // MaxFlows bounds Config.Flows. A flow count arrives from outside (a CLI
@@ -309,30 +299,27 @@ type Flow struct {
 	Receiver *tcp.Receiver
 	NIC      *host.Interface
 	// RSS is non-nil for AlgRestricted.
-	RSS    *core.RestrictedSlowStart
-	Stalls *trace.Counter
+	RSS *core.RestrictedSlowStart
 
-	// The bundle's own controller, the stall hook bound to Stalls and the
-	// completion hook bound to the bundle. Sender, Receiver, Stalls and reno
-	// point into the flowBundle this Flow heads; every flow built on the
-	// bundle re-initializes them (see takeFlow).
+	// The bundle's own controller and the completion hook bound to the
+	// bundle. Sender, Receiver and reno point into the flowBundle this Flow
+	// heads; every flow built on the bundle re-initializes them (see
+	// takeFlow).
 	reno       *cc.Reno
-	onStall    func()
 	onComplete func()
 
-	// Lifecycle bookkeeping: birth time, the on/off source to stop at
-	// detach and the flow's slot in the live churn set (-1 for static flows).
+	// Lifecycle bookkeeping: birth time and the flow's slot in the live
+	// churn set (-1 for static flows).
 	started sim.Time
-	onoff   *workload.OnOff
 	liveIdx int
 }
 
 // builtHop is one forward hop's per-scenario metadata: its resolved config
 // and the injectors fronting its ingress. The link, queue, RED and
-// propagation state all live in the scenario's netem.HopArena, packed in
-// parallel arrays indexed by hop id; per-flow egress routing is index
-// dispatch over route spans recorded in the arena (see HopArena.SetSpan), so
-// there is no per-hop Receiver chain to walk.
+// propagation state all live in the scenario's netem.HopArena, indexed by
+// hop id; per-flow egress routing is index dispatch over route spans
+// recorded in the arena (see HopArena.SetSpan), so there is no per-hop
+// Receiver chain to walk.
 type builtHop struct {
 	cfg     Hop
 	loss    *netem.Loss
@@ -362,10 +349,10 @@ type Scenario struct {
 	// is the contended one; for a one-hop path the two coincide.
 	Bottleneck netem.HopRef
 	hops       []builtHop
-	// arena is the flattened forward data path: every hop's serializer,
-	// queue/RED and propagation state in packed parallel arrays, with
-	// per-flow route spans and index-based hop hand-off. It survives Reset
-	// and is reconfigured in place.
+	// arena is the forward data path: every hop's serializer, queue/RED
+	// and propagation state indexed by hop id, with per-flow route spans
+	// and index-based hop hand-off. It survives Reset and is reconfigured
+	// in place.
 	arena    *netem.HopArena
 	dm       *demux      // forward egress → per-flow receivers
 	flowGen  []uint32    // FlowID → current incarnation (see demux)
@@ -519,7 +506,6 @@ type flowBundle struct {
 	Flow
 	sender   tcp.Sender
 	receiver tcp.Receiver
-	stalls   trace.Counter
 	reno     cc.Reno
 }
 
@@ -530,8 +516,7 @@ func newFlowBundle(s *Scenario) *Flow {
 	b := new(flowBundle)
 	f := &b.Flow
 	f.liveIdx = -1
-	f.Sender, f.Receiver, f.Stalls, f.reno = &b.sender, &b.receiver, &b.stalls, &b.reno
-	f.onStall = f.Stalls.Inc
+	f.Sender, f.Receiver, f.reno = &b.sender, &b.receiver, &b.reno
 	f.onComplete = func() { s.completeChurnFlow(f) }
 	return f
 }
@@ -545,10 +530,10 @@ func (s *Scenario) takeFlow() *Flow {
 		return newFlowBundle(s)
 	}
 	f := take(&s.park.flows)
-	snd, rcv, stalls, reno, onStall, onComplete := f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall, f.onComplete
+	snd, rcv, reno, onComplete := f.Sender, f.Receiver, f.reno, f.onComplete
 	*f = Flow{}
 	f.liveIdx = -1
-	f.Sender, f.Receiver, f.Stalls, f.reno, f.onStall, f.onComplete = snd, rcv, stalls, reno, onStall, onComplete
+	f.Sender, f.Receiver, f.reno, f.onComplete = snd, rcv, reno, onComplete
 	return f
 }
 
@@ -888,10 +873,10 @@ func (s *Scenario) nextGen(id packet.FlowID) uint32 {
 // buildFlow wires one sender/receiver pair into the scenario, on parked
 // components where there are any (see parked): every part is shaped by its
 // Init, so a recycled bundle and a new one are indistinguishable. Static
-// flows (dynamic=false) register traced gauges and start their workload at
-// StartAt; dynamic flows — churn arrivals attached mid-run — keep their
-// stall counter anonymous (a short-lived flow must not grow the recorder's
-// series set), and start their workload synchronously at attach time.
+// flows (dynamic=false) register traced series and start their workload at
+// StartAt; dynamic flows — churn arrivals attached mid-run — record no
+// series (a short-lived flow must not grow the recorder's series set), and
+// start their workload synchronously at attach time.
 func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Flow, error) {
 	eng := s.Eng
 	cfg := &s.Cfg
@@ -956,14 +941,11 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	flow.Sender.SetFlightRecorder(s.FR)
 	sndDemux.set(id, gen, flow.Sender)
 	if s.Rec.Enabled() && !dynamic {
-		flow.Stalls.Init(s.Rec, fmt.Sprintf("stalls/%d", id))
+		// Figure 1's series: the Web100 SendStall count at every stall.
+		stalls, snd := s.Rec.Series(fmt.Sprintf("stalls/%d", id)), flow.Sender
+		snd.OnStall = func() { stalls.Add(eng.Now(), float64(snd.Stats().SendStall)) }
 		registerFlowGauges(s, flow)
-	} else {
-		// Traceless: the counter still counts (Result.Stalls reads it)
-		// but records no points — and skips the name formatting.
-		flow.Stalls.Init(s.Rec, "")
 	}
-	flow.Sender.OnStall = flow.onStall
 
 	// Workload: dynamic flows start at attach time (now), static flows at
 	// their configured StartAt.
@@ -1016,19 +998,16 @@ func registerFlowGauges(s *Scenario, flow *Flow) {
 	})
 }
 
-// startWorkload hands the flow's sender its data source.
+// startWorkload hands the flow's sender its data: Bytes at once and the end
+// of the stream (the paper's bulk transfer), or, with no Bytes, a backlog
+// the run's duration ends first.
 func (s *Scenario) startWorkload(flow *Flow) {
-	switch spec := &flow.Spec; {
-	case spec.OnOff != nil:
-		src := workload.NewOnOff(s.Eng, flow.Sender,
-			spec.OnOff.On, spec.OnOff.Off, spec.OnOff.Rate, int64(flow.Sender.MSS()))
-		flow.onoff = src
-		src.Start()
-	case spec.Bytes > 0:
-		workload.Bulk(flow.Sender, spec.Bytes)
-	default:
-		workload.Unbounded(flow.Sender)
+	if b := flow.Spec.Bytes; b > 0 {
+		flow.Sender.Supply(b)
+		flow.Sender.Close()
+		return
 	}
+	flow.Sender.Supply(1 << 62)
 }
 
 // buildController initializes the flow bundle's Reno with the slow-start
@@ -1117,8 +1096,8 @@ type Result struct {
 	Totals Totals
 	// TimeToUtil90 is the first instant the bottleneck's cumulative
 	// utilization reached 90%, or -1 if it never did. It is latched from
-	// the link's running busy counter (see netem.Link.WatchUtilization),
-	// so it is available in traceless runs where no gauge was sampled.
+	// the hop's running busy counter (see netem.HopSpec.Watch), so it is
+	// available in traceless runs where no gauge was sampled.
 	TimeToUtil90 time.Duration
 	// Hops carries per-hop aggregates in forward order: drops, injector
 	// counts, queue high-water/average occupancy and utilization. A
@@ -1224,7 +1203,7 @@ func (s *Scenario) ResultFor(i int) Result {
 		res.Alg = f.Spec.Alg
 		res.Stats = st
 		res.Throughput = st.Throughput(now)
-		res.Stalls = f.Stalls.Value()
+		res.Stalls = st.SendStall
 		res.NIC = f.NIC.Stats()
 	} else {
 		res.Alg = s.churn.tmpl.Alg
@@ -1248,7 +1227,7 @@ func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stat
 			fst := fl.Sender.Stats().Snapshot(now)
 			tps[j] = fst.Throughput(now)
 			stats[j] = fst
-			totals.Stalls += fl.Stalls.Value()
+			totals.Stalls += fst.SendStall
 			totals.CongSignals += fst.CongSignals
 			totals.Timeouts += fst.Timeouts
 			totals.Collapses += fst.LocalCongCwnd
@@ -1258,7 +1237,7 @@ func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stat
 		totals.add(s.churn.totals)
 		for _, fl := range s.churn.live {
 			fst := fl.Sender.Stats().Snapshot(now)
-			totals.Stalls += fl.Stalls.Value()
+			totals.Stalls += fst.SendStall
 			totals.CongSignals += fst.CongSignals
 			totals.Timeouts += fst.Timeouts
 			totals.Collapses += fst.LocalCongCwnd
@@ -1284,14 +1263,4 @@ func (s *Scenario) WheelStats() (sim.WheelStats, bool) {
 // StallSeries returns the cumulative send-stall series of flow i.
 func (s *Scenario) StallSeries(i int) *trace.Series {
 	return s.Rec.Series(fmt.Sprintf("stalls/%d", s.Flows[i].ID))
-}
-
-// CwndSeries returns the cwnd (segments) series of flow i.
-func (s *Scenario) CwndSeries(i int) *trace.Series {
-	return s.Rec.Series(fmt.Sprintf("cwnd_segs/%d", s.Flows[i].ID))
-}
-
-// IFQSeries returns the IFQ occupancy series of flow i.
-func (s *Scenario) IFQSeries(i int) *trace.Series {
-	return s.Rec.Series(fmt.Sprintf("ifq/%d", s.Flows[i].ID))
 }

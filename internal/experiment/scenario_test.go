@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -102,11 +103,11 @@ func TestSeriesAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if s.CwndSeries(0).Len() == 0 {
-		t.Error("cwnd series empty after run")
-	}
-	if s.IFQSeries(0).Len() == 0 {
-		t.Error("ifq series empty after run")
+	for _, prefix := range []string{"cwnd_segs", "ifq"} {
+		name := fmt.Sprintf("%s/%d", prefix, s.Flows[0].ID)
+		if sr := s.Rec.Lookup(name); sr == nil || sr.Len() == 0 {
+			t.Errorf("%s series empty after run", name)
+		}
 	}
 	// Stall series exists even when no stalls occurred.
 	_ = s.StallSeries(0)

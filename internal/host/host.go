@@ -23,12 +23,6 @@ type InterfaceConfig struct {
 	TxQueueLen int
 }
 
-// DefaultInterfaceConfig matches the paper era: a gigabit NIC with the
-// Linux default txqueuelen of 100 packets.
-func DefaultInterfaceConfig() InterfaceConfig {
-	return InterfaceConfig{Rate: 1 * unit.Gbps, TxQueueLen: 100}
-}
-
 // InterfaceStats aggregates the NIC counters.
 type InterfaceStats struct {
 	Sent      int64         // segments fully serialized onto the wire
@@ -58,10 +52,6 @@ type Interface struct {
 	txSeg  *packet.Segment
 	txST   time.Duration
 	txDone func()
-	recvFn netem.Receiver // AsReceiver adapter, built once
-	// occupancy integral for average-occupancy reporting
-	occLast   sim.Time
-	occWeight int64 // ∫ len dt in packet·nanoseconds (converted on read)
 }
 
 // NewInterface builds a NIC draining into dst.
@@ -87,19 +77,13 @@ func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receive
 	if dst == nil {
 		panic("host: interface with nil destination")
 	}
-	queue, wakers, spare, txDone, recvFn := i.queue, i.wakers[:0], i.spare[:0], i.txDone, i.recvFn
+	queue, wakers, spare, txDone := i.queue, i.wakers[:0], i.spare[:0], i.txDone
 	*i = Interface{} // zero, then set: a literal that reads i is built aside and copied
 	i.eng, i.cfg, i.ser, i.dst = eng, cfg, unit.NewSerializer(cfg.Rate), dst
-	i.queue, i.wakers, i.spare, i.txDone, i.recvFn = queue, wakers, spare, txDone, recvFn
+	i.queue, i.wakers, i.spare, i.txDone = queue, wakers, spare, txDone
 	i.queue.Init(cfg.TxQueueLen)
-	i.occLast = eng.Now()
 	if i.txDone == nil {
 		i.txDone = i.transmitDone
-		i.recvFn = netem.Func(func(seg *packet.Segment) {
-			if !i.Send(seg) {
-				seg.Release()
-			}
-		})
 	}
 }
 
@@ -115,7 +99,6 @@ func (i *Interface) Flush() {
 // Send offers a segment to the IFQ. It returns false — a send-stall — when
 // the queue is full; the segment is NOT consumed and the caller keeps it.
 func (i *Interface) Send(seg *packet.Segment) bool {
-	i.accumulateOccupancy()
 	if !i.queue.Enqueue(seg) {
 		i.stats.Stalls++
 		return false
@@ -141,7 +124,6 @@ func (i *Interface) maybeTransmit() {
 	if seg == nil {
 		return
 	}
-	i.accumulateOccupancy()
 	i.busy = true
 	i.txSeg = seg
 	i.txST = i.ser.Serialization(seg.Size())
@@ -176,38 +158,12 @@ func (i *Interface) wake() {
 	}
 }
 
-func (i *Interface) accumulateOccupancy() {
-	now := i.eng.Now()
-	if now > i.occLast {
-		// Integrate in packet·nanoseconds with integer arithmetic: this
-		// runs per segment, and the float conversion and seconds divide
-		// belong on the read side.
-		i.occWeight += int64(i.queue.Len()) * int64(now-i.occLast)
-		i.occLast = now
-	}
-}
-
 // Len returns the current IFQ occupancy in packets. This is the PID
 // controller's process variable.
 func (i *Interface) Len() int { return i.queue.Len() }
 
 // Capacity returns the IFQ capacity in packets (txqueuelen).
 func (i *Interface) Capacity() int { return i.queue.Capacity() }
-
-// Occupancy returns Len/Capacity in [0, 1].
-func (i *Interface) Occupancy() float64 {
-	return float64(i.queue.Len()) / float64(i.queue.Capacity())
-}
-
-// AvgOccupancy returns the time-average IFQ length in packets over [0, now].
-func (i *Interface) AvgOccupancy() float64 {
-	i.accumulateOccupancy()
-	now := i.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	return float64(i.occWeight) / float64(now)
-}
 
 // Idle reports whether the NIC has nothing in flight and an empty IFQ —
 // the precondition for recycling it to a new flow.
@@ -218,8 +174,3 @@ func (i *Interface) Stats() InterfaceStats { return i.stats }
 
 // Rate returns the NIC line rate.
 func (i *Interface) Rate() unit.Bandwidth { return i.cfg.Rate }
-
-// AsReceiver adapts the interface for chains that cannot observe stalls
-// (e.g. a receiver host sending ACKs): segments that stall are dropped (and
-// released), exactly as a full qdisc drops with NET_XMIT_DROP.
-func (i *Interface) AsReceiver() netem.Receiver { return i.recvFn }

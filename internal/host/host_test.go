@@ -74,9 +74,6 @@ func TestOccupancyFraction(t *testing.T) {
 	if i.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", i.Len())
 	}
-	if got := i.Occupancy(); got != 0.5 {
-		t.Errorf("Occupancy = %v, want 0.5", got)
-	}
 	if i.Capacity() != 10 {
 		t.Errorf("Capacity = %d, want 10", i.Capacity())
 	}
@@ -167,38 +164,6 @@ func TestStallsDoNotConsumeSegment(t *testing.T) {
 	}
 }
 
-func TestAvgOccupancyReflectsBacklog(t *testing.T) {
-	eng := sim.NewEngine()
-	i := nic(eng, 100*unit.Mbps, 100, &netem.Sink{})
-	for k := 0; k < 50; k++ {
-		i.Send(seg(1460))
-	}
-	eng.Run()
-	avg := i.AvgOccupancy()
-	// 50 segments drained linearly: average backlog ≈ 24-25 packets.
-	if avg < 15 || avg > 35 {
-		t.Errorf("AvgOccupancy = %v, want ~24", avg)
-	}
-}
-
-func TestAsReceiverDropsOnStall(t *testing.T) {
-	eng := sim.NewEngine()
-	sink := &netem.Sink{}
-	i := nic(eng, 1*unit.Mbps, 1, sink)
-	r := i.AsReceiver()
-	for k := 0; k < 5; k++ {
-		r.Receive(seg(1460))
-	}
-	eng.Run()
-	// 1 in service + 1 queued; 3 dropped silently.
-	if sink.Packets != 2 {
-		t.Errorf("delivered %d, want 2", sink.Packets)
-	}
-	if i.Stats().Stalls != 3 {
-		t.Errorf("Stalls = %d, want 3", i.Stats().Stalls)
-	}
-}
-
 func TestMaxQueueHighWater(t *testing.T) {
 	eng := sim.NewEngine()
 	i := nic(eng, 1*unit.Mbps, 50, &netem.Sink{})
@@ -273,15 +238,5 @@ func TestInterfaceBadConfigPanics(t *testing.T) {
 			}()
 			NewInterface(eng, cfg, &netem.Sink{})
 		}()
-	}
-}
-
-func TestDefaultInterfaceConfig(t *testing.T) {
-	cfg := DefaultInterfaceConfig()
-	if cfg.TxQueueLen != 100 {
-		t.Errorf("default TxQueueLen = %d, want 100 (Linux 2.4 default)", cfg.TxQueueLen)
-	}
-	if cfg.Rate != unit.Gbps {
-		t.Errorf("default Rate = %v, want 1Gbps", cfg.Rate)
 	}
 }

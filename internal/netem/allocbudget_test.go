@@ -62,16 +62,16 @@ func TestAllocBudgetWireLoop(t *testing.T) {
 
 // arenaForBudget builds a warmed two-hop arena whose exits release back to
 // the pool, mirroring the link-loop harness shape.
-func arenaForBudget(qcap int, red bool) (*sim.Engine, *HopArena) {
+func arenaForBudget(capPackets int, red bool) (*sim.Engine, *HopArena) {
 	eng := sim.NewEngine()
 	sink := Func(func(seg *packet.Segment) { seg.Release() })
 	a := NewHopArena(eng)
 	specs := []HopSpec{
-		{Rate: 100 * unit.Mbps, Delay: time.Millisecond, Queue: qcap},
-		{Rate: 50 * unit.Mbps, Delay: 2 * time.Millisecond, Queue: qcap},
+		{Rate: 100 * unit.Mbps, Delay: time.Millisecond, Queue: capPackets},
+		{Rate: 50 * unit.Mbps, Delay: 2 * time.Millisecond, Queue: capPackets},
 	}
 	if red {
-		cfg := DefaultREDConfig(qcap)
+		cfg := DefaultREDConfig(capPackets)
 		specs[1].RED = &cfg
 		specs[1].REDSeed = 7
 	}

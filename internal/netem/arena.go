@@ -12,7 +12,9 @@ import (
 // HopSpec configures one hop of a HopArena: serialization rate, propagation
 // delay, buffer capacity in packets, and (optionally) RED admission with the
 // seed for its drop decisions. Watch, when positive, arms the hop's one-shot
-// utilization latch (see Link.WatchUtilization).
+// utilization latch: the first transmission completion at which the hop's
+// cumulative busy fraction reaches Watch is kept (UtilizationReachedAt), so
+// ramp-speed metrics need no sampled gauge series.
 type HopSpec struct {
 	Rate    unit.Bandwidth
 	Delay   time.Duration
@@ -32,21 +34,18 @@ type redState struct {
 	count int
 }
 
-// HopArena is the forward path flattened into parallel arrays indexed by hop
-// id: the serializer, drop-tail/RED queue, propagation delay line and
-// per-hop counters that netem.Link + Queue + DelayLine hold behind three
-// pointer hops live here as packed per-hop slices, so one segment's
-// traversal of the chain touches contiguous memory instead of chasing a
-// heap-allocated object graph. Semantics are bit-identical to the object
-// pipeline — same engine calls (ScheduleAfter for serialization,
-// ReserveSeq/ScheduleReserved for propagation), same RNG draw points, same
-// counter updates in the same order — which the differential tests assert.
+// HopArena is the forward path as parallel arrays indexed by hop id: per hop
+// a serializer and its counters, a DropTail buffer (with RED admission in
+// front of it on RED hops) and a DelayLine for propagation. A hop behaves as
+// a netem.Link over the same queue — same engine calls (ScheduleAfter for
+// serialization, ReserveSeq/ScheduleReserved for propagation), same RNG draw
+// points, same counter updates in the same order.
 //
 // Per-flow routing is a span over the arena: exit[flow] is the last hop a
 // flow traverses, and hand-off between hops is index dispatch (hop i's
-// propagation output enters hop i+1 by index) rather than a chain of
-// Receiver pointers. Injector chains (loss/reorder/duplicate) remain
-// ordinary Receivers fronting a hop's ingress via SetEntry.
+// propagation output enters hop i+1 by index, through its hopEgress).
+// Injector chains (loss/reorder/duplicate) remain ordinary Receivers fronting
+// a hop's ingress via SetEntry.
 //
 // Configure rebuilds the arena in place, reusing every backing slice, so a
 // campaign worker's Scenario.Reset re-shapes the path without allocating on
@@ -67,7 +66,7 @@ type HopArena struct {
 	sentB  []int64
 	busyNS []time.Duration
 
-	// Utilization watch latch (see Link.WatchUtilization).
+	// Utilization watch latch (see HopSpec.Watch).
 	watchFrac []float64
 	watchAt   []sim.Time
 	watched   []bool
@@ -76,23 +75,16 @@ type HopArena struct {
 	occLast   []sim.Time
 	occWeight []int64
 
-	// FIFO buffer per hop (the RED hops' inner queue too).
-	qcap   []int
-	qseg   [][]*packet.Segment
-	qhead  []int
-	qbytes []unit.ByteSize
-	qstats []QueueStats
-
-	// RED admission, gated by isRED.
+	// FIFO buffer per hop (the RED hops' inner queue too), with RED
+	// admission in front of it, gated by isRED.
+	q     []DropTail
 	isRED []bool
 	red   []redState
 
-	// Propagation delay line per hop (see DelayLine for the ordering
-	// argument; the arena inlines the same FIFO + single-armed-entry shape).
-	delay  []time.Duration
-	pq     [][]delayed
-	phead  []int
-	parmed []bool
+	// Propagation per hop. The lines are pointers because each one's bound
+	// fire callback holds its address; line i delivers to propOut[i].
+	prop    []*DelayLine
+	propOut []hopEgress
 
 	// Drop accounting: queue refusals per hop and summed.
 	drops     []int64
@@ -104,15 +96,12 @@ type HopArena struct {
 	entry   []Receiver
 	ingress []hopIngress
 
-	// Bound per-hop callbacks, created once per hop id and reused across
-	// Configure, so transmission and propagation completion schedule no
-	// closures at run time.
+	// Bound per-hop transmission callbacks, created once per hop id and
+	// reused across Configure, so completions schedule no closures.
 	txDone []func()
-	pfire  []func()
 
-	// Per-flow route spans over the arena: first and last hop by FlowID.
-	first []int32
-	exit  []int32
+	// Per-flow route ends over the arena: the last hop by FlowID.
+	exit []int32
 }
 
 // hopIngress adapts hop index i to the Receiver interface for NIC and
@@ -123,6 +112,15 @@ type hopIngress struct {
 }
 
 func (h *hopIngress) Receive(seg *packet.Segment) { h.a.Receive(h.i, seg) }
+
+// hopEgress adapts hop index i's propagation output to the Receiver its
+// delay line delivers to.
+type hopEgress struct {
+	a *HopArena
+	i int
+}
+
+func (h *hopEgress) Receive(seg *packet.Segment) { h.a.egress(h.i, seg) }
 
 // NewHopArena returns an empty arena; Configure shapes it.
 func NewHopArena(eng *sim.Engine) *HopArena {
@@ -146,18 +144,10 @@ func grow[T any](s []T, n int) []T {
 // serializer, in propagation — and empties their FIFOs, keeping capacity.
 func (a *HopArena) flush() {
 	for i := 0; i < a.n; i++ {
-		for _, seg := range a.qseg[i][a.qhead[i]:] {
-			seg.Release()
-		}
-		clear(a.qseg[i])
-		a.qseg[i], a.qhead[i] = a.qseg[i][:0], 0
+		Flush(&a.q[i])
 		a.cur[i].Release()
 		a.cur[i] = nil
-		for _, d := range a.pq[i][a.phead[i]:] {
-			d.seg.Release()
-		}
-		clear(a.pq[i])
-		a.pq[i], a.phead[i] = a.pq[i][:0], 0
+		a.prop[i].Flush()
 	}
 }
 
@@ -187,36 +177,25 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 	a.watched = grow(a.watched, n)
 	a.occLast = grow(a.occLast, n)
 	a.occWeight = grow(a.occWeight, n)
-	a.qcap = grow(a.qcap, n)
-	a.qbytes = grow(a.qbytes, n)
-	a.qstats = grow(a.qstats, n)
 	a.isRED = grow(a.isRED, n)
 	a.red = grow(a.red, n)
-	a.delay = grow(a.delay, n)
-	a.parmed = grow(a.parmed, n)
 	a.drops = grow(a.drops, n)
 	a.entry = grow(a.entry, n)
-	a.first = a.first[:0]
 	a.exit = a.exit[:0]
 
-	// Queues and delay lines keep their (flushed) backing arrays, so a
-	// reset scenario re-runs on warm capacity.
-	for len(a.qseg) < n {
-		a.qseg = append(a.qseg, nil)
-		a.pq = append(a.pq, nil)
-	}
-	a.qhead = grow(a.qhead, n)
-	a.phead = grow(a.phead, n)
-
-	// Bound callbacks persist; only new hop ids allocate.
+	// Queues, delay lines and bound callbacks persist: only new hop ids
+	// allocate, and a reset scenario re-runs on warm (flushed) capacity.
 	for len(a.txDone) < n {
 		i := len(a.txDone)
 		a.txDone = append(a.txDone, func() { a.transmitDone(i) })
-		a.pfire = append(a.pfire, func() { a.propFire(i) })
+		a.q = append(a.q, DropTail{})
+		a.prop = append(a.prop, new(DelayLine))
 		a.ingress = append(a.ingress, hopIngress{})
+		a.propOut = append(a.propOut, hopEgress{})
 	}
 	for i := range a.ingress {
 		a.ingress[i] = hopIngress{a: a, i: i}
+		a.propOut[i] = hopEgress{a: a, i: i}
 	}
 
 	for i, sp := range specs {
@@ -224,9 +203,9 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 			panic("netem: HopArena hop with non-positive rate")
 		}
 		a.rate[i] = unit.NewSerializer(sp.Rate)
-		a.delay[i] = sp.Delay
-		a.qcap[i] = sp.Queue
+		a.prop[i].Init(a.eng, sp.Delay, &a.propOut[i])
 		a.watchFrac[i] = sp.Watch
+		limit := sp.Queue
 		if sp.RED != nil {
 			cfg := *sp.RED
 			if cfg.Capacity <= 0 {
@@ -237,14 +216,12 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 			}
 			a.isRED[i] = true
 			a.red[i] = redState{cfg: cfg, rng: *sim.NewRNG(sp.REDSeed)}
-			a.qcap[i] = cfg.Capacity
+			limit = cfg.Capacity
 		}
+		a.q[i].Init(limit)
 	}
 	a.dropTotal = 0
 }
-
-// NumHops returns the configured hop count.
-func (a *HopArena) NumHops() int { return a.n }
 
 // SetEntry fronts hop i's ingress with an injector chain (nil clears it).
 // The chain's tail must feed Direct(i), not Ingress(i).
@@ -262,64 +239,41 @@ func (a *HopArena) Ingress(i int) Receiver {
 	return &a.ingress[i]
 }
 
-// SetSpan records a flow's route as a [first, last] hop range over the
-// arena. Egress dispatch exits the flow at last; Span reads both ends back.
+// SetSpan records a flow's route as the hop range [first, last] over the
+// arena. Egress dispatch exits the flow at last; its traffic enters where
+// its sender feeds it (Ingress(first)), so the arena keeps only the exit.
 func (a *HopArena) SetSpan(flow packet.FlowID, first, last int) {
 	for int(flow) >= len(a.exit) {
 		a.exit = append(a.exit, 0)
-		a.first = append(a.first, 0)
 	}
 	a.exit[flow] = int32(last)
-	a.first[flow] = int32(first)
 }
-
-// Span returns the route span recorded for the flow.
-func (a *HopArena) Span(flow packet.FlowID) (first, last int) {
-	return int(a.first[flow]), int(a.exit[flow])
-}
-
-func (a *HopArena) qlen(i int) int { return len(a.qseg[i]) - a.qhead[i] }
 
 func (a *HopArena) accOcc(i int, now sim.Time) {
 	if now > a.occLast[i] {
-		a.occWeight[i] += int64(a.qlen(i)) * int64(now-a.occLast[i])
+		a.occWeight[i] += int64(a.q[i].Len()) * int64(now-a.occLast[i])
 		a.occLast[i] = now
 	}
 }
 
-// enqueue applies hop i's admission test (tail drop, or RED in front of it)
-// and appends the segment, returning false on refusal. Counter updates match
-// DropTail.Enqueue; a RED refusal, early or at capacity, also restarts the
-// inter-drop count.
+// enqueue applies hop i's admission test and buffers the segment, returning
+// false on refusal. The tail drop is the DropTail's own; a RED hop tests its
+// early drop and its capacity first, counting a refusal in the queue's
+// Dropped and restarting the inter-drop count.
 func (a *HopArena) enqueue(i int, seg *packet.Segment) bool {
-	st := &a.qstats[i]
-	if a.isRED[i] {
-		r := &a.red[i]
-		r.avg = (1-r.cfg.Weight)*r.avg + r.cfg.Weight*float64(a.qlen(i))
-		if a.redDrop(r) || a.qlen(i) >= a.qcap[i] {
-			st.Dropped++
-			r.count = 0
-			return false
-		}
-		a.qseg[i] = append(a.qseg[i], seg)
-		a.qbytes[i] += seg.Size()
-		r.count++
-		st.Enqueued++
-		if n := a.qlen(i); n > st.MaxLen {
-			st.MaxLen = n
-		}
-		return true
+	q := &a.q[i]
+	if !a.isRED[i] {
+		return q.Enqueue(seg)
 	}
-	if a.qcap[i] > 0 && a.qlen(i) >= a.qcap[i] {
-		st.Dropped++
+	r := &a.red[i]
+	r.avg = (1-r.cfg.Weight)*r.avg + r.cfg.Weight*float64(q.Len())
+	if a.redDrop(r) || q.Len() >= q.Capacity() {
+		q.stats.Dropped++
+		r.count = 0
 		return false
 	}
-	a.qseg[i] = append(a.qseg[i], seg)
-	a.qbytes[i] += seg.Size()
-	st.Enqueued++
-	if n := a.qlen(i); n > st.MaxLen {
-		st.MaxLen = n
-	}
+	q.Enqueue(seg)
+	r.count++
 	return true
 }
 
@@ -347,31 +301,6 @@ func (a *HopArena) redDrop(r *redState) bool {
 	}
 }
 
-// dequeue removes hop i's oldest buffered segment, compacting the dead
-// prefix as DropTail does.
-func (a *HopArena) dequeue(i int) *packet.Segment {
-	q := a.qseg[i]
-	head := a.qhead[i]
-	if head >= len(q) {
-		return nil
-	}
-	seg := q[head]
-	q[head] = nil
-	head++
-	a.qbytes[i] -= seg.Size()
-	a.qstats[i].Dequeued++
-	if head > 64 && head*2 >= len(q) {
-		n := copy(q, q[head:])
-		for j := n; j < len(q); j++ {
-			q[j] = nil
-		}
-		q = q[:n]
-		head = 0
-	}
-	a.qseg[i], a.qhead[i] = q, head
-	return seg
-}
-
 // Receive admits the segment at hop i: buffer it (dropping on refusal, with
 // the same flight-record/counter/release order as Link.Receive) and start
 // the serializer if idle.
@@ -379,7 +308,7 @@ func (a *HopArena) Receive(i int, seg *packet.Segment) {
 	seg.Enqueued = a.eng.Now()
 	a.accOcc(i, a.eng.Now())
 	if !a.enqueue(i, seg) {
-		a.fr.Record(a.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), int32(i), seg.Seq, int64(a.qlen(i)))
+		a.fr.Record(a.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), int32(i), seg.Seq, int64(a.q[i].Len()))
 		a.drops[i]++
 		a.dropTotal++
 		seg.Release()
@@ -393,7 +322,7 @@ func (a *HopArena) maybeTransmit(i int) {
 		return
 	}
 	a.accOcc(i, a.eng.Now())
-	seg := a.dequeue(i)
+	seg := a.q[i].Dequeue()
 	if seg == nil {
 		return
 	}
@@ -415,51 +344,8 @@ func (a *HopArena) transmitDone(i int) {
 		float64(a.busyNS[i]) >= a.watchFrac[i]*float64(a.eng.Now().Duration()) {
 		a.watched[i], a.watchAt[i] = true, a.eng.Now()
 	}
-	a.propReceive(i, seg)
+	a.prop[i].Receive(seg)
 	a.maybeTransmit(i)
-}
-
-// propReceive admits the segment to hop i's propagation line (see
-// DelayLine.Receive for the seq-reservation ordering contract).
-func (a *HopArena) propReceive(i int, seg *packet.Segment) {
-	a.pq[i] = append(a.pq[i], delayed{
-		at:  a.eng.Now().Add(a.delay[i]),
-		seq: a.eng.ReserveSeq(),
-		seg: seg,
-	})
-	if !a.parmed[i] {
-		a.propArm(i)
-	}
-}
-
-func (a *HopArena) propArm(i int) {
-	h := &a.pq[i][a.phead[i]]
-	a.eng.ScheduleReserved(h.at, h.seq, a.pfire[i])
-	a.parmed[i] = true
-}
-
-// propFire delivers hop i's head in-flight segment, re-arming before the
-// delivery cascade exactly as DelayLine.fire does.
-func (a *HopArena) propFire(i int) {
-	q := a.pq[i]
-	head := a.phead[i]
-	seg := q[head].seg
-	q[head].seg = nil
-	head++
-	if head > 64 && head*2 >= len(q) {
-		n := copy(q, q[head:])
-		for j := n; j < len(q); j++ {
-			q[j] = delayed{}
-		}
-		q = q[:n]
-		head = 0
-	}
-	a.pq[i], a.phead[i] = q, head
-	a.parmed[i] = false
-	if head < len(q) {
-		a.propArm(i)
-	}
-	a.egress(i, seg)
 }
 
 // egress dispatches hop i's propagation output by index: flows whose span
@@ -480,10 +366,10 @@ func (a *HopArena) egress(i int, seg *packet.Segment) {
 }
 
 // QueueLen returns hop i's buffered packet count.
-func (a *HopArena) QueueLen(i int) int { return a.qlen(i) }
+func (a *HopArena) QueueLen(i int) int { return a.q[i].Len() }
 
 // QueueStats returns a copy of hop i's queue counters.
-func (a *HopArena) QueueStats(i int) QueueStats { return a.qstats[i] }
+func (a *HopArena) QueueStats(i int) QueueStats { return a.q[i].Stats() }
 
 // Drops returns hop i's queue-refusal count.
 func (a *HopArena) Drops(i int) int64 { return a.drops[i] }

@@ -48,12 +48,6 @@ type Link struct {
 	cur    *packet.Segment
 	curST  time.Duration
 	txDone func()
-	// Utilization watch: the first completion instant at which the
-	// cumulative busy fraction reaches watchFrac is latched, so ramp-speed
-	// metrics (time to 90% utilization) work without sampled gauge series.
-	watchFrac float64
-	watchAt   sim.Time
-	watched   bool
 	// OnDrop, when set, is invoked for each segment the queue refuses,
 	// before the segment is released; it must not retain the segment.
 	OnDrop func(seg *packet.Segment)
@@ -124,10 +118,6 @@ func (l *Link) transmitDone() {
 	l.stats.Sent++
 	l.stats.SentBytes += int64(seg.Size())
 	l.stats.Busy += st
-	if l.watchFrac > 0 && !l.watched &&
-		float64(l.stats.Busy) >= l.watchFrac*float64(l.eng.Now().Duration()) {
-		l.watched, l.watchAt = true, l.eng.Now()
-	}
 	l.prop.Receive(seg)
 	l.maybeTransmit()
 }
@@ -179,21 +169,4 @@ func (l *Link) Utilization(now sim.Time) float64 {
 		return 0
 	}
 	return float64(l.stats.Busy) / float64(now.Duration())
-}
-
-// WatchUtilization arms a one-shot utilization mark: the first transmission
-// completion at which the cumulative busy fraction reaches frac is latched
-// and reported by UtilizationReachedAt. The check is a single comparison per
-// completed transmission, so campaigns read ramp-speed metrics from a
-// running counter instead of a sampled gauge series.
-func (l *Link) WatchUtilization(frac float64) {
-	l.watchFrac = frac
-	l.watched = false
-	l.watchAt = 0
-}
-
-// UtilizationReachedAt returns the instant the watched utilization fraction
-// was first reached, and whether it has been.
-func (l *Link) UtilizationReachedAt() (sim.Time, bool) {
-	return l.watchAt, l.watched
 }

@@ -1,6 +1,10 @@
 package netem
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -320,8 +324,8 @@ func TestReordererHoldsBack(t *testing.T) {
 }
 
 // redHop returns a one-hop arena whose hop runs RED with cfg, and its engine.
-// The tests below drive the hop's admission and service halves (enqueue,
-// dequeue) directly, holding the queue length where they want it; the last
+// The tests below drive the hop's admission (enqueue) and its queue's
+// service half (q[0].Dequeue) directly, holding the queue length where they want it; the last
 // two go through Receive and the serializer.
 func redHop(cfg REDConfig, seed uint64) (*sim.Engine, *HopArena) {
 	eng := sim.NewEngine()
@@ -368,7 +372,7 @@ func TestREDIntermediateDropsProbabilistically(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		if a.enqueue(0, seg(1)) {
-			a.dequeue(0) // keep length constant
+			a.q[0].Dequeue() // keep length constant
 		}
 	}
 	drops := a.QueueStats(0).Dropped
@@ -552,4 +556,53 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestArenaQueueFollowsOccupancy replays a committed FuzzDropTailAgainstModel
+// input through hop 0 of an arena and holds the hop's buffer to the bound
+// the fuzzer holds DropTail to: capacity at most four times the occupancy
+// high-water. Drains stand in for Flush, and a re-Configure of the same
+// shape for Init (it flushes the hop and keeps its ring).
+func TestArenaQueueFollowsOccupancy(t *testing.T) {
+	limit, ops := readDropTailCorpus(t, "7798add6733aabe9")
+	specs := []HopSpec{{Rate: 100 * unit.Mbps, Queue: limit}}
+	a := NewHopArena(sim.NewEngine())
+	a.Configure(specs, &Sink{}, nil)
+	high := 0
+	for i, op := range ops {
+		switch {
+		case op < 160:
+			a.enqueue(0, seg(int(op)))
+		case op < 250:
+			a.q[0].Dequeue()
+		case op < 253:
+			Flush(&a.q[0])
+		default:
+			a.Configure(specs, &Sink{}, nil)
+		}
+		high = max(high, a.QueueLen(0))
+		if c := cap(a.q[0].segs); c > 4*max(1, high) {
+			t.Fatalf("op %d: hop queue capacity %d with occupancy high-water %d", i, c, high)
+		}
+	}
+}
+
+// readDropTailCorpus parses a FuzzDropTailAgainstModel corpus file: a
+// capacity byte and the operation bytes.
+func readDropTailCorpus(t *testing.T, name string) (int, []byte) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDropTailAgainstModel", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("corpus %s has %d lines, want 3", name, len(lines))
+	}
+	limit, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "byte("), ")"))
+	ops, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+	if err1 != nil || err2 != nil || len(limit) != 1 {
+		t.Fatalf("corpus %s: cannot parse %q / %q", name, lines[1], lines[2])
+	}
+	return int(limit[0]), []byte(ops)
 }

@@ -106,24 +106,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Pareto returns a bounded Pareto-ish heavy-tailed value with the given
-// shape alpha and minimum xm. Used for file-size workloads.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := 1 - r.Float64() // (0, 1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements using the given swap func.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -36,12 +36,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds returns the instant in seconds since the epoch.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the instant as a duration since the epoch.
 func (t Time) String() string {
 	if t == Infinity {

@@ -96,15 +96,6 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval for the mean.
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of xs by linear
 // interpolation. It returns NaN for an empty slice. xs is not modified.
 func Percentile(xs []float64, p float64) float64 {

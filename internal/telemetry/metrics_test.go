@@ -58,10 +58,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap["runs_total"] != 7 || snap["depth"] != 1.5 {
 		t.Fatalf("snapshot wrong: %v", snap)
 	}
-	keys := SnapshotKeys(snap)
-	if len(keys) != 2 || keys[0] != "depth" || keys[1] != "runs_total" {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
 }
 
 func TestHandlerServesExposition(t *testing.T) {

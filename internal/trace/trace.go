@@ -1,5 +1,5 @@
 // Package trace records time series from a running simulation — sampled
-// gauges (cwnd, IFQ occupancy) and cumulative event counters (send-stalls) —
+// gauges (cwnd, IFQ occupancy) and event series (cumulative send-stalls) —
 // and renders them as CSV or aligned text for the figures.
 package trace
 
@@ -62,30 +62,11 @@ func (s *Series) At(t sim.Time) float64 {
 	return s.Points[i-1].V
 }
 
-// Times returns the timestamps as float seconds (for analysis helpers).
-func (s *Series) Times() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.T.Seconds()
-	}
-	return out
-}
-
-// Values returns the observation values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Recorder collects named series, with optional periodic sampling. A
 // recorder can be disabled (SetEnabled(false)): gauge registrations are
-// dropped, Sample never starts its ticker, and counters keep counting
-// without recording points — the traceless mode campaign workers run in,
-// where nobody reads the series and a million-run sweep should not spend
-// time or memory producing them.
+// dropped and Sample never starts its ticker — the traceless mode campaign
+// workers run in, where nobody reads the series and a million-run sweep
+// should not spend time or memory producing them.
 type Recorder struct {
 	eng      *sim.Engine
 	series   map[string]*Series
@@ -254,40 +235,3 @@ func (r *Recorder) WriteCSV(w io.Writer, names ...string) error {
 	}
 	return nil
 }
-
-// Counter is a monotone event counter that records a point on every
-// increment — ideal for "cumulative signals vs time" figures like Figure 1.
-type Counter struct {
-	series *Series
-	eng    *sim.Engine
-	n      int64
-}
-
-// NewCounter returns a counter recording into rec's series of the given
-// name. On a disabled recorder the counter still counts but records no
-// points (and creates no series).
-func NewCounter(rec *Recorder, name string) *Counter {
-	c := new(Counter)
-	c.Init(rec, name)
-	return c
-}
-
-// Init (re)initializes the counter in place at zero, recording into rec's
-// series of the given name (see NewCounter).
-func (c *Counter) Init(rec *Recorder, name string) {
-	*c = Counter{}
-	if !rec.disabled {
-		c.series, c.eng = rec.Series(name), rec.eng
-	}
-}
-
-// Inc increments the counter and records the new cumulative value.
-func (c *Counter) Inc() {
-	c.n++
-	if c.series != nil {
-		c.series.Add(c.eng.Now(), float64(c.n))
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }

@@ -48,19 +48,6 @@ func TestSeriesAtStepInterpolation(t *testing.T) {
 	}
 }
 
-func TestSeriesTimesValues(t *testing.T) {
-	var s Series
-	s.Add(sim.At(time.Second), 1)
-	s.Add(sim.At(2*time.Second), 4)
-	ts, vs := s.Times(), s.Values()
-	if len(ts) != 2 || ts[0] != 1 || ts[1] != 2 {
-		t.Errorf("Times = %v, want [1 2]", ts)
-	}
-	if len(vs) != 2 || vs[0] != 1 || vs[1] != 4 {
-		t.Errorf("Values = %v, want [1 4]", vs)
-	}
-}
-
 func TestRecorderRecordAndNames(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := NewRecorder(eng)
@@ -90,28 +77,6 @@ func TestRecorderGaugeSampling(t *testing.T) {
 	eng.RunUntil(sim.At(100 * time.Millisecond))
 	if got := rec.Series("g").Len(); got != 3 {
 		t.Errorf("sampling continued after stop: %d points", got)
-	}
-}
-
-func TestCounterRecordsCumulative(t *testing.T) {
-	eng := sim.NewEngine()
-	rec := NewRecorder(eng)
-	c := NewCounter(rec, "stalls")
-	eng.Schedule(sim.At(time.Second), func() { c.Inc() })
-	eng.Schedule(sim.At(2*time.Second), func() { c.Inc(); c.Inc() })
-	eng.Run()
-	if c.Value() != 3 {
-		t.Errorf("Value = %d, want 3", c.Value())
-	}
-	s := rec.Series("stalls")
-	if s.Len() != 3 {
-		t.Fatalf("points = %d, want 3", s.Len())
-	}
-	if s.At(sim.At(1500*time.Millisecond)) != 1 {
-		t.Errorf("cumulative at 1.5s = %v, want 1", s.At(sim.At(1500*time.Millisecond)))
-	}
-	if s.Last().V != 3 {
-		t.Errorf("final cumulative = %v, want 3", s.Last().V)
 	}
 }
 

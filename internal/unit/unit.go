@@ -33,9 +33,6 @@ func (b Bandwidth) String() string {
 	}
 }
 
-// BitsPerSecond returns the rate as a plain int64.
-func (b Bandwidth) BitsPerSecond() int64 { return int64(b) }
-
 // BytesPerSecond returns the rate in bytes per second.
 func (b Bandwidth) BytesPerSecond() float64 { return float64(b) / 8 }
 
@@ -119,17 +116,6 @@ func (s ByteSize) Bytes() int64 { return int64(s) }
 func BDP(rate Bandwidth, rtt time.Duration) ByteSize {
 	bits := float64(rate) * rtt.Seconds()
 	return ByteSize(bits / 8)
-}
-
-// BDPSegments returns the bandwidth-delay product expressed in MSS-sized
-// segments, rounded up; it is the window needed to fill the path.
-func BDPSegments(rate Bandwidth, rtt time.Duration, mss ByteSize) int {
-	if mss <= 0 {
-		return 0
-	}
-	bdp := BDP(rate, rtt)
-	segs := (bdp + mss - 1) / mss
-	return int(segs)
 }
 
 // Throughput returns the achieved rate for n bytes delivered in d.

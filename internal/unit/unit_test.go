@@ -68,17 +68,6 @@ func TestBDPPaperPath(t *testing.T) {
 	}
 }
 
-func TestBDPSegments(t *testing.T) {
-	// 750 KB at MSS 1448 -> ceil(750000/1448) = 518 segments.
-	got := BDPSegments(100*Mbps, 60*time.Millisecond, 1448)
-	if got != 518 {
-		t.Errorf("BDPSegments = %d, want 518", got)
-	}
-	if got := BDPSegments(100*Mbps, 60*time.Millisecond, 0); got != 0 {
-		t.Errorf("BDPSegments with zero MSS = %d, want 0", got)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	// 125 MB in 10 s = 100 Mbps.
 	got := Throughput(125*MB, 10*time.Second)

@@ -100,13 +100,6 @@ type Stats struct {
 	curLimSince sim.Time
 }
 
-// New returns a Stats tracking a connection that begins at start.
-func New(start sim.Time) *Stats {
-	s := new(Stats)
-	s.Init(start)
-	return s
-}
-
 // Init (re)initializes the instrument set in place for a connection that
 // begins at start.
 func (s *Stats) Init(start sim.Time) {
@@ -176,9 +169,6 @@ func (s *Stats) chargeLim(now sim.Time) {
 	}
 	s.curLimSince = now
 }
-
-// CurSndLim returns the current limitation state.
-func (s *Stats) CurSndLim() SndLimState { return s.curLim }
 
 // Finish marks the connection complete and closes the limitation interval.
 func (s *Stats) Finish(now sim.Time) {
@@ -291,33 +281,4 @@ func (s Stats) Export() Export {
 		e.MinRTTNs = int64(s.MinRTT)
 	}
 	return e
-}
-
-// Delta returns the change in counters from an earlier snapshot; gauges are
-// taken from the newer value. Useful for per-interval reporting.
-func Delta(older, newer Stats) Stats {
-	d := newer
-	d.SegsOut -= older.SegsOut
-	d.DataSegsOut -= older.DataSegsOut
-	d.SegsRetrans -= older.SegsRetrans
-	d.OctetsRetran -= older.OctetsRetran
-	d.SegsIn -= older.SegsIn
-	d.DupAcksIn -= older.DupAcksIn
-	d.SACKsRcvd -= older.SACKsRcvd
-	d.ThruOctetsAcked -= older.ThruOctetsAcked
-	d.DataOctetsOut -= older.DataOctetsOut
-	d.CongSignals -= older.CongSignals
-	d.FastRetran -= older.FastRetran
-	d.Timeouts -= older.Timeouts
-	d.SendStall -= older.SendStall
-	d.LocalCongCwnd -= older.LocalCongCwnd
-	d.SlowStartExits -= older.SlowStartExits
-	d.CountRTT -= older.CountRTT
-	d.SndLimTimeCwnd -= older.SndLimTimeCwnd
-	d.SndLimTimeRwnd -= older.SndLimTimeRwnd
-	d.SndLimTimeSender -= older.SndLimTimeSender
-	d.SndLimTransCwnd -= older.SndLimTransCwnd
-	d.SndLimTransRwnd -= older.SndLimTransRwnd
-	d.SndLimTransSnd -= older.SndLimTransSnd
-	return d
 }

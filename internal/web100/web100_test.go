@@ -11,7 +11,8 @@ import (
 func at(d time.Duration) sim.Time { return sim.At(d) }
 
 func TestObserveRTTMinMax(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.ObserveRTT(60 * time.Millisecond)
 	s.ObserveRTT(45 * time.Millisecond)
 	s.ObserveRTT(90 * time.Millisecond)
@@ -27,7 +28,8 @@ func TestObserveRTTMinMax(t *testing.T) {
 }
 
 func TestMinRTTUnsetSentinel(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	if s.MinRTT >= 0 {
 		t.Error("MinRTT should start unset (negative)")
 	}
@@ -38,7 +40,8 @@ func TestMinRTTUnsetSentinel(t *testing.T) {
 }
 
 func TestCwndGauges(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.SetCwnd(10000)
 	s.SetCwnd(50000)
 	s.SetCwnd(25000)
@@ -51,7 +54,8 @@ func TestCwndGauges(t *testing.T) {
 }
 
 func TestSsthreshGauges(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.SetSsthresh(100000)
 	s.SetSsthresh(40000)
 	s.SetSsthresh(70000)
@@ -64,7 +68,8 @@ func TestSsthreshGauges(t *testing.T) {
 }
 
 func TestSndLimTimeAccounting(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.SetSndLim(SndLimCwnd, at(0))
 	s.SetSndLim(SndLimSender, at(3*time.Second))
 	s.SetSndLim(SndLimCwnd, at(5*time.Second))
@@ -81,7 +86,8 @@ func TestSndLimTimeAccounting(t *testing.T) {
 }
 
 func TestSndLimSameStateNoTransition(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.SetSndLim(SndLimCwnd, at(time.Second))
 	s.SetSndLim(SndLimCwnd, at(2*time.Second))
 	if s.SndLimTransCwnd != 1 {
@@ -90,7 +96,8 @@ func TestSndLimSameStateNoTransition(t *testing.T) {
 }
 
 func TestSnapshotChargesOpenInterval(t *testing.T) {
-	s := New(0)
+	var s Stats
+	s.Init(0)
 	s.SetSndLim(SndLimRwnd, at(0))
 	snap := s.Snapshot(at(4 * time.Second))
 	if snap.SndLimTimeRwnd != 4*time.Second {
@@ -104,7 +111,8 @@ func TestSnapshotChargesOpenInterval(t *testing.T) {
 }
 
 func TestThroughputAndElapsed(t *testing.T) {
-	s := New(at(time.Second))
+	var s Stats
+	s.Init(at(time.Second))
 	s.ThruOctetsAcked = 125_000_000 // 125 MB
 	s.Finish(at(11 * time.Second))  // 10 s transfer
 	if got := s.Elapsed(at(99 * time.Second)); got != 10*time.Second {
@@ -116,31 +124,10 @@ func TestThroughputAndElapsed(t *testing.T) {
 }
 
 func TestElapsedBeforeFinishUsesNow(t *testing.T) {
-	s := New(at(time.Second))
+	var s Stats
+	s.Init(at(time.Second))
 	if got := s.Elapsed(at(5 * time.Second)); got != 4*time.Second {
 		t.Errorf("Elapsed = %v, want 4s", got)
-	}
-}
-
-func TestDeltaCounters(t *testing.T) {
-	s := New(0)
-	s.SendStall = 2
-	s.CongSignals = 3
-	s.ThruOctetsAcked = 1000
-	older := s.Snapshot(at(time.Second))
-	s.SendStall = 7
-	s.CongSignals = 4
-	s.ThruOctetsAcked = 5000
-	newer := s.Snapshot(at(2 * time.Second))
-	d := Delta(older, newer)
-	if d.SendStall != 5 {
-		t.Errorf("delta SendStall = %d, want 5", d.SendStall)
-	}
-	if d.CongSignals != 1 {
-		t.Errorf("delta CongSignals = %d, want 1", d.CongSignals)
-	}
-	if d.ThruOctetsAcked != 4000 {
-		t.Errorf("delta ThruOctetsAcked = %d, want 4000", d.ThruOctetsAcked)
 	}
 }
 

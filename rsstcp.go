@@ -129,10 +129,6 @@ const (
 // 60 ms RTT, txqueuelen 100.
 func PaperPath() Path { return experiment.PaperPath() }
 
-// DefaultGains returns the PID gains the paper's rule derives from the
-// critical point measured on the paper path (see cmd/rsstcp-tune).
-func DefaultGains() Gains { return pid.PaperGains(DefaultCritical()) }
-
 // DefaultCritical returns the measured Ziegler-Nichols critical point of
 // the cwnd→IFQ loop on the paper path.
 func DefaultCritical() Critical { return core.DefaultCritical }

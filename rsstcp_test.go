@@ -108,17 +108,6 @@ func TestBuildExposesComponents(t *testing.T) {
 	}
 }
 
-func TestDefaultGainsFollowPaperRule(t *testing.T) {
-	c := rsstcp.DefaultCritical()
-	g := rsstcp.DefaultGains()
-	if g.Kp != 0.33*c.Kc {
-		t.Errorf("Kp = %v, want 0.33*Kc = %v", g.Kp, 0.33*c.Kc)
-	}
-	if g.Ti != time.Duration(0.5*float64(c.Tc)) {
-		t.Errorf("Ti = %v, want 0.5*Tc", g.Ti)
-	}
-}
-
 func TestPaperPathConstants(t *testing.T) {
 	p := rsstcp.PaperPath()
 	if p.Bottleneck != 100*rsstcp.Mbps || p.RTT != 60*time.Millisecond || p.TxQueueLen != 100 {
