@@ -479,12 +479,7 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 		f.RSS.Stop()
 	}
 	s.dm.set(f.ID, 0, nil)
-	if s.revDemux != nil {
-		s.revDemux.set(f.ID, 0, nil)
-	}
-	if s.ackDemux != nil {
-		s.ackDemux.set(f.ID, 0, nil)
-	}
+	s.sndDemux.set(f.ID, 0, nil)
 	s.aggValid = false
 	if !dynamic {
 		return

@@ -342,13 +342,7 @@ type Scenario struct {
 	// or compiled from Cfg.Path). Its hop list is scenario-owned scratch,
 	// rewritten by the next Reset.
 	Topo Topology
-	// Bottleneck is the lowest-static-rate forward hop (ties resolve to the
-	// earliest hop) — the nominal bottleneck, as a handle into the hop
-	// arena. Result.Utilization and TimeToUtil90 instead read the hop with
-	// the highest measured utilization, which on equal-rate multi-hop paths
-	// is the contended one; for a one-hop path the two coincide.
-	Bottleneck netem.HopRef
-	hops       []builtHop
+	hops []builtHop
 	// arena is the forward data path: every hop's serializer, queue/RED
 	// and propagation state indexed by hop id, with per-flow route spans
 	// and index-based hop hand-off. It survives Reset and is reconfigured
@@ -356,17 +350,14 @@ type Scenario struct {
 	arena    *netem.HopArena
 	dm       *demux      // forward egress → per-flow receivers
 	flowGen  []uint32    // FlowID → current incarnation (see demux)
+	sndDemux *demux      // reverse egress → per-flow senders
 	revLink  *netem.Link // non-nil when the reverse channel is real
-	revQ     *netem.DropTail
-	revDemux *demux // reverse egress → per-flow senders
-	revDrops int64
 	// Ideal reverse path (Reverse.Rate == 0): ACKs ride delay lines shared
-	// by every flow with the same reverse delay, feeding a sender demux —
-	// one armed calendar entry per distinct delay instead of one delay line
-	// per flow. Admission reserves each ACK's engine sequence exactly when
-	// a per-flow wire would have, so delivery order is byte-identical (see
+	// by every flow with the same reverse delay, feeding sndDemux — one
+	// armed calendar entry per distinct delay instead of one delay line per
+	// flow. Admission reserves each ACK's engine sequence exactly when a
+	// per-flow wire would have, so delivery order is byte-identical (see
 	// netem.DelayLine's ordering contract).
-	ackDemux  *demux
 	ackLines  []*netem.DelayLine
 	ackDelays []time.Duration
 	hosts     map[int]*host.Interface           // shared NICs by FlowSpec.Host
@@ -472,9 +463,9 @@ type parked struct {
 	// so take must not see it yet: the next completion — a later engine
 	// event — or Reset moves it to flows.
 	held *Flow
-	// tables backs the scenario's three demux pointers (forward, real
-	// reverse, ideal reverse); hops and specs are init's topology scratch.
-	tables [3]demux
+	// tables backs the scenario's two demux pointers (forward, reverse);
+	// hops and specs are init's topology scratch.
+	tables [2]demux
 	hops   []Hop
 	specs  []netem.HopSpec
 }
@@ -607,19 +598,17 @@ func (s *Scenario) Reset(cfg Config) error {
 		clear(s.hostEntry)
 		clear(s.rssByHost)
 	}
-	s.Bottleneck = netem.HopRef{}
 	s.hops = s.hops[:0]
 	clear(s.flowGen)
 	s.flowGen = s.flowGen[:0]
 	if s.revLink != nil {
 		s.revLink.Flush()
 	}
-	s.revLink, s.revQ = nil, nil
+	s.revLink = nil
 	for _, l := range s.ackLines {
 		l.Flush()
 	}
 	s.ackDelays = s.ackDelays[:0]
-	s.revDrops = 0
 	s.aggValid = false
 	s.churn.reset()
 	s.FR.Reset()
@@ -696,8 +685,7 @@ func (s *Scenario) init(in *Config) error {
 	// load property, not a rate property: on an equal-rate parking lot the
 	// contended middle hop binds, not the lowest-rate one. Result-time
 	// figures (Utilization, TimeToUtil90, the "util" gauge) read the
-	// max-utilization hop; the exported Bottleneck handle holds the
-	// lowest-static-rate hop for callers that want the nominal bottleneck.
+	// max-utilization hop.
 	dm := &s.park.tables[0]
 	dm.reset()
 	s.dm = dm
@@ -754,36 +742,21 @@ func (s *Scenario) init(in *Config) error {
 			s.arena.SetEntry(i, entry)
 		}
 	}
-	bn := 0
-	for i := 1; i < n; i++ {
-		if topo.Hops[i].Rate < topo.Hops[bn].Rate {
-			bn = i
-		}
-	}
-	s.Bottleneck = s.arena.Hop(bn)
 
 	// Reverse channel: a real shared link when Reverse.Rate is set — ACKs
-	// from every flow queue behind one serializer, then a reverse demux
-	// hands them to their senders. With Rate zero each flow keeps its own
-	// ideal pure-delay wire (built per flow, below).
-	s.revDemux, s.ackDemux = nil, nil
+	// from every flow queue behind one serializer. With Rate zero ACKs ride
+	// one shared ideal delay line per distinct reverse delay (created on
+	// demand in flow build order, see ackLine). Either way sndDemux hands
+	// them to their senders by FlowID + generation.
+	s.sndDemux = &s.park.tables[1]
+	s.sndDemux.reset()
 	if topo.Reverse.Rate > 0 {
 		rd := topo.Reverse.Delay
 		if rd <= 0 {
 			rd = topo.ForwardDelay()
 		}
-		s.revDemux = &s.park.tables[1]
-		s.revDemux.reset()
-		s.revQ = netem.NewDropTail(topo.Reverse.Queue)
-		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, s.revQ, s.revDemux)
-		s.revLink.OnDrop = func(*packet.Segment) { s.revDrops++ }
+		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, netem.NewDropTail(topo.Reverse.Queue), s.sndDemux)
 		s.revLink.FR, s.revLink.Hop = s.FR, -1
-	} else {
-		// Ideal reverse: one shared delay line per distinct reverse delay
-		// (created on demand in flow build order), all feeding the ACK
-		// demux, which routes by FlowID + generation to each sender.
-		s.ackDemux = &s.park.tables[2]
-		s.ackDemux.reset()
 	}
 
 	for i := range cfg.Flows {
@@ -805,7 +778,7 @@ func (s *Scenario) init(in *Config) error {
 		// Scenario-global gauge: cumulative bottleneck utilization, sampled
 		// so time-to-threshold metrics can read the ramp from the recorder.
 		rec.Gauge("util", func() float64 {
-			return s.bottleneck(eng.Now()).Utilization(eng.Now())
+			return s.arena.Port(s.bottleneck(eng.Now())).Utilization(eng.Now())
 		})
 		// Per-hop and reverse-queue occupancy gauges, only when the
 		// topology actually has them: a one-hop ideal-reverse scenario
@@ -814,31 +787,30 @@ func (s *Scenario) init(in *Config) error {
 			for i := range s.hops {
 				hop := i
 				rec.Gauge(fmt.Sprintf("hopq/%d", i), func() float64 {
-					return float64(s.arena.QueueLen(hop))
+					return float64(s.arena.Port(hop).Len())
 				})
 			}
 		}
-		if s.revQ != nil {
-			q := s.revQ
-			rec.Gauge("revq", func() float64 { return float64(q.Len()) })
+		if l := s.revLink; l != nil {
+			rec.Gauge("revq", func() float64 { return float64(l.Len()) })
 		}
 	}
 	return nil
 }
 
-// bottleneck returns a handle to the hop whose serializer has the highest
+// bottleneck returns the index of the hop whose serializer has the highest
 // cumulative utilization at now — the stage that actually binds the path
 // under the run's load (earliest hop on ties, so a one-hop path is trivially
 // its own bottleneck and pre-topology figures are unchanged).
-func (s *Scenario) bottleneck(now sim.Time) netem.HopRef {
+func (s *Scenario) bottleneck(now sim.Time) int {
 	best := 0
-	bu := s.arena.Utilization(0, now)
+	bu := s.arena.Port(0).Utilization(now)
 	for i := 1; i < len(s.hops); i++ {
-		if u := s.arena.Utilization(i, now); u > bu {
+		if u := s.arena.Port(i).Utilization(now); u > bu {
 			best, bu = i, u
 		}
 	}
-	return s.arena.Hop(best)
+	return best
 }
 
 // ackLine returns the shared ideal-reverse delay line for delay d, setting
@@ -856,7 +828,7 @@ func (s *Scenario) ackLine(d time.Duration) *netem.DelayLine {
 	if i == len(s.ackLines) {
 		s.ackLines = append(s.ackLines, new(netem.DelayLine))
 	}
-	s.ackLines[i].Init(s.Eng, d, s.ackDemux)
+	s.ackLines[i].Init(s.Eng, d, s.sndDemux)
 	s.ackDelays = append(s.ackDelays, d)
 	return s.ackLines[i]
 }
@@ -922,9 +894,8 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	// registered right after the sender exists, before any data (and hence
 	// any ACK) can be in flight.
 	var ackPath netem.Receiver
-	sndDemux := s.ackDemux
 	if s.revLink != nil {
-		ackPath, sndDemux = s.revLink, s.revDemux
+		ackPath = s.revLink
 	} else {
 		rd := s.Topo.Reverse.Delay
 		if rd <= 0 {
@@ -939,7 +910,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 
 	flow.Sender.Init(eng, tcpCfg, id, gen, flow.reno, nic)
 	flow.Sender.SetFlightRecorder(s.FR)
-	sndDemux.set(id, gen, flow.Sender)
+	s.sndDemux.set(id, gen, flow.Sender)
 	if s.Rec.Enabled() && !dynamic {
 		// Figure 1's series: the Web100 SendStall count at every stall.
 		stalls, snd := s.Rec.Series(fmt.Sprintf("stalls/%d", id)), flow.Sender
@@ -1151,16 +1122,18 @@ func (s *Scenario) ResultFor(i int) Result {
 	} else if i > 0 || len(s.Flows) > 0 {
 		panic(fmt.Sprintf("experiment: no flow %d", i))
 	}
-	var injected int64
+	var injected, routerDrops int64
 	s.hopStats = extend(s.hopStats[:0], len(s.hops))
 	for hi := range s.hops {
-		h := &s.hops[hi]
+		h, p := &s.hops[hi], s.arena.Port(hi)
+		q := p.QueueStats()
 		hs := HopStats{
-			Drops:       s.arena.Drops(hi),
-			MaxQueue:    s.arena.QueueStats(hi).MaxLen,
-			AvgQueue:    s.arena.AvgQueueLen(hi, now),
-			Utilization: s.arena.Utilization(hi, now),
+			Drops:       q.Dropped,
+			MaxQueue:    q.MaxLen,
+			AvgQueue:    p.AvgQueueLen(now),
+			Utilization: p.Utilization(now),
 		}
+		routerDrops += q.Dropped
 		if h.loss != nil {
 			hs.LossDrops = h.loss.Dropped()
 			injected += hs.LossDrops
@@ -1176,12 +1149,12 @@ func (s *Scenario) ResultFor(i int) Result {
 	tps, flowStats, totals := s.flowAggregates(now)
 	bn := s.bottleneck(now)
 	t90 := time.Duration(-1)
-	if at, ok := bn.UtilizationReachedAt(); ok {
+	if at, ok := s.arena.UtilizationReachedAt(bn); ok {
 		t90 = at.Duration()
 	}
 	res := Result{
-		Utilization:     bn.Utilization(now),
-		RouterDrops:     s.arena.DropTotal(),
+		Utilization:     s.arena.Port(bn).Utilization(now),
+		RouterDrops:     routerDrops,
 		InjectedDrops:   injected,
 		Duration:        now.Duration(),
 		FlowThroughputs: tps,
@@ -1189,10 +1162,12 @@ func (s *Scenario) ResultFor(i int) Result {
 		Totals:          totals,
 		TimeToUtil90:    t90,
 		Hops:            slices.Clip(s.hopStats),
-		ReverseDrops:    s.revDrops,
 		FlowsActive:     len(s.churn.live),
 		FlowsRefused:    s.churn.refused,
 		Rec:             s.Rec,
+	}
+	if s.revLink != nil {
+		res.ReverseDrops = s.revLink.QueueStats().Dropped
 	}
 	if len(s.churn.records) > 0 {
 		res.Flows = slices.Clip(s.churn.records)

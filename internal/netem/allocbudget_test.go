@@ -125,12 +125,12 @@ func TestAllocBudgetArenaDropAccounting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		burst()
 	}
-	before := a.DropTotal()
+	before := a.Port(0).QueueStats().Dropped
 	avg := testing.AllocsPerRun(100, burst)
 	if avg > 0 {
 		t.Errorf("arena drop path allocates %.2f/burst, want 0", avg)
 	}
-	if a.DropTotal() == before {
+	if a.Port(0).QueueStats().Dropped == before {
 		t.Fatal("burst produced no drops; the test exercised nothing")
 	}
 }
@@ -171,7 +171,7 @@ func TestAllocBudgetArenaReconfigure(t *testing.T) {
 
 // TestArenaReleasesDroppedSegments verifies the arena's refusal path
 // recycles segments: a saturated two-packet queue must not strand pooled
-// segments, and the per-hop drop counters must agree with the total.
+// segments.
 func TestArenaReleasesDroppedSegments(t *testing.T) {
 	eng := sim.NewEngine()
 	blackhole := Func(func(seg *packet.Segment) { seg.Release() })
@@ -185,11 +185,8 @@ func TestArenaReleasesDroppedSegments(t *testing.T) {
 		a.Receive(0, seg)
 	}
 	eng.Run()
-	if a.DropTotal() == 0 {
+	if a.Port(0).QueueStats().Dropped == 0 {
 		t.Fatal("expected drops on a 2-packet queue")
-	}
-	if a.Drops(0) != a.DropTotal() {
-		t.Errorf("hop drops %d != total %d", a.Drops(0), a.DropTotal())
 	}
 	if gets, rels := pool.Counters(); rels != gets {
 		t.Errorf("segment leak: %d gets vs %d releases", gets, rels)
@@ -202,8 +199,6 @@ func TestLinkReleasesDroppedSegments(t *testing.T) {
 	eng := sim.NewEngine()
 	blackhole := Func(func(seg *packet.Segment) { seg.Release() })
 	link := NewLink(eng, 1*unit.Mbps, 0, NewDropTail(2), blackhole)
-	var drops int
-	link.OnDrop = func(*packet.Segment) { drops++ }
 
 	pool := packet.NewPool()
 	for i := 0; i < 16; i++ {
@@ -212,7 +207,7 @@ func TestLinkReleasesDroppedSegments(t *testing.T) {
 		link.Receive(seg)
 	}
 	eng.Run()
-	if drops == 0 {
+	if link.QueueStats().Dropped == 0 {
 		t.Fatal("expected drops on a 2-packet queue")
 	}
 	if gets, rels := pool.Counters(); rels != gets {

@@ -34,12 +34,25 @@ type redState struct {
 	count int
 }
 
+// hopWatch is one hop's utilization latch (see HopSpec.Watch), run as its
+// port's hook after every completed transmission.
+type hopWatch struct {
+	frac float64
+	at   sim.Time
+	hit  bool
+}
+
+func (w *hopWatch) Transmitted(p *Port) {
+	now := p.eng.Now()
+	if !w.hit && float64(p.stats.Busy) >= w.frac*float64(now.Duration()) {
+		w.hit, w.at = true, now
+	}
+}
+
 // HopArena is the forward path as parallel arrays indexed by hop id: per hop
-// a serializer and its counters, a DropTail buffer (with RED admission in
-// front of it on RED hops) and a DelayLine for propagation. A hop behaves as
-// a netem.Link over the same queue — same engine calls (ScheduleAfter for
-// serialization, ReserveSeq/ScheduleReserved for propagation), same RNG draw
-// points, same counter updates in the same order.
+// a Port (a DropTail buffer draining through the serializer, with RED
+// admission in front of it on RED hops) and a DelayLine for propagation —
+// a netem.Link's two stages, addressed by index.
 //
 // Per-flow routing is a span over the arena: exit[flow] is the last hop a
 // flow traverses, and hand-off between hops is index dispatch (hop i's
@@ -57,48 +70,27 @@ type HopArena struct {
 	fr  *telemetry.FlightRecorder
 	n   int
 
-	// Serializer stage (one transmission in flight per hop).
-	rate   []unit.Serializer
-	busy   []bool
-	cur    []*packet.Segment
-	curST  []time.Duration
-	sent   []int64
-	sentB  []int64
-	busyNS []time.Duration
-
-	// Utilization watch latch (see HopSpec.Watch).
-	watchFrac []float64
-	watchAt   []sim.Time
-	watched   []bool
-
-	// Occupancy integral: ∫ queue-length dt in packet·nanoseconds.
-	occLast   []sim.Time
-	occWeight []int64
-
-	// FIFO buffer per hop (the RED hops' inner queue too), with RED
-	// admission in front of it, gated by isRED.
-	q     []DropTail
-	isRED []bool
-	red   []redState
-
-	// Propagation per hop. The lines are pointers because each one's bound
-	// fire callback holds its address; line i delivers to propOut[i].
+	// Ports and delay lines are pointers because a pending completion or
+	// delivery holds the stage's address. They persist across Configure,
+	// so only new hop ids allocate and a reset scenario re-runs on warm
+	// (flushed) queues. Port i delivers into prop[i], which delivers to
+	// propOut[i].
+	port    []*Port
 	prop    []*DelayLine
 	propOut []hopEgress
 
-	// Drop accounting: queue refusals per hop and summed.
-	drops     []int64
-	dropTotal int64
+	// Utilization watch latches, the hooks of the watched hops' ports.
+	watch []hopWatch
+
+	// RED admission in front of the port's queue, gated by isRED.
+	isRED []bool
+	red   []redState
 
 	// Ingress dispatch: entry[i] is the injector chain fronting hop i (nil
 	// when the hop has none), ingress[i] the index-dispatch adapter behind
 	// it. Both persist across Configure.
 	entry   []Receiver
 	ingress []hopIngress
-
-	// Bound per-hop transmission callbacks, created once per hop id and
-	// reused across Configure, so completions schedule no closures.
-	txDone []func()
 
 	// Per-flow route ends over the arena: the last hop by FlowID.
 	exit []int32
@@ -140,17 +132,6 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// flush releases every segment the configured hops hold — buffered, on a
-// serializer, in propagation — and empties their FIFOs, keeping capacity.
-func (a *HopArena) flush() {
-	for i := 0; i < a.n; i++ {
-		Flush(&a.q[i])
-		a.cur[i].Release()
-		a.cur[i] = nil
-		a.prop[i].Flush()
-	}
-}
-
 // Configure (re)shapes the arena for the given hop chain, delivering exiting
 // segments to out and recording queue refusals in fr. All backing storage is
 // reused; per-hop queues keep their warmed capacity from earlier runs, and
@@ -161,34 +142,21 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 	if out == nil {
 		panic("netem: HopArena.Configure with nil egress")
 	}
-	a.flush()
+	for i := 0; i < a.n; i++ {
+		a.port[i].Flush()
+		a.prop[i].Flush()
+	}
 	n := len(specs)
 	a.out, a.fr, a.n = out, fr, n
 
-	a.rate = grow(a.rate, n)
-	a.busy = grow(a.busy, n)
-	a.cur = grow(a.cur, n)
-	a.curST = grow(a.curST, n)
-	a.sent = grow(a.sent, n)
-	a.sentB = grow(a.sentB, n)
-	a.busyNS = grow(a.busyNS, n)
-	a.watchFrac = grow(a.watchFrac, n)
-	a.watchAt = grow(a.watchAt, n)
-	a.watched = grow(a.watched, n)
-	a.occLast = grow(a.occLast, n)
-	a.occWeight = grow(a.occWeight, n)
+	a.watch = grow(a.watch, n)
 	a.isRED = grow(a.isRED, n)
 	a.red = grow(a.red, n)
-	a.drops = grow(a.drops, n)
 	a.entry = grow(a.entry, n)
 	a.exit = a.exit[:0]
 
-	// Queues, delay lines and bound callbacks persist: only new hop ids
-	// allocate, and a reset scenario re-runs on warm (flushed) capacity.
-	for len(a.txDone) < n {
-		i := len(a.txDone)
-		a.txDone = append(a.txDone, func() { a.transmitDone(i) })
-		a.q = append(a.q, DropTail{})
+	for len(a.port) < n {
+		a.port = append(a.port, &Port{q: new(DropTail)})
 		a.prop = append(a.prop, new(DelayLine))
 		a.ingress = append(a.ingress, hopIngress{})
 		a.propOut = append(a.propOut, hopEgress{})
@@ -199,12 +167,6 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 	}
 
 	for i, sp := range specs {
-		if sp.Rate <= 0 {
-			panic("netem: HopArena hop with non-positive rate")
-		}
-		a.rate[i] = unit.NewSerializer(sp.Rate)
-		a.prop[i].Init(a.eng, sp.Delay, &a.propOut[i])
-		a.watchFrac[i] = sp.Watch
 		limit := sp.Queue
 		if sp.RED != nil {
 			cfg := *sp.RED
@@ -218,9 +180,16 @@ func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.Flight
 			a.red[i] = redState{cfg: cfg, rng: *sim.NewRNG(sp.REDSeed)}
 			limit = cfg.Capacity
 		}
-		a.q[i].Init(limit)
+		a.prop[i].Init(a.eng, sp.Delay, &a.propOut[i])
+		p := a.port[i]
+		p.q.Init(limit)
+		var hook PortHook
+		if sp.Watch > 0 {
+			a.watch[i].frac = sp.Watch
+			hook = &a.watch[i]
+		}
+		p.Init(a.eng, sp.Rate, p.q, a.prop[i], hook)
 	}
-	a.dropTotal = 0
 }
 
 // SetEntry fronts hop i's ingress with an injector chain (nil clears it).
@@ -249,30 +218,23 @@ func (a *HopArena) SetSpan(flow packet.FlowID, first, last int) {
 	a.exit[flow] = int32(last)
 }
 
-func (a *HopArena) accOcc(i int, now sim.Time) {
-	if now > a.occLast[i] {
-		a.occWeight[i] += int64(a.q[i].Len()) * int64(now-a.occLast[i])
-		a.occLast[i] = now
-	}
-}
-
 // enqueue applies hop i's admission test and buffers the segment, returning
 // false on refusal. The tail drop is the DropTail's own; a RED hop tests its
 // early drop and its capacity first, counting a refusal in the queue's
 // Dropped and restarting the inter-drop count.
 func (a *HopArena) enqueue(i int, seg *packet.Segment) bool {
-	q := &a.q[i]
+	p := a.port[i]
 	if !a.isRED[i] {
-		return q.Enqueue(seg)
+		return p.enqueue(seg)
 	}
-	r := &a.red[i]
+	q, r := p.q, &a.red[i]
 	r.avg = (1-r.cfg.Weight)*r.avg + r.cfg.Weight*float64(q.Len())
 	if a.redDrop(r) || q.Len() >= q.Capacity() {
 		q.stats.Dropped++
 		r.count = 0
 		return false
 	}
-	q.Enqueue(seg)
+	p.enqueue(seg)
 	r.count++
 	return true
 }
@@ -302,50 +264,15 @@ func (a *HopArena) redDrop(r *redState) bool {
 }
 
 // Receive admits the segment at hop i: buffer it (dropping on refusal, with
-// the same flight-record/counter/release order as Link.Receive) and start
-// the serializer if idle.
+// the same flight-record/release order as Link.Receive) and start the
+// serializer if idle.
 func (a *HopArena) Receive(i int, seg *packet.Segment) {
-	seg.Enqueued = a.eng.Now()
-	a.accOcc(i, a.eng.Now())
 	if !a.enqueue(i, seg) {
-		a.fr.Record(a.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), int32(i), seg.Seq, int64(a.q[i].Len()))
-		a.drops[i]++
-		a.dropTotal++
+		a.fr.Record(a.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), int32(i), seg.Seq, int64(a.port[i].Len()))
 		seg.Release()
 		return
 	}
-	a.maybeTransmit(i)
-}
-
-func (a *HopArena) maybeTransmit(i int) {
-	if a.busy[i] {
-		return
-	}
-	a.accOcc(i, a.eng.Now())
-	seg := a.q[i].Dequeue()
-	if seg == nil {
-		return
-	}
-	a.busy[i] = true
-	a.cur[i] = seg
-	st := a.rate[i].Serialization(seg.Size())
-	a.curST[i] = st
-	a.eng.ScheduleAfter(st, a.txDone[i])
-}
-
-func (a *HopArena) transmitDone(i int) {
-	seg, st := a.cur[i], a.curST[i]
-	a.cur[i] = nil
-	a.busy[i] = false
-	a.sent[i]++
-	a.sentB[i] += int64(seg.Size())
-	a.busyNS[i] += st
-	if a.watchFrac[i] > 0 && !a.watched[i] &&
-		float64(a.busyNS[i]) >= a.watchFrac[i]*float64(a.eng.Now().Duration()) {
-		a.watched[i], a.watchAt[i] = true, a.eng.Now()
-	}
-	a.prop[i].Receive(seg)
-	a.maybeTransmit(i)
+	a.port[i].start()
 }
 
 // egress dispatches hop i's propagation output by index: flows whose span
@@ -365,72 +292,12 @@ func (a *HopArena) egress(i int, seg *packet.Segment) {
 	a.out.Receive(seg)
 }
 
-// QueueLen returns hop i's buffered packet count.
-func (a *HopArena) QueueLen(i int) int { return a.q[i].Len() }
-
-// QueueStats returns a copy of hop i's queue counters.
-func (a *HopArena) QueueStats(i int) QueueStats { return a.q[i].Stats() }
-
-// Drops returns hop i's queue-refusal count.
-func (a *HopArena) Drops(i int) int64 { return a.drops[i] }
-
-// DropTotal returns queue refusals summed over all hops.
-func (a *HopArena) DropTotal() int64 { return a.dropTotal }
-
-// Stats returns hop i's transmission counters (see LinkStats).
-func (a *HopArena) Stats(i int) LinkStats {
-	return LinkStats{Sent: a.sent[i], SentBytes: a.sentB[i], Busy: a.busyNS[i]}
-}
-
-// Rate returns hop i's serialization rate.
-func (a *HopArena) Rate(i int) unit.Bandwidth { return a.rate[i].Rate() }
-
-// AvgQueueLen returns hop i's time-average queue length in packets over
-// [0, now].
-func (a *HopArena) AvgQueueLen(i int, now sim.Time) float64 {
-	a.accOcc(i, a.eng.Now())
-	if now <= 0 {
-		return 0
-	}
-	return float64(a.occWeight[i]) / float64(now)
-}
-
-// Utilization returns the fraction of [0, now] hop i's serializer was busy.
-func (a *HopArena) Utilization(i int, now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(a.busyNS[i]) / float64(now.Duration())
-}
+// Port returns hop i's transmission stage: its queue, serializer and
+// counters.
+func (a *HopArena) Port(i int) *Port { return a.port[i] }
 
 // UtilizationReachedAt returns the instant hop i's watched utilization
 // fraction was first reached, and whether it has been.
 func (a *HopArena) UtilizationReachedAt(i int) (sim.Time, bool) {
-	return a.watchAt[i], a.watched[i]
+	return a.watch[i].at, a.watch[i].hit
 }
-
-// Hop returns a handle for hop i, giving pointer-free call sites a stable
-// reference into the arena.
-func (a *HopArena) Hop(i int) HopRef { return HopRef{a: a, i: i} }
-
-// HopRef is a (arena, hop id) pair — the arena's replacement for handing out
-// *netem.Link. The zero value is invalid.
-type HopRef struct {
-	a *HopArena
-	i int
-}
-
-// Index returns the hop id.
-func (r HopRef) Index() int { return r.i }
-
-// Rate returns the hop's serialization rate.
-func (r HopRef) Rate() unit.Bandwidth { return r.a.Rate(r.i) }
-
-// Utilization returns the hop's cumulative busy fraction at now.
-func (r HopRef) Utilization(now sim.Time) float64 { return r.a.Utilization(r.i, now) }
-
-// AvgQueueLen returns the hop's time-average queue length at now.
-func (r HopRef) AvgQueueLen(now sim.Time) float64 { return r.a.AvgQueueLen(r.i, now) }
-
-// UtilizationReachedAt returns the hop's watched-utilization latch.
-func (r HopRef) UtilizationReachedAt() (sim.Time, bool) { return r.a.UtilizationReachedAt(r.i) }

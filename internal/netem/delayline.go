@@ -35,8 +35,7 @@ type DelayLine struct {
 	eng    *sim.Engine
 	delay  time.Duration
 	dst    Receiver
-	q      []delayed
-	head   int
+	q      fifo[delayed]
 	armed  bool
 	fireFn func()
 }
@@ -55,29 +54,26 @@ func (l *DelayLine) Init(eng *sim.Engine, delay time.Duration, dst Receiver) {
 	if dst == nil {
 		panic("netem: delay line with nil destination")
 	}
-	q, fire := l.q[:0], l.fireFn
+	items, fire := l.q.items[:0], l.fireFn
 	if fire == nil {
 		fire = l.fire
 	}
-	*l = DelayLine{}
-	l.eng, l.delay, l.dst, l.q, l.fireFn = eng, delay, dst, q, fire
+	*l = DelayLine{eng: eng, delay: delay, dst: dst, fireFn: fire}
+	l.q.items = items
 }
 
 // Flush releases every segment in flight and leaves the line empty and
 // unarmed. It is for tearing a line down after its engine was reset: the
 // armed calendar entry, if any, must already be gone.
 func (l *DelayLine) Flush() {
-	for i := l.head; i < len(l.q); i++ {
-		l.q[i].seg.Release()
-	}
-	clear(l.q)
-	l.q, l.head, l.armed = l.q[:0], 0, false
+	l.q.flush(func(d delayed) { d.seg.Release() })
+	l.armed = false
 }
 
 // Receive admits the segment for delivery one delay from now, after every
 // segment admitted before it.
 func (l *DelayLine) Receive(seg *packet.Segment) {
-	l.q = append(l.q, delayed{
+	l.q.push(delayed{
 		at:  l.eng.Now().Add(l.delay),
 		seq: l.eng.ReserveSeq(),
 		seg: seg,
@@ -88,7 +84,7 @@ func (l *DelayLine) Receive(seg *packet.Segment) {
 }
 
 func (l *DelayLine) arm() {
-	h := &l.q[l.head]
+	h := l.q.front()
 	l.eng.ScheduleReserved(h.at, h.seq, l.fireFn)
 	l.armed = true
 }
@@ -97,27 +93,16 @@ func (l *DelayLine) arm() {
 // delivery cascade runs, so events the delivery schedules at the same
 // instant order against it exactly as under per-segment scheduling.
 func (l *DelayLine) fire() {
-	seg := l.q[l.head].seg
-	l.q[l.head].seg = nil
-	l.head++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if l.head > 64 && l.head*2 >= len(l.q) {
-		n := copy(l.q, l.q[l.head:])
-		for i := n; i < len(l.q); i++ {
-			l.q[i] = delayed{}
-		}
-		l.q = l.q[:n]
-		l.head = 0
-	}
+	seg := l.q.pop().seg
 	l.armed = false
-	if l.head < len(l.q) {
+	if l.q.len() > 0 {
 		l.arm()
 	}
 	l.dst.Receive(seg)
 }
 
 // Len returns the number of segments in flight on the line.
-func (l *DelayLine) Len() int { return len(l.q) - l.head }
+func (l *DelayLine) Len() int { return l.q.len() }
 
 // Delay returns the propagation delay.
 func (l *DelayLine) Delay() time.Duration { return l.delay }

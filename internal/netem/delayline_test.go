@@ -106,3 +106,27 @@ func TestDelayLineCompaction(t *testing.T) {
 		t.Errorf("segment leak through delay line: %d gets, %d releases", gets, rels)
 	}
 }
+
+// TestDelayLineFollowsOccupancy: a line's FIFO is sized by what it has
+// carried at once, not by what has passed through. A steady one-in/one-out
+// line at each in-flight count from 1 to 200 keeps its backing array within
+// four times the high-water mark. When fire never rewound an emptied line
+// and compacted only past 64 dead slots, and Receive grew by append, a line
+// carrying one segment at a time held 74 slots.
+func TestDelayLineFollowsOccupancy(t *testing.T) {
+	eng := sim.NewEngine()
+	line := NewDelayLine(eng, time.Millisecond, Func(func(*packet.Segment) {}))
+	seg := &packet.Segment{}
+	for k := 1; k <= 200; k++ {
+		for line.Len() < k {
+			line.Receive(seg)
+		}
+		for range 4*k + 100 {
+			eng.Step() // delivers the head
+			line.Receive(seg)
+			if c := cap(line.q.items); c > 4*k {
+				t.Fatalf("%d in flight: line capacity %d, over 4x the high-water mark", k, c)
+			}
+		}
+	}
+}

@@ -36,20 +36,3 @@ func (s *Sink) Receive(seg *packet.Segment) {
 	s.Bytes += int64(seg.Size())
 	s.Last = seg
 }
-
-// Tap passes segments through unchanged while invoking a callback; use it
-// to observe traffic mid-chain.
-type Tap struct {
-	Fn   func(*packet.Segment)
-	Next Receiver
-}
-
-// Receive observes then forwards the segment.
-func (t *Tap) Receive(seg *packet.Segment) {
-	if t.Fn != nil {
-		t.Fn(seg)
-	}
-	if t.Next != nil {
-		t.Next.Receive(seg)
-	}
-}

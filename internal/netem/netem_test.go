@@ -42,17 +42,6 @@ func TestFuncReceiver(t *testing.T) {
 	}
 }
 
-func TestTapObservesAndForwards(t *testing.T) {
-	sink := &Sink{}
-	taps := 0
-	tap := &Tap{Fn: func(*packet.Segment) { taps++ }, Next: sink}
-	tap.Receive(seg(1))
-	tap.Receive(seg(2))
-	if taps != 2 || sink.Packets != 2 {
-		t.Errorf("taps=%d sink=%d, want 2/2", taps, sink.Packets)
-	}
-}
-
 func TestDropTailFIFOOrder(t *testing.T) {
 	q := NewDropTail(10)
 	for i := 0; i < 5; i++ {
@@ -92,21 +81,6 @@ func TestDropTailCapacityAndDrops(t *testing.T) {
 	}
 }
 
-func TestDropTailBytesAccounting(t *testing.T) {
-	q := NewDropTail(10)
-	q.Enqueue(seg(100))
-	q.Enqueue(seg(200))
-	want := unit.ByteSize(300 + 2*packet.HeaderBytes)
-	if q.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d", q.Bytes(), want)
-	}
-	q.Dequeue()
-	want = unit.ByteSize(200 + packet.HeaderBytes)
-	if q.Bytes() != want {
-		t.Errorf("Bytes after dequeue = %d, want %d", q.Bytes(), want)
-	}
-}
-
 func TestDropTailUnlimited(t *testing.T) {
 	q := NewDropTail(0)
 	for i := 0; i < 10000; i++ {
@@ -132,8 +106,8 @@ func TestDropTailCompaction(t *testing.T) {
 			q.Dequeue()
 		}
 	}
-	if q.Len() != 0 || q.Bytes() != 0 {
-		t.Errorf("Len=%d Bytes=%d after balanced churn, want 0/0", q.Len(), q.Bytes())
+	if q.Len() != 0 {
+		t.Errorf("Len=%d after balanced churn, want 0", q.Len())
 	}
 }
 
@@ -184,9 +158,7 @@ func TestLinkPropagationAddsDelay(t *testing.T) {
 func TestLinkDropsWhenQueueFull(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &Sink{}
-	drops := 0
 	l := NewLink(eng, 1*unit.Mbps, 0, NewDropTail(2), sink)
-	l.OnDrop = func(*packet.Segment) { drops++ }
 	// Burst of 5: 1 in service + 2 queued, 2 dropped.
 	for i := 0; i < 5; i++ {
 		l.Receive(seg(1460))
@@ -195,7 +167,7 @@ func TestLinkDropsWhenQueueFull(t *testing.T) {
 	if sink.Packets != 3 {
 		t.Errorf("delivered %d, want 3", sink.Packets)
 	}
-	if drops != 2 {
+	if drops := l.QueueStats().Dropped; drops != 2 {
 		t.Errorf("drops = %d, want 2", drops)
 	}
 }
@@ -325,8 +297,8 @@ func TestReordererHoldsBack(t *testing.T) {
 
 // redHop returns a one-hop arena whose hop runs RED with cfg, and its engine.
 // The tests below drive the hop's admission (enqueue) and its queue's
-// service half (q[0].Dequeue) directly, holding the queue length where they want it; the last
-// two go through Receive and the serializer.
+// service half (port[0].q.Dequeue) directly, holding the queue length where
+// they want it.
 func redHop(cfg REDConfig, seed uint64) (*sim.Engine, *HopArena) {
 	eng := sim.NewEngine()
 	a := NewHopArena(eng)
@@ -356,8 +328,8 @@ func TestREDFullAlwaysDrops(t *testing.T) {
 	if !dropped {
 		t.Error("RED never dropped despite overload")
 	}
-	if a.QueueLen(0) > 100 {
-		t.Errorf("RED exceeded capacity: %d", a.QueueLen(0))
+	if n := a.Port(0).Len(); n > 100 {
+		t.Errorf("RED exceeded capacity: %d", n)
 	}
 }
 
@@ -372,52 +344,15 @@ func TestREDIntermediateDropsProbabilistically(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		if a.enqueue(0, seg(1)) {
-			a.q[0].Dequeue() // keep length constant
+			a.port[0].q.Dequeue() // keep length constant
 		}
 	}
-	drops := a.QueueStats(0).Dropped
+	drops := a.Port(0).QueueStats().Dropped
 	if drops == 0 {
 		t.Error("RED never early-dropped in the intermediate band")
 	}
 	if drops == trials {
 		t.Error("RED dropped everything in the intermediate band")
-	}
-}
-
-// TestREDStatsConsistency: on the hop's own counters, every segment offered
-// is forwarded, dropped, buffered or on the serializer — mid-run and after
-// the hop drains.
-func TestREDStatsConsistency(t *testing.T) {
-	eng, a := redHop(DefaultREDConfig(10), 2)
-	const offered = 100
-	check := func(when string) {
-		t.Helper()
-		inService := 0
-		if a.busy[0] {
-			inService = 1
-		}
-		got := a.Stats(0).Sent + a.Drops(0) + int64(a.QueueLen(0)+inService)
-		if got != offered {
-			t.Errorf("%s: forwarded %d + dropped %d + queued %d + in service %d = %d, want %d",
-				when, a.Stats(0).Sent, a.Drops(0), a.QueueLen(0), inService, got, offered)
-		}
-		if st := a.QueueStats(0); st.Dropped != a.Drops(0) || st.Enqueued+st.Dropped != offered {
-			t.Errorf("%s: queue counters %+v disagree with %d drops of %d offered", when, st, a.Drops(0), offered)
-		}
-	}
-	for i := 0; i < offered; i++ {
-		a.Receive(0, seg(1460))
-	}
-	if a.Drops(0) == 0 {
-		t.Fatal("a 100-segment burst into a 10-packet RED hop dropped nothing")
-	}
-	check("after the burst")
-	eng.RunFor(300 * time.Microsecond) // two and a half serializations in
-	check("mid-drain")
-	eng.Run()
-	check("drained")
-	if st := a.QueueStats(0); a.QueueLen(0) != 0 || st.Enqueued != st.Dequeued {
-		t.Errorf("drained hop still holds %d (enqueued %d, dequeued %d)", a.QueueLen(0), st.Enqueued, st.Dequeued)
 	}
 }
 
@@ -466,7 +401,7 @@ func TestDropTailRingFollowsOccupancy(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		cycle()
 	}
-	if c := cap(q.segs); c > 8 {
+	if c := cap(q.q.items); c > 8 {
 		t.Errorf("ring capacity %d after 10000 cycles at occupancy ≤ 2, want ≤ 8", c)
 	}
 	if q.Len() != 1 || q.Stats().MaxLen != 2 {
@@ -477,14 +412,14 @@ func TestDropTailRingFollowsOccupancy(t *testing.T) {
 	}
 	// The other rule: a dequeue that empties the queue rewinds it.
 	q.Dequeue()
-	if q.head != 0 || len(q.segs) != 0 {
-		t.Errorf("emptied queue sits at head=%d len=%d, want 0/0", q.head, len(q.segs))
+	if q.q.head != 0 || len(q.q.items) != 0 {
+		t.Errorf("emptied queue sits at head=%d len=%d, want 0/0", q.q.head, len(q.q.items))
 	}
 }
 
 // FuzzDropTailAgainstModel drives random enqueue/dequeue/Flush/Init sequences
-// against a plain-slice FIFO: same segments in the same order, same Len,
-// Bytes and Stats, drops exactly at capacity. On top of the model it checks
+// against a plain-slice FIFO: same segments in the same order, same Len and
+// Stats, drops exactly at capacity. On top of the model it checks
 // what the growth rule promises — the ring never exceeds four times the
 // occupancy high-water of its lifetime (Init keeps the ring, so the mark
 // survives it) — and that no slot outside the live part pins a segment.
@@ -499,7 +434,6 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, limit uint8, ops []byte) {
 		q := NewDropTail(int(limit))
 		var model []*packet.Segment
-		var bytes unit.ByteSize
 		var want QueueStats
 		high := 0
 		for i, op := range ops {
@@ -515,7 +449,6 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 					break
 				}
 				model = append(model, s)
-				bytes += s.Size()
 				want.Enqueued++
 				want.MaxLen = max(want.MaxLen, len(model))
 			case op < 250:
@@ -529,30 +462,29 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 				if got != model[0] {
 					t.Fatalf("op %d: Dequeue returned seq %d, model says %d", i, got.Seq, model[0].Seq)
 				}
-				bytes -= got.Size()
 				want.Dequeued++
 				model = model[1:]
 			default:
-				Flush(q)
+				q.Flush()
 				want.Dequeued += int64(len(model))
-				model, bytes = nil, 0
+				model = nil
 				if op >= 253 {
 					q.Init(int(limit))
 					want = QueueStats{}
 				}
 			}
 			high = max(high, len(model))
-			if q.Len() != len(model) || q.Bytes() != bytes || q.Stats() != want {
-				t.Fatalf("op %d: Len=%d Bytes=%d Stats=%+v, model has %d, %d, %+v",
-					i, q.Len(), q.Bytes(), q.Stats(), len(model), bytes, want)
+			if q.Len() != len(model) || q.Stats() != want {
+				t.Fatalf("op %d: Len=%d Stats=%+v, model has %d, %+v",
+					i, q.Len(), q.Stats(), len(model), want)
 			}
-			if c := cap(q.segs); c > 4*max(1, high) {
+			if c := cap(q.q.items); c > 4*max(1, high) {
 				t.Fatalf("op %d: ring capacity %d with occupancy high-water %d", i, c, high)
 			}
 		}
-		for j, s := range q.segs[:cap(q.segs)] {
-			if live := j >= q.head && j < len(q.segs); !live && s != nil {
-				t.Fatalf("slot %d outside the live part [%d, %d) still holds a segment", j, q.head, len(q.segs))
+		for j, s := range q.q.items[:cap(q.q.items)] {
+			if live := j >= q.q.head && j < len(q.q.items); !live && s != nil {
+				t.Fatalf("slot %d outside the live part [%d, %d) still holds a segment", j, q.q.head, len(q.q.items))
 			}
 		}
 	})
@@ -570,18 +502,19 @@ func TestArenaQueueFollowsOccupancy(t *testing.T) {
 	a.Configure(specs, &Sink{}, nil)
 	high := 0
 	for i, op := range ops {
+		q := a.Port(0).q
 		switch {
 		case op < 160:
 			a.enqueue(0, seg(int(op)))
 		case op < 250:
-			a.q[0].Dequeue()
+			q.Dequeue()
 		case op < 253:
-			Flush(&a.q[0])
+			q.Flush()
 		default:
 			a.Configure(specs, &Sink{}, nil)
 		}
-		high = max(high, a.QueueLen(0))
-		if c := cap(a.q[0].segs); c > 4*max(1, high) {
+		high = max(high, q.Len())
+		if c := cap(q.q.items); c > 4*max(1, high) {
 			t.Fatalf("op %d: hop queue capacity %d with occupancy high-water %d", i, c, high)
 		}
 	}

@@ -2,27 +2,86 @@ package netem
 
 import (
 	"rsstcp/internal/packet"
-	"rsstcp/internal/unit"
 )
 
-// Queue is a packet queueing discipline. Enqueue returns false when the
-// discipline drops the segment (tail drop, an AQM discard, ...). Implementations
-// keep their own drop statistics.
-type Queue interface {
-	// Enqueue offers a segment; false means the segment was dropped.
-	Enqueue(seg *packet.Segment) bool
-	// Dequeue removes and returns the next segment, or nil when empty.
-	Dequeue() *packet.Segment
-	// Len returns the number of queued packets.
-	Len() int
-	// Bytes returns the number of queued payload+header bytes.
-	Bytes() unit.ByteSize
-	// Capacity returns the maximum number of packets the queue holds;
-	// 0 means unlimited.
-	Capacity() int
+// fifo is a head-indexed queue: the live items are items[head:]. Its backing
+// array is sized by what it has held at once, not by what has passed
+// through: a pop that empties it rewinds to the front, and a full array
+// slides before it grows (see push). DropTail and DelayLine both keep their
+// items in one.
+type fifo[T any] struct {
+	items []T
+	head  int
 }
 
-// QueueStats aggregates the counters every discipline maintains.
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+// front returns the oldest item in place; the fifo must not be empty.
+func (f *fifo[T]) front() *T { return &f.items[f.head] }
+
+// push appends v. A full array slides its live part to the front when the
+// dead prefix is at least half of it — head*2 >= len keeps the copy
+// amortized O(1), each slide moving at most as many items as were popped
+// since the last — and otherwise grows.
+func (f *fifo[T]) push(v T) {
+	if len(f.items) == cap(f.items) {
+		if f.head > 0 && f.head*2 >= len(f.items) {
+			f.compact()
+		} else {
+			f.grow()
+		}
+	}
+	f.items = append(f.items, v)
+}
+
+// pop removes and returns the oldest item; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.items[f.head]
+	f.items[f.head] = zero
+	f.head++
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0 // empty: rewind, nothing to copy
+	} else if f.head > 64 && f.head*2 >= len(f.items) {
+		// Compact once the dead prefix dominates, keeping amortized O(1).
+		f.compact()
+	}
+	return v
+}
+
+// grow moves the live part to the front of a new array twice its length,
+// and at least half again the old one, so an occupancy that creeps up past
+// half the array reallocates geometrically, not at every fill. Growing
+// means more than half the array is live, so the new one is under three
+// times the occupancy. append would instead double the whole array, dead
+// prefix included, and round up to a size class: a fifo under half dead
+// could end up more than four times its occupancy.
+func (f *fifo[T]) grow() {
+	live := f.items[f.head:]
+	items := make([]T, len(live), max(2*len(live), cap(f.items)*3/2, 1))
+	copy(items, live)
+	f.items, f.head = items, 0
+}
+
+// compact moves the live part to the front of the backing array.
+func (f *fifo[T]) compact() {
+	n := copy(f.items, f.items[f.head:])
+	clear(f.items[n:])
+	f.items = f.items[:n]
+	f.head = 0
+}
+
+// flush hands every item to release, oldest first, and empties the fifo,
+// keeping its backing array.
+func (f *fifo[T]) flush(release func(T)) {
+	for _, v := range f.items[f.head:] {
+		release(v)
+	}
+	clear(f.items)
+	f.items, f.head = f.items[:0], 0
+}
+
+// QueueStats aggregates a DropTail's counters.
 type QueueStats struct {
 	Enqueued int64 // segments accepted
 	Dequeued int64 // segments handed downstream
@@ -32,14 +91,9 @@ type QueueStats struct {
 
 // DropTail is a FIFO queue with a fixed packet-count capacity, the classic
 // router discipline and the model for the Linux pfifo qdisc.
-// The queue is segs[head:], and its backing array is sized by what it has held
-// at once, not by what has passed through: a dequeue that empties it rewinds
-// to the front, and a full array slides before it grows (see Enqueue).
 type DropTail struct {
 	cap   int
-	segs  []*packet.Segment
-	head  int
-	bytes unit.ByteSize
+	q     fifo[*packet.Segment]
 	stats QueueStats
 }
 
@@ -52,90 +106,44 @@ func NewDropTail(capPackets int) *DropTail {
 }
 
 // Init (re)initializes the queue in place as an empty FIFO of capPackets
-// with zeroed counters, keeping only the ring's backing array. A used queue
+// with zeroed counters, keeping only the FIFO's backing array. A used queue
 // must be emptied first (Flush): Init does not release what it still holds.
 func (q *DropTail) Init(capPackets int) {
-	segs := q.segs[:0]
-	*q = DropTail{}
-	q.cap, q.segs = capPackets, segs
+	items := q.q.items[:0]
+	*q = DropTail{cap: capPackets}
+	q.q.items = items
 }
 
-// Flush empties a discipline whose owner is being torn down, releasing every
+// Flush empties a queue whose owner is being torn down, releasing every
 // segment it still holds back to its pool.
-func Flush(q Queue) {
-	for seg := q.Dequeue(); seg != nil; seg = q.Dequeue() {
-		seg.Release()
-	}
+func (q *DropTail) Flush() {
+	q.stats.Dequeued += int64(q.q.len())
+	q.q.flush((*packet.Segment).Release)
 }
 
 // Enqueue appends the segment, or drops it when the queue is full.
 func (q *DropTail) Enqueue(seg *packet.Segment) bool {
-	if q.cap > 0 && q.Len() >= q.cap {
+	if q.cap > 0 && q.q.len() >= q.cap {
 		q.stats.Dropped++
 		return false
 	}
-	// Slide before growing. The head*2 >= len guard keeps the copy amortized
-	// O(1): each slide moves at most as many segments as were dequeued since
-	// the last one. A mostly live ring fails it and grows.
-	if len(q.segs) == cap(q.segs) {
-		if q.head > 0 && q.head*2 >= len(q.segs) {
-			q.compact()
-		} else {
-			q.grow()
-		}
-	}
-	q.segs = append(q.segs, seg)
-	q.bytes += seg.Size()
+	q.q.push(seg)
 	q.stats.Enqueued++
-	if n := q.Len(); n > q.stats.MaxLen {
-		q.stats.MaxLen = n
-	}
+	q.stats.MaxLen = max(q.stats.MaxLen, q.q.len())
 	return true
 }
 
 // Dequeue removes the oldest segment, or returns nil when empty.
 func (q *DropTail) Dequeue() *packet.Segment {
-	if q.head >= len(q.segs) {
+	if q.q.len() == 0 {
 		return nil
 	}
-	seg := q.segs[q.head]
-	q.segs[q.head] = nil
-	q.head++
-	q.bytes -= seg.Size()
 	q.stats.Dequeued++
-	if q.head == len(q.segs) {
-		q.segs, q.head = q.segs[:0], 0 // empty: rewind, nothing to copy
-	} else if q.head > 64 && q.head*2 >= len(q.segs) {
-		// Compact once the dead prefix dominates, keeping amortized O(1).
-		q.compact()
-	}
-	return seg
-}
-
-// grow moves the live part to the front of a new array twice its length.
-// append would instead double the whole array, dead prefix included, and
-// round up to a size class: a ring under half dead could end up more than
-// four times its occupancy.
-func (q *DropTail) grow() {
-	live := q.segs[q.head:]
-	segs := make([]*packet.Segment, len(live), max(2*len(live), 1))
-	copy(segs, live)
-	q.segs, q.head = segs, 0
-}
-
-// compact moves the live part to the front of the backing array.
-func (q *DropTail) compact() {
-	n := copy(q.segs, q.segs[q.head:])
-	clear(q.segs[n:])
-	q.segs = q.segs[:n]
-	q.head = 0
+	return q.q.pop()
 }
 
 // Len returns the number of queued packets.
-func (q *DropTail) Len() int { return len(q.segs) - q.head }
-
-// Bytes returns the bytes held in the queue.
-func (q *DropTail) Bytes() unit.ByteSize { return q.bytes }
+func (q *DropTail) Len() int { return q.q.len() }
 
 // Capacity returns the packet capacity (0 = unlimited).
 func (q *DropTail) Capacity() int { return q.cap }

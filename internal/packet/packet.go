@@ -96,9 +96,6 @@ type Segment struct {
 	// Retransmit marks the segment as a retransmission (excluded from
 	// RTT sampling per Karn's algorithm).
 	Retransmit bool
-	// Enqueued is stamped when the segment enters a queue; used by queues
-	// to compute sojourn time.
-	Enqueued sim.Time
 
 	// owner is the Pool the segment is checked out of. Release returns it
 	// there, so components never need to know which allocator fed them.

@@ -3,7 +3,18 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestSegmentSizeClass pins a segment to Go's 96-B size class (…, 80, 96,
+// 112, 128 B): every packet in flight is one, so a field that pushes it over
+// costs 16 B per queued or propagating segment.
+func TestSegmentSizeClass(t *testing.T) {
+	const sizeClass = 96
+	if got := unsafe.Sizeof(Segment{}); got > sizeClass {
+		t.Errorf("Segment is %d B, over the %d-B size class", got, sizeClass)
+	}
+}
 
 func TestFlagsHas(t *testing.T) {
 	f := FlagSYN | FlagACK
