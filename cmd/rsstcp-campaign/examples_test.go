@@ -17,16 +17,24 @@ var updateExamplesGolden = flag.Bool("update-examples-golden", false,
 
 // documentedExamples are invocations the package comment does not show but
 // the documentation and CI lean on: the default sweep through each exporter
-// and through the shard executor, the -axis forms that drop or supersede
-// default flag axes, and the EXPERIMENTS.md recipes for AQM and shard
-// balance.
+// and on one worker (see workerInvariant), the -axis forms that drop or
+// supersede default flag axes, and the EXPERIMENTS.md recipes for AQM and for
+// a grid of unequal cells.
 var documentedExamples = []string{
 	"-csv -",
 	"-json -",
-	"-shards 2",
+	"-workers 1",
+	"-workers 1 -json -",
 	"-axis matchup=standard+restricted",
 	"-bw 100 -rtt 60ms -ifq 100 -alg standard,restricted -flows 2 -axis sack=true -axis aqm=droptail,red -metrics throughput_mbps,utilization,hop_drops_max -replicates 2",
-	"-axis flows=1,2,3,4,12 -alg standard,restricted -replicates 4 -shards 3 -json skew3.json",
+	"-axis flows=1,2,3,4,12 -alg standard,restricted -replicates 4 -json skew3.json",
+}
+
+// workerInvariant pairs each one-worker invocation with the same invocation
+// on the default pool: the bytes must not depend on the worker count.
+var workerInvariant = map[string]string{
+	"-workers 1":         "",
+	"-workers 1 -json -": "-json -",
 }
 
 // headerExamples returns the arguments of each example invocation in the
@@ -106,6 +114,12 @@ func TestExamplesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got["file: "+f.Name()] = sha(b)
+	}
+
+	for one, pool := range workerInvariant {
+		if got["stdout: "+one] != got["stdout: "+pool] {
+			t.Errorf("stdout of %q differs from %q: the worker count changed the output", one, pool)
+		}
 	}
 
 	if *updateExamplesGolden {

@@ -10,9 +10,10 @@
 // (default: the six stock metrics). There is one plan, one engine and one
 // report: axis columns, then mean and std per metric.
 //
-// Results are byte-identical for any -workers value: replicate seeds are
-// derived from the base seed and each cell's parameters, never from the
-// schedule.
+// A campaign runs in one process, on a pool of -workers goroutines that
+// each reuse one scenario across replicates. Results are byte-identical for
+// any -workers value: replicate seeds are derived from the base seed and
+// each cell's parameters, never from the schedule.
 //
 // Campaigns execute streaming: each finished replicate folds into its
 // cell's running summaries and is dropped, so memory scales with the cell
@@ -51,17 +52,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rsstcp"
@@ -90,12 +86,6 @@ func main() {
 		metrics    = flag.String("metrics", "", "metric columns to report, in order (comma list; known: "+strings.Join(rsstcp.MetricNames(), ",")+")")
 		rev        = flag.String("rev", "", "real reverse channel for every cell as rate=Mbps[,delay=D][,queue=N] (adds an 'rbw' axis value)")
 		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the JSON report (memory grows with run count)")
-
-		// Sharding flags: cell-aligned multi-process campaigns. Output is
-		// byte-identical at any shard count.
-		shardsF  = flag.String("shards", "1", "split the campaign across this many child processes, one contiguous cell span each, cut by estimated cost (auto = runtime.NumCPU())")
-		shardK   = flag.Int("shard", -1, "child mode: run only this shard (0-based) of -shards and emit a shard report instead of campaign output")
-		shardOut = flag.String("shard-out", "-", "child mode: write the shard report JSON here (- for stdout)")
 
 		// Observability flags.
 		metricsAddr   = flag.String("metrics-addr", "", "serve campaign self-metrics as OpenMetrics on this address (e.g. 127.0.0.1:9137)")
@@ -128,15 +118,6 @@ func main() {
 		return nil
 	})
 	flag.Parse()
-
-	// "-shards auto" resolves on each machine independently; parent and
-	// children run on the same machine, so they derive the same count (and
-	// with it the same partition).
-	shardsN, shardsAuto := parseShards(*shardsF)
-	shardNote := ""
-	if shardsAuto {
-		shardNote = fmt.Sprintf(" (auto: %d CPUs)", shardsN)
-	}
 
 	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
 	if err != nil {
@@ -211,10 +192,7 @@ func main() {
 			}
 		}
 	}
-	progress := func(runs int) {
-		if *quiet {
-			return
-		}
+	if !*quiet {
 		start := time.Now()
 		opts.Progress = func(done, total int) {
 			line := fmt.Sprintf("\rcampaign: %d/%d runs", done, total)
@@ -229,76 +207,9 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "campaign: %d runs on %d workers\n",
-			runs, effectiveWorkers(*workers))
+			plan.Runs(), effectiveWorkers(*workers))
 	}
-	// finish prints the self-metrics epilogue and holds the metrics endpoint
-	// open for scrapers before the process exits. A shard-merging parent runs
-	// no simulations itself, so it prints the shard tail instead of the
-	// run-rate epilogue.
-	finish := func() {
-		if !*quiet && self.Runs.Value() > 0 {
-			build, run, fold := self.Phases()
-			fmt.Fprintf(os.Stderr,
-				"campaign: %d runs in %v (%.0f runs/s, %.2gM events/s); phases build %v, run %v, fold %v\n",
-				self.Runs.Value(), self.Elapsed().Round(time.Millisecond),
-				self.RunsPerSec(), self.EventsPerSec()/1e6,
-				build.Round(time.Millisecond), run.Round(time.Millisecond), fold.Round(time.Millisecond))
-			if slow := self.SlowestCells(); len(slow) > 0 {
-				if len(slow) > 3 {
-					slow = slow[:3]
-				}
-				line := "campaign: slowest cells:"
-				for _, cw := range slow {
-					line += fmt.Sprintf(" %s (%v)", cw.Key, cw.Wall.Round(time.Millisecond))
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-		if !*quiet && self.Shards() > 0 {
-			walls := self.ShardWalls()
-			var max, sum time.Duration
-			for _, w := range walls {
-				sum += w
-				if w > max {
-					max = w
-				}
-			}
-			var mean time.Duration
-			if len(walls) > 0 {
-				mean = sum / time.Duration(len(walls))
-			}
-			fmt.Fprintf(os.Stderr,
-				"campaign: %d shards%s; shard wall max %v, mean %v, imbalance %.2f\n",
-				self.Shards(), shardNote, max.Round(time.Millisecond),
-				mean.Round(time.Millisecond), self.ShardImbalance())
-		}
-		if closeMetrics != nil {
-			if *metricsLinger > 0 {
-				if !*quiet {
-					fmt.Fprintf(os.Stderr, "campaign: metrics endpoint lingering %v\n", *metricsLinger)
-				}
-				time.Sleep(*metricsLinger)
-			}
-			closeMetrics()
-		}
-	}
-
-	if *shardK >= 0 {
-		shardChild(plan, shardsN, *shardK, *shardOut, opts)
-		finish()
-		return
-	}
-	var rep *rsstcp.Report
-	if shardsN > 1 {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign: %d runs across %d shard processes%s\n",
-				plan.Runs(), shardsN, shardNote)
-		}
-		rep, err = shardParent(plan, shardsN, self)
-	} else {
-		progress(plan.Runs())
-		rep, err = rsstcp.RunPlan(plan, opts)
-	}
+	rep, err := rsstcp.RunPlan(plan, opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -306,76 +217,36 @@ func main() {
 		rep.Telemetry = reg.Snapshot()
 	}
 	render(*jsonPath, *csvPath, rep)
-	finish()
-}
 
-// shardChild runs one shard of the plan and emits the wire-format shard
-// report: the child half of a multi-process campaign.
-func shardChild(p rsstcp.Plan, shards, shard int, outPath string, opts rsstcp.CampaignOptions) {
-	rep, err := campaign.ExecuteShard(p, shards, shard, opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	writeTo(outPath, rep.WriteJSON)
-}
-
-// shardParent re-invokes this binary once per shard — same flags, plus the
-// child-mode coordinates — collects the shard reports from the children's
-// stdout, and merges them into the exact report an unsharded run produces.
-// Every child re-derives the identical plan (and with it the identical
-// weighted partition) from the identical flags, so the partition
-// needs no coordination beyond the (shards, shard) pair. Each child's wall
-// time is recorded on self, so the epilogue reports the partition's
-// measured imbalance.
-func shardParent(p rsstcp.Plan, shards int, self *campaign.SelfMetrics) (*rsstcp.Report, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	self.SetShards(shards)
-	reports := make([]*campaign.ShardReport, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for k := 0; k < shards; k++ {
-		go func(k int) {
-			defer wg.Done()
-			// Later flags win, so appended overrides silence the child's
-			// human output and strip per-process observability endpoints
-			// (children would collide on ports and profile paths).
-			args := append(append([]string{}, os.Args[1:]...),
-				"-shard", strconv.Itoa(k),
-				"-shard-out", "-",
-				"-quiet",
-				"-json", "", "-csv", "",
-				"-metrics-addr", "", "-pprof", "",
-				"-cpuprofile", "", "-memprofile", "")
-			cmd := exec.Command(exe, args...)
-			var out bytes.Buffer
-			cmd.Stdout = &out
-			cmd.Stderr = os.Stderr
-			start := time.Now()
-			err := cmd.Run()
-			self.ObserveShardWall(time.Since(start))
-			if err != nil {
-				errs[k] = fmt.Errorf("shard %d: %w", k, err)
-				return
+	// The self-metrics epilogue; then the metrics endpoint stays open for
+	// scrapers for -metrics-linger before it closes.
+	if !*quiet && self.Runs.Value() > 0 {
+		build, run, fold := self.Phases()
+		fmt.Fprintf(os.Stderr,
+			"campaign: %d runs in %v (%.0f runs/s, %.2gM events/s); phases build %v, run %v, fold %v\n",
+			self.Runs.Value(), self.Elapsed().Round(time.Millisecond),
+			self.RunsPerSec(), self.EventsPerSec()/1e6,
+			build.Round(time.Millisecond), run.Round(time.Millisecond), fold.Round(time.Millisecond))
+		if slow := self.SlowestCells(); len(slow) > 0 {
+			if len(slow) > 3 {
+				slow = slow[:3]
 			}
-			r, err := campaign.ReadShardReport(&out)
-			if err != nil {
-				errs[k] = fmt.Errorf("shard %d: %w", k, err)
-				return
+			line := "campaign: slowest cells:"
+			for _, cw := range slow {
+				line += fmt.Sprintf(" %s (%v)", cw.Key, cw.Wall.Round(time.Millisecond))
 			}
-			reports[k] = r
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	return campaign.MergeShards(p, reports)
+	if closeMetrics != nil {
+		if *metricsLinger > 0 {
+			if !*quiet {
+				fmt.Fprintf(os.Stderr, "campaign: metrics endpoint lingering %v\n", *metricsLinger)
+			}
+			time.Sleep(*metricsLinger)
+		}
+		closeMetrics()
+	}
 }
 
 // sanitizeKey maps a cell key ("bw=100Mbps/rtt=60ms/...") to a filename-safe
@@ -414,21 +285,6 @@ func render(jsonPath, csvPath string, rep *rsstcp.Report) {
 			fatalf("%v", err)
 		}
 	}
-}
-
-// parseShards resolves the -shards flag: a literal count, or "auto" for
-// runtime.NumCPU(). Children propagate the flag verbatim and re-resolve it
-// on the same machine, so parent and children agree on the count.
-func parseShards(s string) (n int, auto bool) {
-	s = strings.TrimSpace(s)
-	if strings.EqualFold(s, "auto") {
-		return runtime.NumCPU(), true
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		fatalf("bad -shards value %q: want a count or auto", s)
-	}
-	return n, false
 }
 
 func effectiveWorkers(n int) int {

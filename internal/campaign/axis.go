@@ -76,8 +76,9 @@ type Plan struct {
 	// TimerWheel or RetainFlows. It deliberately does not contribute to
 	// cell keys, so flipping a Base field never perturbs the derived
 	// replicate seeds: a plan run with TimerWheel on is byte-comparable to
-	// the same plan with it off. Plan.Duration and the runner's trace
-	// policy still override the corresponding Base fields.
+	// the same plan with it off. Plan.Duration still overrides
+	// Base.Duration, and every replicate runs traceless whatever
+	// Base.Traceless says.
 	Base experiment.Config
 }
 
@@ -182,17 +183,6 @@ func (p Plan) Size() int {
 func (p Plan) Runs() int {
 	p = p.withDefaults()
 	return p.Size() * p.Replicates
-}
-
-// needsTrace reports whether any plan metric requires recorded gauge
-// series. Without one, the engine runs every scenario traceless.
-func (p Plan) needsTrace() bool {
-	for _, m := range p.Metrics {
-		if m.NeedsTrace {
-			return true
-		}
-	}
-	return false
 }
 
 // Cells expands the axis product in canonical order: the first axis is

@@ -2,19 +2,19 @@ package campaign
 
 // Weighted shard partitioning: a contiguous len*k/N cell split treats
 // every cell as equally expensive, so heterogeneous grids (mixed flow
-// counts, durations, hop depths) leave some shard processes idle while the
-// one that drew the heavy cells finishes alone. The partition is contiguous
-// and cell-aligned — which is all the merge contract needs, so output is
+// counts, durations, hop depths) leave some shards idle while the one that
+// drew the heavy cells finishes alone. The partition is contiguous and
+// cell-aligned — which is all the merge contract needs, so output is
 // byte-identical at any shard count — with the cut points placed by
 // cumulative estimated cost instead of cell count.
 //
 // The cost model is deliberately a pure function of the plan and the cell's
-// pre-seed Config: every participating process re-derives the identical
-// partition from the identical flags, with no coordination beyond the
-// (shards, shard) pair. Absolute accuracy is not required — only the
-// *relative* weights matter, and the campaign epilogue echoes the slowest
-// cells' measured wall times (see SelfMetrics.SlowestCells) so the model
-// can be sanity-checked against a prior run's telemetry tail.
+// pre-seed Config: every shard re-derives the identical partition from the
+// identical plan, with no coordination beyond the (shards, shard) pair.
+// Absolute accuracy is not required — only the *relative* weights matter,
+// and the campaign epilogue echoes the slowest cells' measured wall times
+// (see SelfMetrics.SlowestCells) so the model can be sanity-checked against
+// a prior run's telemetry tail.
 
 import (
 	"rsstcp/internal/experiment"
@@ -114,7 +114,7 @@ func cutsForWeights(weights []float64, shards int) []int {
 }
 
 // shardSpan returns shard k's contiguous span of the canonical cell list,
-// cut by CellWeight. The weights depend only on the plan, so every process
+// cut by CellWeight. The weights depend only on the plan, so every shard
 // computes the same partition, and the partition is cell-aligned — a cell's
 // replicates never straddle shards — so MergeShards reassembles
 // byte-identical output.

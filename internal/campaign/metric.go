@@ -14,17 +14,13 @@ import (
 // scenario-global fields — utilization, drop counters, per-flow throughputs
 // and cross-flow totals). The engine summarizes each metric over a cell's
 // replicates, so a campaign reports a caller-chosen metric set instead of a
-// fixed struct.
+// fixed struct. Campaigns run traceless, so the Result carries no Rec
+// series: a metric reads running counters and end-of-run summaries only.
 type Metric struct {
 	// Name is the column/JSON name, e.g. "throughput_mbps".
 	Name string
 	// Extract reads the metric from one replicate's (borrowed) result.
 	Extract func(*experiment.Result) float64
-	// NeedsTrace forces campaigns measuring this metric to record gauge
-	// series. Every stock metric reads running counters and leaves it
-	// false, so campaigns run traceless — no sampling ticker, no series
-	// memory. A custom metric that reads Result.Rec series must set it.
-	NeedsTrace bool
 }
 
 // Stock metrics. The first six are the default set (StockMetrics); the rest

@@ -138,11 +138,10 @@ type runContext struct {
 // execEnv is the per-campaign execution context shared by every worker:
 // the plan, the resolved options, and the self-metrics instrument set.
 type execEnv struct {
-	p         Plan
-	cells     []PlanCell
-	traceless bool
-	opts      Options
-	self      *SelfMetrics
+	p     Plan
+	cells []PlanCell
+	opts  Options
+	self  *SelfMetrics
 }
 
 // spanResult is what a worker hands the collector: the replicates of one
@@ -217,7 +216,7 @@ func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Repl
 		rc.digestKey, rc.digest = c.Key, keyDigest(c.Key)
 	}
 	cfg.Seed = mixSeed(env.p.BaseSeed, rc.digest, rep)
-	cfg.Traceless = env.traceless
+	cfg.Traceless = true
 	t0 := time.Now()
 	if rc.s == nil {
 		s, err := experiment.Build(cfg)
@@ -320,7 +319,7 @@ func ExecutePlan(p Plan, opts Options) (*Report, error) {
 // input cell, in input order. The plan must already be defaulted and
 // validated. onCell, when non-nil, observes each cell's metric accumulators
 // the moment the cell completes, before they are recycled — the shard
-// executor uses it to capture exact aggregation state for the merge parent.
+// executor uses it to capture exact aggregation state for the merge.
 func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int, accs []stats.Accumulator)) ([]ReportCell, error) {
 	total := len(cells) * p.Replicates
 	if total == 0 {
@@ -333,11 +332,10 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 	}
 	span := dispatchSpan(total, workers)
 	env := &execEnv{
-		p:         p,
-		cells:     cells,
-		traceless: !p.needsTrace(),
-		opts:      opts,
-		self:      opts.Self,
+		p:     p,
+		cells: cells,
+		opts:  opts,
+		self:  opts.Self,
 	}
 	if env.self == nil {
 		env.self = NewSelfMetrics()

@@ -230,10 +230,9 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 	badFlow.Config.Flows[1].Alg = "nope"
 
 	env := &execEnv{
-		p:         Plan{Metrics: []Metric{MetricThroughputMbps, MetricFairness}, BaseSeed: 7},
-		traceless: true,
-		opts:      Options{ExportWeb100: true},
-		self:      NewSelfMetrics(),
+		p:    Plan{Metrics: []Metric{MetricThroughputMbps, MetricFairness}, BaseSeed: 7},
+		opts: Options{ExportWeb100: true},
+		self: NewSelfMetrics(),
 	}
 	runOn := func(rc *runContext, c PlanCell, rep int) (Replicate, error) {
 		out := Replicate{Values: make([]stats.JSONFloat, len(env.p.Metrics))}

@@ -54,17 +54,10 @@ type SelfMetrics struct {
 	phaseRun   atomic.Int64 // ns spent inside Scenario.Run
 	phaseFold  atomic.Int64 // ns spent folding results into cell summaries
 
-	// Shard observation (PR 10): a multi-process parent records each child's
-	// wall time here, so the epilogue and the metrics endpoint expose the
-	// partition's measured imbalance.
-	shards    atomic.Int64
-	shardMu   sync.Mutex
-	shardWall []time.Duration
-
-	// Per-cell wall observation (PR 10): the collector attributes each
-	// replicate's wall time to its cell and keeps the slowest cells, so the
-	// shard cost model (CellWeight) is calibratable from a prior run's
-	// telemetry tail.
+	// Per-cell wall observation: the collector attributes each replicate's
+	// wall time to its cell and keeps the slowest cells, so the epilogue can
+	// name where a campaign's time went — the cells to shrink or split off
+	// when a sweep runs long.
 	cellMu  sync.Mutex
 	slowest []CellWall
 }
@@ -120,49 +113,6 @@ func (m *SelfMetrics) observeWheel(cur sim.WheelStats, prev *sim.WheelStats) {
 	m.WheelDirect.Add(int64(cur.Direct - prev.Direct))
 	m.WheelFlushes.Add(int64(cur.Flushes - prev.Flushes))
 	*prev = cur
-}
-
-// SetShards records the resolved shard-process count of a multi-process
-// campaign (0 = unsharded).
-func (m *SelfMetrics) SetShards(n int) { m.shards.Store(int64(n)) }
-
-// Shards returns the recorded shard-process count.
-func (m *SelfMetrics) Shards() int64 { return m.shards.Load() }
-
-// ObserveShardWall records one shard child's end-to-end wall time.
-func (m *SelfMetrics) ObserveShardWall(wall time.Duration) {
-	m.shardMu.Lock()
-	m.shardWall = append(m.shardWall, wall)
-	m.shardMu.Unlock()
-}
-
-// ShardWalls returns a copy of the recorded per-shard wall times.
-func (m *SelfMetrics) ShardWalls() []time.Duration {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	return append([]time.Duration(nil), m.shardWall...)
-}
-
-// ShardImbalance returns max/mean over the recorded shard wall times: 1.0 is
-// a perfectly balanced partition, N is one shard doing all the work. Zero
-// when fewer than one shard reported.
-func (m *SelfMetrics) ShardImbalance() float64 {
-	walls := m.ShardWalls()
-	if len(walls) == 0 {
-		return 0
-	}
-	var sum, max time.Duration
-	for _, w := range walls {
-		sum += w
-		if w > max {
-			max = w
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(walls))
-	return float64(max) / mean
 }
 
 // ObserveCellWall attributes a completed cell's cumulative replicate wall
@@ -244,20 +194,6 @@ func (m *SelfMetrics) Register(reg *telemetry.Registry) {
 		func() float64 { return float64(m.SchedMaxRungs()) })
 	reg.Gauge("rsstcp_campaign_sched_max_size", "calendar occupancy high water over all engines",
 		func() float64 { return float64(m.SchedMaxSize()) })
-	reg.Gauge("rsstcp_campaign_shards", "resolved shard-process count (0 = unsharded)",
-		func() float64 { return float64(m.Shards()) })
-	reg.Gauge("rsstcp_campaign_shard_wall_max_seconds", "slowest shard child's wall time",
-		func() float64 {
-			var max time.Duration
-			for _, w := range m.ShardWalls() {
-				if w > max {
-					max = w
-				}
-			}
-			return max.Seconds()
-		})
-	reg.Gauge("rsstcp_campaign_shard_imbalance", "max/mean over per-shard wall times (1.0 = balanced)",
-		m.ShardImbalance)
 	reg.Gauge("rsstcp_campaign_cell_wall_max_seconds", "slowest cell's cumulative replicate wall time",
 		func() float64 {
 			if s := m.SlowestCells(); len(s) > 0 {

@@ -10,19 +10,20 @@ import (
 )
 
 // Cell-sharded campaign execution: a plan's canonical cell list is cut into
-// contiguous spans, one span per shard, so independent processes (or
-// goroutines) can each run their span and stream exact aggregation state
-// back to a merging parent. Sharding is invisible in the output: every
-// replicate's seed is a pure function of (BaseSeed, cell key, replicate) —
-// independent of which other cells run in the same process — and the state
-// transport (stats.AccumulatorState) is bit-exact, so the merged Report is
-// byte-identical to an unsharded ExecutePlan at any shard count.
+// contiguous spans, one span per shard; each shard runs its span and hands
+// exact aggregation state to a merge. Campaigns run on ExecutePlan's worker
+// pool; this in-process shard executor remains because the benchmark
+// (bench/) times it beside that pool. Sharding is invisible in the output:
+// every replicate's seed is a pure function of (BaseSeed, cell key,
+// replicate) — independent of which other cells share a shard — and the
+// state transport (stats.AccumulatorState) is bit-exact, so the merged
+// Report is byte-identical to an unsharded ExecutePlan at any shard count.
 //
 // The partition is cell-aligned: a cell's replicates never straddle shards.
 // That choice makes the merge exact by construction — each accumulator
 // arrives complete, so cross-shard combination reduces to adopting the
 // transported Welford + quantile-buffer state in canonical cell order and
-// summarizing in the parent, with no inter-accumulator Merge in the
+// summarizing in the merge, with no inter-accumulator Merge in the
 // P²-approximation regime (where merging is inherently lossy).
 
 // ShardSchema identifies the shard wire format.
@@ -35,7 +36,7 @@ type ShardMetricState struct {
 }
 
 // ShardCell is one completed cell as computed by a shard: its canonical
-// index and key (for coverage validation in the parent), the retained raw
+// index and key (for coverage validation in the merge), the retained raw
 // replicates when the campaign retains runs, and the exact per-metric
 // accumulator states.
 type ShardCell struct {
@@ -46,7 +47,7 @@ type ShardCell struct {
 }
 
 // ShardReport is one shard's complete output: the partition coordinates
-// (for validation against the parent's plan) and the owned cells in
+// (for validation against the merging plan) and the owned cells in
 // canonical order.
 type ShardReport struct {
 	Schema string      `json:"schema"`
@@ -85,9 +86,9 @@ func validateShardArgs(shards, shard int) error {
 }
 
 // ExecuteShard runs shard `shard` of `shards` over the plan's cell product
-// and returns its wire-format report. The plan must be identical (same
-// flags, same BaseSeed) in every participating process; each process
-// re-derives the canonical cell list and takes its span.
+// and returns its wire-format report. Every shard of one campaign must be
+// given the identical plan (same axes, same BaseSeed); each re-derives the
+// canonical cell list and takes its span.
 func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -142,7 +143,7 @@ func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error)
 // ExecutePlan of the same plan would produce. It validates full coverage
 // (every canonical cell owned exactly once, keys matching), restores each
 // cell's accumulators from their transported state, and computes the
-// summaries in canonical cell order in this process — so the resulting
+// summaries in canonical cell order — so the resulting
 // JSON export is byte-identical at any shard count.
 func MergeShards(p Plan, reports []*ShardReport) (*Report, error) {
 	p = p.withDefaults()
@@ -211,9 +212,8 @@ func MergeShards(p Plan, reports []*ShardReport) (*Report, error) {
 
 // ExecuteSharded runs the plan as `shards` in-process shards (concurrently,
 // splitting the worker budget) and merges them. Each shard's report makes a
-// JSON round trip before merging, so this path exercises the exact wire
-// format the multi-process campaign uses — it exists for tests, benchmarks,
-// and single-binary use of the shard machinery.
+// JSON round trip before merging, so the wire format is exercised exactly
+// as written.
 func ExecuteSharded(p Plan, shards int, opts Options) (*Report, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -268,8 +268,8 @@ func ExecuteSharded(p Plan, shards int, opts Options) (*Report, error) {
 				errs[k] = err
 				return
 			}
-			// Round-trip through the wire format: what the multi-process
-			// path serializes is exactly what this path merges.
+			// Round-trip through the wire format: what a shard
+			// serializes is exactly what the merge reads.
 			var buf []byte
 			if buf, err = json.Marshal(r); err != nil {
 				errs[k] = err

@@ -379,6 +379,11 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 
 	stallWait := Config{Flows: []FlowSpec{{Alg: AlgStallWait}}, Duration: 2 * time.Second, Seed: 13, Traceless: true}
 
+	// A small flight recorder, then the default again: the ring must come
+	// back to DefaultRingSize, not keep the 16 slots of the run before.
+	smallLog := dumbbell
+	smallLog.EventLog = 16
+
 	chain := []struct {
 		name string
 		cfg  Config
@@ -388,7 +393,8 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 		{"reverse-congested", revCongested},
 		{"poisson churn, timer wheel", churn},
 		{"stall-wait", stallWait},
-		{"dumbbell again", dumbbell},
+		{"dumbbell, 16-event flight recorder", smallLog},
+		{"dumbbell again, default flight recorder", dumbbell},
 	}
 
 	s, err := Build(dumbbell)

@@ -645,9 +645,13 @@ func (s *Scenario) init(in *Config) error {
 	rec := s.Rec
 	rec.SetEnabled(!cfg.Traceless)
 	// The flight recorder survives Reset (same capacity ⇒ same ring, just
-	// emptied); a capacity change re-sizes it.
-	if cap := cfg.EventLog; s.FR == nil || (cap > 0 && s.FR.Cap() != cap) {
-		s.FR = telemetry.NewFlightRecorder(cap)
+	// emptied); a capacity change, to or from the default, re-sizes it.
+	ring := cfg.EventLog
+	if ring <= 0 {
+		ring = telemetry.DefaultRingSize
+	}
+	if s.FR == nil || s.FR.Cap() != ring {
+		s.FR = telemetry.NewFlightRecorder(ring)
 	}
 	// The flow table and (when enabled) the timer wheel persist across
 	// Reset like the segment pool: replicates after the first run entirely

@@ -6,8 +6,8 @@ import (
 )
 
 // Accumulator state transport: the exact internal state of a streaming
-// summarizer, serialized so a shard process can hand its partial (or
-// complete) aggregation to a merging parent without losing a single bit.
+// summarizer, serialized so a campaign shard can hand its partial (or
+// complete) aggregation to the merge without losing a single bit.
 // Floats travel as hexadecimal literals ("0x1.999999999999ap-04"), which
 // round-trip IEEE-754 doubles exactly — including NaN and the infinities,
 // which encoding/json would reject as bare numbers. A restored accumulator
