@@ -88,13 +88,10 @@ func main() {
 		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the JSON report (memory grows with run count)")
 
 		// Observability flags.
-		metricsAddr   = flag.String("metrics-addr", "", "serve campaign self-metrics as OpenMetrics on this address (e.g. 127.0.0.1:9137)")
-		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint alive this long after the campaign finishes (for scrapers)")
-		anomalyDir    = flag.String("anomaly-dir", "", "dump each anomalous replicate's flight-recorder timeline as JSONL into this directory")
-		web100        = flag.Bool("web100", false, "attach per-flow Web100 snapshots to retained replicates (implies -retain-runs)")
-		embedTel      = flag.Bool("telemetry", false, "embed the self-metrics snapshot into the JSON report (makes output wall-clock-dependent)")
+		anomalyDir = flag.String("anomaly-dir", "", "dump each anomalous replicate's flight-recorder timeline as JSONL into this directory")
+		web100     = flag.Bool("web100", false, "attach per-flow Web100 snapshots to retained replicates (implies -retain-runs)")
+		embedTel   = flag.Bool("telemetry", false, "embed the self-metrics snapshot into the JSON report (makes output wall-clock-dependent)")
 
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -119,10 +116,11 @@ func main() {
 	})
 	flag.Parse()
 
-	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
+	stop, err := telemetry.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	stopProfiling = stop
 	defer stopProfiling()
 
 	// A dynamic workload replaces the default single static flow, unless
@@ -157,29 +155,13 @@ func main() {
 	}
 
 	// Self-metrics are always collected (the cost is two clock reads per
-	// run); the registry exists whenever anything wants to read them.
+	// span); the epilogue and -telemetry read them.
 	self := campaign.NewSelfMetrics()
 	opts := rsstcp.CampaignOptions{
 		Workers:      *workers,
 		RetainRuns:   *retainRuns || *web100,
 		ExportWeb100: *web100,
 		Self:         self,
-	}
-	var reg *telemetry.Registry
-	if *metricsAddr != "" || *embedTel {
-		reg = telemetry.NewRegistry()
-		self.Register(reg)
-	}
-	var closeMetrics func()
-	if *metricsAddr != "" {
-		bound, closeFn, err := reg.Serve(*metricsAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		closeMetrics = closeFn
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign: metrics on http://%s/metrics\n", bound)
-		}
 	}
 	if *anomalyDir != "" {
 		if err := os.MkdirAll(*anomalyDir, 0o755); err != nil {
@@ -207,19 +189,18 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "campaign: %d runs on %d workers\n",
-			plan.Runs(), effectiveWorkers(*workers))
+			plan.Runs(), effectiveWorkers(*workers, plan.Runs()))
 	}
 	rep, err := rsstcp.RunPlan(plan, opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	if *embedTel {
-		rep.Telemetry = reg.Snapshot()
+		rep.Telemetry = self.Snapshot()
 	}
 	render(*jsonPath, *csvPath, rep)
 
-	// The self-metrics epilogue; then the metrics endpoint stays open for
-	// scrapers for -metrics-linger before it closes.
+	// The self-metrics epilogue.
 	if !*quiet && self.Runs.Value() > 0 {
 		build, run, fold := self.Phases()
 		fmt.Fprintf(os.Stderr,
@@ -237,15 +218,6 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-	}
-	if closeMetrics != nil {
-		if *metricsLinger > 0 {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "campaign: metrics endpoint lingering %v\n", *metricsLinger)
-			}
-			time.Sleep(*metricsLinger)
-		}
-		closeMetrics()
 	}
 }
 
@@ -287,11 +259,13 @@ func render(jsonPath, csvPath string, rep *rsstcp.Report) {
 	}
 }
 
-func effectiveWorkers(n int) int {
-	if n > 0 {
-		return n
+// effectiveWorkers is the pool the engine starts: the requested size (0 =
+// the default), capped at the run count.
+func effectiveWorkers(n, runs int) int {
+	if n <= 0 {
+		n = rsstcp.DefaultCampaignWorkers()
 	}
-	return rsstcp.DefaultCampaignWorkers()
+	return min(n, runs)
 }
 
 func writeTo(path string, write func(io.Writer) error) {
@@ -319,7 +293,12 @@ func split(s string) []string {
 	return out
 }
 
+// stopProfiling flushes the -cpuprofile/-memprofile files; fatalf calls it
+// because os.Exit skips main's deferred call.
+var stopProfiling = func() {}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rsstcp-campaign: "+format+"\n", args...)
+	stopProfiling()
 	os.Exit(1)
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -48,6 +52,31 @@ func TestAxisFlagsFollowCanonicalOrder(t *testing.T) {
 			if err != nil && !strings.Contains(err.Error(), "conflicts with") {
 				t.Errorf("-%s then -%s: %v", a.Name, b.Name, err)
 			}
+		}
+	}
+}
+
+// TestProfilesFlushedOnFailure: a run that fails after profiling started
+// exits 1 and still leaves both profile files non-empty, because fatalf
+// stops the profiles before os.Exit skips main's deferred stop.
+func TestProfilesFlushedOnFailure(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "rsstcp-campaign")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := exec.Command(bin, "-axis", "setpoint=7", "-cpuprofile", cpu, "-memprofile", mem).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v, want exit 1", err)
+	}
+	for _, f := range []string{cpu, mem} {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Errorf("%s not written: %v", filepath.Base(f), err)
+		} else if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(f))
 		}
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		eventsPath = flag.String("events", "", "write the flight-recorder congestion timeline as JSONL to this file (\"-\" = stdout)")
 		eventsCap  = flag.Int("events-cap", 0, "flight-recorder ring capacity in events (0 = default 2048)")
 
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -70,10 +69,11 @@ func main() {
 	})
 	flag.Parse()
 
-	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
+	stop, err := telemetry.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
+	stopProfiling = stop
 	defer stopProfiling()
 
 	// The -hop chain is a "topo" axis, so it takes -topo's place; the reverse
@@ -216,7 +216,12 @@ func printChurn(res rsstcp.Result) {
 	fmt.Printf("transferred      %s (%d segs retransmitted)\n", unit.ByteSize(f.Bytes), f.Retrans)
 }
 
+// stopProfiling flushes the -cpuprofile/-memprofile files; fatal calls it
+// because os.Exit skips main's deferred call.
+var stopProfiling = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rsstcp-sim:", err)
+	stopProfiling()
 	os.Exit(1)
 }

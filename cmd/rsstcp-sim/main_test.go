@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -91,6 +93,28 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		}
 		if stdout.Len() > 0 {
 			t.Errorf("%s: printed %q before failing", args, stdout.String())
+		}
+	}
+}
+
+// TestProfilesFlushedOnFailure: a run that fails after profiling started
+// exits 1 and still leaves both profile files non-empty, because fatal
+// stops the profiles before os.Exit skips main's deferred stop.
+func TestProfilesFlushedOnFailure(t *testing.T) {
+	bin := buildSim(t)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := exec.Command(bin, "-bw", "-5", "-cpuprofile", cpu, "-memprofile", mem).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v, want exit 1", err)
+	}
+	for _, f := range []string{cpu, mem} {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Errorf("%s not written: %v", filepath.Base(f), err)
+		} else if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(f))
 		}
 	}
 }

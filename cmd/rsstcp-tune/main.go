@@ -33,16 +33,16 @@ func main() {
 		duration = flag.Duration("probe", 30*time.Second, "per-probe run length")
 		validate = flag.Bool("validate", true, "run a full transfer with each derived gain set")
 
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	stopProfiling, err := telemetry.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
+	stop, err := telemetry.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
+	stopProfiling = stop
 	defer stopProfiling()
 
 	plan := rsstcp.Plan{Axes: axes.Axes(), Base: rsstcp.Options{Path: rsstcp.PaperPath()}}
@@ -90,7 +90,12 @@ func main() {
 	}
 }
 
+// stopProfiling flushes the -cpuprofile/-memprofile files; fatal calls it
+// because os.Exit skips main's deferred call.
+var stopProfiling = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rsstcp-tune:", err)
+	stopProfiling()
 	os.Exit(1)
 }

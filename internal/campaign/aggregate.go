@@ -92,9 +92,9 @@ func (c ReportCell) Metric(name string) (stats.Summary, bool) {
 type Report struct {
 	Plan  Plan
 	Cells []ReportCell
-	// Telemetry is an optional self-metrics snapshot (a telemetry.Registry
-	// Snapshot), serialized as a trailing "telemetry" object by WriteJSON
-	// when non-nil. Its values are wall-clock observations — runs/sec,
+	// Telemetry is an optional self-metrics snapshot (SelfMetrics.Snapshot),
+	// serialized as a trailing "telemetry" object by WriteJSON when
+	// non-nil. Its values are wall-clock observations — runs/sec,
 	// phase times — so embedding it trades byte-determinism of the export
 	// for self-description; nil (the default) keeps output deterministic.
 	Telemetry map[string]float64

@@ -13,9 +13,9 @@ import (
 // SelfMetrics is the campaign engine's wall-clock self-observation: run and
 // simulator-event throughput, reorder-buffer depth, anomaly-dump count, and
 // the per-phase wall-time breakdown. Workers and the collector update it
-// concurrently (all fields are atomic); Register exposes it on a telemetry
-// registry for the -metrics-addr endpoint, and Snapshot embeds it into JSON
-// reports.
+// concurrently (all fields are atomic). It has three readers: the CLI's
+// stderr epilogue, Snapshot (the -telemetry tail of a JSON report) and the
+// bench harness.
 //
 // Everything here is wall-clock observation of the engine itself — it is
 // explicitly outside the byte-determinism guarantees of the result exports,
@@ -166,39 +166,35 @@ func rate(n int64, d time.Duration) float64 {
 	return float64(n) / d.Seconds()
 }
 
-// Register exposes the instrument set on reg under rsstcp_campaign_* names.
-func (m *SelfMetrics) Register(reg *telemetry.Registry) {
-	reg.CounterVar("rsstcp_campaign_runs", "completed replicate runs", &m.Runs)
-	reg.CounterVar("rsstcp_campaign_sim_events", "simulator calendar events executed", &m.SimEvents)
-	reg.CounterVar("rsstcp_campaign_anomalies", "replicates dumped by the anomaly sink", &m.Anomalies)
-	reg.Gauge("rsstcp_campaign_runs_per_sec", "completed-run rate", m.RunsPerSec)
-	reg.Gauge("rsstcp_campaign_sim_events_per_sec", "simulator event rate", m.EventsPerSec)
-	reg.Gauge("rsstcp_campaign_reorder_depth", "pending out-of-order completions at the collector",
-		func() float64 { return float64(m.ReorderDepth()) })
-	reg.Gauge("rsstcp_campaign_elapsed_seconds", "wall time since campaign start",
-		func() float64 { return m.Elapsed().Seconds() })
-	reg.Gauge("rsstcp_campaign_phase_build_seconds", "cumulative scenario build/reset wall time over all workers",
-		func() float64 { b, _, _ := m.Phases(); return b.Seconds() })
-	reg.Gauge("rsstcp_campaign_phase_run_seconds", "cumulative simulation wall time over all workers",
-		func() float64 { _, r, _ := m.Phases(); return r.Seconds() })
-	reg.Gauge("rsstcp_campaign_phase_fold_seconds", "cumulative collector fold wall time",
-		func() float64 { _, _, f := m.Phases(); return f.Seconds() })
-	reg.CounterVar("rsstcp_campaign_sched_sorts", "ladder buckets lazily sorted into the drain list", &m.SchedSorts)
-	reg.CounterVar("rsstcp_campaign_sched_sprays", "dense ladder buckets redistributed into finer rungs", &m.SchedSprays)
-	reg.CounterVar("rsstcp_campaign_sched_rebases", "ladder overflow-band redistributions", &m.SchedRebases)
-	reg.CounterVar("rsstcp_campaign_sched_demotes", "oversized ladder drain lists split back to overflow", &m.SchedDemotes)
-	reg.CounterVar("rsstcp_campaign_wheel_armed", "endpoint timers armed on the wheel ring", &m.WheelArmed)
-	reg.CounterVar("rsstcp_campaign_wheel_direct", "near-deadline timers armed directly on the calendar", &m.WheelDirect)
-	reg.CounterVar("rsstcp_campaign_wheel_flushes", "timer-wheel slot flushes into the calendar", &m.WheelFlushes)
-	reg.Gauge("rsstcp_campaign_sched_max_rungs", "deepest ladder rung stack observed (spray depth)",
-		func() float64 { return float64(m.SchedMaxRungs()) })
-	reg.Gauge("rsstcp_campaign_sched_max_size", "calendar occupancy high water over all engines",
-		func() float64 { return float64(m.SchedMaxSize()) })
-	reg.Gauge("rsstcp_campaign_cell_wall_max_seconds", "slowest cell's cumulative replicate wall time",
-		func() float64 {
-			if s := m.SlowestCells(); len(s) > 0 {
-				return s[0].Wall.Seconds()
-			}
-			return 0
-		})
+// Snapshot returns the instrument set's current values under their
+// rsstcp_campaign_* names, counters with a _total suffix: the -telemetry
+// tail of a JSON report. It is safe to call while workers still run.
+func (m *SelfMetrics) Snapshot() map[string]float64 {
+	build, run, fold := m.Phases()
+	var cellWallMax float64
+	if s := m.SlowestCells(); len(s) > 0 {
+		cellWallMax = s[0].Wall.Seconds()
+	}
+	return map[string]float64{
+		"rsstcp_campaign_runs_total":            float64(m.Runs.Value()),
+		"rsstcp_campaign_sim_events_total":      float64(m.SimEvents.Value()),
+		"rsstcp_campaign_anomalies_total":       float64(m.Anomalies.Value()),
+		"rsstcp_campaign_runs_per_sec":          m.RunsPerSec(),
+		"rsstcp_campaign_sim_events_per_sec":    m.EventsPerSec(),
+		"rsstcp_campaign_reorder_depth":         float64(m.ReorderDepth()),
+		"rsstcp_campaign_elapsed_seconds":       m.Elapsed().Seconds(),
+		"rsstcp_campaign_phase_build_seconds":   build.Seconds(),
+		"rsstcp_campaign_phase_run_seconds":     run.Seconds(),
+		"rsstcp_campaign_phase_fold_seconds":    fold.Seconds(),
+		"rsstcp_campaign_sched_sorts_total":     float64(m.SchedSorts.Value()),
+		"rsstcp_campaign_sched_sprays_total":    float64(m.SchedSprays.Value()),
+		"rsstcp_campaign_sched_rebases_total":   float64(m.SchedRebases.Value()),
+		"rsstcp_campaign_sched_demotes_total":   float64(m.SchedDemotes.Value()),
+		"rsstcp_campaign_wheel_armed_total":     float64(m.WheelArmed.Value()),
+		"rsstcp_campaign_wheel_direct_total":    float64(m.WheelDirect.Value()),
+		"rsstcp_campaign_wheel_flushes_total":   float64(m.WheelFlushes.Value()),
+		"rsstcp_campaign_sched_max_rungs":       float64(m.SchedMaxRungs()),
+		"rsstcp_campaign_sched_max_size":        float64(m.SchedMaxSize()),
+		"rsstcp_campaign_cell_wall_max_seconds": cellWallMax,
+	}
 }

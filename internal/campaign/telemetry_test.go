@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rsstcp/internal/experiment"
-	"rsstcp/internal/telemetry"
 )
 
 // anomalyPlan mixes a healthy cell with a 100%-loss cell, so the default
@@ -140,8 +140,7 @@ func TestWeb100ExportOptIn(t *testing.T) {
 }
 
 // TestSelfMetricsPopulated: a campaign run against a SelfMetrics instrument
-// set fills its counters and phase clocks, and the set round-trips through
-// an OpenMetrics registry.
+// set fills its counters and phase clocks, and Snapshot reports them.
 func TestSelfMetricsPopulated(t *testing.T) {
 	p := anomalyPlan(t)
 	self := NewSelfMetrics()
@@ -159,30 +158,29 @@ func TestSelfMetricsPopulated(t *testing.T) {
 	if build <= 0 || run <= 0 {
 		t.Errorf("phase clocks not charged: build=%v run=%v", build, run)
 	}
-	reg := telemetry.NewRegistry()
-	self.Register(reg)
-	var b strings.Builder
-	if err := reg.WriteOpenMetrics(&b); err != nil {
-		t.Fatal(err)
+	snap := self.Snapshot()
+	if got := snap["rsstcp_campaign_runs_total"]; got != float64(total) {
+		t.Errorf("snapshot runs_total = %v, want %d", got, total)
 	}
-	out := b.String()
-	for _, want := range []string{
-		fmt.Sprintf("rsstcp_campaign_runs_total %d\n", total),
-		"rsstcp_campaign_sim_events_total ",
-		"rsstcp_campaign_runs_per_sec ",
-		"rsstcp_campaign_reorder_depth ",
-		"# EOF\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
+	if got := snap["rsstcp_campaign_sim_events_total"]; got != float64(self.SimEvents.Value()) || got == 0 {
+		t.Errorf("snapshot sim_events_total = %v, counter %d", got, self.SimEvents.Value())
+	}
+	if snap["rsstcp_campaign_runs_per_sec"] <= 0 || snap["rsstcp_campaign_elapsed_seconds"] <= 0 {
+		t.Errorf("snapshot rates not positive: %v", snap)
+	}
+	if snap["rsstcp_campaign_phase_build_seconds"] != build.Seconds() ||
+		snap["rsstcp_campaign_phase_run_seconds"] != run.Seconds() {
+		t.Errorf("snapshot phases differ from Phases(): %v", snap)
+	}
+	if v, ok := snap["rsstcp_campaign_reorder_depth"]; !ok || v != 0 {
+		t.Errorf("reorder depth after the campaign = %v (present %v), want 0", v, ok)
 	}
 }
 
 // TestSelfMetricsSchedulerCounters: campaigns pinned to each calendar
 // backend charge the matching scheduler counters — ladder campaigns move
 // the ladder sort counter, wheel-timer campaigns move the wheel arm
-// counters — and the counters reach the OpenMetrics exposition.
+// counters — and Snapshot reports them.
 func TestSelfMetricsSchedulerCounters(t *testing.T) {
 	run := func(sched string, wheel bool) *SelfMetrics {
 		p := anomalyPlan(t)
@@ -213,33 +211,62 @@ func TestSelfMetricsSchedulerCounters(t *testing.T) {
 		t.Errorf("heap campaign: ladder sort counter = %d, want 0", v)
 	}
 
-	reg := telemetry.NewRegistry()
-	lad.Register(reg)
-	var b strings.Builder
-	if err := reg.WriteOpenMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"rsstcp_campaign_sched_sorts_total ",
-		"rsstcp_campaign_wheel_armed_total ",
-		"rsstcp_campaign_sched_max_rungs ",
+	for _, c := range []struct {
+		self *SelfMetrics
+		key  string
+		want int64
+	}{
+		{lad, "rsstcp_campaign_sched_sorts_total", lad.SchedSorts.Value()},
+		{lad, "rsstcp_campaign_sched_max_size", lad.SchedMaxSize()},
+		{lad, "rsstcp_campaign_sched_max_rungs", lad.SchedMaxRungs()},
+		{wheel, "rsstcp_campaign_wheel_armed_total", wheel.WheelArmed.Value()},
+		{wheel, "rsstcp_campaign_wheel_direct_total", wheel.WheelDirect.Value()},
+		{wheel, "rsstcp_campaign_wheel_flushes_total", wheel.WheelFlushes.Value()},
+		{heap, "rsstcp_campaign_sched_sorts_total", 0},
 	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q", want)
+		if got := c.self.Snapshot()[c.key]; got != float64(c.want) {
+			t.Errorf("snapshot %s = %v, want %d", c.key, got, c.want)
 		}
 	}
 }
 
-// TestReportTelemetryTail: a non-nil Report.Telemetry serializes as a
-// trailing "telemetry" object; nil leaves the historical shape untouched.
+// telemetryKeys is the -telemetry tail's schema: every SelfMetrics
+// instrument under its rsstcp_campaign_* name, counters with _total.
+var telemetryKeys = []string{
+	"rsstcp_campaign_anomalies_total",
+	"rsstcp_campaign_cell_wall_max_seconds",
+	"rsstcp_campaign_elapsed_seconds",
+	"rsstcp_campaign_phase_build_seconds",
+	"rsstcp_campaign_phase_fold_seconds",
+	"rsstcp_campaign_phase_run_seconds",
+	"rsstcp_campaign_reorder_depth",
+	"rsstcp_campaign_runs_per_sec",
+	"rsstcp_campaign_runs_total",
+	"rsstcp_campaign_sched_demotes_total",
+	"rsstcp_campaign_sched_max_rungs",
+	"rsstcp_campaign_sched_max_size",
+	"rsstcp_campaign_sched_rebases_total",
+	"rsstcp_campaign_sched_sorts_total",
+	"rsstcp_campaign_sched_sprays_total",
+	"rsstcp_campaign_sim_events_per_sec",
+	"rsstcp_campaign_sim_events_total",
+	"rsstcp_campaign_wheel_armed_total",
+	"rsstcp_campaign_wheel_direct_total",
+	"rsstcp_campaign_wheel_flushes_total",
+}
+
+// TestReportTelemetryTail: a campaign's SelfMetrics snapshot serializes as
+// a trailing "telemetry" object with exactly the schema's keys; nil leaves
+// the historical shape untouched, byte for byte.
 func TestReportTelemetryTail(t *testing.T) {
 	p := Plan{
-		Axes:       []Axis{stockAxis(t, "alg", experiment.AlgStandard)},
+		Axes:       []Axis{stockAxis(t, "alg", experiment.AlgStandard, experiment.AlgRestricted)},
 		Metrics:    []Metric{MetricThroughputMbps},
-		Replicates: 1,
+		Replicates: 2,
 		Duration:   time.Second,
 	}
-	rep, err := ExecutePlan(p, Options{Workers: 1})
+	self := NewSelfMetrics()
+	rep, err := ExecutePlan(p, Options{Workers: 2, Self: self})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +278,7 @@ func TestReportTelemetryTail(t *testing.T) {
 		t.Fatal("telemetry key present without a snapshot")
 	}
 
-	rep.Telemetry = map[string]float64{"rsstcp_campaign_runs_total": 1, "rsstcp_campaign_runs_per_sec": 2.5}
+	rep.Telemetry = self.Snapshot()
 	var tailed strings.Builder
 	if err := rep.WriteJSON(&tailed); err != nil {
 		t.Fatal(err)
@@ -264,8 +291,16 @@ func TestReportTelemetryTail(t *testing.T) {
 	if err := json.Unmarshal(doc["telemetry"], &snap); err != nil {
 		t.Fatalf("telemetry block: %v", err)
 	}
-	if snap["rsstcp_campaign_runs_total"] != 1 || snap["rsstcp_campaign_runs_per_sec"] != 2.5 {
-		t.Errorf("telemetry round-trip: %v", snap)
+	var keys []string
+	for k := range snap {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if fmt.Sprint(keys) != fmt.Sprint(telemetryKeys) {
+		t.Errorf("telemetry keys:\n got %v\nwant %v", keys, telemetryKeys)
+	}
+	if got := snap["rsstcp_campaign_runs_total"]; got != float64(p.Runs()) {
+		t.Errorf("runs_total = %v, want plan.Runs() = %d", got, p.Runs())
 	}
 	// Everything before the tail is byte-identical to the plain render.
 	prefix := strings.TrimSuffix(plain.String(), "\n}\n")

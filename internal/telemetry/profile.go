@@ -2,26 +2,21 @@ package telemetry
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
-	runtimepprof "runtime/pprof"
+	"runtime/pprof"
 )
 
-// StartProfiling wires the standard Go profiling surfaces behind CLI flags:
+// StartProfiling wires the standard Go profile files behind CLI flags:
 //
-//   - pprofAddr != "": serve net/http/pprof on that address (a private mux,
-//     so importing this package never pollutes http.DefaultServeMux);
 //   - cpuProfile != "": write a CPU profile there until stop is called;
 //   - memProfile != "": write a heap profile there when stop is called.
 //
-// It returns a stop function that must be called before process exit (a
-// no-op when no profiling was requested), and an error if any surface could
-// not be set up — callers treat that as fatal, since the user explicitly
-// asked to profile.
-func StartProfiling(pprofAddr, cpuProfile, memProfile string) (func(), error) {
+// It returns a stop function that must be called on every exit path,
+// including before os.Exit on a fatal error (a no-op when no profiling was
+// requested), and an error if a profile could not be set up — callers treat
+// that as fatal, since the user explicitly asked to profile.
+func StartProfiling(cpuProfile, memProfile string) (func(), error) {
 	var cleanups []func()
 	stop := func() {
 		for i := len(cleanups) - 1; i >= 0; i-- {
@@ -29,37 +24,20 @@ func StartProfiling(pprofAddr, cpuProfile, memProfile string) (func(), error) {
 		}
 	}
 
-	if pprofAddr != "" {
-		ln, err := net.Listen("tcp", pprofAddr)
-		if err != nil {
-			return nil, fmt.Errorf("pprof listen: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		srv := &http.Server{Handler: mux}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
-		cleanups = append(cleanups, func() { _ = srv.Close() })
-	}
-
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
-			stop()
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
-		if err := runtimepprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			stop()
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		cleanups = append(cleanups, func() {
-			runtimepprof.StopCPUProfile()
-			f.Close()
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			}
 		})
 	}
 
@@ -70,9 +48,12 @@ func StartProfiling(pprofAddr, cpuProfile, memProfile string) (func(), error) {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 				return
 			}
-			defer f.Close()
 			runtime.GC() // materialize up-to-date heap statistics
-			if err := runtimepprof.WriteHeapProfile(f); err != nil {
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			}
 		})

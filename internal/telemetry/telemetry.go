@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: an always-on,
-// allocation-free flight recorder of structured congestion events, a
-// counter/gauge registry with OpenMetrics text exposition, and shared
-// profiling hooks for the CLIs.
+// allocation-free flight recorder of structured congestion events, the
+// atomic Counter campaign self-metrics are built from, and the CPU/heap
+// profile files behind the CLIs' -cpuprofile and -memprofile flags.
 //
 // The flight recorder answers the question the source paper answered with
 // Web100 instrumentation — *why* did a sender stall or a transfer collapse —
@@ -14,10 +14,11 @@
 // Determinism rules: a recorder is owned by exactly one simulation (one
 // logical thread of virtual time), records only virtual-time facts, and its
 // JSONL dump is byte-identical for a fixed seed regardless of wall-clock
-// scheduling or campaign worker count. The metrics registry, by contrast,
-// is wall-clock self-observation (runs/sec, heap high-water) and is safe
-// for concurrent use; its values are explicitly outside the byte-
-// determinism guarantees of the result exports.
+// scheduling or campaign worker count. Counters, by contrast, back
+// wall-clock self-observation (campaign.SelfMetrics) and are safe for
+// concurrent use; what they count is explicitly outside the byte-
+// determinism guarantees of the result exports. Nothing here opens a
+// socket.
 package telemetry
 
 import (
