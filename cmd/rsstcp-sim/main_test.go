@@ -118,3 +118,21 @@ func TestProfilesFlushedOnFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsampledRTTPrintsZero: a transfer whose every segment is lost takes
+// no RTT sample, and its summary reads "min 0s", not a sentinel.
+func TestUnsampledRTTPrintsZero(t *testing.T) {
+	bin := buildSim(t)
+	out, err := exec.Command(bin, "-hop", "rate=100,delay=10ms,queue=50,loss=1", "-duration", "2s").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "rtt ") && !strings.Contains(line, " min 0s,") {
+			t.Errorf("no RTT sample, yet the summary prints %q", line)
+		}
+	}
+	if !bytes.Contains(out, []byte("\nrtt ")) {
+		t.Fatalf("summary has no rtt line:\n%s", out)
+	}
+}

@@ -78,9 +78,10 @@ func main() {
 			continue
 		}
 		run, err := rsstcp.Run(rsstcp.Options{
-			Path:     path,
-			Flows:    []rsstcp.Flow{{Alg: rsstcp.Restricted, Gains: g}},
-			Duration: 25 * time.Second,
+			Path:      path,
+			Flows:     []rsstcp.Flow{{Alg: rsstcp.Restricted, Gains: g}},
+			Duration:  25 * time.Second,
+			Traceless: true,
 		})
 		if err != nil {
 			fatal(err)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rsstcp/internal/experiment"
+	"rsstcp/internal/sim"
 	"rsstcp/internal/unit"
 )
 
@@ -121,13 +122,7 @@ func keyDigest(key string) uint64 {
 func mixSeed(base, h uint64, replicate int) uint64 {
 	h ^= uint64(replicate) + 0x9e3779b97f4a7c15
 	h *= fnvPrime
-	h ^= base
-	// splitmix64 finalizer.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
+	h = sim.Mix64(h ^ base)
 	if h == 0 {
 		h = 0x9e3779b97f4a7c15
 	}

@@ -23,7 +23,7 @@ import (
 // That choice makes the merge exact by construction — each accumulator
 // arrives complete, so cross-shard combination reduces to adopting the
 // transported Welford + quantile-buffer state in canonical cell order and
-// summarizing in the merge, with no inter-accumulator Merge in the
+// summarizing in the merge, with no inter-accumulator merge in the
 // P²-approximation regime (where merging is inherently lossy).
 
 // ShardSchema identifies the shard wire format.

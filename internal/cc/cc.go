@@ -35,34 +35,6 @@ type Window interface {
 	Now() sim.Time
 }
 
-// LossKind identifies how a congestion signal was detected.
-type LossKind int
-
-// Congestion signal causes.
-const (
-	// LossFastRetransmit: triple duplicate ACKs.
-	LossFastRetransmit LossKind = iota
-	// LossRTO: retransmission timer expiry.
-	LossRTO
-	// LossLocalStall: the host IFQ was full (a send-stall) and policy
-	// says to treat it as congestion, as 2.4-era Linux did.
-	LossLocalStall
-)
-
-// String names the loss kind.
-func (k LossKind) String() string {
-	switch k {
-	case LossFastRetransmit:
-		return "fast-retransmit"
-	case LossRTO:
-		return "rto"
-	case LossLocalStall:
-		return "local-stall"
-	default:
-		return "unknown"
-	}
-}
-
 // Controller adjusts the congestion window in response to sender events.
 // The sender owns sequence-number bookkeeping (what to retransmit, when
 // recovery ends); the controller owns the window arithmetic.

@@ -297,38 +297,11 @@ func TestLimitedSlowStartPerRTTBound(t *testing.T) {
 	}
 }
 
-func TestFixedBudgetSlowStart(t *testing.T) {
-	w := newWindow()
-	fb := FixedBudgetSlowStart{Budget: 300}
-	if inc := fb.Advance(w, 1000); inc != 300 {
-		t.Errorf("inc = %d, want 300", inc)
-	}
-	neg := FixedBudgetSlowStart{Budget: -5}
-	if inc := neg.Advance(w, 1000); inc != 0 {
-		t.Errorf("negative budget inc = %d, want 0", inc)
-	}
-}
-
-func TestLossKindString(t *testing.T) {
-	cases := map[LossKind]string{
-		LossFastRetransmit: "fast-retransmit",
-		LossRTO:            "rto",
-		LossLocalStall:     "local-stall",
-		LossKind(42):       "unknown",
-	}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
 func TestSlowStartNeverShrinksWindow(t *testing.T) {
 	// Property: every policy returns a non-negative increment.
 	policies := []SlowStartPolicy{
 		StdSlowStart{}, StdSlowStart{ABC: true},
 		LimitedSlowStart{}, LimitedSlowStart{MaxSsthresh: 50000},
-		FixedBudgetSlowStart{Budget: 100},
 	}
 	err := quick.Check(func(cwndRaw uint32, ackedRaw uint16) bool {
 		w := newWindow()

@@ -71,24 +71,3 @@ func (l LimitedSlowStart) Advance(w Window, acked int64) int64 {
 	}
 	return inc
 }
-
-// FixedBudgetSlowStart grows the window by at most Budget bytes per ACK —
-// a degenerate policy used in tests and as an ablation lower bound.
-type FixedBudgetSlowStart struct {
-	// Budget is the per-ACK growth allowance in bytes.
-	Budget int64
-}
-
-// Name identifies the policy.
-func (f FixedBudgetSlowStart) Name() string { return "fixed-budget" }
-
-// Reset is a no-op.
-func (f FixedBudgetSlowStart) Reset(Window) {}
-
-// Advance returns the fixed budget, bounded below at zero.
-func (f FixedBudgetSlowStart) Advance(Window, int64) int64 {
-	if f.Budget < 0 {
-		return 0
-	}
-	return f.Budget
-}

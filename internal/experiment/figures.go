@@ -8,13 +8,15 @@ import (
 	"rsstcp/internal/unit"
 )
 
-// runOne builds and runs a single-flow scenario.
-func runOne(path PathConfig, spec FlowSpec, duration time.Duration, seed uint64) (Result, *Scenario, error) {
+// runOne builds and runs a single-flow scenario, traced only when the caller
+// reads its series.
+func runOne(path PathConfig, spec FlowSpec, duration time.Duration, seed uint64, traceless bool) (Result, *Scenario, error) {
 	s, err := Build(Config{
-		Path:     path,
-		Flows:    []FlowSpec{spec},
-		Duration: duration,
-		Seed:     seed,
+		Path:      path,
+		Flows:     []FlowSpec{spec},
+		Duration:  duration,
+		Seed:      seed,
+		Traceless: traceless,
 	})
 	if err != nil {
 		return Result{}, nil, err
@@ -39,11 +41,11 @@ type Figure1Result struct {
 // same path.
 func Figure1(path PathConfig, duration time.Duration, seed uint64) (Figure1Result, error) {
 	var out Figure1Result
-	stdRes, stdScen, err := runOne(path, FlowSpec{Alg: AlgStandard}, duration, seed)
+	stdRes, stdScen, err := runOne(path, FlowSpec{Alg: AlgStandard}, duration, seed, false)
 	if err != nil {
 		return out, err
 	}
-	rssRes, rssScen, err := runOne(path, FlowSpec{Alg: AlgRestricted}, duration, seed)
+	rssRes, rssScen, err := runOne(path, FlowSpec{Alg: AlgRestricted}, duration, seed, false)
 	if err != nil {
 		return out, err
 	}
@@ -80,7 +82,7 @@ func (f Figure1Result) Table() *Table {
 // ThroughputOf is a small helper used by benches: run one algorithm on the
 // path and return its goodput.
 func ThroughputOf(path PathConfig, alg Algorithm, duration time.Duration, seed uint64) (unit.Bandwidth, error) {
-	res, _, err := runOne(path, FlowSpec{Alg: alg}, duration, seed)
+	res, _, err := runOne(path, FlowSpec{Alg: alg}, duration, seed, true)
 	if err != nil {
 		return 0, err
 	}

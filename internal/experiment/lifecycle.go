@@ -244,15 +244,6 @@ func (c *churnState) reset() {
 	c.classSD = [NumSizeClasses]float64{}
 }
 
-// add folds another Totals in (used when combining static and churn
-// aggregates).
-func (t *Totals) add(o Totals) {
-	t.Stalls += o.Stalls
-	t.CongSignals += o.CongSignals
-	t.Timeouts += o.Timeouts
-	t.Collapses += o.Collapses
-}
-
 // initChurn validates the churn spec and starts the arrival process on the
 // freshly built scenario.
 func (s *Scenario) initChurn() error {
@@ -454,10 +445,7 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 	f.detached = true
 	dynamic := f.liveIdx >= 0
 	if dynamic {
-		s.churn.totals.Stalls += st.SendStall
-		s.churn.totals.CongSignals += st.CongSignals
-		s.churn.totals.Timeouts += st.Timeouts
-		s.churn.totals.Collapses += st.LocalCongCwnd
+		s.churn.totals.add(st)
 		s.churn.bytesAcked += st.ThruOctetsAcked
 
 		last := len(s.churn.live) - 1

@@ -163,8 +163,8 @@ func queueSeries(t *testing.T, res Result, warmup time.Duration) (xs, ys []float
 	if res.Rec == nil {
 		t.Fatal("mean-field run was traceless; no hop queue series")
 	}
-	s := res.Rec.Lookup("hopq/1")
-	if s == nil || len(s.Points) == 0 {
+	s := res.Rec.Series("hopq/1")
+	if len(s.Points) == 0 {
 		t.Fatal("hopq/1 series missing")
 	}
 	for _, p := range s.Points {

@@ -68,7 +68,7 @@ func owned(r Result) Result {
 }
 
 // TestResetMatchesFreshBuild is the run-context-reuse contract: a scenario
-// reset in place — reused engine, recorder, segment pool — must produce a
+// reset in place — reused engine, flow table, segment pool — must produce a
 // Result identical to a freshly built scenario for the same configuration,
 // in any reset order, traced or traceless.
 func TestResetMatchesFreshBuild(t *testing.T) {
@@ -179,7 +179,7 @@ func TestResetMatchesFreshBuildMultiHop(t *testing.T) {
 	}
 }
 
-// TestResetTracedSeriesMatchFresh: with tracing on, the reused recorder's
+// TestResetTracedSeriesMatchFresh: with tracing on, a reset scenario's
 // sampled series must match a fresh build's point for point.
 func TestResetTracedSeriesMatchFresh(t *testing.T) {
 	t.Parallel()
@@ -217,6 +217,60 @@ func TestResetTracedSeriesMatchFresh(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestRecorderOnlyWhenTraced: a traceless Build or Reset holds no recorder
+// and its Result carries none; a traced Reset gets a fresh recorder whose
+// series, names and order included, are those of a fresh Build.
+func TestRecorderOnlyWhenTraced(t *testing.T) {
+	t.Parallel()
+	traced, _ := resetCfgs()
+	bare := traced
+	bare.Traceless = true
+	csv := func(s *Scenario) string {
+		var b bytes.Buffer
+		if err := s.Rec.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	fresh, err := Build(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Run()
+	s, err := Build(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Run(); s.Rec != nil || res.Rec != nil {
+		t.Fatal("traceless Build holds a recorder")
+	}
+	if err := s.Reset(traced); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	first := s.Rec
+	if first == nil || csv(s) != csv(fresh) {
+		t.Fatal("traced Reset's series differ from a fresh traced Build's")
+	}
+	if err := s.Reset(bare); err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Run(); s.Rec != nil || res.Rec != nil {
+		t.Fatal("traceless Reset kept a recorder")
+	}
+	if err := s.Reset(traced); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if s.Rec == first {
+		t.Error("traced Reset reused the previous run's recorder")
+	}
+	if csv(s) != csv(fresh) {
+		t.Error("second traced Reset's series differ from a fresh traced Build's")
 	}
 }
 

@@ -71,8 +71,7 @@ type PathConfig struct {
 
 	// The fields below extend the dumbbell beyond the paper's testbed; all
 	// default to zero (= the paper's shape) and compile away through
-	// PathConfig.Topology. They are omitempty so legacy campaign exports
-	// stay byte-identical.
+	// PathConfig.Topology.
 
 	// Hops splits the forward path into this many identical store-and-
 	// forward hops (0 or 1 = the classic single bottleneck). Delay divides
@@ -194,11 +193,12 @@ type Config struct {
 	// it is allocation-free — so this only sizes how much congestion history
 	// the ring retains.
 	EventLog int `json:",omitempty"`
-	// Traceless disables time-series recording entirely: no sampled gauge
-	// series, no per-event counter points, no sampling ticker on the
-	// calendar. Every scalar in Result (throughput, stalls, utilization,
-	// drop counters, TimeToUtil90) is computed from running counters and
-	// is identical with or without tracing; only Rec-based series readers
+	// Traceless disables time-series recording entirely: the scenario
+	// holds no recorder (Rec is nil), so there are no sampled gauge series,
+	// no per-event points and no sampling ticker on the calendar. Every
+	// scalar in Result (throughput, stalls, utilization, drop counters,
+	// TimeToUtil90) is computed from running counters and is identical
+	// with or without tracing; only Rec-based series readers
 	// (figure generation) need tracing. Campaign workers run traceless so
 	// million-run sweeps spend nothing on series nobody reads.
 	Traceless bool
@@ -540,7 +540,7 @@ func (d *demux) Receive(seg *packet.Segment) {
 func Build(cfg Config) (*Scenario, error) {
 	eng := sim.NewEngine()
 	s := &Scenario{
-		Eng: eng, Rec: trace.NewRecorder(eng),
+		Eng:       eng,
 		hosts:     map[int]*host.Interface{},
 		hostEntry: map[int]int{},
 		rssByHost: map[int]*core.RestrictedSlowStart{},
@@ -554,10 +554,10 @@ func Build(cfg Config) (*Scenario, error) {
 }
 
 // Reset rebuilds the scenario in place for cfg on the run context a fresh
-// Build would allocate again. The engine keeps its event pool, the recorder
-// its series storage, the arena, flow table, wheel and segment pool their
-// backing arrays; the previous run's per-flow components are parked and
-// re-initialized instead of reallocated (see parked). Every segment the
+// Build would allocate again. The engine keeps its event pool, the arena,
+// flow table, wheel and segment pool their backing arrays, and a traced run
+// gets a fresh recorder; the previous run's per-flow components are parked
+// and re-initialized instead of reallocated (see parked). Every segment the
 // previous run left checked out — in an IFQ, a hop queue, a propagation
 // FIFO, an ACK line, the reverse link, a deferred reorder delivery — is
 // released first, so SegCounters balances right after Reset. A reused
@@ -569,7 +569,6 @@ func Build(cfg Config) (*Scenario, error) {
 // and must be discarded.
 func (s *Scenario) Reset(cfg Config) error {
 	s.Eng.Reset()
-	s.Rec.Reset()
 	if s.park.held != nil {
 		s.park.flows, s.park.held = append(s.park.flows, s.park.held), nil
 	}
@@ -622,9 +621,10 @@ func (s *Scenario) parkNIC(nic *host.Interface) {
 	s.park.nics = append(s.park.nics, nic)
 }
 
-// init wires the testbed into the scenario's (fresh or reset) engine and
-// recorder. Everything the simulation can observe is rebuilt from cfg, so a
-// run is bit-identical whether its context is new or reused.
+// init wires the testbed into the scenario's (fresh or reset) engine, with
+// a new recorder when cfg is traced. Everything the simulation can observe
+// is rebuilt from cfg, so a run is bit-identical whether its context is new
+// or reused.
 func (s *Scenario) init(in *Config) error {
 	s.Cfg = *in
 	cfg := &s.Cfg
@@ -642,8 +642,12 @@ func (s *Scenario) init(in *Config) error {
 		return err
 	}
 	eng.UseLadder(sched == "ladder")
+	// A traced run gets a fresh recorder; a traceless one has none.
+	s.Rec = nil
+	if !cfg.Traceless {
+		s.Rec = trace.NewRecorder(eng)
+	}
 	rec := s.Rec
-	rec.SetEnabled(!cfg.Traceless)
 	// The flight recorder survives Reset (same capacity ⇒ same ring, just
 	// emptied); a capacity change, to or from the default, re-sizes it.
 	ring := cfg.EventLog
@@ -778,7 +782,7 @@ func (s *Scenario) init(in *Config) error {
 		}
 	}
 
-	if rec.Enabled() {
+	if rec != nil {
 		// Scenario-global gauge: cumulative bottleneck utilization, sampled
 		// so time-to-threshold metrics can read the ramp from the recorder.
 		rec.Gauge("util", func() float64 {
@@ -915,7 +919,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	flow.Sender.Init(eng, tcpCfg, id, gen, flow.reno, nic)
 	flow.Sender.SetFlightRecorder(s.FR)
 	s.sndDemux.set(id, gen, flow.Sender)
-	if s.Rec.Enabled() && !dynamic {
+	if s.Rec != nil && !dynamic {
 		// Figure 1's series: the Web100 SendStall count at every stall.
 		stalls, snd := s.Rec.Series(fmt.Sprintf("stalls/%d", id)), flow.Sender
 		snd.OnStall = func() { stalls.Add(eng.Now(), float64(snd.Stats().SendStall)) }
@@ -1045,6 +1049,14 @@ type Totals struct {
 	Collapses int64
 }
 
+// add folds one flow's Web100 counters in.
+func (t *Totals) add(st *web100.Stats) {
+	t.Stalls += st.SendStall
+	t.CongSignals += st.CongSignals
+	t.Timeouts += st.Timeouts
+	t.Collapses += st.LocalCongCwnd
+}
+
 // Result summarizes the measured (first) flow after a run. Its slices are
 // borrowed from the scenario: valid until its next Run or Reset (or, with Eng
 // driven by hand, its next ResultFor at a later instant); copy to keep them.
@@ -1095,14 +1107,14 @@ type Result struct {
 	FlowsActive int `json:",omitempty"`
 	// FlowsRefused counts arrivals turned away by ChurnSpec.MaxLive.
 	FlowsRefused int64 `json:",omitempty"`
-	// Series exposes the recorder for figure generation.
+	// Rec exposes the recorder for figure generation; nil when traceless.
 	Rec *trace.Recorder
 }
 
 // Run executes the scenario for its configured duration and summarizes the
 // primary flow.
 func (s *Scenario) Run() Result {
-	if s.Rec.Enabled() {
+	if s.Rec != nil {
 		// The run length and sample period are both known: pre-size every
 		// gauge series so sampling never reallocates mid-run.
 		if s.Cfg.Sample > 0 {
@@ -1201,25 +1213,17 @@ func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stat
 		// (an earlier instant, an earlier run) need no clearing.
 		tps := extend(s.aggTps[:0], len(s.Flows))
 		stats := extend(s.aggStats[:0], len(s.Flows))
-		var totals Totals
+		// Dynamic flows contribute too: detached ones were folded into the
+		// churn totals at teardown, live ones are read here.
+		totals := s.churn.totals
 		for j, fl := range s.Flows {
 			fst := fl.Sender.Stats().Snapshot(now)
 			tps[j] = fst.Throughput(now)
 			stats[j] = fst
-			totals.Stalls += fst.SendStall
-			totals.CongSignals += fst.CongSignals
-			totals.Timeouts += fst.Timeouts
-			totals.Collapses += fst.LocalCongCwnd
+			totals.add(&fst)
 		}
-		// Dynamic flows contribute too: detached ones were folded into the
-		// churn totals at teardown, live ones are snapshotted here.
-		totals.add(s.churn.totals)
 		for _, fl := range s.churn.live {
-			fst := fl.Sender.Stats().Snapshot(now)
-			totals.Stalls += fst.SendStall
-			totals.CongSignals += fst.CongSignals
-			totals.Timeouts += fst.Timeouts
-			totals.Collapses += fst.LocalCongCwnd
+			totals.add(fl.Sender.Stats())
 		}
 		if s.Cfg.Churn != nil {
 			tps = append(tps, unit.Throughput(unit.ByteSize(s.churnBytesAcked(now)), now.Duration()))
@@ -1239,7 +1243,8 @@ func (s *Scenario) WheelStats() (sim.WheelStats, bool) {
 	return s.wheel.Stats(), true
 }
 
-// StallSeries returns the cumulative send-stall series of flow i.
+// StallSeries returns the cumulative send-stall series of flow i of a traced
+// run.
 func (s *Scenario) StallSeries(i int) *trace.Series {
 	return s.Rec.Series(fmt.Sprintf("stalls/%d", s.Flows[i].ID))
 }

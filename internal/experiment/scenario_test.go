@@ -105,7 +105,7 @@ func TestSeriesAccessors(t *testing.T) {
 	s.Run()
 	for _, prefix := range []string{"cwnd_segs", "ifq"} {
 		name := fmt.Sprintf("%s/%d", prefix, s.Flows[0].ID)
-		if sr := s.Rec.Lookup(name); sr == nil || sr.Len() == 0 {
+		if s.Rec.Series(name).Len() == 0 {
 			t.Errorf("%s series empty after run", name)
 		}
 	}

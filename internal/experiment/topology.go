@@ -9,6 +9,7 @@ import (
 
 	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/netem"
+	"rsstcp/internal/sim"
 	"rsstcp/internal/unit"
 )
 
@@ -316,14 +317,7 @@ func injectorSeed(seed uint64, hop int, salt uint64) uint64 {
 	if hop == 0 && salt == saltLoss {
 		return seed
 	}
-	x := seed ^ uint64(hop+1)*0x9e3779b97f4a7c15 ^ (salt+1)*0xbf58476d1ce4e5b9
-	// splitmix64 finalizer: near-identical inputs land far apart.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(seed ^ uint64(hop+1)*0x9e3779b97f4a7c15 ^ (salt+1)*0xbf58476d1ce4e5b9)
 }
 
 // HopStats is one hop's aggregate counters after a run. Drops are queue

@@ -12,12 +12,13 @@ import (
 // proportional-only restricted-slow-start flow with full control authority
 // (shrink enabled) and stall-wait actuation, and returns the sampled IFQ
 // occupancy. This is the closed loop of paper Section 3 under "proportional
-// control alone".
+// control alone". Probes run traceless: OnTick is the only reader.
 func TunePlant(path PathConfig, duration time.Duration) zntune.PlantFunc {
 	return func(kp float64) ([]float64, []float64) {
 		s, err := Build(Config{
-			Path:     path,
-			Duration: duration,
+			Path:      path,
+			Duration:  duration,
+			Traceless: true,
 			Flows: []FlowSpec{{
 				Alg:         AlgRestricted,
 				Gains:       pid.Gains{Kp: kp},

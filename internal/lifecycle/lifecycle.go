@@ -12,6 +12,8 @@
 // same birth times and the same sizes, byte for byte, at any parallelism.
 package lifecycle
 
+import "rsstcp/internal/sim"
+
 // Stream salts keep the arrival-time and flow-size draws on independent
 // RNG streams: consuming one extra arrival must never shift the sizes.
 const (
@@ -22,15 +24,9 @@ const (
 )
 
 // StreamSeed derives an independent, well-mixed RNG seed for one stream of
-// a replicate: the same splitmix64-style finalizer the topology layer uses
-// for its per-hop injector streams, salted so neighbouring streams land far
-// apart even for adjacent base seeds.
+// a replicate: the splitmix64 finalizer the topology layer uses for its
+// per-hop injector streams, salted so neighbouring streams land far apart
+// even for adjacent base seeds.
 func StreamSeed(seed, salt uint64) uint64 {
-	x := seed ^ (salt+1)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(seed ^ (salt+1)*0xbf58476d1ce4e5b9)
 }

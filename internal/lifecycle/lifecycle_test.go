@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,14 +54,14 @@ func TestSizeDistMeans(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := d.Sample(rng)
 			if s < 1 {
-				t.Fatalf("%s: sample %d < 1 byte", d.Label(), s)
+				t.Fatalf("%+v: sample %d < 1 byte", d, s)
 			}
 			sum += float64(s)
 		}
 		got := sum / n
 		want := d.Mean()
 		if math.Abs(got-want)/want > 0.05 {
-			t.Errorf("%s: empirical mean %.0f vs analytic %.0f", d.Label(), got, want)
+			t.Errorf("%+v: empirical mean %.0f vs analytic %.0f", d, got, want)
 		}
 	}
 }
@@ -77,19 +78,18 @@ func TestBoundedParetoBounds(t *testing.T) {
 }
 
 func TestParseSizeDistRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"fixed:64k", "exp:100k", "pareto:1.3:10k:10M", "lognorm:100k:1.5",
+	for spec, want := range map[string]SizeDist{
+		"fixed:64k":          Fixed{Bytes: 64000},
+		"exp:100k":           Exponential{MeanBytes: 100e3},
+		"pareto:1.3:10k:10M": BoundedPareto{Alpha: 1.3, Min: 10e3, Max: 10e6},
+		"lognorm:100k:1.5":   Lognormal{Median: 100e3, Sigma: 1.5},
 	} {
 		d, err := ParseSizeDist(spec)
 		if err != nil {
 			t.Fatalf("ParseSizeDist(%q): %v", spec, err)
 		}
-		d2, err := ParseSizeDist(d.Label())
-		if err != nil {
-			t.Fatalf("label %q does not re-parse: %v", d.Label(), err)
-		}
-		if d2.Label() != d.Label() {
-			t.Errorf("label not stable: %q -> %q", d.Label(), d2.Label())
+		if d != want {
+			t.Errorf("ParseSizeDist(%q) = %+v, want %+v", spec, d, want)
 		}
 	}
 	for _, bad := range []string{
@@ -106,15 +106,17 @@ func TestParseSizeDistRoundTrip(t *testing.T) {
 }
 
 func TestParseSourceRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"poisson:100", "mmpp:20:200:500ms", "web:5:8:2s",
+	for spec, want := range map[string]FlowSource{
+		"poisson:100":       NewPoisson(100),
+		"mmpp:20:200:500ms": NewMMPP(20, 200, 500*time.Millisecond),
+		"web:5:8:2s":        NewWebSession(5, 8, 2*time.Second),
 	} {
 		s, err := ParseSource(spec)
 		if err != nil {
 			t.Fatalf("ParseSource(%q): %v", spec, err)
 		}
-		if s.Label() != spec {
-			t.Errorf("label %q != spec %q", s.Label(), spec)
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("ParseSource(%q) = %+v, want %+v", spec, s, want)
 		}
 	}
 	for _, bad := range []string{
@@ -187,7 +189,7 @@ func TestWithRate(t *testing.T) {
 	} {
 		scaled := src.WithRate(55)
 		if math.Abs(scaled.Rate()-55) > 1e-9 {
-			t.Errorf("%s: WithRate(55).Rate() = %v", src.Label(), scaled.Rate())
+			t.Errorf("%+v: WithRate(55).Rate() = %v", src, scaled.Rate())
 		}
 	}
 }
@@ -207,10 +209,10 @@ func TestStopLeavesCleanCalendar(t *testing.T) {
 		eng.RunUntil(sim.At(5 * time.Second))
 		src.Stop()
 		if got := eng.Pending(); got != 0 {
-			t.Errorf("%s: %d calendar entries survive Stop", src.Label(), got)
+			t.Errorf("%T: %d calendar entries survive Stop", src, got)
 		}
 		if got := eng.Leaked(); got != 0 {
-			t.Errorf("%s: %d pool entries leaked after Stop", src.Label(), got)
+			t.Errorf("%T: %d pool entries leaked after Stop", src, got)
 		}
 	}
 }

@@ -12,12 +12,10 @@ import (
 // SizeDist is a flow-size distribution. Sample draws one transfer size in
 // bytes (always ≥ 1) from the given stream; Mean reports the analytic
 // expectation so callers can convert an offered-load fraction into an
-// arrival rate; Label is the canonical spec string (round-trips through
-// ParseSizeDist and is safe as a campaign axis label — no '=' or '/').
+// arrival rate.
 type SizeDist interface {
 	Sample(rng *sim.RNG) int64
 	Mean() float64
-	Label() string
 }
 
 // Fixed is the degenerate distribution: every flow transfers Bytes bytes.
@@ -28,9 +26,6 @@ func (f Fixed) Sample(*sim.RNG) int64 { return max64(f.Bytes, 1) }
 
 // Mean returns the fixed size.
 func (f Fixed) Mean() float64 { return float64(max64(f.Bytes, 1)) }
-
-// Label returns the canonical spec, e.g. "fixed:64000".
-func (f Fixed) Label() string { return "fixed:" + formatSize(float64(f.Bytes)) }
 
 // Exponential draws sizes from an exponential distribution with the given
 // mean — the classic memoryless transfer mix.
@@ -43,9 +38,6 @@ func (e Exponential) Sample(rng *sim.RNG) int64 {
 
 // Mean returns the configured mean.
 func (e Exponential) Mean() float64 { return e.MeanBytes }
-
-// Label returns the canonical spec, e.g. "exp:100000".
-func (e Exponential) Label() string { return "exp:" + formatSize(e.MeanBytes) }
 
 // BoundedPareto draws sizes from a Pareto distribution truncated to
 // [Min, Max] — the standard model for heavy-tailed web transfers: most
@@ -85,12 +77,6 @@ func (p BoundedPareto) Mean() float64 {
 		(math.Pow(l, 1-a) - math.Pow(h, 1-a))
 }
 
-// Label returns the canonical spec, e.g. "pareto:1.3:10000:10000000".
-func (p BoundedPareto) Label() string {
-	return fmt.Sprintf("pareto:%s:%s:%s",
-		formatFloat(p.Alpha), formatSize(p.Min), formatSize(p.Max))
-}
-
 // Lognormal draws sizes from a lognormal distribution parameterised by its
 // median (exp of the underlying normal's mean) and Sigma (the underlying
 // normal's standard deviation).
@@ -107,11 +93,6 @@ func (l Lognormal) Sample(rng *sim.RNG) int64 {
 // Mean returns the analytic lognormal expectation Median·exp(σ²/2).
 func (l Lognormal) Mean() float64 {
 	return l.Median * math.Exp(l.Sigma*l.Sigma/2)
-}
-
-// Label returns the canonical spec, e.g. "lognorm:100000:1.5".
-func (l Lognormal) Label() string {
-	return fmt.Sprintf("lognorm:%s:%s", formatSize(l.Median), formatFloat(l.Sigma))
 }
 
 // ParseSizeDist builds a SizeDist from its colon-separated spec:
@@ -216,24 +197,6 @@ func ParseFinite(s string) (float64, error) {
 		return 0, fmt.Errorf("non-finite number %q", s)
 	}
 	return v, nil
-}
-
-// formatSize renders a byte count compactly, reusing the decimal suffixes
-// parseSize accepts so labels round-trip.
-func formatSize(v float64) string {
-	for _, u := range []struct {
-		mult float64
-		suf  string
-	}{{1e9, "G"}, {1e6, "M"}, {1e3, "k"}} {
-		if v >= u.mult && v == math.Trunc(v/u.mult)*u.mult {
-			return formatFloat(v/u.mult) + u.suf
-		}
-	}
-	return formatFloat(v)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func clampSize(v float64) int64 {

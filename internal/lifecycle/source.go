@@ -20,14 +20,13 @@ import (
 // rate the process draws arrival gaps at; WithRate returns a copy rescaled to
 // the given rate (the load axis uses it to convert an offered-load fraction
 // into arrivals) and panics, like the constructors, when CheckRate refuses a
-// rescaled rate. Label is the canonical spec string accepted by ParseSource.
+// rescaled rate.
 type FlowSource interface {
 	Start(eng *sim.Engine, rng *sim.RNG, launch func())
 	Stop()
 	Rate() float64
 	Peak() float64
 	WithRate(r float64) FlowSource
-	Label() string
 }
 
 // CheckRate reports why r (flows/sec) cannot be an arrival rate: not positive
@@ -103,9 +102,6 @@ func (p *Poisson) Peak() float64 { return p.PerSecond }
 
 // WithRate returns a fresh Poisson source at the given rate.
 func (p *Poisson) WithRate(r float64) FlowSource { return NewPoisson(r) }
-
-// Label returns the canonical spec, e.g. "poisson:100".
-func (p *Poisson) Label() string { return "poisson:" + formatFloat(p.PerSecond) }
 
 // MMPP is a two-phase Markov-modulated Poisson process: arrivals are
 // Poisson at Lo or Hi flows/sec depending on the current phase, and the
@@ -203,12 +199,6 @@ func (m *MMPP) Peak() float64 { return max(m.Lo, m.Hi) }
 func (m *MMPP) WithRate(r float64) FlowSource {
 	scale := r / m.Rate()
 	return NewMMPP(m.Lo*scale, m.Hi*scale, m.Sojourn)
-}
-
-// Label returns the canonical spec, e.g. "mmpp:20:200:500ms".
-func (m *MMPP) Label() string {
-	return fmt.Sprintf("mmpp:%s:%s:%s",
-		formatFloat(m.Lo), formatFloat(m.Hi), time.Duration(m.Sojourn))
 }
 
 // WebSession models on/off web-style traffic: sessions arrive Poisson at
@@ -339,12 +329,6 @@ func (w *WebSession) Peak() float64 { return w.SessionsPerSec }
 // aggregate flow rate hits r; flows per session and think time are kept.
 func (w *WebSession) WithRate(r float64) FlowSource {
 	return NewWebSession(r/float64(w.FlowsPerSession), w.FlowsPerSession, w.Think)
-}
-
-// Label returns the canonical spec, e.g. "web:5:8:2s".
-func (w *WebSession) Label() string {
-	return fmt.Sprintf("web:%s:%d:%s",
-		formatFloat(w.SessionsPerSec), w.FlowsPerSession, time.Duration(w.Think))
 }
 
 // ParseSource builds a FlowSource from its colon-separated spec:

@@ -21,17 +21,20 @@ func NewRNG(seed uint64) *RNG {
 // Seed resets the generator state deterministically from seed.
 func (r *RNG) Seed(seed uint64) {
 	// splitmix64 expansion, the canonical way to seed xoshiro.
-	x := seed
-	next := func() uint64 {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
 	for i := range r.s {
-		r.s[i] = next()
+		seed += 0x9e3779b97f4a7c15
+		r.s[i] = Mix64(seed)
 	}
+}
+
+// Mix64 is the splitmix64 finalizer, a bijection on uint64 under which
+// near-identical inputs land far apart. RNG seeding and every derived
+// stream seed (per-hop injectors, churn streams, campaign replicates) go
+// through it.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -11,8 +11,8 @@ import (
 // Floats travel as hexadecimal literals ("0x1.999999999999ap-04"), which
 // round-trip IEEE-754 doubles exactly — including NaN and the infinities,
 // which encoding/json would reject as bare numbers. A restored accumulator
-// is indistinguishable from the original: Summary(), Merge() and further
-// Add() calls all produce bit-identical results.
+// is indistinguishable from the original: Summary() and further Add() calls
+// produce bit-identical results.
 
 // hexFloat renders v as an exactly round-trippable literal.
 func hexFloat(v float64) string {
@@ -168,8 +168,8 @@ func (a *Accumulator) State() AccumulatorState {
 }
 
 // AccumulatorFromState restores the exact accumulator a State call
-// snapshotted: Summary(), Merge() and further Add() calls behave
-// bit-identically to the original.
+// snapshotted: Summary() and further Add() calls behave bit-identically to
+// the original.
 func AccumulatorFromState(st AccumulatorState) (*Accumulator, error) {
 	w, err := WelfordFromState(st.Welford)
 	if err != nil {

@@ -38,32 +38,6 @@ func (w *Welford) Add(x float64) {
 // N returns the observation count.
 func (w *Welford) N() int64 { return w.n }
 
-// Merge folds another accumulator into w using the pairwise combination of
-// Chan, Golub & LeVeque — the mean and M2 of the concatenated streams,
-// computed without revisiting them. Campaign accumulators merge per-worker
-// partials with it when a fold order is not required; note that floating-
-// point results can differ in the last bits from a single sequential pass.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Mean returns the running mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 

@@ -70,10 +70,6 @@ func (a *Accumulator) overflow() {
 // N returns the observation count.
 func (a *Accumulator) N() int { return int(a.w.N()) }
 
-// Exact reports whether the quantiles are still computed from the full
-// sample (observation count has not exceeded MaxExact).
-func (a *Accumulator) Exact() bool { return !a.approx }
-
 // Reset empties the accumulator for reuse, keeping the exact buffer's
 // capacity and the MaxExact policy.
 func (a *Accumulator) Reset() {
@@ -124,31 +120,6 @@ func (a *Accumulator) Percentile(p float64) (q float64, ok bool) {
 	sorted := append(make([]float64, 0, len(a.exact)), a.exact...)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p), true
-}
-
-// Merge folds b's observations into a, as if b's stream had been appended
-// to a's. An exact-regime b merges losslessly (its buffered values are
-// replayed in order). Once b has overflowed into P² estimation the moments
-// still merge exactly (Welford's pairwise combination), but the quantile
-// estimators can only absorb b's five marker heights as representative
-// points — adequate for similar distributions, approximate in general.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.Exact() {
-		for _, x := range b.exact {
-			a.Add(x)
-		}
-		return
-	}
-	a.w.Merge(b.w)
-	if !a.approx {
-		a.overflow()
-	}
-	for _, q := range b.p50.Markers() {
-		a.p50.Add(q)
-	}
-	for _, q := range b.p90.Markers() {
-		a.p90.Add(q)
-	}
 }
 
 // P2 estimates a single quantile online in constant space with the P²
@@ -239,9 +210,6 @@ func (e *P2) linear(i int, s float64) float64 {
 	return e.q[i] + s*(e.q[j]-e.q[i])/(e.n[j]-e.n[i])
 }
 
-// N returns the observation count.
-func (e *P2) N() int { return e.cnt }
-
 // Quantile returns the current estimate: exact (interpolated from the
 // buffered points) below five observations, the middle marker's height
 // after, NaN with none.
@@ -255,13 +223,4 @@ func (e *P2) Quantile() float64 {
 		return percentileSorted(s, e.p)
 	}
 	return e.q[2]
-}
-
-// Markers returns a copy of the current marker heights — a five-point
-// sketch of the distribution, used for approximate merges.
-func (e *P2) Markers() []float64 {
-	if e.cnt < 5 {
-		return append([]float64(nil), e.q[:e.cnt]...)
-	}
-	return append([]float64(nil), e.q[:]...)
 }

@@ -87,28 +87,6 @@ func (r *FlightRecorder) Evicted() uint64 {
 	return r.Total() - uint64(r.Len())
 }
 
-// Events returns the held events oldest-first, as a fresh slice.
-func (r *FlightRecorder) Events() []Event {
-	n := r.Len()
-	out := make([]Event, n)
-	r.copyInto(out)
-	return out
-}
-
-// copyInto writes the held events oldest-first into dst (len(dst) == Len()).
-func (r *FlightRecorder) copyInto(dst []Event) {
-	if len(dst) == 0 {
-		return
-	}
-	capN := uint64(len(r.buf))
-	start := uint64(0)
-	if r.n > capN {
-		start = r.n % capN
-	}
-	k := copy(dst, r.buf[start:min(capN, start+uint64(len(dst)))])
-	copy(dst[k:], r.buf[:len(dst)-k])
-}
-
 // WriteJSONL dumps the held events oldest-first, one JSON object per line:
 //
 //	{"t_ns":1234567,"kind":"rto","flow":1,"hop":-1,"a":2896,"b":43440}

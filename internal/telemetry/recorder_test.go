@@ -18,12 +18,11 @@ func TestRecorderBasics(t *testing.T) {
 	if r.Len() != 2 || r.Total() != 2 || r.Evicted() != 0 {
 		t.Fatalf("after 2 records: len=%d total=%d evicted=%d", r.Len(), r.Total(), r.Evicted())
 	}
-	ev := r.Events()
-	if ev[0].Kind != KindCwnd || ev[1].Kind != KindRTO {
-		t.Fatalf("event order wrong: %+v", ev)
-	}
-	if ev[0].T != 10 || ev[0].A != 1448 || ev[0].B != 2896 {
-		t.Fatalf("payload wrong: %+v", ev[0])
+	want := `{"t_ns":10,"kind":"cwnd","flow":1,"hop":-1,"a":1448,"b":2896}
+{"t_ns":20,"kind":"rto","flow":1,"hop":-1,"a":0,"b":1448}
+`
+	if got := string(r.AppendJSONL(nil)); got != want {
+		t.Fatalf("held events:\ngot  %q\nwant %q", got, want)
 	}
 }
 
@@ -35,11 +34,12 @@ func TestRecorderWrapOldestFirst(t *testing.T) {
 	if r.Len() != 3 || r.Total() != 7 || r.Evicted() != 4 {
 		t.Fatalf("wrap accounting: len=%d total=%d evicted=%d", r.Len(), r.Total(), r.Evicted())
 	}
-	ev := r.Events()
-	for i, want := range []int64{4, 5, 6} {
-		if ev[i].A != want {
-			t.Fatalf("oldest-first after wrap: got %v", ev)
-		}
+	want := `{"t_ns":4,"kind":"hop-drop","flow":0,"hop":0,"a":4,"b":0}
+{"t_ns":5,"kind":"hop-drop","flow":0,"hop":0,"a":5,"b":0}
+{"t_ns":6,"kind":"hop-drop","flow":0,"hop":0,"a":6,"b":0}
+`
+	if got := string(r.AppendJSONL(nil)); got != want {
+		t.Fatalf("oldest-first after wrap:\ngot  %q\nwant %q", got, want)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestRecorderReset(t *testing.T) {
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatalf("reset: len=%d total=%d", r.Len(), r.Total())
 	}
-	if got := r.Events(); len(got) != 0 {
-		t.Fatalf("reset left events: %v", got)
+	if got := r.AppendJSONL(nil); len(got) != 0 {
+		t.Fatalf("reset left events: %q", got)
 	}
 }
 

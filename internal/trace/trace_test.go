@@ -15,15 +15,17 @@ func TestSeriesAddAndLast(t *testing.T) {
 	if s.Len() != 2 {
 		t.Errorf("Len = %d, want 2", s.Len())
 	}
-	if got := s.Last(); got.V != 5 || got.T != sim.At(2*time.Second) {
-		t.Errorf("Last = %+v, want {2s 5}", got)
+	if got := s.Points[1]; got.V != 5 || got.T != sim.At(2*time.Second) {
+		t.Errorf("last point = %+v, want {2s 5}", got)
 	}
 }
 
+// TestSeriesLastEmpty: an empty series (a traced flow that never stalled)
+// reads 0 at every instant, which is what WriteCSV prints for it.
 func TestSeriesLastEmpty(t *testing.T) {
 	var s Series
-	if got := s.Last(); got.T != 0 || got.V != 0 {
-		t.Errorf("Last on empty = %+v, want zero", got)
+	if got := s.At(sim.At(time.Hour)); s.Len() != 0 || got != 0 {
+		t.Errorf("empty series: Len %d, At %v; want 0, 0", s.Len(), got)
 	}
 }
 
@@ -51,12 +53,15 @@ func TestSeriesAtStepInterpolation(t *testing.T) {
 func TestRecorderRecordAndNames(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := NewRecorder(eng)
-	rec.Record("b", 1)
-	rec.Record("a", 2)
-	rec.Record("b", 3)
-	names := rec.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Errorf("Names = %v, want [b a] (creation order)", names)
+	rec.Series("b").Add(0, 1)
+	rec.Series("a").Add(0, 2)
+	rec.Series("b").Add(0, 3)
+	var sb strings.Builder
+	if err := rec.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := strings.Cut(sb.String(), "\n"); header != "seconds,b,a" {
+		t.Errorf("header = %q, want seconds,b,a (creation order)", header)
 	}
 	if rec.Series("b").Len() != 2 {
 		t.Errorf("series b has %d points, want 2", rec.Series("b").Len())
@@ -83,8 +88,8 @@ func TestRecorderGaugeSampling(t *testing.T) {
 func TestWriteCSVAlignsSeries(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := NewRecorder(eng)
-	eng.Schedule(sim.At(1*time.Second), func() { rec.Record("x", 1) })
-	eng.Schedule(sim.At(2*time.Second), func() { rec.Record("y", 9) })
+	eng.Schedule(sim.At(1*time.Second), func() { rec.Series("x").Add(eng.Now(), 1) })
+	eng.Schedule(sim.At(2*time.Second), func() { rec.Series("y").Add(eng.Now(), 9) })
 	eng.Run()
 	var sb strings.Builder
 	if err := rec.WriteCSV(&sb, "x", "y"); err != nil {

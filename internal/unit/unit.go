@@ -65,10 +65,7 @@ func NewSerializer(b Bandwidth) Serializer {
 	return Serializer{rate: b, sz: [2]ByteSize{-1, -1}}
 }
 
-// Rate returns the underlying bandwidth.
-func (s *Serializer) Rate() Bandwidth { return s.rate }
-
-// Serialization returns exactly s.Rate().Serialization(n), memoized.
+// Serialization returns exactly the rate's Serialization(n), memoized.
 func (s *Serializer) Serialization(n ByteSize) time.Duration {
 	if n == s.sz[0] {
 		return s.st[0]
@@ -107,15 +104,6 @@ func (s ByteSize) String() string {
 	default:
 		return fmt.Sprintf("%dB", int64(s))
 	}
-}
-
-// Bytes returns the size as a plain int64.
-func (s ByteSize) Bytes() int64 { return int64(s) }
-
-// BDP returns the bandwidth-delay product of a path in bytes.
-func BDP(rate Bandwidth, rtt time.Duration) ByteSize {
-	bits := float64(rate) * rtt.Seconds()
-	return ByteSize(bits / 8)
 }
 
 // Throughput returns the achieved rate for n bytes delivered in d.

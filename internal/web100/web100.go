@@ -105,14 +105,15 @@ type Stats struct {
 func (s *Stats) Init(start sim.Time) {
 	*s = Stats{}
 	s.StartTime, s.curLimSince = start, start
-	s.MinRTT, s.MinSsthresh = -1, -1 // unset sentinels
 }
 
 // ObserveRTT folds one RTT sample into the min/max gauges (the smoothed
 // value is maintained by the sender's estimator and set via SetSmoothedRTT).
+// MinRTT reads 0 until the first sample: a real one never does, since every
+// segment takes a serialization time.
 func (s *Stats) ObserveRTT(rtt time.Duration) {
 	s.CountRTT++
-	if s.MinRTT < 0 || rtt < s.MinRTT {
+	if s.MinRTT == 0 || rtt < s.MinRTT {
 		s.MinRTT = rtt
 	}
 	if rtt > s.MaxRTT {
@@ -128,10 +129,11 @@ func (s *Stats) SetCwnd(bytes int64) {
 	}
 }
 
-// SetSsthresh updates the slow-start-threshold gauges.
+// SetSsthresh updates the slow-start-threshold gauges. MinSsthresh reads 0
+// until the first call: a real ssthresh is never below 2 MSS.
 func (s *Stats) SetSsthresh(bytes int64) {
 	s.CurSsthresh = bytes
-	if s.MinSsthresh < 0 || bytes < s.MinSsthresh {
+	if s.MinSsthresh == 0 || bytes < s.MinSsthresh {
 		s.MinSsthresh = bytes
 	}
 }
@@ -243,10 +245,10 @@ type Export struct {
 	LimSenderNs    int64 `json:"snd_lim_time_sender_ns,omitempty"`
 }
 
-// Export converts the snapshot to its JSON shape. The unset MinRTT/
-// MinSsthresh sentinel (-1) maps to zero, which omitempty then elides.
+// Export converts the snapshot to its JSON shape; omitempty elides an unset
+// (zero) MinRTT or MinSsthresh.
 func (s Stats) Export() Export {
-	e := Export{
+	return Export{
 		SegsOut:        s.SegsOut,
 		DataSegsOut:    s.DataSegsOut,
 		SegsRetrans:    s.SegsRetrans,
@@ -265,8 +267,10 @@ func (s Stats) Export() Export {
 		CurCwnd:        s.CurCwnd,
 		MaxCwnd:        s.MaxCwnd,
 		CurSsthresh:    s.CurSsthresh,
+		MinSsthresh:    s.MinSsthresh,
 		CurRwnd:        s.CurRwnd,
 		SmoothedRTTNs:  int64(s.SmoothedRTT),
+		MinRTTNs:       int64(s.MinRTT),
 		MaxRTTNs:       int64(s.MaxRTT),
 		CurRTONs:       int64(s.CurRTO),
 		CountRTT:       s.CountRTT,
@@ -274,11 +278,4 @@ func (s Stats) Export() Export {
 		LimRwndNs:      int64(s.SndLimTimeRwnd),
 		LimSenderNs:    int64(s.SndLimTimeSender),
 	}
-	if s.MinSsthresh > 0 {
-		e.MinSsthresh = s.MinSsthresh
-	}
-	if s.MinRTT > 0 {
-		e.MinRTTNs = int64(s.MinRTT)
-	}
-	return e
 }

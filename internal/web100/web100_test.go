@@ -27,15 +27,22 @@ func TestObserveRTTMinMax(t *testing.T) {
 	}
 }
 
+// TestMinRTTUnsetSentinel: before any sample MinRTT and MinSsthresh read 0
+// — what rsstcp-sim prints for a transfer that never took an RTT sample —
+// and the first sample sets them.
 func TestMinRTTUnsetSentinel(t *testing.T) {
 	var s Stats
 	s.Init(0)
-	if s.MinRTT >= 0 {
-		t.Error("MinRTT should start unset (negative)")
+	if s.MinRTT != 0 || s.MinSsthresh != 0 {
+		t.Errorf("unset MinRTT %v, MinSsthresh %d; want 0, 0", s.MinRTT, s.MinSsthresh)
 	}
 	s.ObserveRTT(time.Millisecond)
 	if s.MinRTT != time.Millisecond {
 		t.Errorf("first sample should set MinRTT, got %v", s.MinRTT)
+	}
+	s.SetSsthresh(2896)
+	if s.MinSsthresh != 2896 {
+		t.Errorf("first call should set MinSsthresh, got %d", s.MinSsthresh)
 	}
 }
 
