@@ -117,7 +117,6 @@ type RestrictedSlowStart struct {
 	cfg    Config
 	ctrl   pid.Controller
 	ticker sim.Ticker
-	tickFn func() // bound once so re-initializing never allocates
 	// windows are the connections drawing from this controller's budget.
 	// One window is the normal case; several windows model parallel
 	// streams from one host (GridFTP): the process variable (the IFQ) is
@@ -150,8 +149,7 @@ func New(eng *sim.Engine, cfg Config) (*RestrictedSlowStart, error) {
 // Init validates and defaults the configuration and (re)initializes the
 // policy in place: no windows attached, controller state cleared, ticker
 // stopped, counters zeroed. A used value keeps only its window list's
-// backing array and its bound tick callback. On error the policy must not
-// be used.
+// backing array. On error the policy must not be used.
 func (r *RestrictedSlowStart) Init(eng *sim.Engine, cfg Config) error {
 	if cfg.Sensor == nil {
 		return fmt.Errorf("core: Config.Sensor is required")
@@ -161,12 +159,9 @@ func (r *RestrictedSlowStart) Init(eng *sim.Engine, cfg Config) error {
 		return fmt.Errorf("core: sensor capacity must be positive")
 	}
 	clear(r.windows)
-	windows, tick, ticker := r.windows[:0], r.tickFn, r.ticker
-	if tick == nil {
-		tick = r.tick
-	}
+	windows := r.windows[:0]
 	*r = RestrictedSlowStart{} // zero, then set: a literal that reads r is built aside and copied
-	r.eng, r.cfg, r.windows, r.tickFn, r.ticker = eng, cfg, windows, tick, ticker
+	r.eng, r.cfg, r.windows = eng, cfg, windows
 	setpoint := cfg.SetpointFraction * float64(cfg.Sensor.Capacity())
 	err := r.ctrl.Init(pid.Config{
 		Gains:    cfg.Gains,
@@ -184,7 +179,7 @@ func (r *RestrictedSlowStart) Init(eng *sim.Engine, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	r.ticker.Init(eng, cfg.Tick, r.tickFn)
+	r.ticker.InitHook(eng, cfg.Tick, (*controlTick)(r))
 	return nil
 }
 
@@ -241,6 +236,11 @@ func (r *RestrictedSlowStart) Advance(w cc.Window, acked int64) int64 {
 	r.allowance -= inc
 	return inc
 }
+
+// controlTick is the policy as its ticker's hook.
+type controlTick RestrictedSlowStart
+
+func (h *controlTick) Fire() { (*RestrictedSlowStart)(h).tick() }
 
 // tick runs one control step.
 func (r *RestrictedSlowStart) tick() {

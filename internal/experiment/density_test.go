@@ -23,25 +23,34 @@ func endpointConfig(endpoint any) *tcp.Config {
 
 // TestFlowBundleSizeClass pins what one connection costs to store, and the
 // sharing that pays for it. Go rounds every allocation up to a size class
-// (…, 1024, 1152, 1280, 1408, 1536, 1792 B), so bytes saved in the bundle
-// only count once the bundle crosses a class boundary. With a 128-B
+// (…, 896, 1024, 1152, 1280, 1408, 1536, 1792 B), so bytes saved in the
+// bundle only count once the bundle crosses a class boundary. With a 128-B
 // tcp.Config copied into both the sender and the receiver, and the RTO
 // bounds into the estimator, the bundle was 1,496 B, in the 1,536-B class.
 // Pointers to one config per scenario make it 1,232 B (1,280-B class), and
 // packing the flags and 32-bit fields of Flow, Sender, Receiver, sim.Timer
-// and cc.Reno into shared words 1,136 B: the 1,152-B class.
+// and cc.Reno into shared words 1,136 B (1,152-B class). A pointer to a
+// shared spec instead of a 128-B copy in Flow, and timer hooks instead of
+// bound callbacks, make it 944 B: the 1,024-B class.
 func TestFlowBundleSizeClass(t *testing.T) {
 	t.Parallel()
-	const sizeClass = 1152
+	const sizeClass = 1024
 	if got := unsafe.Sizeof(flowBundle{}); got > sizeClass {
 		t.Errorf("flowBundle is %d B, over the %d-B size class", got, sizeClass)
 	}
 
-	// Flows 0 and 1 differ only in what tcp.Config does not carry; flow 2
-	// differs in MSS. The churn flows share the template's config.
+	// Flows 0 and 1 differ only in what a shared spec clears (Bytes and
+	// StartAt); flow 2 differs in MSS and flow 3 in its algorithm. The churn
+	// flows share the template's spec, a NaN field notwithstanding.
 	cfg := churnCfg()
-	cfg.Flows = []FlowSpec{{Alg: AlgStandard}, {Alg: AlgRestricted, StartAt: time.Millisecond}, {Alg: AlgStandard, MSS: 1000}}
+	cfg.Flows = []FlowSpec{
+		{Alg: AlgStandard},
+		{Alg: AlgStandard, StartAt: time.Millisecond, Bytes: 1 << 20},
+		{Alg: AlgStandard, MSS: 1000},
+		{Alg: AlgRestricted},
+	}
 	cfg.Churn.Flow.SACK = true
+	cfg.Churn.Flow.SetpointFraction = math.NaN()
 	cfg.Churn.Arrivals = "poisson:400"
 	cfg.Duration = 200 * time.Millisecond
 	s, err := Build(cfg)
@@ -53,8 +62,11 @@ func TestFlowBundleSizeClass(t *testing.T) {
 		t.Fatalf("%d churn flows live, want at least 2", len(s.churn.live))
 	}
 	shared := func(label string, flows []*Flow) *tcp.Config {
-		c := endpointConfig(flows[0].Sender)
+		spec, c := flows[0].Spec, endpointConfig(flows[0].Sender)
 		for _, f := range flows {
+			if f.Spec != spec {
+				t.Errorf("%s: flow %d does not share flow %d's spec", label, f.ID, flows[0].ID)
+			}
 			if endpointConfig(f.Sender) != c || endpointConfig(f.Receiver) != c {
 				t.Errorf("%s: flow %d's endpoints do not share flow %d's config", label, f.ID, flows[0].ID)
 			}
@@ -62,19 +74,24 @@ func TestFlowBundleSizeClass(t *testing.T) {
 		return c
 	}
 	std := shared("same spec", s.Flows[:2])
-	mss := shared("MSS 1000", s.Flows[2:])
+	mss := shared("MSS 1000", s.Flows[2:3])
+	rss := shared("restricted", s.Flows[3:])
 	churn := shared("churn template", s.churn.live)
-	if std == mss || std == churn || mss == churn {
-		t.Error("flows with different connection parameters share a config")
+	if len(s.shared) != 4 || std == mss || std == rss || std == churn || mss == churn {
+		t.Errorf("%d shared specs, want 4 with a config each", len(s.shared))
 	}
 	if mss.MSS != 1000 || !churn.SACK || std.MSS != tcp.DefaultConfig().MSS {
 		t.Errorf("configs carry the wrong parameters: %+v, %+v, %+v", *std, *mss, *churn)
+	}
+	if f := s.Flows[1]; f.Bytes != 1<<20 || f.Spec.Bytes != 0 || f.Spec.StartAt != 0 {
+		t.Errorf("flow 1 holds %d bytes and a shared spec of %d bytes from %v, want 1 MiB and a cleared spec",
+			f.Bytes, f.Spec.Bytes, f.Spec.StartAt)
 	}
 }
 
 // TestChurnTablesBoundedByPeakLive pins the density contract of FlowID
 // recycling: after thousands of flow lifetimes under a small admission cap,
-// the demux route tables and the shared sender flow table are sized to the
+// the scenario's flow table and the shared sender flow table are sized to the
 // peak live population, not to the total churn.
 func TestChurnTablesBoundedByPeakLive(t *testing.T) {
 	t.Parallel()
@@ -103,9 +120,9 @@ func TestChurnTablesBoundedByPeakLive(t *testing.T) {
 		t.Fatalf("only %d flows completed, want ≥ 10000 churns", res.FCT.Count)
 	}
 	// IDs 1..maxLive can be live at once and nextID sits one past the high
-	// water, so the route tables hold at most maxLive+2 entries.
-	if got := len(s.dm.routes); got > maxLive+2 {
-		t.Errorf("demux routes grew to %d entries after %d churns, want ≤ %d",
+	// water, so the flow table holds at most maxLive+2 entries.
+	if got := len(s.byID); got > maxLive+2 {
+		t.Errorf("flow table grew to %d entries after %d churns, want ≤ %d",
 			got, res.FCT.Count, maxLive+2)
 	}
 	if got := s.ftab.Rows(); got > maxLive+2 {
@@ -119,7 +136,7 @@ func TestChurnTablesBoundedByPeakLive(t *testing.T) {
 
 // TestManyFlows10kConcurrentHeapGate is the CI density gate: one scenario
 // holds ≥10k concurrently live flows on the wheel-backed timers, with heap
-// bounded (< 256 MiB total, ≤ 2.25 KiB per flow and no growth with the
+// bounded (< 256 MiB total, ≤ 1 776 B per flow and no growth with the
 // flows' age) and a clean teardown — zero leaked calendar entries, balanced segment
 // pool.
 //
@@ -167,11 +184,13 @@ func TestManyFlows10kConcurrentHeapGate(t *testing.T) {
 			s.Eng.Now(), live, float64(m1.HeapAlloc)/(1<<20), perFlow, s.wheel.Stats())
 		return perFlow
 	}
-	// ~1.9 KiB/flow measured (flow bundle, SoA row, NIC, routes, rings and
-	// record lists sized for a one-to-two segment window).
+	// 1 617 B/flow measured, 1 864 before flows shared their specs and
+	// dropped their bound callbacks (flow bundle, SoA row, NIC, flow-table
+	// slot, rings and record lists sized for a one-to-two segment window);
+	// the bound leaves 10 %.
 	perFlow := perFlowHeap()
-	if perFlow > 2304 {
-		t.Errorf("per-flow heap footprint %.0f B, want ≤ 2.25 KiB", perFlow)
+	if perFlow > 1776 {
+		t.Errorf("per-flow heap footprint %.0f B, want ≤ 1 776 B", perFlow)
 	}
 	// The footprint follows what the flows hold, not how long they have
 	// lived: the same population at three times the age reads the same.

@@ -9,6 +9,7 @@ import (
 	"rsstcp/internal/packet"
 	"rsstcp/internal/sim"
 	"rsstcp/internal/stats"
+	"rsstcp/internal/tcp"
 	"rsstcp/internal/telemetry"
 	"rsstcp/internal/web100"
 )
@@ -365,7 +366,7 @@ func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 	}
 	f.liveIdx = len(s.churn.live)
 	s.churn.live = append(s.churn.live, f)
-	f.Sender.OnComplete = f.onComplete
+	f.Sender.OnComplete = s.complete
 	s.aggValid = false
 	s.FR.Record(s.Eng.Now(), telemetry.KindFlowStart, int32(id), -1,
 		spec.Bytes, int64(len(s.churn.live)))
@@ -373,19 +374,20 @@ func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 }
 
 // completeChurnFlow records a finished dynamic flow and tears it down.
-func (s *Scenario) completeChurnFlow(f *Flow) {
+func (s *Scenario) completeChurnFlow(snd *tcp.Sender) {
+	f := s.byID[snd.Flow()].f
 	now := s.Eng.Now()
 	st := f.Sender.Stats().Snapshot(now)
 	fct := now.Sub(f.started)
-	ideal := s.churn.baseRTT.Seconds() + float64(f.Spec.Bytes)*s.churn.perByte
+	ideal := s.churn.baseRTT.Seconds() + float64(f.Bytes)*s.churn.perByte
 	rec := FlowRecord{
 		ID:      f.ID,
 		Alg:     f.Spec.Alg,
 		Start:   f.started.Duration(),
 		End:     now.Duration(),
-		Bytes:   f.Spec.Bytes,
+		Bytes:   f.Bytes,
 		Retrans: st.SegsRetrans,
-		Class:   sizeClass(f.Spec.Bytes),
+		Class:   sizeClass(f.Bytes),
 	}
 	if ideal > 0 {
 		rec.Slowdown = fct.Seconds() / ideal
@@ -395,7 +397,7 @@ func (s *Scenario) completeChurnFlow(f *Flow) {
 		s.churn.records = append(s.churn.records, rec)
 	}
 	s.FR.Record(now, telemetry.KindFlowComplete, int32(f.ID), -1,
-		f.Spec.Bytes, int64(fct))
+		f.Bytes, int64(fct))
 	s.detach(f, &st, true)
 }
 
@@ -466,8 +468,7 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 	if f.RSS != nil && f.Spec.Host == 0 {
 		f.RSS.Stop()
 	}
-	s.dm.set(f.ID, 0, nil)
-	s.sndDemux.set(f.ID, 0, nil)
+	s.byID[f.ID].f = nil
 	s.aggValid = false
 	if !dynamic {
 		return

@@ -7,12 +7,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"testing"
 	"time"
 
+	"rsstcp/internal/packet"
 	"rsstcp/internal/sim"
+	"rsstcp/internal/tcp"
 	"rsstcp/internal/unit"
 	"rsstcp/internal/web100"
 )
@@ -168,6 +172,103 @@ func TestChurnTurnoverAllocBudget(t *testing.T) {
 	}
 }
 
+// attachAllocSites attaches and detaches n flows of spec, each on a fresh
+// bundle and NIC (the store emptied first), and returns what AttachFlow
+// allocated per flow, by the function that allocated it. The scenario's own
+// tables and the event pool are warmed first, and the detached flows drain
+// between attaches. It profiles every allocation while it runs.
+func attachAllocSites(t *testing.T, s *Scenario, spec FlowSpec, n int) map[string]float64 {
+	t.Helper()
+	life := func() {
+		emptyStore(s)
+		s.DetachFlow(mustAttach(t, s, spec))
+		s.Eng.RunFor(100 * time.Millisecond)
+	}
+	for i := 0; i < 8; i++ {
+		life()
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocsByStack()
+	for i := 0; i < n; i++ {
+		life()
+	}
+	sites := map[string]float64{}
+	for stk, objs := range allocsByStack() {
+		if objs -= before[stk]; objs == 0 {
+			continue
+		}
+		site, inAttach := "", false
+		frames := runtime.CallersFrames(stk[:])
+		for more := true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if site == "" && fr.Function != "" && !strings.HasPrefix(fr.Function, "runtime.") {
+				site = fr.Function
+			}
+			inAttach = inAttach || strings.HasSuffix(fr.Function, ".(*Scenario).AttachFlow")
+		}
+		if inAttach {
+			sites[site] += float64(objs) / float64(n)
+		}
+	}
+	return sites
+}
+
+// allocsByStack returns the cumulative allocation count of every stack in
+// the memory profile, made current by a collection.
+func allocsByStack() map[[32]uintptr]int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:n]
+	}
+	m := map[[32]uintptr]int64{}
+	for _, r := range recs {
+		m[r.Stack0] += r.AllocObjects
+	}
+	return m
+}
+
+// TestFreshBundleAllocs counts the objects AttachFlow allocates for a flow
+// the store cannot serve: a standard flow's bundle, NIC and resume callback,
+// and a restricted flow's controller besides. First growths are left out:
+// the sender's record list, the NIC's queue ring and the segment pool, which
+// the flow's first send grows, and the restricted controller's window list.
+// When every bundle bound its own callbacks (completion, two timer fires,
+// RTO, delayed ACK, and a restricted flow's tick) a standard flow cost eight
+// objects.
+//
+// Not Parallel: it profiles every allocation of the process.
+func TestFreshBundleAllocs(t *testing.T) {
+	firstGrowth := map[string]bool{
+		"rsstcp/internal/tcp.(*Sender).trySend":             true, // record list
+		"rsstcp/internal/packet.(*Pool).Get":                true, // segment pool
+		"rsstcp/internal/core.(*RestrictedSlowStart).Reset": true, // window list
+	}
+	for _, tc := range []struct {
+		alg    Algorithm
+		budget float64
+	}{{AlgStandard, 3}, {AlgRestricted, 4}} {
+		s := warmTurnoverScenario(t, PaperPath())
+		sites := attachAllocSites(t, s, FlowSpec{Alg: tc.alg, Bytes: 1 << 20}, 200)
+		total := 0.0
+		for site, n := range sites {
+			// The queue ring grows in the generic fifo's grow method.
+			if firstGrowth[site] || strings.Contains(site, "netem.(*fifo[") {
+				continue
+			}
+			total += n
+			t.Logf("%s: %.2f objects at %s", tc.alg, n, site)
+		}
+		if total > tc.budget {
+			t.Errorf("%s: a fresh bundle costs AttachFlow %.2f objects, budget %.0f", tc.alg, total, tc.budget)
+		}
+	}
+}
+
 // TestChurnWindowAllocBudget pins what bench/'s churn workload allocates in
 // its timed window: both algorithms at seed 1 for 20 s, objects counted
 // around RunUntil only, as bench/ counts them. About 22 per 1000 events
@@ -289,8 +390,8 @@ func TestChurnFlowHandleEndsAtCompletion(t *testing.T) {
 	a := mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 30_000})
 	id := a.ID
 	s.Eng.RunFor(30 * time.Millisecond)
-	if a.Spec.Bytes != 30_000 || a.Sender.Stats().DataSegsOut == 0 || a.Sender.Finished() {
-		t.Fatalf("live handle does not describe its flow: %+v", a.Spec)
+	if a.Bytes != 30_000 || a.Sender.Stats().DataSegsOut == 0 || a.Sender.Finished() {
+		t.Fatalf("live handle does not describe its flow: %d bytes, %+v", a.Bytes, *a.Spec)
 	}
 	s.Eng.RunFor(time.Second)
 	recs := s.ResultFor(0).Flows
@@ -305,8 +406,50 @@ func TestChurnFlowHandleEndsAtCompletion(t *testing.T) {
 	if c != a {
 		t.Fatal("the third flow was not built on the first flow's bundle")
 	}
-	if a.Spec.Bytes != 5_000_000 || a.RSS == nil || a.Sender.Finished() {
-		t.Errorf("stale handle reads %+v, want the new owner's state", a.Spec)
+	if a.Bytes != 5_000_000 || a.RSS == nil || a.Sender.Finished() {
+		t.Errorf("stale handle reads %d bytes, %+v, want the new owner's state", a.Bytes, *a.Spec)
+	}
+}
+
+// TestRecycledIDDropsStaleGeneration: a detached flow's FlowID goes to a
+// later arrival under a new generation. A data segment and an ACK stamped
+// with the old generation must be released by the flow table, not handed to
+// the ID's new owner, whose counters stay as they were.
+func TestRecycledIDDropsStaleGeneration(t *testing.T) {
+	t.Parallel()
+	s := warmTurnoverScenario(t, PaperPath())
+	spec := FlowSpec{Alg: AlgStandard, Bytes: 1 << 20}
+	a := mustAttach(t, s, spec)
+	id, gen := a.ID, uint32(reflect.ValueOf(a.Sender).Elem().FieldByName("gen").Uint())
+	s.Eng.RunFor(100 * time.Millisecond)
+	s.DetachFlow(a)
+	s.Eng.RunFor(time.Second) // a's segments in flight land and are released
+	b := mustAttach(t, s, spec)
+	if b.ID != id {
+		t.Fatalf("second flow got ID %d, want the recycled %d — bad test premise", b.ID, id)
+	}
+	s.Eng.RunFor(100 * time.Millisecond)
+
+	data, ack := s.segs.Get(), s.segs.Get()
+	data.Flow, data.Gen, data.Seq, data.Len, data.Flags = id, gen, b.Receiver.RcvNxt(), 1448, packet.FlagACK
+	ack.Flow, ack.Gen, ack.Ack, ack.Flags = id, gen, b.Sender.SndNxt(), packet.FlagACK
+	snd, rcv := *b.Sender.Stats(), b.Receiver.Stats()
+	gets, releases := s.SegCounters()
+	(*dataDemux)(&s.byID).Receive(data)
+	(*ackDemux)(&s.byID).Receive(ack)
+	if g, r := s.SegCounters(); g != gets || r != releases+2 {
+		t.Errorf("stale segments: %d gets and %d releases, want 0 and 2", g-gets, r-releases)
+	}
+	if *b.Sender.Stats() != snd || b.Receiver.Stats() != rcv {
+		t.Errorf("stale segments reached the ID's new owner:\nbefore: %+v %+v\nafter:  %+v %+v",
+			snd, rcv, *b.Sender.Stats(), b.Receiver.Stats())
+	}
+
+	s.StopChurn()
+	s.DetachFlow(b)
+	s.Eng.RunFor(2 * time.Second)
+	if g, r := s.SegCounters(); g != r {
+		t.Errorf("segment pool imbalance after teardown: %d gets, %d releases", g, r)
 	}
 }
 
@@ -372,8 +515,8 @@ func hookAttachRun(t *testing.T, fresh bool) (first, second *Flow, recs []FlowRe
 	}
 	first = mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 100_000})
 	complete := first.Sender.OnComplete
-	first.Sender.OnComplete = func() {
-		complete()
+	first.Sender.OnComplete = func(snd *tcp.Sender) {
+		complete(snd)
 		if fresh {
 			emptyStore(s)
 		}

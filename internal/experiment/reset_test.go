@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rsstcp/internal/tcp"
 	"rsstcp/internal/unit"
 )
 
@@ -496,7 +495,7 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 }
 
 // TestResetSharedConfigMatchesFreshBuild: a scenario's endpoints point at
-// connection configs it owns and Reset rebuilds in place, so a replicate must
+// shared specs and connection configs it owns and Reset rebuilds in place, so a replicate must
 // never run on the parameters of the one before it. One context alternates
 // MSS, SACK and the stall policy, then runs a static flow beside churn (two
 // distinct configs live at once); each replicate's Result and configs must
@@ -522,13 +521,13 @@ func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
 	mixed.Duration = time.Second
 	chain = append(chain, mixed, chain[0])
 
-	// The parameters of a config, without the scenario's own pool, table
-	// and wheel.
-	params := func(cfgs []*tcp.Config) []tcp.Config {
-		var out []tcp.Config
-		for _, c := range cfgs {
-			v := *c
-			v.Pool, v.Table, v.Wheel = nil, nil, nil
+	// The shared specs and their configs' parameters, without the
+	// scenario's own pool, table and wheel.
+	params := func(shared []*sharedSpec) []sharedSpec {
+		var out []sharedSpec
+		for _, sh := range shared {
+			v := *sh
+			v.tcp.Pool, v.tcp.Table, v.tcp.Wheel = nil, nil, nil
 			out = append(out, v)
 		}
 		return out
@@ -555,11 +554,11 @@ func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("replicate %d: reused-context result diverged from fresh build\nfresh:  %+v\nreused: %+v", i, want, got)
 		}
-		if w, g := params(fresh.tcpCfgs), params(s.tcpCfgs); !reflect.DeepEqual(w, g) {
-			t.Errorf("replicate %d: connection configs diverged\nfresh:  %+v\nreused: %+v", i, w, g)
+		if w, g := params(fresh.shared), params(s.shared); !reflect.DeepEqual(w, g) {
+			t.Errorf("replicate %d: shared specs diverged\nfresh:  %+v\nreused: %+v", i, w, g)
 		}
-		if cfg.Churn != nil && len(s.tcpCfgs) != 2 {
-			t.Errorf("replicate %d: static flow beside churn ran on %d configs, want 2", i, len(s.tcpCfgs))
+		if cfg.Churn != nil && len(s.shared) != 2 {
+			t.Errorf("replicate %d: static flow beside churn ran on %d shared specs, want 2", i, len(s.shared))
 		}
 	}
 }

@@ -5,6 +5,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -292,7 +293,10 @@ func (c Config) SchedulerKind() (string, error) {
 // flow on it: a static flow's *Flow is valid until the next Reset, a dynamic
 // flow's (AttachFlow) only until that flow completes or is detached.
 type Flow struct {
-	Spec     FlowSpec
+	// Spec is the flow's spec with Bytes and StartAt cleared, shared by
+	// every flow of the run built from an equal one (see sharedSpec).
+	Spec     *FlowSpec
+	Bytes    int64 // the flow's FlowSpec.Bytes
 	ID       packet.FlowID
 	detached bool // set by detach; sits in ID's word
 	Sender   *tcp.Sender
@@ -301,12 +305,10 @@ type Flow struct {
 	// RSS is non-nil for AlgRestricted.
 	RSS *core.RestrictedSlowStart
 
-	// The bundle's own controller and the completion hook bound to the
-	// bundle. Sender, Receiver and reno point into the flowBundle this Flow
-	// heads; every flow built on the bundle re-initializes them (see
-	// takeFlow).
-	reno       *cc.Reno
-	onComplete func()
+	// The bundle's own controller. Sender, Receiver and reno point into the
+	// flowBundle this Flow heads; every flow built on the bundle
+	// re-initializes them (see takeFlow).
+	reno *cc.Reno
 
 	// Lifecycle bookkeeping: birth time and the flow's slot in the live
 	// churn set (-1 for static flows).
@@ -347,13 +349,13 @@ type Scenario struct {
 	// and propagation state indexed by hop id, with per-flow route spans
 	// and index-based hop hand-off. It survives Reset and is reconfigured
 	// in place.
-	arena    *netem.HopArena
-	dm       *demux      // forward egress → per-flow receivers
-	flowGen  []uint32    // FlowID → current incarnation (see demux)
-	sndDemux *demux      // reverse egress → per-flow senders
-	revLink  *netem.Link // non-nil when the reverse channel is real
+	arena *netem.HopArena
+	// byID is the flow table, the forward and reverse demux (dataDemux,
+	// ackDemux).
+	byID    flowTable
+	revLink *netem.Link // non-nil when the reverse channel is real
 	// Ideal reverse path (Reverse.Rate == 0): ACKs ride delay lines shared
-	// by every flow with the same reverse delay, feeding sndDemux — one
+	// by every flow with the same reverse delay, feeding ackDemux — one
 	// armed calendar entry per distinct delay instead of one delay line per
 	// flow. Admission reserves each ACK's engine sequence exactly when a
 	// per-flow wire would have, so delivery order is byte-identical (see
@@ -367,9 +369,9 @@ type Scenario struct {
 	// park is where Reset puts the previous run's components and where
 	// init and buildFlow look before allocating (see parked).
 	park parked
-	// startFn starts a static flow's workload at its StartAt; bound once
-	// so scheduling it (ScheduleArg, the flow as argument) never allocates.
-	startFn func(any)
+	// complete is every dynamic flow's completion hook (completeChurnFlow),
+	// made once in Build so attaching a flow binds nothing.
+	complete func(*tcp.Sender)
 
 	// churn is the dynamic-flow machinery (Cfg.Churn != nil): arrival
 	// source, size stream, live set and completed-flow records. Its nextID
@@ -402,36 +404,59 @@ type Scenario struct {
 	// across replicates.
 	ftab  *tcp.FlowTable
 	wheel *sim.Wheel
-	// tcpCfgs are this run's connection configs, one per distinct MSS, SACK
-	// and stall policy among its flows. Every sender and receiver holds a
-	// pointer to its flow's entry instead of a copy (see tcpConfig); Reset
-	// parks them for the next run to rebuild in place.
-	tcpCfgs []*tcp.Config
+	// shared are this run's flow specs, one per distinct FlowSpec among its
+	// flows (see sharedSpec); Reset parks them for the next run to refill.
+	shared []*sharedSpec
 }
 
-// demux routes segments to per-flow receivers. Flow IDs are dense small
-// integers, so routing is a slice index; churn recycles the IDs of detached
-// flows (the route table stays bounded by the peak live population), so each
-// route also carries the generation of the flow incarnation that owns it —
-// a stray in-flight segment of a dead flow carries the old generation and
-// is released instead of delivered to the ID's next owner.
-type demux struct {
-	routes []netem.Receiver // indexed by FlowID
-	gens   []uint32         // owning incarnation per route
+// sharedSpec is one distinct FlowSpec of a run, Bytes and StartAt cleared,
+// with the connection config of its flows: flows and their endpoints point
+// at it instead of holding copies (see Scenario.share).
+type sharedSpec struct {
+	spec FlowSpec
+	tcp  tcp.Config
 }
 
-func (d *demux) set(id packet.FlowID, gen uint32, r netem.Receiver) {
-	d.routes = extend(d.routes, int(id)+1)
-	d.gens = extend(d.gens, int(id)+1)
-	d.routes[id] = r
-	d.gens[id] = gen
+// flowTable maps FlowIDs, dense small integers, to the flow attached under
+// the ID (nil once detached) and the generation of its latest incarnation.
+// Churn recycles IDs, so the table stays bounded by the peak live
+// population, and a stray segment of a dead flow, stamped with an old
+// generation, is released instead of delivered to the ID's next owner.
+type flowTable []struct {
+	f   *Flow
+	gen uint32
 }
 
-// reset empties the table, keeping its capacity.
-func (d *demux) reset() {
-	clear(d.routes)
-	clear(d.gens)
-	d.routes, d.gens = d.routes[:0], d.gens[:0]
+// flow returns the attached flow seg belongs to, or nil.
+func (t flowTable) flow(seg *packet.Segment) *Flow {
+	if i := int(seg.Flow); i < len(t) && t[i].gen == seg.Gen {
+		return t[i].f
+	}
+	return nil
+}
+
+// dataDemux and ackDemux are the flow table as the forward path's egress
+// and the reverse channel's: data segments go to their flows' receivers,
+// ACKs to their senders.
+type (
+	dataDemux flowTable
+	ackDemux  flowTable
+)
+
+func (d *dataDemux) Receive(seg *packet.Segment) {
+	if f := flowTable(*d).flow(seg); f != nil {
+		f.Receiver.Receive(seg)
+	} else {
+		seg.Release() // detached flow or stale generation: drop and recycle
+	}
+}
+
+func (d *ackDemux) Receive(seg *packet.Segment) {
+	if f := flowTable(*d).flow(seg); f != nil {
+		f.Sender.Receive(seg)
+	} else {
+		seg.Release()
+	}
 }
 
 // extend returns s lengthened to at least n entries in one step. The added
@@ -445,29 +470,27 @@ func extend[T any](s []T, n int) []T {
 }
 
 // parked is the scenario's recycling store. Reset flushes the previous
-// run's flow bundles, NICs, restricted-slow-start controllers and connection
-// configs and parks them here, and detach parks a dynamic flow's (see
+// run's flow bundles, NICs, restricted-slow-start controllers and shared
+// specs and parks them here, and detach parks a dynamic flow's (see
 // Scenario.detach); init and buildFlow take a parked component and
 // re-initialize it (each type's Init, the routine its constructor runs too,
-// or a fresh DefaultConfig) before they allocate a new one. A replicate
+// or share's refill) before they allocate a new one. A replicate
 // after the first therefore allocates nothing for its testbed, steady flow
 // turnover allocates nothing per arrival, and rings, windows and FIFOs start
 // at the capacity earlier owners grew them to.
 type parked struct {
-	flows []*Flow
-	nics  []*host.Interface
-	rss   []*core.RestrictedSlowStart
-	cfgs  []*tcp.Config
+	flows  []*Flow
+	nics   []*host.Interface
+	rss    []*core.RestrictedSlowStart
+	shared []*sharedSpec
 	// held is the bundle that completed last. Its sender's Receive may
 	// still be unwinding around the completion hook (it goes on to trySend),
 	// so take must not see it yet: the next completion — a later engine
 	// event — or Reset moves it to flows.
 	held *Flow
-	// tables backs the scenario's two demux pointers (forward, reverse);
 	// hops and specs are init's topology scratch.
-	tables [2]demux
-	hops   []Hop
-	specs  []netem.HopSpec
+	hops  []Hop
+	specs []netem.HopSpec
 }
 
 // take pops a parked component, or returns a zero one for Init to shape.
@@ -500,15 +523,12 @@ type flowBundle struct {
 	reno     cc.Reno
 }
 
-// newFlowBundle allocates a bundle and binds its hooks. The completion
-// closure must capture a variable assigned once, hence a function of its own:
-// in takeFlow it would move f to the heap on every call, parked bundle or not.
-func newFlowBundle(s *Scenario) *Flow {
+// newFlowBundle allocates a bundle and points its Flow at its parts.
+func newFlowBundle() *Flow {
 	b := new(flowBundle)
 	f := &b.Flow
 	f.liveIdx = -1
 	f.Sender, f.Receiver, f.reno = &b.sender, &b.receiver, &b.reno
-	f.onComplete = func() { s.completeChurnFlow(f) }
 	return f
 }
 
@@ -518,22 +538,14 @@ func newFlowBundle(s *Scenario) *Flow {
 // this flow's.
 func (s *Scenario) takeFlow() *Flow {
 	if len(s.park.flows) == 0 {
-		return newFlowBundle(s)
+		return newFlowBundle()
 	}
 	f := take(&s.park.flows)
-	snd, rcv, reno, onComplete := f.Sender, f.Receiver, f.reno, f.onComplete
+	snd, rcv, reno := f.Sender, f.Receiver, f.reno
 	*f = Flow{}
 	f.liveIdx = -1
-	f.Sender, f.Receiver, f.reno, f.onComplete = snd, rcv, reno, onComplete
+	f.Sender, f.Receiver, f.reno = snd, rcv, reno
 	return f
-}
-
-func (d *demux) Receive(seg *packet.Segment) {
-	if i := int(seg.Flow); i < len(d.routes) && d.routes[i] != nil && d.gens[i] == seg.Gen {
-		d.routes[i].Receive(seg)
-		return
-	}
-	seg.Release() // unroutable or stale generation: drop and recycle
 }
 
 // Build assembles the testbed described by cfg.
@@ -546,7 +558,7 @@ func Build(cfg Config) (*Scenario, error) {
 		rssByHost: map[int]*core.RestrictedSlowStart{},
 		segs:      packet.NewPool(),
 	}
-	s.startFn = func(f any) { s.startWorkload(f.(*Flow)) }
+	s.complete = s.completeChurnFlow
 	if err := s.init(&cfg); err != nil {
 		return nil, err
 	}
@@ -585,7 +597,7 @@ func (s *Scenario) Reset(cfg Config) error {
 		}
 	}
 	s.Flows = s.Flows[:0]
-	s.park.cfgs, s.tcpCfgs = append(s.park.cfgs, s.tcpCfgs...), s.tcpCfgs[:0]
+	s.park.shared, s.shared = append(s.park.shared, s.shared...), s.shared[:0]
 	if len(s.hosts) > 0 { // shared hosts are the rare shape; skip the map walks without them
 		for _, nic := range s.hosts {
 			s.parkNIC(nic)
@@ -597,9 +609,14 @@ func (s *Scenario) Reset(cfg Config) error {
 		clear(s.hostEntry)
 		clear(s.rssByHost)
 	}
+	for _, h := range s.hops {
+		if h.reorder != nil {
+			h.reorder.Flush()
+		}
+	}
 	s.hops = s.hops[:0]
-	clear(s.flowGen)
-	s.flowGen = s.flowGen[:0]
+	clear(s.byID)
+	s.byID = s.byID[:0]
 	if s.revLink != nil {
 		s.revLink.Flush()
 	}
@@ -694,9 +711,6 @@ func (s *Scenario) init(in *Config) error {
 	// contended middle hop binds, not the lowest-rate one. Result-time
 	// figures (Utilization, TimeToUtil90, the "util" gauge) read the
 	// max-utilization hop.
-	dm := &s.park.tables[0]
-	dm.reset()
-	s.dm = dm
 	n := len(topo.Hops)
 	if s.arena == nil {
 		s.arena = netem.NewHopArena(eng)
@@ -716,7 +730,7 @@ func (s *Scenario) init(in *Config) error {
 		}
 		specs[i] = sp
 	}
-	s.arena.Configure(specs, dm, s.FR)
+	s.arena.Configure(specs, (*dataDemux)(&s.byID), s.FR)
 	if cap(s.hops) < n {
 		s.hops = make([]builtHop, n)
 	}
@@ -754,16 +768,14 @@ func (s *Scenario) init(in *Config) error {
 	// Reverse channel: a real shared link when Reverse.Rate is set — ACKs
 	// from every flow queue behind one serializer. With Rate zero ACKs ride
 	// one shared ideal delay line per distinct reverse delay (created on
-	// demand in flow build order, see ackLine). Either way sndDemux hands
+	// demand in flow build order, see ackLine). Either way ackDemux hands
 	// them to their senders by FlowID + generation.
-	s.sndDemux = &s.park.tables[1]
-	s.sndDemux.reset()
 	if topo.Reverse.Rate > 0 {
 		rd := topo.Reverse.Delay
 		if rd <= 0 {
 			rd = topo.ForwardDelay()
 		}
-		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, netem.NewDropTail(topo.Reverse.Queue), s.sndDemux)
+		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, netem.NewDropTail(topo.Reverse.Queue), (*ackDemux)(&s.byID))
 		s.revLink.FR, s.revLink.Hop = s.FR, -1
 	}
 
@@ -836,18 +848,18 @@ func (s *Scenario) ackLine(d time.Duration) *netem.DelayLine {
 	if i == len(s.ackLines) {
 		s.ackLines = append(s.ackLines, new(netem.DelayLine))
 	}
-	s.ackLines[i].Init(s.Eng, d, s.sndDemux)
+	s.ackLines[i].Init(s.Eng, d, (*ackDemux)(&s.byID))
 	s.ackDelays = append(s.ackDelays, d)
 	return s.ackLines[i]
 }
 
 // nextGen advances and returns the FlowID's incarnation counter. The first
-// owner of an ID gets generation 1, so a cleared route (generation 0) can
-// never match a stamped segment.
+// owner of an ID gets generation 1, so a fresh slot (generation 0) can never
+// match a stamped segment.
 func (s *Scenario) nextGen(id packet.FlowID) uint32 {
-	s.flowGen = extend(s.flowGen, int(id)+1)
-	s.flowGen[id]++
-	return s.flowGen[id]
+	s.byID = extend(s.byID, int(id)+1)
+	s.byID[id].gen++
+	return s.byID[id].gen
 }
 
 // buildFlow wires one sender/receiver pair into the scenario, on parked
@@ -867,7 +879,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	}
 	s.arena.SetSpan(id, first, last)
 	gen := s.nextGen(id)
-	tcpCfg := s.tcpConfig(spec)
+	shared := s.share(spec)
 
 	var nic *host.Interface
 	if spec.Host != 0 {
@@ -890,17 +902,17 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	}
 
 	flow := s.takeFlow()
-	flow.Spec, flow.ID, flow.NIC, flow.started = *spec, id, nic, eng.Now()
+	flow.Spec, flow.Bytes, flow.ID, flow.NIC, flow.started = &shared.spec, spec.Bytes, id, nic, eng.Now()
 	if err := buildController(s, flow); err != nil {
 		return nil, err
 	}
 
 	// Reverse path: receiver -> reverse channel -> sender. With a real
 	// reverse link the ACKs join the shared queue; otherwise they ride the
-	// shared ideal delay line matching the flow's route delay. Either way a
-	// demux hands them to the sender by FlowID + generation — the route is
-	// registered right after the sender exists, before any data (and hence
-	// any ACK) can be in flight.
+	// shared ideal delay line matching the flow's route delay. Either way
+	// ackDemux hands them to the sender by FlowID + generation — the flow
+	// enters the table once both endpoints exist, before any data (and
+	// hence any ACK) can be in flight.
 	var ackPath netem.Receiver
 	if s.revLink != nil {
 		ackPath = s.revLink
@@ -913,12 +925,10 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		}
 		ackPath = s.ackLine(rd)
 	}
-	flow.Receiver.Init(eng, tcpCfg, id, gen, ackPath)
-	s.dm.set(id, gen, flow.Receiver)
-
-	flow.Sender.Init(eng, tcpCfg, id, gen, flow.reno, nic)
+	flow.Receiver.Init(eng, &shared.tcp, id, gen, ackPath)
+	flow.Sender.Init(eng, &shared.tcp, id, gen, flow.reno, nic)
 	flow.Sender.SetFlightRecorder(s.FR)
-	s.sndDemux.set(id, gen, flow.Sender)
+	s.byID[id].f = flow
 	if s.Rec != nil && !dynamic {
 		// Figure 1's series: the Web100 SendStall count at every stall.
 		stalls, snd := s.Rec.Series(fmt.Sprintf("stalls/%d", id)), flow.Sender
@@ -929,38 +939,51 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	// Workload: dynamic flows start at attach time (now), static flows at
 	// their configured StartAt.
 	if dynamic {
-		s.startWorkload(flow)
+		flow.startWorkload()
 	} else {
-		eng.ScheduleArg(sim.At(spec.StartAt), s.startFn, flow)
+		eng.ScheduleArg(sim.At(spec.StartAt), startFlow, flow)
 	}
 	return flow, nil
 }
 
-// tcpConfig returns this run's shared connection config for spec, filling a
-// parked (or new) one from DefaultConfig for the first flow that needs it. A
-// run's flows differ in a few knobs at most, so a scan beats any map.
-func (s *Scenario) tcpConfig(spec *FlowSpec) *tcp.Config {
-	want := tcp.DefaultConfig()
-	want.Pool, want.Table = s.segs, s.ftab
-	if s.Cfg.TimerWheel {
-		want.Wheel = s.wheel
-	}
-	if spec.MSS > 0 {
-		want.MSS = spec.MSS
-	}
-	want.SACK = spec.SACK
-	if spec.Alg == AlgStallWait || spec.StallWait {
-		want.Stall = tcp.StallWait
-	}
-	for _, c := range s.tcpCfgs {
-		if *c == want {
-			return c
+// share returns this run's shared spec for spec, filling a parked (or new)
+// entry and its connection config for the first flow that needs it. A run's
+// flows come from a few specs at most, so a scan beats any map.
+func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
+	want := *spec
+	want.Bytes, want.StartAt = 0, 0
+	for _, sh := range s.shared {
+		if sameSpec(sh.spec, want) {
+			return sh
 		}
 	}
-	c := take(&s.park.cfgs)
-	*c = want
-	s.tcpCfgs = append(s.tcpCfgs, c)
-	return c
+	sh := take(&s.park.shared)
+	sh.spec, sh.tcp = want, tcp.DefaultConfig()
+	c := &sh.tcp
+	c.Pool, c.Table = s.segs, s.ftab
+	if s.Cfg.TimerWheel {
+		c.Wheel = s.wheel
+	}
+	if want.MSS > 0 {
+		c.MSS = want.MSS
+	}
+	c.SACK = want.SACK
+	if want.Alg == AlgStallWait || want.StallWait {
+		c.Stall = tcp.StallWait
+	}
+	s.shared = append(s.shared, sh)
+	return sh
+}
+
+// sameSpec is == on FlowSpecs with the float fields compared by bits: a NaN
+// never equals itself, so each flow of a NaN spec would take an entry.
+func sameSpec(x, y FlowSpec) bool {
+	bits := func(f *FlowSpec) [2]uint64 {
+		return [2]uint64{math.Float64bits(f.Gains.Kp), math.Float64bits(f.SetpointFraction)}
+	}
+	bx, by := bits(&x), bits(&y)
+	x.Gains.Kp, x.SetpointFraction, y.Gains.Kp, y.SetpointFraction = 0, 0, 0, 0
+	return bx == by && x == y
 }
 
 // registerFlowGauges adds a static flow's sampled series to the recorder.
@@ -977,23 +1000,26 @@ func registerFlowGauges(s *Scenario, flow *Flow) {
 	})
 }
 
+// startFlow is a static flow's start event; its argument is the flow.
+func startFlow(f any) { f.(*Flow).startWorkload() }
+
 // startWorkload hands the flow's sender its data: Bytes at once and the end
 // of the stream (the paper's bulk transfer), or, with no Bytes, a backlog
 // the run's duration ends first.
-func (s *Scenario) startWorkload(flow *Flow) {
-	if b := flow.Spec.Bytes; b > 0 {
-		flow.Sender.Supply(b)
-		flow.Sender.Close()
+func (f *Flow) startWorkload() {
+	if f.Bytes > 0 {
+		f.Sender.Supply(f.Bytes)
+		f.Sender.Close()
 		return
 	}
-	flow.Sender.Supply(1 << 62)
+	f.Sender.Supply(1 << 62)
 }
 
 // buildController initializes the flow bundle's Reno with the slow-start
 // policy its spec selects, wiring a (parked or new) restricted-slow-start
 // controller to the flow's NIC for AlgRestricted.
 func buildController(s *Scenario, flow *Flow) error {
-	spec := &flow.Spec
+	spec := flow.Spec
 	var ss cc.SlowStartPolicy // nil: Reno's standard slow-start
 	switch spec.Alg {
 	case AlgRestricted:

@@ -61,7 +61,6 @@ type Poisson struct {
 	launch  func()
 	ev      sim.Event
 	stopped bool
-	fire    func()
 }
 
 // NewPoisson returns a Poisson source at the given rate (flows/sec).
@@ -75,16 +74,17 @@ func NewPoisson(perSecond float64) *Poisson {
 // Start schedules the first arrival one drawn gap from now.
 func (p *Poisson) Start(eng *sim.Engine, rng *sim.RNG, launch func()) {
 	p.eng, p.rng, p.launch, p.stopped = eng, rng, launch, false
-	p.fire = p.arrive
-	p.ev = eng.ScheduleAfter(expGap(rng, p.PerSecond), p.fire)
+	p.ev = eng.ScheduleArgAfter(expGap(rng, p.PerSecond), poissonArrive, p)
 }
+
+func poissonArrive(p any) { p.(*Poisson).arrive() }
 
 func (p *Poisson) arrive() {
 	if p.stopped {
 		return
 	}
 	p.launch()
-	p.ev = p.eng.ScheduleAfter(expGap(p.rng, p.PerSecond), p.fire)
+	p.ev = p.eng.ScheduleArgAfter(expGap(p.rng, p.PerSecond), poissonArrive, p)
 }
 
 // Stop cancels the pending arrival; no further launches occur.
@@ -118,7 +118,6 @@ type MMPP struct {
 	launch     func()
 	ev         sim.Event
 	stopped    bool
-	fire       func()
 	phaseHi    bool
 	phaseUntil sim.Time
 }
@@ -138,7 +137,6 @@ func NewMMPP(lo, hi float64, sojourn sim.Duration) *MMPP {
 // Start begins in the low phase with a freshly drawn sojourn.
 func (m *MMPP) Start(eng *sim.Engine, rng *sim.RNG, launch func()) {
 	m.eng, m.rng, m.launch, m.stopped = eng, rng, launch, false
-	m.fire = m.arrive
 	m.phaseHi = false
 	m.phaseUntil = eng.Now().Add(expGap(rng, m.flipRate()))
 	m.schedule()
@@ -161,7 +159,7 @@ func (m *MMPP) schedule() {
 	for {
 		at := now.Add(expGap(m.rng, m.phaseRate()))
 		if at <= m.phaseUntil {
-			m.ev = m.eng.Schedule(at, m.fire)
+			m.ev = m.eng.ScheduleArg(at, mmppArrive, m)
 			return
 		}
 		now = m.phaseUntil
@@ -169,6 +167,8 @@ func (m *MMPP) schedule() {
 		m.phaseUntil = now.Add(expGap(m.rng, m.flipRate()))
 	}
 }
+
+func mmppArrive(m any) { m.(*MMPP).arrive() }
 
 func (m *MMPP) arrive() {
 	if m.stopped {
@@ -215,7 +215,6 @@ type WebSession struct {
 	launch  func()
 	ev      sim.Event
 	stopped bool
-	fire    func()
 	chains  []*webChain
 	spare   []*webChain
 }
@@ -227,7 +226,6 @@ type webChain struct {
 	remaining int
 	ev        sim.Event
 	idx       int
-	fire      func()
 }
 
 // NewWebSession returns a web-session source.
@@ -247,10 +245,11 @@ func NewWebSession(sessionsPerSec float64, flowsPerSession int, think sim.Durati
 // Start schedules the first session arrival one drawn gap from now.
 func (w *WebSession) Start(eng *sim.Engine, rng *sim.RNG, launch func()) {
 	w.eng, w.rng, w.launch, w.stopped = eng, rng, launch, false
-	w.fire = w.session
 	w.chains = w.chains[:0]
-	w.ev = eng.ScheduleAfter(expGap(rng, w.SessionsPerSec), w.fire)
+	w.ev = eng.ScheduleArgAfter(expGap(rng, w.SessionsPerSec), webSession, w)
 }
+
+func webSession(w any) { w.(*WebSession).session() }
 
 // session fires on each session arrival: the first flow launches
 // immediately, the rest follow as an independent think-time chain.
@@ -262,9 +261,9 @@ func (w *WebSession) session() {
 	if w.FlowsPerSession > 1 {
 		c := w.getChain()
 		c.remaining = w.FlowsPerSession - 1
-		c.ev = w.eng.ScheduleAfter(expGap(w.rng, 1/w.Think.Seconds()), c.fire)
+		c.ev = w.eng.ScheduleArgAfter(expGap(w.rng, 1/w.Think.Seconds()), webStep, c)
 	}
-	w.ev = w.eng.ScheduleAfter(expGap(w.rng, w.SessionsPerSec), w.fire)
+	w.ev = w.eng.ScheduleArgAfter(expGap(w.rng, w.SessionsPerSec), webSession, w)
 }
 
 func (w *WebSession) getChain() *webChain {
@@ -273,7 +272,6 @@ func (w *WebSession) getChain() *webChain {
 		c, w.spare = w.spare[n-1], w.spare[:n-1]
 	} else {
 		c = &webChain{src: w}
-		c.fire = c.step
 	}
 	c.idx = len(w.chains)
 	w.chains = append(w.chains, c)
@@ -289,6 +287,8 @@ func (w *WebSession) dropChain(c *webChain) {
 	w.spare = append(w.spare, c)
 }
 
+func webStep(c any) { c.(*webChain).step() }
+
 func (c *webChain) step() {
 	w := c.src
 	if w.stopped {
@@ -300,7 +300,7 @@ func (c *webChain) step() {
 		w.dropChain(c)
 		return
 	}
-	c.ev = w.eng.ScheduleAfter(expGap(w.rng, 1/w.Think.Seconds()), c.fire)
+	c.ev = w.eng.ScheduleArgAfter(expGap(w.rng, 1/w.Think.Seconds()), webStep, c)
 }
 
 // Stop cancels the session arrival and every live chain's pending flow.

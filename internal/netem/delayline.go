@@ -32,12 +32,11 @@ type delayed struct {
 // Scheduling). The FIFO invariant this relies on — due times never decrease
 // — holds because the delay is constant and virtual time is monotone.
 type DelayLine struct {
-	eng    *sim.Engine
-	delay  time.Duration
-	dst    Receiver
-	q      fifo[delayed]
-	armed  bool
-	fireFn func()
+	eng   *sim.Engine
+	delay time.Duration
+	dst   Receiver
+	q     fifo[delayed]
+	armed bool
 }
 
 // NewDelayLine returns a pure-delay FIFO element feeding dst.
@@ -48,17 +47,14 @@ func NewDelayLine(eng *sim.Engine, delay time.Duration, dst Receiver) *DelayLine
 }
 
 // Init (re)initializes the line in place, empty and unarmed, keeping only
-// the FIFO's backing array and the bound fire callback of a used value. A
-// used line must be flushed first.
+// the FIFO's backing array of a used value. A used line must be flushed
+// first.
 func (l *DelayLine) Init(eng *sim.Engine, delay time.Duration, dst Receiver) {
 	if dst == nil {
 		panic("netem: delay line with nil destination")
 	}
-	items, fire := l.q.items[:0], l.fireFn
-	if fire == nil {
-		fire = l.fire
-	}
-	*l = DelayLine{eng: eng, delay: delay, dst: dst, fireFn: fire}
+	items := l.q.items[:0]
+	*l = DelayLine{eng: eng, delay: delay, dst: dst}
 	l.q.items = items
 }
 
@@ -85,9 +81,11 @@ func (l *DelayLine) Receive(seg *packet.Segment) {
 
 func (l *DelayLine) arm() {
 	h := l.q.front()
-	l.eng.ScheduleReserved(h.at, h.seq, l.fireFn)
+	l.eng.ScheduleReserved(h.at, h.seq, delayLineFire, l)
 	l.armed = true
 }
+
+func delayLineFire(l any) { l.(*DelayLine).fire() }
 
 // fire delivers the head segment. The next head is armed before the
 // delivery cascade runs, so events the delivery schedules at the same
@@ -103,6 +101,3 @@ func (l *DelayLine) fire() {
 
 // Len returns the number of segments in flight on the line.
 func (l *DelayLine) Len() int { return l.q.len() }
-
-// Delay returns the propagation delay.
-func (l *DelayLine) Delay() time.Duration { return l.delay }

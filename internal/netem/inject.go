@@ -95,27 +95,26 @@ func (d *Duplicator) Duplicated() int64 { return d.duplicated }
 
 // Reorderer delays randomly chosen segments by an extra interval, letting
 // later traffic overtake them — the classic cause of spurious duplicate ACKs.
+// The held segments ride a DelayLine, which orders them exactly as a
+// calendar entry per segment would.
 type Reorderer struct {
 	eng *sim.Engine
 	// P is the probability a segment is held back.
-	P float64
-	// Delay is the extra hold time applied to reordered segments.
-	Delay time.Duration
-	RNG   *sim.RNG
-	Next  Receiver
+	P   float64
+	RNG *sim.RNG
 	// FR records each held-back segment (KindReorder, B = extra delay in
 	// nanoseconds) under hop index Hop. A nil recorder records nothing.
 	FR  *telemetry.FlightRecorder
 	Hop int32
 
-	deliver   func(any) // bound once in NewReorderer
+	held      DelayLine // the extra delay, into the next element
 	reordered int64
 }
 
-// NewReorderer builds a reorder injector.
+// NewReorderer builds a reorder injector; a negative delay is zero.
 func NewReorderer(eng *sim.Engine, p float64, delay time.Duration, rng *sim.RNG, next Receiver) *Reorderer {
-	r := &Reorderer{eng: eng, P: p, Delay: delay, RNG: rng, Next: next}
-	r.deliver = func(a any) { r.Next.Receive(a.(*packet.Segment)) }
+	r := &Reorderer{eng: eng, P: p, RNG: rng}
+	r.held.Init(eng, max(delay, 0), next)
 	return r
 }
 
@@ -123,12 +122,15 @@ func NewReorderer(eng *sim.Engine, p float64, delay time.Duration, rng *sim.RNG,
 func (r *Reorderer) Receive(seg *packet.Segment) {
 	if r.P > 0 && r.RNG != nil && r.RNG.Bool(r.P) {
 		r.reordered++
-		r.FR.Record(r.eng.Now(), telemetry.KindReorder, int32(seg.Flow), r.Hop, seg.Seq, int64(r.Delay))
-		r.eng.ScheduleArgAfter(r.Delay, r.deliver, seg)
+		r.FR.Record(r.eng.Now(), telemetry.KindReorder, int32(seg.Flow), r.Hop, seg.Seq, int64(r.held.delay))
+		r.held.Receive(seg)
 		return
 	}
-	r.Next.Receive(seg)
+	r.held.dst.Receive(seg)
 }
+
+// Flush releases every held segment (see DelayLine.Flush).
+func (r *Reorderer) Flush() { r.held.Flush() }
 
 // Reordered returns how many segments were held back.
 func (r *Reorderer) Reordered() int64 { return r.reordered }

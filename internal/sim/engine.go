@@ -9,20 +9,19 @@ import (
 // steady-state simulation schedules millions of events with a handful of
 // allocations. External code never sees *event; it holds an Event handle.
 //
-// The layout is 88 bytes, inside Go's 96-byte size class; a field that
-// crosses it costs every pending event 16 bytes (TestCalendarEntrySizeClass).
+// The layout is 80 bytes, Go's 80-byte size class; a field that crosses it
+// costs every pending event 16 bytes (TestCalendarEntrySizeClass).
 type event struct {
 	at    Time
 	seq   uint64 // FIFO tie-break among events at the same instant
 	next  *event // ladder only: rung bucket list links (see rung)
 	prev  *event
-	index int32  // position in its container, -1 once removed
-	bkt   int32  // ladder only: bucket slot within the rung
-	lvl   int16  // ladder only: rung index
-	where int8   // ladder only: container tag (locBottom/locRung/locOver)
-	gen   uint64 // bumped on recycle; stale handles compare unequal
-	fn    func()
-	argFn func(any) // alternative callback form: reused func + per-event arg
+	index int32     // position in its container, -1 once removed
+	bkt   int32     // ladder only: bucket slot within the rung
+	lvl   int16     // ladder only: rung index
+	where int8      // ladder only: container tag (locBottom/locRung/locOver)
+	gen   uint64    // bumped on recycle; stale handles compare unequal
+	fn    func(any) // runs as fn(arg): a reused func, the per-event state in arg
 	arg   any
 }
 
@@ -115,10 +114,11 @@ func (e *Engine) LadderEnabled() bool { return e.lad != nil }
 // and sequence counter rewind to zero, and the freed calendar and free-list
 // capacity carry over. A campaign worker resets one engine per replicate
 // instead of allocating a new one, so steady-state sweeps reuse the same
-// entries run after run. A discarded entry whose ScheduleArg argument has a
-// Release method (a pooled segment waiting on a deferred delivery) gets it
-// called: the delivery will never run, so nothing else can return the
-// resource. Resetting mid-run (from inside an event) is a logic error and
+// entries run after run. A discarded entry whose argument has a Release
+// method (a pooled segment waiting on a deferred delivery) gets it called:
+// the delivery will never run, so nothing else can return the resource. A
+// component that passes itself as the argument therefore has no Release
+// method. Resetting mid-run (from inside an event) is a logic error and
 // panics.
 func (e *Engine) Reset() {
 	if e.running {
@@ -233,27 +233,6 @@ func (e *Engine) Leaked() int {
 	return int(issued-e.recycled) - e.Pending()
 }
 
-func (e *Engine) get(at Time) *event {
-	e.seq++
-	return e.getReserved(at, e.seq)
-}
-
-func (e *Engine) getReserved(at Time, seq uint64) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		e.reused++
-	} else {
-		ev = &event{}
-		e.created++
-	}
-	ev.at = at
-	ev.seq = seq
-	return ev
-}
-
 // ReserveSeq allocates and returns the next FIFO tie-break sequence number
 // without scheduling anything. A component that admits work now but arms the
 // calendar entry later (a delay line keeping one armed event for a whole
@@ -266,10 +245,10 @@ func (e *Engine) ReserveSeq() uint64 {
 	return e.seq
 }
 
-// ScheduleReserved is Schedule with a caller-reserved sequence number: the
-// event fires at instant at, ordered among same-instant events by seq
+// ScheduleReserved is ScheduleArg with a caller-reserved sequence number:
+// fn(arg) runs at instant at, ordered among same-instant events by seq
 // (which must come from ReserveSeq) instead of by scheduling time.
-func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func()) Event {
+func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func(any), arg any) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at %v, now %v", at, e.now))
 	}
@@ -279,8 +258,17 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func()) Event {
 	if seq == 0 || seq > e.seq {
 		panic("sim: ScheduleReserved with an unreserved sequence number")
 	}
-	ev := e.getReserved(at, seq)
-	ev.fn = fn
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		e.reused++
+	} else {
+		ev = &event{}
+		e.created++
+	}
+	ev.at, ev.seq, ev.fn, ev.arg = at, seq, fn, arg
 	e.push(ev)
 	return Event{ev: ev, gen: ev.gen}
 }
@@ -315,26 +303,22 @@ func (e *Engine) discard(ev *event) {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.argFn = nil
 	ev.arg = nil
 	e.recycled++
 	e.free = append(e.free, ev)
 }
 
-// Schedule arranges for fn to run at instant at. Scheduling in the past
-// panics: it is always a logic error in a discrete-event model.
+// Schedule arranges for fn to run at instant at, as ScheduleArg with fn for
+// the argument. Scheduling in the past panics: it is always a logic error in
+// a discrete-event model.
 func (e *Engine) Schedule(at Time, fn func()) Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule in the past: at %v, now %v", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule with nil func")
 	}
-	ev := e.get(at)
-	ev.fn = fn
-	e.push(ev)
-	return Event{ev: ev, gen: ev.gen}
+	return e.ScheduleArg(at, callFunc, fn)
 }
+
+func callFunc(fn any) { fn.(func())() }
 
 // ScheduleAfter arranges for fn to run d after the current instant.
 // A negative d is treated as zero.
@@ -345,22 +329,11 @@ func (e *Engine) ScheduleAfter(d Duration, fn func()) Event {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// ScheduleArg arranges for fn(arg) to run at instant at. Unlike Schedule,
-// the callback can be a long-lived function value with the per-event state
-// passed through arg, so hot paths (per-segment deliveries) schedule without
-// allocating a closure.
+// ScheduleArg arranges for fn(arg) to run at instant at. Every component
+// schedules this way, a package-level fn with itself as arg (see
+// netem.Port), so no event needs a closure.
 func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule in the past: at %v, now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule with nil func")
-	}
-	ev := e.get(at)
-	ev.argFn = fn
-	ev.arg = arg
-	e.push(ev)
-	return Event{ev: ev, gen: ev.gen}
+	return e.ScheduleReserved(at, e.ReserveSeq(), fn, arg)
 }
 
 // ScheduleArgAfter is ScheduleArg relative to the current instant.
@@ -405,15 +378,9 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.processed++
-	if ev.argFn != nil {
-		fn, arg := ev.argFn, ev.arg
-		e.recycle(ev)
-		fn(arg)
-	} else {
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	}
+	fn, arg := ev.fn, ev.arg
+	e.recycle(ev)
+	fn(arg)
 	return true
 }
 
@@ -478,15 +445,9 @@ func (e *Engine) runLadder(deadline Time) {
 		for {
 			ev := l.popHead()
 			e.processed++
-			if ev.argFn != nil {
-				fn, arg := ev.argFn, ev.arg
-				e.recycle(ev)
-				fn(arg)
-			} else {
-				fn := ev.fn
-				e.recycle(ev)
-				fn()
-			}
+			fn, arg := ev.fn, ev.arg
+			e.recycle(ev)
+			fn(arg)
 			if e.stopped {
 				return
 			}

@@ -115,7 +115,7 @@ func (s *fuzzSide) apply(kind, arg, n int, span Duration) {
 		s1, s2, s3 := s.e.ReserveSeq(), s.e.ReserveSeq(), s.e.ReserveSeq()
 		for i, seq := range []uint64{s3, s1, s2} {
 			id := s.id()
-			s.slots[(arg+i)%len(s.slots)] = s.e.ScheduleReserved(at, seq, func() { s.fire(id) })
+			s.slots[(arg+i)%len(s.slots)] = s.e.ScheduleReserved(at, seq, s.argFn, id)
 		}
 	case fopCancel:
 		s.e.Cancel(*slot)

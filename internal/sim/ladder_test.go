@@ -70,7 +70,7 @@ func runSchedFuzz(useLadder bool, seed uint64, spawnLimit int) ([]schedFiring, *
 	scheduleReserved := func(at Time, seq uint64) {
 		id := nextID
 		nextID++
-		ring[rng.Intn(len(ring))] = e.ScheduleReserved(at, seq, func() { fire(id) })
+		ring[rng.Intn(len(ring))] = e.ScheduleReserved(at, seq, argFire, id)
 	}
 	fire = func(id int) {
 		log = append(log, schedFiring{id, e.Now()})
@@ -372,14 +372,16 @@ func TestLadderMaxBottomCountsHeadSlotInserts(t *testing.T) {
 }
 
 // TestCalendarEntrySizeClass pins what the calendar stores. Go rounds each
-// allocation up to a size class (…, 80, 96, 112 B): event is 88 B with its
-// list links, in the 96-B class it held with the debug label it replaced,
-// so neither backend pays for the ladder's lists. A rung is two 256-entry
-// arrays (list heads and counts) and a bitmap, about 3.1 KB; its slice
-// buckets were 6,208 B plus backing arrays that kept their peak capacity.
+// allocation up to a size class (…, 64, 80, 96, 112 B): event was 88 B with
+// its list links, in the 96-B class it held with the debug label it
+// replaced, so neither backend pays for the ladder's lists; with one
+// callback form instead of two it is 80 B, the 80-B class. A rung is two
+// 256-entry arrays (list heads and counts) and a bitmap, about 3.1 KB; its
+// slice buckets were 6,208 B plus backing arrays that kept their peak
+// capacity.
 func TestCalendarEntrySizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got > 96 {
-		t.Errorf("event is %d B, over the 96-B size class", got)
+	if got := unsafe.Sizeof(event{}); got > 80 {
+		t.Errorf("event is %d B, over the 80-B size class", got)
 	}
 	if got := unsafe.Sizeof(rung{}); got > 3200 {
 		t.Errorf("rung is %d B, budget 3,200", got)

@@ -69,8 +69,9 @@ func TestScheduleReservedOrdering(t *testing.T) {
 	s1 := e.ReserveSeq()
 	s2 := e.ReserveSeq()
 	// Arm in reverse: the later-reserved number is scheduled first.
-	e.ScheduleReserved(At(time.Millisecond), s2, func() { order = append(order, 2) })
-	e.ScheduleReserved(At(time.Millisecond), s1, func() { order = append(order, 1) })
+	record := func(n any) { order = append(order, n.(int)) }
+	e.ScheduleReserved(At(time.Millisecond), s2, record, 2)
+	e.ScheduleReserved(At(time.Millisecond), s1, record, 1)
 	// An immediately-scheduled event at the same instant lands after both
 	// reservations.
 	e.Schedule(At(time.Millisecond), func() { order = append(order, 3) })
@@ -87,7 +88,7 @@ func TestScheduleReservedRejectsUnreserved(t *testing.T) {
 			t.Error("unreserved sequence number accepted")
 		}
 	}()
-	e.ScheduleReserved(At(time.Millisecond), 99, func() {})
+	e.ScheduleReserved(At(time.Millisecond), 99, func(any) {}, nil)
 }
 
 // TestLazyTimerMatchesEagerOrdering pins the lazy re-arm contract: a timer

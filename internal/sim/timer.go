@@ -2,7 +2,7 @@ package sim
 
 // Timer is a resettable one-shot timer, the shape TCP retransmission timers
 // need: arm, re-arm (which supersedes the previous deadline), and stop.
-// The callback is fixed at construction; what varies is the deadline.
+// The hook is fixed at initialization; what varies is the deadline.
 //
 // Re-arming is lazy when the deadline only moves later (the common case —
 // every ACK pushes the RTO forward): the timer records the new target and
@@ -16,12 +16,11 @@ package sim
 // deadline carries the last reserved number, so same-instant ties resolve
 // identically (see TestLazyTimerMatchesEagerOrdering).
 type Timer struct {
-	eng    *Engine
-	fn     func()
-	fireFn func() // bound once so Arm never allocates a method value
-	ev     Event
-	at     Time   // target deadline, meaningful while armed
-	seq    uint64 // sequence number reserved by the latest Arm
+	eng  *Engine
+	hook Hook
+	ev   Event
+	at   Time   // target deadline, meaningful while armed
+	seq  uint64 // sequence number reserved by the latest Arm
 
 	// Wheel-backed mode (see Wheel): when wheel is non-nil, Arm and Stop
 	// route through the wheel's O(1) slot lists instead of the calendar
@@ -34,11 +33,18 @@ type Timer struct {
 	armed bool // after wSlot, in its word's padding
 }
 
+// Hook is what a Timer runs when it expires and a Ticker on every tick: the
+// owner under a method set of its own (see tcp.Sender's RTO), so no callback
+// is bound. The calendar entry carries the timer, and the timer its owner.
+type Hook interface{ Fire() }
+
+// funcHook adapts a func(), which converts to an interface without allocating.
+type funcHook func()
+
+func (f funcHook) Fire() { f() }
+
 // NewTimer returns a stopped timer that will invoke fn when it expires.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: NewTimer with nil func")
-	}
 	t := new(Timer)
 	t.Init(eng, nil, fn)
 	return t
@@ -54,23 +60,23 @@ func NewWheelTimer(w *Wheel, fn func()) *Timer {
 	return t
 }
 
-// Init (re)initializes a Timer value in place, the allocation-free
-// equivalent of NewTimer for timers embedded by value in a larger per-flow
-// struct. w may be nil for a plain heap-backed timer. Re-initializing a used
-// timer keeps its bound fire callback (it closes over the timer's address,
-// which has not moved) and forgets everything else, so a recycled owner
-// re-inits without allocating; whatever entry the old deadline held must
-// already be gone (engine or wheel reset).
+// Init is InitHook for a func.
 func (t *Timer) Init(eng *Engine, w *Wheel, fn func()) {
 	if fn == nil {
 		panic("sim: Timer.Init with nil func")
 	}
-	fire := t.fireFn
-	if fire == nil {
-		fire = t.fire
+	t.InitHook(eng, w, funcHook(fn))
+}
+
+// InitHook (re)initializes a Timer value in place, the allocation-free
+// equivalent of NewTimer for timers embedded by value in a larger per-flow
+// struct. w may be nil for a plain heap-backed timer. Whatever entry a used
+// timer's old deadline held must already be gone (engine or wheel reset).
+func (t *Timer) InitHook(eng *Engine, w *Wheel, h Hook) {
+	if h == nil {
+		panic("sim: timer with nil hook")
 	}
-	*t = Timer{} // zero, then set: a literal that reads t is built aside and copied
-	t.eng, t.fn, t.fireFn, t.wheel, t.wSlot = eng, fn, fire, w, -1
+	*t = Timer{eng: eng, hook: h, wheel: w, wSlot: -1}
 }
 
 // Arm (re)schedules the timer to fire d from now, superseding any earlier
@@ -100,7 +106,7 @@ func (t *Timer) ArmAt(at Time) {
 		return
 	}
 	t.eng.Cancel(t.ev)
-	t.ev = t.eng.ScheduleReserved(at, t.seq, t.fireFn)
+	t.ev = t.eng.ScheduleReserved(at, t.seq, timerFire, t)
 }
 
 // Stop cancels the pending expiry, if any.
@@ -124,6 +130,8 @@ func (t *Timer) Deadline() Time {
 	return t.at
 }
 
+func timerFire(t any) { t.(*Timer).fire() }
+
 func (t *Timer) fire() {
 	t.ev = Event{}
 	if !t.armed {
@@ -132,53 +140,49 @@ func (t *Timer) fire() {
 	if t.at > t.eng.Now() {
 		// Stale wake: the deadline moved on since this entry was
 		// scheduled. Chase it with the latest reserved number.
-		t.ev = t.eng.ScheduleReserved(t.at, t.seq, t.fireFn)
+		t.ev = t.eng.ScheduleReserved(t.at, t.seq, timerFire, t)
 		return
 	}
 	t.armed = false
-	t.fn()
+	t.hook.Fire()
 }
 
-// Ticker invokes a callback at a fixed period, starting one period after
-// Start. It is the clock for periodic controllers (the PID loop) and for
-// trace sampling.
+// Ticker runs a hook at a fixed period, starting one period after Start. It
+// is the clock for periodic controllers (the PID loop) and for trace
+// sampling.
 type Ticker struct {
 	eng    *Engine
-	fn     func()
-	tickFn func() // bound once so each tick schedules without allocating
+	hook   Hook
 	period Duration
 	ev     Event
 }
 
 // NewTicker returns a stopped ticker with the given period and callback.
 func NewTicker(eng *Engine, period Duration, fn func()) *Ticker {
-	t := new(Ticker)
-	t.Init(eng, period, fn)
-	return t
-}
-
-// Init (re)initializes a Ticker value in place as a stopped ticker; like
-// Timer.Init it keeps only the bound tick callback of a used value.
-func (t *Ticker) Init(eng *Engine, period Duration, fn func()) {
-	if period <= 0 {
-		panic("sim: ticker with non-positive period")
-	}
 	if fn == nil {
 		panic("sim: ticker with nil func")
 	}
-	tick := t.tickFn
-	if tick == nil {
-		tick = t.tick
+	t := new(Ticker)
+	t.InitHook(eng, period, funcHook(fn))
+	return t
+}
+
+// InitHook (re)initializes a Ticker value in place as a stopped ticker.
+func (t *Ticker) InitHook(eng *Engine, period Duration, h Hook) {
+	if period <= 0 {
+		panic("sim: ticker with non-positive period")
 	}
-	*t = Ticker{}
-	t.eng, t.fn, t.tickFn, t.period = eng, fn, tick, period
+	if h == nil {
+		panic("sim: ticker with nil hook")
+	}
+	*t = Ticker{eng: eng, hook: h, period: period}
 }
 
 // Start begins ticking; the first tick is one period from now.
 // Starting a started ticker restarts its phase.
 func (t *Ticker) Start() {
 	t.Stop()
-	t.ev = t.eng.ScheduleAfter(t.period, t.tickFn)
+	t.ev = t.eng.ScheduleArgAfter(t.period, tickerTick, t)
 }
 
 // Stop cancels future ticks.
@@ -187,13 +191,12 @@ func (t *Ticker) Stop() {
 	t.ev = Event{}
 }
 
-// Period returns the tick interval.
-func (t *Ticker) Period() Duration { return t.period }
-
 // Running reports whether the ticker is active.
 func (t *Ticker) Running() bool { return t.ev.Pending() }
 
+func tickerTick(t any) { t.(*Ticker).tick() }
+
 func (t *Ticker) tick() {
-	t.ev = t.eng.ScheduleAfter(t.period, t.tickFn)
-	t.fn()
+	t.ev = t.eng.ScheduleArgAfter(t.period, tickerTick, t)
+	t.hook.Fire()
 }

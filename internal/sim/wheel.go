@@ -32,7 +32,6 @@ type Wheel struct {
 
 	flushEv Event
 	flushAt Time
-	flushFn func() // bound once; re-arming the cursor never allocates a closure
 
 	// self-observation (see WheelStats)
 	armed   uint64
@@ -63,13 +62,8 @@ func NewWheel(eng *Engine, gran Duration, slots int) *Wheel {
 	for n < slots {
 		n <<= 1
 	}
-	w := &Wheel{eng: eng, gran: gran, slots: make([]*Timer, n), mask: int64(n - 1)}
-	w.flushFn = w.flush
-	return w
+	return &Wheel{eng: eng, gran: gran, slots: make([]*Timer, n), mask: int64(n - 1)}
 }
-
-// Engine returns the calendar this wheel fronts.
-func (w *Wheel) Engine() *Engine { return w.eng }
 
 // Resident returns the number of timers currently linked into slots.
 func (w *Wheel) Resident() int { return w.count }
@@ -127,7 +121,7 @@ func (w *Wheel) arm(t *Timer) {
 	if flush <= w.eng.now || at.Sub(w.eng.now) >= Duration(w.mask)*w.gran {
 		// Within the current window (its flush instant is not in the
 		// future) or beyond the horizon: the calendar is the overflow.
-		t.ev = w.eng.ScheduleReserved(at, t.seq, t.fireFn)
+		t.ev = w.eng.ScheduleReserved(at, t.seq, timerFire, t)
 		w.direct++
 		return
 	}
@@ -145,7 +139,7 @@ func (w *Wheel) arm(t *Timer) {
 	if !w.flushEv.Pending() || flush < w.flushAt {
 		w.eng.Cancel(w.flushEv)
 		w.flushAt = flush
-		w.flushEv = w.eng.Schedule(flush, w.flushFn)
+		w.flushEv = w.eng.ScheduleArg(flush, wheelFlush, w)
 	}
 }
 
@@ -167,6 +161,8 @@ func (w *Wheel) unlink(t *Timer) {
 	w.count--
 }
 
+func wheelFlush(w any) { w.(*Wheel).flush() }
+
 // flush runs at an exact slot boundary k·gran and hands every timer of the
 // slot that just became current — deadlines in (k·gran, (k+1)·gran], all
 // strictly in the future — to the calendar at its exact deadline and
@@ -181,7 +177,7 @@ func (w *Wheel) flush() {
 		t.wNext, t.wPrev = nil, nil
 		t.wSlot = -1
 		w.count--
-		t.ev = w.eng.ScheduleReserved(t.at, t.seq, t.fireFn)
+		t.ev = w.eng.ScheduleReserved(t.at, t.seq, timerFire, t)
 		t = next
 	}
 	w.slots[idx] = nil
@@ -193,7 +189,7 @@ func (w *Wheel) flush() {
 	for i := int64(1); i <= w.mask+1; i++ {
 		if w.slots[int((s+i)&w.mask)] != nil {
 			w.flushAt = Time((s + i) * int64(w.gran))
-			w.flushEv = w.eng.Schedule(w.flushAt, w.flushFn)
+			w.flushEv = w.eng.ScheduleArg(w.flushAt, wheelFlush, w)
 			return
 		}
 	}

@@ -79,7 +79,7 @@ func TestLoopTransferCompletes(t *testing.T) {
 	l := buildLoop(loopOpts{cfg: Config{MSS: 1000}})
 	const total = 500_000
 	done := false
-	l.snd.OnComplete = func() { done = true }
+	l.snd.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(30 * time.Second))
@@ -152,7 +152,7 @@ func TestLoopRecoversFromPeriodicLoss(t *testing.T) {
 	})
 	const total = 2 << 20
 	done := false
-	l.snd.OnComplete = func() { done = true }
+	l.snd.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(120 * time.Second))
@@ -177,7 +177,7 @@ func TestLoopRecoversFromHeavyRandomLoss(t *testing.T) {
 	l := buildLoop(loopOpts{cfg: Config{MSS: 1000}, fwdLoss: loss})
 	const total = 1 << 20
 	done := false
-	l.snd.OnComplete = func() { done = true }
+	l.snd.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(300 * time.Second))
@@ -198,7 +198,7 @@ func TestLoopSACKTransferUnderLoss(t *testing.T) {
 	})
 	const total = 2 << 20
 	done := false
-	l.snd.OnComplete = func() { done = true }
+	l.snd.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(120 * time.Second))
@@ -223,7 +223,7 @@ func TestLoopSACKAvoidsTimeoutsOnBurstLoss(t *testing.T) {
 			owd:        20 * time.Millisecond,
 		})
 		var done sim.Time = -1
-		l.snd.OnComplete = func() { done = l.eng.Now() }
+		l.snd.OnComplete = func(*Sender) { done = l.eng.Now() }
 		l.snd.Supply(3 << 20)
 		l.snd.Close()
 		l.eng.RunUntil(sim.At(300 * time.Second))

@@ -32,7 +32,6 @@ type Receiver struct {
 	pending int32              // in-order segments since last ACK
 	stopped bool
 	delack  sim.Timer
-	delFn   func() // onDelAckTimeout, bound once (see Sender.rtoFn)
 	stats   ReceiverStats
 }
 
@@ -46,20 +45,17 @@ func NewReceiver(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Rece
 }
 
 // Init (re)initializes the receiver in place as a fresh connection; a used
-// receiver keeps only its reassembly list's backing array and its bound
-// timer callback. cfg and gen are held and stamped as by Sender.Init.
+// receiver keeps only its reassembly list's backing array. cfg and gen are
+// held and stamped as by Sender.Init.
 func (r *Receiver) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint32, out netem.Receiver) {
 	if out == nil {
 		panic("tcp: receiver with nil ACK path")
 	}
-	ooo, delack, delFn := r.ooo[:0], r.delack, r.delFn
-	if delFn == nil {
-		delFn = r.onDelAckTimeout
-	}
+	ooo := r.ooo[:0]
 	*r = Receiver{} // zero, then set (see Sender.Init)
 	r.eng, r.cfg, r.flow, r.gen, r.out = eng, cfg, flow, gen, out
-	r.ooo, r.delack, r.delFn = ooo, delack, delFn
-	r.delack.Init(eng, cfg.Wheel, r.delFn)
+	r.ooo = ooo
+	r.delack.InitHook(eng, cfg.Wheel, (*delAckExpiry)(r))
 }
 
 // RcvNxt returns the next expected sequence number.
@@ -137,6 +133,11 @@ func (r *Receiver) mergeContiguous() {
 		r.ooo = r.ooo[:n]
 	}
 }
+
+// delAckExpiry is the receiver as its delayed-ACK timer's hook.
+type delAckExpiry Receiver
+
+func (h *delAckExpiry) Fire() { (*Receiver)(h).onDelAckTimeout() }
 
 func (r *Receiver) onDelAckTimeout() {
 	if r.pending > 0 {

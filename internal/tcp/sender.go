@@ -68,11 +68,10 @@ type Sender struct {
 	rtxHigh      int64  // segments below this are retransmissions (Karn)
 	stallCwrHigh int64  // suppress repeated stall-congestion until una passes
 	resumeFn     func() // the waker callback, bound once (no per-stall closure)
-	rtoFn        func() // onRTO, bound once so Init re-arms the timer for free
 
-	// OnComplete fires once when all supplied data is acknowledged after
-	// Close.
-	OnComplete func()
+	// OnComplete fires once, with the sender, when all supplied data is
+	// acknowledged after Close.
+	OnComplete func(*Sender)
 	// OnStall fires on every send-stall, after Stats().SendStall counts it;
 	// a traced flow's Figure-1 series hooks here.
 	OnStall func()
@@ -97,7 +96,7 @@ func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controll
 
 // Init (re)initializes the sender in place as a fresh connection and
 // attaches the controller. A used sender keeps only storage — its record
-// list's backing array, its bound callbacks — and nothing of the previous
+// list's backing array, its resume callback — and nothing of the previous
 // connection's state, hooks or Web100 counters (that block is held by value
 // and zeroed with the rest), so a recycled sender behaves exactly like a new
 // one and costs no allocation. The previous row, if any, is not freed: the
@@ -115,9 +114,8 @@ func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint
 	if path == nil {
 		panic("tcp: sender with nil transmit path")
 	}
-	segs, rto, rtoFn, resumeFn := s.segs[:0], s.rto, s.rtoFn, s.resumeFn
-	if rtoFn == nil {
-		rtoFn = s.onRTO
+	segs, resumeFn := s.segs[:0], s.resumeFn
+	if resumeFn == nil {
 		resumeFn = func() {
 			s.wakerArmed = false
 			s.trySend()
@@ -125,7 +123,7 @@ func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint
 	}
 	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
 	s.eng, s.cfg, s.flow, s.gen, s.ctrl, s.path = eng, cfg, flow, gen, ctrl, path
-	s.segs, s.rto, s.rtoFn, s.resumeFn = segs, rto, rtoFn, resumeFn
+	s.segs, s.resumeFn = segs, resumeFn
 	s.tbl = cfg.Table
 	if s.tbl == nil {
 		// Unshared sender: a private one-row table keeps the hot-state
@@ -136,10 +134,13 @@ func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint
 	s.est = rttEstimator{rto: cfg.InitialRTO}
 	s.stats.Init(eng.Now())
 	s.tbl.rwnd[s.slot] = cfg.RcvWnd
-	s.rto.Init(eng, cfg.Wheel, s.rtoFn)
+	s.rto.InitHook(eng, cfg.Wheel, (*rtoExpiry)(s))
 	ctrl.Attach(s)
 	s.stats.CurRTO = s.est.RTO()
 }
+
+// Flow returns the connection's flow ID.
+func (s *Sender) Flow() packet.FlowID { return s.flow }
 
 // Slot returns the sender's flow-table row index (-1 after ReleaseRow).
 func (s *Sender) Slot() int32 { return s.slot }
@@ -763,6 +764,11 @@ func (s *Sender) applySACK(blocks []packet.SACKBlock) int64 {
 
 // --- RTO ---
 
+// rtoExpiry is the sender as its retransmission timer's hook.
+type rtoExpiry Sender
+
+func (h *rtoExpiry) Fire() { (*Sender)(h).onRTO() }
+
 func (s *Sender) onRTO() {
 	if s.finished || s.FlightSize() == 0 {
 		return
@@ -800,7 +806,7 @@ func (s *Sender) checkComplete() {
 	s.stats.SetSndLim(web100.SndLimNone, s.eng.Now())
 	s.stats.Finish(s.eng.Now())
 	if s.OnComplete != nil {
-		s.OnComplete()
+		s.OnComplete(s)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestSenderCompletionCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	s, _ := newTestSender(eng, Config{MSS: 1000})
 	done := false
-	s.OnComplete = func() { done = true }
+	s.OnComplete = func(*Sender) { done = true }
 	s.Supply(2000)
 	s.Close()
 	if done {
