@@ -18,8 +18,9 @@ var updateExamplesGolden = flag.Bool("update-examples-golden", false,
 // documentedExamples are invocations the package comment does not show but
 // the documentation and CI lean on: the default sweep through each exporter
 // and on one worker (see workerInvariant), the -axis forms that drop or
-// supersede default flag axes, and the EXPERIMENTS.md recipes for AQM and for
-// a grid of unequal cells.
+// supersede default flag axes, the EXPERIMENTS.md recipes for AQM and for
+// a grid of unequal cells, and the per-flow Web100 export of retained
+// replicates on a lossless and a lossy SACK sweep.
 var documentedExamples = []string{
 	"-csv -",
 	"-json -",
@@ -28,6 +29,8 @@ var documentedExamples = []string{
 	"-axis matchup=standard+restricted",
 	"-bw 100 -rtt 60ms -ifq 100 -alg standard,restricted -flows 2 -axis sack=true -axis aqm=droptail,red -metrics throughput_mbps,utilization,hop_drops_max -replicates 2",
 	"-axis flows=1,2,3,4,12 -alg standard,restricted -replicates 4 -json skew3.json",
+	"-web100 -bw 100 -rtt 60ms -ifq 100 -alg standard,restricted -json -",
+	"-web100 -bw 100 -rtt 60ms -ifq 100 -loss 0.01 -axis sack=true -alg standard,restricted -flows 2 -json -",
 }
 
 // workerInvariant pairs each one-worker invocation with the same invocation

@@ -254,7 +254,7 @@ func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Repl
 	if env.opts.ExportWeb100 {
 		out.Web100 = make([]web100.Export, len(res.FlowStats))
 		for i, fs := range res.FlowStats {
-			out.Web100[i] = fs.Export()
+			out.Web100[i] = web100.Export(fs)
 		}
 	}
 	// Anomaly dump happens here — after the run, before the scenario is

@@ -123,7 +123,7 @@ func TestWeb100ExportOptIn(t *testing.T) {
 	if len(w) != 1 {
 		t.Fatalf("want 1 flow snapshot, got %d", len(w))
 	}
-	if w[0].SegsOut == 0 || w[0].ThruOctets == 0 {
+	if w[0].SegsOut == 0 || w[0].ThruOctetsAcked == 0 {
 		t.Errorf("snapshot looks empty: %+v", w[0])
 	}
 	b, err = json.Marshal(on.Cells[0].Runs[0])

@@ -48,7 +48,8 @@ type Config struct {
 	// Gains are the PID parameters; zero means PaperGains(DefaultCritical).
 	Gains pid.Gains
 	// SetpointFraction positions the set point as a fraction of the IFQ
-	// capacity; the paper uses 0.9.
+	// capacity; the paper uses 0.9, the default for any value outside
+	// (0, 1], NaN included.
 	SetpointFraction float64
 	// Tick is the control period (default 5 ms).
 	Tick time.Duration
@@ -77,7 +78,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SetpointFraction <= 0 || c.SetpointFraction > 1 {
+	if !(c.SetpointFraction > 0 && c.SetpointFraction <= 1) { // NaN too
 		c.SetpointFraction = 0.9
 	}
 	if c.Tick <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -67,6 +68,21 @@ func TestSetpointIs90PercentOfCapacity(t *testing.T) {
 	r2 := newRSS(t, eng, &fakeSensor{cap: 200}, Config{SetpointFraction: 0.5})
 	if r2.Setpoint() != 100 {
 		t.Errorf("setpoint = %v, want 100", r2.Setpoint())
+	}
+}
+
+// TestNaNSetpointFallsToDefault: a NaN set-point fraction takes the default
+// like any other out-of-range value, instead of a NaN set point that
+// throttles every tick, and a NaN gain is an error.
+func TestNaNSetpointFallsToDefault(t *testing.T) {
+	eng := sim.NewEngine()
+	r := newRSS(t, eng, &fakeSensor{cap: 100}, Config{SetpointFraction: math.NaN()})
+	if r.Setpoint() != 90 {
+		t.Errorf("setpoint = %v, want the default 90", r.Setpoint())
+	}
+	cfg := Config{Sensor: &fakeSensor{cap: 100}, Gains: pid.Gains{Kp: math.NaN()}}
+	if _, err := New(eng, cfg); err == nil {
+		t.Error("NaN Kp accepted")
 	}
 }
 

@@ -185,7 +185,7 @@ func TestManyFlows10kConcurrentHeapGate(t *testing.T) {
 		return perFlow
 	}
 	// 1 617 B/flow measured, 1 864 before flows shared their specs and
-	// dropped their bound callbacks (flow bundle, SoA row, NIC, flow-table
+	// dropped their bound callbacks (flow bundle, sender row, NIC, flow-table
 	// slot, rings and record lists sized for a one-to-two segment window);
 	// the bound leaves 10 %.
 	perFlow := perFlowHeap()

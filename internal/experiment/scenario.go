@@ -396,12 +396,11 @@ type Scenario struct {
 	// segments.
 	segs *packet.Pool
 
-	// ftab is the shared struct-of-arrays flow table every sender of the
-	// scenario draws its hot-state row from; detached dynamic flows return
-	// their rows, so the table is bounded by the peak live population. It
-	// survives Reset like the segment pool. wheel is the endpoint-timer
-	// wheel, allocated on the first Cfg.TimerWheel run and kept (reset)
-	// across replicates.
+	// ftab is the shared flow table every sender of the scenario draws its
+	// hot-state row from; detached dynamic flows return their rows, so the
+	// table is bounded by the peak live population. It survives Reset like
+	// the segment pool. wheel is the endpoint-timer wheel, allocated on the
+	// first Cfg.TimerWheel run and kept (reset) across replicates.
 	ftab  *tcp.FlowTable
 	wheel *sim.Wheel
 	// shared are this run's flow specs, one per distinct FlowSpec among its

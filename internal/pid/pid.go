@@ -76,8 +76,11 @@ func New(cfg Config) (*Controller, error) {
 // Init validates the configuration and (re)initializes the controller in
 // place with cleared dynamic state; on error the controller is unchanged.
 func (c *Controller) Init(cfg Config) error {
-	if cfg.Gains.Kp < 0 {
-		return fmt.Errorf("pid: negative Kp %v", cfg.Gains.Kp)
+	if !(cfg.Gains.Kp >= 0) {
+		return fmt.Errorf("pid: Kp %v is negative or NaN", cfg.Gains.Kp)
+	}
+	if math.IsNaN(cfg.Setpoint) {
+		return fmt.Errorf("pid: NaN set point")
 	}
 	if cfg.Gains.Ti < 0 || cfg.Gains.Td < 0 {
 		return fmt.Errorf("pid: negative time constant (Ti=%v Td=%v)", cfg.Gains.Ti, cfg.Gains.Td)

@@ -191,6 +191,9 @@ func TestConfigValidation(t *testing.T) {
 		{Gains: Gains{Kp: 1}, OutMin: 1, OutMax: 1},
 		{Gains: Gains{Kp: 1}, OutMin: 0, OutMax: 1, DerivativeAlpha: 1},
 		{Gains: Gains{Kp: 1}, OutMin: 0, OutMax: 1, DerivativeAlpha: -0.1},
+		// NaN fails every comparison, so the range checks alone pass it.
+		{Gains: Gains{Kp: math.NaN()}, OutMin: 0, OutMax: 1},
+		{Gains: Gains{Kp: 1}, Setpoint: math.NaN(), OutMin: 0, OutMax: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

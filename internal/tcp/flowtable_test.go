@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"testing"
-	"time"
 
 	"rsstcp/internal/cc"
 	"rsstcp/internal/packet"
@@ -16,14 +15,15 @@ func TestFlowTableAllocFreeRecycles(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct allocs share a slot")
 	}
-	tbl.cwnd[a] = 99
+	tbl.rows[a] = flowRow{cwnd: 99, ssthresh: 1, rwnd: 2, sndUna: 3, sndNxt: 4, maxSent: 5,
+		supplied: 6, sackedBytes: 7, fack: 8, rtxOut: 9, segHead: 10}
 	tbl.Free(a)
 	c := tbl.Alloc()
 	if c != a {
 		t.Fatalf("free list not reused: got slot %d, want %d", c, a)
 	}
-	if tbl.cwnd[c] != 0 {
-		t.Fatal("recycled row not zeroed")
+	if tbl.rows[c] != (flowRow{}) {
+		t.Fatalf("recycled row not zeroed: %+v", tbl.rows[c])
 	}
 	if tbl.Rows() != 2 || tbl.Live() != 2 || tbl.Reuses() != 1 {
 		t.Fatalf("rows=%d live=%d reuses=%d, want 2/2/1", tbl.Rows(), tbl.Live(), tbl.Reuses())
@@ -81,5 +81,4 @@ func TestSenderReleaseRow(t *testing.T) {
 	if s2.Slot() != slot {
 		t.Fatalf("new sender got slot %d, want recycled %d", s2.Slot(), slot)
 	}
-	_ = time.Millisecond
 }

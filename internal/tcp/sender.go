@@ -25,16 +25,19 @@ func (r *sentRecord) end() int64 { return r.seq + int64(r.length) }
 // live returns the outstanding window: the records not yet consumed by a
 // cumulative ACK. Pointers into it stay valid until the next append or
 // popAcked compaction.
-func (s *Sender) live() []sentRecord { return s.segs[s.tbl.segHead[s.slot]:] }
+func (s *Sender) live() []sentRecord { return s.segs[s.row().segHead:] }
+
+// row returns the sender's FlowTable row. The pointer is only valid until
+// the table's next Alloc, so callers re-read it rather than keep it.
+func (s *Sender) row() *flowRow { return &s.tbl.rows[s.slot] }
 
 // Sender is the TCP sending side. It implements cc.Window for its
 // congestion controller and netem.Receiver for the incoming ACK stream.
 //
 // The hot window and sequence state (cwnd, ssthresh, snd.una, snd.nxt, the
-// SACK aggregates, the record-list head) lives in a FlowTable row — the
-// struct-of-arrays layout many-flows scenarios need — addressed by tbl and
-// slot. The struct itself is the cold half: configuration, wiring, loss-
-// recovery mode, and instrumentation.
+// SACK aggregates, the record-list head) lives in a FlowTable row addressed
+// by tbl and slot. The struct itself is the cold half: configuration,
+// wiring, loss-recovery mode, and instrumentation.
 type Sender struct {
 	eng  *sim.Engine
 	cfg  *Config // shared with every endpoint configured alike; read-only
@@ -133,7 +136,7 @@ func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint
 	s.slot = s.tbl.Alloc()
 	s.est = rttEstimator{rto: cfg.InitialRTO}
 	s.stats.Init(eng.Now())
-	s.tbl.rwnd[s.slot] = cfg.RcvWnd
+	s.row().rwnd = cfg.RcvWnd
 	s.rto.InitHook(eng, cfg.Wheel, (*rtoExpiry)(s))
 	ctrl.Attach(s)
 	s.stats.CurRTO = s.est.RTO()
@@ -189,7 +192,7 @@ func (s *Sender) Cwnd() int64 {
 	if s.slot < 0 {
 		return 0
 	}
-	return s.tbl.cwnd[s.slot]
+	return s.row().cwnd
 }
 
 // SetCwnd sets the congestion window, clamped to at least one MSS.
@@ -197,10 +200,10 @@ func (s *Sender) SetCwnd(b int64) {
 	if b < int64(s.cfg.MSS) {
 		b = int64(s.cfg.MSS)
 	}
-	if b != s.tbl.cwnd[s.slot] {
-		s.fr.Record(s.eng.Now(), telemetry.KindCwnd, int32(s.flow), -1, s.tbl.cwnd[s.slot], b)
+	if b != s.row().cwnd {
+		s.fr.Record(s.eng.Now(), telemetry.KindCwnd, int32(s.flow), -1, s.row().cwnd, b)
 	}
-	s.tbl.cwnd[s.slot] = b
+	s.row().cwnd = b
 	s.stats.SetCwnd(b)
 }
 
@@ -209,7 +212,7 @@ func (s *Sender) Ssthresh() int64 {
 	if s.slot < 0 {
 		return 0
 	}
-	return s.tbl.ssthresh[s.slot]
+	return s.row().ssthresh
 }
 
 // SetSsthresh sets the slow-start threshold, clamped to >= 2 MSS.
@@ -217,7 +220,7 @@ func (s *Sender) SetSsthresh(b int64) {
 	if b < 2*int64(s.cfg.MSS) {
 		b = 2 * int64(s.cfg.MSS)
 	}
-	s.tbl.ssthresh[s.slot] = b
+	s.row().ssthresh = b
 	s.stats.SetSsthresh(b)
 }
 
@@ -226,7 +229,7 @@ func (s *Sender) FlightSize() int64 {
 	if s.slot < 0 {
 		return 0
 	}
-	return s.tbl.sndNxt[s.slot] - s.tbl.sndUna[s.slot]
+	return s.row().sndNxt - s.row().sndUna
 }
 
 // SRTT returns the smoothed RTT (0 before the first sample).
@@ -245,7 +248,7 @@ func (s *Sender) Supply(n int64) {
 	if n <= 0 || s.finished {
 		return
 	}
-	s.tbl.supplied[s.slot] += n
+	s.row().supplied += n
 	s.trySend()
 }
 
@@ -275,7 +278,7 @@ func (s *Sender) SndUna() int64 {
 	if s.slot < 0 {
 		return 0
 	}
-	return s.tbl.sndUna[s.slot]
+	return s.row().sndUna
 }
 
 // SndNxt returns the next sequence number to be sent.
@@ -283,7 +286,7 @@ func (s *Sender) SndNxt() int64 {
 	if s.slot < 0 {
 		return 0
 	}
-	return s.tbl.sndNxt[s.slot]
+	return s.row().sndNxt
 }
 
 // InRecovery reports whether fast recovery is in progress.
@@ -319,16 +322,13 @@ func (s *Sender) trySend() {
 			// Burst cap: later ACKs (or the NIC waker) release more.
 			return
 		}
-		avail := s.tbl.supplied[s.slot] - s.tbl.sndNxt[s.slot]
+		avail := s.row().supplied - s.row().sndNxt
 		if avail <= 0 {
 			// Nothing from the application: sender-limited.
 			s.stats.SetSndLim(web100.SndLimSender, s.eng.Now())
 			return
 		}
-		n := s.cfg.MSS
-		if int64(n) > avail {
-			n = int(avail)
-		}
+		n := int(min(int64(s.cfg.MSS), avail))
 		wnd := s.effectiveWindow()
 		inFlight := s.FlightSize()
 		if s.inRecovery && s.cfg.SACK {
@@ -338,43 +338,29 @@ func (s *Sender) trySend() {
 			inFlight = s.pipe()
 		}
 		if inFlight+int64(n) > wnd {
-			if min64(s.tbl.cwnd[s.slot], s.tbl.rwnd[s.slot]) == s.tbl.cwnd[s.slot] {
+			if r := s.row(); r.cwnd <= r.rwnd {
 				s.stats.SetSndLim(web100.SndLimCwnd, s.eng.Now())
 			} else {
 				s.stats.SetSndLim(web100.SndLimRwnd, s.eng.Now())
 			}
 			return
 		}
-		seg := s.cfg.Pool.Get()
-		seg.Flow = s.flow
-		seg.Gen = s.gen
-		seg.Seq = s.tbl.sndNxt[s.slot]
-		seg.Len = n
-		seg.Flags = packet.FlagACK
-		seg.Wnd = s.cfg.RcvWnd
-		seg.SentAt = s.eng.Now()
-		rtx := s.tbl.sndNxt[s.slot] < s.rtxHigh
-		seg.Retransmit = rtx
-		if !s.path.Send(seg) {
-			seg.Release()
-			s.onSendStall()
+		seq := s.row().sndNxt
+		rtx := seq < s.rtxHigh
+		if !s.send(seq, n, rtx) {
 			return
 		}
 		// Slide before growing, when the dead prefix is at least as long as
 		// the window. A deep window (head*2 < len) fails the guard and
 		// grows, so the copy stays amortized O(1) per record.
-		if head := int(s.tbl.segHead[s.slot]); len(s.segs) == cap(s.segs) && head > 0 && head*2 >= len(s.segs) {
+		if head := int(s.row().segHead); len(s.segs) == cap(s.segs) && head > 0 && head*2 >= len(s.segs) {
 			s.segs = s.segs[:copy(s.segs, s.segs[head:])]
-			s.tbl.segHead[s.slot] = 0
+			s.row().segHead = 0
 		}
-		s.segs = append(s.segs, sentRecord{
-			seq: s.tbl.sndNxt[s.slot], length: n, sentAt: s.eng.Now(), rtx: rtx,
-		})
-		s.tbl.sndNxt[s.slot] += int64(n)
-		if s.tbl.sndNxt[s.slot] > s.tbl.maxSent[s.slot] {
-			s.tbl.maxSent[s.slot] = s.tbl.sndNxt[s.slot]
-		}
-		s.noteSent(n, rtx)
+		s.segs = append(s.segs, sentRecord{seq: seq, length: n, sentAt: s.eng.Now(), rtx: rtx})
+		r := s.row()
+		r.sndNxt += int64(n)
+		r.maxSent = max(r.maxSent, r.sndNxt)
 		burst++
 		if !s.rto.Armed() {
 			s.rto.Arm(s.est.RTO())
@@ -385,7 +371,7 @@ func (s *Sender) trySend() {
 // effectiveWindow is min(cwnd, rwnd) plus the RFC 3042 limited-transmit
 // allowance during the first duplicate ACKs.
 func (s *Sender) effectiveWindow() int64 {
-	wnd := min64(s.tbl.cwnd[s.slot], s.tbl.rwnd[s.slot])
+	wnd := min(s.row().cwnd, s.row().rwnd)
 	if s.cfg.LimitedTransmit && !s.inRecovery &&
 		s.dupAcks > 0 && int(s.dupAcks) < s.cfg.DupThresh {
 		wnd += int64(s.dupAcks) * int64(s.cfg.MSS)
@@ -393,7 +379,23 @@ func (s *Sender) effectiveWindow() int64 {
 	return wnd
 }
 
-func (s *Sender) noteSent(n int, rtx bool) {
+// send builds and transmits one segment of n bytes at seq and counts it. On
+// a full IFQ it releases the segment, handles the stall and returns false.
+func (s *Sender) send(seq int64, n int, rtx bool) bool {
+	seg := s.cfg.Pool.Get()
+	seg.Flow = s.flow
+	seg.Gen = s.gen
+	seg.Seq = seq
+	seg.Len = n
+	seg.Flags = packet.FlagACK
+	seg.Wnd = s.cfg.RcvWnd
+	seg.SentAt = s.eng.Now()
+	seg.Retransmit = rtx
+	if !s.path.Send(seg) {
+		seg.Release()
+		s.onSendStall()
+		return false
+	}
 	s.stats.SegsOut++
 	s.stats.DataSegsOut++
 	s.stats.DataOctetsOut += int64(n)
@@ -401,6 +403,20 @@ func (s *Sender) noteSent(n int, rtx bool) {
 		s.stats.SegsRetrans++
 		s.stats.OctetsRetran += int64(n)
 	}
+	return true
+}
+
+// resend retransmits rec and marks it as retransmitted during this recovery
+// episode. It returns false when the IFQ stalled the attempt.
+func (s *Sender) resend(rec *sentRecord) bool {
+	if !s.send(rec.seq, rec.length, true) {
+		return false
+	}
+	rec.rtx = true
+	rec.rtxDone = true
+	rec.sentAt = s.eng.Now()
+	s.row().rtxOut += int64(rec.length)
+	return true
 }
 
 // onSendStall handles a full IFQ: record the signal, optionally collapse
@@ -408,21 +424,21 @@ func (s *Sender) noteSent(n int, rtx bool) {
 func (s *Sender) onSendStall() {
 	s.stats.SendStall++
 	s.stats.SetSndLim(web100.SndLimSender, s.eng.Now())
-	s.fr.Record(s.eng.Now(), telemetry.KindStall, int32(s.flow), -1, s.tbl.sndNxt[s.slot], s.tbl.cwnd[s.slot])
+	s.fr.Record(s.eng.Now(), telemetry.KindStall, int32(s.flow), -1, s.row().sndNxt, s.row().cwnd)
 	if s.OnStall != nil {
 		s.OnStall()
 	}
-	if s.cfg.Stall == StallCongestion && s.tbl.sndUna[s.slot] >= s.stallCwrHigh {
+	if s.cfg.Stall == StallCongestion && s.row().sndUna >= s.stallCwrHigh {
 		// At most one window collapse per RTT: suppress further stall
 		// signals until the current flight is acknowledged.
-		s.stallCwrHigh = s.tbl.sndNxt[s.slot]
+		s.stallCwrHigh = s.row().sndNxt
 		s.stats.CongSignals++
 		s.stats.LocalCongCwnd++
 		wasSS := s.ctrl.InSlowStart()
 		s.ctrl.OnLocalStall()
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.tbl.cwnd[s.slot], s.tbl.ssthresh[s.slot])
+			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 		}
 	}
 	// One waker at a time: several code paths (each arriving ACK, the
@@ -437,29 +453,7 @@ func (s *Sender) onSendStall() {
 // SACKed) segment. It returns false when the IFQ stalled the attempt.
 func (s *Sender) sendRetransmit() bool {
 	rec := s.firstRetransmittable()
-	if rec == nil {
-		return true
-	}
-	seg := s.cfg.Pool.Get()
-	seg.Flow = s.flow
-	seg.Gen = s.gen
-	seg.Seq = rec.seq
-	seg.Len = rec.length
-	seg.Flags = packet.FlagACK
-	seg.Wnd = s.cfg.RcvWnd
-	seg.SentAt = s.eng.Now()
-	seg.Retransmit = true
-	if !s.path.Send(seg) {
-		seg.Release()
-		s.onSendStall()
-		return false
-	}
-	rec.rtx = true
-	rec.rtxDone = true
-	rec.sentAt = s.eng.Now()
-	s.tbl.rtxOut[s.slot] += int64(rec.length)
-	s.noteSent(rec.length, true)
-	return true
+	return rec == nil || s.resend(rec)
 }
 
 // sackRepairBurst caps hole repairs per ACK event. Each duplicate ACK
@@ -499,30 +493,14 @@ func (s *Sender) sendSACKRetransmissions() bool {
 		}
 		if rec.rtxDone {
 			// Lost retransmission: it is no longer in the pipe.
-			s.tbl.rtxOut[s.slot] -= int64(rec.length)
+			s.row().rtxOut -= int64(rec.length)
 		}
-		if s.pipe()+int64(rec.length) > min64(s.tbl.cwnd[s.slot], s.tbl.rwnd[s.slot]) {
+		if s.pipe()+int64(rec.length) > min(s.row().cwnd, s.row().rwnd) {
 			break
 		}
-		seg := s.cfg.Pool.Get()
-		seg.Flow = s.flow
-		seg.Gen = s.gen
-		seg.Seq = rec.seq
-		seg.Len = rec.length
-		seg.Flags = packet.FlagACK
-		seg.Wnd = s.cfg.RcvWnd
-		seg.SentAt = s.eng.Now()
-		seg.Retransmit = true
-		if !s.path.Send(seg) {
-			seg.Release()
-			s.onSendStall()
+		if !s.resend(rec) {
 			return false
 		}
-		rec.rtx = true
-		rec.rtxDone = true
-		rec.sentAt = s.eng.Now()
-		s.tbl.rtxOut[s.slot] += int64(rec.length)
-		s.noteSent(rec.length, true)
 		burst++
 	}
 	return true
@@ -534,15 +512,10 @@ func (s *Sender) sendSACKRetransmissions() bool {
 // Counting lost bytes as in-flight (the naive flight − sacked) starves deep
 // -loss recovery behind the window check.
 func (s *Sender) pipe() int64 {
-	high := s.tbl.fack[s.slot]
-	if high < s.tbl.sndUna[s.slot] {
-		high = s.tbl.sndUna[s.slot]
-	}
-	inFlight := s.tbl.sndNxt[s.slot] - high
-	if inFlight < 0 {
-		inFlight = 0
-	}
-	return inFlight + s.tbl.rtxOut[s.slot]
+	r := s.row()
+	high := max(r.fack, r.sndUna)
+	inFlight := max(r.sndNxt-high, 0)
+	return inFlight + r.rtxOut
 }
 
 // firstRetransmittable returns a pointer into s.segs; it is only valid
@@ -568,7 +541,7 @@ func (s *Sender) Receive(seg *packet.Segment) {
 		return
 	}
 	s.stats.SegsIn++
-	s.tbl.rwnd[s.slot] = seg.Wnd
+	s.row().rwnd = seg.Wnd
 	s.stats.CurRwnd = seg.Wnd
 	newSACK := int64(0)
 	if s.cfg.SACK && len(seg.SACK) > 0 {
@@ -576,13 +549,13 @@ func (s *Sender) Receive(seg *packet.Segment) {
 		newSACK = s.applySACK(seg.SACK)
 	}
 	switch {
-	case seg.Ack > s.tbl.maxSent[s.slot]:
+	case seg.Ack > s.row().maxSent:
 		// Acks data never sent: ignore. (Acks above the post-RTO sndNxt
 		// but within the pre-RTO flight are legitimate — the receiver
 		// had the data all along.)
-	case seg.Ack > s.tbl.sndUna[s.slot]:
+	case seg.Ack > s.row().sndUna:
 		s.onNewAck(seg.Ack)
-	case seg.Ack == s.tbl.sndUna[s.slot] && s.FlightSize() > 0 && seg.IsPureAck():
+	case seg.Ack == s.row().sndUna && s.FlightSize() > 0 && seg.IsPureAck():
 		// With SACK, a duplicate ACK only signals a missing segment if
 		// it carries new scoreboard information; echoes of duplicate
 		// arrivals (e.g. from go-back-N resends) carry none and are
@@ -597,12 +570,13 @@ func (s *Sender) Receive(seg *packet.Segment) {
 }
 
 func (s *Sender) onNewAck(ack int64) {
-	acked := ack - s.tbl.sndUna[s.slot]
-	s.tbl.sndUna[s.slot] = ack
-	if s.tbl.sndNxt[s.slot] < s.tbl.sndUna[s.slot] {
+	r := s.row()
+	acked := ack - r.sndUna
+	r.sndUna = ack
+	if r.sndNxt < ack {
 		// An ACK above the rewound sndNxt (post-RTO): the receiver held
 		// the data; skip ahead rather than resending it.
-		s.tbl.sndNxt[s.slot] = s.tbl.sndUna[s.slot]
+		r.sndNxt = ack
 	}
 	s.stats.ThruOctetsAcked += acked
 	if sample, ok := s.popAcked(ack); ok {
@@ -639,7 +613,7 @@ func (s *Sender) onNewAck(ack int64) {
 		s.ctrl.OnAck(acked)
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.tbl.cwnd[s.slot], s.tbl.ssthresh[s.slot])
+			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 		}
 	}
 	if s.FlightSize() == 0 {
@@ -667,7 +641,7 @@ func (s *Sender) onDupAck() {
 		// retransmitted during that recovery; re-entering would cut the
 		// window twice for one loss event. SACK flows discriminate via
 		// new-scoreboard-information instead (see Receive).
-		if !s.cfg.SACK && s.tbl.sndUna[s.slot] <= s.recover && s.recover > 0 {
+		if !s.cfg.SACK && s.row().sndUna <= s.recover && s.recover > 0 {
 			return
 		}
 		s.enterRecovery()
@@ -676,15 +650,15 @@ func (s *Sender) onDupAck() {
 
 func (s *Sender) enterRecovery() {
 	s.inRecovery = true
-	s.recover = s.tbl.sndNxt[s.slot]
+	s.recover = s.row().sndNxt
 	s.stats.CongSignals++
 	s.stats.FastRetran++
-	s.fr.Record(s.eng.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.tbl.sndUna[s.slot], s.recover)
+	s.fr.Record(s.eng.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.row().sndUna, s.recover)
 	wasSS := s.ctrl.InSlowStart()
 	s.ctrl.OnEnterRecovery()
 	if wasSS {
 		s.stats.SlowStartExits++
-		s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.tbl.cwnd[s.slot], s.tbl.ssthresh[s.slot])
+		s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 	}
 	s.rtxPending = true
 	s.rto.Arm(s.est.RTO())
@@ -703,9 +677,9 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 			break
 		}
 		if rec.sacked {
-			s.tbl.sackedBytes[s.slot] -= int64(rec.length)
+			s.row().sackedBytes -= int64(rec.length)
 		} else if rec.rtxDone {
-			s.tbl.rtxOut[s.slot] -= int64(rec.length)
+			s.row().rtxOut -= int64(rec.length)
 		}
 		// RTT samples come only from records that are neither
 		// retransmissions (Karn) nor previously SACKed: a SACKed record
@@ -718,7 +692,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 	}
 	// Consume the acked prefix by advancing the window head; compact the
 	// backing array only once the dead prefix dominates (amortized O(1)).
-	head := int(s.tbl.segHead[s.slot]) + i
+	head := int(s.row().segHead) + i
 	if head == len(s.segs) {
 		s.segs, head = s.segs[:0], 0 // everything acked: rewind, nothing to copy
 	} else if head > 64 && head*2 >= len(s.segs) {
@@ -726,7 +700,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 		s.segs = s.segs[:n]
 		head = 0
 	}
-	s.tbl.segHead[s.slot] = int32(head)
+	s.row().segHead = int32(head)
 	// Partial coverage of the front record (ack inside a segment) cannot
 	// happen with MSS-aligned acks, but trim defensively.
 	if live = s.live(); len(live) > 0 && live[0].seq < ack {
@@ -742,20 +716,18 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 // number of newly covered bytes (zero for a SACK that repeats known state).
 func (s *Sender) applySACK(blocks []packet.SACKBlock) int64 {
 	var fresh int64
-	live := s.live()
+	live, r := s.live(), s.row()
 	for _, b := range blocks {
 		for i := range live {
 			rec := &live[i]
 			if !rec.sacked && rec.seq >= b.Start && rec.end() <= b.End {
 				rec.sacked = true
-				s.tbl.sackedBytes[s.slot] += int64(rec.length)
+				r.sackedBytes += int64(rec.length)
 				fresh += int64(rec.length)
 				if rec.rtxDone {
-					s.tbl.rtxOut[s.slot] -= int64(rec.length)
+					r.rtxOut -= int64(rec.length)
 				}
-				if rec.end() > s.tbl.fack[s.slot] {
-					s.tbl.fack[s.slot] = rec.end()
-				}
+				r.fack = max(r.fack, rec.end())
 			}
 		}
 	}
@@ -775,21 +747,20 @@ func (s *Sender) onRTO() {
 	}
 	s.stats.Timeouts++
 	s.stats.CongSignals++
-	s.fr.Record(s.eng.Now(), telemetry.KindRTO, int32(s.flow), -1, s.tbl.sndUna[s.slot], s.tbl.sndNxt[s.slot]-s.tbl.sndUna[s.slot])
+	s.fr.Record(s.eng.Now(), telemetry.KindRTO, int32(s.flow), -1, s.row().sndUna, s.row().sndNxt-s.row().sndUna)
 	s.ctrl.OnRTO()
 	s.est.Backoff(s.cfg)
 	s.stats.CurRTO = s.est.RTO()
 	// Go-back-N: everything beyond snd.una is resent under the collapsed
 	// window; mark the range so Karn's rule skips its RTT samples.
-	if s.tbl.sndNxt[s.slot] > s.rtxHigh {
-		s.rtxHigh = s.tbl.sndNxt[s.slot]
-	}
-	s.tbl.sndNxt[s.slot] = s.tbl.sndUna[s.slot]
+	r := s.row()
+	s.rtxHigh = max(s.rtxHigh, r.sndNxt)
+	r.sndNxt = r.sndUna
 	s.segs = s.segs[:0]
-	s.tbl.segHead[s.slot] = 0
-	s.tbl.sackedBytes[s.slot] = 0
-	s.tbl.fack[s.slot] = s.tbl.sndUna[s.slot]
-	s.tbl.rtxOut[s.slot] = 0
+	r.segHead = 0
+	r.sackedBytes = 0
+	r.fack = r.sndUna
+	r.rtxOut = 0
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rtxPending = false
@@ -798,7 +769,7 @@ func (s *Sender) onRTO() {
 }
 
 func (s *Sender) checkComplete() {
-	if s.finished || !s.closed || s.tbl.sndUna[s.slot] < s.tbl.supplied[s.slot] {
+	if s.finished || !s.closed || s.row().sndUna < s.row().supplied {
 		return
 	}
 	s.finished = true
@@ -825,11 +796,4 @@ func (s *Sender) Stop() {
 	s.rto.Stop()
 	s.stats.SetSndLim(web100.SndLimNone, s.eng.Now())
 	s.stats.Finish(s.eng.Now())
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

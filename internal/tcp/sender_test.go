@@ -500,7 +500,7 @@ func TestSenderRecordListFollowsWindow(t *testing.T) {
 	// The other rule: the ACK that empties the list rewinds it.
 	ack = packet.Segment{Flags: packet.FlagACK, Ack: s.SndNxt(), Wnd: 0}
 	s.Receive(&ack)
-	if head := s.tbl.segHead[s.slot]; head != 0 || len(s.segs) != 0 {
+	if head := s.row().segHead; head != 0 || len(s.segs) != 0 {
 		t.Errorf("fully acknowledged list sits at head=%d len=%d, want 0/0", head, len(s.segs))
 	}
 }
@@ -522,7 +522,7 @@ func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 		ackUpTo(s, s.SndUna()+1000)
 		// Slow start sends two segments per ACK, so the dead prefix (one
 		// more record per ACK) stays shorter than the live window.
-		if head := int(s.tbl.segHead[s.slot]); head != acks {
+		if head := int(s.row().segHead); head != acks {
 			t.Fatalf("after %d ACKs the head is at %d: the live window was moved", acks, head)
 		}
 		if cap(s.segs) > before {

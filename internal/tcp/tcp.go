@@ -95,10 +95,10 @@ type Config struct {
 	// the wheel keeps calendar depth flat when thousands of flows re-arm
 	// timers on every ACK.
 	Wheel *sim.Wheel
-	// Table, when non-nil, is the shared struct-of-arrays block senders
-	// draw their hot-state rows from (FlowTable); nil gives each sender a
-	// private one-row table. A many-flows scenario shares one table so
-	// per-ACK state stays dense.
+	// Table, when non-nil, is the shared table of rows senders draw their
+	// hot state from (FlowTable); nil gives each sender a private one-row
+	// table. A many-flows scenario shares one table so per-ACK state sits
+	// in one contiguous slice.
 	Table *FlowTable
 }
 

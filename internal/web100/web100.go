@@ -196,86 +196,52 @@ func (s *Stats) Throughput(now sim.Time) unit.Bandwidth {
 // limitation interval charged up to now so time accounting is current.
 func (s *Stats) Snapshot(now sim.Time) Stats {
 	c := *s
-	d := now.Sub(c.curLimSince)
-	if d > 0 {
-		switch c.curLim {
-		case SndLimCwnd:
-			c.SndLimTimeCwnd += d
-		case SndLimRwnd:
-			c.SndLimTimeRwnd += d
-		case SndLimSender:
-			c.SndLimTimeSender += d
-		}
-		c.curLimSince = now
+	if now.Sub(c.curLimSince) > 0 {
+		c.chargeLim(now)
 	}
 	return c
 }
 
 // Export is the JSON shape of a Stats snapshot: RFC 4898-style names in
-// snake_case, durations in nanoseconds, zero-valued counters elided. It is
-// the per-flow "web100" block of campaign replicate exports.
+// snake_case, durations in nanoseconds, zero-valued counters (and an unset
+// MinRTT or MinSsthresh) elided, lifetime and transition counts left out. It
+// is the per-flow "web100" block of campaign replicate exports. Its fields
+// are Stats's, in order, so Export(st) converts a snapshot; Stats itself
+// stays untagged because experiment.Result serializes it under the Go names.
 type Export struct {
-	SegsOut        int64 `json:"segs_out,omitempty"`
-	DataSegsOut    int64 `json:"data_segs_out,omitempty"`
-	SegsRetrans    int64 `json:"segs_retrans,omitempty"`
-	OctetsRetran   int64 `json:"octets_retrans,omitempty"`
-	SegsIn         int64 `json:"segs_in,omitempty"`
-	DupAcksIn      int64 `json:"dup_acks_in,omitempty"`
-	SACKsRcvd      int64 `json:"sacks_rcvd,omitempty"`
-	ThruOctets     int64 `json:"thru_octets_acked,omitempty"`
-	DataOctetsOut  int64 `json:"data_octets_out,omitempty"`
-	CongSignals    int64 `json:"cong_signals,omitempty"`
-	FastRetran     int64 `json:"fast_retran,omitempty"`
-	Timeouts       int64 `json:"timeouts,omitempty"`
-	SendStall      int64 `json:"send_stall,omitempty"`
-	LocalCongCwnd  int64 `json:"local_cong_cwnd,omitempty"`
-	SlowStartExits int64 `json:"slow_start_exits,omitempty"`
-	CurCwnd        int64 `json:"cur_cwnd,omitempty"`
-	MaxCwnd        int64 `json:"max_cwnd,omitempty"`
-	CurSsthresh    int64 `json:"cur_ssthresh,omitempty"`
-	MinSsthresh    int64 `json:"min_ssthresh,omitempty"`
-	CurRwnd        int64 `json:"cur_rwnd,omitempty"`
-	SmoothedRTTNs  int64 `json:"srtt_ns,omitempty"`
-	MinRTTNs       int64 `json:"min_rtt_ns,omitempty"`
-	MaxRTTNs       int64 `json:"max_rtt_ns,omitempty"`
-	CurRTONs       int64 `json:"cur_rto_ns,omitempty"`
-	CountRTT       int64 `json:"count_rtt,omitempty"`
-	LimCwndNs      int64 `json:"snd_lim_time_cwnd_ns,omitempty"`
-	LimRwndNs      int64 `json:"snd_lim_time_rwnd_ns,omitempty"`
-	LimSenderNs    int64 `json:"snd_lim_time_sender_ns,omitempty"`
-}
-
-// Export converts the snapshot to its JSON shape; omitempty elides an unset
-// (zero) MinRTT or MinSsthresh.
-func (s Stats) Export() Export {
-	return Export{
-		SegsOut:        s.SegsOut,
-		DataSegsOut:    s.DataSegsOut,
-		SegsRetrans:    s.SegsRetrans,
-		OctetsRetran:   s.OctetsRetran,
-		SegsIn:         s.SegsIn,
-		DupAcksIn:      s.DupAcksIn,
-		SACKsRcvd:      s.SACKsRcvd,
-		ThruOctets:     s.ThruOctetsAcked,
-		DataOctetsOut:  s.DataOctetsOut,
-		CongSignals:    s.CongSignals,
-		FastRetran:     s.FastRetran,
-		Timeouts:       s.Timeouts,
-		SendStall:      s.SendStall,
-		LocalCongCwnd:  s.LocalCongCwnd,
-		SlowStartExits: s.SlowStartExits,
-		CurCwnd:        s.CurCwnd,
-		MaxCwnd:        s.MaxCwnd,
-		CurSsthresh:    s.CurSsthresh,
-		MinSsthresh:    s.MinSsthresh,
-		CurRwnd:        s.CurRwnd,
-		SmoothedRTTNs:  int64(s.SmoothedRTT),
-		MinRTTNs:       int64(s.MinRTT),
-		MaxRTTNs:       int64(s.MaxRTT),
-		CurRTONs:       int64(s.CurRTO),
-		CountRTT:       s.CountRTT,
-		LimCwndNs:      int64(s.SndLimTimeCwnd),
-		LimRwndNs:      int64(s.SndLimTimeRwnd),
-		LimSenderNs:    int64(s.SndLimTimeSender),
-	}
+	SegsOut          int64         `json:"segs_out,omitempty"`
+	DataSegsOut      int64         `json:"data_segs_out,omitempty"`
+	SegsRetrans      int64         `json:"segs_retrans,omitempty"`
+	OctetsRetran     int64         `json:"octets_retrans,omitempty"`
+	SegsIn           int64         `json:"segs_in,omitempty"`
+	DupAcksIn        int64         `json:"dup_acks_in,omitempty"`
+	SACKsRcvd        int64         `json:"sacks_rcvd,omitempty"`
+	ThruOctetsAcked  int64         `json:"thru_octets_acked,omitempty"`
+	DataOctetsOut    int64         `json:"data_octets_out,omitempty"`
+	CongSignals      int64         `json:"cong_signals,omitempty"`
+	FastRetran       int64         `json:"fast_retran,omitempty"`
+	Timeouts         int64         `json:"timeouts,omitempty"`
+	SendStall        int64         `json:"send_stall,omitempty"`
+	LocalCongCwnd    int64         `json:"local_cong_cwnd,omitempty"`
+	SlowStartExits   int64         `json:"slow_start_exits,omitempty"`
+	CurCwnd          int64         `json:"cur_cwnd,omitempty"`
+	MaxCwnd          int64         `json:"max_cwnd,omitempty"`
+	CurSsthresh      int64         `json:"cur_ssthresh,omitempty"`
+	MinSsthresh      int64         `json:"min_ssthresh,omitempty"`
+	CurRwnd          int64         `json:"cur_rwnd,omitempty"`
+	SmoothedRTT      time.Duration `json:"srtt_ns,omitempty"`
+	MinRTT           time.Duration `json:"min_rtt_ns,omitempty"`
+	MaxRTT           time.Duration `json:"max_rtt_ns,omitempty"`
+	CurRTO           time.Duration `json:"cur_rto_ns,omitempty"`
+	CountRTT         int64         `json:"count_rtt,omitempty"`
+	SndLimTimeCwnd   time.Duration `json:"snd_lim_time_cwnd_ns,omitempty"`
+	SndLimTimeRwnd   time.Duration `json:"snd_lim_time_rwnd_ns,omitempty"`
+	SndLimTimeSender time.Duration `json:"snd_lim_time_sender_ns,omitempty"`
+	SndLimTransCwnd  int64         `json:"-"`
+	SndLimTransRwnd  int64         `json:"-"`
+	SndLimTransSnd   int64         `json:"-"`
+	StartTime        sim.Time      `json:"-"`
+	EndTime          sim.Time      `json:"-"`
+	curLim           SndLimState
+	curLimSince      sim.Time
 }
