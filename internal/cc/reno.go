@@ -2,7 +2,9 @@ package cc
 
 import "rsstcp/internal/telemetry"
 
-// RenoConfig parameterizes the Reno controller.
+// RenoConfig parameterizes the Reno controller. Controllers built with Init
+// hold a pointer to it, so one config serves every connection configured
+// alike; it must stay unchanged while a controller on it runs.
 type RenoConfig struct {
 	// IW is the initial window in segments. The 2.4-kernel era default
 	// is 2 (RFC 2581); RFC 3390 permits up to 4.
@@ -10,8 +12,11 @@ type RenoConfig struct {
 	// InitialSsthresh is the starting slow-start threshold in bytes;
 	// effectively infinite by default, as in Linux.
 	InitialSsthresh int64
-	// SS is the slow-start growth policy; nil means StdSlowStart.
+	// SS is NewReno's slow-start growth policy; nil means StdSlowStart.
 	SS SlowStartPolicy
+	// FR, when non-nil, is the flight recorder the controllers record their
+	// multiplicative decreases in (KindMD, old/new ssthresh).
+	FR *telemetry.FlightRecorder
 }
 
 // DefaultRenoConfig returns the 2.4-era defaults the paper's baseline used.
@@ -24,64 +29,60 @@ func DefaultRenoConfig() RenoConfig {
 // inflation/deflation and the multiplicative decrease, plus the Linux 2.4
 // local-congestion (send-stall) response.
 type Reno struct {
-	cfg     RenoConfig // cfg.SS is the active slow-start policy
+	cfg     *RenoConfig     // shared, read-only
+	ss      SlowStartPolicy // the active slow-start policy
 	w       Window
 	caAccum int64 // byte-counting accumulator for congestion avoidance
 
-	fr         *telemetry.FlightRecorder // nil-safe: unset means no recording
-	flow       int32
+	flow       int32 // the flow its flight-recorder entries name
 	inRecovery bool
 }
 
-// NewReno returns a Reno controller. Zero-value fields of cfg are replaced
-// by defaults.
+// NewReno returns a Reno controller on a private copy of cfg, whose zero IW
+// and InitialSsthresh take DefaultRenoConfig's values.
 func NewReno(cfg RenoConfig) *Reno {
+	cfg.fillDefaults()
 	r := new(Reno)
-	r.Init(cfg)
+	r.Init(&cfg, cfg.SS, 0)
 	return r
 }
 
-// Init (re)initializes the controller in place, unattached and with no
-// telemetry; nothing of a previous use survives.
-func (r *Reno) Init(cfg RenoConfig) {
+// fillDefaults fills zero IW and InitialSsthresh from DefaultRenoConfig.
+func (c *RenoConfig) fillDefaults() {
 	def := DefaultRenoConfig()
-	if cfg.IW <= 0 {
-		cfg.IW = def.IW
+	if c.IW <= 0 {
+		c.IW = def.IW
 	}
-	if cfg.InitialSsthresh <= 0 {
-		cfg.InitialSsthresh = def.InitialSsthresh
+	if c.InitialSsthresh <= 0 {
+		c.InitialSsthresh = def.InitialSsthresh
 	}
-	if cfg.SS == nil {
-		cfg.SS = StdSlowStart{}
+}
+
+// Init (re)initializes the controller in place, unattached, on cfg, which
+// must be filled (DefaultRenoConfig, or NewReno's copy); cfg.SS is not read.
+// ss is this connection's slow-start policy (nil: StdSlowStart), and flow
+// names the connection in cfg.FR. Nothing of a previous use survives.
+func (r *Reno) Init(cfg *RenoConfig, ss SlowStartPolicy, flow int32) {
+	if ss == nil {
+		ss = StdSlowStart{}
 	}
-	*r = Reno{cfg: cfg}
+	*r = Reno{cfg: cfg, ss: ss, flow: flow}
 }
 
 // Name identifies the controller and its slow-start policy.
-func (r *Reno) Name() string { return "reno/" + r.cfg.SS.Name() }
-
-// SlowStartPolicy returns the active slow-start growth policy.
-func (r *Reno) SlowStartPolicy() SlowStartPolicy { return r.cfg.SS }
+func (r *Reno) Name() string { return "reno/" + r.ss.Name() }
 
 // Attach initializes cwnd and ssthresh on the sender's window.
 func (r *Reno) Attach(w Window) {
 	r.w = w
 	w.SetCwnd(int64(r.cfg.IW) * int64(w.MSS()))
 	w.SetSsthresh(r.cfg.InitialSsthresh)
-	r.cfg.SS.Reset(w)
-}
-
-// SetTelemetry attaches a flight recorder; the controller records its
-// multiplicative decreases (KindMD, old/new ssthresh) under the given flow.
-// A nil recorder records nothing.
-func (r *Reno) SetTelemetry(fr *telemetry.FlightRecorder, flow int32) {
-	r.fr = fr
-	r.flow = flow
+	r.ss.Reset(w)
 }
 
 // recordMD records one multiplicative decrease, old → new ssthresh.
 func (r *Reno) recordMD(oldThresh, newThresh int64) {
-	r.fr.Record(r.w.Now(), telemetry.KindMD, r.flow, -1, oldThresh, newThresh)
+	r.cfg.FR.Record(r.w.Now(), telemetry.KindMD, r.flow, -1, oldThresh, newThresh)
 }
 
 // InSlowStart reports whether growth is governed by the slow-start policy.
@@ -94,7 +95,7 @@ func (r *Reno) InSlowStart() bool {
 func (r *Reno) OnAck(acked int64) {
 	mss := int64(r.w.MSS())
 	if r.InSlowStart() {
-		inc := r.cfg.SS.Advance(r.w, acked)
+		inc := r.ss.Advance(r.w, acked)
 		if inc < 0 {
 			inc = 0
 		}
@@ -127,7 +128,7 @@ func (r *Reno) OnDupAck() {
 // inflation of fast recovery.
 func (r *Reno) OnEnterRecovery() {
 	mss := int64(r.w.MSS())
-	ssthresh := max64(r.w.FlightSize()/2, 2*mss)
+	ssthresh := max(r.w.FlightSize()/2, 2*mss)
 	r.recordMD(r.w.Ssthresh(), ssthresh)
 	r.w.SetSsthresh(ssthresh)
 	r.w.SetCwnd(ssthresh + 3*mss)
@@ -156,13 +157,13 @@ func (r *Reno) OnExitRecovery() {
 // OnRTO collapses to one segment and re-enters slow start (RFC 5681 §3.1).
 func (r *Reno) OnRTO() {
 	mss := int64(r.w.MSS())
-	ssthresh := max64(r.w.FlightSize()/2, 2*mss)
+	ssthresh := max(r.w.FlightSize()/2, 2*mss)
 	r.recordMD(r.w.Ssthresh(), ssthresh)
 	r.w.SetSsthresh(ssthresh)
 	r.w.SetCwnd(mss)
 	r.inRecovery = false
 	r.caAccum = 0
-	r.cfg.SS.Reset(r.w)
+	r.ss.Reset(r.w)
 }
 
 // OnLocalStall applies the Linux 2.4 response to IFQ saturation: treat it
@@ -170,16 +171,9 @@ func (r *Reno) OnRTO() {
 // no retransmission since nothing was lost.
 func (r *Reno) OnLocalStall() {
 	mss := int64(r.w.MSS())
-	ssthresh := max64(r.w.FlightSize()/2, 2*mss)
+	ssthresh := max(r.w.FlightSize()/2, 2*mss)
 	r.recordMD(r.w.Ssthresh(), ssthresh)
 	r.w.SetSsthresh(ssthresh)
 	r.w.SetCwnd(ssthresh)
 	r.caAccum = 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -31,12 +31,21 @@ func endpointConfig(endpoint any) *tcp.Config {
 // packing the flags and 32-bit fields of Flow, Sender, Receiver, sim.Timer
 // and cc.Reno into shared words 1,136 B (1,152-B class). A pointer to a
 // shared spec instead of a 128-B copy in Flow, and timer hooks instead of
-// bound callbacks, make it 944 B: the 1,024-B class.
+// bound callbacks, make it 944 B: the 1,024-B class. The flow's private NIC
+// was a second object beside it (264 B, in the 288-B class); embedded, the
+// bundle would be 1,208 B. Deleting the copies of what the flow holds anyway
+// (five Web100 gauges, the estimator's has-sample flag, the Flow's
+// controller pointer, birth time and detached flag), of what every flow of a
+// scenario shares (the Reno config, the engine, flow table, flight recorder
+// and completion hook, now on the shared configs), the receive-side
+// counters no binary reads, and the NIC's spare waker array makes it
+// 1,008 B: one object in the 1,024-B class where there were two of 1,024
+// and 288 B.
 func TestFlowBundleSizeClass(t *testing.T) {
 	t.Parallel()
 	const sizeClass = 1024
 	if got := unsafe.Sizeof(flowBundle{}); got > sizeClass {
-		t.Errorf("flowBundle is %d B, over the %d-B size class", got, sizeClass)
+		t.Errorf("flowBundle (NIC included) is %d B, over the %d-B size class", got, sizeClass)
 	}
 
 	// Flows 0 and 1 differ only in what a shared spec clears (Bytes and
@@ -136,7 +145,7 @@ func TestChurnTablesBoundedByPeakLive(t *testing.T) {
 
 // TestManyFlows10kConcurrentHeapGate is the CI density gate: one scenario
 // holds ≥10k concurrently live flows on the wheel-backed timers, with heap
-// bounded (< 256 MiB total, ≤ 1 776 B per flow and no growth with the
+// bounded (< 256 MiB total, ≤ 1 414 B per flow and no growth with the
 // flows' age) and a clean teardown — zero leaked calendar entries, balanced segment
 // pool.
 //
@@ -184,13 +193,14 @@ func TestManyFlows10kConcurrentHeapGate(t *testing.T) {
 			s.Eng.Now(), live, float64(m1.HeapAlloc)/(1<<20), perFlow, s.wheel.Stats())
 		return perFlow
 	}
-	// 1 617 B/flow measured, 1 864 before flows shared their specs and
-	// dropped their bound callbacks (flow bundle, sender row, NIC, flow-table
-	// slot, rings and record lists sized for a one-to-two segment window);
-	// the bound leaves 10 %.
+	// 1 286 B/flow measured: the flow bundle with its NIC, sender row,
+	// flow-table slot, rings and record lists sized for a one-to-two segment
+	// window. It read 1 604 while the NIC was its own object and sent
+	// records 32 B, 1 864 before flows shared their specs and dropped their
+	// bound callbacks. The bound leaves 10 %.
 	perFlow := perFlowHeap()
-	if perFlow > 1776 {
-		t.Errorf("per-flow heap footprint %.0f B, want ≤ 1 776 B", perFlow)
+	if perFlow > 1414 {
+		t.Errorf("per-flow heap footprint %.0f B, want ≤ 1 414 B", perFlow)
 	}
 	// The footprint follows what the flows hold, not how long they have
 	// lived: the same population at three times the age reads the same.

@@ -11,7 +11,6 @@ import (
 	"rsstcp/internal/stats"
 	"rsstcp/internal/tcp"
 	"rsstcp/internal/telemetry"
-	"rsstcp/internal/web100"
 )
 
 // ChurnSpec describes a dynamic flow population: an arrival process births
@@ -364,26 +363,30 @@ func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
 	if !fromFree {
 		s.churn.nextID++
 	}
-	f.liveIdx = len(s.churn.live)
+	f.liveIdx = int32(len(s.churn.live))
 	s.churn.live = append(s.churn.live, f)
-	f.Sender.OnComplete = s.complete
 	s.aggValid = false
 	s.FR.Record(s.Eng.Now(), telemetry.KindFlowStart, int32(id), -1,
 		spec.Bytes, int64(len(s.churn.live)))
 	return f, nil
 }
 
-// completeChurnFlow records a finished dynamic flow and tears it down.
+// completeChurnFlow is every sender's completion hook (tcp.Config.OnComplete):
+// it records a finished dynamic flow and tears it down. A static flow's
+// completion needs nothing: its Result entry describes it.
 func (s *Scenario) completeChurnFlow(snd *tcp.Sender) {
 	f := s.byID[snd.Flow()].f
+	if f.liveIdx < 0 {
+		return
+	}
 	now := s.Eng.Now()
-	st := f.Sender.Stats().Snapshot(now)
-	fct := now.Sub(f.started)
+	st := f.Sender.Stats()
+	fct := now.Sub(st.StartTime)
 	ideal := s.churn.baseRTT.Seconds() + float64(f.Bytes)*s.churn.perByte
 	rec := FlowRecord{
 		ID:      f.ID,
 		Alg:     f.Spec.Alg,
-		Start:   f.started.Duration(),
+		Start:   st.StartTime.Duration(),
 		End:     now.Duration(),
 		Bytes:   f.Bytes,
 		Retrans: st.SegsRetrans,
@@ -398,14 +401,14 @@ func (s *Scenario) completeChurnFlow(snd *tcp.Sender) {
 	}
 	s.FR.Record(now, telemetry.KindFlowComplete, int32(f.ID), -1,
 		f.Bytes, int64(fct))
-	s.detach(f, &st, true)
+	s.detach(f, true)
 }
 
 // Bounds on what detach parks. Both are fixed by construction: LIFO reuse
 // sooner or later hands every bundle an elephant, and an unbounded store of
 // elephant-sized record lists nearly doubled a churn run's live heap.
 const (
-	// parkedRecordCap is the largest sent-record list (in records, 32 bytes
+	// parkedRecordCap is the largest sent-record list (in records, 24 bytes
 	// each) a parked sender keeps.
 	parkedRecordCap = 64
 	// parkedFloor is how many bundles stay parked however small the live
@@ -426,31 +429,28 @@ const (
 // it without folding or parking, so its Result entry still reads correctly,
 // and is idempotent.
 func (s *Scenario) DetachFlow(f *Flow) {
-	if f.detached {
-		return
+	if s.byID[f.ID].f == f {
+		s.detach(f, false)
 	}
-	st := f.Sender.Stats().Snapshot(s.Eng.Now())
-	s.detach(f, &st, false)
 }
 
-// detach tears an attached flow down, given its sender's snapshot at this
-// instant, and parks a dynamic flow's whole bundle: the Flow with its sender,
-// receiver, controller and counters, its private RSS controller and — when
-// idle; a busy one is left to drain — its private NIC. Two cases keep the
-// Flow out of the store. A sender whose resume waker is still registered
-// with its NIC is dropped, because the wake would reach the bundle's next
-// owner. And when completing (the call comes from the sender's completion
-// hook, inside its Receive) the Flow is held back one completion, see
-// parked.held. What is parked is bounded by parkedRecordCap and by
-// max(parkedFloor, live) components of each kind.
-func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
-	f.detached = true
+// detach tears an attached flow down and parks a dynamic flow's whole
+// bundle — the Flow with its sender, receiver, controller, counters and own
+// NIC — and its private RSS controller. Two cases keep the bundle out of the
+// store. One that is not reusable yet — its NIC still drains segments or
+// serves a shared host, or its sender's resume waker is still registered —
+// waits in parked.draining. And when completing (the call comes from the
+// sender's completion hook, inside its Receive) the bundle is held back one
+// completion, see parked.held. What is parked is bounded by parkedRecordCap
+// and by max(parkedFloor, live) components of each kind.
+func (s *Scenario) detach(f *Flow, completing bool) {
 	dynamic := f.liveIdx >= 0
 	if dynamic {
+		st := f.Sender.Stats()
 		s.churn.totals.add(st)
 		s.churn.bytesAcked += st.ThruOctetsAcked
 
-		last := len(s.churn.live) - 1
+		last := int32(len(s.churn.live) - 1)
 		s.churn.live[f.liveIdx] = s.churn.live[last]
 		s.churn.live[f.liveIdx].liveIdx = f.liveIdx
 		s.churn.live[last] = nil
@@ -474,26 +474,22 @@ func (s *Scenario) detach(f *Flow, st *web100.Stats, completing bool) {
 		return
 	}
 	s.churn.freeIDs = append(s.churn.freeIDs, f.ID)
-	if f.Spec.Host == 0 {
-		if f.NIC.Idle() {
-			s.parkNIC(f.NIC)
-		}
-		if f.RSS != nil {
-			s.park.rss = append(s.park.rss, f.RSS)
-		}
+	if f.RSS != nil && f.Spec.Host == 0 {
+		s.park.rss = append(s.park.rss, f.RSS)
 	}
-	if !f.Sender.WakerArmed() {
-		f.Sender.ShedRecords(parkedRecordCap)
-		if completing {
-			f, s.park.held = s.park.held, f
-		}
-		if f != nil {
+	f.Sender.ShedRecords(parkedRecordCap)
+	switch {
+	case !reusable(f):
+		s.park.draining = append(s.park.draining, f)
+	case completing:
+		if f, s.park.held = s.park.held, f; f != nil {
 			s.park.flows = append(s.park.flows, f)
 		}
+	default:
+		s.park.flows = append(s.park.flows, f)
 	}
 	limit := max(parkedFloor, len(s.churn.live))
 	trim(&s.park.flows, limit)
-	trim(&s.park.nics, limit)
 	trim(&s.park.rss, limit)
 }
 
@@ -520,7 +516,7 @@ func (s *Scenario) SegCounters() (gets, releases int64) { return s.segs.Counters
 func (s *Scenario) churnBytesAcked(now sim.Time) int64 {
 	total := s.churn.bytesAcked
 	for _, f := range s.churn.live {
-		total += f.Sender.Stats().Snapshot(now).ThruOctetsAcked
+		total += f.Sender.Stats().ThruOctetsAcked
 	}
 	return total
 }

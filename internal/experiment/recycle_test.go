@@ -143,10 +143,11 @@ func mustAttach(t testing.TB, s *Scenario, spec FlowSpec) *Flow {
 	return f
 }
 
-// emptyStore drops every parked flow component, so the next attach is built
-// from the allocator as every attach was before detach parked bundles.
+// emptyStore drops every parked flow component, draining bundles included,
+// so the next attach is built from the allocator as every attach was before
+// detach parked bundles.
 func emptyStore(s *Scenario) {
-	s.park.flows, s.park.nics, s.park.rss, s.park.held = nil, nil, nil, nil
+	s.park.flows, s.park.rss, s.park.held, s.park.draining = nil, nil, nil, nil
 }
 
 // TestChurnTurnoverAllocBudget: the whole life of a one-segment flow on a
@@ -233,13 +234,13 @@ func allocsByStack() map[[32]uintptr]int64 {
 }
 
 // TestFreshBundleAllocs counts the objects AttachFlow allocates for a flow
-// the store cannot serve: a standard flow's bundle, NIC and resume callback,
-// and a restricted flow's controller besides. First growths are left out:
-// the sender's record list, the NIC's queue ring and the segment pool, which
-// the flow's first send grows, and the restricted controller's window list.
-// When every bundle bound its own callbacks (completion, two timer fires,
-// RTO, delayed ACK, and a restricted flow's tick) a standard flow cost eight
-// objects.
+// the store cannot serve: a standard flow's bundle (its NIC inside) and
+// resume callback, and a restricted flow's controller besides. First growths
+// are left out: the sender's record list, the NIC's queue ring and the
+// segment pool, which the flow's first send grows, and the restricted
+// controller's window list. While the NIC was its own object a standard
+// flow cost three; when every bundle bound its own callbacks (completion,
+// two timer fires, RTO, delayed ACK, and a restricted flow's tick), eight.
 //
 // Not Parallel: it profiles every allocation of the process.
 func TestFreshBundleAllocs(t *testing.T) {
@@ -251,7 +252,7 @@ func TestFreshBundleAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		alg    Algorithm
 		budget float64
-	}{{AlgStandard, 3}, {AlgRestricted, 4}} {
+	}{{AlgStandard, 2}, {AlgRestricted, 3}} {
 		s := warmTurnoverScenario(t, PaperPath())
 		sites := attachAllocSites(t, s, FlowSpec{Alg: tc.alg, Bytes: 1 << 20}, 200)
 		total := 0.0
@@ -347,7 +348,7 @@ func TestParkedBoundedByLivePopulation(t *testing.T) {
 	for _, f := range flows {
 		s.DetachFlow(f)
 		limit := max(parkedFloor, s.LiveFlows())
-		if n := max(len(s.park.flows), len(s.park.nics), len(s.park.rss)); n > limit {
+		if n := max(len(s.park.flows), len(s.park.rss)); n > limit {
 			t.Fatalf("%d components parked with %d flows live, bound %d", n, s.LiveFlows(), limit)
 		}
 		peak = max(peak, len(s.park.flows))
@@ -355,9 +356,9 @@ func TestParkedBoundedByLivePopulation(t *testing.T) {
 	if peak < population/4 {
 		t.Errorf("store peaked at %d bundles — the bound never followed the population", peak)
 	}
-	if len(s.park.flows) != parkedFloor || len(s.park.nics) != parkedFloor || len(s.park.rss) != parkedFloor {
-		t.Errorf("store ends at %d flows, %d NICs, %d controllers; want the floor %d of each",
-			len(s.park.flows), len(s.park.nics), len(s.park.rss), parkedFloor)
+	if len(s.park.flows) != parkedFloor || len(s.park.rss) != parkedFloor {
+		t.Errorf("store ends at %d flows, %d controllers; want the floor %d of each",
+			len(s.park.flows), len(s.park.rss), parkedFloor)
 	}
 	for i, f := range s.park.flows {
 		if c := f.Sender.RecordCap(); c > parkedRecordCap {
@@ -370,6 +371,42 @@ func TestParkedBoundedByLivePopulation(t *testing.T) {
 	}
 	if gets, releases := s.SegCounters(); gets != releases {
 		t.Errorf("segment pool imbalance: %d gets, %d releases", gets, releases)
+	}
+}
+
+// TestDrainingNICKeepsBundleUntilIdle: a flow detached while its NIC still
+// holds segments leaves its bundle out of the store until the NIC has
+// drained. An attach meanwhile gets another bundle; the first attach after
+// the NIC went idle gets this one back.
+func TestDrainingNICKeepsBundleUntilIdle(t *testing.T) {
+	t.Parallel()
+	s := warmTurnoverScenario(t, PaperPath())
+	emptyStore(s)
+	spec := FlowSpec{Alg: AlgStandard, Bytes: 50 << 20}
+	a := mustAttach(t, s, spec)
+	s.Eng.RunFor(870 * time.Millisecond)
+	if a.NIC.Idle() {
+		t.Fatal("detached with an idle NIC — bad test premise")
+	}
+	s.DetachFlow(a)
+	b := mustAttach(t, s, spec)
+	if b == a {
+		t.Fatal("a bundle whose NIC still drains went to the next flow")
+	}
+	s.Eng.RunFor(time.Second)
+	if !a.NIC.Idle() {
+		t.Fatal("the detached flow's NIC never drained — bad test premise")
+	}
+	c := mustAttach(t, s, spec)
+	if c != a {
+		t.Error("the drained bundle was not reused")
+	}
+	s.StopChurn()
+	s.DetachFlow(b)
+	s.DetachFlow(c)
+	s.Eng.RunFor(2 * time.Second)
+	if gets, releases := s.SegCounters(); gets != releases {
+		t.Errorf("segment pool imbalance after teardown: %d gets, %d releases", gets, releases)
 	}
 }
 
@@ -433,16 +470,16 @@ func TestRecycledIDDropsStaleGeneration(t *testing.T) {
 	data, ack := s.segs.Get(), s.segs.Get()
 	data.Flow, data.Gen, data.Seq, data.Len, data.Flags = id, gen, b.Receiver.RcvNxt(), 1448, packet.FlagACK
 	ack.Flow, ack.Gen, ack.Ack, ack.Flags = id, gen, b.Sender.SndNxt(), packet.FlagACK
-	snd, rcv := *b.Sender.Stats(), b.Receiver.Stats()
+	snd, rcv := *b.Sender.Stats(), b.Receiver.RcvNxt()
 	gets, releases := s.SegCounters()
 	(*dataDemux)(&s.byID).Receive(data)
 	(*ackDemux)(&s.byID).Receive(ack)
 	if g, r := s.SegCounters(); g != gets || r != releases+2 {
 		t.Errorf("stale segments: %d gets and %d releases, want 0 and 2", g-gets, r-releases)
 	}
-	if *b.Sender.Stats() != snd || b.Receiver.Stats() != rcv {
-		t.Errorf("stale segments reached the ID's new owner:\nbefore: %+v %+v\nafter:  %+v %+v",
-			snd, rcv, *b.Sender.Stats(), b.Receiver.Stats())
+	if *b.Sender.Stats() != snd || b.Receiver.RcvNxt() != rcv {
+		t.Errorf("stale segments reached the ID's new owner:\nbefore: %+v rcv.nxt %d\nafter:  %+v rcv.nxt %d",
+			snd, rcv, *b.Sender.Stats(), b.Receiver.RcvNxt())
 	}
 
 	s.StopChurn()
@@ -478,7 +515,7 @@ func stalledDetachRun(t *testing.T, fresh bool) (web100.Stats, int64) {
 	}
 	b := mustAttach(t, s, spec)
 	s.Eng.RunFor(2 * time.Second)
-	st := b.Sender.Stats().Snapshot(s.Eng.Now())
+	st := b.Sender.Snapshot(s.Eng.Now())
 	return st, st.SendStall
 }
 
@@ -514,9 +551,13 @@ func hookAttachRun(t *testing.T, fresh bool) (first, second *Flow, recs []FlowRe
 		t.Fatal(err)
 	}
 	first = mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 100_000})
-	complete := first.Sender.OnComplete
-	first.Sender.OnComplete = func(snd *tcp.Sender) {
+	c := endpointConfig(first.Sender)
+	complete := c.OnComplete
+	c.OnComplete = func(snd *tcp.Sender) {
 		complete(snd)
+		if snd != first.Sender || second != nil {
+			return
+		}
 		if fresh {
 			emptyStore(s)
 		}

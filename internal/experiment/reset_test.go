@@ -361,6 +361,29 @@ func TestResetReturnsCheckedOutSegments(t *testing.T) {
 	}
 }
 
+// TestResetReleasesDrainingNICSegments: a dynamic flow detached while its NIC
+// still holds segments leaves them to drain into the network, its bundle
+// parked as draining. A Reset before they have drained must hand them back
+// like every other checked-out segment.
+func TestResetReleasesDrainingNICSegments(t *testing.T) {
+	t.Parallel()
+	for _, at := range []time.Duration{870 * time.Millisecond, 2 * time.Second} {
+		s := warmTurnoverScenario(t, PaperPath())
+		f := mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 50 << 20})
+		s.Eng.RunFor(at)
+		if f.NIC.Idle() {
+			t.Fatalf("detached at %v with an idle NIC — bad test premise", at)
+		}
+		s.DetachFlow(f)
+		if err := s.Reset(s.Cfg); err != nil {
+			t.Fatal(err)
+		}
+		if gets, releases := s.SegCounters(); gets != releases {
+			t.Errorf("detached at %v: %d segments still checked out right after Reset", at, gets-releases)
+		}
+	}
+}
+
 // TestResetRunAllocBudget pins what a steady-state replicate allocates on a
 // reused scenario: nothing — the testbed is recycled and the Result borrows
 // the scenario's buffers. The budget is exact so that one escaping variable
@@ -522,12 +545,14 @@ func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
 	chain = append(chain, mixed, chain[0])
 
 	// The shared specs and their configs' parameters, without the
-	// scenario's own pool, table and wheel.
+	// scenario's own wiring: engine, pool, table, wheel, flight recorder and
+	// completion hook.
 	params := func(shared []*sharedSpec) []sharedSpec {
 		var out []sharedSpec
 		for _, sh := range shared {
 			v := *sh
-			v.tcp.Pool, v.tcp.Table, v.tcp.Wheel = nil, nil, nil
+			v.tcp.Eng, v.tcp.Pool, v.tcp.Table, v.tcp.Wheel = nil, nil, nil, nil
+			v.tcp.FR, v.tcp.OnComplete, v.reno.FR = nil, nil, nil
 			out = append(out, v)
 		}
 		return out

@@ -295,25 +295,24 @@ func (c Config) SchedulerKind() (string, error) {
 type Flow struct {
 	// Spec is the flow's spec with Bytes and StartAt cleared, shared by
 	// every flow of the run built from an equal one (see sharedSpec).
-	Spec     *FlowSpec
-	Bytes    int64 // the flow's FlowSpec.Bytes
-	ID       packet.FlowID
-	detached bool // set by detach; sits in ID's word
+	Spec  *FlowSpec
+	Bytes int64 // the flow's FlowSpec.Bytes
+	ID    packet.FlowID
+	// liveIdx is the flow's slot in the live churn set (-1 for static
+	// flows); it sits in ID's word.
+	liveIdx  int32
 	Sender   *tcp.Sender
 	Receiver *tcp.Receiver
-	NIC      *host.Interface
+	// NIC is the interface the flow sends through: its bundle's own, or, on
+	// a host shared by several flows (FlowSpec.Host), the NIC of the host's
+	// first flow.
+	NIC *host.Interface
 	// RSS is non-nil for AlgRestricted.
 	RSS *core.RestrictedSlowStart
 
-	// The bundle's own controller. Sender, Receiver and reno point into the
-	// flowBundle this Flow heads; every flow built on the bundle
-	// re-initializes them (see takeFlow).
-	reno *cc.Reno
-
-	// Lifecycle bookkeeping: birth time and the flow's slot in the live
-	// churn set (-1 for static flows).
-	started sim.Time
-	liveIdx int
+	// bundle is the flowBundle this Flow heads, which Sender and Receiver
+	// point into and which holds the flow's controller and own NIC.
+	bundle *flowBundle
 }
 
 // builtHop is one forward hop's per-scenario metadata: its resolved config
@@ -362,7 +361,7 @@ type Scenario struct {
 	// netem.DelayLine's ordering contract).
 	ackLines  []*netem.DelayLine
 	ackDelays []time.Duration
-	hosts     map[int]*host.Interface           // shared NICs by FlowSpec.Host
+	hosts     map[int]*host.Interface           // shared NICs (first flows' own) by FlowSpec.Host
 	hostEntry map[int]int                       // shared NICs' first-hop index
 	rssByHost map[int]*core.RestrictedSlowStart // shared controllers by FlowSpec.Host
 
@@ -409,11 +408,13 @@ type Scenario struct {
 }
 
 // sharedSpec is one distinct FlowSpec of a run, Bytes and StartAt cleared,
-// with the connection config of its flows: flows and their endpoints point
-// at it instead of holding copies (see Scenario.share).
+// with the connection and controller configs of its flows: flows, their
+// endpoints and their controllers point at it instead of holding copies (see
+// Scenario.share).
 type sharedSpec struct {
 	spec FlowSpec
 	tcp  tcp.Config
+	reno cc.RenoConfig
 }
 
 // flowTable maps FlowIDs, dense small integers, to the flow attached under
@@ -469,8 +470,8 @@ func extend[T any](s []T, n int) []T {
 }
 
 // parked is the scenario's recycling store. Reset flushes the previous
-// run's flow bundles, NICs, restricted-slow-start controllers and shared
-// specs and parks them here, and detach parks a dynamic flow's (see
+// run's flow bundles (NICs included), restricted-slow-start controllers and
+// shared specs and parks them here, and detach parks a dynamic flow's (see
 // Scenario.detach); init and buildFlow take a parked component and
 // re-initialize it (each type's Init, the routine its constructor runs too,
 // or share's refill) before they allocate a new one. A replicate
@@ -479,7 +480,6 @@ func extend[T any](s []T, n int) []T {
 // at the capacity earlier owners grew them to.
 type parked struct {
 	flows  []*Flow
-	nics   []*host.Interface
 	rss    []*core.RestrictedSlowStart
 	shared []*sharedSpec
 	// held is the bundle that completed last. Its sender's Receive may
@@ -487,6 +487,13 @@ type parked struct {
 	// so take must not see it yet: the next completion — a later engine
 	// event — or Reset moves it to flows.
 	held *Flow
+	// draining are detached bundles that are not reusable yet (see
+	// reusable): their NIC still holds segments or serves a shared host, or
+	// their sender's resume waker is still registered. Every takeFlow moves
+	// the ones that became reusable to flows, so draining holds about what
+	// detached in the last few transmission times; Reset flushes their NICs
+	// and parks them all.
+	draining []*Flow
 	// hops and specs are init's topology scratch.
 	hops  []Hop
 	specs []netem.HopSpec
@@ -513,22 +520,23 @@ func trim[T any](free *[]*T, n int) {
 }
 
 // flowBundle is the storage of one connection: the Flow and the 1:1 parts
-// that live and die with it, in one object. The Flow's pointer fields point
-// into the bundle it heads, so nothing else has to know the layout.
+// that live and die with it — endpoints, controller and the private NIC of
+// the sending host — in one object. The Flow's pointer fields point into the
+// bundle it heads, so nothing else has to know the layout. A flow on a
+// shared host sends through the NIC of the host's first flow and leaves its
+// own unused.
 type flowBundle struct {
 	Flow
 	sender   tcp.Sender
 	receiver tcp.Receiver
 	reno     cc.Reno
+	nic      host.Interface
 }
 
-// newFlowBundle allocates a bundle and points its Flow at its parts.
-func newFlowBundle() *Flow {
-	b := new(flowBundle)
-	f := &b.Flow
-	f.liveIdx = -1
-	f.Sender, f.Receiver, f.reno = &b.sender, &b.receiver, &b.reno
-	return f
+// head zeroes the bundle's Flow but for its pointers into the bundle.
+func (b *flowBundle) head() *Flow {
+	b.Flow = Flow{Sender: &b.sender, Receiver: &b.receiver, bundle: b, liveIdx: -1}
+	return &b.Flow
 }
 
 // takeFlow returns a flow bundle: a zero Flow but for its 1:1 parts, every
@@ -536,15 +544,35 @@ func newFlowBundle() *Flow {
 // address it had, so whoever kept the *Flow of its previous owner now holds
 // this flow's.
 func (s *Scenario) takeFlow() *Flow {
+	s.reclaim()
 	if len(s.park.flows) == 0 {
-		return newFlowBundle()
+		return new(flowBundle).head()
 	}
-	f := take(&s.park.flows)
-	snd, rcv, reno := f.Sender, f.Receiver, f.reno
-	*f = Flow{}
-	f.liveIdx = -1
-	f.Sender, f.Receiver, f.reno = snd, rcv, reno
-	return f
+	return take(&s.park.flows).bundle.head()
+}
+
+// reusable reports whether a detached flow's bundle may carry a new flow
+// now. Its sender must not have a resume waker registered (the wake would
+// reach the next owner), and its own NIC must be idle and serve no shared
+// host: a busy NIC still drains segments into the network, and a shared
+// host's NIC carries the host's other flows until Reset.
+func reusable(f *Flow) bool {
+	own := f.NIC == &f.bundle.nic
+	return !f.Sender.WakerArmed() && !(own && (f.Spec.Host != 0 || !f.NIC.Idle()))
+}
+
+// reclaim moves the draining bundles that have become reusable to the store.
+func (s *Scenario) reclaim() {
+	busy := s.park.draining[:0]
+	for _, f := range s.park.draining {
+		if reusable(f) {
+			s.park.flows = append(s.park.flows, f)
+		} else {
+			busy = append(busy, f)
+		}
+	}
+	clear(s.park.draining[len(busy):])
+	s.park.draining = busy
 }
 
 // Build assembles the testbed described by cfg.
@@ -569,9 +597,10 @@ func Build(cfg Config) (*Scenario, error) {
 // flow table, wheel and segment pool their backing arrays, and a traced run
 // gets a fresh recorder; the previous run's per-flow components are parked
 // and re-initialized instead of reallocated (see parked). Every segment the
-// previous run left checked out — in an IFQ, a hop queue, a propagation
-// FIFO, an ACK line, the reverse link, a deferred reorder delivery — is
-// released first, so SegCounters balances right after Reset. A reused
+// previous run left checked out — in an IFQ (a detached flow's still
+// draining one included), a hop queue, a propagation FIFO, an ACK line, the
+// reverse link, a deferred reorder delivery — is released first, so
+// SegCounters balances right after Reset. A reused
 // scenario produces results identical to a freshly built one whatever ran on
 // it before (TestResetMatchesFreshBuild,
 // TestResetAcrossShapesMatchesFreshBuild), which is what lets campaign
@@ -583,24 +612,22 @@ func (s *Scenario) Reset(cfg Config) error {
 	if s.park.held != nil {
 		s.park.flows, s.park.held = append(s.park.flows, s.park.held), nil
 	}
-	for _, set := range [2][]*Flow{s.Flows, s.churn.live} {
+	// Every NIC of the run is some flow's: attached, detached static, or
+	// draining. A flow on a shared host flushes the host's NIC.
+	for k, set := range [3][]*Flow{s.Flows, s.churn.live, s.park.draining} {
 		for i, f := range set {
-			if f.Spec.Host == 0 {
-				s.parkNIC(f.NIC)
-				if f.RSS != nil {
-					s.park.rss = append(s.park.rss, f.RSS)
-				}
+			f.NIC.Flush()
+			// A draining flow's controller was parked when it detached.
+			if k < 2 && f.RSS != nil && f.Spec.Host == 0 {
+				s.park.rss = append(s.park.rss, f.RSS)
 			}
 			s.park.flows = append(s.park.flows, f)
 			set[i] = nil
 		}
 	}
-	s.Flows = s.Flows[:0]
+	s.Flows, s.park.draining = s.Flows[:0], s.park.draining[:0]
 	s.park.shared, s.shared = append(s.park.shared, s.shared...), s.shared[:0]
 	if len(s.hosts) > 0 { // shared hosts are the rare shape; skip the map walks without them
-		for _, nic := range s.hosts {
-			s.parkNIC(nic)
-		}
 		for _, rss := range s.rssByHost {
 			s.park.rss = append(s.park.rss, rss)
 		}
@@ -628,13 +655,6 @@ func (s *Scenario) Reset(cfg Config) error {
 	s.churn.reset()
 	s.FR.Reset()
 	return s.init(&cfg)
-}
-
-// parkNIC returns a NIC to the free list buildFlow draws from, releasing
-// whatever it still holds (nothing, when detach parks an idle one mid-run).
-func (s *Scenario) parkNIC(nic *host.Interface) {
-	nic.Flush()
-	s.park.nics = append(s.park.nics, nic)
 }
 
 // init wires the testbed into the scenario's (fresh or reset) engine, with
@@ -888,8 +908,10 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 				spec.Host, s.hostEntry[spec.Host], first)
 		}
 	}
+	flow := s.takeFlow()
 	if nic == nil {
-		nic = take(&s.park.nics)
+		// The flow's own NIC; a shared host's first flow lends it to the host.
+		nic = &flow.bundle.nic
 		nic.Init(eng, host.InterfaceConfig{
 			Rate:       cfg.Path.NICRate,
 			TxQueueLen: cfg.Path.TxQueueLen,
@@ -899,10 +921,8 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 			s.hostEntry[spec.Host] = first
 		}
 	}
-
-	flow := s.takeFlow()
-	flow.Spec, flow.Bytes, flow.ID, flow.NIC, flow.started = &shared.spec, spec.Bytes, id, nic, eng.Now()
-	if err := buildController(s, flow); err != nil {
+	flow.Spec, flow.Bytes, flow.ID, flow.NIC = &shared.spec, spec.Bytes, id, nic
+	if err := buildController(s, flow, shared); err != nil {
 		return nil, err
 	}
 
@@ -924,9 +944,8 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		}
 		ackPath = s.ackLine(rd)
 	}
-	flow.Receiver.Init(eng, &shared.tcp, id, gen, ackPath)
-	flow.Sender.Init(eng, &shared.tcp, id, gen, flow.reno, nic)
-	flow.Sender.SetFlightRecorder(s.FR)
+	flow.Receiver.Init(&shared.tcp, id, gen, ackPath)
+	flow.Sender.Init(&shared.tcp, id, gen, &flow.bundle.reno, nic)
 	s.byID[id].f = flow
 	if s.Rec != nil && !dynamic {
 		// Figure 1's series: the Web100 SendStall count at every stall.
@@ -957,9 +976,10 @@ func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
 		}
 	}
 	sh := take(&s.park.shared)
-	sh.spec, sh.tcp = want, tcp.DefaultConfig()
+	sh.spec, sh.tcp, sh.reno = want, tcp.DefaultConfig(), cc.DefaultRenoConfig()
+	sh.reno.FR = s.FR
 	c := &sh.tcp
-	c.Pool, c.Table = s.segs, s.ftab
+	c.Eng, c.Pool, c.Table, c.FR, c.OnComplete = s.Eng, s.segs, s.ftab, s.FR, s.complete
 	if s.Cfg.TimerWheel {
 		c.Wheel = s.wheel
 	}
@@ -995,7 +1015,8 @@ func registerFlowGauges(s *Scenario, flow *Flow) {
 		return float64(nic.Len())
 	})
 	s.Rec.Gauge(fmt.Sprintf("goodput_mbps/%d", flow.ID), func() float64 {
-		return float64(flow.Sender.Stats().Throughput(eng.Now())) / 1e6
+		st := flow.Sender.Snapshot(eng.Now())
+		return float64(st.Throughput(eng.Now())) / 1e6
 	})
 }
 
@@ -1014,10 +1035,10 @@ func (f *Flow) startWorkload() {
 	f.Sender.Supply(1 << 62)
 }
 
-// buildController initializes the flow bundle's Reno with the slow-start
-// policy its spec selects, wiring a (parked or new) restricted-slow-start
-// controller to the flow's NIC for AlgRestricted.
-func buildController(s *Scenario, flow *Flow) error {
+// buildController initializes the flow bundle's Reno on the shared spec's
+// config with the slow-start policy the spec selects, wiring a (parked or
+// new) restricted-slow-start controller to the flow's NIC for AlgRestricted.
+func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
 	spec := flow.Spec
 	var ss cc.SlowStartPolicy // nil: Reno's standard slow-start
 	switch spec.Alg {
@@ -1053,8 +1074,7 @@ func buildController(s *Scenario, flow *Flow) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", spec.Alg)
 	}
-	flow.reno.Init(cc.RenoConfig{SS: ss})
-	flow.reno.SetTelemetry(s.FR, int32(flow.ID))
+	flow.bundle.reno.Init(&shared.reno, ss, int32(flow.ID))
 	return nil
 }
 
@@ -1075,7 +1095,7 @@ type Totals struct {
 }
 
 // add folds one flow's Web100 counters in.
-func (t *Totals) add(st *web100.Stats) {
+func (t *Totals) add(st *web100.Live) {
 	t.Stalls += st.SendStall
 	t.CongSignals += st.CongSignals
 	t.Timeouts += st.Timeouts
@@ -1215,7 +1235,7 @@ func (s *Scenario) ResultFor(i int) Result {
 	}
 	res.FCT = s.churn.fctSummary()
 	if f != nil {
-		st := f.Sender.Stats().Snapshot(now)
+		st := f.Sender.Snapshot(now)
 		res.Alg = f.Spec.Alg
 		res.Stats = st
 		res.Throughput = st.Throughput(now)
@@ -1242,10 +1262,10 @@ func (s *Scenario) flowAggregates(now sim.Time) ([]unit.Bandwidth, []web100.Stat
 		// churn totals at teardown, live ones are read here.
 		totals := s.churn.totals
 		for j, fl := range s.Flows {
-			fst := fl.Sender.Stats().Snapshot(now)
+			fst := fl.Sender.Snapshot(now)
 			tps[j] = fst.Throughput(now)
 			stats[j] = fst
-			totals.add(&fst)
+			totals.add(fl.Sender.Stats())
 		}
 		for _, fl := range s.churn.live {
 			totals.add(fl.Sender.Stats())

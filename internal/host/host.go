@@ -42,7 +42,6 @@ type Interface struct {
 	netem.Port
 	queue  netem.DropTail
 	wakers []func()
-	spare  []func() // retired waker backing array, reused by the hook
 }
 
 // NewInterface builds a NIC draining into dst.
@@ -54,7 +53,7 @@ func NewInterface(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receiver) *Int
 
 // Init (re)initializes the NIC in place: idle, empty, counters zeroed,
 // draining into dst. A used interface keeps only its IFQ's ring and its
-// waker arrays, so a recycled NIC is indistinguishable from a fresh one and
+// waker array, so a recycled NIC is indistinguishable from a fresh one and
 // costs no allocation. Init does not release segments: an interface that may
 // still hold any must be flushed first. Port.Init rejects a non-positive
 // rate and a nil dst.
@@ -66,7 +65,7 @@ func (i *Interface) Init(eng *sim.Engine, cfg InterfaceConfig, dst netem.Receive
 	// The hook is the NIC itself under another method set: a pointer in an
 	// interface, so the NIC binds no callback.
 	i.Port.Init(eng, cfg.Rate, &i.queue, dst, (*ifqRoom)(i))
-	i.wakers, i.spare = i.wakers[:0], i.spare[:0]
+	i.wakers = i.wakers[:0]
 }
 
 // SetWaker arms a one-shot callback invoked the next time IFQ room becomes
@@ -85,14 +84,14 @@ func (r *ifqRoom) Transmitted(*netem.Port) {
 	if len(i.wakers) == 0 || i.queue.Len() >= i.queue.Capacity() {
 		return
 	}
-	// Swap in the retired backing array so re-registration during the
-	// callbacks appends into reusable capacity instead of allocating.
-	ws := i.wakers
-	i.wakers = i.spare[:0]
-	i.spare = ws
-	for _, w := range ws {
-		w()
+	// Wakers registered while these run (a sender that stalls again) are
+	// appended behind them and kept for the next room; the hook cannot
+	// re-enter, since it runs only from a completed transmission.
+	n := len(i.wakers)
+	for k := 0; k < n; k++ {
+		i.wakers[k]()
 	}
+	i.wakers = i.wakers[:copy(i.wakers, i.wakers[n:])]
 }
 
 // Capacity returns the IFQ capacity in packets (txqueuelen).

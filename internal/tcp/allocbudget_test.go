@@ -66,7 +66,8 @@ func TestAllocBudgetSACKRecoveryLoop(t *testing.T) {
 // the telemetry tentpole's zero-overhead invariant: recording congestion
 // events must not add a single allocation to the event loop.
 func TestAllocBudgetWithFlightRecorder(t *testing.T) {
-	ctrl := cc.NewReno(cc.RenoConfig{IW: 2})
+	fr := telemetry.NewFlightRecorder(0)
+	ctrl := cc.NewReno(cc.RenoConfig{IW: 2, FR: fr})
 	l := buildLoop(loopOpts{
 		cfg:        Config{MSS: 1448},
 		nicRate:    100 * unit.Mbps,
@@ -74,9 +75,7 @@ func TestAllocBudgetWithFlightRecorder(t *testing.T) {
 		owd:        10 * time.Millisecond,
 		ctrl:       ctrl,
 	})
-	fr := telemetry.NewFlightRecorder(0)
-	l.snd.SetFlightRecorder(fr)
-	ctrl.SetTelemetry(fr, 1)
+	l.snd.cfg.FR = fr
 	l.snd.Supply(1 << 30)
 	l.eng.RunUntil(sim.At(2 * time.Second))
 

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -36,7 +37,9 @@ func TestFillDefaultsIdempotent(t *testing.T) {
 		once.fillDefaults()
 		twice := once
 		twice.fillDefaults()
-		if twice != once {
+		// DeepEqual, not ==: OnComplete makes Config incomparable. It is nil
+		// in every row, where DeepEqual and == agree.
+		if !reflect.DeepEqual(twice, once) {
 			t.Errorf("%s: fill(fill(c)) = %+v, fill(c) = %+v", row.name, twice, once)
 		}
 		if row.cfg.MaxBurst < 0 && once.MaxBurst >= 0 {

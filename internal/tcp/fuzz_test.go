@@ -61,7 +61,7 @@ func runHostile(t *testing.T, o hostileOpts) {
 	snd = NewSender(eng, cfg, 1, cc.NewReno(cc.RenoConfig{IW: 2}), nicIf)
 
 	done := false
-	snd.OnComplete = func(*Sender) { done = true }
+	snd.cfg.OnComplete = func(*Sender) { done = true }
 	snd.Supply(o.bytes)
 	snd.Close()
 	eng.RunUntil(sim.At(600 * time.Second))

@@ -79,7 +79,7 @@ func TestLoopTransferCompletes(t *testing.T) {
 	l := buildLoop(loopOpts{cfg: Config{MSS: 1000}})
 	const total = 500_000
 	done := false
-	l.snd.OnComplete = func(*Sender) { done = true }
+	l.snd.cfg.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(30 * time.Second))
@@ -89,8 +89,8 @@ func TestLoopTransferCompletes(t *testing.T) {
 	if got := l.snd.Stats().ThruOctetsAcked; got != total {
 		t.Errorf("ThruOctetsAcked = %d, want %d", got, total)
 	}
-	if got := l.rcv.Stats().DataOctetsIn; got != total {
-		t.Errorf("receiver DataOctetsIn = %d, want %d", got, total)
+	if got := l.rcv.RcvNxt(); got != total {
+		t.Errorf("receiver RcvNxt = %d, want %d", got, total)
 	}
 	if l.snd.Stats().SegsRetrans != 0 {
 		t.Errorf("retransmissions on a clean path: %d", l.snd.Stats().SegsRetrans)
@@ -133,8 +133,10 @@ func TestLoopDelayedAckRatio(t *testing.T) {
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(30 * time.Second))
-	segs := l.rcv.Stats().SegsIn
-	acks := l.rcv.Stats().AcksOut
+	// The path is lossless: every segment reaches the receiver and every
+	// ACK the sender.
+	segs := l.snd.Stats().DataSegsOut
+	acks := l.snd.Stats().SegsIn
 	if acks == 0 {
 		t.Fatal("no acks")
 	}
@@ -152,7 +154,7 @@ func TestLoopRecoversFromPeriodicLoss(t *testing.T) {
 	})
 	const total = 2 << 20
 	done := false
-	l.snd.OnComplete = func(*Sender) { done = true }
+	l.snd.cfg.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(120 * time.Second))
@@ -177,7 +179,7 @@ func TestLoopRecoversFromHeavyRandomLoss(t *testing.T) {
 	l := buildLoop(loopOpts{cfg: Config{MSS: 1000}, fwdLoss: loss})
 	const total = 1 << 20
 	done := false
-	l.snd.OnComplete = func(*Sender) { done = true }
+	l.snd.cfg.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(300 * time.Second))
@@ -198,7 +200,7 @@ func TestLoopSACKTransferUnderLoss(t *testing.T) {
 	})
 	const total = 2 << 20
 	done := false
-	l.snd.OnComplete = func(*Sender) { done = true }
+	l.snd.cfg.OnComplete = func(*Sender) { done = true }
 	l.snd.Supply(total)
 	l.snd.Close()
 	l.eng.RunUntil(sim.At(120 * time.Second))
@@ -223,7 +225,7 @@ func TestLoopSACKAvoidsTimeoutsOnBurstLoss(t *testing.T) {
 			owd:        20 * time.Millisecond,
 		})
 		var done sim.Time = -1
-		l.snd.OnComplete = func(*Sender) { done = l.eng.Now() }
+		l.snd.cfg.OnComplete = func(*Sender) { done = l.eng.Now() }
 		l.snd.Supply(3 << 20)
 		l.snd.Close()
 		l.eng.RunUntil(sim.At(300 * time.Second))
@@ -260,7 +262,8 @@ func TestLoopBottleneckPacesThroughput(t *testing.T) {
 	l.snd.Supply(100 << 20)
 	runFor := 10 * time.Second
 	l.eng.RunUntil(sim.At(runFor))
-	thr := l.snd.Stats().Throughput(l.eng.Now())
+	st := l.snd.Snapshot(l.eng.Now())
+	thr := st.Throughput(l.eng.Now())
 	// Goodput should approach but never exceed the bottleneck.
 	if thr > 10*unit.Mbps {
 		t.Errorf("throughput %v exceeds bottleneck", thr)

@@ -6,23 +6,11 @@ import (
 	"rsstcp/internal/sim"
 )
 
-// ReceiverStats counts receive-side events.
-type ReceiverStats struct {
-	SegsIn        int64 // data segments received
-	DataOctetsIn  int64 // in-order payload bytes accepted
-	DupSegs       int64 // fully duplicate segments
-	OutOfOrderIn  int64 // segments arriving beyond rcv.nxt
-	AcksOut       int64 // ACKs emitted
-	DelayedAcks   int64 // ACKs emitted by the delayed-ACK timer
-	SACKBlocksOut int64 // SACK blocks attached to outgoing ACKs
-}
-
 // Receiver is the TCP receiving side: in-order delivery tracking,
 // out-of-order range reassembly, delayed ACKs and SACK generation. The
 // application consumes instantly, so the advertised window stays constant —
 // the well-buffered receivers of the paper's testbed.
 type Receiver struct {
-	eng     *sim.Engine
 	cfg     *Config // shared, read-only (see Sender.Init)
 	flow    packet.FlowID
 	gen     uint32 // stamped on every ACK sent
@@ -32,30 +20,31 @@ type Receiver struct {
 	pending int32              // in-order segments since last ACK
 	stopped bool
 	delack  sim.Timer
-	stats   ReceiverStats
 }
 
 // NewReceiver wires a receiver whose ACKs flow into out (the reverse path),
-// on a private copy of cfg whose zero fields take DefaultConfig's values.
+// on a private copy of cfg whose zero fields take DefaultConfig's values and
+// whose engine is eng.
 func NewReceiver(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Receiver) *Receiver {
 	cfg.fillDefaults()
+	cfg.Eng = eng
 	r := new(Receiver)
-	r.Init(eng, &cfg, flow, 0, out)
+	r.Init(&cfg, flow, 0, out)
 	return r
 }
 
 // Init (re)initializes the receiver in place as a fresh connection; a used
 // receiver keeps only its reassembly list's backing array. cfg and gen are
 // held and stamped as by Sender.Init.
-func (r *Receiver) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint32, out netem.Receiver) {
+func (r *Receiver) Init(cfg *Config, flow packet.FlowID, gen uint32, out netem.Receiver) {
 	if out == nil {
 		panic("tcp: receiver with nil ACK path")
 	}
 	ooo := r.ooo[:0]
 	*r = Receiver{} // zero, then set (see Sender.Init)
-	r.eng, r.cfg, r.flow, r.gen, r.out = eng, cfg, flow, gen, out
+	r.cfg, r.flow, r.gen, r.out = cfg, flow, gen, out
 	r.ooo = ooo
-	r.delack.InitHook(eng, cfg.Wheel, (*delAckExpiry)(r))
+	r.delack.InitHook(cfg.Eng, cfg.Wheel, (*delAckExpiry)(r))
 }
 
 // RcvNxt returns the next expected sequence number.
@@ -73,9 +62,6 @@ func (r *Receiver) Stop() {
 	r.delack.Stop()
 }
 
-// Stats returns a copy of the receive counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
-
 // Receive processes an arriving data segment (netem.Receiver). The receiver
 // is the segment's terminal consumer and releases it.
 func (r *Receiver) Receive(seg *packet.Segment) {
@@ -83,20 +69,16 @@ func (r *Receiver) Receive(seg *packet.Segment) {
 		seg.Release()
 		return
 	}
-	r.stats.SegsIn++
 	segSeq, segEnd := seg.Seq, seg.End()
 	seg.Release()
 	switch {
 	case segEnd <= r.rcvNxt:
 		// Entirely old data: duplicate; re-ACK immediately so the sender
 		// converges.
-		r.stats.DupSegs++
-		r.sendAck(false, -1)
+		r.sendAck(-1)
 	case segSeq <= r.rcvNxt:
 		// In-order (possibly partially duplicate) data.
-		accepted := segEnd - r.rcvNxt
 		r.rcvNxt = segEnd
-		r.stats.DataOctetsIn += accepted
 		hadHole := len(r.ooo) > 0
 		r.mergeContiguous()
 		r.pending++
@@ -104,16 +86,15 @@ func (r *Receiver) Receive(seg *packet.Segment) {
 		// filled (loss recovery depends on it), or at the delayed-ACK
 		// threshold.
 		if hadHole || len(r.ooo) > 0 || int(r.pending) >= r.cfg.AckEvery {
-			r.sendAck(false, -1)
+			r.sendAck(-1)
 		} else if !r.delack.Armed() {
 			r.delack.Arm(r.cfg.DelAckTimeout)
 		}
 	default:
 		// Out of order: store the range and emit an immediate duplicate
 		// ACK advertising the hole.
-		r.stats.OutOfOrderIn++
 		r.ooo = insertBlock(r.ooo, packet.SACKBlock{Start: segSeq, End: segEnd})
-		r.sendAck(false, segSeq)
+		r.sendAck(segSeq)
 	}
 }
 
@@ -141,7 +122,7 @@ func (h *delAckExpiry) Fire() { (*Receiver)(h).onDelAckTimeout() }
 
 func (r *Receiver) onDelAckTimeout() {
 	if r.pending > 0 {
-		r.sendAck(true, -1)
+		r.sendAck(-1)
 	}
 }
 
@@ -149,14 +130,14 @@ func (r *Receiver) onDelAckTimeout() {
 // sequence of the segment that triggered this ACK; RFC 2018 requires the
 // SACK block containing it to come first, so the sender always learns the
 // newest scoreboard information even when more than four blocks exist.
-func (r *Receiver) sendAck(delayed bool, recentSeq int64) {
+func (r *Receiver) sendAck(recentSeq int64) {
 	ack := r.cfg.Pool.Get()
 	ack.Flow = r.flow
 	ack.Gen = r.gen
 	ack.Ack = r.rcvNxt
 	ack.Flags = packet.FlagACK
 	ack.Wnd = r.cfg.RcvWnd
-	ack.SentAt = r.eng.Now()
+	ack.SentAt = r.cfg.Eng.Now()
 	if r.cfg.SACK && len(r.ooo) > 0 {
 		// Blocks go straight into the pooled segment's SACK buffer, whose
 		// capacity survives recycling — no per-ACK slice allocation.
@@ -179,14 +160,9 @@ func (r *Receiver) sendAck(delayed bool, recentSeq int64) {
 			blocks = append(blocks, b)
 		}
 		ack.SACK = blocks
-		r.stats.SACKBlocksOut += int64(len(blocks))
 	}
 	r.pending = 0
 	r.delack.Stop()
-	r.stats.AcksOut++
-	if delayed {
-		r.stats.DelayedAcks++
-	}
 	r.out.Receive(ack)
 }
 

@@ -10,10 +10,9 @@ import "time"
 // them from the Config the sender shares, so the estimator holds only the
 // per-connection state.
 type rttEstimator struct {
-	srtt      time.Duration
-	rttvar    time.Duration
-	rto       time.Duration
-	hasSample bool
+	srtt   time.Duration // 0 until the first sample, positive after
+	rttvar time.Duration
+	rto    time.Duration
 }
 
 // Update folds a new RTT measurement in (RFC 6298 §2) and recomputes the
@@ -22,10 +21,9 @@ func (e *rttEstimator) Update(sample time.Duration, c *Config) {
 	if sample <= 0 {
 		sample = c.RTOGranularity
 	}
-	if !e.hasSample {
+	if e.srtt == 0 {
 		e.srtt = sample
 		e.rttvar = sample / 2
-		e.hasSample = true
 	} else {
 		// RTTVAR <- 3/4 RTTVAR + 1/4 |SRTT - R'|
 		d := e.srtt - sample
@@ -36,13 +34,12 @@ func (e *rttEstimator) Update(sample time.Duration, c *Config) {
 		// SRTT <- 7/8 SRTT + 1/8 R'
 		e.srtt = (7*e.srtt + sample) / 8
 	}
-	rto := e.srtt + max4(c.RTOGranularity, 4*e.rttvar)
-	e.rto = clampDur(rto, c.MinRTO, c.MaxRTO)
+	e.rto = max(min(e.srtt+max(c.RTOGranularity, 4*e.rttvar), c.MaxRTO), c.MinRTO)
 }
 
 // Backoff doubles the RTO after a retransmission timeout (Karn).
 func (e *rttEstimator) Backoff(c *Config) {
-	e.rto = clampDur(e.rto*2, c.MinRTO, c.MaxRTO)
+	e.rto = max(min(e.rto*2, c.MaxRTO), c.MinRTO)
 }
 
 // RTO returns the current retransmission timeout.
@@ -55,21 +52,4 @@ func (e *rttEstimator) SRTT() time.Duration { return e.srtt }
 func (e *rttEstimator) RTTVar() time.Duration { return e.rttvar }
 
 // HasSample reports whether at least one measurement was folded in.
-func (e *rttEstimator) HasSample() bool { return e.hasSample }
-
-func max4(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
+func (e *rttEstimator) HasSample() bool { return e.srtt != 0 }

@@ -13,8 +13,8 @@ import (
 // sentRecord tracks one transmitted, not-yet-acknowledged segment.
 type sentRecord struct {
 	seq     int64
-	length  int
 	sentAt  sim.Time
+	length  int32
 	rtx     bool // retransmission: excluded from RTT sampling (Karn)
 	sacked  bool // covered by a received SACK block
 	rtxDone bool // retransmitted during the current recovery episode
@@ -29,29 +29,28 @@ func (s *Sender) live() []sentRecord { return s.segs[s.row().segHead:] }
 
 // row returns the sender's FlowTable row. The pointer is only valid until
 // the table's next Alloc, so callers re-read it rather than keep it.
-func (s *Sender) row() *flowRow { return &s.tbl.rows[s.slot] }
+func (s *Sender) row() *flowRow { return &s.cfg.Table.rows[s.slot] }
 
 // Sender is the TCP sending side. It implements cc.Window for its
 // congestion controller and netem.Receiver for the incoming ACK stream.
 //
 // The hot window and sequence state (cwnd, ssthresh, snd.una, snd.nxt, the
-// SACK aggregates, the record-list head) lives in a FlowTable row addressed
-// by tbl and slot. The struct itself is the cold half: configuration,
-// wiring, loss-recovery mode, and instrumentation.
+// SACK aggregates, the record-list head) lives in a row of the config's
+// FlowTable addressed by slot. The struct itself is the cold half:
+// wiring, loss-recovery mode, and instrumentation. What every connection of
+// a simulation shares — engine, table, flight recorder, completion hook —
+// sits in the shared Config.
 type Sender struct {
-	eng  *sim.Engine
 	cfg  *Config // shared with every endpoint configured alike; read-only
 	flow packet.FlowID
 	gen  uint32 // stamped on every segment sent (see Init)
 	ctrl cc.Controller
 	path TransmitPath
 
-	tbl     *FlowTable // hot state rows; private single-row table if unshared
-	slot    int32      // row owned by this sender, -1 after ReleaseRow
-	dupAcks int32      // duplicate ACKs since the last advance of snd.una
+	slot    int32 // row owned by this sender, -1 after ReleaseRow
+	dupAcks int32 // duplicate ACKs since the last advance of snd.una
 
-	stats web100.Stats
-	fr    *telemetry.FlightRecorder // nil-safe: unset means no recording
+	stats web100.Live
 
 	// Outstanding records, ordered by seq, live in segs[segHead:] (the
 	// head index is table state). ACKs consume from the front by advancing
@@ -72,9 +71,6 @@ type Sender struct {
 	stallCwrHigh int64  // suppress repeated stall-congestion until una passes
 	resumeFn     func() // the waker callback, bound once (no per-stall closure)
 
-	// OnComplete fires once, with the sender, when all supplied data is
-	// acknowledged after Close.
-	OnComplete func(*Sender)
 	// OnStall fires on every send-stall, after Stats().SendStall counts it;
 	// a traced flow's Figure-1 series hooks here.
 	OnStall func()
@@ -88,12 +84,17 @@ type Sender struct {
 }
 
 // NewSender wires a sender to its congestion controller and transmit path
-// on a private copy of cfg, whose zero fields take DefaultConfig's values.
-// The controller is attached (initializing cwnd/ssthresh) immediately.
+// on a private copy of cfg, whose zero fields take DefaultConfig's values
+// (a nil Table a private one-row table) and whose engine is eng. The
+// controller is attached (initializing cwnd/ssthresh) immediately.
 func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) *Sender {
 	cfg.fillDefaults()
+	cfg.Eng = eng
+	if cfg.Table == nil {
+		cfg.Table = NewFlowTable(1)
+	}
 	s := new(Sender)
-	s.Init(eng, &cfg, flow, 0, ctrl, path)
+	s.Init(&cfg, flow, 0, ctrl, path)
 	return s
 }
 
@@ -105,12 +106,13 @@ func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controll
 // one and costs no allocation. The previous row, if any, is not freed: the
 // owner resets or frees the table's rows itself.
 //
-// cfg is held, not copied: it must be filled (DefaultConfig with a Pool, or
-// NewSender's copy) and stay unchanged while the sender runs. gen is stamped
-// on every segment sent (packet.Segment.Gen): scenarios that recycle FlowIDs
-// give each incarnation a fresh one, so their demultiplexers can tell a stray
-// segment of a dead flow from the ID's current owner (zero never recycles).
-func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint32, ctrl cc.Controller, path TransmitPath) {
+// cfg is held, not copied: it must be filled (DefaultConfig with a Pool, an
+// Eng and a Table, or NewSender's copy) and stay unchanged while the sender
+// runs. gen is stamped on every segment sent (packet.Segment.Gen): scenarios
+// that recycle FlowIDs give each incarnation a fresh one, so their
+// demultiplexers can tell a stray segment of a dead flow from the ID's
+// current owner (zero never recycles).
+func (s *Sender) Init(cfg *Config, flow packet.FlowID, gen uint32, ctrl cc.Controller, path TransmitPath) {
 	if ctrl == nil {
 		panic("tcp: sender with nil controller")
 	}
@@ -125,21 +127,14 @@ func (s *Sender) Init(eng *sim.Engine, cfg *Config, flow packet.FlowID, gen uint
 		}
 	}
 	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
-	s.eng, s.cfg, s.flow, s.gen, s.ctrl, s.path = eng, cfg, flow, gen, ctrl, path
+	s.cfg, s.flow, s.gen, s.ctrl, s.path = cfg, flow, gen, ctrl, path
 	s.segs, s.resumeFn = segs, resumeFn
-	s.tbl = cfg.Table
-	if s.tbl == nil {
-		// Unshared sender: a private one-row table keeps the hot-state
-		// access pattern identical without requiring callers to care.
-		s.tbl = NewFlowTable(1)
-	}
-	s.slot = s.tbl.Alloc()
+	s.slot = cfg.Table.Alloc()
 	s.est = rttEstimator{rto: cfg.InitialRTO}
-	s.stats.Init(eng.Now())
+	s.stats.Init(cfg.Eng.Now())
 	s.row().rwnd = cfg.RcvWnd
-	s.rto.InitHook(eng, cfg.Wheel, (*rtoExpiry)(s))
+	s.rto.InitHook(cfg.Eng, cfg.Wheel, (*rtoExpiry)(s))
 	ctrl.Attach(s)
-	s.stats.CurRTO = s.est.RTO()
 }
 
 // Flow returns the connection's flow ID.
@@ -159,7 +154,7 @@ func (s *Sender) ReleaseRow() {
 	if !s.finished {
 		panic("tcp: ReleaseRow on a sender that is still running")
 	}
-	s.tbl.Free(s.slot)
+	s.cfg.Table.Free(s.slot)
 	s.slot = -1
 }
 
@@ -200,11 +195,13 @@ func (s *Sender) SetCwnd(b int64) {
 	if b < int64(s.cfg.MSS) {
 		b = int64(s.cfg.MSS)
 	}
-	if b != s.row().cwnd {
-		s.fr.Record(s.eng.Now(), telemetry.KindCwnd, int32(s.flow), -1, s.row().cwnd, b)
+	// The initial window (Attach, on a row that starts at zero) is not a
+	// change: the recorder logs the window's moves, not its creation.
+	if old := s.row().cwnd; old != 0 && b != old {
+		s.cfg.FR.Record(s.Now(), telemetry.KindCwnd, int32(s.flow), -1, old, b)
 	}
 	s.row().cwnd = b
-	s.stats.SetCwnd(b)
+	s.stats.ObserveCwnd(b)
 }
 
 // Ssthresh returns the slow-start threshold in bytes (0 once released).
@@ -221,7 +218,7 @@ func (s *Sender) SetSsthresh(b int64) {
 		b = 2 * int64(s.cfg.MSS)
 	}
 	s.row().ssthresh = b
-	s.stats.SetSsthresh(b)
+	s.stats.ObserveSsthresh(b)
 }
 
 // FlightSize returns the outstanding bytes (snd.nxt - snd.una).
@@ -239,7 +236,7 @@ func (s *Sender) SRTT() time.Duration { return s.est.SRTT() }
 func (s *Sender) LastRTT() time.Duration { return s.lastRTT }
 
 // Now returns the current virtual time.
-func (s *Sender) Now() sim.Time { return s.eng.Now() }
+func (s *Sender) Now() sim.Time { return s.cfg.Eng.Now() }
 
 // --- application interface ---
 
@@ -262,13 +259,16 @@ func (s *Sender) Close() {
 // Finished reports whether the transfer has completed.
 func (s *Sender) Finished() bool { return s.finished }
 
-// Stats returns the live Web100-style instrument set.
-func (s *Sender) Stats() *web100.Stats { return &s.stats }
+// Stats returns the live Web100-style instrument set: counters and the
+// gauges the sender does not hold elsewhere.
+func (s *Sender) Stats() *web100.Live { return &s.stats }
 
-// SetFlightRecorder attaches a telemetry ring; the sender records its
-// congestion events (cwnd changes, loss detection, RTOs, stalls, slow-start
-// exits) into it. A nil recorder (the default) records nothing.
-func (s *Sender) SetFlightRecorder(fr *telemetry.FlightRecorder) { s.fr = fr }
+// Snapshot returns the full Web100 instrument set as of now, its window and
+// RTT gauges read from the sender's own state (zero windows once the row is
+// released).
+func (s *Sender) Snapshot(now sim.Time) web100.Stats {
+	return s.stats.Snapshot(now, web100.Gauges{Cwnd: s.Cwnd(), Ssthresh: s.Ssthresh(), SRTT: s.est.SRTT(), RTO: s.est.RTO()})
+}
 
 // Controller returns the attached congestion controller.
 func (s *Sender) Controller() cc.Controller { return s.ctrl }
@@ -325,7 +325,7 @@ func (s *Sender) trySend() {
 		avail := s.row().supplied - s.row().sndNxt
 		if avail <= 0 {
 			// Nothing from the application: sender-limited.
-			s.stats.SetSndLim(web100.SndLimSender, s.eng.Now())
+			s.stats.SetSndLim(web100.SndLimSender, s.Now())
 			return
 		}
 		n := int(min(int64(s.cfg.MSS), avail))
@@ -339,9 +339,9 @@ func (s *Sender) trySend() {
 		}
 		if inFlight+int64(n) > wnd {
 			if r := s.row(); r.cwnd <= r.rwnd {
-				s.stats.SetSndLim(web100.SndLimCwnd, s.eng.Now())
+				s.stats.SetSndLim(web100.SndLimCwnd, s.Now())
 			} else {
-				s.stats.SetSndLim(web100.SndLimRwnd, s.eng.Now())
+				s.stats.SetSndLim(web100.SndLimRwnd, s.Now())
 			}
 			return
 		}
@@ -357,7 +357,7 @@ func (s *Sender) trySend() {
 			s.segs = s.segs[:copy(s.segs, s.segs[head:])]
 			s.row().segHead = 0
 		}
-		s.segs = append(s.segs, sentRecord{seq: seq, length: n, sentAt: s.eng.Now(), rtx: rtx})
+		s.segs = append(s.segs, sentRecord{seq: seq, sentAt: s.Now(), length: int32(n), rtx: rtx})
 		r := s.row()
 		r.sndNxt += int64(n)
 		r.maxSent = max(r.maxSent, r.sndNxt)
@@ -389,14 +389,13 @@ func (s *Sender) send(seq int64, n int, rtx bool) bool {
 	seg.Len = n
 	seg.Flags = packet.FlagACK
 	seg.Wnd = s.cfg.RcvWnd
-	seg.SentAt = s.eng.Now()
+	seg.SentAt = s.Now()
 	seg.Retransmit = rtx
 	if !s.path.Send(seg) {
 		seg.Release()
 		s.onSendStall()
 		return false
 	}
-	s.stats.SegsOut++
 	s.stats.DataSegsOut++
 	s.stats.DataOctetsOut += int64(n)
 	if rtx {
@@ -409,12 +408,12 @@ func (s *Sender) send(seq int64, n int, rtx bool) bool {
 // resend retransmits rec and marks it as retransmitted during this recovery
 // episode. It returns false when the IFQ stalled the attempt.
 func (s *Sender) resend(rec *sentRecord) bool {
-	if !s.send(rec.seq, rec.length, true) {
+	if !s.send(rec.seq, int(rec.length), true) {
 		return false
 	}
 	rec.rtx = true
 	rec.rtxDone = true
-	rec.sentAt = s.eng.Now()
+	rec.sentAt = s.Now()
 	s.row().rtxOut += int64(rec.length)
 	return true
 }
@@ -423,8 +422,8 @@ func (s *Sender) resend(rec *sentRecord) bool {
 // the window (Linux 2.4 behaviour), and arm the waker to resume.
 func (s *Sender) onSendStall() {
 	s.stats.SendStall++
-	s.stats.SetSndLim(web100.SndLimSender, s.eng.Now())
-	s.fr.Record(s.eng.Now(), telemetry.KindStall, int32(s.flow), -1, s.row().sndNxt, s.row().cwnd)
+	s.stats.SetSndLim(web100.SndLimSender, s.Now())
+	s.cfg.FR.Record(s.Now(), telemetry.KindStall, int32(s.flow), -1, s.row().sndNxt, s.row().cwnd)
 	if s.OnStall != nil {
 		s.OnStall()
 	}
@@ -438,7 +437,7 @@ func (s *Sender) onSendStall() {
 		s.ctrl.OnLocalStall()
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 		}
 	}
 	// One waker at a time: several code paths (each arriving ACK, the
@@ -475,7 +474,7 @@ func (s *Sender) sendSACKRetransmissions() bool {
 	if stale <= 0 {
 		stale = s.cfg.MinRTO
 	}
-	now := s.eng.Now()
+	now := s.Now()
 	live := s.live()
 	for i := range live {
 		rec := &live[i]
@@ -583,8 +582,6 @@ func (s *Sender) onNewAck(ack int64) {
 		s.est.Update(sample, s.cfg)
 		s.lastRTT = sample
 		s.stats.ObserveRTT(sample)
-		s.stats.SmoothedRTT = s.est.SRTT()
-		s.stats.CurRTO = s.est.RTO()
 	}
 	if s.inRecovery {
 		if ack >= s.recover {
@@ -613,7 +610,7 @@ func (s *Sender) onNewAck(ack int64) {
 		s.ctrl.OnAck(acked)
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 		}
 	}
 	if s.FlightSize() == 0 {
@@ -653,12 +650,12 @@ func (s *Sender) enterRecovery() {
 	s.recover = s.row().sndNxt
 	s.stats.CongSignals++
 	s.stats.FastRetran++
-	s.fr.Record(s.eng.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.row().sndUna, s.recover)
+	s.cfg.FR.Record(s.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.row().sndUna, s.recover)
 	wasSS := s.ctrl.InSlowStart()
 	s.ctrl.OnEnterRecovery()
 	if wasSS {
 		s.stats.SlowStartExits++
-		s.fr.Record(s.eng.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+		s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
 	}
 	s.rtxPending = true
 	s.rto.Arm(s.est.RTO())
@@ -686,7 +683,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 		// was delivered when its SACK arrived, not when the cumulative
 		// ACK finally covered it after hole repair.
 		if !rec.rtx && !rec.sacked {
-			sample = s.eng.Now().Sub(rec.sentAt)
+			sample = s.Now().Sub(rec.sentAt)
 			ok = true
 		}
 	}
@@ -707,7 +704,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 		rec := &live[0]
 		delta := ack - rec.seq
 		rec.seq = ack
-		rec.length -= int(delta)
+		rec.length -= int32(delta)
 	}
 	return sample, ok
 }
@@ -747,10 +744,9 @@ func (s *Sender) onRTO() {
 	}
 	s.stats.Timeouts++
 	s.stats.CongSignals++
-	s.fr.Record(s.eng.Now(), telemetry.KindRTO, int32(s.flow), -1, s.row().sndUna, s.row().sndNxt-s.row().sndUna)
+	s.cfg.FR.Record(s.Now(), telemetry.KindRTO, int32(s.flow), -1, s.row().sndUna, s.row().sndNxt-s.row().sndUna)
 	s.ctrl.OnRTO()
 	s.est.Backoff(s.cfg)
-	s.stats.CurRTO = s.est.RTO()
 	// Go-back-N: everything beyond snd.una is resent under the collapsed
 	// window; mark the range so Karn's rule skips its RTT samples.
 	r := s.row()
@@ -774,10 +770,10 @@ func (s *Sender) checkComplete() {
 	}
 	s.finished = true
 	s.rto.Stop()
-	s.stats.SetSndLim(web100.SndLimNone, s.eng.Now())
-	s.stats.Finish(s.eng.Now())
-	if s.OnComplete != nil {
-		s.OnComplete(s)
+	s.stats.SetSndLim(web100.SndLimNone, s.Now())
+	s.stats.Finish(s.Now())
+	if s.cfg.OnComplete != nil {
+		s.cfg.OnComplete(s)
 	}
 }
 
@@ -794,6 +790,6 @@ func (s *Sender) Stop() {
 	}
 	s.finished = true
 	s.rto.Stop()
-	s.stats.SetSndLim(web100.SndLimNone, s.eng.Now())
-	s.stats.Finish(s.eng.Now())
+	s.stats.SetSndLim(web100.SndLimNone, s.Now())
+	s.stats.Finish(s.Now())
 }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"rsstcp/internal/cc"
 	"rsstcp/internal/packet"
@@ -118,7 +119,7 @@ func TestSenderCompletionCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	s, _ := newTestSender(eng, Config{MSS: 1000})
 	done := false
-	s.OnComplete = func(*Sender) { done = true }
+	s.cfg.OnComplete = func(*Sender) { done = true }
 	s.Supply(2000)
 	s.Close()
 	if done {
@@ -425,7 +426,7 @@ func TestSenderWindowGauges(t *testing.T) {
 	s, _ := newTestSender(eng, Config{MSS: 1000})
 	s.Supply(1 << 20)
 	ackUpTo(s, 2000)
-	st := s.Stats()
+	st := s.Snapshot(eng.Now())
 	if st.CurCwnd != s.Cwnd() {
 		t.Errorf("CurCwnd = %d, want %d", st.CurCwnd, s.Cwnd())
 	}
@@ -531,5 +532,14 @@ func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 	}
 	if grewBehindHead == 0 {
 		t.Fatal("the record list never filled up behind a dead prefix: the guard was not exercised")
+	}
+}
+
+// TestSentRecordSize pins the record list's element at 24 bytes: a 32-bit
+// length with the three flags packed after it. With an int length it was 32,
+// and the lists are a sizeable share of a many-flows run's per-flow heap.
+func TestSentRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(sentRecord{}); got != 24 {
+		t.Errorf("sentRecord is %d B, want 24", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"rsstcp/internal/packet"
 	"rsstcp/internal/sim"
+	"rsstcp/internal/telemetry"
 )
 
 // TransmitPath is the sender's exit to the host NIC: Send returns false on
@@ -49,9 +50,11 @@ func (p StallPolicy) String() string {
 	}
 }
 
-// Config carries the connection parameters shared by sender and receiver.
-// Endpoints built with Init hold a pointer to it rather than a copy, so one
-// Config serves every connection configured alike: a scenario keeps one per
+// Config carries the connection parameters shared by sender and receiver,
+// and the wiring every connection of a simulation shares: engine, segment
+// pool, timer wheel, flow table, flight recorder, completion hook. Endpoints
+// built with Init hold a pointer to it rather than a copy, so one Config
+// serves every connection configured alike: a scenario keeps one per
 // distinct configuration for all of its flows. It must stay unchanged while
 // an endpoint built on it runs.
 type Config struct {
@@ -95,11 +98,18 @@ type Config struct {
 	// the wheel keeps calendar depth flat when thousands of flows re-arm
 	// timers on every ACK.
 	Wheel *sim.Wheel
-	// Table, when non-nil, is the shared table of rows senders draw their
-	// hot state from (FlowTable); nil gives each sender a private one-row
-	// table. A many-flows scenario shares one table so per-ACK state sits
-	// in one contiguous slice.
+	// Eng is the engine the endpoints run on (NewSender and NewReceiver set
+	// it on their copy).
+	Eng *sim.Engine
+	// Table holds the senders' hot-state rows (FlowTable): one per
+	// many-flows scenario, so per-ACK state sits in one contiguous slice.
+	// NewSender gives a config without one a private one-row table.
 	Table *FlowTable
+	// FR, when non-nil, records the senders' congestion events.
+	FR *telemetry.FlightRecorder
+	// OnComplete, when non-nil, fires once per sender when all supplied
+	// data is acknowledged after Close.
+	OnComplete func(*Sender)
 }
 
 // DefaultConfig returns parameters matching the paper's Linux 2.4 testbed.

@@ -45,9 +45,9 @@ func (s SndLimState) String() string {
 	}
 }
 
-// Stats is the per-connection instrument set. The sender updates it inline;
-// readers take Snapshot copies. Field names follow RFC 4898 where one
-// exists; SendStall is the Web100 variable at the heart of the paper.
+// Stats is the per-connection instrument set at one instant, as a sender's
+// Snapshot reports it. Field names follow RFC 4898 where one exists;
+// SendStall is the Web100 variable at the heart of the paper.
 type Stats struct {
 	// --- segment counters ---
 	SegsOut      int64 // total segments transmitted (incl. retransmits)
@@ -95,23 +95,41 @@ type Stats struct {
 	// --- lifetime ---
 	StartTime sim.Time
 	EndTime   sim.Time // zero until the transfer completes
+}
 
-	curLim      SndLimState
-	curLimSince sim.Time
+// Live is the instrument set as a sender keeps it between snapshots: every
+// field of Stats, documented there, but five that would only copy state the
+// sender holds anyway. SegsOut always equals DataSegsOut; CurCwnd,
+// CurSsthresh, SmoothedRTT and CurRTO are the sender's window and RTT
+// estimator, handed to Snapshot as Gauges.
+type Live struct {
+	DataSegsOut, SegsRetrans, OctetsRetran, SegsIn, DupAcksIn, SACKsRcvd int64
+	ThruOctetsAcked, DataOctetsOut, CongSignals, FastRetran, Timeouts    int64
+	SendStall, LocalCongCwnd, SlowStartExits, MaxCwnd, MinSsthresh       int64
+	CurRwnd, CountRTT, SndLimTransCwnd, SndLimTransRwnd, SndLimTransSnd  int64
+	MinRTT, MaxRTT, SndLimTimeCwnd, SndLimTimeRwnd, SndLimTimeSender     time.Duration
+	StartTime, EndTime, curLimSince                                      sim.Time
+	curLim                                                               SndLimState
+}
+
+// Gauges are the current values of the gauges a Live block does not keep.
+type Gauges struct {
+	Cwnd, Ssthresh int64
+	SRTT, RTO      time.Duration
 }
 
 // Init (re)initializes the instrument set in place for a connection that
 // begins at start.
-func (s *Stats) Init(start sim.Time) {
-	*s = Stats{}
+func (s *Live) Init(start sim.Time) {
+	*s = Live{}
 	s.StartTime, s.curLimSince = start, start
 }
 
 // ObserveRTT folds one RTT sample into the min/max gauges (the smoothed
-// value is maintained by the sender's estimator and set via SetSmoothedRTT).
-// MinRTT reads 0 until the first sample: a real one never does, since every
-// segment takes a serialization time.
-func (s *Stats) ObserveRTT(rtt time.Duration) {
+// value is the sender's estimator, see Gauges). MinRTT reads 0 until the
+// first sample: a real one never does, since every segment takes a
+// serialization time.
+func (s *Live) ObserveRTT(rtt time.Duration) {
 	s.CountRTT++
 	if s.MinRTT == 0 || rtt < s.MinRTT {
 		s.MinRTT = rtt
@@ -121,18 +139,16 @@ func (s *Stats) ObserveRTT(rtt time.Duration) {
 	}
 }
 
-// SetCwnd updates the congestion-window gauges.
-func (s *Stats) SetCwnd(bytes int64) {
-	s.CurCwnd = bytes
+// ObserveCwnd folds a new congestion window into MaxCwnd.
+func (s *Live) ObserveCwnd(bytes int64) {
 	if bytes > s.MaxCwnd {
 		s.MaxCwnd = bytes
 	}
 }
 
-// SetSsthresh updates the slow-start-threshold gauges. MinSsthresh reads 0
-// until the first call: a real ssthresh is never below 2 MSS.
-func (s *Stats) SetSsthresh(bytes int64) {
-	s.CurSsthresh = bytes
+// ObserveSsthresh folds a new slow-start threshold into MinSsthresh, which
+// reads 0 until the first call: a real ssthresh is never below 2 MSS.
+func (s *Live) ObserveSsthresh(bytes int64) {
 	if s.MinSsthresh == 0 || bytes < s.MinSsthresh {
 		s.MinSsthresh = bytes
 	}
@@ -140,7 +156,7 @@ func (s *Stats) SetSsthresh(bytes int64) {
 
 // SetSndLim transitions the sender-limitation state machine, charging the
 // elapsed interval to the outgoing state.
-func (s *Stats) SetSndLim(state SndLimState, now sim.Time) {
+func (s *Live) SetSndLim(state SndLimState, now sim.Time) {
 	if state == s.curLim {
 		return
 	}
@@ -156,7 +172,7 @@ func (s *Stats) SetSndLim(state SndLimState, now sim.Time) {
 	}
 }
 
-func (s *Stats) chargeLim(now sim.Time) {
+func (s *Live) chargeLim(now sim.Time) {
 	d := now.Sub(s.curLimSince)
 	if d < 0 {
 		d = 0
@@ -173,9 +189,32 @@ func (s *Stats) chargeLim(now sim.Time) {
 }
 
 // Finish marks the connection complete and closes the limitation interval.
-func (s *Stats) Finish(now sim.Time) {
+func (s *Live) Finish(now sim.Time) {
 	s.chargeLim(now)
 	s.EndTime = now
+}
+
+// Snapshot returns the full instrument set as of now: the live block with
+// the in-progress limitation interval charged up to now, so time accounting
+// is current, and the gauges g.
+func (s *Live) Snapshot(now sim.Time, g Gauges) Stats {
+	c := *s
+	if now.Sub(c.curLimSince) > 0 {
+		c.chargeLim(now)
+	}
+	return Stats{
+		SegsOut: c.DataSegsOut, DataSegsOut: c.DataSegsOut, SegsRetrans: c.SegsRetrans,
+		OctetsRetran: c.OctetsRetran, SegsIn: c.SegsIn, DupAcksIn: c.DupAcksIn, SACKsRcvd: c.SACKsRcvd,
+		ThruOctetsAcked: c.ThruOctetsAcked, DataOctetsOut: c.DataOctetsOut,
+		CongSignals: c.CongSignals, FastRetran: c.FastRetran, Timeouts: c.Timeouts,
+		SendStall: c.SendStall, LocalCongCwnd: c.LocalCongCwnd, SlowStartExits: c.SlowStartExits,
+		CurCwnd: g.Cwnd, MaxCwnd: c.MaxCwnd, CurSsthresh: g.Ssthresh, MinSsthresh: c.MinSsthresh,
+		CurRwnd: c.CurRwnd, SmoothedRTT: g.SRTT, MinRTT: c.MinRTT, MaxRTT: c.MaxRTT, CurRTO: g.RTO,
+		CountRTT: c.CountRTT, SndLimTimeCwnd: c.SndLimTimeCwnd,
+		SndLimTimeRwnd: c.SndLimTimeRwnd, SndLimTimeSender: c.SndLimTimeSender,
+		SndLimTransCwnd: c.SndLimTransCwnd, SndLimTransRwnd: c.SndLimTransRwnd, SndLimTransSnd: c.SndLimTransSnd,
+		StartTime: c.StartTime, EndTime: c.EndTime,
+	}
 }
 
 // Elapsed returns the connection lifetime as of now (or of completion).
@@ -190,16 +229,6 @@ func (s *Stats) Elapsed(now sim.Time) time.Duration {
 // Throughput returns goodput (acked bytes over lifetime) as of now.
 func (s *Stats) Throughput(now sim.Time) unit.Bandwidth {
 	return unit.Throughput(unit.ByteSize(s.ThruOctetsAcked), s.Elapsed(now))
-}
-
-// Snapshot returns a copy of the instrument set, with the in-progress
-// limitation interval charged up to now so time accounting is current.
-func (s *Stats) Snapshot(now sim.Time) Stats {
-	c := *s
-	if now.Sub(c.curLimSince) > 0 {
-		c.chargeLim(now)
-	}
-	return c
 }
 
 // Export is the JSON shape of a Stats snapshot: RFC 4898-style names in
@@ -242,6 +271,4 @@ type Export struct {
 	SndLimTransSnd   int64         `json:"-"`
 	StartTime        sim.Time      `json:"-"`
 	EndTime          sim.Time      `json:"-"`
-	curLim           SndLimState
-	curLimSince      sim.Time
 }

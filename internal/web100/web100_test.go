@@ -11,7 +11,7 @@ import (
 func at(d time.Duration) sim.Time { return sim.At(d) }
 
 func TestObserveRTTMinMax(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
 	s.ObserveRTT(60 * time.Millisecond)
 	s.ObserveRTT(45 * time.Millisecond)
@@ -31,7 +31,7 @@ func TestObserveRTTMinMax(t *testing.T) {
 // — what rsstcp-sim prints for a transfer that never took an RTT sample —
 // and the first sample sets them.
 func TestMinRTTUnsetSentinel(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
 	if s.MinRTT != 0 || s.MinSsthresh != 0 {
 		t.Errorf("unset MinRTT %v, MinSsthresh %d; want 0, 0", s.MinRTT, s.MinSsthresh)
@@ -40,42 +40,61 @@ func TestMinRTTUnsetSentinel(t *testing.T) {
 	if s.MinRTT != time.Millisecond {
 		t.Errorf("first sample should set MinRTT, got %v", s.MinRTT)
 	}
-	s.SetSsthresh(2896)
+	s.ObserveSsthresh(2896)
 	if s.MinSsthresh != 2896 {
 		t.Errorf("first call should set MinSsthresh, got %d", s.MinSsthresh)
 	}
 }
 
+// TestCwndGauges: the live block keeps the high-water mark, a snapshot
+// reports the sender's current window beside it.
 func TestCwndGauges(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
-	s.SetCwnd(10000)
-	s.SetCwnd(50000)
-	s.SetCwnd(25000)
-	if s.CurCwnd != 25000 {
-		t.Errorf("CurCwnd = %d, want 25000", s.CurCwnd)
+	s.ObserveCwnd(10000)
+	s.ObserveCwnd(50000)
+	s.ObserveCwnd(25000)
+	snap := s.Snapshot(0, Gauges{Cwnd: 25000})
+	if snap.CurCwnd != 25000 {
+		t.Errorf("CurCwnd = %d, want 25000", snap.CurCwnd)
 	}
-	if s.MaxCwnd != 50000 {
-		t.Errorf("MaxCwnd = %d, want 50000", s.MaxCwnd)
+	if s.MaxCwnd != 50000 || snap.MaxCwnd != 50000 {
+		t.Errorf("MaxCwnd = %d (snapshot %d), want 50000", s.MaxCwnd, snap.MaxCwnd)
 	}
 }
 
 func TestSsthreshGauges(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
-	s.SetSsthresh(100000)
-	s.SetSsthresh(40000)
-	s.SetSsthresh(70000)
-	if s.CurSsthresh != 70000 {
-		t.Errorf("CurSsthresh = %d, want 70000", s.CurSsthresh)
+	s.ObserveSsthresh(100000)
+	s.ObserveSsthresh(40000)
+	s.ObserveSsthresh(70000)
+	snap := s.Snapshot(0, Gauges{Ssthresh: 70000})
+	if snap.CurSsthresh != 70000 {
+		t.Errorf("CurSsthresh = %d, want 70000", snap.CurSsthresh)
 	}
-	if s.MinSsthresh != 40000 {
-		t.Errorf("MinSsthresh = %d, want 40000", s.MinSsthresh)
+	if s.MinSsthresh != 40000 || snap.MinSsthresh != 40000 {
+		t.Errorf("MinSsthresh = %d (snapshot %d), want 40000", s.MinSsthresh, snap.MinSsthresh)
+	}
+}
+
+// TestSnapshotDerivesMirroredGauges: SegsOut is DataSegsOut, and the RTT
+// gauges are the ones handed in.
+func TestSnapshotDerivesMirroredGauges(t *testing.T) {
+	var s Live
+	s.Init(0)
+	s.DataSegsOut = 7
+	snap := s.Snapshot(0, Gauges{SRTT: 3 * time.Millisecond, RTO: 200 * time.Millisecond})
+	if snap.SegsOut != 7 || snap.DataSegsOut != 7 {
+		t.Errorf("SegsOut %d, DataSegsOut %d; want 7, 7", snap.SegsOut, snap.DataSegsOut)
+	}
+	if snap.SmoothedRTT != 3*time.Millisecond || snap.CurRTO != 200*time.Millisecond {
+		t.Errorf("SmoothedRTT %v, CurRTO %v; want 3ms, 200ms", snap.SmoothedRTT, snap.CurRTO)
 	}
 }
 
 func TestSndLimTimeAccounting(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
 	s.SetSndLim(SndLimCwnd, at(0))
 	s.SetSndLim(SndLimSender, at(3*time.Second))
@@ -93,7 +112,7 @@ func TestSndLimTimeAccounting(t *testing.T) {
 }
 
 func TestSndLimSameStateNoTransition(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
 	s.SetSndLim(SndLimCwnd, at(time.Second))
 	s.SetSndLim(SndLimCwnd, at(2*time.Second))
@@ -103,10 +122,10 @@ func TestSndLimSameStateNoTransition(t *testing.T) {
 }
 
 func TestSnapshotChargesOpenInterval(t *testing.T) {
-	var s Stats
+	var s Live
 	s.Init(0)
 	s.SetSndLim(SndLimRwnd, at(0))
-	snap := s.Snapshot(at(4 * time.Second))
+	snap := s.Snapshot(at(4*time.Second), Gauges{})
 	if snap.SndLimTimeRwnd != 4*time.Second {
 		t.Errorf("snapshot SndLimTimeRwnd = %v, want 4s", snap.SndLimTimeRwnd)
 	}
@@ -118,10 +137,11 @@ func TestSnapshotChargesOpenInterval(t *testing.T) {
 }
 
 func TestThroughputAndElapsed(t *testing.T) {
-	var s Stats
-	s.Init(at(time.Second))
-	s.ThruOctetsAcked = 125_000_000 // 125 MB
-	s.Finish(at(11 * time.Second))  // 10 s transfer
+	var l Live
+	l.Init(at(time.Second))
+	l.ThruOctetsAcked = 125_000_000 // 125 MB
+	l.Finish(at(11 * time.Second))  // 10 s transfer
+	s := l.Snapshot(at(11*time.Second), Gauges{})
 	if got := s.Elapsed(at(99 * time.Second)); got != 10*time.Second {
 		t.Errorf("Elapsed = %v, want 10s (uses EndTime)", got)
 	}
@@ -131,8 +151,7 @@ func TestThroughputAndElapsed(t *testing.T) {
 }
 
 func TestElapsedBeforeFinishUsesNow(t *testing.T) {
-	var s Stats
-	s.Init(at(time.Second))
+	s := Stats{StartTime: at(time.Second)}
 	if got := s.Elapsed(at(5 * time.Second)); got != 4*time.Second {
 		t.Errorf("Elapsed = %v, want 4s", got)
 	}
