@@ -189,7 +189,7 @@ func TestChurnCampaignWorkerCountDeterminism(t *testing.T) {
 
 // TestChurnCampaignTimerWheelDeterminism is the campaign half of the wheel
 // differential: the same churn sweep renders byte-identical JSON whether the
-// endpoint timers ride the hierarchical wheel or the calendar heap, at 1, 4,
+// endpoint timers ride the hierarchical wheel or the calendar, at 1, 4,
 // and GOMAXPROCS workers. Plan.Base carries the toggle precisely because it
 // stays out of cell keys — both runs derive identical replicate seeds.
 func TestChurnCampaignTimerWheelDeterminism(t *testing.T) {

@@ -224,8 +224,8 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 			Duration: time.Second,
 		}}
 	}
-	badSched := valid(experiment.AlgStandard, "bad")
-	badSched.Config.Scheduler = "nope"
+	badPath := valid(experiment.AlgStandard, "bad")
+	badPath.Config.Path.Loss = 1.5 // fails Topology.Validate
 	badFlow := valid(experiment.AlgStandard, "bad")
 	badFlow.Config.Flows[1].Alg = "nope"
 
@@ -239,7 +239,7 @@ func TestWorkerRecoversFromFailedReset(t *testing.T) {
 		_, _, err := rc.runReplicate(env, &c, rep, &out)
 		return out, err
 	}
-	for name, bad := range map[string]PlanCell{"before wiring": badSched, "after wiring": badFlow} {
+	for name, bad := range map[string]PlanCell{"before wiring": badPath, "after wiring": badFlow} {
 		var rc runContext
 		first := valid(experiment.AlgRestricted, "first")
 		if _, err := runOn(&rc, first, 0); err != nil {

@@ -34,9 +34,9 @@ type SelfMetrics struct {
 	// anomaly sink.
 	Anomalies telemetry.Counter
 
-	// Scheduler self-observation (PR 9): calendar-backend counters summed
-	// over every worker's engine, plus the timer-wheel arm classification.
-	// All zero when the campaign runs on the binary heap without a wheel.
+	// Scheduler self-observation: ladder calendar counters summed over
+	// every worker's engine, plus the timer-wheel arm classification. The
+	// Wheel* counters stay zero unless the plan sets TimerWheel.
 	SchedSorts   telemetry.Counter // ladder buckets lazily sorted into the drain list
 	SchedSprays  telemetry.Counter // dense ladder buckets redistributed into finer rungs
 	SchedRebases telemetry.Counter // ladder overflow-band redistributions (bucket resizes)

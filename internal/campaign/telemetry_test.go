@@ -177,14 +177,12 @@ func TestSelfMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestSelfMetricsSchedulerCounters: campaigns pinned to each calendar
-// backend charge the matching scheduler counters — ladder campaigns move
-// the ladder sort counter, wheel-timer campaigns move the wheel arm
-// counters — and Snapshot reports them.
+// TestSelfMetricsSchedulerCounters: every campaign moves the ladder's
+// counters, only a campaign with its endpoint timers on the wheel moves the
+// wheel's, and Snapshot reports them.
 func TestSelfMetricsSchedulerCounters(t *testing.T) {
-	run := func(sched string, wheel bool) *SelfMetrics {
+	run := func(wheel bool) *SelfMetrics {
 		p := anomalyPlan(t)
-		p.Base.Scheduler = sched
 		p.Base.TimerWheel = wheel
 		self := NewSelfMetrics()
 		if _, err := ExecutePlan(p, Options{Workers: 2, Self: self}); err != nil {
@@ -193,7 +191,7 @@ func TestSelfMetricsSchedulerCounters(t *testing.T) {
 		return self
 	}
 
-	lad := run("ladder", false)
+	lad := run(false)
 	if lad.SchedSorts.Value() == 0 {
 		t.Error("ladder campaign: sort counter never advanced")
 	}
@@ -201,14 +199,12 @@ func TestSelfMetricsSchedulerCounters(t *testing.T) {
 		t.Error("ladder campaign: calendar high water never observed")
 	}
 
-	wheel := run("heap", true)
+	wheel := run(true)
 	if wheel.WheelArmed.Value()+wheel.WheelDirect.Value() == 0 {
 		t.Error("wheel campaign: no timer arms observed")
 	}
-
-	heap := run("heap", false)
-	if v := heap.SchedSorts.Value(); v != 0 {
-		t.Errorf("heap campaign: ladder sort counter = %d, want 0", v)
+	if wheel.SchedSorts.Value() == 0 {
+		t.Error("wheel campaign: the ladder under the wheel never sorted")
 	}
 
 	for _, c := range []struct {
@@ -222,7 +218,8 @@ func TestSelfMetricsSchedulerCounters(t *testing.T) {
 		{wheel, "rsstcp_campaign_wheel_armed_total", wheel.WheelArmed.Value()},
 		{wheel, "rsstcp_campaign_wheel_direct_total", wheel.WheelDirect.Value()},
 		{wheel, "rsstcp_campaign_wheel_flushes_total", wheel.WheelFlushes.Value()},
-		{heap, "rsstcp_campaign_sched_sorts_total", 0},
+		{lad, "rsstcp_campaign_wheel_armed_total", 0},
+		{lad, "rsstcp_campaign_wheel_direct_total", 0},
 	} {
 		if got := c.self.Snapshot()[c.key]; got != float64(c.want) {
 			t.Errorf("snapshot %s = %v, want %d", c.key, got, c.want)

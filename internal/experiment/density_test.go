@@ -40,7 +40,7 @@ func endpointConfig(endpoint any) *tcp.Config {
 // and completion hook, now on the shared configs), the receive-side
 // counters no binary reads, and the NIC's spare waker array makes it
 // 1,008 B: one object in the 1,024-B class where there were two of 1,024
-// and 288 B.
+// and 288 B. Web100's CurRwnd, a copy of the row's rwnd, went next: 1,000 B.
 func TestFlowBundleSizeClass(t *testing.T) {
 	t.Parallel()
 	const sizeClass = 1024
@@ -336,8 +336,8 @@ func TestRetainFlowsCap(t *testing.T) {
 
 // TestTimerWheelMatchesHeapChurn is the scenario-level wheel contract: the
 // same churn configuration produces identical results — record for record,
-// digest for digest — whether the endpoint timers ride the wheel or the
-// calendar heap.
+// digest for digest — whether the endpoint timers ride the wheel over the
+// ladder or sit on the calendar heap itself.
 func TestTimerWheelMatchesHeapChurn(t *testing.T) {
 	t.Parallel()
 	heapCfg := churnCfg()
@@ -347,10 +347,7 @@ func TestTimerWheelMatchesHeapChurn(t *testing.T) {
 	wheelCfg.Churn = &churn
 	wheelCfg.TimerWheel = true
 
-	hs, err := Build(heapCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs := buildOnHeap(t, heapCfg)
 	ws, err := Build(wheelCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rsstcp/internal/netem"
+	"rsstcp/internal/sim"
 	"rsstcp/internal/stats"
 	"rsstcp/internal/unit"
 )
@@ -151,9 +152,21 @@ func (m meanFieldPath) config(dur time.Duration) Config {
 		TimerWheel:  true,
 		RetainFlows: -1,
 		Duration:    dur,
-		Sample:      25 * time.Millisecond,
 		Seed:        11,
 	}
+}
+
+// meanFieldSample is the queue sampling period: a quarter of a scenario's
+// samplePeriod, fine enough to resolve the RED limit cycle.
+const meanFieldSample = 25 * time.Millisecond
+
+// runMeanField is Scenario.Run at meanFieldSample: the same recorder
+// calls, in the same order, at a finer period.
+func runMeanField(s *Scenario) Result {
+	s.Rec.ReserveSamples(int(s.Cfg.Duration/meanFieldSample) + 1)
+	s.Rec.Sample(meanFieldSample)
+	s.Eng.RunUntil(sim.At(s.Cfg.Duration))
+	return s.ResultFor(0)
 }
 
 // queueSeries extracts the RED hop's sampled queue length after the warmup
@@ -215,7 +228,7 @@ func TestMeanFieldREDFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.Run()
+		res := runMeanField(s)
 		_, ys := queueSeries(t, res, warmup)
 		qbar, qstd := meanStd(ys)
 		t.Logf("N=%d: q̄ sim %.0f pkts (%.3f/flow), fixed point %.0f pkts (p̄* %.4f, κ %.1f); σ/q̄ = %.3f; live %d",
@@ -281,7 +294,7 @@ func TestMeanFieldREDOscillationOnset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.Run()
+		res := runMeanField(s)
 		xs, ys := queueSeries(t, res, warmup)
 		qbar, qstd := meanStd(ys)
 		osc := stats.AnalyzeOscillation(xs, ys, qstd, 0.5)

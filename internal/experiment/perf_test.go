@@ -9,22 +9,27 @@ import (
 // paperPerfCfg is the perf fixture: the paper path proper (both senders,
 // default bottleneck), traceless so the measurement is the event loop and
 // the TCP machinery, not trace formatting.
-func paperPerfCfg(alg Algorithm, sched string, dur time.Duration) Config {
+func paperPerfCfg(alg Algorithm, dur time.Duration) Config {
 	return Config{
 		Flows:     []FlowSpec{{Alg: alg}},
 		Duration:  dur,
 		Seed:      1,
 		Traceless: true,
-		Scheduler: sched,
 	}
 }
 
-// runPaperPath builds and runs one paper-path replicate, returning events
-// processed and wall time.
-func runPaperPath(tb testing.TB, cfg Config) (uint64, time.Duration) {
-	s, err := Build(cfg)
-	if err != nil {
-		tb.Fatal(err)
+// runPaperPath builds one paper-path replicate, on the heap when heap is
+// set and on the ladder otherwise, and runs it, returning events processed
+// and wall time.
+func runPaperPath(tb testing.TB, cfg Config, heap bool) (uint64, time.Duration) {
+	var s *Scenario
+	if heap {
+		s = buildOnHeap(tb, cfg)
+	} else {
+		var err error
+		if s, err = Build(cfg); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	t0 := time.Now()
 	s.Run()
@@ -50,11 +55,11 @@ func TestLadderWithinHeapBudget(t *testing.T) {
 	minH, minL := time.Duration(1<<62), time.Duration(1<<62)
 	var evH, evL uint64
 	for i := 0; i < reps; i++ {
-		ev, w := runPaperPath(t, paperPerfCfg(AlgStandard, "heap", dur))
+		ev, w := runPaperPath(t, paperPerfCfg(AlgStandard, dur), true)
 		if w < minH {
 			minH, evH = w, ev
 		}
-		ev, w = runPaperPath(t, paperPerfCfg(AlgStandard, "ladder", dur))
+		ev, w = runPaperPath(t, paperPerfCfg(AlgStandard, dur), false)
 		if w < minL {
 			minL, evL = w, ev
 		}
@@ -75,22 +80,21 @@ func TestLadderWithinHeapBudget(t *testing.T) {
 func BenchmarkPaperPath(b *testing.B) {
 	for _, alg := range []Algorithm{AlgStandard, AlgRestricted} {
 		for _, v := range []struct {
-			name  string
-			sched string
-			wheel bool
+			name        string
+			heap, wheel bool
 		}{
-			{"heap", "heap", false},
-			{"ladder", "ladder", false},
-			{"ladder+wheel", "ladder", true},
+			{"heap", true, false},
+			{"ladder", false, false},
+			{"ladder+wheel", false, true},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", alg, v.name), func(b *testing.B) {
 				var events uint64
 				var wall time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cfg := paperPerfCfg(alg, v.sched, 25*time.Second)
+					cfg := paperPerfCfg(alg, 25*time.Second)
 					cfg.TimerWheel = v.wheel
-					ev, w := runPaperPath(b, cfg)
+					ev, w := runPaperPath(b, cfg, v.heap)
 					events += ev
 					wall += w
 				}

@@ -26,17 +26,19 @@ var updateChurnGolden = flag.Bool("update-churn-golden", false,
 
 // churnGoldenRuns is the population behind testdata/churn_golden.json: every
 // arrival process under both algorithms of the paper, three seeds, endpoint
-// timers on the calendar heap and on the wheel. Load 0.8 of bounded-Pareto
-// sizes keeps the buffers occupied, so the runs see loss recovery, RTOs and
-// elephants next to one-segment mice — a bundle's next owner is rarely like
-// its last.
+// timers on the calendar and on the wheel. A key's last field says where
+// the timers ran when the golden was captured: "heap" on the calendar, then
+// the binary heap, "wheel" on the wheel over it. Both now run on the
+// ladder. Load 0.8 of bounded-Pareto sizes keeps the buffers occupied, so
+// the runs see loss recovery, RTOs and elephants next to one-segment mice —
+// a bundle's next owner is rarely like its last.
 func churnGoldenRuns() map[string]Config {
 	runs := map[string]Config{}
 	for _, arrivals := range []string{"poisson:1", "mmpp:20:200:500ms", "web:5:8:2s"} {
 		for _, alg := range []Algorithm{AlgStandard, AlgRestricted} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				for _, sched := range []string{"heap", "wheel"} {
-					key := fmt.Sprintf("%s/%s/seed%d/%s", arrivals, alg, seed, sched)
+				for _, timers := range []string{"heap", "wheel"} {
+					key := fmt.Sprintf("%s/%s/seed%d/%s", arrivals, alg, seed, timers)
 					runs[key] = Config{
 						Path: PaperPath(),
 						Churn: &ChurnSpec{
@@ -45,10 +47,10 @@ func churnGoldenRuns() map[string]Config {
 							Size:     "pareto:1.2:4k:10M",
 							Flow:     FlowSpec{Alg: alg},
 						},
-						Duration:  3 * time.Second,
-						Seed:      seed,
-						Scheduler: sched,
-						Traceless: true,
+						Duration:   3 * time.Second,
+						Seed:       seed,
+						TimerWheel: timers == "wheel",
+						Traceless:  true,
 					}
 				}
 			}

@@ -160,6 +160,9 @@ type FlowSpec struct {
 	Cross bool
 }
 
+// samplePeriod is a traced run's gauge sampling period.
+const samplePeriod = 100 * time.Millisecond
+
 // MaxFlows bounds Config.Flows. A flow count arrives from outside (a CLI
 // flag, a sweep axis) and sizes per-flow allocations before anything runs;
 // the bound — well above the 50k-flow density runs — turns an absurd one
@@ -185,8 +188,6 @@ type Config struct {
 	Churn *ChurnSpec `json:",omitempty"`
 	// Duration ends the run (default 25 s, the span of Figure 1).
 	Duration time.Duration
-	// Sample is the gauge sampling period (default 100 ms).
-	Sample time.Duration
 	// Seed feeds all randomness (default 1).
 	Seed uint64
 	// EventLog sets the flight-recorder ring capacity in events; zero means
@@ -204,21 +205,11 @@ type Config struct {
 	// million-run sweeps spend nothing on series nobody reads.
 	Traceless bool
 	// TimerWheel hosts every endpoint timer (each sender's RTO, each
-	// receiver's delayed ACK) on a timer wheel instead of the calendar
-	// heap. The observable schedule is byte-identical either way (see
-	// sim.Wheel); the wheel keeps calendar depth flat when tens of
-	// thousands of flows re-arm timers on every ACK.
+	// receiver's delayed ACK) on a timer wheel over the calendar instead
+	// of on the calendar itself. The observable schedule is byte-identical
+	// either way (see sim.Wheel); the wheel keeps calendar depth flat when
+	// tens of thousands of flows re-arm timers on every ACK.
 	TimerWheel bool `json:",omitempty"`
-	// Scheduler selects the calendar backend: "ladder" (the default — a
-	// ladder queue with O(1) amortized operations, see sim ladder.go),
-	// "heap" (the binary-heap calendar), or "wheel" (the heap calendar
-	// with TimerWheel forced on, the PR 8 configuration). Every backend
-	// delivers the identical (at, seq) event order, so results are
-	// byte-identical across all three; the field exists for differential
-	// testing and performance comparison. An empty value resolves to
-	// "wheel" when TimerWheel is set (preserving the legacy toggle's
-	// meaning) and "ladder" otherwise.
-	Scheduler string `json:",omitempty"`
 	// RetainFlows caps how many completed-flow records Result.Flows keeps:
 	// 0 retains every record (the legacy default), -1 retains none, a
 	// positive cap keeps the first N in completion order. The streaming
@@ -260,32 +251,9 @@ func (c *Config) fillDefaults() {
 	if c.Duration <= 0 {
 		c.Duration = 25 * time.Second
 	}
-	if c.Sample <= 0 {
-		c.Sample = 100 * time.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Scheduler == "wheel" {
-		c.TimerWheel = true
-	}
-}
-
-// SchedulerKind resolves the Scheduler field to the backend that will run:
-// "heap", "wheel", or "ladder". An empty field resolves to "wheel" when the
-// legacy TimerWheel toggle is set and to "ladder" otherwise. Unknown values
-// are rejected here, and Build/Reset surface the error before anything runs.
-func (c Config) SchedulerKind() (string, error) {
-	switch c.Scheduler {
-	case "":
-		if c.TimerWheel {
-			return "wheel", nil
-		}
-		return "ladder", nil
-	case "heap", "wheel", "ladder":
-		return c.Scheduler, nil
-	}
-	return "", fmt.Errorf("experiment: unknown scheduler %q (want heap, wheel, or ladder)", c.Scheduler)
 }
 
 // Flow bundles the components of one connection. A Flow and everything it
@@ -361,9 +329,7 @@ type Scenario struct {
 	// netem.DelayLine's ordering contract).
 	ackLines  []*netem.DelayLine
 	ackDelays []time.Duration
-	hosts     map[int]*host.Interface           // shared NICs (first flows' own) by FlowSpec.Host
-	hostEntry map[int]int                       // shared NICs' first-hop index
-	rssByHost map[int]*core.RestrictedSlowStart // shared controllers by FlowSpec.Host
+	hosts     map[int]sharedHost // by FlowSpec.Host; Host 0 is never stored
 
 	// park is where Reset puts the previous run's components and where
 	// init and buildFlow look before allocating (see parked).
@@ -405,6 +371,15 @@ type Scenario struct {
 	// shared are this run's flow specs, one per distinct FlowSpec among its
 	// flows (see sharedSpec); Reset parks them for the next run to refill.
 	shared []*sharedSpec
+}
+
+// sharedHost is the state the flows of one FlowSpec.Host share: the NIC
+// they send through (the host's first flow's own), the hop it feeds, and
+// their controller once a restricted flow has built one.
+type sharedHost struct {
+	nic   *host.Interface
+	first int
+	rss   *core.RestrictedSlowStart
 }
 
 // sharedSpec is one distinct FlowSpec of a run, Bytes and StartAt cleared,
@@ -579,11 +554,9 @@ func (s *Scenario) reclaim() {
 func Build(cfg Config) (*Scenario, error) {
 	eng := sim.NewEngine()
 	s := &Scenario{
-		Eng:       eng,
-		hosts:     map[int]*host.Interface{},
-		hostEntry: map[int]int{},
-		rssByHost: map[int]*core.RestrictedSlowStart{},
-		segs:      packet.NewPool(),
+		Eng:   eng,
+		hosts: map[int]sharedHost{},
+		segs:  packet.NewPool(),
 	}
 	s.complete = s.completeChurnFlow
 	if err := s.init(&cfg); err != nil {
@@ -627,14 +600,12 @@ func (s *Scenario) Reset(cfg Config) error {
 	}
 	s.Flows, s.park.draining = s.Flows[:0], s.park.draining[:0]
 	s.park.shared, s.shared = append(s.park.shared, s.shared...), s.shared[:0]
-	if len(s.hosts) > 0 { // shared hosts are the rare shape; skip the map walks without them
-		for _, rss := range s.rssByHost {
-			s.park.rss = append(s.park.rss, rss)
+	for _, h := range s.hosts {
+		if h.rss != nil {
+			s.park.rss = append(s.park.rss, h.rss)
 		}
-		clear(s.hosts)
-		clear(s.hostEntry)
-		clear(s.rssByHost)
 	}
+	clear(s.hosts)
 	for _, h := range s.hops {
 		if h.reorder != nil {
 			h.reorder.Flush()
@@ -669,15 +640,6 @@ func (s *Scenario) init(in *Config) error {
 		return fmt.Errorf("experiment: %d flows exceeds the limit of %d per scenario", n, MaxFlows)
 	}
 	eng := s.Eng
-	// Select the calendar backend before anything touches the (empty,
-	// just-built or just-reset) engine. Switching per replicate is free:
-	// the ladder's pooled rungs and the heap's slice both stay warm on
-	// the side that is not active.
-	sched, err := cfg.SchedulerKind()
-	if err != nil {
-		return err
-	}
-	eng.UseLadder(sched == "ladder")
 	// A traced run gets a fresh recorder; a traceless one has none.
 	s.Rec = nil
 	if !cfg.Traceless {
@@ -900,13 +862,11 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	gen := s.nextGen(id)
 	shared := s.share(spec)
 
-	var nic *host.Interface
-	if spec.Host != 0 {
-		nic = s.hosts[spec.Host]
-		if nic != nil && s.hostEntry[spec.Host] != first {
-			return nil, fmt.Errorf("host %d is attached to hop %d, flow routes from hop %d",
-				spec.Host, s.hostEntry[spec.Host], first)
-		}
+	h := s.hosts[spec.Host]
+	nic := h.nic
+	if nic != nil && h.first != first {
+		return nil, fmt.Errorf("host %d is attached to hop %d, flow routes from hop %d",
+			spec.Host, h.first, first)
 	}
 	flow := s.takeFlow()
 	if nic == nil {
@@ -917,8 +877,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 			TxQueueLen: cfg.Path.TxQueueLen,
 		}, s.arena.Ingress(first))
 		if spec.Host != 0 {
-			s.hosts[spec.Host] = nic
-			s.hostEntry[spec.Host] = first
+			s.hosts[spec.Host] = sharedHost{nic: nic, first: first}
 		}
 	}
 	flow.Spec, flow.Bytes, flow.ID, flow.NIC = &shared.spec, spec.Bytes, id, nic
@@ -1046,7 +1005,8 @@ func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
 		// Flows sharing a host share the per-interface controller (the
 		// process variable is the interface queue); the first flow's
 		// gains and set point apply.
-		rss := s.rssByHost[spec.Host] // Host 0 is never stored
+		h := s.hosts[spec.Host]
+		rss := h.rss
 		if rss == nil {
 			rss = take(&s.park.rss)
 			err := rss.Init(s.Eng, core.Config{
@@ -1060,7 +1020,8 @@ func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
 				return err
 			}
 			if spec.Host != 0 {
-				s.rssByHost[spec.Host] = rss
+				h.rss = rss
+				s.hosts[spec.Host] = h
 			}
 		}
 		flow.RSS, ss = rss, rss
@@ -1162,10 +1123,8 @@ func (s *Scenario) Run() Result {
 	if s.Rec != nil {
 		// The run length and sample period are both known: pre-size every
 		// gauge series so sampling never reallocates mid-run.
-		if s.Cfg.Sample > 0 {
-			s.Rec.ReserveSamples(int(s.Cfg.Duration/s.Cfg.Sample) + 1)
-		}
-		s.Rec.Sample(s.Cfg.Sample)
+		s.Rec.ReserveSamples(int(s.Cfg.Duration/samplePeriod) + 1)
+		s.Rec.Sample(samplePeriod)
 	}
 	s.Eng.RunUntil(sim.At(s.Cfg.Duration))
 	return s.ResultFor(0)

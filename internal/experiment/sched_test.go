@@ -1,122 +1,106 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestSchedulerKindResolution pins the Config.Scheduler contract: empty means
-// "ladder unless TimerWheel asked for the wheel", the explicit names resolve
-// to themselves, and "wheel" implies the wheel layer.
-func TestSchedulerKindResolution(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		sched string
-		wheel bool
-		want  string
-	}{
-		{"", false, "ladder"},
-		{"", true, "wheel"},
-		{"heap", false, "heap"},
-		{"heap", true, "heap"},
-		{"wheel", false, "wheel"},
-		{"ladder", false, "ladder"},
-		{"ladder", true, "ladder"},
+// buildOnHeap builds cfg's scenario on the binary-heap calendar, the
+// reference the ladder is checked against: Build, then empty the engine,
+// switch it to the heap and Reset the scenario onto it (init leaves the
+// calendar alone). It fails the test unless the engine reports the heap.
+func buildOnHeap(tb testing.TB, cfg Config) *Scenario {
+	tb.Helper()
+	s, err := Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, c := range cases {
-		cfg := Config{Scheduler: c.sched, TimerWheel: c.wheel}
-		got, err := cfg.SchedulerKind()
-		if err != nil {
-			t.Fatalf("SchedulerKind(%q, wheel=%v): %v", c.sched, c.wheel, err)
-		}
-		if got != c.want {
-			t.Errorf("SchedulerKind(%q, wheel=%v) = %q, want %q", c.sched, c.wheel, got, c.want)
-		}
+	s.Eng.Reset()
+	s.Eng.UseLadder(false)
+	if err := s.Reset(cfg); err != nil {
+		tb.Fatal(err)
 	}
-	if _, err := (Config{Scheduler: "calendar"}).SchedulerKind(); err == nil {
-		t.Error("unknown scheduler name accepted")
+	if b := s.Eng.SchedStats().Backend; b != "heap" {
+		tb.Fatalf("reference scenario runs on the %s calendar, want heap", b)
 	}
+	return s
 }
 
-// TestBuildRejectsUnknownScheduler: a typo'd backend name fails loudly at
-// Build time rather than silently running on the default.
-func TestBuildRejectsUnknownScheduler(t *testing.T) {
+// TestTimerWheelScenarioRunsLadder: a scenario that hosts its endpoint
+// timers on the wheel still runs the ladder calendar under it, like every
+// other scenario — the wheel is a layer over the calendar, not a choice of
+// calendar.
+func TestTimerWheelScenarioRunsLadder(t *testing.T) {
 	t.Parallel()
 	cfg := churnCfg()
-	cfg.Scheduler = "calender"
-	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("Build with bad scheduler: err = %v, want unknown-scheduler error", err)
-	}
-}
-
-// TestBuildWheelSchedulerImpliesWheel: naming the wheel backend is enough —
-// the timer-wheel layer comes up without also setting TimerWheel.
-func TestBuildWheelSchedulerImpliesWheel(t *testing.T) {
-	t.Parallel()
-	cfg := churnCfg()
-	cfg.Scheduler = "wheel"
+	cfg.TimerWheel = true
 	s, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Run()
 	if s.wheel == nil {
-		t.Fatal(`Scheduler:"wheel" did not construct the timer wheel`)
+		t.Fatal("TimerWheel scenario built no wheel")
 	}
-	if s.Eng.LadderEnabled() {
-		t.Error(`Scheduler:"wheel" left the ladder calendar enabled`)
+	st := s.Eng.SchedStats()
+	if st.Backend != "ladder" {
+		t.Fatalf("TimerWheel scenario runs on the %s calendar, want ladder", st.Backend)
+	}
+	if st.Sorts == 0 {
+		t.Errorf("ladder stats %+v: no bucket was ever sorted", st)
 	}
 }
 
 // TestSchedulerBackendsMatchChurn is the scenario-level scheduler contract:
 // the same heavy-tailed churn workload produces identical results — flow
-// records, digests, everything — on the binary heap, the timer wheel, and
-// the ladder queue. This is the ordering guarantee the ladder's sorted-spray
-// design exists to preserve.
+// records, digests, everything — on the binary heap, on the ladder queue,
+// and with the endpoint timers on the wheel over either. This is the
+// ordering guarantee the ladder's sorted-spray design exists to preserve.
 func TestSchedulerBackendsMatchChurn(t *testing.T) {
 	t.Parallel()
 	base := churnCfg()
 	base.Churn.Size = "pareto:1.3:5k:5M" // heavy tail: RTOs and delacks fire
 
-	mkCfg := func(sched string) Config {
+	mkCfg := func(wheel bool) Config {
 		cfg := base
 		churn := *base.Churn
 		cfg.Churn = &churn
-		cfg.Scheduler = sched
+		cfg.TimerWheel = wheel
 		return cfg
 	}
-	build := func(sched string) *Scenario {
-		s, err := Build(mkCfg(sched))
-		if err != nil {
-			t.Fatalf("Build(%s): %v", sched, err)
-		}
-		return s
-	}
+	resH := buildOnHeap(t, mkCfg(false)).Run()
 
-	hs := build("heap")
-	if hs.Eng.LadderEnabled() {
-		t.Fatal("heap scenario runs on the ladder")
-	}
-	resH := hs.Run()
-
-	for _, sched := range []string{"wheel", "ladder"} {
-		s := build(sched)
-		if want := sched == "ladder"; s.Eng.LadderEnabled() != want {
-			t.Fatalf("%s scenario: LadderEnabled = %v, want %v", sched, !want, want)
+	for _, v := range []struct {
+		name        string
+		heap, wheel bool
+	}{
+		{"heap+wheel", true, true},
+		{"ladder", false, false},
+		{"ladder+wheel", false, true},
+	} {
+		var s *Scenario
+		if v.heap {
+			s = buildOnHeap(t, mkCfg(v.wheel))
+		} else {
+			var err error
+			if s, err = Build(mkCfg(v.wheel)); err != nil {
+				t.Fatalf("Build(%s): %v", v.name, err)
+			}
 		}
 		res := owned(s.Run())
-		sameChurnResult(t, "heap-vs-"+sched, resH, res)
+		sameChurnResult(t, "heap-vs-"+v.name, resH, res)
 		if (resH.FCT == nil) != (res.FCT == nil) {
-			t.Fatalf("%s: digest presence diverged from heap", sched)
+			t.Fatalf("%s: digest presence diverged from heap", v.name)
 		}
 		if resH.FCT != nil && *resH.FCT != *res.FCT {
-			t.Errorf("%s: FCT digest diverged:\nheap: %+v\n%s: %+v", sched, *resH.FCT, sched, *res.FCT)
+			t.Errorf("%s: FCT digest diverged:\nheap: %+v\n%s: %+v", v.name, *resH.FCT, v.name, *res.FCT)
 		}
 
 		// Reset discipline holds per backend: a reused context replays
-		// the replicate exactly.
-		if err := s.Reset(mkCfg(sched)); err != nil {
+		// the replicate exactly, on the calendar it was given.
+		if err := s.Reset(mkCfg(v.wheel)); err != nil {
 			t.Fatal(err)
 		}
-		sameChurnResult(t, sched+"-reset", res, s.Run())
+		sameChurnResult(t, v.name+"-reset", res, s.Run())
+		if got := s.Eng.SchedStats().Backend; (got == "heap") != v.heap {
+			t.Errorf("%s: Reset moved the scenario onto the %s calendar", v.name, got)
+		}
 	}
 }

@@ -13,6 +13,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		b.Run(backend, func(b *testing.B) {
 			eng := NewEngine()
 			eng.UseLadder(backend == "ladder")
+			if got := eng.SchedStats().Backend; got != backend {
+				b.Fatalf("engine runs on the %s calendar, want %s", got, backend)
+			}
 			n := 0
 			var next func()
 			next = func() {
@@ -35,6 +38,9 @@ func BenchmarkEngineMixed(b *testing.B) {
 		b.Run(backend, func(b *testing.B) {
 			eng := NewEngine()
 			eng.UseLadder(backend == "ladder")
+			if got := eng.SchedStats().Backend; got != backend {
+				b.Fatalf("engine runs on the %s calendar, want %s", got, backend)
+			}
 			rng := NewRNG(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -72,22 +72,17 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at the epoch, backed by the
-// binary-heap calendar.
+// ladder calendar.
 func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// NewLadderEngine returns an engine backed by the ladder calendar.
-func NewLadderEngine() *Engine {
 	e := &Engine{}
 	e.UseLadder(true)
 	return e
 }
 
-// UseLadder switches the calendar backend: the ladder queue (true) or the
-// binary heap (false). Both deliver events in identical (at, seq) order; the
-// ladder amortizes to O(1) per event on workloads with event-time locality,
-// while the heap has no per-bucket machinery and wins on tiny calendars.
+// UseLadder switches the calendar backend: the ladder queue (true, every
+// engine's default) or the binary heap (false), the reference the ladder is
+// tested against. Both deliver events in identical (at, seq) order; the
+// ladder amortizes to O(1) per event on workloads with event-time locality.
 // Switching with events pending or a run active is a logic error and panics.
 func (e *Engine) UseLadder(on bool) {
 	if e.running {
@@ -104,9 +99,6 @@ func (e *Engine) UseLadder(on bool) {
 		e.lad = nil
 	}
 }
-
-// LadderEnabled reports whether the ladder calendar is the active backend.
-func (e *Engine) LadderEnabled() bool { return e.lad != nil }
 
 // Reset returns the engine to the epoch for a fresh run while keeping its
 // event pool warm: every pending entry is canceled and recycled (stale

@@ -59,9 +59,8 @@ type fuzzSide struct {
 	argFn  func(any)
 }
 
-func newFuzzSide(ladder bool) *fuzzSide {
-	s := &fuzzSide{e: NewEngine()}
-	s.e.UseLadder(ladder)
+func newFuzzSide(e *Engine) *fuzzSide {
+	s := &fuzzSide{e: e}
 	// Every fifth event schedules a child at its own instant or the next
 	// nanosecond, so same-tick entries splice in behind the drain cursor
 	// while a batch runs.
@@ -216,7 +215,7 @@ func checkLadder(t *testing.T, op int, l *ladder) {
 // ladder engine, checking after every operation that they agree, then runs
 // both to empty. It returns the ladder engine for its counters.
 func runLadderDifferential(t *testing.T, ops []byte) *Engine {
-	heap, lad := newFuzzSide(false), newFuzzSide(true)
+	heap, lad := newFuzzSide(heapEngine(t)), newFuzzSide(NewEngine())
 	for i := 0; i < len(ops); i++ {
 		kind, arg := int(ops[i]&7), int(ops[i]>>3)
 		n := 0

@@ -32,20 +32,27 @@ func fuzzDelta(rng *RNG) Duration {
 	}
 }
 
-// runSchedFuzz drives one backend with a deterministic self-scheduling
+// heapEngine returns an engine on the binary-heap calendar, the reference
+// every ladder differential compares against; it fails the test if the
+// engine it built runs on anything else.
+func heapEngine(tb testing.TB) *Engine {
+	tb.Helper()
+	e := NewEngine()
+	e.UseLadder(false)
+	if b := e.SchedStats().Backend; b != "heap" {
+		tb.Fatalf("reference engine runs on the %s calendar, want heap", b)
+	}
+	return e
+}
+
+// runSchedFuzz drives engine e with a deterministic self-scheduling
 // workload: every firing may spawn children (through all three Schedule
 // entry points), emit a burst of ScheduleReserved events whose sequence
 // numbers are used out of reservation order, and cancel a random recent
 // handle. All decisions come from one RNG consumed in firing order, so two
 // backends that deliver in the same order replay the same workload; any
 // ordering divergence shows up in the returned log.
-func runSchedFuzz(useLadder bool, seed uint64, spawnLimit int) ([]schedFiring, *Engine) {
-	var e *Engine
-	if useLadder {
-		e = NewLadderEngine()
-	} else {
-		e = NewEngine()
-	}
+func runSchedFuzz(e *Engine, seed uint64, spawnLimit int) []schedFiring {
 	rng := NewRNG(seed)
 	var log []schedFiring
 	ring := make([]Event, 64)
@@ -107,7 +114,7 @@ func runSchedFuzz(useLadder bool, seed uint64, spawnLimit int) ([]schedFiring, *
 		e.Cancel(seeds[rng.Intn(len(seeds))])
 	}
 	e.Run()
-	return log, e
+	return log
 }
 
 // TestSchedulerDifferentialFuzz is the ladder's core contract: heap and
@@ -118,8 +125,9 @@ func runSchedFuzz(useLadder bool, seed uint64, spawnLimit int) ([]schedFiring, *
 func TestSchedulerDifferentialFuzz(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1905, 31337} {
 		const spawnLimit = 4000
-		heapLog, he := runSchedFuzz(false, seed, spawnLimit)
-		ladLog, le := runSchedFuzz(true, seed, spawnLimit)
+		he, le := heapEngine(t), NewEngine()
+		heapLog := runSchedFuzz(he, seed, spawnLimit)
+		ladLog := runSchedFuzz(le, seed, spawnLimit)
 		if len(heapLog) != len(ladLog) {
 			t.Fatalf("seed %d: heap fired %d events, ladder %d", seed, len(heapLog), len(ladLog))
 		}
@@ -151,7 +159,7 @@ func TestSchedulerDifferentialFuzz(t *testing.T) {
 // spray threshold, scheduled interleaved with same-tick children, and
 // checks the batch delivery preserves strict sequence order.
 func TestLadderSameTickOrder(t *testing.T) {
-	e := NewLadderEngine()
+	e := NewEngine()
 	const n = 500
 	var got []int
 	at := At(5 * time.Millisecond)
@@ -188,7 +196,7 @@ func TestLadderSameTickOrder(t *testing.T) {
 // canceled drains clean, and after Reset the warm pool is reused with no
 // fresh allocations of calendar entries.
 func TestLadderCancelChurnAndReset(t *testing.T) {
-	e := NewLadderEngine()
+	e := NewEngine()
 	rng := NewRNG(99)
 	round := func() int {
 		fired := 0
@@ -227,7 +235,7 @@ func TestLadderCancelChurnAndReset(t *testing.T) {
 // overflow the bucket arithmetic, must stay invisible to earlier deadlines,
 // and must still drain.
 func TestLadderFarFuture(t *testing.T) {
-	e := NewLadderEngine()
+	e := NewEngine()
 	var got []int
 	e.Schedule(Infinity-1, func() { got = append(got, 3) })
 	e.Schedule(1<<62, func() { got = append(got, 2) })
@@ -260,7 +268,7 @@ func TestLadderRunUntilDeadline(t *testing.T) {
 		}
 		return log
 	}
-	he, le := NewEngine(), NewLadderEngine()
+	he, le := heapEngine(t), NewEngine()
 	hlog, llog := build(he), build(le)
 	for _, d := range []Duration{500, 1000, 1000, 1499, 2000, 2001, 10000} {
 		he.RunUntil(At(d))
@@ -279,18 +287,18 @@ func TestLadderRunUntilDeadline(t *testing.T) {
 	}
 }
 
-// TestUseLadderGuards: backend switching is only legal on an idle, empty
-// engine, and the switch is observable.
+// TestUseLadderGuards: every engine starts on the ladder, backend switching
+// is only legal on an idle, empty engine, and the switch is observable.
 func TestUseLadderGuards(t *testing.T) {
 	e := NewEngine()
-	if e.LadderEnabled() {
-		t.Fatal("heap engine reports ladder enabled")
+	if b := e.SchedStats().Backend; b != "ladder" {
+		t.Fatalf("NewEngine runs on the %s calendar, want ladder", b)
 	}
-	e.UseLadder(true)
-	if !e.LadderEnabled() {
-		t.Fatal("UseLadder(true) did not switch backends")
+	e.UseLadder(false)
+	if b := e.SchedStats().Backend; b != "heap" {
+		t.Fatalf("UseLadder(false) left the engine on the %s calendar", b)
 	}
-	e.UseLadder(true) // idempotent
+	e.UseLadder(false) // idempotent
 	e.Schedule(At(time.Millisecond), func() {})
 	func() {
 		defer func() {
@@ -298,12 +306,12 @@ func TestUseLadderGuards(t *testing.T) {
 				t.Error("UseLadder with pending events did not panic")
 			}
 		}()
-		e.UseLadder(false)
+		e.UseLadder(true)
 	}()
 	e.Run()
-	e.UseLadder(false)
-	if e.LadderEnabled() {
-		t.Fatal("UseLadder(false) did not switch back")
+	e.UseLadder(true)
+	if b := e.SchedStats().Backend; b != "ladder" {
+		t.Fatalf("UseLadder(true) left the engine on the %s calendar", b)
 	}
 }
 
@@ -311,7 +319,7 @@ func TestUseLadderGuards(t *testing.T) {
 // mechanisms do — lazy sorts on every refill, sprays on dense buckets,
 // rebases when the overflow band is poured into a fresh rung.
 func TestLadderSchedStats(t *testing.T) {
-	e := NewLadderEngine()
+	e := NewEngine()
 	// A 2h outlier forces the first rebase onto a coarse granularity, so
 	// the µs-wide cluster lands dense in one bucket and must spray.
 	e.Schedule(At(2*time.Hour), func() {})
@@ -340,8 +348,8 @@ func TestLadderSchedStats(t *testing.T) {
 	if st.MaxSize < 200 || st.MaxRungs < 2 {
 		t.Fatalf("stats %+v: want max size >= 200 and spray depth >= 2", st)
 	}
-	if hs := NewEngine().SchedStats(); hs.Backend != "heap" {
-		t.Fatalf("heap backend reports %q", hs.Backend)
+	if hs := heapEngine(t).SchedStats(); hs.Sorts != 0 || hs.MaxSize != 0 {
+		t.Fatalf("idle heap engine reports %+v", hs)
 	}
 }
 
@@ -353,7 +361,7 @@ func TestLadderSchedStats(t *testing.T) {
 // entries.
 func TestLadderMaxBottomCountsHeadSlotInserts(t *testing.T) {
 	for _, last := range []Time{24, 27} {
-		e := NewLadderEngine()
+		e := NewEngine()
 		e.Schedule(10, func() {})
 		e.Schedule(20, func() {})
 		e.Step()

@@ -34,14 +34,14 @@ func TestEventPoolReuse(t *testing.T) {
 }
 
 // TestCanceledEventsAreReclaimed verifies Cancel removes the entry from the
-// heap eagerly (no tombstones inflate Pending) and recycles it.
+// calendar eagerly (no tombstones inflate Pending) and recycles it.
 func TestCanceledEventsAreReclaimed(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 1000; i++ {
 		ev := eng.Schedule(At(time.Duration(i+1)*time.Millisecond), func() {})
 		eng.Cancel(ev)
 		if eng.Pending() != 0 {
-			t.Fatalf("tombstone left in heap: Pending = %d", eng.Pending())
+			t.Fatalf("tombstone left in the calendar: Pending = %d", eng.Pending())
 		}
 	}
 	ps := eng.PoolStats()
@@ -57,7 +57,7 @@ func TestCanceledEventsAreReclaimed(t *testing.T) {
 }
 
 // TestTimerRearmReclaims covers the RTO pattern: every re-arm cancels the
-// previous deadline. The heap must stay at one entry and the pool must not
+// previous deadline. The calendar must stay at one entry and the pool must not
 // grow — the shape a multi-hour campaign with millions of ACKs depends on.
 func TestTimerRearmReclaims(t *testing.T) {
 	eng := NewEngine()
@@ -126,7 +126,7 @@ func TestAllocBudgetEngine(t *testing.T) {
 	eng := NewEngine()
 	var next func()
 	next = func() { eng.ScheduleAfter(time.Microsecond, next) }
-	// Warm the pool and the heap's backing array.
+	// Warm the pool and the calendar.
 	eng.ScheduleAfter(time.Microsecond, next)
 	for i := 0; i < 64; i++ {
 		eng.Step()

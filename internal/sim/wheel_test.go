@@ -16,16 +16,12 @@ type wheelOp struct {
 	deadline Time
 }
 
-// runWheelScript replays a script against a fresh engine and returns the
+// runWheelScript replays a script against fresh engine e and returns the
 // observable firing log. With useWheel, every timer is wheel-backed; the
 // wheel is deliberately small (64 slots of 5ms ≈ 315ms horizon) so the
 // script exercises all three placements: in-window direct, on-ring, and
 // past-horizon overflow.
-func runWheelScript(script []wheelOp, nTimers int, useWheel, useLadder bool) []string {
-	e := NewEngine()
-	if useLadder {
-		e.UseLadder(true)
-	}
+func runWheelScript(e *Engine, script []wheelOp, nTimers int, useWheel bool) []string {
 	var w *Wheel
 	if useWheel {
 		w = NewWheel(e, 5*time.Millisecond, 64)
@@ -97,7 +93,7 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 		}
 		sort.SliceStable(script, func(i, j int) bool { return script[i].at < script[j].at })
 
-		heapLog := runWheelScript(script, nTimers, false, false)
+		heapLog := runWheelScript(heapEngine(t), script, nTimers, false)
 		for _, v := range []struct {
 			name                string
 			useWheel, useLadder bool
@@ -106,7 +102,11 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 			{"ladder", false, true},
 			{"wheel+ladder", true, true},
 		} {
-			log := runWheelScript(script, nTimers, v.useWheel, v.useLadder)
+			e := NewEngine()
+			if !v.useLadder {
+				e = heapEngine(t)
+			}
+			log := runWheelScript(e, script, nTimers, v.useWheel)
 			if len(heapLog) != len(log) {
 				t.Fatalf("seed %d: heap fired %d observable events, %s %d",
 					seed, len(heapLog), v.name, len(log))

@@ -267,7 +267,11 @@ func (s *Sender) Stats() *web100.Live { return &s.stats }
 // RTT gauges read from the sender's own state (zero windows once the row is
 // released).
 func (s *Sender) Snapshot(now sim.Time) web100.Stats {
-	return s.stats.Snapshot(now, web100.Gauges{Cwnd: s.Cwnd(), Ssthresh: s.Ssthresh(), SRTT: s.est.SRTT(), RTO: s.est.RTO()})
+	g := web100.Gauges{Cwnd: s.Cwnd(), Ssthresh: s.Ssthresh(), SRTT: s.est.SRTT(), RTO: s.est.RTO()}
+	if s.slot >= 0 && s.stats.SegsIn > 0 {
+		g.Rwnd = s.row().rwnd
+	}
+	return s.stats.Snapshot(now, g)
 }
 
 // Controller returns the attached congestion controller.
@@ -541,7 +545,6 @@ func (s *Sender) Receive(seg *packet.Segment) {
 	}
 	s.stats.SegsIn++
 	s.row().rwnd = seg.Wnd
-	s.stats.CurRwnd = seg.Wnd
 	newSACK := int64(0)
 	if s.cfg.SACK && len(seg.SACK) > 0 {
 		s.stats.SACKsRcvd++

@@ -93,10 +93,10 @@ type Config struct {
 	// nil gives the endpoint a private pool at construction.
 	Pool *packet.Pool
 	// Wheel, when non-nil, hosts the endpoint timers (the sender's RTO,
-	// the receiver's delayed ACK) on a timer wheel instead of the
-	// calendar heap (sim.Wheel). Firing order is identical either way;
-	// the wheel keeps calendar depth flat when thousands of flows re-arm
-	// timers on every ACK.
+	// the receiver's delayed ACK) on a timer wheel over the calendar
+	// instead of on the calendar itself (sim.Wheel). Firing order is
+	// identical either way; the wheel keeps calendar depth flat when
+	// thousands of flows re-arm timers on every ACK.
 	Wheel *sim.Wheel
 	// Eng is the engine the endpoints run on (NewSender and NewReceiver set
 	// it on their copy).

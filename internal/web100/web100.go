@@ -98,24 +98,25 @@ type Stats struct {
 }
 
 // Live is the instrument set as a sender keeps it between snapshots: every
-// field of Stats, documented there, but five that would only copy state the
+// field of Stats, documented there, but six that would only copy state the
 // sender holds anyway. SegsOut always equals DataSegsOut; CurCwnd,
-// CurSsthresh, SmoothedRTT and CurRTO are the sender's window and RTT
-// estimator, handed to Snapshot as Gauges.
+// CurSsthresh, CurRwnd, SmoothedRTT and CurRTO are the sender's windows and
+// RTT estimator, handed to Snapshot as Gauges.
 type Live struct {
 	DataSegsOut, SegsRetrans, OctetsRetran, SegsIn, DupAcksIn, SACKsRcvd int64
 	ThruOctetsAcked, DataOctetsOut, CongSignals, FastRetran, Timeouts    int64
 	SendStall, LocalCongCwnd, SlowStartExits, MaxCwnd, MinSsthresh       int64
-	CurRwnd, CountRTT, SndLimTransCwnd, SndLimTransRwnd, SndLimTransSnd  int64
+	CountRTT, SndLimTransCwnd, SndLimTransRwnd, SndLimTransSnd           int64
 	MinRTT, MaxRTT, SndLimTimeCwnd, SndLimTimeRwnd, SndLimTimeSender     time.Duration
 	StartTime, EndTime, curLimSince                                      sim.Time
 	curLim                                                               SndLimState
 }
 
 // Gauges are the current values of the gauges a Live block does not keep.
+// Rwnd is the peer's last advertised window, 0 before the first ACK.
 type Gauges struct {
-	Cwnd, Ssthresh int64
-	SRTT, RTO      time.Duration
+	Cwnd, Ssthresh, Rwnd int64
+	SRTT, RTO            time.Duration
 }
 
 // Init (re)initializes the instrument set in place for a connection that
@@ -209,7 +210,7 @@ func (s *Live) Snapshot(now sim.Time, g Gauges) Stats {
 		CongSignals: c.CongSignals, FastRetran: c.FastRetran, Timeouts: c.Timeouts,
 		SendStall: c.SendStall, LocalCongCwnd: c.LocalCongCwnd, SlowStartExits: c.SlowStartExits,
 		CurCwnd: g.Cwnd, MaxCwnd: c.MaxCwnd, CurSsthresh: g.Ssthresh, MinSsthresh: c.MinSsthresh,
-		CurRwnd: c.CurRwnd, SmoothedRTT: g.SRTT, MinRTT: c.MinRTT, MaxRTT: c.MaxRTT, CurRTO: g.RTO,
+		CurRwnd: g.Rwnd, SmoothedRTT: g.SRTT, MinRTT: c.MinRTT, MaxRTT: c.MaxRTT, CurRTO: g.RTO,
 		CountRTT: c.CountRTT, SndLimTimeCwnd: c.SndLimTimeCwnd,
 		SndLimTimeRwnd: c.SndLimTimeRwnd, SndLimTimeSender: c.SndLimTimeSender,
 		SndLimTransCwnd: c.SndLimTransCwnd, SndLimTransRwnd: c.SndLimTransRwnd, SndLimTransSnd: c.SndLimTransSnd,
