@@ -53,7 +53,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "write recorded time series to this CSV file")
 
 		eventsPath = flag.String("events", "", "write the flight-recorder congestion timeline as JSONL to this file (\"-\" = stdout)")
-		eventsCap  = flag.Int("events-cap", 0, "flight-recorder ring capacity in events (0 = default 2048)")
+		eventsCap  = flag.Int("events-cap", 0, "flight-recorder ring capacity in events (0 = default 2048, at most 4194304)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -114,8 +114,9 @@ func alphaFor(tau, dt time.Duration) float64 {
 // RestrictedSlowStart is the PID-paced slow-start policy. Create one per
 // connection; it runs its own control ticker on the simulation engine.
 type RestrictedSlowStart struct {
-	eng    *sim.Engine
 	cfg    Config
+	alpha  float64 // the smoother's per-tick EWMA coefficient
+	dt     float64 // the tick in seconds
 	ctrl   pid.Controller
 	ticker sim.Ticker
 	// windows are the connections drawing from this controller's budget.
@@ -128,7 +129,6 @@ type RestrictedSlowStart struct {
 	allowance int64 // unspent growth budget in bytes
 	ticks     int64
 	throttled int64 // ticks with non-positive output
-	shrunk    int64 // bytes removed by AllowShrink
 	pv        float64
 	pvPrimed  bool
 
@@ -162,7 +162,8 @@ func (r *RestrictedSlowStart) Init(eng *sim.Engine, cfg Config) error {
 	clear(r.windows)
 	windows := r.windows[:0]
 	*r = RestrictedSlowStart{} // zero, then set: a literal that reads r is built aside and copied
-	r.eng, r.cfg, r.windows = eng, cfg, windows
+	r.cfg, r.windows = cfg, windows
+	r.alpha, r.dt = alphaFor(cfg.SmoothingTau, cfg.Tick), cfg.Tick.Seconds()
 	setpoint := cfg.SetpointFraction * float64(cfg.Sensor.Capacity())
 	err := r.ctrl.Init(pid.Config{
 		Gains:    cfg.Gains,
@@ -267,10 +268,9 @@ func (r *RestrictedSlowStart) tick() {
 	occ := r.observe()
 	u := r.ctrl.Update(occ, r.cfg.Tick) // segments per second
 	mss := int64(active.MSS())
-	dt := r.cfg.Tick.Seconds()
 	switch {
 	case u > 0:
-		r.allowance += int64(u * dt * float64(mss))
+		r.allowance += int64(u * r.dt * float64(mss))
 		cap := int64(r.cfg.AllowanceCapSegments) * mss
 		if r.allowance > cap {
 			r.allowance = cap
@@ -279,9 +279,8 @@ func (r *RestrictedSlowStart) tick() {
 		r.throttled++
 		r.allowance = 0
 		if r.cfg.AllowShrink && u < 0 {
-			dec := int64(-u * dt * float64(mss))
+			dec := int64(-u * r.dt * float64(mss))
 			cwnd := active.Cwnd() - dec
-			r.shrunk += dec
 			active.SetCwnd(cwnd) // sender clamps at 1 MSS
 		}
 	}
@@ -293,8 +292,7 @@ func (r *RestrictedSlowStart) tick() {
 // observe samples the sensor through the EWMA smoother.
 func (r *RestrictedSlowStart) observe() float64 {
 	raw := float64(r.cfg.Sensor.Len())
-	a := alphaFor(r.cfg.SmoothingTau, r.cfg.Tick)
-	if a <= 0 {
+	if r.alpha <= 0 {
 		return raw
 	}
 	if !r.pvPrimed {
@@ -302,7 +300,7 @@ func (r *RestrictedSlowStart) observe() float64 {
 		r.pvPrimed = true
 		return raw
 	}
-	r.pv = a*r.pv + (1-a)*raw
+	r.pv = r.alpha*r.pv + (1-r.alpha)*raw
 	return r.pv
 }
 

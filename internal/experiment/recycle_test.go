@@ -239,17 +239,20 @@ func allocsByStack() map[[32]uintptr]int64 {
 // the store cannot serve: a standard flow's bundle (its NIC inside) and
 // resume callback, and a restricted flow's controller besides. First growths
 // are left out: the sender's record list, the NIC's queue ring and the
-// segment pool, which the flow's first send grows, and the restricted
-// controller's window list. While the NIC was its own object a standard
-// flow cost three; when every bundle bound its own callbacks (completion,
-// two timer fires, RTO, delayed ACK, and a restricted flow's tick), eight.
+// segment pool, which the flow's first send grows, the restricted
+// controller's window list, and the scenario's flight-recorder ring, which
+// doubles on whichever record finds it full — inside an attach as often as
+// not. While the NIC was its own object a standard flow cost three; when
+// every bundle bound its own callbacks (completion, two timer fires, RTO,
+// delayed ACK, and a restricted flow's tick), eight.
 //
 // Not Parallel: it profiles every allocation of the process.
 func TestFreshBundleAllocs(t *testing.T) {
 	firstGrowth := map[string]bool{
-		"rsstcp/internal/tcp.(*Sender).trySend":             true, // record list
-		"rsstcp/internal/packet.(*Pool).Get":                true, // segment pool
-		"rsstcp/internal/core.(*RestrictedSlowStart).Reset": true, // window list
+		"rsstcp/internal/tcp.(*Sender).trySend":              true, // record list
+		"rsstcp/internal/packet.(*Pool).Get":                 true, // segment pool
+		"rsstcp/internal/core.(*RestrictedSlowStart).Reset":  true, // window list
+		"rsstcp/internal/telemetry.(*FlightRecorder).Record": true, // event ring
 	}
 	for _, tc := range []struct {
 		alg    Algorithm

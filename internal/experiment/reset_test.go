@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -406,6 +407,42 @@ func TestResetRunAllocBudget(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s bw=%v: Reset+Run allocates %.1f objects, budget 0",
 				cfg.Flows[0].Alg, cfg.Path.Bottleneck, allocs)
+		}
+	}
+}
+
+// TestBuildCostGate pins what one Build of the paper path allocates, for
+// each algorithm: the testbed's own objects, not buffers sized for what a
+// run might record. The flight recorder's ring grows with the events a run
+// records, so a Build costs the same with the largest event log; while the
+// ring was allocated whole, a Build cost about 87 KB at the default capacity
+// and 40 MiB at 1 << 20 events.
+//
+// Not Parallel: it reads the process's allocation counters.
+func TestBuildCostGate(t *testing.T) {
+	const bytesBudget, objectsBudget = 8 << 10, 42
+	for _, alg := range []Algorithm{AlgStandard, AlgRestricted} {
+		for _, eventLog := range []int{0, 1 << 20} {
+			cfg := Config{Path: PaperPath(), Flows: []FlowSpec{{Alg: alg}}, Traceless: true, EventLog: eventLog}
+			if _, err := Build(cfg); err != nil { // warm any once-per-process state
+				t.Fatal(err)
+			}
+			const builds = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < builds; i++ {
+				if _, err := Build(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b := float64(after.TotalAlloc-before.TotalAlloc) / builds
+			objs := float64(after.Mallocs-before.Mallocs) / builds
+			t.Logf("%s, EventLog %d: Build allocates %.0f B in %.1f objects", alg, eventLog, b, objs)
+			if b > bytesBudget || objs > objectsBudget {
+				t.Errorf("%s, EventLog %d: Build allocates %.0f B in %.1f objects, budget %d B and %d objects",
+					alg, eventLog, b, objs, bytesBudget, objectsBudget)
+			}
 		}
 	}
 }

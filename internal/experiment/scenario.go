@@ -191,9 +191,11 @@ type Config struct {
 	// Seed feeds all randomness (default 1).
 	Seed uint64
 	// EventLog sets the flight-recorder ring capacity in events; zero means
-	// telemetry.DefaultRingSize. The recorder is always on — unlike tracing
-	// it is allocation-free — so this only sizes how much congestion history
-	// the ring retains.
+	// telemetry.DefaultRingSize, and it may not be negative or exceed
+	// telemetry.MaxRingSize. The recorder is always on — unlike tracing it
+	// allocates nothing per event once full, and its ring grows only as far
+	// as a run records — so this only sizes how much congestion history the
+	// ring retains.
 	EventLog int `json:",omitempty"`
 	// Traceless disables time-series recording entirely: the scenario
 	// holds no recorder (Rec is nil), so there are no sampled gauge series,
@@ -639,6 +641,9 @@ func (s *Scenario) init(in *Config) error {
 	if n := len(cfg.Flows); n > MaxFlows {
 		return fmt.Errorf("experiment: %d flows exceeds the limit of %d per scenario", n, MaxFlows)
 	}
+	if n := cfg.EventLog; n < 0 || n > telemetry.MaxRingSize {
+		return fmt.Errorf("experiment: event log of %d events is outside 0..%d", n, telemetry.MaxRingSize)
+	}
 	eng := s.Eng
 	// A traced run gets a fresh recorder; a traceless one has none.
 	s.Rec = nil
@@ -649,7 +654,7 @@ func (s *Scenario) init(in *Config) error {
 	// The flight recorder survives Reset (same capacity ⇒ same ring, just
 	// emptied); a capacity change, to or from the default, re-sizes it.
 	ring := cfg.EventLog
-	if ring <= 0 {
+	if ring == 0 {
 		ring = telemetry.DefaultRingSize
 	}
 	if s.FR == nil || s.FR.Cap() != ring {

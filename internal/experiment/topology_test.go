@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"rsstcp/internal/telemetry"
 	"rsstcp/internal/unit"
 )
 
@@ -346,6 +348,34 @@ func TestBuildRejectsOversizedCounts(t *testing.T) {
 	}
 	if _, err := Build(Config{Path: PathConfig{Hops: MaxHops}, Duration: time.Millisecond}); err != nil {
 		t.Errorf("a path of exactly MaxHops hops rejected: %v", err)
+	}
+}
+
+// TestBuildRejectsEventLogOutsideBounds: a flight-recorder capacity below
+// zero or above telemetry.MaxRingSize is a one-line error from Build and
+// Reset alike. `-events-cap -5` used to run silently with the default ring,
+// and `-events-cap 4000000000` to die in the runtime's out-of-memory abort.
+func TestBuildRejectsEventLogOutsideBounds(t *testing.T) {
+	t.Parallel()
+	s, err := Build(Config{Duration: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-5, -1, telemetry.MaxRingSize + 1, 4_000_000_000} {
+		want := fmt.Sprintf("event log of %d events", n)
+		if _, err := Build(Config{EventLog: n}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Build with EventLog %d: err = %v, want %q", n, err, want)
+		}
+		if err := s.Reset(Config{EventLog: n}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Reset with EventLog %d: err = %v, want %q", n, err, want)
+		}
+	}
+	s, err = Build(Config{EventLog: telemetry.MaxRingSize, Duration: time.Millisecond})
+	if err != nil {
+		t.Fatalf("an event log of exactly MaxRingSize rejected: %v", err)
+	}
+	if s.FR.Cap() != telemetry.MaxRingSize {
+		t.Errorf("ring capacity %d, want %d", s.FR.Cap(), telemetry.MaxRingSize)
 	}
 }
 

@@ -10,30 +10,42 @@ import (
 // DefaultRingSize is the flight-recorder capacity used when a scenario does
 // not choose one: large enough to hold the full congestion timeline of a
 // pathological run (every RTO, drop and window collapse of a 25 s transfer),
-// small enough (~100 KB) that a campaign worker pool of rings stays far
-// inside the streaming-aggregation memory budget.
+// small enough (up to 80 KiB, held only by runs that record that much) that
+// a campaign worker pool of rings stays far inside the streaming-aggregation
+// memory budget.
 const DefaultRingSize = 2048
 
-// FlightRecorder is a fixed-size ring of Events. It is always-on and
-// allocation-free: the buffer is sized once, records are values, and a full
-// ring overwrites its oldest entry. A nil *FlightRecorder is a valid no-op
-// recorder, so components outside an instrumented scenario record
-// unconditionally without nil checks.
+// MaxRingSize bounds a recorder's capacity. A capacity arrives from outside
+// (a CLI flag, a config file), and one in the billions would ask the
+// allocator for hundreds of gigabytes once the ring grew to it.
+const MaxRingSize = 1 << 22
+
+// minRing is the first buffer a recorder grows into.
+const minRing = 16
+
+// FlightRecorder is a bounded ring of Events. It is always-on and costs
+// what a run records: the buffer starts empty, doubles on the record that
+// finds it full until it reaches the capacity, and from then on a record
+// overwrites the oldest entry without allocating. Records are values. A nil
+// *FlightRecorder is a valid no-op recorder, so components outside an
+// instrumented scenario record unconditionally without nil checks.
 //
 // A recorder belongs to one simulation (one logical thread); it is not safe
 // for concurrent use — exactly like the engine that feeds it.
 type FlightRecorder struct {
-	buf []Event
-	n   uint64 // total events ever recorded; buf index is n % cap
+	buf   []Event // held events; once len(buf) == limit, index is n % limit
+	limit int     // capacity
+	n     uint64  // total events ever recorded
 }
 
 // NewFlightRecorder returns a ring holding the most recent capacity events
-// (DefaultRingSize when capacity <= 0).
+// (DefaultRingSize when capacity <= 0). It allocates no buffer until the
+// first record.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &FlightRecorder{buf: make([]Event, capacity)}
+	return &FlightRecorder{limit: capacity}
 }
 
 // Record appends an event, overwriting the oldest when full. On a nil
@@ -42,7 +54,16 @@ func (r *FlightRecorder) Record(t sim.Time, k Kind, flow, hop int32, a, b int64)
 	if r == nil {
 		return
 	}
-	r.buf[r.n%uint64(len(r.buf))] = Event{T: t, Kind: k, Flow: flow, Hop: hop, A: a, B: b}
+	ev := Event{T: t, Kind: k, Flow: flow, Hop: hop, A: a, B: b}
+	switch {
+	case len(r.buf) == r.limit:
+		r.buf[r.n%uint64(r.limit)] = ev
+	case len(r.buf) == cap(r.buf): // double: to minRing at first, never past limit
+		grown := make([]Event, 0, min(max(2*cap(r.buf), minRing), r.limit))
+		r.buf = append(append(grown, r.buf...), ev)
+	default:
+		r.buf = append(r.buf, ev)
+	}
 	r.n++
 }
 
@@ -52,24 +73,22 @@ func (r *FlightRecorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.n = 0
+	r.buf, r.n = r.buf[:0], 0
 }
 
-// Cap returns the ring capacity (0 for a nil recorder).
+// Cap returns the ring capacity (0 for a nil recorder), however much of it
+// the buffer has grown to.
 func (r *FlightRecorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.limit
 }
 
 // Len returns the number of events currently held.
 func (r *FlightRecorder) Len() int {
 	if r == nil {
 		return 0
-	}
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
 	}
 	return len(r.buf)
 }

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -89,15 +91,105 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 }
 
+// TestRecorderZeroAllocsPerEvent fills the ring to capacity first, so the
+// measured records are the steady state every long run settles into.
 func TestRecorderZeroAllocsPerEvent(t *testing.T) {
 	r := NewFlightRecorder(64)
 	var i int64
+	for ; i < int64(r.Cap()); i++ {
+		r.Record(sim.Time(i), KindCwnd, 1, -1, i, i+1)
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record(sim.Time(i), KindCwnd, 1, -1, i, i+1)
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates: %v allocs/event, want 0", allocs)
+	}
+}
+
+// fixedRing is the recorder as it was before its buffer grew by use: the
+// whole capacity allocated up front, every record written at n % cap.
+type fixedRing struct {
+	buf []Event
+	n   uint64
+}
+
+func (f *fixedRing) record(ev Event) {
+	f.buf[f.n%uint64(len(f.buf))] = ev
+	f.n++
+}
+
+// jsonl encodes the ring's events oldest-first in the recorder's line
+// format, written out independently of the recorder's encoder.
+func (f *fixedRing) jsonl() []byte {
+	capN := uint64(len(f.buf))
+	start, n := uint64(0), f.n
+	if f.n > capN {
+		start, n = f.n%capN, capN
+	}
+	var out bytes.Buffer
+	for i := uint64(0); i < n; i++ {
+		ev := f.buf[(start+i)%capN]
+		fmt.Fprintf(&out, "{\"t_ns\":%d,\"kind\":%q,\"flow\":%d,\"hop\":%d,\"a\":%d,\"b\":%d}\n",
+			int64(ev.T), ev.Kind.String(), ev.Flow, ev.Hop, ev.A, ev.B)
+	}
+	return out.Bytes()
+}
+
+// TestRecorderMatchesFixedRing holds the growing ring to a plain fixed ring
+// at capacities on both sides of the first buffer and its doublings, for
+// record counts around each wrap, each after a Reset of the same recorder.
+func TestRecorderMatchesFixedRing(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 16, 17, 2048} {
+		r := NewFlightRecorder(capacity)
+		for _, count := range []int{0, 1, capacity - 1, capacity, capacity + 1, 3*capacity + 5} {
+			r.Reset()
+			f := &fixedRing{buf: make([]Event, capacity)}
+			for i := 0; i < count; i++ {
+				ev := Event{T: sim.Time(i), Kind: Kind(1 + i%int(kindCount-1)), Flow: int32(i % 7), Hop: int32(i%3 - 1), A: int64(i), B: -int64(i)}
+				r.Record(ev.T, ev.Kind, ev.Flow, ev.Hop, ev.A, ev.B)
+				f.record(ev)
+			}
+			held := min(f.n, uint64(capacity))
+			if r.Cap() != capacity || uint64(r.Len()) != held || r.Total() != f.n || r.Evicted() != f.n-held {
+				t.Fatalf("cap %d, %d records: cap=%d len=%d total=%d evicted=%d, want len %d total %d",
+					capacity, count, r.Cap(), r.Len(), r.Total(), r.Evicted(), held, f.n)
+			}
+			var got bytes.Buffer
+			if err := r.WriteJSONL(&got); err != nil {
+				t.Fatal(err)
+			}
+			want := f.jsonl()
+			if !bytes.Equal(got.Bytes(), want) || !bytes.Equal(r.AppendJSONL(nil), want) {
+				t.Fatalf("cap %d, %d records: JSONL differs from the fixed ring's\ngot  %q\nwant %q", capacity, count, got.Bytes(), want)
+			}
+		}
+	}
+}
+
+// TestRecorderGrowthAllocs bounds what the ring allocates: one buffer per
+// doubling while it grows (at most ceil(log2(cap))+1), nothing once it is
+// full, and nothing on a run after Reset that records as much again.
+func TestRecorderGrowthAllocs(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 16, 17, 2048} {
+		var r *FlightRecorder
+		fill := func(n int) {
+			for i := 0; i < n; i++ {
+				r.Record(sim.Time(i), KindCwnd, 1, -1, int64(i), 0)
+			}
+		}
+		growing := testing.AllocsPerRun(20, func() { r = NewFlightRecorder(capacity); fill(capacity) })
+		// The bound counts the recorder itself besides its buffers.
+		if bound := float64(bits.Len(uint(capacity-1)) + 2); growing > bound {
+			t.Errorf("cap %d: a new recorder growing to capacity allocates %v times, want <= %v", capacity, growing, bound)
+		}
+		if full := testing.AllocsPerRun(10, func() { fill(capacity + 1) }); full != 0 {
+			t.Errorf("cap %d: records into a full ring allocate %v times, want 0", capacity, full)
+		}
+		if again := testing.AllocsPerRun(10, func() { r.Reset(); fill(3*capacity + 5) }); again != 0 {
+			t.Errorf("cap %d: a run after Reset allocates %v times, want 0", capacity, again)
+		}
 	}
 }
 
