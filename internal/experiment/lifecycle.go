@@ -261,7 +261,7 @@ func (s *Scenario) initChurn() error {
 	if !knownAlg(tmpl.Alg) {
 		return fmt.Errorf("unknown algorithm %q", tmpl.Alg)
 	}
-	first, last, err := tmpl.Route.span(len(s.hops))
+	first, last, err := tmpl.Route.span(len(s.Topo.Hops))
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"rsstcp/internal/netem"
 	"rsstcp/internal/unit"
 )
 
@@ -390,23 +392,72 @@ func TestResetReleasesDrainingNICSegments(t *testing.T) {
 // the scenario's buffers. The budget is exact so that one escaping variable
 // per Reset (a closure capturing the flow in takeFlow did it) or one copied
 // Result slice fails here, not in bench/.
+//
+// Past three grid cells come the shapes where netem does the most: bench/'s
+// topo_mix trio (a RED parking lot, the reverse-congested preset, the paper
+// path at 1 % loss with SACK), one hop with loss, reorder and duplication
+// all on, and a RED hop with explicit parameters. Each Reset used to
+// allocate on them: a RED configuration per RED hop (two for explicit
+// parameters), the reverse link and its queue (with their FIFOs grown
+// again), and every injector with its generator.
 func TestResetRunAllocBudget(t *testing.T) {
+	base := func(preset string) Config {
+		cfg := Config{Flows: []FlowSpec{{Alg: AlgRestricted}}, Duration: 2 * time.Second, Seed: 9, Traceless: true}
+		if preset != "" {
+			if err := ApplyPreset(&cfg, preset); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cfg
+	}
+	lot := base("parking-lot")
+	for i := range lot.Topology.Hops {
+		lot.Topology.Hops[i].Discipline = DiscRED
+	}
+	lossy := base("")
+	lossy.Path.Loss, lossy.Flows[0].SACK = 0.01, true
+	faulty := base("")
+	faulty.Topology = &Topology{Hops: []Hop{{Rate: 100 * unit.Mbps, Delay: 20 * time.Millisecond, Queue: 250,
+		Loss: 0.01, ReorderP: 0.05, DuplicateP: 0.05}}}
+	tuned := base("")
+	red := netem.DefaultREDConfig(100)
+	red.MaxP = 0.2
+	tuned.Topology = &Topology{Hops: []Hop{{Rate: 100 * unit.Mbps, Delay: 20 * time.Millisecond, Queue: 100,
+		Discipline: DiscRED, RED: &red}}}
+
+	type shape struct {
+		name string
+		cfg  Config
+	}
+	var shapes []shape
 	cells := gridCells()
 	for _, cfg := range []Config{cells[0], cells[1], cells[len(cells)-1]} {
-		s, err := Build(cfg)
+		shapes = append(shapes, shape{fmt.Sprintf("%s bw=%v", cfg.Flows[0].Alg, cfg.Path.Bottleneck), cfg})
+	}
+	shapes = append(shapes,
+		shape{"RED parking lot", lot},
+		shape{"reverse-congested", base("reverse-congested")},
+		shape{"1% loss + SACK", lossy},
+		shape{"loss, reorder and duplicate", faulty},
+		shape{"explicit RED parameters", tuned},
+	)
+	for _, tc := range shapes {
+		s, err := Build(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Run()
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := s.Reset(cfg); err != nil {
+			if err := s.Reset(tc.cfg); err != nil {
 				t.Fatal(err)
 			}
 			s.Run()
 		})
 		if allocs != 0 {
-			t.Errorf("%s bw=%v: Reset+Run allocates %.1f objects, budget 0",
-				cfg.Flows[0].Alg, cfg.Path.Bottleneck, allocs)
+			t.Errorf("%s: Reset+Run allocates %.1f objects, budget 0", tc.name, allocs)
+		}
+		if h := s.ResultFor(0).Hops[0]; tc.cfg.Topology == faulty.Topology && (h.LossDrops == 0 || h.Reordered == 0 || h.Duplicated == 0) {
+			t.Errorf("%s: injectors idle (%+v); the budget covered none of their work", tc.name, h)
 		}
 	}
 }
@@ -481,6 +532,19 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 		Duration: 2 * time.Second, Seed: 5, Traceless: true,
 	}
 
+	// One hop longer than the lot: the arena grows into a slot its row
+	// slice reserved while growing to three hops but never filled.
+	reordered := redHop
+	reordered.Discipline, reordered.ReorderP, reordered.DuplicateP = "", 0.02, 0.01
+	fourHops := Config{
+		Topology: &Topology{Hops: []Hop{redHop, lossy, redHop, reordered}},
+		Flows: []FlowSpec{
+			{Alg: AlgRestricted},
+			{Alg: AlgStandard, Cross: true, Route: Route{FirstHop: 3, Hops: 1}, StartAt: 300 * time.Millisecond},
+		},
+		Duration: 2 * time.Second, Seed: 6, Traceless: true,
+	}
+
 	revCongested := Config{Flows: []FlowSpec{{Alg: AlgRestricted}}, Duration: 2 * time.Second, Seed: 8}
 	if err := ApplyPreset(&revCongested, "reverse-congested"); err != nil {
 		t.Fatal(err)
@@ -503,6 +567,7 @@ func TestResetAcrossShapesMatchesFreshBuild(t *testing.T) {
 	}{
 		{"three flows, shared host, restricted", shared},
 		{"RED parking lot, loss, SACK, MSS 1000", redLot},
+		{"four hops, cross flow and injectors on the last", fourHops},
 		{"reverse-congested", revCongested},
 		{"poisson churn, timer wheel", churn},
 		{"stall-wait", stallWait},

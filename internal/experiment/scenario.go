@@ -285,19 +285,6 @@ type Flow struct {
 	bundle *flowBundle
 }
 
-// builtHop is one forward hop's per-scenario metadata: its resolved config
-// and the injectors fronting its ingress. The link, queue, RED and
-// propagation state all live in the scenario's netem.HopArena, indexed by
-// hop id; per-flow egress routing is index dispatch over route spans
-// recorded in the arena (see HopArena.SetSpan), so there is no per-hop
-// Receiver chain to walk.
-type builtHop struct {
-	cfg     Hop
-	loss    *netem.Loss
-	reorder *netem.Reorderer
-	dup     *netem.Duplicator
-}
-
 // Scenario is a built, runnable testbed.
 type Scenario struct {
 	Eng   *sim.Engine
@@ -313,16 +300,19 @@ type Scenario struct {
 	// or compiled from Cfg.Path). Its hop list is scenario-owned scratch,
 	// rewritten by the next Reset.
 	Topo Topology
-	hops []builtHop
-	// arena is the forward data path: every hop's serializer, queue/RED
-	// and propagation state indexed by hop id, with per-flow route spans
-	// and index-based hop hand-off. It survives Reset and is reconfigured
-	// in place.
+	// arena is the forward data path: one row per hop — serializer,
+	// queue/RED, propagation and injectors — with per-flow route spans and
+	// index-based hop hand-off. It survives Reset and is reconfigured in
+	// place.
 	arena *netem.HopArena
 	// byID is the flow table, the forward and reverse demux (dataDemux,
 	// ackDemux).
-	byID    flowTable
-	revLink *netem.Link // non-nil when the reverse channel is real
+	byID flowTable
+	// rev is the shared reverse channel when Reverse.Rate is set (nil
+	// otherwise): revStage on revQueue, re-initialized in place by init.
+	rev      *netem.Link
+	revStage netem.Link
+	revQueue netem.DropTail
 	// Ideal reverse path (Reverse.Rate == 0): ACKs ride delay lines shared
 	// by every flow with the same reverse delay, feeding ackDemux — one
 	// armed calendar entry per distinct delay instead of one delay line per
@@ -471,9 +461,10 @@ type parked struct {
 	// detached in the last few transmission times; Reset flushes their NICs
 	// and parks them all.
 	draining []*Flow
-	// hops and specs are init's topology scratch.
+	// hops, specs and reds are init's topology scratch.
 	hops  []Hop
 	specs []netem.HopSpec
+	reds  []netem.REDConfig
 }
 
 // take pops a parked component, or returns a zero one for Init to shape.
@@ -608,18 +599,12 @@ func (s *Scenario) Reset(cfg Config) error {
 		}
 	}
 	clear(s.hosts)
-	for _, h := range s.hops {
-		if h.reorder != nil {
-			h.reorder.Flush()
-		}
-	}
-	s.hops = s.hops[:0]
 	clear(s.byID)
 	s.byID = s.byID[:0]
-	if s.revLink != nil {
-		s.revLink.Flush()
+	if s.rev != nil {
+		s.rev.Flush()
 	}
-	s.revLink = nil
+	s.rev = nil
 	for _, l := range s.ackLines {
 		l.Flush()
 	}
@@ -685,71 +670,42 @@ func (s *Scenario) init(in *Config) error {
 	}
 	s.Topo = topo
 
-	// Forward path: the hop chain flattened into the arena — per-hop
-	// serializer, queue/RED and propagation state in parallel arrays, hop
+	// Forward path: the hop chain flattened into the arena — one row per
+	// hop with its serializer, queue/RED, propagation and injector chain
+	// (loss → reorder → duplicate, each on its own seeded stream), hop
 	// hand-off by index, flows exiting at their span's last hop straight to
-	// the flow demux. Each hop's ingress may still be fronted by an
-	// injector chain (loss → reorder → duplicate); those stay ordinary
-	// objects registered with the arena via SetEntry. Every hop arms the
-	// 0.9 ramp-speed watch on its running busy counter (one comparison per
-	// completed transmission), because which hop is the bottleneck is a
-	// load property, not a rate property: on an equal-rate parking lot the
-	// contended middle hop binds, not the lowest-rate one. Result-time
-	// figures (Utilization, TimeToUtil90, the "util" gauge) read the
-	// max-utilization hop.
+	// the flow demux. Every hop arms the 0.9 ramp-speed watch on its
+	// running busy counter (one comparison per completed transmission),
+	// because which hop is the bottleneck is a load property, not a rate
+	// property: on an equal-rate parking lot the contended middle hop
+	// binds, not the lowest-rate one. Result-time figures (Utilization,
+	// TimeToUtil90, the "util" gauge) read the max-utilization hop.
 	n := len(topo.Hops)
 	if s.arena == nil {
 		s.arena = netem.NewHopArena(eng)
 	}
-	specs := extend(s.park.specs[:0], n)
-	s.park.specs = specs
+	// RED parameters live in scratch sized at the first RED hop, so no
+	// pointer into it moves.
+	specs, reds := extend(s.park.specs[:0], n), s.park.reds[:0]
 	for i := range topo.Hops {
 		hc := &topo.Hops[i]
-		sp := netem.HopSpec{Rate: hc.Rate, Delay: hc.Delay, Queue: hc.Queue, Watch: 0.9}
+		sp := netem.HopSpec{Rate: hc.Rate, Delay: hc.Delay, Queue: hc.Queue, Watch: 0.9,
+			Loss: hc.Loss, Reorder: hc.ReorderP, Duplicate: hc.DuplicateP, ReorderDelay: hc.ReorderDelay,
+			LossSeed: injectorSeed(cfg.Seed, i, saltLoss), ReorderSeed: injectorSeed(cfg.Seed, i, saltReorder),
+			DuplicateSeed: injectorSeed(cfg.Seed, i, saltDup)}
 		if hc.Discipline == DiscRED {
-			red := netem.DefaultREDConfig(hc.Queue)
+			reds = extend(reds, n)
+			reds[i] = netem.DefaultREDConfig(hc.Queue)
 			if hc.RED != nil {
-				red = *hc.RED
+				reds[i] = *hc.RED
+				hc.RED = &reds[i] // Topo's private copy
 			}
-			sp.RED = &red
-			sp.REDSeed = injectorSeed(cfg.Seed, i, saltRED)
+			sp.RED, sp.REDSeed = &reds[i], injectorSeed(cfg.Seed, i, saltRED)
 		}
 		specs[i] = sp
 	}
+	s.park.specs, s.park.reds = specs, reds
 	s.arena.Configure(specs, (*dataDemux)(&s.byID), s.FR)
-	if cap(s.hops) < n {
-		s.hops = make([]builtHop, n)
-	}
-	s.hops = s.hops[:n]
-	for i := range topo.Hops {
-		h := &s.hops[i]
-		*h = builtHop{cfg: topo.Hops[i]}
-		entry := s.arena.Direct(i)
-		hasChain := false
-		if h.cfg.DuplicateP > 0 {
-			h.dup = &netem.Duplicator{
-				P: h.cfg.DuplicateP, RNG: sim.NewRNG(injectorSeed(cfg.Seed, i, saltDup)), Next: entry,
-				FR: s.FR, Eng: eng, Hop: int32(i),
-			}
-			entry, hasChain = h.dup, true
-		}
-		if h.cfg.ReorderP > 0 {
-			h.reorder = netem.NewReorderer(eng, h.cfg.ReorderP, h.cfg.ReorderDelay,
-				sim.NewRNG(injectorSeed(cfg.Seed, i, saltReorder)), entry)
-			h.reorder.FR, h.reorder.Hop = s.FR, int32(i)
-			entry, hasChain = h.reorder, true
-		}
-		if h.cfg.Loss > 0 {
-			h.loss = &netem.Loss{
-				P: h.cfg.Loss, RNG: sim.NewRNG(injectorSeed(cfg.Seed, i, saltLoss)), Next: entry,
-				FR: s.FR, Eng: eng, Hop: int32(i),
-			}
-			entry, hasChain = h.loss, true
-		}
-		if hasChain {
-			s.arena.SetEntry(i, entry)
-		}
-	}
 
 	// Reverse channel: a real shared link when Reverse.Rate is set — ACKs
 	// from every flow queue behind one serializer. With Rate zero ACKs ride
@@ -761,8 +717,10 @@ func (s *Scenario) init(in *Config) error {
 		if rd <= 0 {
 			rd = topo.ForwardDelay()
 		}
-		s.revLink = netem.NewLink(eng, topo.Reverse.Rate, rd, netem.NewDropTail(topo.Reverse.Queue), (*ackDemux)(&s.byID))
-		s.revLink.FR, s.revLink.Hop = s.FR, -1
+		s.rev = &s.revStage
+		s.revQueue.Init(topo.Reverse.Queue)
+		s.rev.Init(eng, topo.Reverse.Rate, rd, &s.revQueue, (*ackDemux)(&s.byID))
+		s.rev.FR, s.rev.Hop = s.FR, -1
 	}
 
 	for i := range cfg.Flows {
@@ -790,14 +748,13 @@ func (s *Scenario) init(in *Config) error {
 		// topology actually has them: a one-hop ideal-reverse scenario
 		// records exactly the pre-topology series set.
 		if n > 1 {
-			for i := range s.hops {
-				hop := i
+			for i := range n {
 				rec.Gauge(fmt.Sprintf("hopq/%d", i), func() float64 {
-					return float64(s.arena.Port(hop).Len())
+					return float64(s.arena.Port(i).Len())
 				})
 			}
 		}
-		if l := s.revLink; l != nil {
+		if l := s.rev; l != nil {
 			rec.Gauge("revq", func() float64 { return float64(l.Len()) })
 		}
 	}
@@ -811,7 +768,7 @@ func (s *Scenario) init(in *Config) error {
 func (s *Scenario) bottleneck(now sim.Time) int {
 	best := 0
 	bu := s.arena.Port(0).Utilization(now)
-	for i := 1; i < len(s.hops); i++ {
+	for i := 1; i < len(s.Topo.Hops); i++ {
 		if u := s.arena.Port(i).Utilization(now); u > bu {
 			best, bu = i, u
 		}
@@ -859,7 +816,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	eng := s.Eng
 	cfg := &s.Cfg
 
-	first, last, err := spec.Route.span(len(s.hops))
+	first, last, err := spec.Route.span(len(s.Topo.Hops))
 	if err != nil {
 		return nil, err
 	}
@@ -897,8 +854,8 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	// enters the table once both endpoints exist, before any data (and
 	// hence any ACK) can be in flight.
 	var ackPath netem.Receiver
-	if s.revLink != nil {
-		ackPath = s.revLink
+	if s.rev != nil {
+		ackPath = s.rev
 	} else {
 		rd := s.Topo.Reverse.Delay
 		if rd <= 0 {
@@ -1148,9 +1105,9 @@ func (s *Scenario) ResultFor(i int) Result {
 		panic(fmt.Sprintf("experiment: no flow %d", i))
 	}
 	var injected, routerDrops int64
-	s.hopStats = extend(s.hopStats[:0], len(s.hops))
-	for hi := range s.hops {
-		h, p := &s.hops[hi], s.arena.Port(hi)
+	s.hopStats = extend(s.hopStats[:0], len(s.Topo.Hops))
+	for hi := range s.hopStats {
+		p := s.arena.Port(hi)
 		q := p.QueueStats()
 		hs := HopStats{
 			Drops:       q.Dropped,
@@ -1158,17 +1115,9 @@ func (s *Scenario) ResultFor(i int) Result {
 			AvgQueue:    p.AvgQueueLen(now),
 			Utilization: p.Utilization(now),
 		}
+		hs.LossDrops, hs.Reordered, hs.Duplicated = s.arena.Faults(hi)
 		routerDrops += q.Dropped
-		if h.loss != nil {
-			hs.LossDrops = h.loss.Dropped()
-			injected += hs.LossDrops
-		}
-		if h.reorder != nil {
-			hs.Reordered = h.reorder.Reordered()
-		}
-		if h.dup != nil {
-			hs.Duplicated = h.dup.Duplicated()
-		}
+		injected += hs.LossDrops
 		s.hopStats[hi] = hs
 	}
 	tps, flowStats, totals := s.flowAggregates(now)
@@ -1191,8 +1140,8 @@ func (s *Scenario) ResultFor(i int) Result {
 		FlowsRefused:    s.churn.refused,
 		Rec:             s.Rec,
 	}
-	if s.revLink != nil {
-		res.ReverseDrops = s.revLink.QueueStats().Dropped
+	if s.rev != nil {
+		res.ReverseDrops = s.rev.QueueStats().Dropped
 	}
 	if len(s.churn.records) > 0 {
 		res.Flows = slices.Clip(s.churn.records)

@@ -106,7 +106,7 @@ type Topology struct {
 
 // MaxHops bounds a path's hop list, explicit or split from the dumbbell
 // (PathConfig.Hops): a hop count from outside sizes the compiled topology
-// and every per-hop array of the arena.
+// and the arena's rows.
 const MaxHops = 1 << 10
 
 func checkHopCount(n int) error {
@@ -116,9 +116,10 @@ func checkHopCount(n int) error {
 	return nil
 }
 
-// cloneInto returns a deep copy with zero fields resolved, its hop list built
-// in buf's backing array (nil, or a scenario's scratch). The receiver is
-// never mutated: topologies may be shared across campaign cells.
+// cloneInto returns a copy with zero fields resolved, its hop list built in
+// buf's backing array (nil, or a scenario's scratch); RED parameters are
+// still shared. The receiver is never mutated: topologies may be shared
+// across campaign cells.
 func (t Topology) cloneInto(buf []Hop) Topology {
 	t.Hops = append(buf[:0], t.Hops...)
 	t.resolve()
@@ -132,22 +133,27 @@ func (t *Topology) resolve() {
 		if h.Discipline == "" {
 			h.Discipline = DiscDropTail
 		}
-		if h.ReorderP > 0 && h.ReorderDelay <= 0 {
+		if h.ReorderP > 0 && h.ReorderDelay == 0 {
 			h.ReorderDelay = h.Delay / 4
 		}
-		if h.RED != nil {
-			red := *h.RED
-			h.RED = &red
-		}
 	}
-	if t.Reverse.Rate > 0 && t.Reverse.Queue <= 0 {
+	if t.Reverse.Rate > 0 && t.Reverse.Queue == 0 {
 		t.Reverse.Queue = 100
 	}
 }
 
 // Clone returns a deep copy; campaign axis mutators edit clones so sibling
 // cells never alias one another's hop lists.
-func (t Topology) Clone() Topology { return t.cloneInto(nil) }
+func (t Topology) Clone() Topology {
+	t = t.cloneInto(nil)
+	for i, h := range t.Hops {
+		if h.RED != nil {
+			red := *h.RED
+			t.Hops[i].RED = &red
+		}
+	}
+	return t
+}
 
 // Validate rejects hop graphs the assembly layer cannot build.
 func (t Topology) Validate() error {
@@ -177,6 +183,9 @@ func (h *Hop) validate() error {
 	if h.Delay < 0 {
 		return fmt.Errorf("negative delay %v", h.Delay)
 	}
+	if h.ReorderDelay < 0 {
+		return fmt.Errorf("negative reorder delay %v", h.ReorderDelay)
+	}
 	if h.Queue <= 0 {
 		return fmt.Errorf("non-positive queue %d", h.Queue)
 	}
@@ -200,6 +209,9 @@ func (r Reverse) validate() error {
 	}
 	if r.Delay < 0 {
 		return fmt.Errorf("negative reverse delay %v", r.Delay)
+	}
+	if r.Queue < 0 {
+		return fmt.Errorf("negative reverse queue %d", r.Queue)
 	}
 	return nil
 }

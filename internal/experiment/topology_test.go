@@ -323,6 +323,9 @@ func TestTopologyValidation(t *testing.T) {
 		"nan dup":        {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, DuplicateP: math.NaN()}}},
 		"neg reverse":    {Hops: []Hop{good}, Reverse: Reverse{Rate: -1}},
 		"too many hops":  {Hops: make([]Hop, MaxHops+1)},
+		// Both used to be resolved to their defaults before Validate saw them.
+		"neg reorder delay": {Hops: []Hop{{Rate: 10 * unit.Mbps, Delay: time.Millisecond, Queue: 50, ReorderP: 0.1, ReorderDelay: -time.Millisecond}}},
+		"neg reverse queue": {Hops: []Hop{good}, Reverse: Reverse{Rate: 10 * unit.Mbps, Queue: -5}},
 	} {
 		topo := topo
 		if _, err := Build(Config{Topology: &topo}); err == nil {
@@ -424,7 +427,9 @@ func TestPresetListMatchesApply(t *testing.T) {
 // TestParseHopAndReverse: the -hop/-rev parsers accept the documented forms
 // and refuse, with an error, what used to slip through strconv.ParseFloat:
 // NaN probabilities ran lossless and exited 0, an infinite rate overflowed
-// into a negative bandwidth.
+// into a negative bandwidth. A negative reorder delay or reverse queue used
+// to pass, and the topology resolver then ran a default in its place (a
+// quarter of the hop delay; 100 packets).
 func TestParseHopAndReverse(t *testing.T) {
 	t.Parallel()
 	h, err := ParseHop("rate=100,delay=10ms,queue=250,aqm=red,loss=0.01,reorder=0.02:2ms,dup=0.001")
@@ -439,6 +444,7 @@ func TestParseHopAndReverse(t *testing.T) {
 		"rate=Inf,delay=10ms,queue=50", "rate=NaN,delay=10ms,queue=50", "rate=-5,delay=10ms,queue=50",
 		"rate=100,delay=10ms,queue=50,loss=1.5", "rate=100,delay=-1ms,queue=50", "rate=100,delay=10ms,queue=0",
 		"rate=100,delay=10ms", "rate=100,delay=10ms,queue=50,aqm=codel", "rate=100,rate=10,delay=1ms,queue=5",
+		"rate=100,delay=10ms,queue=50,reorder=0.1:-1ms",
 	} {
 		if h, err := ParseHop(bad); err == nil {
 			t.Errorf("ParseHop(%q) accepted as %+v", bad, h)
@@ -448,7 +454,7 @@ func TestParseHopAndReverse(t *testing.T) {
 	if err != nil || r != (Reverse{Rate: 10 * unit.Mbps, Delay: 30 * time.Millisecond, Queue: 50}) {
 		t.Errorf("full reverse parsed to %+v, %v", r, err)
 	}
-	for _, bad := range []string{"rate=NaN", "rate=Inf", "rate=-1", "rate=10,delay=-1ms", "delay=30ms", "rate=10,mtu=9000"} {
+	for _, bad := range []string{"rate=NaN", "rate=Inf", "rate=-1", "rate=10,delay=-1ms", "delay=30ms", "rate=10,mtu=9000", "rate=10,queue=-5"} {
 		if r, err := ParseReverse(bad); err == nil {
 			t.Errorf("ParseReverse(%q) accepted as %+v", bad, r)
 		}

@@ -15,6 +15,11 @@ import (
 // utilization latch: the first transmission completion at which the hop's
 // cumulative busy fraction reaches Watch is kept (UtilizationReachedAt), so
 // ramp-speed metrics need no sampled gauge series.
+//
+// Loss, Reorder and Duplicate, when positive, front the hop's ingress with
+// the fault injectors of those probabilities, in that order (see Loss,
+// Reorderer, Duplicator), each drawing from its own generator seeded by its
+// seed; ReorderDelay is the extra hold of a reordered segment.
 type HopSpec struct {
 	Rate    unit.Bandwidth
 	Delay   time.Duration
@@ -22,11 +27,15 @@ type HopSpec struct {
 	RED     *REDConfig
 	REDSeed uint64
 	Watch   float64
+
+	Loss, Reorder, Duplicate             float64
+	ReorderDelay                         time.Duration
+	LossSeed, ReorderSeed, DuplicateSeed uint64
 }
 
 // redState is one hop's RED admission machinery. The RNG is embedded by
 // value (sim.RNG is 32 bytes), so a RED hop's drop decisions read no pointer
-// beyond the arena's own slice.
+// beyond the hop's own row.
 type redState struct {
 	cfg   REDConfig
 	rng   sim.RNG
@@ -34,178 +43,180 @@ type redState struct {
 	count int
 }
 
-// hopWatch is one hop's utilization latch (see HopSpec.Watch), run as its
-// port's hook after every completed transmission.
-type hopWatch struct {
-	frac float64
-	at   sim.Time
-	hit  bool
+// injectors is a hop's ingress fault chain, loss → reorder → duplicate, each
+// drawing from its own generator.
+type injectors struct {
+	loss    Loss
+	reorder Reorderer
+	dup     Duplicator
+	rng     [3]sim.RNG
 }
 
-func (w *hopWatch) Transmitted(p *Port) {
+// hop is one row of the arena, everything one forward hop is: a Link on the
+// row's own DropTail, recording refusals under the hop's index (link.Hop),
+// RED admission when isRED, and the utilization latch (see HopSpec.Watch).
+// entry heads the injector chain fronting the hop in this configuration, if
+// any; the chain lives behind inj, allocated when a configuration first
+// needs it and kept across Configure, so a row without one stays small.
+type hop struct {
+	link       Link
+	queue      DropTail
+	a          *HopArena
+	red        redState
+	frac       float64
+	at         sim.Time
+	hit, isRED bool
+	entry      Receiver
+	inj        *injectors
+}
+
+// hopLatch is a row as its port's hook: after every completed transmission
+// it latches the first instant the hop's busy fraction reaches the watch.
+type hopLatch hop
+
+func (l *hopLatch) Transmitted(p *Port) {
+	h := (*hop)(l)
 	now := p.eng.Now()
-	if !w.hit && float64(p.stats.Busy) >= w.frac*float64(now.Duration()) {
-		w.hit, w.at = true, now
+	if !h.hit && float64(p.stats.Busy) >= h.frac*float64(now.Duration()) {
+		h.hit, h.at = true, now
 	}
 }
 
-// HopArena is the forward path as parallel arrays indexed by hop id: per hop
-// a Port (a DropTail buffer draining through the serializer, with RED
-// admission in front of it on RED hops) and a DelayLine for propagation —
-// a netem.Link's two stages, addressed by index.
+// hopIngress is a row as the Receiver that admits to it, past any injector:
+// what NICs attach to when the hop has no chain, and the chain's tail.
+type hopIngress hop
+
+func (h *hopIngress) Receive(seg *packet.Segment) { (*hop)(h).receive(seg) }
+
+// hopEgress is a row as the Receiver its delay line delivers to.
+type hopEgress hop
+
+// Receive dispatches the hop's propagation output by index: flows whose
+// span ends here (and anything leaving the last hop) exit to the arena's out
+// Receiver, everything else enters the next hop — through its injector chain
+// when it has one, otherwise by a direct call.
+func (e *hopEgress) Receive(seg *packet.Segment) {
+	h := (*hop)(e)
+	a, i := h.a, int(h.link.Hop)
+	if f := int(seg.Flow); i+1 >= len(a.hops) || f < len(a.exit) && int(a.exit[f]) == i {
+		a.out.Receive(seg)
+	} else if next := a.hops[i+1]; next.entry != nil {
+		next.entry.Receive(seg)
+	} else {
+		next.receive(seg)
+	}
+}
+
+// HopArena is the forward path as one row per hop, indexed by hop id. Per-flow
+// routing is a span over the arena: exit[flow] is the last hop a flow
+// traverses, and hand-off between hops is index dispatch (hop i's
+// propagation output enters hop i+1 by index).
 //
-// Per-flow routing is a span over the arena: exit[flow] is the last hop a
-// flow traverses, and hand-off between hops is index dispatch (hop i's
-// propagation output enters hop i+1 by index, through its hopEgress).
-// Injector chains (loss/reorder/duplicate) remain ordinary Receivers fronting
-// a hop's ingress via SetEntry.
-//
-// Configure rebuilds the arena in place, reusing every backing slice, so a
-// campaign worker's Scenario.Reset re-shapes the path without allocating on
-// the hot path again. Segments the previous shape still held go back to
-// their pool first.
+// Configure rebuilds the arena in place, reusing every row, so a campaign
+// worker's Scenario.Reset re-shapes the path without allocating again.
 type HopArena struct {
 	eng *sim.Engine
 	out Receiver // egress for flows exiting the path (the scenario demux)
-	fr  *telemetry.FlightRecorder
-	n   int
-
-	// Ports and delay lines are pointers because a pending completion or
-	// delivery holds the stage's address. They persist across Configure,
-	// so only new hop ids allocate and a reset scenario re-runs on warm
-	// (flushed) queues. Port i delivers into prop[i], which delivers to
-	// propOut[i].
-	port    []*Port
-	prop    []*DelayLine
-	propOut []hopEgress
-
-	// Utilization watch latches, the hooks of the watched hops' ports.
-	watch []hopWatch
-
-	// RED admission in front of the port's queue, gated by isRED.
-	isRED []bool
-	red   []redState
-
-	// Ingress dispatch: entry[i] is the injector chain fronting hop i (nil
-	// when the hop has none), ingress[i] the index-dispatch adapter behind
-	// it. Both persist across Configure.
-	entry   []Receiver
-	ingress []hopIngress
-
-	// Per-flow route ends over the arena: the last hop by FlowID.
-	exit []int32
+	// hops are this configuration's rows; those beyond len wait, flushed,
+	// for a longer shape, or are nil where append reserved a slot. Rows are
+	// pointers because a pending event holds the address of a row's link.
+	hops []*hop
+	exit []int32 // the last hop by FlowID
 }
-
-// hopIngress adapts hop index i to the Receiver interface for NIC and
-// injector attachment.
-type hopIngress struct {
-	a *HopArena
-	i int
-}
-
-func (h *hopIngress) Receive(seg *packet.Segment) { h.a.Receive(h.i, seg) }
-
-// hopEgress adapts hop index i's propagation output to the Receiver its
-// delay line delivers to.
-type hopEgress struct {
-	a *HopArena
-	i int
-}
-
-func (h *hopEgress) Receive(seg *packet.Segment) { h.a.egress(h.i, seg) }
 
 // NewHopArena returns an empty arena; Configure shapes it.
 func NewHopArena(eng *sim.Engine) *HopArena {
 	return &HopArena{eng: eng}
 }
 
-// grow returns s resized to n, reusing capacity and zeroing the live prefix.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	return s
-}
-
 // Configure (re)shapes the arena for the given hop chain, delivering exiting
-// segments to out and recording queue refusals in fr. All backing storage is
-// reused; per-hop queues keep their warmed capacity from earlier runs, and
-// whatever the previous shape left in them is released. Reconfiguring is for
-// an engine that was reset: the arena's pending calendar entries must
-// already be gone.
+// segments to out and recording queue refusals and injector events in fr.
+// Every row is reused; per-hop queues keep their warmed capacity from
+// earlier runs, and whatever the previous shape left in them is released.
+// Reconfiguring is for an engine that was reset: the arena's pending
+// calendar entries must already be gone.
 func (a *HopArena) Configure(specs []HopSpec, out Receiver, fr *telemetry.FlightRecorder) {
 	if out == nil {
 		panic("netem: HopArena.Configure with nil egress")
 	}
-	for i := 0; i < a.n; i++ {
-		a.port[i].Flush()
-		a.prop[i].Flush()
+	for _, h := range a.hops {
+		h.link.Flush()
+		if h.inj != nil {
+			h.inj.reorder.Flush()
+		}
 	}
-	n := len(specs)
-	a.out, a.fr, a.n = out, fr, n
-
-	a.watch = grow(a.watch, n)
-	a.isRED = grow(a.isRED, n)
-	a.red = grow(a.red, n)
-	a.entry = grow(a.entry, n)
+	a.out = out
 	a.exit = a.exit[:0]
-
-	for len(a.port) < n {
-		a.port = append(a.port, &Port{q: new(DropTail)})
-		a.prop = append(a.prop, new(DelayLine))
-		a.ingress = append(a.ingress, hopIngress{})
-		a.propOut = append(a.propOut, hopEgress{})
-	}
-	for i := range a.ingress {
-		a.ingress[i] = hopIngress{a: a, i: i}
-		a.propOut[i] = hopEgress{a: a, i: i}
-	}
-
-	for i, sp := range specs {
-		limit := sp.Queue
-		if sp.RED != nil {
-			cfg := *sp.RED
-			if cfg.Capacity <= 0 {
-				panic("netem: RED requires a positive capacity")
-			}
-			if cfg.MaxThreshold <= cfg.MinThreshold {
-				panic("netem: RED MaxThreshold must exceed MinThreshold")
-			}
-			a.isRED[i] = true
-			a.red[i] = redState{cfg: cfg, rng: *sim.NewRNG(sp.REDSeed)}
-			limit = cfg.Capacity
+	a.hops = a.hops[:min(len(specs), cap(a.hops))]
+	for i := range specs {
+		if i == len(a.hops) {
+			a.hops = append(a.hops, nil)
 		}
-		a.prop[i].Init(a.eng, sp.Delay, &a.propOut[i])
-		p := a.port[i]
-		p.q.Init(limit)
-		var hook PortHook
-		if sp.Watch > 0 {
-			a.watch[i].frac = sp.Watch
-			hook = &a.watch[i]
+		if a.hops[i] == nil {
+			a.hops[i] = &hop{a: a}
 		}
-		p.Init(a.eng, sp.Rate, p.q, a.prop[i], hook)
+		a.hops[i].init(i, &specs[i], fr)
 	}
 }
 
-// SetEntry fronts hop i's ingress with an injector chain (nil clears it).
-// The chain's tail must feed Direct(i), not Ingress(i).
-func (a *HopArena) SetEntry(i int, r Receiver) { a.entry[i] = r }
-
-// Direct returns hop i's raw index-dispatch ingress, bypassing injectors.
-func (a *HopArena) Direct(i int) Receiver { return &a.ingress[i] }
-
-// Ingress returns the Receiver traffic entering hop i must use: the injector
-// chain when one is set, the raw ingress otherwise.
-func (a *HopArena) Ingress(i int) Receiver {
-	if e := a.entry[i]; e != nil {
-		return e
+// init rebuilds the row in place as hop i, shaped by sp.
+func (h *hop) init(i int, sp *HopSpec, fr *telemetry.FlightRecorder) {
+	eng, limit := h.a.eng, sp.Queue
+	if h.isRED = sp.RED != nil; h.isRED {
+		if limit = sp.RED.Capacity; limit <= 0 {
+			panic("netem: RED requires a positive capacity")
+		}
+		if sp.RED.MaxThreshold <= sp.RED.MinThreshold {
+			panic("netem: RED MaxThreshold must exceed MinThreshold")
+		}
+		h.red = redState{cfg: *sp.RED}
+		h.red.rng.Seed(sp.REDSeed)
 	}
-	return &a.ingress[i]
+	h.queue.Init(limit)
+	h.link.Init(eng, sp.Rate, sp.Delay, &h.queue, (*hopEgress)(h))
+	h.link.FR, h.link.Hop = fr, int32(i)
+	h.frac, h.at, h.hit = sp.Watch, 0, false
+	if sp.Watch > 0 {
+		h.link.hook = (*hopLatch)(h)
+	}
+	h.entry = nil
+	if sp.Loss > 0 || sp.Reorder > 0 || sp.Duplicate > 0 {
+		if h.inj == nil {
+			h.inj = new(injectors)
+		}
+		h.entry = h.inj.init(eng, fr, int32(i), sp, (*hopIngress)(h))
+	}
+}
+
+// init re-initializes every injector, counters zeroed, and chains the ones
+// sp enables in front of next, returning the chain's head.
+func (f *injectors) init(eng *sim.Engine, fr *telemetry.FlightRecorder, hop int32, sp *HopSpec, next Receiver) Receiver {
+	f.rng[0].Seed(sp.LossSeed)
+	f.rng[1].Seed(sp.ReorderSeed)
+	f.rng[2].Seed(sp.DuplicateSeed)
+	f.dup = Duplicator{P: sp.Duplicate, RNG: &f.rng[2], Next: next, FR: fr, Eng: eng, Hop: hop}
+	if sp.Duplicate > 0 {
+		next = &f.dup
+	}
+	f.reorder.Init(eng, sp.Reorder, sp.ReorderDelay, &f.rng[1], next)
+	f.reorder.FR, f.reorder.Hop = fr, hop
+	if sp.Reorder > 0 {
+		next = &f.reorder
+	}
+	f.loss = Loss{P: sp.Loss, RNG: &f.rng[0], Next: next, FR: fr, Eng: eng, Hop: hop}
+	if sp.Loss > 0 {
+		next = &f.loss
+	}
+	return next
+}
+
+// Ingress returns the Receiver traffic entering hop i must use: the hop's
+// injector chain when it has one, its admission otherwise.
+func (a *HopArena) Ingress(i int) Receiver {
+	if h := a.hops[i]; h.entry != nil {
+		return h.entry
+	}
+	return (*hopIngress)(a.hops[i])
 }
 
 // SetSpan records a flow's route as the hop range [first, last] over the
@@ -218,31 +229,43 @@ func (a *HopArena) SetSpan(flow packet.FlowID, first, last int) {
 	a.exit[flow] = int32(last)
 }
 
-// enqueue applies hop i's admission test and buffers the segment, returning
+// Receive admits the segment at hop i, past any injector (see hop.receive).
+func (a *HopArena) Receive(i int, seg *packet.Segment) { a.hops[i].receive(seg) }
+
+// receive admits the segment and starts the serializer if idle; a refused
+// segment is flight-recorded and released as Link.Receive does.
+func (h *hop) receive(seg *packet.Segment) {
+	if h.enqueue(seg) {
+		h.link.start()
+	} else {
+		h.link.drop(seg)
+	}
+}
+
+// enqueue applies the hop's admission test and buffers the segment, returning
 // false on refusal. The tail drop is the DropTail's own; a RED hop tests its
 // early drop and its capacity first, counting a refusal in the queue's
 // Dropped and restarting the inter-drop count.
-func (a *HopArena) enqueue(i int, seg *packet.Segment) bool {
-	p := a.port[i]
-	if !a.isRED[i] {
-		return p.enqueue(seg)
+func (h *hop) enqueue(seg *packet.Segment) bool {
+	if !h.isRED {
+		return h.link.enqueue(seg)
 	}
-	q, r := p.q, &a.red[i]
+	q, r := &h.queue, &h.red
 	r.avg = (1-r.cfg.Weight)*r.avg + r.cfg.Weight*float64(q.Len())
-	if a.redDrop(r) || q.Len() >= q.Capacity() {
+	if r.drop() || q.Len() >= q.Capacity() {
 		q.stats.Dropped++
 		r.count = 0
 		return false
 	}
-	p.enqueue(seg)
+	h.link.enqueue(seg)
 	r.count++
 	return true
 }
 
-// redDrop evaluates the early-drop probability for the current average (see
+// drop evaluates the early-drop probability for the current average (see
 // REDConfig), with inter-drop gaps uniformized by the count of arrivals since
 // the last drop as in the original paper.
-func (a *HopArena) redDrop(r *redState) bool {
+func (r *redState) drop() bool {
 	switch {
 	case r.avg < r.cfg.MinThreshold:
 		return false
@@ -263,41 +286,23 @@ func (a *HopArena) redDrop(r *redState) bool {
 	}
 }
 
-// Receive admits the segment at hop i: buffer it (dropping on refusal, with
-// the same flight-record/release order as Link.Receive) and start the
-// serializer if idle.
-func (a *HopArena) Receive(i int, seg *packet.Segment) {
-	if !a.enqueue(i, seg) {
-		a.fr.Record(a.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), int32(i), seg.Seq, int64(a.port[i].Len()))
-		seg.Release()
-		return
-	}
-	a.port[i].start()
-}
-
-// egress dispatches hop i's propagation output by index: flows whose span
-// ends here (and anything leaving the last hop) exit to the arena's out
-// Receiver, everything else enters hop i+1's ingress.
-func (a *HopArena) egress(i int, seg *packet.Segment) {
-	if i+1 < a.n {
-		if f := int(seg.Flow); f >= len(a.exit) || int(a.exit[f]) != i {
-			if e := a.entry[i+1]; e != nil {
-				e.Receive(seg)
-				return
-			}
-			a.Receive(i+1, seg)
-			return
-		}
-	}
-	a.out.Receive(seg)
-}
-
 // Port returns hop i's transmission stage: its queue, serializer and
 // counters.
-func (a *HopArena) Port(i int) *Port { return a.port[i] }
+func (a *HopArena) Port(i int) *Port { return &a.hops[i].link.Port }
+
+// Faults returns what hop i's injectors did in this configuration: segments
+// the loss injector dropped, the reorderer held back and the duplicator
+// copied. A hop without injectors reads zero.
+func (a *HopArena) Faults(i int) (lost, reordered, duplicated int64) {
+	if h := a.hops[i]; h.entry != nil {
+		lost, reordered, duplicated = h.inj.loss.Dropped(), h.inj.reorder.Reordered(), h.inj.dup.Duplicated()
+	}
+	return lost, reordered, duplicated
+}
 
 // UtilizationReachedAt returns the instant hop i's watched utilization
 // fraction was first reached, and whether it has been.
 func (a *HopArena) UtilizationReachedAt(i int) (sim.Time, bool) {
-	return a.watch[i].at, a.watch[i].hit
+	h := a.hops[i]
+	return h.at, h.hit
 }

@@ -113,9 +113,17 @@ type Reorderer struct {
 
 // NewReorderer builds a reorder injector; a negative delay is zero.
 func NewReorderer(eng *sim.Engine, p float64, delay time.Duration, rng *sim.RNG, next Receiver) *Reorderer {
-	r := &Reorderer{eng: eng, P: p, RNG: rng}
-	r.held.Init(eng, max(delay, 0), next)
+	r := new(Reorderer)
+	r.Init(eng, p, delay, rng, next)
 	return r
+}
+
+// Init (re)initializes the reorderer in place as NewReorderer builds it,
+// with a zero count and no recorder, keeping only the held line's backing
+// array. A used reorderer must be flushed first.
+func (r *Reorderer) Init(eng *sim.Engine, p float64, delay time.Duration, rng *sim.RNG, next Receiver) {
+	r.eng, r.P, r.RNG, r.FR, r.Hop, r.reordered = eng, p, rng, nil, 0, 0
+	r.held.Init(eng, max(delay, 0), next)
 }
 
 // Receive forwards the segment now, or after the extra delay.

@@ -20,9 +20,11 @@ func NewWire(eng *sim.Engine, delay time.Duration, dst Receiver) *Wire {
 	return NewDelayLine(eng, delay, dst)
 }
 
-// Link is a router output port followed by a fixed propagation delay: a
-// Port (the router buffer draining through the serializer) feeding a
-// DelayLine. It carries the scenario's shared reverse channel.
+// Link is a store-and-forward stage followed by a fixed propagation delay: a
+// Port (the buffer draining through the serializer) feeding a DelayLine. It
+// is the one stage both directions are built from: every HopArena row holds
+// a Link on its own DropTail, behind the row's admission test, and the
+// scenario's shared reverse channel is a Link held by value.
 type Link struct {
 	Port
 	prop DelayLine
@@ -36,18 +38,32 @@ type Link struct {
 // by queue and delivering to dst.
 func NewLink(eng *sim.Engine, rate unit.Bandwidth, delay time.Duration, queue *DropTail, dst Receiver) *Link {
 	l := new(Link)
+	l.Init(eng, rate, delay, queue, dst)
+	return l
+}
+
+// Init (re)initializes the link in place as NewLink builds it, idle with
+// zeroed counters and no recorder, keeping only the delay line's backing
+// array. It does not re-initialize queue (see Port.Init); a used link must
+// be flushed first.
+func (l *Link) Init(eng *sim.Engine, rate unit.Bandwidth, delay time.Duration, queue *DropTail, dst Receiver) {
 	l.prop.Init(eng, delay, dst)
 	l.Port.Init(eng, rate, queue, &l.prop, nil)
-	return l
+	l.FR, l.Hop = nil, 0
 }
 
 // Receive enqueues the segment and starts the serializer if idle. A refused
 // segment is recorded and released.
 func (l *Link) Receive(seg *packet.Segment) {
 	if !l.Send(seg) {
-		l.FR.Record(l.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), l.Hop, seg.Seq, int64(l.Len()))
-		seg.Release()
+		l.drop(seg)
 	}
+}
+
+// drop records a refused segment and releases it.
+func (l *Link) drop(seg *packet.Segment) {
+	l.FR.Record(l.eng.Now(), telemetry.KindHopDrop, int32(seg.Flow), l.Hop, seg.Seq, int64(l.Len()))
+	seg.Release()
 }
 
 // Flush releases every segment the link holds — queued, on the serializer,

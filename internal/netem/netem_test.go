@@ -297,7 +297,7 @@ func TestReordererHoldsBack(t *testing.T) {
 
 // redHop returns a one-hop arena whose hop runs RED with cfg, and its engine.
 // The tests below drive the hop's admission (enqueue) and its queue's
-// service half (port[0].q.Dequeue) directly, holding the queue length where
+// service half (Port(0).q.Dequeue) directly, holding the queue length where
 // they want it.
 func redHop(cfg REDConfig, seed uint64) (*sim.Engine, *HopArena) {
 	eng := sim.NewEngine()
@@ -344,7 +344,7 @@ func TestREDIntermediateDropsProbabilistically(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		if a.enqueue(0, seg(1)) {
-			a.port[0].q.Dequeue() // keep length constant
+			a.Port(0).q.Dequeue() // keep length constant
 		}
 	}
 	drops := a.Port(0).QueueStats().Dropped
