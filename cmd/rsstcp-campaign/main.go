@@ -153,6 +153,10 @@ func main() {
 	if err := plan.Validate(); err != nil {
 		fatalf("%v", err)
 	}
+	if *workers < 0 {
+		// RunPlan rejects it too, but only after the "runs on" line.
+		fatalf("-workers %d is negative (0 means GOMAXPROCS)", *workers)
+	}
 
 	// Self-metrics are always collected (the cost is two clock reads per
 	// span); the epilogue and -telemetry read them.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
@@ -77,6 +78,34 @@ func TestProfilesFlushedOnFailure(t *testing.T) {
 			t.Errorf("%s not written: %v", filepath.Base(f), err)
 		} else if fi.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(f))
+		}
+	}
+}
+
+// TestNegativeCountsFailCleanly: a negative -duration, -replicates or
+// -workers is one line on stderr and exit 1, with no "runs on" line before
+// it. Each used to run its default: 25 s per replicate, one replicate, the
+// default pool.
+func TestNegativeCountsFailCleanly(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "rsstcp-campaign")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	const cell = "-bw 10 -rtt 20ms -ifq 50 -alg standard -duration 100ms "
+	for _, args := range []string{"-duration -1s", "-replicates -3", "-workers -2", "-replicates -3 -workers -2"} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(cell+args)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: %v, want exit 1", args, err)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "rsstcp-campaign: ") {
+			t.Errorf("%s: stderr %q, want one rsstcp-campaign line", args, msg)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%s: printed %q before failing", args, stdout.String())
 		}
 	}
 }

@@ -50,6 +50,10 @@ func main() {
 		fatal(err)
 	}
 	path := plan.Cells()[0].Config.Path
+	if *duration < 0 {
+		// Tune rejects it too, but only after the header line.
+		fatal(fmt.Errorf("-probe %v is negative (0 means 30s)", *duration))
+	}
 
 	fmt.Printf("tuning on %v bottleneck, %v RTT, IFQ %d pkts\n\n",
 		path.Bottleneck, path.RTT, path.TxQueueLen)

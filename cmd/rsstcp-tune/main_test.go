@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
@@ -85,5 +86,28 @@ func TestProfilesFlushedOnFailure(t *testing.T) {
 		} else if fi.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(f))
 		}
+	}
+}
+
+// TestNegativeProbeFailsCleanly: a negative -probe is one line on stderr and
+// exit 1, before the header. It used to start 30 s probes.
+func TestNegativeProbeFailsCleanly(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "rsstcp-tune")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-bw", "10", "-probe", "-1s", "-validate=false")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("%v, want exit 1", err)
+	}
+	if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "rsstcp-tune: ") {
+		t.Errorf("stderr %q, want one rsstcp-tune line", msg)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("printed %q before failing", stdout.String())
 	}
 }

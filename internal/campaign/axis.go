@@ -101,8 +101,15 @@ func (p Plan) withDefaults() Plan {
 // Validate rejects plans whose axes or metrics would corrupt cell keys or
 // crash the runner: duplicate or malformed axis names, stock axes the rule
 // table (rules.go) forbids together or in that order, empty axes, duplicate
-// or malformed value labels, nil mutators, and unnamed or nil metrics.
+// or malformed value labels, nil mutators, unnamed or nil metrics, and a
+// negative Replicates or Duration (zero means the default).
 func (p Plan) Validate() error {
+	if p.Replicates < 0 {
+		return fmt.Errorf("campaign: negative replicate count %d", p.Replicates)
+	}
+	if p.Duration < 0 {
+		return fmt.Errorf("campaign: negative run duration %v", p.Duration)
+	}
 	p = p.withDefaults()
 	axisPos := map[string]int{}
 	for i, a := range p.Axes {

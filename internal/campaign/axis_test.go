@@ -205,6 +205,36 @@ func TestPlanValidateRejectsMalformedAxes(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative Replicates or Duration fails
+// Validate and ExecutePlan, and so do negative Options.Workers; zero keeps
+// meaning the default. Each used to run its default: one replicate, 25 s,
+// GOMAXPROCS workers.
+func TestNegativeCountsRejected(t *testing.T) {
+	one := []Axis{stockAxis(t, "bw", 10*unit.Mbps)}
+	for _, row := range []struct {
+		p    Plan
+		opts Options
+		want string
+	}{
+		{Plan{Axes: one, Replicates: -3}, Options{}, "negative replicate count -3"},
+		{Plan{Axes: one, Duration: -time.Second}, Options{}, "negative run duration -1s"},
+		{Plan{Axes: one, Duration: 10 * time.Millisecond}, Options{Workers: -2}, "negative worker count -2"},
+	} {
+		_, err := ExecutePlan(row.p, row.opts)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("ExecutePlan(%+v, workers %d) = %v, want %q", row.p, row.opts.Workers, err, row.want)
+		}
+		if row.opts.Workers == 0 {
+			if err := row.p.Validate(); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("Validate(%+v) = %v, want %q", row.p, err, row.want)
+			}
+		}
+	}
+	if _, err := ExecutePlan(Plan{Axes: one, Duration: 10 * time.Millisecond}, Options{}); err != nil {
+		t.Errorf("zero replicates and workers rejected: %v", err)
+	}
+}
+
 // TestPlanValidateRejectsOutOfDomainValues: the experiment harness silently
 // replaces out-of-range values with paper defaults, so an unvalidated axis
 // would run the default while its label claims the bad value. Every stock

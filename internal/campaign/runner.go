@@ -301,10 +301,13 @@ const spanWindow = 8
 // they are folded. A failed replicate ends the campaign: nothing further is
 // dispatched, and the error returned is the canonically first one.
 func ExecutePlan(p Plan, opts Options) (*Report, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("campaign: negative worker count %d", opts.Workers)
+	}
+	p = p.withDefaults()
 	cells := p.Cells()
 	out, err := executeCells(p, cells, opts, nil)
 	if err != nil {

@@ -90,10 +90,10 @@ func validateShardArgs(shards, shard int) error {
 // given the identical plan (same axes, same BaseSeed); each re-derives the
 // canonical cell list and takes its span.
 func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p = p.withDefaults()
 	cells := p.Cells()
 	if err := validateShardArgs(shards, shard); err != nil {
 		return nil, err
@@ -146,10 +146,10 @@ func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error)
 // summaries in canonical cell order — so the resulting
 // JSON export is byte-identical at any shard count.
 func MergeShards(p Plan, reports []*ShardReport) (*Report, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p = p.withDefaults()
 	cells := p.Cells()
 
 	// Index the incoming cells, validating partition coordinates.
@@ -215,10 +215,10 @@ func MergeShards(p Plan, reports []*ShardReport) (*Report, error) {
 // JSON round trip before merging, so the wire format is exercised exactly
 // as written.
 func ExecuteSharded(p Plan, shards int, opts Options) (*Report, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p = p.withDefaults()
 	if err := validateShardArgs(shards, 0); err != nil {
 		return nil, err
 	}

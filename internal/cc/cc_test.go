@@ -30,6 +30,14 @@ func (f *fakeWindow) Now() sim.Time          { return f.now }
 
 func newWindow() *fakeWindow { return &fakeWindow{mss: 1000} }
 
+// newRenoWith is NewReno on slow-start policy ss.
+func newRenoWith(cfg RenoConfig, ss SlowStartPolicy) *Reno {
+	cfg.fillDefaults()
+	r := new(Reno)
+	r.Init(&cfg, ss, 0)
+	return r
+}
+
 func TestRenoAttachInitialWindow(t *testing.T) {
 	w := newWindow()
 	r := NewReno(RenoConfig{IW: 2})
@@ -72,7 +80,7 @@ func TestStdSlowStartGrowsMSSPerAck(t *testing.T) {
 
 func TestStdSlowStartABCGrowsByBytes(t *testing.T) {
 	w := newWindow()
-	r := NewReno(RenoConfig{IW: 2, SS: StdSlowStart{ABC: true}})
+	r := newRenoWith(RenoConfig{IW: 2}, StdSlowStart{ABC: true})
 	r.Attach(w)
 	r.OnAck(2000)
 	if w.cwnd != 4000 {
@@ -240,7 +248,7 @@ func TestLocalStallCutsWithoutInflation(t *testing.T) {
 
 func TestLimitedSlowStartBelowThreshold(t *testing.T) {
 	w := newWindow()
-	ls := LimitedSlowStart{MaxSsthresh: 100 * 1000}
+	ls := LimitedSlowStart{} // max_ssthresh 100 segments
 	w.cwnd = 50000
 	if inc := ls.Advance(w, 1000); inc != 1000 {
 		t.Errorf("inc = %d, want full MSS below max_ssthresh", inc)
@@ -249,7 +257,7 @@ func TestLimitedSlowStartBelowThreshold(t *testing.T) {
 
 func TestLimitedSlowStartAboveThreshold(t *testing.T) {
 	w := newWindow()
-	ls := LimitedSlowStart{MaxSsthresh: 100 * 1000}
+	ls := LimitedSlowStart{}
 	// cwnd = 200 segments: K = ceil(200/50) = 4 -> MSS/4.
 	w.cwnd = 200000
 	if inc := ls.Advance(w, 1000); inc != 250 {
@@ -264,7 +272,7 @@ func TestLimitedSlowStartAboveThreshold(t *testing.T) {
 
 func TestLimitedSlowStartDefaultThreshold(t *testing.T) {
 	w := newWindow()
-	ls := LimitedSlowStart{} // defaults to 100 segments
+	ls := LimitedSlowStart{} // max_ssthresh 100 segments
 	w.cwnd = 100000
 	if inc := ls.Advance(w, 1000); inc != 1000 {
 		t.Errorf("inc at default threshold = %d, want 1000", inc)
@@ -282,7 +290,7 @@ func TestLimitedSlowStartPerRTTBound(t *testing.T) {
 	err := quick.Check(func(cwndSegsRaw uint16) bool {
 		cwndSegs := int64(cwndSegsRaw%2000) + 101 // above threshold
 		w := newWindow()
-		ls := LimitedSlowStart{MaxSsthresh: 100 * 1000}
+		ls := LimitedSlowStart{}
 		w.cwnd = cwndSegs * 1000
 		acks := cwndSegs
 		var growth int64
@@ -301,7 +309,7 @@ func TestSlowStartNeverShrinksWindow(t *testing.T) {
 	// Property: every policy returns a non-negative increment.
 	policies := []SlowStartPolicy{
 		StdSlowStart{}, StdSlowStart{ABC: true},
-		LimitedSlowStart{}, LimitedSlowStart{MaxSsthresh: 50000},
+		LimitedSlowStart{},
 	}
 	err := quick.Check(func(cwndRaw uint32, ackedRaw uint16) bool {
 		w := newWindow()

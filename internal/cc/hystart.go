@@ -22,21 +22,6 @@ import (
 //   - ACK train: consecutive closely-spaced ACKs whose span reaches half
 //     the minimum RTT indicate the window has reached the pipe size.
 type HyStart struct {
-	// MinSamples is the number of RTT samples per round before the
-	// detector may fire (default 8, as in Linux).
-	MinSamples int
-	// EtaFraction is the RTT increase fraction that triggers exit
-	// (default 1/8, clamped between EtaMin and EtaMax).
-	EtaFraction float64
-	// EtaMin and EtaMax clamp the absolute RTT-increase threshold
-	// (defaults 4 ms and 16 ms, as in Linux).
-	EtaMin, EtaMax time.Duration
-	// TrainGap is the maximum spacing between ACKs of one train
-	// (default 2 ms, as in Linux).
-	TrainGap time.Duration
-	// DisableTrain turns off the ACK-train detector (ablation).
-	DisableTrain bool
-
 	roundStart   int64 // cwnd value marking the current round
 	lastRoundRTT time.Duration
 	curRoundRTT  time.Duration
@@ -49,16 +34,19 @@ type HyStart struct {
 	trainOpen  bool
 }
 
-// NewHyStart returns a HyStart policy with the Linux defaults.
-func NewHyStart() *HyStart {
-	return &HyStart{
-		MinSamples:  8,
-		EtaFraction: 1.0 / 8,
-		EtaMin:      4 * time.Millisecond,
-		EtaMax:      16 * time.Millisecond,
-		TrainGap:    2 * time.Millisecond,
-	}
-}
+// The Linux constants: 8 RTT samples per round before the delay detector may
+// fire, an exit threshold eta of 1/8 of the last round's RTT clamped to
+// [4 ms, 16 ms], and at most 2 ms between the ACKs of one train.
+const (
+	hystartSamples  = 8
+	hystartEtaShare = 1.0 / 8
+	hystartEtaLo    = 4 * time.Millisecond
+	hystartEtaHi    = 16 * time.Millisecond
+	hystartAckGap   = 2 * time.Millisecond
+)
+
+// NewHyStart returns a HyStart policy.
+func NewHyStart() *HyStart { return new(HyStart) }
 
 // Name identifies the policy.
 func (h *HyStart) Name() string { return "hystart" }
@@ -114,15 +102,15 @@ func (h *HyStart) observe(w Window) {
 	if h.curRoundRTT == 0 || rtt < h.curRoundRTT {
 		h.curRoundRTT = rtt
 	}
-	if h.lastRoundRTT <= 0 || h.samples < h.MinSamples {
+	if h.lastRoundRTT <= 0 || h.samples < hystartSamples {
 		return
 	}
-	eta := time.Duration(float64(h.lastRoundRTT) * h.EtaFraction)
-	if eta < h.EtaMin {
-		eta = h.EtaMin
+	eta := time.Duration(float64(h.lastRoundRTT) * hystartEtaShare)
+	if eta < hystartEtaLo {
+		eta = hystartEtaLo
 	}
-	if eta > h.EtaMax {
-		eta = h.EtaMax
+	if eta > hystartEtaHi {
+		eta = hystartEtaHi
 	}
 	if h.curRoundRTT >= h.lastRoundRTT+eta {
 		// Delay inflation: the path queue is building. Leave slow-start
@@ -133,14 +121,14 @@ func (h *HyStart) observe(w Window) {
 }
 
 // ackTrain runs the ACK-train detector: a run of ACKs spaced at most
-// TrainGap apart whose total span reaches half the minimum RTT means the
-// window has filled the pipe.
+// hystartAckGap apart whose total span reaches half the minimum RTT means
+// the window has filled the pipe.
 func (h *HyStart) ackTrain(w Window) {
-	if h.DisableTrain || h.minRTT <= 0 {
+	if h.minRTT <= 0 {
 		return
 	}
 	now := w.Now()
-	if !h.trainOpen || now.Sub(h.trainLast) > h.TrainGap {
+	if !h.trainOpen || now.Sub(h.trainLast) > hystartAckGap {
 		h.trainStart = now
 		h.trainOpen = true
 	}

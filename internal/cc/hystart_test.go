@@ -52,7 +52,7 @@ func TestHyStartIgnoresSmallJitter(t *testing.T) {
 	w := newWindow()
 	h := NewHyStart()
 	h.Reset(w)
-	// 2 ms of jitter is below EtaMin (4 ms): never exit.
+	// 2 ms of jitter is below hystartEtaLo (4 ms): never exit.
 	base := 60 * time.Millisecond
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
@@ -69,22 +69,28 @@ func TestHyStartIgnoresSmallJitter(t *testing.T) {
 
 func TestHyStartNeedsMinSamples(t *testing.T) {
 	w := newWindow()
+	w.ssthresh = 1 << 40
+	w.cwnd = 10 * 1000
 	h := NewHyStart()
-	h.MinSamples = 50
 	h.Reset(w)
 	w.srtt = 60 * time.Millisecond
 	// Establish a baseline round.
 	for i := 0; i < 30; i++ {
 		w.cwnd += h.Advance(w, 1000)
 	}
-	// Inflate immediately: with only a few samples in the new round the
-	// detector must hold fire.
+	// Open a new round with the RTT already inflated: the detector must
+	// hold fire until the round has hystartSamples samples.
+	w.cwnd = h.roundStart * 3 / 2
 	w.srtt = 120 * time.Millisecond
-	for i := 0; i < 5; i++ {
+	for i := 1; i < hystartSamples; i++ {
 		w.cwnd += h.Advance(w, 1000)
+		if h.Exited() {
+			t.Fatalf("fired after %d samples, before %d", i, hystartSamples)
+		}
 	}
-	if h.Exited() {
-		t.Error("fired before MinSamples")
+	w.cwnd += h.Advance(w, 1000)
+	if !h.Exited() {
+		t.Errorf("did not fire at sample %d", hystartSamples)
 	}
 }
 
@@ -112,7 +118,7 @@ func TestHyStartResetClearsDetector(t *testing.T) {
 func TestHyStartWithRenoIntegration(t *testing.T) {
 	w := newWindow()
 	h := NewHyStart()
-	r := NewReno(RenoConfig{IW: 2, SS: h})
+	r := newRenoWith(RenoConfig{IW: 2}, h)
 	r.Attach(w)
 	if r.Name() != "reno/hystart" {
 		t.Errorf("Name = %q", r.Name())
@@ -165,30 +171,13 @@ func TestHyStartAckTrainResetsOnGap(t *testing.T) {
 	h := NewHyStart()
 	h.Reset(w)
 	w.srtt = 60 * time.Millisecond
-	// Acks spaced past TrainGap never accumulate a train.
+	// Acks spaced past hystartAckGap never accumulate a train.
 	for i := 0; i < 500; i++ {
 		w.now = w.now.Add(5 * time.Millisecond)
 		h.Advance(w, 2000)
 	}
 	if h.Exited() {
-		t.Error("train detector fired despite gaps beyond TrainGap")
-	}
-}
-
-func TestHyStartDisableTrain(t *testing.T) {
-	w := newWindow()
-	w.ssthresh = 1 << 40
-	w.cwnd = 100 * 1000
-	h := NewHyStart()
-	h.DisableTrain = true
-	h.Reset(w)
-	w.srtt = 60 * time.Millisecond
-	for i := 0; i < 1000; i++ {
-		w.now = w.now.Add(240 * time.Microsecond)
-		w.cwnd += h.Advance(w, 2000)
-	}
-	if h.Exited() {
-		t.Error("train detector fired while disabled")
+		t.Error("train detector fired despite gaps beyond hystartAckGap")
 	}
 }
 

@@ -12,8 +12,6 @@ type RenoConfig struct {
 	// InitialSsthresh is the starting slow-start threshold in bytes;
 	// effectively infinite by default, as in Linux.
 	InitialSsthresh int64
-	// SS is NewReno's slow-start growth policy; nil means StdSlowStart.
-	SS SlowStartPolicy
 	// FR, when non-nil, is the flight recorder the controllers record their
 	// multiplicative decreases in (KindMD, old/new ssthresh).
 	FR *telemetry.FlightRecorder
@@ -38,12 +36,13 @@ type Reno struct {
 	inRecovery bool
 }
 
-// NewReno returns a Reno controller on a private copy of cfg, whose zero IW
-// and InitialSsthresh take DefaultRenoConfig's values.
+// NewReno returns a standard slow-start Reno controller on a private copy of
+// cfg, whose zero IW and InitialSsthresh take DefaultRenoConfig's values.
+// Init picks any other slow-start policy.
 func NewReno(cfg RenoConfig) *Reno {
 	cfg.fillDefaults()
 	r := new(Reno)
-	r.Init(&cfg, cfg.SS, 0)
+	r.Init(&cfg, nil, 0)
 	return r
 }
 
@@ -59,8 +58,8 @@ func (c *RenoConfig) fillDefaults() {
 }
 
 // Init (re)initializes the controller in place, unattached, on cfg, which
-// must be filled (DefaultRenoConfig, or NewReno's copy); cfg.SS is not read.
-// ss is this connection's slow-start policy (nil: StdSlowStart), and flow
+// must be filled (DefaultRenoConfig, or NewReno's copy). ss is this
+// connection's slow-start policy (nil: StdSlowStart), and flow
 // names the connection in cfg.FR. Nothing of a previous use survives.
 func (r *Reno) Init(cfg *RenoConfig, ss SlowStartPolicy, flow int32) {
 	if ss == nil {

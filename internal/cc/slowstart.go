@@ -33,16 +33,12 @@ func (s StdSlowStart) Advance(w Window, acked int64) int64 {
 	return inc
 }
 
-// LimitedSlowStart implements RFC 3742: below MaxSsthresh the window grows
-// one MSS per ACK as usual; above it growth is limited to at most
-// MaxSsthresh/2 per RTT, making very large windows ramp linearly rather
-// than exponentially. It is the standards-track alternative the paper's
-// scheme is naturally compared with.
-type LimitedSlowStart struct {
-	// MaxSsthresh is the window (bytes) beyond which growth is limited.
-	// RFC 3742 suggests 100 segments.
-	MaxSsthresh int64
-}
+// LimitedSlowStart implements RFC 3742: up to max_ssthresh, the 100
+// segments RFC 3742 suggests, the window grows one MSS per ACK as usual;
+// above it growth is limited to at most max_ssthresh/2 per RTT, making very
+// large windows ramp linearly rather than exponentially. It is the
+// standards-track alternative the paper's scheme is naturally compared with.
+type LimitedSlowStart struct{}
 
 // Name identifies the policy.
 func (l LimitedSlowStart) Name() string { return "limited" }
@@ -56,10 +52,7 @@ func (l LimitedSlowStart) Reset(Window) {}
 //	else: K = ceil(cwnd / (0.5 max_ssthresh)); cwnd += MSS/K per ACK
 func (l LimitedSlowStart) Advance(w Window, acked int64) int64 {
 	mss := int64(w.MSS())
-	maxSsthresh := l.MaxSsthresh
-	if maxSsthresh <= 0 {
-		maxSsthresh = 100 * mss
-	}
+	maxSsthresh := 100 * mss
 	cwnd := w.Cwnd()
 	if cwnd <= maxSsthresh {
 		return mss

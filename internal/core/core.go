@@ -41,6 +41,10 @@ type QueueSensor interface {
 // the oscillation period at the critical gain is ~14 RTTs.
 var DefaultCritical = pid.Critical{Kc: 2340, Tc: 870 * time.Millisecond}
 
+// allowanceCapSegments bounds the accumulated unspent growth budget: one
+// tick's worth at the default output clamp.
+const allowanceCapSegments = 64
+
 // Config parameterizes Restricted Slow-Start.
 type Config struct {
 	// Sensor is the IFQ being controlled (required).
@@ -58,9 +62,6 @@ type Config struct {
 	// segments per 5 ms tick). Rate units make the loop gain independent
 	// of the control period, so the tick can be varied without retuning.
 	OutMaxSegmentsPerSec float64
-	// AllowanceCapSegments bounds the accumulated unspent growth budget
-	// (default 64 segments).
-	AllowanceCapSegments int
 	// AllowShrink lets a negative controller output actively shrink the
 	// window during slow-start (an ablation; the paper's scheme only
 	// restricts growth).
@@ -86,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutMaxSegmentsPerSec <= 0 {
 		c.OutMaxSegmentsPerSec = 12800
-	}
-	if c.AllowanceCapSegments <= 0 {
-		c.AllowanceCapSegments = 64
 	}
 	if c.Gains == (pid.Gains{}) {
 		c.Gains = pid.PaperGains(DefaultCritical)
@@ -271,7 +269,7 @@ func (r *RestrictedSlowStart) tick() {
 	switch {
 	case u > 0:
 		r.allowance += int64(u * r.dt * float64(mss))
-		cap := int64(r.cfg.AllowanceCapSegments) * mss
+		cap := allowanceCapSegments * mss
 		if r.allowance > cap {
 			r.allowance = cap
 		}

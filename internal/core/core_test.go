@@ -177,12 +177,13 @@ func TestQueueAboveSetpointFreezesGrowth(t *testing.T) {
 
 func TestAllowanceCapBoundsBudget(t *testing.T) {
 	eng := sim.NewEngine()
-	r := newRSS(t, eng, &fakeSensor{len: 0, cap: 100}, Config{AllowanceCapSegments: 10})
+	r := newRSS(t, eng, &fakeSensor{len: 0, cap: 100}, Config{})
 	w := slowStartWindow()
 	r.Reset(w)
 	eng.RunFor(10 * time.Second) // plenty of positive-output ticks
-	if r.Allowance() > 10*1000 {
-		t.Errorf("allowance = %d exceeds cap of 10 segments", r.Allowance())
+	if want := int64(allowanceCapSegments * w.MSS()); r.Allowance() != want {
+		t.Errorf("allowance = %d after 10 s of unspent budget, want the cap of %d segments (%d B)",
+			r.Allowance(), allowanceCapSegments, want)
 	}
 }
 
@@ -282,7 +283,9 @@ func TestRenoWithRSSInSlowStartSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := cc.NewReno(cc.RenoConfig{SS: rss})
+	renoCfg := cc.DefaultRenoConfig()
+	ctrl := new(cc.Reno)
+	ctrl.Init(&renoCfg, rss, 0)
 	if ctrl.Name() != "reno/restricted" {
 		t.Errorf("Name = %q, want reno/restricted", ctrl.Name())
 	}

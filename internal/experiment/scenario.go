@@ -620,6 +620,23 @@ func (s *Scenario) Reset(cfg Config) error {
 // is rebuilt from cfg, so a run is bit-identical whether its context is new
 // or reused.
 func (s *Scenario) init(in *Config) error {
+	// A negative duration, start time, size, MSS or tick is an error, not a
+	// default.
+	if in.Duration < 0 {
+		return fmt.Errorf("experiment: negative duration %v", in.Duration)
+	}
+	for i, f := range in.Flows {
+		switch {
+		case f.StartAt < 0:
+			return fmt.Errorf("experiment: flow %d: negative start time %v", i, f.StartAt)
+		case f.Bytes < 0:
+			return fmt.Errorf("experiment: flow %d: negative transfer size %d bytes", i, f.Bytes)
+		case f.MSS < 0:
+			return fmt.Errorf("experiment: flow %d: negative MSS %d", i, f.MSS)
+		case f.Tick < 0:
+			return fmt.Errorf("experiment: flow %d: negative control tick %v", i, f.Tick)
+		}
+	}
 	s.Cfg = *in
 	cfg := &s.Cfg
 	cfg.fillDefaults()

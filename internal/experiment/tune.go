@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"rsstcp/internal/pid"
@@ -57,10 +58,14 @@ func TuneOptions() zntune.Options {
 	}
 }
 
-// Tune runs the Ziegler-Nichols procedure on the path and derives gains
-// with the given rule (pid.RulePaper for the paper's constants).
+// Tune runs the Ziegler-Nichols procedure on the path, each probe lasting
+// duration (zero means 30 s), and derives gains with the given rule
+// (pid.RulePaper for the paper's constants).
 func Tune(path PathConfig, duration time.Duration, rule pid.Rule) (zntune.Result, pid.Gains, error) {
-	if duration <= 0 {
+	if duration < 0 {
+		return zntune.Result{}, pid.Gains{}, fmt.Errorf("experiment: negative probe duration %v", duration)
+	}
+	if duration == 0 {
 		duration = 30 * time.Second
 	}
 	res, err := zntune.Tune(TunePlant(path, duration), TuneOptions())

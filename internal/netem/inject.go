@@ -9,14 +9,10 @@ import (
 )
 
 // Loss drops each passing segment independently with probability P.
-// Deterministic failure injection is available through DropEvery.
 type Loss struct {
 	// P is the independent drop probability in [0, 1].
 	P float64
-	// DropEvery, when > 0, deterministically drops every Nth segment
-	// (counted from 1) in addition to random losses. Useful in tests.
-	DropEvery int
-	// RNG supplies randomness; nil means never drop randomly.
+	// RNG supplies randomness; nil means never drop.
 	RNG  *sim.RNG
 	Next Receiver
 	// FR records each injected drop (KindLossInject) at Eng's current time
@@ -33,23 +29,15 @@ type Loss struct {
 // Receive drops or forwards the segment. Dropped segments are released.
 func (l *Loss) Receive(seg *packet.Segment) {
 	l.seen++
-	if l.DropEvery > 0 && l.seen%int64(l.DropEvery) == 0 {
-		l.drop(seg)
-		return
-	}
 	if l.P > 0 && l.RNG != nil && l.RNG.Bool(l.P) {
-		l.drop(seg)
+		l.dropped++
+		if l.FR != nil {
+			l.FR.Record(l.Eng.Now(), telemetry.KindLossInject, int32(seg.Flow), l.Hop, seg.Seq, 0)
+		}
+		seg.Release()
 		return
 	}
 	l.Next.Receive(seg)
-}
-
-func (l *Loss) drop(seg *packet.Segment) {
-	l.dropped++
-	if l.FR != nil {
-		l.FR.Record(l.Eng.Now(), telemetry.KindLossInject, int32(seg.Flow), l.Hop, seg.Seq, 0)
-	}
-	seg.Release()
 }
 
 // Dropped returns how many segments were discarded.

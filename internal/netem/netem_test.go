@@ -231,17 +231,30 @@ func TestLinkPanicsOnBadArgs(t *testing.T) {
 	}
 }
 
+// TestLossDeterministic: P 1 drops every segment and P 0 none, whatever
+// the stream, and a Loss without an RNG never drops.
 func TestLossDeterministic(t *testing.T) {
-	sink := &Sink{}
-	l := &Loss{DropEvery: 3, Next: sink}
-	for i := 0; i < 9; i++ {
-		l.Receive(seg(1))
-	}
-	if sink.Packets != 6 || l.Dropped() != 3 {
-		t.Errorf("delivered=%d dropped=%d, want 6/3", sink.Packets, l.Dropped())
-	}
-	if l.Seen() != 9 {
-		t.Errorf("Seen = %d, want 9", l.Seen())
+	for _, row := range []struct {
+		l    Loss
+		want int // segments delivered of 9
+	}{
+		{Loss{P: 1, RNG: sim.NewRNG(1)}, 0},
+		{Loss{P: 0, RNG: sim.NewRNG(1)}, 9},
+		{Loss{P: 1}, 9},
+	} {
+		sink := &Sink{}
+		l := row.l
+		l.Next = sink
+		for i := 0; i < 9; i++ {
+			l.Receive(seg(1))
+		}
+		if sink.Packets != row.want || l.Dropped() != int64(9-row.want) {
+			t.Errorf("P=%v rng=%v: delivered=%d dropped=%d, want %d/%d",
+				row.l.P, row.l.RNG != nil, sink.Packets, l.Dropped(), row.want, 9-row.want)
+		}
+		if l.Seen() != 9 {
+			t.Errorf("P=%v rng=%v: Seen = %d, want 9", row.l.P, row.l.RNG != nil, l.Seen())
+		}
 	}
 }
 

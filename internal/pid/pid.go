@@ -44,9 +44,6 @@ type Config struct {
 	// only while |error| <= IntegralBand, so long ramps far from the set
 	// point cannot wind it up. Zero integrates unconditionally.
 	IntegralBand float64
-	// DerivativeOnError computes the D term on the error instead of the
-	// (negated) process variable; off by default to avoid set-point kick.
-	DerivativeOnError bool
 	// DerivativeAlpha in [0,1) low-pass filters the derivative
 	// (0 = unfiltered, larger = smoother).
 	DerivativeAlpha float64
@@ -58,9 +55,8 @@ type Controller struct {
 	cfg      Config
 	integral float64 // ∫E dt, in units of (error × seconds)
 	lastPV   float64
-	lastErr  float64
 	dState   float64 // filtered derivative
-	primed   bool    // lastPV/lastErr valid
+	primed   bool    // lastPV valid
 	lastOut  float64
 }
 
@@ -151,15 +147,11 @@ func (c *Controller) Update(pv float64, dt time.Duration) float64 {
 		iTerm = c.integral / g.Ti.Seconds()
 	}
 
-	// Derivative on measurement (or error), low-pass filtered.
+	// Derivative on measurement, low-pass filtered: a set-point change
+	// kicks nothing.
 	var dTerm float64
 	if g.Td > 0 && c.primed {
-		var raw float64
-		if c.cfg.DerivativeOnError {
-			raw = (e - c.lastErr) / dts
-		} else {
-			raw = -(pv - c.lastPV) / dts
-		}
+		raw := -(pv - c.lastPV) / dts
 		a := c.cfg.DerivativeAlpha
 		c.dState = a*c.dState + (1-a)*raw
 		dTerm = g.Td.Seconds() * c.dState
@@ -182,7 +174,6 @@ func (c *Controller) Update(pv float64, dt time.Duration) float64 {
 	}
 
 	c.lastPV = pv
-	c.lastErr = e
 	c.primed = true
 	c.lastOut = u
 	return u

@@ -95,18 +95,6 @@ func TestDerivativeOnMeasurementAvoidsSetpointKick(t *testing.T) {
 	}
 }
 
-func TestDerivativeOnErrorKicks(t *testing.T) {
-	cfg := baseConfig(Gains{Kp: 1, Td: time.Second})
-	cfg.DerivativeOnError = true
-	c := mustNew(t, cfg)
-	c.Update(5, 100*time.Millisecond)
-	c.SetSetpoint(50)
-	u := c.Update(5, 100*time.Millisecond)
-	if u <= 45 {
-		t.Errorf("u = %v, want > 45 (derivative kick on error step)", u)
-	}
-}
-
 func TestOutputClamped(t *testing.T) {
 	cfg := Config{Gains: Gains{Kp: 100}, Setpoint: 10, OutMin: -5, OutMax: 5}
 	c := mustNew(t, cfg)

@@ -10,8 +10,7 @@ import (
 
 // TestFillDefaultsIdempotent: filling a filled config changes no field, so a
 // config filled once by its owner and again by anyone holding a copy reads
-// the same. MaxBurst -1 ("no cap") used to come back 0 from the first fill
-// and 8, the default cap, from the second.
+// the same.
 func TestFillDefaultsIdempotent(t *testing.T) {
 	rows := []struct {
 		name string
@@ -19,14 +18,12 @@ func TestFillDefaultsIdempotent(t *testing.T) {
 	}{
 		{"zero", Config{}},
 		{"default", DefaultConfig()},
-		{"unlimited burst", Config{MaxBurst: -1}},
 		{"negative fields", Config{
-			MSS: -1, RcvWnd: -1, AckEvery: -1, DelAckTimeout: -1, DupThresh: -1,
+			MSS: -1, RcvWnd: -1, AckEvery: -1, DelAckTimeout: -1,
 			MinRTO: -1, MaxRTO: -1, InitialRTO: -1, RTOGranularity: -1,
 		}},
 		{"every field set", Config{
-			MSS: 1000, RcvWnd: 1 << 16, AckEvery: 1, DelAckTimeout: time.Millisecond,
-			DupThresh: 2, SACK: true, LimitedTransmit: true, MaxBurst: 3,
+			MSS: 1000, RcvWnd: 1 << 16, AckEvery: 1, DelAckTimeout: time.Millisecond, SACK: true,
 			MinRTO: time.Millisecond, MaxRTO: time.Second, InitialRTO: 3 * time.Second,
 			RTOGranularity: time.Microsecond, Stall: StallWait, Pool: packet.NewPool(),
 			Table: NewFlowTable(1),
@@ -41,10 +38,6 @@ func TestFillDefaultsIdempotent(t *testing.T) {
 		// in every row, where DeepEqual and == agree.
 		if !reflect.DeepEqual(twice, once) {
 			t.Errorf("%s: fill(fill(c)) = %+v, fill(c) = %+v", row.name, twice, once)
-		}
-		if row.cfg.MaxBurst < 0 && once.MaxBurst >= 0 {
-			t.Errorf("%s: fill turned the unlimited MaxBurst %d into cap %d",
-				row.name, row.cfg.MaxBurst, once.MaxBurst)
 		}
 	}
 }

@@ -25,6 +25,7 @@ type loopOpts struct {
 	routerQLen int
 	owd        time.Duration // one-way propagation delay
 	fwdLoss    *netem.Loss   // optional loss injector after the bottleneck
+	fwdDrop    *dropEvery    // optional deterministic dropper after the loss injector
 	cfg        Config
 	ctrl       cc.Controller
 }
@@ -70,9 +71,30 @@ func buildLoop(o loopOpts) *loop {
 		o.fwdLoss.Next = fwd
 		fwd = o.fwdLoss
 	}
+	if o.fwdDrop != nil {
+		o.fwdDrop.next = fwd
+		fwd = o.fwdDrop
+	}
 	l.nic = host.NewInterface(eng, host.InterfaceConfig{Rate: o.nicRate, TxQueueLen: o.txqueuelen}, fwd)
 	l.snd = NewSender(eng, o.cfg, 1, o.ctrl, l.nic)
 	return l
+}
+
+// dropEvery drops every nth segment it sees, counted from 1: the
+// deterministic losses the recovery tests need.
+type dropEvery struct {
+	n, seen, dropped int
+	next             netem.Receiver
+}
+
+func (d *dropEvery) Receive(seg *packet.Segment) {
+	d.seen++
+	if d.seen%d.n == 0 {
+		d.dropped++
+		seg.Release()
+		return
+	}
+	d.next.Receive(seg)
 }
 
 func TestLoopTransferCompletes(t *testing.T) {
@@ -147,10 +169,10 @@ func TestLoopDelayedAckRatio(t *testing.T) {
 }
 
 func TestLoopRecoversFromPeriodicLoss(t *testing.T) {
-	loss := &netem.Loss{DropEvery: 97}
+	loss := &dropEvery{n: 97}
 	l := buildLoop(loopOpts{
 		cfg:     Config{MSS: 1000},
-		fwdLoss: loss,
+		fwdDrop: loss,
 	})
 	const total = 2 << 20
 	done := false
@@ -169,7 +191,7 @@ func TestLoopRecoversFromPeriodicLoss(t *testing.T) {
 	if st.FastRetran == 0 {
 		t.Error("no fast retransmissions despite periodic loss")
 	}
-	if loss.Dropped() == 0 {
+	if loss.dropped == 0 {
 		t.Error("loss injector never dropped")
 	}
 }
@@ -193,10 +215,9 @@ func TestLoopRecoversFromHeavyRandomLoss(t *testing.T) {
 }
 
 func TestLoopSACKTransferUnderLoss(t *testing.T) {
-	loss := &netem.Loss{DropEvery: 113}
 	l := buildLoop(loopOpts{
 		cfg:     Config{MSS: 1000, SACK: true},
-		fwdLoss: loss,
+		fwdDrop: &dropEvery{n: 113},
 	})
 	const total = 2 << 20
 	done := false

@@ -322,7 +322,7 @@ func (s *Sender) trySend() {
 	}
 	burst := 0
 	for {
-		if s.cfg.MaxBurst > 0 && burst >= s.cfg.MaxBurst {
+		if burst >= maxBurst {
 			// Burst cap: later ACKs (or the NIC waker) release more.
 			return
 		}
@@ -333,7 +333,8 @@ func (s *Sender) trySend() {
 			return
 		}
 		n := int(min(int64(s.cfg.MSS), avail))
-		wnd := s.effectiveWindow()
+		// No RFC 3042 limited transmit: duplicate ACKs release no new data.
+		wnd := min(s.row().cwnd, s.row().rwnd)
 		inFlight := s.FlightSize()
 		if s.inRecovery && s.cfg.SACK {
 			// RFC 6675: during SACK recovery transmission is governed
@@ -370,17 +371,6 @@ func (s *Sender) trySend() {
 			s.rto.Arm(s.est.RTO())
 		}
 	}
-}
-
-// effectiveWindow is min(cwnd, rwnd) plus the RFC 3042 limited-transmit
-// allowance during the first duplicate ACKs.
-func (s *Sender) effectiveWindow() int64 {
-	wnd := min(s.row().cwnd, s.row().rwnd)
-	if s.cfg.LimitedTransmit && !s.inRecovery &&
-		s.dupAcks > 0 && int(s.dupAcks) < s.cfg.DupThresh {
-		wnd += int64(s.dupAcks) * int64(s.cfg.MSS)
-	}
-	return wnd
 }
 
 // send builds and transmits one segment of n bytes at seq and counts it. On
@@ -635,7 +625,7 @@ func (s *Sender) onDupAck() {
 		if !s.cfg.SACK {
 			s.ctrl.OnDupAck()
 		}
-	case int(s.dupAcks) == s.cfg.DupThresh:
+	case s.dupAcks == dupThresh:
 		// RFC 6582 "careful" variant (non-SACK): duplicate ACKs at or
 		// below the previous recovery point are echoes of segments
 		// retransmitted during that recovery; re-entering would cut the

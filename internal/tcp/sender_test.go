@@ -392,22 +392,6 @@ func TestSenderStallCongestionOncePerWindow(t *testing.T) {
 	}
 }
 
-func TestSenderLimitedTransmit(t *testing.T) {
-	eng := sim.NewEngine()
-	s, path := newTestSender(eng, Config{MSS: 1000, LimitedTransmit: true})
-	s.Supply(1 << 20)
-	// cwnd = 2000, flight = 2000: normally nothing more may go out.
-	sentBefore := len(path.sent)
-	dupAck(s, 0)
-	if len(path.sent) != sentBefore+1 {
-		t.Errorf("limited transmit sent %d new segments, want 1", len(path.sent)-sentBefore)
-	}
-	dupAck(s, 0)
-	if len(path.sent) != sentBefore+2 {
-		t.Errorf("second dup ack sent %d total, want 2", len(path.sent)-sentBefore)
-	}
-}
-
 func TestSenderDupAckRequiresOutstandingData(t *testing.T) {
 	eng := sim.NewEngine()
 	s, _ := newTestSender(eng, Config{MSS: 1000})
@@ -512,8 +496,13 @@ func TestSenderRecordListFollowsWindow(t *testing.T) {
 // keeps the paper path from copying its whole flight on every append.
 func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 	eng := sim.NewEngine()
-	s := NewSender(eng, Config{MSS: 1000, MaxBurst: -1}, 1, cc.NewReno(cc.RenoConfig{IW: 1200}), sinkPath{})
+	s := NewSender(eng, Config{MSS: 1000}, 1, cc.NewReno(cc.RenoConfig{IW: 1200}), sinkPath{})
 	s.Supply(1 << 40)
+	// Each send opportunity releases at most maxBurst segments; repeat
+	// them until the 1200-segment initial window is in flight.
+	for i := 0; i < 1200/maxBurst; i++ {
+		s.trySend()
+	}
 	if n := len(s.live()); n < 1000 {
 		t.Fatalf("%d records in flight, want ≥ 1000", n)
 	}

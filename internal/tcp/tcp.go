@@ -50,6 +50,16 @@ func (p StallPolicy) String() string {
 	}
 }
 
+const (
+	// dupThresh is the duplicate-ACK count that triggers fast retransmit.
+	dupThresh = 3
+	// maxBurst caps the segments one send opportunity (one ACK arrival,
+	// one waker) releases, the ns-2/BSD classic: large cumulative ACKs —
+	// recovery exit, hole repair — would otherwise dump hundreds of
+	// segments into the IFQ at once.
+	maxBurst = 8
+)
+
 // Config carries the connection parameters shared by sender and receiver,
 // and the wiring every connection of a simulation shares: engine, segment
 // pool, timer wheel, flow table, flight recorder, completion hook. Endpoints
@@ -68,18 +78,8 @@ type Config struct {
 	AckEvery int
 	// DelAckTimeout bounds how long an ACK may be delayed (Linux: 40 ms).
 	DelAckTimeout time.Duration
-	// DupThresh is the duplicate-ACK count triggering fast retransmit.
-	DupThresh int
 	// SACK enables selective-acknowledgment generation and use.
 	SACK bool
-	// LimitedTransmit enables RFC 3042 (send new data on first dupACKs).
-	LimitedTransmit bool
-	// MaxBurst caps the segments released by one send opportunity (one
-	// ACK arrival, one waker). Large cumulative ACKs — recovery exit,
-	// hole repair — otherwise dump hundreds of segments into the IFQ at
-	// once. Zero selects the default of 8 (the ns-2/BSD classic); a
-	// negative value disables the cap.
-	MaxBurst int
 	// MinRTO, MaxRTO, InitialRTO parameterize RFC 6298 (Linux values).
 	MinRTO     time.Duration
 	MaxRTO     time.Duration
@@ -119,9 +119,7 @@ func DefaultConfig() Config {
 		RcvWnd:         4 << 20,
 		AckEvery:       2,
 		DelAckTimeout:  40 * time.Millisecond,
-		DupThresh:      3,
 		SACK:           false,
-		MaxBurst:       8,
 		MinRTO:         200 * time.Millisecond,
 		MaxRTO:         120 * time.Second,
 		InitialRTO:     time.Second,
@@ -145,12 +143,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DelAckTimeout <= 0 {
 		c.DelAckTimeout = d.DelAckTimeout
-	}
-	if c.DupThresh <= 0 {
-		c.DupThresh = d.DupThresh
-	}
-	if c.MaxBurst == 0 {
-		c.MaxBurst = d.MaxBurst
 	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = d.MinRTO

@@ -61,7 +61,7 @@ func (s *Series) At(t sim.Time) float64 {
 type Recorder struct {
 	eng    *sim.Engine
 	series map[string]*Series
-	order  []string
+	order  []*Series // registration order, WriteCSV's column order
 	ticker *sim.Ticker
 	gauges []gauge
 }
@@ -82,7 +82,7 @@ func (r *Recorder) Series(name string) *Series {
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
-		r.order = append(r.order, name)
+		r.order = append(r.order, s)
 	}
 	return s
 }
@@ -121,20 +121,15 @@ func (r *Recorder) StopSampling() {
 	}
 }
 
-// WriteCSV renders the named series as aligned rows on a shared time grid:
-// the union of all timestamps, with each series contributing its
-// latest-at-or-before value (step interpolation).
-func (r *Recorder) WriteCSV(w io.Writer, names ...string) error {
-	if len(names) == 0 {
-		names = r.order
-	}
+// WriteCSV renders every series, in registration order, as aligned rows on
+// a shared time grid: the union of all timestamps, with each series
+// contributing its latest-at-or-before value (step interpolation).
+func (r *Recorder) WriteCSV(w io.Writer) error {
 	// Collect the union of timestamps.
 	tset := map[sim.Time]struct{}{}
-	for _, n := range names {
-		s, ok := r.series[n]
-		if !ok {
-			return fmt.Errorf("trace: unknown series %q", n)
-		}
+	names := make([]string, len(r.order))
+	for i, s := range r.order {
+		names[i] = s.Name
 		for _, p := range s.Points {
 			tset[p.T] = struct{}{}
 		}
@@ -151,8 +146,8 @@ func (r *Recorder) WriteCSV(w io.Writer, names ...string) error {
 	for _, t := range times {
 		row := make([]string, 0, len(names)+1)
 		row = append(row, fmt.Sprintf("%.6f", t.Seconds()))
-		for _, n := range names {
-			row = append(row, fmt.Sprintf("%g", r.series[n].At(t)))
+		for _, s := range r.order {
+			row = append(row, fmt.Sprintf("%g", s.At(t)))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err

@@ -92,7 +92,7 @@ func TestWriteCSVAlignsSeries(t *testing.T) {
 	eng.Schedule(sim.At(2*time.Second), func() { rec.Series("y").Add(eng.Now(), 9) })
 	eng.Run()
 	var sb strings.Builder
-	if err := rec.WriteCSV(&sb, "x", "y"); err != nil {
+	if err := rec.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -107,13 +107,5 @@ func TestWriteCSVAlignsSeries(t *testing.T) {
 	}
 	if lines[2] != "2.000000,1,9" {
 		t.Errorf("row2 = %q, want %q", lines[2], "2.000000,1,9")
-	}
-}
-
-func TestWriteCSVUnknownSeries(t *testing.T) {
-	rec := NewRecorder(sim.NewEngine())
-	var sb strings.Builder
-	if err := rec.WriteCSV(&sb, "nope"); err == nil {
-		t.Error("unknown series did not error")
 	}
 }

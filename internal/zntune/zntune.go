@@ -51,10 +51,10 @@ type Options struct {
 	// DecayTol is the tolerated deviation of the peak decay ratio from 1
 	// for "sustained" (default 0.3).
 	DecayTol float64
-	// SettleFraction of each trajectory is discarded as transient
-	// (default 0.25).
-	SettleFraction float64
 }
+
+// settleFraction of each trajectory is discarded as transient.
+const settleFraction = 0.25
 
 func (o Options) withDefaults() Options {
 	if o.KpStart <= 0 {
@@ -74,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DecayTol <= 0 {
 		o.DecayTol = 0.3
-	}
-	if o.SettleFraction <= 0 || o.SettleFraction >= 1 {
-		o.SettleFraction = 0.25
 	}
 	return o
 }
@@ -108,7 +105,7 @@ func Tune(plant Plant, opt Options) (Result, error) {
 
 	probe := func(kp float64) Trial {
 		t, pv := plant.RunP(kp)
-		t, pv = discardTransient(t, pv, opt.SettleFraction)
+		t, pv = discardTransient(t, pv, settleFraction)
 		osc := stats.AnalyzeOscillation(t, pv, opt.MinProminence, opt.DecayTol)
 		tr := Trial{
 			Kp:        kp,

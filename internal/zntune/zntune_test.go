@@ -139,8 +139,7 @@ func TestTrialsRecordSweepShape(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.KpStart <= 0 || o.KpMax <= o.KpStart || o.Factor <= 1 ||
-		o.Refine <= 0 || o.MinProminence <= 0 || o.DecayTol <= 0 ||
-		o.SettleFraction <= 0 || o.SettleFraction >= 1 {
+		o.Refine <= 0 || o.MinProminence <= 0 || o.DecayTol <= 0 {
 		t.Errorf("bad defaults: %+v", o)
 	}
 }
