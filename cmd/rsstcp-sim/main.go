@@ -91,8 +91,9 @@ func main() {
 	}
 	plan := rsstcp.Plan{Axes: axes.Axes(trail...), Duration: *duration, Base: rsstcp.Options{
 		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
-	if *maxflows > 0 {
-		// -maxflows is no axis, so the rule table cannot see it meet -bytes.
+	if *maxflows != 0 {
+		// -maxflows is no axis, so the rule table cannot see it meet -bytes;
+		// a negative cap is Validate's to refuse.
 		if axes.Set("bytes") {
 			fatal(fmt.Errorf("-bytes conflicts with a dynamic workload; transfer sizes come from -fsize"))
 		}

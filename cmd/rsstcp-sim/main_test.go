@@ -79,7 +79,7 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		"-hops 0", "-hops 2000000000", "-alg bogus", "-topo bogus", "-load 0",
 		"-topo parking-lot -hop rate=100,delay=10ms,queue=50", "-arrivals poisson:10 -bytes 1000",
 		"-maxflows 5 -bytes 1000", "-arrivals poisson:1e10 -maxflows 10 -duration 1ms",
-		"-duration -1s",
+		"-duration -1s", "-load 0.5 -maxflows -4", "-retain -7",
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(args)...)

@@ -35,11 +35,10 @@ type Axis struct {
 	// Values are the points swept along this axis, in declaration order.
 	Values []Value
 	// err records the first construction error: an unknown stock name, a
-	// value that does not convert, or one outside the domain (e.g. a
-	// non-positive bandwidth). The experiment harness silently replaces
-	// out-of-range values with paper defaults, so an unvalidated axis
-	// would run the default while its cell label claims the bad value;
-	// Plan.Validate surfaces the error before anything runs.
+	// value that does not convert, or one its dimension's check refuses (a
+	// zero that would run the default under a "0" label, say). Plan.Validate
+	// surfaces it before anything runs; whether a value's config is in the
+	// domain, Plan.Validate asks experiment.Config.Validate.
 	err error
 }
 
@@ -102,7 +101,10 @@ func (p Plan) withDefaults() Plan {
 // crash the runner: duplicate or malformed axis names, stock axes the rule
 // table (rules.go) forbids together or in that order, empty axes, duplicate
 // or malformed value labels, nil mutators, unnamed or nil metrics, and a
-// negative Replicates or Duration (zero means the default).
+// negative Replicates or Duration (zero means the default). It also rejects
+// a plan that would run a config experiment.Config.Validate refuses: the
+// Base, and each axis value applied to a copy of it — once per value, not
+// per cell.
 func (p Plan) Validate() error {
 	if p.Replicates < 0 {
 		return fmt.Errorf("campaign: negative replicate count %d", p.Replicates)
@@ -142,6 +144,21 @@ func (p Plan) Validate() error {
 			seenVal[v.Label] = true
 			if v.Set == nil {
 				return fmt.Errorf("campaign: axis %q value %q has no mutator", a.Name, v.Label)
+			}
+		}
+	}
+	base := p.Base
+	base.Duration = p.Duration
+	if err := base.Validate(); err != nil {
+		return fmt.Errorf("campaign: base config: %v", err)
+	}
+	var cfg experiment.Config
+	for _, a := range p.Axes {
+		for _, v := range a.Values {
+			cloneConfig(&cfg, &base)
+			v.Set(&cfg)
+			if err := cfg.Validate(); err != nil {
+				return fmt.Errorf("campaign: axis %q: %v", a.Name, err)
 			}
 		}
 	}

@@ -235,10 +235,10 @@ func TestNegativeCountsRejected(t *testing.T) {
 	}
 }
 
-// TestPlanValidateRejectsOutOfDomainValues: the experiment harness silently
-// replaces out-of-range values with paper defaults, so an unvalidated axis
-// would run the default while its label claims the bad value. Every stock
-// declaration must catch its domain at construction.
+// TestPlanValidateRejectsOutOfDomainValues: an axis value whose config
+// experiment.Config.Validate refuses, or whose zero would run the default
+// under a "0" label, fails Plan.Validate before anything runs; neither may
+// run a default while its label claims the value.
 func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 	bad := []Axis{
 		dimBW.axis(0),
@@ -257,7 +257,7 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 			t.Errorf("axis %d (%s) accepted an out-of-domain value", i, a.Name)
 		}
 	}
-	// The registry records the same domain errors on the axis.
+	// Values built through the registry meet the same checks.
 	for _, c := range []struct {
 		name string
 		v    any
@@ -328,8 +328,9 @@ func TestNewAxisRegistry(t *testing.T) {
 	if NewAxis("setpoint").err == nil {
 		t.Error("empty value list accepted")
 	}
-	if NewAxis("alg", "nope").err == nil {
-		t.Error("unknown algorithm accepted")
+	if err := (Plan{Axes: []Axis{NewAxis("alg", "nope")}}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), `unknown algorithm "nope"`) {
+		t.Errorf("unknown algorithm: Validate = %v", err)
 	}
 	if NewAxis("rtt", "not-a-duration").err == nil {
 		t.Error("bad duration accepted")

@@ -63,8 +63,8 @@ func TestFCTMetricsEmptyResult(t *testing.T) {
 	}
 }
 
-// TestChurnAxisSpecValidation: malformed arrival/size specs fail at axis
-// construction — never a default running under a lying cell label.
+// TestChurnAxisSpecValidation: malformed arrival/size specs fail Plan.Validate
+// — never a default running under a lying cell label.
 func TestChurnAxisSpecValidation(t *testing.T) {
 	t.Parallel()
 	for _, bad := range []struct {
@@ -83,7 +83,7 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 		{"load", math.NaN()},
 		{"load", math.Inf(1)},
 	} {
-		if NewAxis(bad.name, bad.v).err == nil {
+		if (Plan{Axes: []Axis{NewAxis(bad.name, bad.v)}}).Validate() == nil {
 			t.Errorf("bad churn axis value %s=%v accepted", bad.name, bad.v)
 		}
 	}

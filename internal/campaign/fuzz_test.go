@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +11,18 @@ import (
 )
 
 // FuzzParseAxis: the CLIs' one axis parser never panics, an axis it rejects
-// carries its error to Plan.Validate, and an axis it accepts (a) survives Plan.Validate unless two tokens collapsed to one
-// label, (b) imprints only finite, in-range numbers and parseable specs on a
-// configuration, and (c) — except for the bandwidth axes, whose labels carry
-// a unit the parser does not take — re-parses from its own labels to the same
-// labels. The non-finite seeds in testdata/fuzz used to be accepted:
-// `-loss NaN` ran and printed a NaN cell, `-load Inf` hung; so did the two
-// -huge ones, whose mutators then died allocating (`-flows 3000000000` asked
-// for a 408 GB flow list). An accepted value is applied to a configuration
-// here, so the bounds also cap what one execution allocates (a 1<<20-entry
-// flow list, ~140 MB).
+// carries its error to Plan.Validate, and for an axis it accepts (a) a value
+// Plan.Validate rejects is one that outOfRange flags, and vice versa, and
+// (b) — except for the bandwidth axes, whose labels carry a unit the parser
+// does not take — the axis re-parses from its own labels to the same labels.
+// outOfRange is written apart from experiment.Config.Validate, which
+// Plan.Validate asks, so the two hold each other to one domain. The
+// non-finite seeds in testdata/fuzz used to be accepted: `-loss NaN` ran and
+// printed a NaN cell, `-load Inf` hung; so did the two -huge ones, whose
+// mutators then died allocating (`-flows 3000000000` asked for a 408 GB flow
+// list). A value is applied to a configuration here, so the flow count's
+// bound also caps what one execution allocates (a 1<<20-entry flow list,
+// ~140 MB).
 func FuzzParseAxis(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, csv string) {
 		a := ParseAxis(name, strings.Split(csv, ","))
@@ -29,16 +32,17 @@ func FuzzParseAxis(f *testing.F) {
 			}
 			return
 		}
-		if err := (Plan{Axes: []Axis{a}}).Validate(); err != nil && !strings.Contains(err.Error(), "duplicate value") {
-			t.Fatalf("%s=%q parsed but does not validate: %v", name, csv, err)
-		}
 		labels := make([]string, len(a.Values))
 		for i, v := range a.Values {
 			labels[i] = v.Label
+			if v.Label == "" || strings.ContainsAny(v.Label, "=/") {
+				continue // label syntax is Plan.Validate's own rule, not the domain's
+			}
+			err := (Plan{Axes: []Axis{{Name: a.Name, Values: []Value{v}}}}).Validate()
 			var cfg experiment.Config
 			v.Set(&cfg)
-			if msg := outOfRange(cfg); msg != "" {
-				t.Fatalf("%s=%q value %q sets %s", name, csv, v.Label, msg)
+			if msg := outOfRange(cfg); (err != nil) != (msg != "") {
+				t.Fatalf("%s=%q value %q: Plan.Validate = %v, outOfRange = %q", name, csv, v.Label, err, msg)
 			}
 		}
 		if name == "bw" || name == "nic" || name == "rbw" {
@@ -69,8 +73,15 @@ func outOfRange(cfg experiment.Config) string {
 		return "a negative rate"
 	case p.RTT < 0 || p.RouterQueue < 0 || p.TxQueueLen < 0 || p.Hops < 0:
 		return "a negative path dimension"
+	case p.Hops > experiment.MaxHops:
+		return "Path.Hops beyond MaxHops"
+	case p.AQM != "" && !slices.Contains(experiment.QueueDisciplines(), p.AQM):
+		return "Path.AQM"
 	}
 	for _, fl := range cfg.Flows {
+		if fl.Alg != "" && !slices.Contains(experiment.Algorithms(), fl.Alg) {
+			return "an unknown algorithm"
+		}
 		if !unit(fl.SetpointFraction) || fl.Tick < 0 || fl.MSS < 0 || fl.Bytes < 0 {
 			return "a flow field out of range"
 		}

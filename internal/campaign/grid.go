@@ -61,23 +61,15 @@ func (g Grid) withDefaults() Grid {
 	if len(g.FlowCounts) == 0 {
 		g.FlowCounts = []int{1}
 	}
-	if g.Replicates <= 0 {
-		g.Replicates = 1
-	}
-	if g.Duration <= 0 {
-		g.Duration = 25 * time.Second
-	}
-	if g.BaseSeed == 0 {
-		g.BaseSeed = 1
-	}
 	return g
 }
 
 // Plan compiles the grid to a campaign plan: the seven fixed fields become
 // stock axes in canonical order — bandwidth outermost, then RTT, router
 // queue, txqueuelen, loss, algorithm, and flow count innermost — plus the
-// stock metrics. The declarations' range checks mark out-of-range values;
-// Plan.Validate surfaces that before anything runs.
+// stock metrics. Replicates, Duration and BaseSeed pass through as they are:
+// the plan defaults their zeros and Plan.Validate refuses what is out of
+// domain, axis values included, before anything runs.
 func (g Grid) Plan() Plan {
 	g = g.withDefaults()
 	return Plan{

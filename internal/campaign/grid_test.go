@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,6 +56,26 @@ func TestGridDefaultsCollapseToPaperPath(t *testing.T) {
 	}
 	if got, paper := cells[0].Config.Path, experiment.PaperPath(); got != paper {
 		t.Errorf("default cell path = %+v, want paper path %+v", got, paper)
+	}
+}
+
+// TestGridNegativeCountsRejected: a Grid hands Replicates and Duration to
+// its Plan as they are, so a negative one fails Validate and ExecutePlan.
+// Grid used to default them a second time, and ran one replicate of 25 s.
+func TestGridNegativeCountsRejected(t *testing.T) {
+	for _, row := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Replicates: -3, Duration: 10 * time.Millisecond}, "negative replicate count -3"},
+		{Grid{Duration: -time.Second}, "negative run duration -1s"},
+	} {
+		if err := row.g.Plan().Validate(); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%+v: Validate = %v, want %q", row.g, err, row.want)
+		}
+		if _, err := ExecutePlan(row.g.Plan(), Options{}); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%+v: ExecutePlan = %v, want %q", row.g, err, row.want)
+		}
 	}
 }
 

@@ -300,19 +300,19 @@ func TestRunnerSeedsMatchDeriveSeed(t *testing.T) {
 // happen are those before the failure plus the spans already out, bounded by
 // the token window, not the rest of a 128 000-run plan. Dispatch and folding
 // are both in canonical order, so the error reported is the canonically
-// first one (cell 1, replicate 0) at every worker count. The bad algorithm
-// rides in on a custom axis, which Validate cannot see through; Build
-// rejects it.
+// first one (cell 1, replicate 0) at every worker count. The bad route is
+// in the config's domain, so Validate passes it; Build, which resolves it
+// against the path, rejects it.
 func TestFailedReplicateStopsDispatch(t *testing.T) {
 	t.Parallel()
 	vals := make([]Value, 64)
 	for i := range vals {
-		alg := experiment.AlgStandard
+		var route experiment.Route
 		if i == 1 {
-			alg = "nope"
+			route.FirstHop = 5
 		}
 		vals[i] = Val(fmt.Sprintf("v%02d", i), func(c *experiment.Config) {
-			c.Flows = []experiment.FlowSpec{{Alg: alg}}
+			c.Flows = []experiment.FlowSpec{{Alg: experiment.AlgStandard, Route: route}}
 		})
 	}
 	p := Plan{

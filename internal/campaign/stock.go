@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,10 +14,11 @@ import (
 )
 
 // This file declares the stock axes: every dimension the engine knows how to
-// sweep out of the box is one dim value — name, help, value kind, range check
-// and mutator, each written once — and the typed builder (dim.axis), NewAxis
-// (native Go values), ParseAxis (command-line tokens) and the CLIs' flags
-// (flags.go) all run off that declaration. Each returns an Axis that carries
+// sweep out of the box is one dim value — name, help, value kind, the check
+// of what a config cannot express, and mutator, each written once — and the
+// typed builder (dim.axis), NewAxis (native Go values), ParseAxis
+// (command-line tokens) and the CLIs' flags (flags.go) all run off that
+// declaration. Each returns an Axis that carries
 // its first error for Plan.Validate, so a plan is one literal. Which stock
 // axes may not share a plan, or must keep an order, is the rule table in
 // rules.go.
@@ -44,10 +43,13 @@ type dim[T any] struct {
 	// help is a one-line value-syntax hint for CLIs.
 	help string
 	kind[T]
-	// check returns why a value is outside the dimension's domain. The
-	// experiment harness silently replaces out-of-range values with paper
-	// defaults, so an unchecked value would run the default while its cell
-	// label claims the bad one. Nil means every T is in range.
+	// check returns why a value cannot be a point of this axis although the
+	// config it sets may be valid. Whether a config is in the domain is
+	// experiment.Config.Validate's to say, and Plan.Validate asks it about
+	// every value; check holds only what a config cannot express: a zero
+	// that would run the default under a "0" label (nonzero), the flow count
+	// that sizes the mutator's allocation (flows), an empty algorithm set
+	// (matchup) and a preset name (topo). Nil means no such check.
 	check func(T) error
 	set   func(*experiment.Config, T)
 }
@@ -60,9 +62,9 @@ type stockDim interface {
 
 func (d dim[T]) decl() (name, help string) { return d.name, d.help }
 
-// axis builds the dimension's axis from typed values. A value outside the
-// domain is recorded on the axis (Axis.fail) for Plan.Validate to surface,
-// so code-built plans keep a value-returning constructor.
+// axis builds the dimension's axis from typed values. A value check refuses
+// is recorded on the axis (Axis.fail) for Plan.Validate to surface, so
+// code-built plans keep a value-returning constructor.
 func (d dim[T]) axis(vs ...T) Axis {
 	a := Axis{Name: d.name}
 	for _, v := range vs {
@@ -135,8 +137,7 @@ const (
 )
 
 var (
-	// number is a finite float: the range checks below are ordered
-	// comparisons, which NaN would slip past.
+	// number is a finite float: a NaN or infinite token is no sweep value.
 	number = kind[float64]{
 		parse: token("number", lifecycle.ParseFinite),
 		widen: orInt[float64],
@@ -164,7 +165,8 @@ var (
 
 // named is the kind of a string-typed value whose text is its own label:
 // algorithm and discipline names, preset names, colon specs. Whether the
-// name means anything is the dimension's check.
+// name means anything is Config.Validate's to say (topo's check for preset
+// names).
 func named[T ~string]() kind[T] {
 	return kind[T]{
 		parse: func(s string) (T, error) { return T(s), nil },
@@ -182,32 +184,17 @@ func joined[T ~string](vs []T, sep string) string {
 	return strings.Join(parts, sep)
 }
 
-// must is the check made of a predicate and, as a format for the value, what
-// to say of one that fails it. Predicates on floats are written so that NaN
-// fails them.
-func must[T any](ok func(T) bool, complaint string) func(T) error {
+// nonzero is the check of a dimension whose zero means the default: as a
+// sweep value it would run the default under a "0" label. The sign and the
+// range of a value are Config.Validate's.
+func nonzero[T comparable](what string) func(T) error {
 	return func(v T) error {
-		if !ok(v) {
-			return fmt.Errorf(complaint, v)
+		var zero T
+		if v == zero {
+			return fmt.Errorf("%s 0 means the default, not a sweep value", what)
 		}
 		return nil
 	}
-}
-
-// positive is the check of a dimension whose values must exceed zero.
-func positive[T ~int | ~int64](what string) func(T) error {
-	return must(func(v T) bool { return v > 0 }, "non-positive "+what+" %v")
-}
-
-// count is the check of a positive count that sizes an allocation before
-// anything runs, so it has an upper bound as well.
-func count(what string, max int) func(int) error {
-	return must(func(v int) bool { return v > 0 && v <= max }, what+" %d outside [1, "+strconv.Itoa(max)+"]")
-}
-
-// oneOf is the check of a name that must be among those its owner lists.
-func oneOf[T ~string](what string, known func() []T) func(T) error {
-	return must(func(v T) bool { return slices.Contains(known(), v) }, "unknown "+what+" %q")
 }
 
 // eachFlow applies f to every measured flow of the config, materializing one
@@ -263,25 +250,25 @@ var (
 	// dimBW sweeps the bottleneck rate.
 	dimBW = dim[unit.Bandwidth]{
 		name: "bw", help: mbpsHelp, kind: mbps,
-		check: positive[unit.Bandwidth]("bandwidth"),
+		check: nonzero[unit.Bandwidth]("bandwidth"),
 		set:   func(cfg *experiment.Config, v unit.Bandwidth) { cfg.Path.Bottleneck = v },
 	}
 	// dimRTT sweeps the round-trip propagation delay.
 	dimRTT = dim[time.Duration]{
 		name: "rtt", help: durationHelp, kind: duration,
-		check: positive[time.Duration]("RTT"),
+		check: nonzero[time.Duration]("RTT"),
 		set:   func(cfg *experiment.Config, v time.Duration) { cfg.Path.RTT = v },
 	}
 	// dimRQ sweeps the bottleneck buffer in packets.
 	dimRQ = dim[int]{
 		name: "rq", help: "router queue in packets", kind: integer,
-		check: positive[int]("router queue"),
+		check: nonzero[int]("router queue"),
 		set:   func(cfg *experiment.Config, v int) { cfg.Path.RouterQueue = v },
 	}
 	// dimIFQ sweeps the sender IFQ capacity in packets.
 	dimIFQ = dim[int]{
 		name: "ifq", help: "txqueuelen in packets", kind: integer,
-		check: positive[int]("txqueuelen"),
+		check: nonzero[int]("txqueuelen"),
 		set:   func(cfg *experiment.Config, v int) { cfg.Path.TxQueueLen = v },
 	}
 	// dimLoss sweeps the bottleneck-ingress drop probability. 1.0 — a
@@ -289,14 +276,13 @@ var (
 	// the fairness metric and the NaN-tolerant exporters are tested on.
 	dimLoss = dim[float64]{
 		name: "loss", help: "drop probability in [0,1]", kind: number,
-		check: must(func(v float64) bool { return v >= 0 && v <= 1 }, "loss rate %g outside [0, 1]"),
-		set:   func(cfg *experiment.Config, v float64) { cfg.Path.Loss = v },
+		set: func(cfg *experiment.Config, v float64) { cfg.Path.Loss = v },
 	}
 	// dimNIC sweeps the sender NIC line rate; zero means "equal to the
 	// bottleneck" and is not a sweepable value here.
 	dimNIC = dim[unit.Bandwidth]{
 		name: "nic", help: mbpsHelp, kind: mbps,
-		check: positive[unit.Bandwidth]("NIC rate"),
+		check: nonzero[unit.Bandwidth]("NIC rate"),
 		set:   func(cfg *experiment.Config, v unit.Bandwidth) { cfg.Path.NICRate = v },
 	}
 	// dimHops sweeps the number of forward hops the path is split into:
@@ -305,24 +291,30 @@ var (
 	// PathConfig, so it composes with bw/rtt/rq in any order.
 	dimHops = dim[int]{
 		name: "hops", help: "forward hop count (path split into identical stages)", kind: integer,
-		check: count("hop count", experiment.MaxHops),
+		check: nonzero[int]("hop count"),
 		set:   func(cfg *experiment.Config, v int) { cfg.Path.Hops = v },
 	}
 
 	// dimAlg sweeps the slow-start scheme, applied to every flow.
 	dimAlg = dim[experiment.Algorithm]{
 		name: "alg", help: "algorithm name (" + joined(experiment.Algorithms(), ", ") + ")",
-		kind: named[experiment.Algorithm](), check: oneOf("algorithm", experiment.Algorithms),
+		kind: named[experiment.Algorithm](),
 		set: func(cfg *experiment.Config, v experiment.Algorithm) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Alg = v })
 		},
 	}
 	// dimFlows sweeps the number of concurrent flows: the first flow spec
 	// (default if none) is replicated n times, each on its own host. The
-	// mutator allocates the list, hence the upper bound.
+	// mutator allocates the list before Config.Validate sees it, hence the
+	// bounds here.
 	dimFlows = dim[int]{
 		name: "flows", help: "concurrent flow count", kind: integer,
-		check: count("flow count", experiment.MaxFlows),
+		check: func(n int) error {
+			if n < 1 || n > experiment.MaxFlows {
+				return fmt.Errorf("flow count %d outside [1, %d]", n, experiment.MaxFlows)
+			}
+			return nil
+		},
 		set: func(cfg *experiment.Config, n int) {
 			base := experiment.FlowSpec{}
 			if i := slices.IndexFunc(cfg.Flows, measured); i >= 0 {
@@ -355,13 +347,8 @@ var (
 			label: func(algs []experiment.Algorithm) string { return joined(algs, "+") },
 		},
 		check: func(algs []experiment.Algorithm) error {
-			if len(algs) == 0 {
-				return errors.New("empty algorithm set")
-			}
-			for _, al := range algs {
-				if err := dimAlg.check(al); err != nil {
-					return err
-				}
+			if len(algs) == 0 || slices.Contains(algs, "") {
+				return fmt.Errorf("empty algorithm set or name in %q", joined(algs, "+"))
 			}
 			return nil
 		},
@@ -377,7 +364,7 @@ var (
 	// AlgRestricted flows consume it.
 	dimSetpoint = dim[float64]{
 		name: "setpoint", help: "IFQ set-point fraction in (0,1]", kind: number,
-		check: must(func(v float64) bool { return v > 0 && v <= 1 }, "set point %g outside (0, 1]"),
+		check: nonzero[float64]("set point"),
 		set: func(cfg *experiment.Config, v float64) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.SetpointFraction = v })
 		},
@@ -385,7 +372,7 @@ var (
 	// dimTick sweeps the RSS control period on every flow.
 	dimTick = dim[time.Duration]{
 		name: "tick", help: durationHelp, kind: duration,
-		check: positive[time.Duration]("tick"),
+		check: nonzero[time.Duration]("tick"),
 		set: func(cfg *experiment.Config, v time.Duration) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Tick = v })
 		},
@@ -393,7 +380,7 @@ var (
 	// dimMSS sweeps the segment size on every flow.
 	dimMSS = dim[int]{
 		name: "mss", help: "segment size in bytes", kind: integer,
-		check: positive[int]("MSS"),
+		check: nonzero[int]("MSS"),
 		set: func(cfg *experiment.Config, v int) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.MSS = v })
 		},
@@ -415,7 +402,6 @@ var (
 			widen: orInt[int64],
 			label: func(v int64) string { return strconv.FormatInt(v, 10) },
 		},
-		check: must(func(v int64) bool { return v >= 0 }, "negative transfer size %d"),
 		set: func(cfg *experiment.Config, v int64) {
 			eachFlow(cfg, func(f *experiment.FlowSpec) { f.Bytes = v })
 		},
@@ -429,27 +415,25 @@ var (
 	// default churn spec (Poisson arrivals, exponential sizes).
 	dimLoad = dim[float64]{
 		name: "load", help: "offered load as a fraction of the bottleneck (e.g. 0.8)", kind: number,
-		check: must(func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }, "offered load %g is not a positive finite number"),
+		check: nonzero[float64]("offered load"),
 		set:   func(cfg *experiment.Config, v float64) { ensureChurn(cfg).Load = v },
 	}
 	// dimArrivals sweeps the flow arrival process; each value is a lifecycle
-	// source spec, validated by its owner's parser so a typo is an error
-	// instead of defaults running under a lying label, and is its own cell
-	// label (':' is legal in labels; '=' and '/' are not, and no source spec
+	// source spec (Config.Validate parses it, so a typo is an error instead
+	// of defaults running under a lying label) and is its own cell label
+	// (':' is legal in labels; '=' and '/' are not, and no source spec
 	// contains them).
 	dimArrivals = dim[string]{
 		name: "arrivals", help: "arrival process spec (poisson:RATE, mmpp:LO:HI:SOJOURN, web:S:F:THINK)",
-		kind:  named[string](),
-		check: func(s string) error { _, err := lifecycle.ParseSource(s); return err },
-		set:   func(cfg *experiment.Config, s string) { ensureChurn(cfg).Arrivals = s },
+		kind: named[string](),
+		set:  func(cfg *experiment.Config, s string) { ensureChurn(cfg).Arrivals = s },
 	}
 	// dimFSize sweeps the transfer-size distribution of dynamic flows; each
 	// value is a lifecycle size-dist spec and is its own cell label.
 	dimFSize = dim[string]{
 		name: "fsize", help: "transfer-size distribution spec (fixed:64k, exp:100k, pareto:A:MIN:MAX, lognorm:MED:SIGMA)",
-		kind:  named[string](),
-		check: func(s string) error { _, err := lifecycle.ParseSizeDist(s); return err },
-		set:   func(cfg *experiment.Config, s string) { ensureChurn(cfg).Size = s },
+		kind: named[string](),
+		set:  func(cfg *experiment.Config, s string) { ensureChurn(cfg).Size = s },
 	}
 
 	// dimRBW sweeps the reverse-channel bottleneck rate: ACKs serialize
@@ -459,7 +443,7 @@ var (
 	// dumbbell's ReverseRate.
 	dimRBW = dim[unit.Bandwidth]{
 		name: "rbw", help: mbpsHelp, kind: mbps,
-		check: positive[unit.Bandwidth]("reverse rate"),
+		check: nonzero[unit.Bandwidth]("reverse rate"),
 		set: func(cfg *experiment.Config, v unit.Bandwidth) {
 			if cfg.Topology != nil {
 				cfg.Topology.Reverse.Rate = v
@@ -473,8 +457,7 @@ var (
 	// otherwise it sets the dumbbell's AQM field.
 	dimAQM = dim[experiment.QueueDiscipline]{
 		name: "aqm", help: "queue discipline (" + joined(experiment.QueueDisciplines(), ", ") + ")",
-		kind:  named[experiment.QueueDiscipline](),
-		check: oneOf("queue discipline", experiment.QueueDisciplines),
+		kind: named[experiment.QueueDiscipline](),
 		set: func(cfg *experiment.Config, v experiment.QueueDiscipline) {
 			if cfg.Topology != nil {
 				for i := range cfg.Topology.Hops {
@@ -537,7 +520,7 @@ func AxisTopologyValue(label string, t experiment.Topology) Axis {
 // cell's explicit topology when one is set, or to its dumbbell otherwise.
 // It shares the "rbw" name so the ordering rule against "topo" covers it.
 func AxisReverseValue(r experiment.Reverse) Axis {
-	a := dimRBW.axis(r.Rate) // the name, the rate's range check and its label
+	a := dimRBW.axis(r.Rate) // the name, the rate's zero check and its label
 	a.Values[0].Set = func(cfg *experiment.Config) {
 		if cfg.Topology != nil {
 			cfg.Topology.Reverse = r

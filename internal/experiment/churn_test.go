@@ -121,23 +121,26 @@ func TestChurnLeakGate10k(t *testing.T) {
 }
 
 // TestChurnRejectsUnusableLoadRate: a load that resolves to no arrival rate
-// — a non-finite Load, a size distribution whose mean is NaN although every
-// parameter is finite, or a rate finer than the calendar's 1 ns (1-byte flows
-// at 100 Gbps: 1.1e10 flows/s; an MMPP whose mean fits but whose high phase
-// rescales to 1.2e9) — is a Build error, not a source constructor's panic or
-// a run that never ends.
+// — a non-finite Load (refused by Validate), a size distribution whose mean
+// is NaN although every parameter is finite, or a rate finer than the
+// calendar's 1 ns (1-byte flows at 100 Gbps: 1.1e10 flows/s; an MMPP whose
+// mean fits but whose high phase rescales to 1.2e9) — is a Build error, not
+// a source constructor's panic or a run that never ends.
 func TestChurnRejectsUnusableLoadRate(t *testing.T) {
 	t.Parallel()
-	for _, ch := range []ChurnSpec{
-		{Load: math.Inf(1)},
-		{Load: 0.5, Size: "pareto:1e300:1k:1M"},
-		{Load: 0.9, Size: "fixed:1"},
-		{Load: 0.048, Size: "fixed:1", Arrivals: "mmpp:1:1000000:1s"},
+	for _, row := range []struct {
+		ch   ChurnSpec
+		want string
+	}{
+		{ChurnSpec{Load: math.Inf(1)}, "Churn.Load +Inf"},
+		{ChurnSpec{Load: 0.5, Size: "pareto:1e300:1k:1M"}, "arrival rate"},
+		{ChurnSpec{Load: 0.9, Size: "fixed:1"}, "arrival rate"},
+		{ChurnSpec{Load: 0.048, Size: "fixed:1", Arrivals: "mmpp:1:1000000:1s"}, "arrival rate"},
 	} {
-		ch := ch
+		ch := row.ch
 		path := PathConfig{Bottleneck: 100 * unit.Gbps}
-		if _, err := Build(Config{Path: path, Churn: &ch, Duration: time.Second}); err == nil || !strings.Contains(err.Error(), "arrival rate") {
-			t.Errorf("churn %+v: err = %v, want the arrival-rate error", ch, err)
+		if _, err := Build(Config{Path: path, Churn: &ch, Duration: time.Second}); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("churn %+v: err = %v, want %q", ch, err, row.want)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestFlowBundleSizeClass(t *testing.T) {
 		{Alg: AlgRestricted},
 	}
 	cfg.Churn.Flow.SACK = true
-	cfg.Churn.Flow.SetpointFraction = math.NaN()
+	cfg.Churn.Flow.Gains.Kp = math.NaN() // read only by a restricted flow
 	cfg.Churn.Arrivals = "poisson:400"
 	cfg.Duration = 200 * time.Millisecond
 	s, err := Build(cfg)

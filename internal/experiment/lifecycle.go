@@ -3,6 +3,7 @@ package experiment
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"time"
 
 	"rsstcp/internal/lifecycle"
@@ -35,6 +36,30 @@ type ChurnSpec struct {
 	// MaxLive caps concurrently live dynamic flows; arrivals beyond the
 	// cap are refused and counted in Result.FlowsRefused (0 = unlimited).
 	MaxLive int `json:",omitempty"`
+}
+
+// check is Validate's churn part; the error starts with the field name. It
+// parses the specs, defaults included, and hands them to src and dist.
+func (c *ChurnSpec) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+	if !(c.Load >= 0) || math.IsInf(c.Load, 1) {
+		return fmt.Errorf("Churn.Load %v is not a finite number ≥ 0", c.Load)
+	}
+	if err := neg("Churn.MaxLive", c.MaxLive); err != nil {
+		return err
+	}
+	d := c.withDefaults()
+	arrivals, aerr := lifecycle.ParseSource(d.Arrivals)
+	sizes, serr := lifecycle.ParseSizeDist(d.Size)
+	if err := cmp.Or(aerr, serr); err != nil {
+		return fmt.Errorf("Churn: %v", err)
+	}
+	if err := c.Flow.check(); err != nil {
+		return fmt.Errorf("Churn.Flow.%v", err)
+	}
+	if src != nil {
+		*src, *dist = arrivals, sizes
+	}
+	return nil
 }
 
 func (c ChurnSpec) withDefaults() ChurnSpec {
@@ -244,23 +269,13 @@ func (c *churnState) reset() {
 	c.classSD = [NumSizeClasses]float64{}
 }
 
-// initChurn validates the churn spec and starts the arrival process on the
+// initChurn starts the arrival process of the (validated) churn spec on the
 // freshly built scenario.
 func (s *Scenario) initChurn() error {
 	cfg := &s.Cfg
 	spec := *cfg.Churn
-	src, err := lifecycle.ParseSource(spec.Arrivals)
-	if err != nil {
-		return err
-	}
-	dist, err := lifecycle.ParseSizeDist(spec.Size)
-	if err != nil {
-		return err
-	}
+	src, dist := s.churn.src, s.churn.dist // parsed by Config.validate
 	tmpl := spec.Flow
-	if !knownAlg(tmpl.Alg) {
-		return fmt.Errorf("unknown algorithm %q", tmpl.Alg)
-	}
 	first, last, err := tmpl.Route.span(len(s.Topo.Hops))
 	if err != nil {
 		return err
@@ -277,7 +292,7 @@ func (s *Scenario) initChurn() error {
 		}
 	}
 	rev := s.Topo.Reverse.Delay
-	if rev <= 0 {
+	if rev == 0 {
 		rev = fwd
 	}
 	s.churn.baseRTT = fwd + rev
@@ -299,18 +314,6 @@ func (s *Scenario) initChurn() error {
 	s.churn.sizeRNG = sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltSizes))
 	src.Start(s.Eng, sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltArrivals)), s.launchChurnFlow)
 	return nil
-}
-
-func knownAlg(a Algorithm) bool {
-	if a == "" {
-		return true
-	}
-	for _, k := range Algorithms() {
-		if a == k {
-			return true
-		}
-	}
-	return false
 }
 
 // launchChurnFlow is the arrival callback: draw a size, attach a flow.

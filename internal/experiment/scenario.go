@@ -4,6 +4,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"rsstcp/internal/cc"
 	"rsstcp/internal/core"
 	"rsstcp/internal/host"
+	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/netem"
 	"rsstcp/internal/packet"
 	"rsstcp/internal/pid"
@@ -102,20 +104,21 @@ func PaperPath() PathConfig {
 	}
 }
 
+// fillDefaults resolves zero fields; Config.Validate refused negative ones.
 func (p *PathConfig) fillDefaults() {
-	if p.Bottleneck <= 0 {
+	if p.Bottleneck == 0 {
 		p.Bottleneck = 100 * unit.Mbps
 	}
-	if p.RTT <= 0 {
+	if p.RTT == 0 {
 		p.RTT = 60 * time.Millisecond
 	}
-	if p.RouterQueue <= 0 {
+	if p.RouterQueue == 0 {
 		p.RouterQueue = 250
 	}
-	if p.NICRate <= 0 {
+	if p.NICRate == 0 {
 		p.NICRate = p.Bottleneck
 	}
-	if p.TxQueueLen <= 0 {
+	if p.TxQueueLen == 0 {
 		p.TxQueueLen = 100
 	}
 }
@@ -221,6 +224,85 @@ type Config struct {
 	RetainFlows int `json:",omitempty"`
 }
 
+// Validate returns why c is outside the domain a run accepts, as one line
+// naming the field, or nil. Zero means the default in every field. Build,
+// Reset and the campaign's Plan.Validate ask it first, so defaulting fills
+// exact zeros only and a valid config compiles to a valid topology. It
+// allocates nothing unless it fails or has a Churn spec to parse.
+func (c *Config) Validate() error { return c.validate(nil, nil) }
+
+// validate is Validate that also hands a churn spec's parsed arrivals and
+// sizes to non-nil src and dist, so Build and Reset parse each spec once.
+func (c *Config) validate(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+	if c.Topology != nil {
+		if err := c.Topology.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := c.check(src, dist); err != nil {
+		return fmt.Errorf("experiment: %v", err)
+	}
+	return nil
+}
+
+// check is validate but for the explicit topology and the package prefix.
+func (c *Config) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+	p := &c.Path
+	if err := cmp.Or(neg("Path.Bottleneck", p.Bottleneck), neg("Path.RTT", p.RTT),
+		neg("Path.RouterQueue", p.RouterQueue), neg("Path.NICRate", p.NICRate), neg("Path.TxQueueLen", p.TxQueueLen),
+		neg("Path.Hops", p.Hops), neg("Path.ReverseRate", p.ReverseRate), neg("Path.ReverseDelay", p.ReverseDelay),
+		neg("Path.ReverseQueue", p.ReverseQueue), neg("Duration", c.Duration), fraction("Path.Loss", p.Loss)); err != nil {
+		return err
+	}
+	switch {
+	case p.Hops > MaxHops:
+		return fmt.Errorf("Path.Hops %d exceeds the limit of %d per path", p.Hops, MaxHops)
+	case !knownDiscipline(p.AQM):
+		return fmt.Errorf("Path.AQM: unknown queue discipline %q", p.AQM)
+	case len(c.Flows) > MaxFlows:
+		return fmt.Errorf("Flows: %d flows exceeds the limit of %d per scenario", len(c.Flows), MaxFlows)
+	case c.EventLog < 0 || c.EventLog > telemetry.MaxRingSize:
+		return fmt.Errorf("EventLog: event log of %d events is outside 0..%d", c.EventLog, telemetry.MaxRingSize)
+	case c.RetainFlows < -1:
+		return fmt.Errorf("RetainFlows %d is below -1", c.RetainFlows)
+	}
+	for i := range c.Flows {
+		if err := c.Flows[i].check(); err != nil {
+			return fmt.Errorf("Flows[%d].%v", i, err)
+		}
+	}
+	if c.Churn != nil {
+		return c.Churn.check(src, dist)
+	}
+	return nil
+}
+
+// check is Validate's per-flow part; the error starts with the field name.
+func (f *FlowSpec) check() error {
+	if f.Alg != "" && !slices.Contains(Algorithms(), f.Alg) {
+		return fmt.Errorf("Alg: unknown algorithm %q", f.Alg)
+	}
+	return cmp.Or(neg("StartAt", f.StartAt), neg("Bytes", f.Bytes), neg("MSS", f.MSS), neg("Tick", f.Tick),
+		fraction("SetpointFraction", f.SetpointFraction))
+}
+
+// neg is the error of a negative field, naming it; nil when v ≥ 0.
+func neg[T ~int | ~int64](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s %v is negative", field, v)
+	}
+	return nil
+}
+
+// fraction is the error of a probability or fraction outside [0, 1], NaN
+// included, naming it; nil when v is in range.
+func fraction(field string, v float64) error {
+	if !(v >= 0 && v <= 1) {
+		return fmt.Errorf("%s %v is outside [0, 1]", field, v)
+	}
+	return nil
+}
+
 // fillDefaults resolves zero fields in place. Slices and pointers the
 // caller's Config shares are replaced, never written through.
 func (c *Config) fillDefaults() {
@@ -250,7 +332,7 @@ func (c *Config) fillDefaults() {
 			c.Flows = append([]FlowSpec{{Alg: AlgStandard}}, c.Flows...)
 		}
 	}
-	if c.Duration <= 0 {
+	if c.Duration == 0 {
 		c.Duration = 25 * time.Second
 	}
 	if c.Seed == 0 {
@@ -545,11 +627,9 @@ func (s *Scenario) reclaim() {
 
 // Build assembles the testbed described by cfg.
 func Build(cfg Config) (*Scenario, error) {
-	eng := sim.NewEngine()
-	s := &Scenario{
-		Eng:   eng,
-		hosts: map[int]sharedHost{},
-		segs:  packet.NewPool(),
+	s := &Scenario{Eng: sim.NewEngine(), hosts: map[int]sharedHost{}, segs: packet.NewPool()}
+	if err := cfg.validate(&s.churn.src, &s.churn.dist); err != nil {
+		return nil, err
 	}
 	s.complete = s.completeChurnFlow
 	if err := s.init(&cfg); err != nil {
@@ -571,9 +651,15 @@ func Build(cfg Config) (*Scenario, error) {
 // it before (TestResetMatchesFreshBuild,
 // TestResetAcrossShapesMatchesFreshBuild), which is what lets campaign
 // workers run replicates back to back on one context. The previous run's
-// Flows are invalid afterwards. On error the scenario is left half-built
-// and must be discarded.
+// Flows are invalid afterwards. A cfg that Validate refuses leaves the
+// scenario as it was; on any later error it is left half-built and must be
+// discarded.
 func (s *Scenario) Reset(cfg Config) error {
+	var src lifecycle.FlowSource
+	var dist lifecycle.SizeDist
+	if err := cfg.validate(&src, &dist); err != nil {
+		return err
+	}
 	s.Eng.Reset()
 	if s.park.held != nil {
 		s.park.flows, s.park.held = append(s.park.flows, s.park.held), nil
@@ -611,6 +697,7 @@ func (s *Scenario) Reset(cfg Config) error {
 	s.ackDelays = s.ackDelays[:0]
 	s.aggValid = false
 	s.churn.reset()
+	s.churn.src, s.churn.dist = src, dist
 	s.FR.Reset()
 	return s.init(&cfg)
 }
@@ -618,34 +705,11 @@ func (s *Scenario) Reset(cfg Config) error {
 // init wires the testbed into the scenario's (fresh or reset) engine, with
 // a new recorder when cfg is traced. Everything the simulation can observe
 // is rebuilt from cfg, so a run is bit-identical whether its context is new
-// or reused.
+// or reused. in has passed Validate.
 func (s *Scenario) init(in *Config) error {
-	// A negative duration, start time, size, MSS or tick is an error, not a
-	// default.
-	if in.Duration < 0 {
-		return fmt.Errorf("experiment: negative duration %v", in.Duration)
-	}
-	for i, f := range in.Flows {
-		switch {
-		case f.StartAt < 0:
-			return fmt.Errorf("experiment: flow %d: negative start time %v", i, f.StartAt)
-		case f.Bytes < 0:
-			return fmt.Errorf("experiment: flow %d: negative transfer size %d bytes", i, f.Bytes)
-		case f.MSS < 0:
-			return fmt.Errorf("experiment: flow %d: negative MSS %d", i, f.MSS)
-		case f.Tick < 0:
-			return fmt.Errorf("experiment: flow %d: negative control tick %v", i, f.Tick)
-		}
-	}
 	s.Cfg = *in
 	cfg := &s.Cfg
 	cfg.fillDefaults()
-	if n := len(cfg.Flows); n > MaxFlows {
-		return fmt.Errorf("experiment: %d flows exceeds the limit of %d per scenario", n, MaxFlows)
-	}
-	if n := cfg.EventLog; n < 0 || n > telemetry.MaxRingSize {
-		return fmt.Errorf("experiment: event log of %d events is outside 0..%d", n, telemetry.MaxRingSize)
-	}
 	eng := s.Eng
 	// A traced run gets a fresh recorder; a traceless one has none.
 	s.Rec = nil
@@ -677,15 +741,15 @@ func (s *Scenario) init(in *Config) error {
 	if cfg.TimerWheel && s.wheel == nil {
 		s.wheel = sim.NewWheel(eng, sim.DefaultWheelGran, sim.DefaultWheelSlots)
 	}
-	topo, err := cfg.topology(s.park.hops)
-	if err != nil {
-		return err
+	// The network, in the hop scratch: an explicit Topology wins, else the
+	// PathConfig compiles to one (Validate has bounded its split count).
+	if cfg.Topology != nil {
+		s.Topo = cfg.Topology.cloneInto(s.park.hops)
+	} else {
+		s.Topo = cfg.Path.compileInto(s.park.hops)
 	}
+	topo := &s.Topo
 	s.park.hops = topo.Hops
-	if err := topo.Validate(); err != nil {
-		return err
-	}
-	s.Topo = topo
 
 	// Forward path: the hop chain flattened into the arena — one row per
 	// hop with its serializer, queue/RED, propagation and injector chain
@@ -731,7 +795,7 @@ func (s *Scenario) init(in *Config) error {
 	// them to their senders by FlowID + generation.
 	if topo.Reverse.Rate > 0 {
 		rd := topo.Reverse.Delay
-		if rd <= 0 {
+		if rd == 0 {
 			rd = topo.ForwardDelay()
 		}
 		s.rev = &s.revStage
@@ -875,7 +939,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		ackPath = s.rev
 	} else {
 		rd := s.Topo.Reverse.Delay
-		if rd <= 0 {
+		if rd == 0 {
 			for i := first; i <= last; i++ {
 				rd += s.Topo.Hops[i].Delay
 			}

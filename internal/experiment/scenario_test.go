@@ -217,43 +217,6 @@ func TestTunePlantProducesTrajectory(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsNegativeValues: a negative start time, transfer size, MSS,
-// control tick or duration is a one-line error naming the flow, from Build
-// and from Reset. A negative start time used to panic in the calendar
-// ("schedule in the past"), a negative size ran a backlogged flow, a
-// negative MSS 1448-byte segments, a negative tick 5 ms and a negative
-// duration 25 s.
-func TestBuildRejectsNegativeValues(t *testing.T) {
-	t.Parallel()
-	std := FlowSpec{Alg: AlgStandard}
-	for _, row := range []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"start", Config{Flows: []FlowSpec{std, {Alg: AlgStandard, StartAt: -time.Second}}},
-			"experiment: flow 1: negative start time -1s"},
-		{"bytes", Config{Flows: []FlowSpec{{Alg: AlgRestricted, Bytes: -5}}},
-			"experiment: flow 0: negative transfer size -5 bytes"},
-		{"mss", Config{Flows: []FlowSpec{{Alg: AlgStandard, MSS: -1}}}, "experiment: flow 0: negative MSS -1"},
-		{"tick", Config{Flows: []FlowSpec{{Alg: AlgRestricted, Tick: -time.Millisecond}}},
-			"experiment: flow 0: negative control tick -1ms"},
-		{"duration", Config{Duration: -time.Second}, "experiment: negative duration -1s"},
-	} {
-		row.cfg.Traceless = true
-		if _, err := Build(row.cfg); err == nil || err.Error() != row.want {
-			t.Errorf("%s: Build = %v, want %q", row.name, err, row.want)
-		}
-		s, err := Build(Config{Duration: 100 * time.Millisecond, Traceless: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Reset(row.cfg); err == nil || err.Error() != row.want {
-			t.Errorf("%s: Reset = %v, want %q", row.name, err, row.want)
-		}
-	}
-}
-
 // TestTuneRejectsNegativeDuration: a negative probe length is an error; it
 // used to run the 30 s default.
 func TestTuneRejectsNegativeDuration(t *testing.T) {

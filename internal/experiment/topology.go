@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,17 +41,9 @@ func QueueDisciplines() []QueueDiscipline {
 }
 
 // knownDiscipline reports whether d is selectable ("" means the drop-tail
-// default). It iterates the exported list so the two can never drift.
+// default). It reads the exported list so the two can never drift.
 func knownDiscipline(d QueueDiscipline) bool {
-	if d == "" {
-		return true
-	}
-	for _, k := range QueueDisciplines() {
-		if d == k {
-			return true
-		}
-	}
-	return false
+	return d == "" || slices.Contains(QueueDisciplines(), d)
 }
 
 // Hop is one store-and-forward stage of the forward path: a queue feeding a
@@ -109,13 +103,6 @@ type Topology struct {
 // and the arena's rows.
 const MaxHops = 1 << 10
 
-func checkHopCount(n int) error {
-	if n > MaxHops {
-		return fmt.Errorf("experiment: %d hops exceeds the limit of %d per path", n, MaxHops)
-	}
-	return nil
-}
-
 // cloneInto returns a copy with zero fields resolved, its hop list built in
 // buf's backing array (nil, or a scenario's scratch); RED parameters are
 // still shared. The receiver is never mutated: topologies may be shared
@@ -160,8 +147,8 @@ func (t Topology) Validate() error {
 	if len(t.Hops) == 0 {
 		return fmt.Errorf("experiment: topology has no hops")
 	}
-	if err := checkHopCount(len(t.Hops)); err != nil {
-		return err
+	if n := len(t.Hops); n > MaxHops {
+		return fmt.Errorf("experiment: %d hops exceeds the limit of %d per path", n, MaxHops)
 	}
 	for i := range t.Hops {
 		if err := t.Hops[i].validate(); err != nil {
@@ -175,16 +162,10 @@ func (t Topology) Validate() error {
 }
 
 // validate is Validate's per-hop half, which ParseHop applies to outside
-// input. The probability checks are written so that NaN fails them.
+// input.
 func (h *Hop) validate() error {
 	if h.Rate <= 0 {
 		return fmt.Errorf("non-positive rate %v", h.Rate)
-	}
-	if h.Delay < 0 {
-		return fmt.Errorf("negative delay %v", h.Delay)
-	}
-	if h.ReorderDelay < 0 {
-		return fmt.Errorf("negative reorder delay %v", h.ReorderDelay)
 	}
 	if h.Queue <= 0 {
 		return fmt.Errorf("non-positive queue %d", h.Queue)
@@ -192,28 +173,12 @@ func (h *Hop) validate() error {
 	if !knownDiscipline(h.Discipline) {
 		return fmt.Errorf("unknown queue discipline %q", h.Discipline)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"loss", h.Loss}, {"reorder probability", h.ReorderP}, {"duplicate probability", h.DuplicateP}} {
-		if !(p.v >= 0 && p.v <= 1) {
-			return fmt.Errorf("%s %g outside [0, 1]", p.name, p.v)
-		}
-	}
-	return nil
+	return cmp.Or(neg("delay", h.Delay), neg("reorder delay", h.ReorderDelay), fraction("loss", h.Loss),
+		fraction("reorder probability", h.ReorderP), fraction("duplicate probability", h.DuplicateP))
 }
 
 func (r Reverse) validate() error {
-	if r.Rate < 0 {
-		return fmt.Errorf("negative reverse rate %v", r.Rate)
-	}
-	if r.Delay < 0 {
-		return fmt.Errorf("negative reverse delay %v", r.Delay)
-	}
-	if r.Queue < 0 {
-		return fmt.Errorf("negative reverse queue %d", r.Queue)
-	}
-	return nil
+	return cmp.Or(neg("reverse rate", r.Rate), neg("reverse delay", r.Delay), neg("reverse queue", r.Queue))
 }
 
 // WithReverse configures a real (rate-limited, queued) reverse channel and
@@ -271,10 +236,7 @@ func (p PathConfig) Topology() Topology { return p.compileInto(nil) }
 // compileInto is Topology with the hop list built in buf's backing array.
 func (p *PathConfig) compileInto(buf []Hop) Topology {
 	p.fillDefaults()
-	n := p.Hops
-	if n < 1 {
-		n = 1
-	}
+	n := max(p.Hops, 1)
 	owd := p.RTT / 2
 	per := owd / time.Duration(n)
 	t := Topology{Hops: extend(buf[:0], n)}
@@ -294,20 +256,6 @@ func (p *PathConfig) compileInto(buf []Hop) Topology {
 	t.Reverse = Reverse{Rate: p.ReverseRate, Delay: p.ReverseDelay, Queue: p.ReverseQueue}
 	t.resolve()
 	return t
-}
-
-// topology resolves the configuration's network description into buf's
-// backing array: an explicit Topology wins; otherwise the PathConfig
-// compiles to a one-hop instance. The split count is checked here, before
-// the compiler allocates that many hops.
-func (c *Config) topology(buf []Hop) (Topology, error) {
-	if c.Topology != nil {
-		return c.Topology.cloneInto(buf), nil
-	}
-	if err := checkHopCount(c.Path.Hops); err != nil {
-		return Topology{}, err
-	}
-	return c.Path.compileInto(buf), nil
 }
 
 // Injector RNG salts. Every per-hop random element gets its own generator
@@ -475,14 +423,8 @@ func ParseHop(s string) (Hop, error) {
 		"rate":  setMbps(&h.Rate),
 		"delay": setDuration(&h.Delay),
 		"queue": setInt(&h.Queue),
-		"aqm": func(val string) error {
-			h.Discipline = QueueDiscipline(val)
-			if !knownDiscipline(h.Discipline) {
-				return fmt.Errorf("unknown discipline %q", val)
-			}
-			return nil
-		},
-		"loss": setFloat(&h.Loss),
+		"aqm":   func(val string) error { h.Discipline = QueueDiscipline(val); return nil },
+		"loss":  setFloat(&h.Loss),
 		"reorder": func(val string) error {
 			p, d, hasDelay := strings.Cut(val, ":")
 			if err := setFloat(&h.ReorderP)(p); err != nil {

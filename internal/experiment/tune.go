@@ -28,8 +28,7 @@ func TunePlant(path PathConfig, duration time.Duration) zntune.PlantFunc {
 			}},
 		})
 		if err != nil {
-			// The path was validated by the caller; a failure here is a
-			// programming error.
+			// Tune validated the path: a failure here is a bug.
 			panic(err)
 		}
 		var ts, pv []float64
@@ -64,6 +63,9 @@ func TuneOptions() zntune.Options {
 func Tune(path PathConfig, duration time.Duration, rule pid.Rule) (zntune.Result, pid.Gains, error) {
 	if duration < 0 {
 		return zntune.Result{}, pid.Gains{}, fmt.Errorf("experiment: negative probe duration %v", duration)
+	}
+	if err := (&Config{Path: path}).Validate(); err != nil {
+		return zntune.Result{}, pid.Gains{}, err
 	}
 	if duration == 0 {
 		duration = 30 * time.Second

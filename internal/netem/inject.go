@@ -22,13 +22,11 @@ type Loss struct {
 	Eng *sim.Engine
 	Hop int32
 
-	seen    int64
 	dropped int64
 }
 
 // Receive drops or forwards the segment. Dropped segments are released.
 func (l *Loss) Receive(seg *packet.Segment) {
-	l.seen++
 	if l.P > 0 && l.RNG != nil && l.RNG.Bool(l.P) {
 		l.dropped++
 		if l.FR != nil {
@@ -42,9 +40,6 @@ func (l *Loss) Receive(seg *packet.Segment) {
 
 // Dropped returns how many segments were discarded.
 func (l *Loss) Dropped() int64 { return l.dropped }
-
-// Seen returns how many segments arrived (dropped or not).
-func (l *Loss) Seen() int64 { return l.seen }
 
 // Duplicator forwards every segment and, with probability P, an extra copy.
 type Duplicator struct {

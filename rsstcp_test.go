@@ -3,6 +3,7 @@ package rsstcp_test
 import (
 	"fmt"
 	"log"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,6 +197,17 @@ func TestPlanLiteralSurfacesErrors(t *testing.T) {
 	}
 	if _, err := rsstcp.MetricsByName("bogus-metric"); err == nil {
 		t.Error("unknown metric accepted")
+	}
+}
+
+// TestGridNegativeCountsFailRunPlan: a Grid's negative Replicates or
+// Duration reaches RunPlan as an error; the Grid used to turn it into one
+// replicate of 25 s.
+func TestGridNegativeCountsFailRunPlan(t *testing.T) {
+	g := rsstcp.Grid{Replicates: -3, Duration: -time.Second}
+	if _, err := rsstcp.RunPlan(g.Plan(), rsstcp.CampaignOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "negative") {
+		t.Errorf("RunPlan(Grid{Replicates: -3, Duration: -1s}) = %v, want the negative-count error", err)
 	}
 }
 
