@@ -164,17 +164,16 @@ type churnState struct {
 	bytesAcked int64 // goodput folded out of detached flows
 	refused    int64
 	nextID     packet.FlowID
+	stopped    bool // in nextID's word
 	// freeIDs holds FlowIDs of detached dynamic flows for reuse, so the
-	// demux route tables and the shared flow table stay bounded by the
-	// peak live population instead of growing with total churn. Safe
-	// because every incarnation of an ID carries its own generation (see
-	// demux).
+	// demux route tables stay bounded by the peak live population instead
+	// of growing with total churn. Safe because every incarnation of an ID
+	// carries its own generation (see demux).
 	freeIDs []packet.FlowID
 	// Ideal-transfer-time model for Slowdown: route propagation (forward
 	// + reverse) plus serialization at the route's slowest hop.
 	baseRTT time.Duration
 	perByte float64 // seconds per byte at the route's bottleneck
-	stopped bool
 
 	// Streaming completion digest (Result.FCT): running sums in completion
 	// order plus an exact-then-P² quantile accumulator, so churn runs need
@@ -328,7 +327,7 @@ func (s *Scenario) launchChurnFlow() {
 	spec := s.churn.tmpl
 	spec.Bytes = s.churn.dist.Sample(s.churn.sizeRNG)
 	spec.StartAt = 0
-	if _, err := s.AttachFlow(spec); err != nil {
+	if _, err := s.attach(spec); err != nil {
 		// The template was validated at init; a failure here is a
 		// scenario-construction bug, not a configuration error.
 		panic(fmt.Sprintf("experiment: churn attach: %v", err))
@@ -344,10 +343,21 @@ func (s *Scenario) launchChurnFlow() {
 // does not join Scenario.Flows — static per-flow results and gauges cover
 // only the configured flow list. The returned *Flow is valid until the flow
 // completes or is detached: after that the bundle belongs to the store and
-// then to a later arrival (as Reset invalidates Scenario.Flows).
+// then to a later arrival (as Reset invalidates Scenario.Flows). A spec that
+// Config.Validate would refuse in Flows is refused here, with one line that
+// names the field.
 func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
-	// Recycle a detached flow's ID when one is free — the route tables and
-	// the shared flow table then stay sized to the peak live population.
+	if err := spec.check(); err != nil {
+		return nil, fmt.Errorf("experiment: AttachFlow: FlowSpec.%v", err)
+	}
+	return s.attach(spec)
+}
+
+// attach is AttachFlow on a checked spec: churn arrivals instantiate the
+// template Validate checked, so an arrival pays for no second check.
+func (s *Scenario) attach(spec FlowSpec) (*Flow, error) {
+	// Recycle a detached flow's ID when one is free — the route tables then
+	// stay sized to the peak live population.
 	// buildFlow gives the incarnation a fresh generation, so stray
 	// segments of the ID's previous owner cannot reach this flow.
 	id := s.churn.nextID
@@ -463,10 +473,9 @@ func (s *Scenario) detach(f *Flow, completing bool) {
 	f.Sender.Stop()
 	f.Receiver.Stop()
 	if dynamic {
-		// The hot-state row returns to the shared table for the next
-		// attach; the cold Sender keeps its Web100 counters (already
-		// folded above) but its window accessors go quiet.
-		f.Sender.ReleaseRow()
+		// The sender keeps its Web100 counters (already folded above)
+		// but its window accessors go quiet.
+		f.Sender.Retire()
 	}
 	if f.RSS != nil && f.Spec.Host == 0 {
 		f.RSS.Stop()

@@ -390,7 +390,7 @@ func TestDrainingNICKeepsBundleUntilIdle(t *testing.T) {
 	spec := FlowSpec{Alg: AlgStandard, Bytes: 50 << 20}
 	a := mustAttach(t, s, spec)
 	s.Eng.RunFor(870 * time.Millisecond)
-	if a.NIC.Idle() {
+	if a.NIC().Idle() {
 		t.Fatal("detached with an idle NIC — bad test premise")
 	}
 	s.DetachFlow(a)
@@ -399,7 +399,7 @@ func TestDrainingNICKeepsBundleUntilIdle(t *testing.T) {
 		t.Fatal("a bundle whose NIC still drains went to the next flow")
 	}
 	s.Eng.RunFor(time.Second)
-	if !a.NIC.Idle() {
+	if !a.NIC().Idle() {
 		t.Fatal("the detached flow's NIC never drained — bad test premise")
 	}
 	c := mustAttach(t, s, spec)
@@ -453,6 +453,47 @@ func TestChurnFlowHandleEndsAtCompletion(t *testing.T) {
 	}
 }
 
+// TestReleasedSenderReadsZero: detaching a dynamic flow retires its sender's
+// window state, so the window and sequence accessors and the snapshot's
+// window gauges read 0 while the bundle waits in the store; its Web100
+// counters, folded into the churn totals, stay. A detached static flow keeps
+// its window, which its Result entry reads.
+func TestReleasedSenderReadsZero(t *testing.T) {
+	t.Parallel()
+	s := warmTurnoverScenario(t, PathConfig{}, FlowSpec{Alg: AlgStandard})
+	static := s.Flows[0]
+	s.Eng.RunFor(100 * time.Millisecond)
+	f := mustAttach(t, s, FlowSpec{Alg: AlgStandard, SACK: true})
+	s.Eng.RunFor(200 * time.Millisecond)
+	window := func(f *Flow) [5]int64 {
+		return [...]int64{f.Sender.Cwnd(), f.Sender.Ssthresh(), f.Sender.FlightSize(), f.Sender.SndUna(), f.Sender.SndNxt()}
+	}
+	for i, v := range window(f) {
+		if v == 0 {
+			t.Fatalf("live flow reads cwnd, ssthresh, flight, una, nxt = %v: entry %d is 0", window(f), i)
+		}
+	}
+	if st := f.Sender.Snapshot(s.Eng.Now()); st.CurCwnd == 0 || st.CurSsthresh == 0 || st.CurRwnd == 0 {
+		t.Fatalf("live flow's snapshot reads window gauges %d/%d/%d, want nonzero", st.CurCwnd, st.CurSsthresh, st.CurRwnd)
+	}
+	segsOut := f.Sender.Stats().DataSegsOut
+	s.DetachFlow(f)
+	s.DetachFlow(static)
+	if got := window(f); got != [5]int64{} {
+		t.Errorf("detached dynamic flow reads cwnd, ssthresh, flight, una, nxt = %v, want all 0", got)
+	}
+	st := f.Sender.Snapshot(s.Eng.Now())
+	if st.CurCwnd != 0 || st.CurSsthresh != 0 || st.CurRwnd != 0 {
+		t.Errorf("detached dynamic flow's snapshot reads window gauges %d/%d/%d, want 0", st.CurCwnd, st.CurSsthresh, st.CurRwnd)
+	}
+	if st.DataSegsOut != segsOut || segsOut == 0 {
+		t.Errorf("detached dynamic flow's snapshot counts %d segments out, want its %d", st.DataSegsOut, segsOut)
+	}
+	if w := window(static); w[0] == 0 || w[3] == 0 {
+		t.Errorf("detached static flow reads cwnd, ssthresh, flight, una, nxt = %v: want its last window", w)
+	}
+}
+
 // TestRecycledIDDropsStaleGeneration: a detached flow's FlowID goes to a
 // later arrival under a new generation. A data segment and an ACK stamped
 // with the old generation must be released by the flow table, not handed to
@@ -462,7 +503,7 @@ func TestRecycledIDDropsStaleGeneration(t *testing.T) {
 	s := warmTurnoverScenario(t, PaperPath())
 	spec := FlowSpec{Alg: AlgStandard, Bytes: 1 << 20}
 	a := mustAttach(t, s, spec)
-	id, gen := a.ID, uint32(reflect.ValueOf(a.Sender).Elem().FieldByName("gen").Uint())
+	id, gen := a.ID, uint32(reflect.ValueOf(&a.Sender).Elem().FieldByName("gen").Uint())
 	s.Eng.RunFor(100 * time.Millisecond)
 	s.DetachFlow(a)
 	s.Eng.RunFor(time.Second) // a's segments in flight land and are released
@@ -556,11 +597,11 @@ func hookAttachRun(t *testing.T, fresh bool) (first, second *Flow, recs []FlowRe
 		t.Fatal(err)
 	}
 	first = mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 100_000})
-	c := endpointConfig(first.Sender)
+	c := endpointConfig(&first.Sender)
 	complete := c.OnComplete
 	c.OnComplete = func(snd *tcp.Sender) {
 		complete(snd)
-		if snd != first.Sender || second != nil {
+		if snd != &first.Sender || second != nil {
 			return
 		}
 		if fresh {
@@ -584,7 +625,7 @@ func TestAttachFromCompletionHookGetsAnotherBundle(t *testing.T) {
 	t.Parallel()
 	_, _, want := hookAttachRun(t, true)
 	first, second, got := hookAttachRun(t, false)
-	if second == nil || second == first || second.Sender == first.Sender {
+	if second == nil || second == first {
 		t.Fatal("the flow attached from the completion hook owns the completing bundle")
 	}
 	if len(want) != 2 || len(got) != 2 {

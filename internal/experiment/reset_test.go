@@ -374,7 +374,7 @@ func TestResetReleasesDrainingNICSegments(t *testing.T) {
 		s := warmTurnoverScenario(t, PaperPath())
 		f := mustAttach(t, s, FlowSpec{Alg: AlgStandard, Bytes: 50 << 20})
 		s.Eng.RunFor(at)
-		if f.NIC.Idle() {
+		if f.NIC().Idle() {
 			t.Fatalf("detached at %v with an idle NIC — bad test premise", at)
 		}
 		s.DetachFlow(f)
@@ -647,14 +647,14 @@ func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
 	chain = append(chain, mixed, chain[0])
 
 	// The shared specs and their configs' parameters, without the
-	// scenario's own wiring: engine, pool, table, wheel, flight recorder and
-	// completion hook.
+	// scenario's own wiring: engine, pool, wheel, flight recorder and stall
+	// and completion hooks.
 	params := func(shared []*sharedSpec) []sharedSpec {
 		var out []sharedSpec
 		for _, sh := range shared {
 			v := *sh
-			v.tcp.Eng, v.tcp.Pool, v.tcp.Table, v.tcp.Wheel = nil, nil, nil, nil
-			v.tcp.FR, v.tcp.OnComplete, v.reno.FR = nil, nil, nil
+			v.tcp.Eng, v.tcp.Pool, v.tcp.Wheel = nil, nil, nil
+			v.tcp.FR, v.tcp.OnStall, v.tcp.OnComplete, v.reno.FR = nil, nil, nil, nil
 			out = append(out, v)
 		}
 		return out

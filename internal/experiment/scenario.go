@@ -283,7 +283,8 @@ func (f *FlowSpec) check() error {
 		return fmt.Errorf("Alg: unknown algorithm %q", f.Alg)
 	}
 	return cmp.Or(neg("StartAt", f.StartAt), neg("Bytes", f.Bytes), neg("MSS", f.MSS), neg("Tick", f.Tick),
-		fraction("SetpointFraction", f.SetpointFraction))
+		fraction("SetpointFraction", f.SetpointFraction),
+		neg("Route.FirstHop", f.Route.FirstHop), neg("Route.Hops", f.Route.Hops))
 }
 
 // neg is the error of a negative field, naming it; nil when v ≥ 0.
@@ -340,10 +341,13 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Flow bundles the components of one connection. A Flow and everything it
-// points to belong to the scenario, which parks the bundle and builds a later
-// flow on it: a static flow's *Flow is valid until the next Reset, a dynamic
-// flow's (AttachFlow) only until that flow completes or is detached.
+// Flow is the storage of one connection: the parts that live and die with
+// it — endpoints, controller and the private NIC of the sending host — held
+// by value in one object. A flow on a shared host sends through the NIC of
+// the host's first flow and leaves its own unused. A Flow belongs to the
+// scenario, which parks it and builds a later flow on it: a static flow's
+// *Flow is valid until the next Reset, a dynamic flow's (AttachFlow) only
+// until that flow completes or is detached.
 type Flow struct {
 	// Spec is the flow's spec with Bytes and StartAt cleared, shared by
 	// every flow of the run built from an equal one (see sharedSpec).
@@ -352,20 +356,20 @@ type Flow struct {
 	ID    packet.FlowID
 	// liveIdx is the flow's slot in the live churn set (-1 for static
 	// flows); it sits in ID's word.
-	liveIdx  int32
-	Sender   *tcp.Sender
-	Receiver *tcp.Receiver
-	// NIC is the interface the flow sends through: its bundle's own, or, on
-	// a host shared by several flows (FlowSpec.Host), the NIC of the host's
-	// first flow.
-	NIC *host.Interface
+	liveIdx int32
 	// RSS is non-nil for AlgRestricted.
 	RSS *core.RestrictedSlowStart
 
-	// bundle is the flowBundle this Flow heads, which Sender and Receiver
-	// point into and which holds the flow's controller and own NIC.
-	bundle *flowBundle
+	Sender   tcp.Sender
+	Receiver tcp.Receiver
+	reno     cc.Reno
+	nic      host.Interface
 }
+
+// NIC returns the interface the flow sends through, its sender's transmit
+// path: the flow's own, or, on a host shared by several flows
+// (FlowSpec.Host), the NIC of the host's first flow.
+func (f *Flow) NIC() *host.Interface { return f.Sender.Path().(*host.Interface) }
 
 // Scenario is a built, runnable testbed.
 type Scenario struct {
@@ -435,13 +439,13 @@ type Scenario struct {
 	// segments.
 	segs *packet.Pool
 
-	// ftab is the shared flow table every sender of the scenario draws its
-	// hot-state row from; detached dynamic flows return their rows, so the
-	// table is bounded by the peak live population. It survives Reset like
-	// the segment pool. wheel is the endpoint-timer wheel, allocated on the
-	// first Cfg.TimerWheel run and kept (reset) across replicates.
-	ftab  *tcp.FlowTable
+	// wheel is the endpoint-timer wheel, allocated on the first
+	// Cfg.TimerWheel run and kept (reset) across replicates like the
+	// segment pool.
 	wheel *sim.Wheel
+	// stalls are a traced run's static flows' Figure-1 series, indexed by
+	// FlowID-1 (see stalled).
+	stalls []*trace.Series
 	// shared are this run's flow specs, one per distinct FlowSpec among its
 	// flows (see sharedSpec); Reset parks them for the next run to refill.
 	shared []*sharedSpec
@@ -519,7 +523,7 @@ func extend[T any](s []T, n int) []T {
 }
 
 // parked is the scenario's recycling store. Reset flushes the previous
-// run's flow bundles (NICs included), restricted-slow-start controllers and
+// run's flows (NICs included), restricted-slow-start controllers and
 // shared specs and parks them here, and detach parks a dynamic flow's (see
 // Scenario.detach); init and buildFlow take a parked component and
 // re-initialize it (each type's Init, the routine its constructor runs too,
@@ -569,49 +573,28 @@ func trim[T any](free *[]*T, n int) {
 	}
 }
 
-// flowBundle is the storage of one connection: the Flow and the 1:1 parts
-// that live and die with it — endpoints, controller and the private NIC of
-// the sending host — in one object. The Flow's pointer fields point into the
-// bundle it heads, so nothing else has to know the layout. A flow on a
-// shared host sends through the NIC of the host's first flow and leaves its
-// own unused.
-type flowBundle struct {
-	Flow
-	sender   tcp.Sender
-	receiver tcp.Receiver
-	reno     cc.Reno
-	nic      host.Interface
-}
-
-// head zeroes the bundle's Flow but for its pointers into the bundle.
-func (b *flowBundle) head() *Flow {
-	b.Flow = Flow{Sender: &b.sender, Receiver: &b.receiver, bundle: b, liveIdx: -1}
-	return &b.Flow
-}
-
-// takeFlow returns a flow bundle: a zero Flow but for its 1:1 parts, every
-// one of which buildFlow still has to Init. A parked bundle comes back at the
-// address it had, so whoever kept the *Flow of its previous owner now holds
-// this flow's.
+// takeFlow returns a flow whose head fields are zero; its 1:1 parts keep
+// their storage, and buildFlow still has to Init every one of them. A parked
+// flow comes back at the address it had, so whoever kept the *Flow of its
+// previous owner now holds this flow's.
 func (s *Scenario) takeFlow() *Flow {
 	s.reclaim()
-	if len(s.park.flows) == 0 {
-		return new(flowBundle).head()
-	}
-	return take(&s.park.flows).bundle.head()
+	f := take(&s.park.flows)
+	f.Spec, f.Bytes, f.ID, f.liveIdx, f.RSS = nil, 0, 0, -1, nil
+	return f
 }
 
-// reusable reports whether a detached flow's bundle may carry a new flow
-// now. Its sender must not have a resume waker registered (the wake would
-// reach the next owner), and its own NIC must be idle and serve no shared
-// host: a busy NIC still drains segments into the network, and a shared
-// host's NIC carries the host's other flows until Reset.
+// reusable reports whether a detached flow may carry a new flow now. Its
+// sender must not have a resume waker registered (the wake would reach the
+// next owner), and its own NIC must be idle and serve no shared host: a busy
+// NIC still drains segments into the network, and a shared host's NIC
+// carries the host's other flows until Reset.
 func reusable(f *Flow) bool {
-	own := f.NIC == &f.bundle.nic
-	return !f.Sender.WakerArmed() && !(own && (f.Spec.Host != 0 || !f.NIC.Idle()))
+	own := f.NIC() == &f.nic
+	return !f.Sender.WakerArmed() && !(own && (f.Spec.Host != 0 || !f.nic.Idle()))
 }
 
-// reclaim moves the draining bundles that have become reusable to the store.
+// reclaim moves the draining flows that have become reusable to the store.
 func (s *Scenario) reclaim() {
 	busy := s.park.draining[:0]
 	for _, f := range s.park.draining {
@@ -668,7 +651,7 @@ func (s *Scenario) Reset(cfg Config) error {
 	// draining. A flow on a shared host flushes the host's NIC.
 	for k, set := range [3][]*Flow{s.Flows, s.churn.live, s.park.draining} {
 		for i, f := range set {
-			f.NIC.Flush()
+			f.NIC().Flush()
 			// A draining flow's controller was parked when it detached.
 			if k < 2 && f.RSS != nil && f.Spec.Host == 0 {
 				s.park.rss = append(s.park.rss, f.RSS)
@@ -726,15 +709,11 @@ func (s *Scenario) init(in *Config) error {
 	if s.FR == nil || s.FR.Cap() != ring {
 		s.FR = telemetry.NewFlightRecorder(ring)
 	}
-	// The flow table and (when enabled) the timer wheel persist across
-	// Reset like the segment pool: replicates after the first run entirely
-	// on recycled rows. A wheel allocated for an earlier replicate stays
-	// cached while a non-wheel config runs — nothing references it then.
-	if s.ftab == nil {
-		s.ftab = tcp.NewFlowTable(len(cfg.Flows) + 1)
-	} else {
-		s.ftab.Reset()
-	}
+	clear(s.stalls)
+	s.stalls = s.stalls[:0]
+	// The timer wheel (when enabled) persists across Reset like the segment
+	// pool. A wheel allocated for an earlier replicate stays cached while a
+	// non-wheel config runs — nothing references it then.
 	if s.wheel != nil {
 		s.wheel.Reset()
 	}
@@ -914,7 +893,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	flow := s.takeFlow()
 	if nic == nil {
 		// The flow's own NIC; a shared host's first flow lends it to the host.
-		nic = &flow.bundle.nic
+		nic = &flow.nic
 		nic.Init(eng, host.InterfaceConfig{
 			Rate:       cfg.Path.NICRate,
 			TxQueueLen: cfg.Path.TxQueueLen,
@@ -923,8 +902,8 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 			s.hosts[spec.Host] = sharedHost{nic: nic, first: first}
 		}
 	}
-	flow.Spec, flow.Bytes, flow.ID, flow.NIC = &shared.spec, spec.Bytes, id, nic
-	if err := buildController(s, flow, shared); err != nil {
+	flow.Spec, flow.Bytes, flow.ID = &shared.spec, spec.Bytes, id
+	if err := buildController(s, flow, nic, shared); err != nil {
 		return nil, err
 	}
 
@@ -947,12 +926,12 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		ackPath = s.ackLine(rd)
 	}
 	flow.Receiver.Init(&shared.tcp, id, gen, ackPath)
-	flow.Sender.Init(&shared.tcp, id, gen, &flow.bundle.reno, nic)
+	flow.Sender.Init(&shared.tcp, id, gen, &flow.reno, nic)
 	s.byID[id].f = flow
 	if s.Rec != nil && !dynamic {
-		// Figure 1's series: the Web100 SendStall count at every stall.
-		stalls, snd := s.Rec.Series(fmt.Sprintf("stalls/%d", id)), flow.Sender
-		snd.OnStall = func() { stalls.Add(eng.Now(), float64(snd.Stats().SendStall)) }
+		// Figure 1's series: the Web100 SendStall count at every stall
+		// (stalled). Static flows are built first, in ID order.
+		s.stalls = append(s.stalls, s.Rec.Series(fmt.Sprintf("stalls/%d", id)))
 		registerFlowGauges(s, flow)
 	}
 
@@ -981,7 +960,10 @@ func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
 	sh.spec, sh.tcp, sh.reno = want, tcp.DefaultConfig(), cc.DefaultRenoConfig()
 	sh.reno.FR = s.FR
 	c := &sh.tcp
-	c.Eng, c.Pool, c.Table, c.FR, c.OnComplete = s.Eng, s.segs, s.ftab, s.FR, s.complete
+	c.Eng, c.Pool, c.FR, c.OnComplete = s.Eng, s.segs, s.FR, s.complete
+	if s.Rec != nil {
+		c.OnStall = s.stalled
+	}
 	if s.Cfg.TimerWheel {
 		c.Wheel = s.wheel
 	}
@@ -1007,9 +989,18 @@ func sameSpec(x, y FlowSpec) bool {
 	return bx == by && x == y
 }
 
+// stalled is a traced run's stall hook (tcp.Config.OnStall): it appends
+// (now, SendStall) to a static flow's stalls/<id> series. Dynamic flows,
+// whose IDs follow the static ones, record no series.
+func (s *Scenario) stalled(snd *tcp.Sender) {
+	if i := int(snd.Flow()) - 1; i < len(s.stalls) {
+		s.stalls[i].Add(s.Eng.Now(), float64(snd.Stats().SendStall))
+	}
+}
+
 // registerFlowGauges adds a static flow's sampled series to the recorder.
 func registerFlowGauges(s *Scenario, flow *Flow) {
-	eng, nic, mss := s.Eng, flow.NIC, float64(flow.Sender.MSS())
+	eng, nic, mss := s.Eng, flow.NIC(), float64(flow.Sender.MSS())
 	s.Rec.Gauge(fmt.Sprintf("cwnd_segs/%d", flow.ID), func() float64 {
 		return float64(flow.Sender.Cwnd()) / mss
 	})
@@ -1037,10 +1028,10 @@ func (f *Flow) startWorkload() {
 	f.Sender.Supply(1 << 62)
 }
 
-// buildController initializes the flow bundle's Reno on the shared spec's
-// config with the slow-start policy the spec selects, wiring a (parked or
-// new) restricted-slow-start controller to the flow's NIC for AlgRestricted.
-func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
+// buildController initializes the flow's Reno on the shared spec's config
+// with the slow-start policy the spec selects, wiring a (parked or new)
+// restricted-slow-start controller to nic, the flow's NIC, for AlgRestricted.
+func buildController(s *Scenario, flow *Flow, nic *host.Interface, shared *sharedSpec) error {
 	spec := flow.Spec
 	var ss cc.SlowStartPolicy // nil: Reno's standard slow-start
 	switch spec.Alg {
@@ -1053,7 +1044,7 @@ func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
 		if rss == nil {
 			rss = take(&s.park.rss)
 			err := rss.Init(s.Eng, core.Config{
-				Sensor:           flow.NIC,
+				Sensor:           nic,
 				Gains:            spec.Gains,
 				SetpointFraction: spec.SetpointFraction,
 				Tick:             spec.Tick,
@@ -1078,7 +1069,7 @@ func buildController(s *Scenario, flow *Flow, shared *sharedSpec) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", spec.Alg)
 	}
-	flow.bundle.reno.Init(&shared.reno, ss, int32(flow.ID))
+	flow.reno.Init(&shared.reno, ss, int32(flow.ID))
 	return nil
 }
 
@@ -1234,7 +1225,7 @@ func (s *Scenario) ResultFor(i int) Result {
 		res.Stats = st
 		res.Throughput = st.Throughput(now)
 		res.Stalls = st.SendStall
-		res.NIC = f.NIC.Stats()
+		res.NIC = f.NIC().Stats()
 	} else {
 		res.Alg = s.churn.tmpl.Alg
 		res.Throughput = unit.Throughput(unit.ByteSize(s.churnBytesAcked(now)), now.Duration())

@@ -157,7 +157,7 @@ func TestParallelStreamsShareOneHost(t *testing.T) {
 	if rssThr < stdThr {
 		t.Errorf("parallel RSS %.1f Mbps below standard %.1f Mbps", rssThr/1e6, stdThr/1e6)
 	}
-	if nicStats := s.Flows[0].NIC.Stats(); nicStats.MaxQueue > 100 {
+	if nicStats := s.Flows[0].NIC().Stats(); nicStats.MaxQueue > 100 {
 		t.Errorf("shared IFQ exceeded capacity: %d", nicStats.MaxQueue)
 	}
 }
@@ -168,7 +168,7 @@ func TestSeparateHostsByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Flows[0].NIC == s.Flows[1].NIC {
+	if s.Flows[0].NIC() == s.Flows[1].NIC() {
 		t.Error("flows with Host=0 share a NIC")
 	}
 }

@@ -15,7 +15,8 @@ import (
 // size, MSS, tick or duration, a set point outside [0, 1], the churn
 // template's MSS or tick), no override and no cap at all (a negative Load or
 // MaxLive, a RetainFlows below -1), or, a negative start time, panic in the
-// calendar ("schedule in the past"). Each is now one line naming the field,
+// calendar ("schedule in the past"). A negative Route.Hops ran the whole
+// path, as 0 does. Each is now one line naming the field,
 // from Validate, Build and Reset alike, and the scenario a refused Reset
 // leaves still runs.
 func TestValidateRejectsOutOfDomain(t *testing.T) {
@@ -53,6 +54,11 @@ func TestValidateRejectsOutOfDomain(t *testing.T) {
 		{Config{Flows: []FlowSpec{{Alg: AlgStandard, MSS: -1}}}, "experiment: Flows[0].MSS -1 is negative"},
 		{Config{Flows: []FlowSpec{{Alg: AlgRestricted, Tick: -time.Millisecond}}}, "experiment: Flows[0].Tick -1ms is negative"},
 		{Config{Duration: -time.Second}, "experiment: Duration -1s is negative"},
+		{Config{Flows: []FlowSpec{{Alg: AlgStandard, Route: Route{Hops: -2}}}}, "experiment: Flows[0].Route.Hops -2 is negative"},
+		{Config{Flows: []FlowSpec{{Alg: AlgStandard, Route: Route{FirstHop: -1}}}},
+			"experiment: Flows[0].Route.FirstHop -1 is negative"},
+		{churn(func(c *ChurnSpec) { c.Flow.Route.Hops = -2 }), "experiment: Churn.Flow.Route.Hops -2 is negative"},
+		{churn(func(c *ChurnSpec) { c.Flow.Route.FirstHop = -1 }), "experiment: Churn.Flow.Route.FirstHop -1 is negative"},
 	} {
 		row.cfg.Traceless = true
 		if err := row.cfg.Validate(); err == nil || err.Error() != row.want {
@@ -71,6 +77,36 @@ func TestValidateRejectsOutOfDomain(t *testing.T) {
 		if res := s.Run(); res.Duration != 100*time.Millisecond {
 			t.Errorf("%s: the scenario a refused Reset left ran for %v, want 100ms", row.want, res.Duration)
 		}
+	}
+}
+
+// TestAttachFlowChecksSpec: a hand-attached spec is held to what Validate
+// holds a configured flow to. AttachFlow used to take any spec: an MSS of -1
+// ran 1448-byte segments and a set point of 7 ran 0.9. A refused spec leaves
+// no flow behind, and a valid one still attaches.
+func TestAttachFlowChecksSpec(t *testing.T) {
+	t.Parallel()
+	s := warmTurnoverScenario(t, PathConfig{})
+	for _, row := range []struct {
+		spec FlowSpec
+		want string
+	}{
+		{FlowSpec{Alg: AlgStandard, MSS: -1, Bytes: 100_000}, "experiment: AttachFlow: FlowSpec.MSS -1 is negative"},
+		{FlowSpec{Alg: AlgRestricted, SetpointFraction: 7}, "experiment: AttachFlow: FlowSpec.SetpointFraction 7 is outside [0, 1]"},
+		{FlowSpec{Alg: AlgStandard, Route: Route{Hops: -2}}, "experiment: AttachFlow: FlowSpec.Route.Hops -2 is negative"},
+		{FlowSpec{Alg: AlgStandard, Bytes: -1}, "experiment: AttachFlow: FlowSpec.Bytes -1 is negative"},
+		{FlowSpec{Alg: "bogus"}, `experiment: AttachFlow: FlowSpec.Alg: unknown algorithm "bogus"`},
+	} {
+		if f, err := s.AttachFlow(row.spec); err == nil || err.Error() != row.want {
+			t.Errorf("AttachFlow(%+v) = %v, %v, want %q", row.spec, f, err, row.want)
+		}
+	}
+	if n := s.LiveFlows(); n != 0 {
+		t.Fatalf("%d flows live after refused attaches, want 0", n)
+	}
+	f := mustAttach(t, s, FlowSpec{Alg: AlgRestricted, MSS: 1000, SetpointFraction: 0.5})
+	if f.Sender.MSS() != 1000 || f.Spec.SetpointFraction != 0.5 {
+		t.Errorf("attached flow runs MSS %d, set point %v, want 1000 and 0.5", f.Sender.MSS(), f.Spec.SetpointFraction)
 	}
 }
 
@@ -109,12 +145,14 @@ func TestTuneValidatesPath(t *testing.T) {
 // FuzzConfigDomain: a config with any values at all, negative, NaN, ±Inf
 // and huge ones included, either fails Build with one line, or builds a
 // scenario whose resolved config reads back every nonzero field as it was
-// asked for: no value outside the domain runs a default in its place.
+// asked for, and whose flow's route spans the hops it asked for: no value
+// outside the domain runs a default in its place.
 func FuzzConfigDomain(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bw, rtt, rq, nic, ifq, hops int64, loss, sp, load float64,
-		mss, tick, start, bytes, maxLive, retain, eventLog, dur int64, alg string, churn bool) {
+		mss, tick, start, bytes, maxLive, retain, eventLog, dur int64, alg string, churn bool, first, span int64) {
 		spec := FlowSpec{Alg: Algorithm(alg), StartAt: time.Duration(start), Bytes: bytes,
-			SetpointFraction: sp, Tick: time.Duration(tick), MSS: int(mss)}
+			SetpointFraction: sp, Tick: time.Duration(tick), MSS: int(mss),
+			Route: Route{FirstHop: int(first), Hops: int(span)}}
 		cfg := Config{
 			Path: PathConfig{Bottleneck: unit.Bandwidth(bw), RTT: time.Duration(rtt), RouterQueue: int(rq),
 				NICRate: unit.Bandwidth(nic), TxQueueLen: int(ifq), Loss: loss, Hops: int(hops)},
@@ -163,5 +201,11 @@ func FuzzConfigDomain(f *testing.F) {
 		kept("SetpointFraction", spec.SetpointFraction, ran.SetpointFraction, spec.SetpointFraction == 0)
 		kept("Tick", spec.Tick, ran.Tick, spec.Tick == 0)
 		kept("MSS", spec.MSS, ran.MSS, spec.MSS == 0)
+		// Route runs as asked: from FirstHop, and a nonzero Hops that many.
+		r := spec.Route
+		if first, last, err := ran.Route.span(len(s.Topo.Hops)); err != nil || first != r.FirstHop ||
+			(r.Hops != 0 && last-first+1 != r.Hops) {
+			t.Fatalf("Route %+v: ran hops [%d, %d] of %d (%v)", r, first, last, len(s.Topo.Hops), err)
+		}
 	})
 }

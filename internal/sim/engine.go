@@ -55,6 +55,7 @@ type Engine struct {
 	now       Time
 	queue     []*event // binary min-heap ordered by (time, sequence)
 	lad       *ladder  // ladder calendar; non-nil when it is the backend
+	wheel     *Wheel   // the timer wheel over this calendar (NewWheel), if any
 	free      []*event // recycled entries awaiting reuse
 	seq       uint64
 	processed uint64

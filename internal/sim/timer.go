@@ -22,15 +22,15 @@ type Timer struct {
 	at   Time   // target deadline, meaningful while armed
 	seq  uint64 // sequence number reserved by the latest Arm
 
-	// Wheel-backed mode (see Wheel): when wheel is non-nil, Arm and Stop
-	// route through the wheel's O(1) slot lists instead of the calendar
-	// heap. wNext/wPrev/wSlot are the intrusive slot-list node, owned by
-	// the wheel while wSlot >= 0.
-	wheel        *Wheel
+	// Wheel-backed mode (see Wheel): when onWheel is set, Arm and Stop
+	// route through the engine's wheel's O(1) slot lists instead of the
+	// calendar heap. wNext/wPrev/wSlot are the intrusive slot-list node,
+	// owned by the wheel while wSlot >= 0.
 	wNext, wPrev *Timer
 	wSlot        int32
 
-	armed bool // after wSlot, in its word's padding
+	armed   bool // after wSlot, in its word's padding
+	onWheel bool
 }
 
 // Hook is what a Timer runs when it expires and a Ticker on every tick: the
@@ -70,13 +70,17 @@ func (t *Timer) Init(eng *Engine, w *Wheel, fn func()) {
 
 // InitHook (re)initializes a Timer value in place, the allocation-free
 // equivalent of NewTimer for timers embedded by value in a larger per-flow
-// struct. w may be nil for a plain heap-backed timer. Whatever entry a used
-// timer's old deadline held must already be gone (engine or wheel reset).
+// struct. w may be nil for a plain heap-backed timer; otherwise it must be
+// eng's wheel. Whatever entry a used timer's old deadline held must already
+// be gone (engine or wheel reset).
 func (t *Timer) InitHook(eng *Engine, w *Wheel, h Hook) {
 	if h == nil {
 		panic("sim: timer with nil hook")
 	}
-	*t = Timer{eng: eng, hook: h, wheel: w, wSlot: -1}
+	if w != nil && w != eng.wheel {
+		panic("sim: timer on a wheel of another engine")
+	}
+	*t = Timer{eng: eng, hook: h, wSlot: -1, onWheel: w != nil}
 }
 
 // Arm (re)schedules the timer to fire d from now, superseding any earlier
@@ -93,11 +97,11 @@ func (t *Timer) ArmAt(at Time) {
 	t.at = at
 	t.armed = true
 	t.seq = t.eng.ReserveSeq()
-	if t.wheel != nil {
+	if t.onWheel {
 		// Wheel mode: relocation is O(1) on the ring, so re-arm eagerly.
 		// The entry that finally fires still carries this reserved
 		// number, so ordering matches the heap path exactly.
-		t.wheel.arm(t)
+		t.eng.wheel.arm(t)
 		return
 	}
 	if t.ev.Pending() && t.ev.At() < at {
@@ -112,8 +116,8 @@ func (t *Timer) ArmAt(at Time) {
 // Stop cancels the pending expiry, if any.
 func (t *Timer) Stop() {
 	t.armed = false
-	if t.wheel != nil && t.wSlot >= 0 {
-		t.wheel.unlink(t)
+	if t.onWheel && t.wSlot >= 0 {
+		t.eng.wheel.unlink(t)
 	}
 	t.eng.Cancel(t.ev)
 	t.ev = Event{}

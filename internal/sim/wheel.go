@@ -50,7 +50,8 @@ const DefaultWheelGran = 8 * time.Millisecond
 const DefaultWheelSlots = 512
 
 // NewWheel returns a wheel over the engine's calendar. gran is the slot
-// width; slots is rounded up to a power of two.
+// width; slots is rounded up to a power of two. An engine has at most one
+// wheel: its timers find it through the engine, so they hold no pointer to it.
 func NewWheel(eng *Engine, gran Duration, slots int) *Wheel {
 	if gran <= 0 {
 		panic("sim: NewWheel with non-positive granularity")
@@ -62,7 +63,11 @@ func NewWheel(eng *Engine, gran Duration, slots int) *Wheel {
 	for n < slots {
 		n <<= 1
 	}
-	return &Wheel{eng: eng, gran: gran, slots: make([]*Timer, n), mask: int64(n - 1)}
+	if eng.wheel != nil {
+		panic("sim: NewWheel on an engine that has one")
+	}
+	eng.wheel = &Wheel{eng: eng, gran: gran, slots: make([]*Timer, n), mask: int64(n - 1)}
+	return eng.wheel
 }
 
 // Resident returns the number of timers currently linked into slots.

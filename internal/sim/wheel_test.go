@@ -201,3 +201,33 @@ func TestWheelStats(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 ring arm, 1 direct, 1 flush, 0 resident", st)
 	}
 }
+
+// TestWheelBelongsToOneEngine: a timer reaches its wheel through its engine,
+// so an engine has at most one wheel, and a timer cannot be put on the wheel
+// of another engine.
+func TestWheelBelongsToOneEngine(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e, other := NewEngine(), NewEngine()
+	w := NewWheel(e, 5*time.Millisecond, 64)
+	panics("a second NewWheel on one engine", func() { NewWheel(e, 5*time.Millisecond, 64) })
+	var tm Timer
+	panics("a timer on another engine's wheel", func() { tm.Init(other, w, func() {}) })
+	fired := 0
+	tm.Init(e, w, func() { fired++ })
+	tm.Arm(50 * time.Millisecond)
+	if w.Resident() != 1 {
+		t.Fatalf("resident %d after arming a wheel timer, want 1", w.Resident())
+	}
+	e.Run()
+	if fired != 1 {
+		t.Errorf("wheel timer fired %d times, want 1", fired)
+	}
+}

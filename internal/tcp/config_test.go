@@ -26,7 +26,6 @@ func TestFillDefaultsIdempotent(t *testing.T) {
 			MSS: 1000, RcvWnd: 1 << 16, AckEvery: 1, DelAckTimeout: time.Millisecond, SACK: true,
 			MinRTO: time.Millisecond, MaxRTO: time.Second, InitialRTO: 3 * time.Second,
 			RTOGranularity: time.Microsecond, Stall: StallWait, Pool: packet.NewPool(),
-			Table: NewFlowTable(1),
 		}},
 	}
 	for _, row := range rows {
@@ -34,8 +33,8 @@ func TestFillDefaultsIdempotent(t *testing.T) {
 		once.fillDefaults()
 		twice := once
 		twice.fillDefaults()
-		// DeepEqual, not ==: OnComplete makes Config incomparable. It is nil
-		// in every row, where DeepEqual and == agree.
+		// DeepEqual, not ==: the hooks make Config incomparable. They are
+		// nil in every row, where DeepEqual and == agree.
 		if !reflect.DeepEqual(twice, once) {
 			t.Errorf("%s: fill(fill(c)) = %+v, fill(c) = %+v", row.name, twice, once)
 		}

@@ -1,7 +1,7 @@
 package tcp
 
-// flowRow is one sender's hot window and sequence state: everything an ACK
-// reads and writes besides the record list itself.
+// flowRow is the layout of one FlowTable row: the window and sequence state
+// an ACK reads and writes besides the record list.
 type flowRow struct {
 	// window state (bytes)
 	cwnd     int64
@@ -19,27 +19,22 @@ type flowRow struct {
 	fack        int64 // forward ACK: highest SACKed sequence end
 	rtxOut      int64 // retransmitted bytes not yet (S)ACKed
 
-	// segHead is the live-window head index into the sender's record list
-	// (see Sender.live).
+	// segHead is the live-window head index into a record list.
 	segHead int32
 }
 
-// FlowTable holds every sender's hot state as one row per flow, indexed by
-// a compact flow slot, so a 10k-flow scenario keeps that state in one
-// contiguous slice instead of 10k pointer-rich Sender structs, and an ACK
-// touches one row (DESIGN.md).
+// FlowTable is a slot allocator over one slice of per-flow rows, with a free
+// list so a table under churn stays sized to its peak live population.
+// Senders no longer keep their window state here: it sits in the Sender,
+// beside the state every ACK touches anyway (DESIGN.md, "Flow-state rows").
+// The table stays only as what bench/layers' tcp.flowtable_row_ns
+// measurement times, an Alloc/Free cycle; no scenario uses it.
 //
-// A Sender owns one row from NewSender until ReleaseRow; released rows go
-// on a free list and are recycled (zeroed) by the next Alloc, so a churn
-// run's table is bounded by its peak live flow count, not its total flow
-// count. Alloc may move the rows, so no *flowRow is held across calls. The
-// table is not safe for concurrent use: like the engine, a simulation is a
-// single logical thread, and campaign workers each own a private table.
+// Released rows are recycled (zeroed) by the next Alloc. Alloc may move the
+// rows. The table is not safe for concurrent use.
 type FlowTable struct {
 	rows []flowRow
 	free []int32 // released slots awaiting reuse
-
-	reuses uint64 // allocations served from the free list, over the table's life
 }
 
 // NewFlowTable returns an empty table with capacity for about capHint
@@ -54,7 +49,6 @@ func (t *FlowTable) Alloc() int32 {
 		slot := t.free[n-1]
 		t.free = t.free[:n-1]
 		t.rows[slot] = flowRow{}
-		t.reuses++
 		return slot
 	}
 	t.rows = append(t.rows, flowRow{})
@@ -68,20 +62,4 @@ func (t *FlowTable) Free(slot int32) {
 		panic("tcp: FlowTable.Free of an invalid slot")
 	}
 	t.free = append(t.free, slot)
-}
-
-// Rows returns the table's high-water row count (live + free).
-func (t *FlowTable) Rows() int { return len(t.rows) }
-
-// Live returns the number of rows currently owned by senders.
-func (t *FlowTable) Live() int { return len(t.rows) - len(t.free) }
-
-// Reuses returns how many allocations were served from the free list.
-func (t *FlowTable) Reuses() uint64 { return t.reuses }
-
-// Reset forgets every row while keeping slice capacity, for scenario reuse
-// across campaign replicates. All outstanding slots become invalid.
-func (t *FlowTable) Reset() {
-	t.rows = t.rows[:0]
-	t.free = t.free[:0]
 }

@@ -23,8 +23,8 @@ func TestDebugSACKBurstLoss(t *testing.T) {
 		if st.Timeouts != lastTO || st.FastRetran != lastFR || l.snd.InRecovery() {
 			t.Logf("t=%6.3fs una=%5d nxt=%5d maxSent=%5d cwnd=%4.0f pipe=%5d fack=%5d rec=%v rtx=%4d to=%d dup=%d rcvNxt=%d",
 				l.eng.Now().Seconds(), l.snd.SndUna()/1000, l.snd.SndNxt()/1000,
-				l.snd.row().maxSent/1000, float64(l.snd.Cwnd())/1000, l.snd.pipe()/1000,
-				l.snd.row().fack/1000, l.snd.InRecovery(), st.SegsRetrans, st.Timeouts,
+				l.snd.maxSent()/1000, float64(l.snd.Cwnd())/1000, l.snd.pipe()/1000,
+				l.snd.fack/1000, l.snd.InRecovery(), st.SegsRetrans, st.Timeouts,
 				st.DupAcksIn, l.rcv.RcvNxt()/1000)
 			lastTO, lastFR = st.Timeouts, st.FastRetran
 		}

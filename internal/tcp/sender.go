@@ -25,20 +25,14 @@ func (r *sentRecord) end() int64 { return r.seq + int64(r.length) }
 // live returns the outstanding window: the records not yet consumed by a
 // cumulative ACK. Pointers into it stay valid until the next append or
 // popAcked compaction.
-func (s *Sender) live() []sentRecord { return s.segs[s.row().segHead:] }
-
-// row returns the sender's FlowTable row. The pointer is only valid until
-// the table's next Alloc, so callers re-read it rather than keep it.
-func (s *Sender) row() *flowRow { return &s.cfg.Table.rows[s.slot] }
+func (s *Sender) live() []sentRecord { return s.segs[s.segHead:] }
 
 // Sender is the TCP sending side. It implements cc.Window for its
 // congestion controller and netem.Receiver for the incoming ACK stream.
 //
-// The hot window and sequence state (cwnd, ssthresh, snd.una, snd.nxt, the
-// SACK aggregates, the record-list head) lives in a row of the config's
-// FlowTable addressed by slot. The struct itself is the cold half:
-// wiring, loss-recovery mode, and instrumentation. What every connection of
-// a simulation shares — engine, table, flight recorder, completion hook —
+// The window and sequence state an ACK reads and writes sits at the front,
+// beside the wiring it reaches through. What every connection of a
+// simulation shares — engine, flight recorder, stall and completion hooks —
 // sits in the shared Config.
 type Sender struct {
 	cfg  *Config // shared with every endpoint configured alike; read-only
@@ -47,16 +41,31 @@ type Sender struct {
 	ctrl cc.Controller
 	path TransmitPath
 
-	slot    int32 // row owned by this sender, -1 after ReleaseRow
+	// window state (bytes)
+	cwnd     int64
+	ssthresh int64
+	rwnd     int64 // peer's advertised window, from ACKs
+
+	// sequence state (the high-water mark is maxSent's)
+	sndUna   int64
+	sndNxt   int64
+	supplied int64 // bytes the application has made available
+
+	// SACK scoreboard aggregates
+	sackedBytes int64 // bytes of outstanding records marked SACKed
+	fack        int64 // forward ACK: highest SACKed sequence end
+	rtxOut      int64 // retransmitted bytes not yet (S)ACKed
+
+	segHead int32 // live-window head index into segs (see live)
 	dupAcks int32 // duplicate ACKs since the last advance of snd.una
 
 	stats web100.Live
 
-	// Outstanding records, ordered by seq, live in segs[segHead:] (the
-	// head index is table state). ACKs consume from the front by advancing
-	// segHead (with amortized compaction) instead of copying the surviving
-	// window down — at paper-path windows a per-ACK copy moved the whole
-	// flight every ACK and dominated the profile's memmove time. The array
+	// Outstanding records, ordered by seq, live in segs[segHead:]. ACKs
+	// consume from the front by advancing segHead (with amortized
+	// compaction) instead of copying the surviving window down — at
+	// paper-path windows a per-ACK copy moved the whole flight every ACK
+	// and dominated the profile's memmove time. The array
 	// follows the window, not the connection's age: an ACK that empties
 	// the list rewinds it, a full array slides before it grows (trySend).
 	segs []sentRecord
@@ -71,28 +80,22 @@ type Sender struct {
 	stallCwrHigh int64  // suppress repeated stall-congestion until una passes
 	resumeFn     func() // the waker callback, bound once (no per-stall closure)
 
-	// OnStall fires on every send-stall, after Stats().SendStall counts it;
-	// a traced flow's Figure-1 series hooks here.
-	OnStall func()
-
 	// The flags sit together at the end, where they share one word.
 	closed     bool // application will supply no more
 	inRecovery bool
 	rtxPending bool // a fast-retransmit segment is waiting for IFQ room
 	wakerArmed bool // a resume waker is registered with the NIC
 	finished   bool
+	retired    bool // window state retired (Retire): accessors read 0
 }
 
 // NewSender wires a sender to its congestion controller and transmit path
 // on a private copy of cfg, whose zero fields take DefaultConfig's values
-// (a nil Table a private one-row table) and whose engine is eng. The
-// controller is attached (initializing cwnd/ssthresh) immediately.
+// and whose engine is eng. The controller is attached (initializing
+// cwnd/ssthresh) immediately.
 func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controller, path TransmitPath) *Sender {
 	cfg.fillDefaults()
 	cfg.Eng = eng
-	if cfg.Table == nil {
-		cfg.Table = NewFlowTable(1)
-	}
 	s := new(Sender)
 	s.Init(&cfg, flow, 0, ctrl, path)
 	return s
@@ -103,11 +106,10 @@ func NewSender(eng *sim.Engine, cfg Config, flow packet.FlowID, ctrl cc.Controll
 // list's backing array, its resume callback — and nothing of the previous
 // connection's state, hooks or Web100 counters (that block is held by value
 // and zeroed with the rest), so a recycled sender behaves exactly like a new
-// one and costs no allocation. The previous row, if any, is not freed: the
-// owner resets or frees the table's rows itself.
+// one and costs no allocation.
 //
-// cfg is held, not copied: it must be filled (DefaultConfig with a Pool, an
-// Eng and a Table, or NewSender's copy) and stay unchanged while the sender
+// cfg is held, not copied: it must be filled (DefaultConfig with a Pool and
+// an Eng, or NewSender's copy) and stay unchanged while the sender
 // runs. gen is stamped on every segment sent (packet.Segment.Gen): scenarios
 // that recycle FlowIDs give each incarnation a fresh one, so their
 // demultiplexers can tell a stray segment of a dead flow from the ID's
@@ -129,10 +131,9 @@ func (s *Sender) Init(cfg *Config, flow packet.FlowID, gen uint32, ctrl cc.Contr
 	*s = Sender{} // zero, then set: a literal that reads s is built aside and copied
 	s.cfg, s.flow, s.gen, s.ctrl, s.path = cfg, flow, gen, ctrl, path
 	s.segs, s.resumeFn = segs, resumeFn
-	s.slot = cfg.Table.Alloc()
 	s.est = rttEstimator{rto: cfg.InitialRTO}
 	s.stats.Init(cfg.Eng.Now())
-	s.row().rwnd = cfg.RcvWnd
+	s.rwnd = cfg.RcvWnd
 	s.rto.InitHook(cfg.Eng, cfg.Wheel, (*rtoExpiry)(s))
 	ctrl.Attach(s)
 }
@@ -140,22 +141,20 @@ func (s *Sender) Init(cfg *Config, flow packet.FlowID, gen uint32, ctrl cc.Contr
 // Flow returns the connection's flow ID.
 func (s *Sender) Flow() packet.FlowID { return s.flow }
 
-// Slot returns the sender's flow-table row index (-1 after ReleaseRow).
-func (s *Sender) Slot() int32 { return s.slot }
+// Path returns the transmit path the sender sends through.
+func (s *Sender) Path() TransmitPath { return s.path }
 
-// ReleaseRow returns the sender's hot-state row to its table's free list.
-// Only legal once the sender is finished (completed or stopped); after the
-// call the window accessors report zero and the row may be recycled by a
-// new flow. Idempotent.
-func (s *Sender) ReleaseRow() {
-	if s.slot < 0 {
-		return
-	}
+// Retire retires a finished (completed or stopped) sender's window state:
+// after the call the window and sequence accessors and Snapshot's window
+// gauges read zero, as for a flow that no longer exists, until Init makes
+// the sender a new connection. It panics on a running sender. Idempotent.
+// (Not Release: Engine.Reset calls Release on the event arguments it
+// discards.)
+func (s *Sender) Retire() {
 	if !s.finished {
-		panic("tcp: ReleaseRow on a sender that is still running")
+		panic("tcp: Retire on a sender that is still running")
 	}
-	s.cfg.Table.Free(s.slot)
-	s.slot = -1
+	s.retired = true
 }
 
 // WakerArmed reports whether the transmit path still holds this sender's
@@ -182,12 +181,12 @@ func (s *Sender) RecordCap() int { return cap(s.segs) }
 // MSS returns the segment payload size.
 func (s *Sender) MSS() int { return s.cfg.MSS }
 
-// Cwnd returns the congestion window in bytes (0 once the row is released).
+// Cwnd returns the congestion window in bytes (0 once retired).
 func (s *Sender) Cwnd() int64 {
-	if s.slot < 0 {
+	if s.retired {
 		return 0
 	}
-	return s.row().cwnd
+	return s.cwnd
 }
 
 // SetCwnd sets the congestion window, clamped to at least one MSS.
@@ -195,21 +194,21 @@ func (s *Sender) SetCwnd(b int64) {
 	if b < int64(s.cfg.MSS) {
 		b = int64(s.cfg.MSS)
 	}
-	// The initial window (Attach, on a row that starts at zero) is not a
+	// The initial window (Attach, on a window that starts at zero) is not a
 	// change: the recorder logs the window's moves, not its creation.
-	if old := s.row().cwnd; old != 0 && b != old {
+	if old := s.cwnd; old != 0 && b != old {
 		s.cfg.FR.Record(s.Now(), telemetry.KindCwnd, int32(s.flow), -1, old, b)
 	}
-	s.row().cwnd = b
+	s.cwnd = b
 	s.stats.ObserveCwnd(b)
 }
 
-// Ssthresh returns the slow-start threshold in bytes (0 once released).
+// Ssthresh returns the slow-start threshold in bytes (0 once retired).
 func (s *Sender) Ssthresh() int64 {
-	if s.slot < 0 {
+	if s.retired {
 		return 0
 	}
-	return s.row().ssthresh
+	return s.ssthresh
 }
 
 // SetSsthresh sets the slow-start threshold, clamped to >= 2 MSS.
@@ -217,16 +216,17 @@ func (s *Sender) SetSsthresh(b int64) {
 	if b < 2*int64(s.cfg.MSS) {
 		b = 2 * int64(s.cfg.MSS)
 	}
-	s.row().ssthresh = b
+	s.ssthresh = b
 	s.stats.ObserveSsthresh(b)
 }
 
-// FlightSize returns the outstanding bytes (snd.nxt - snd.una).
+// FlightSize returns the outstanding bytes (snd.nxt - snd.una; 0 once
+// retired).
 func (s *Sender) FlightSize() int64 {
-	if s.slot < 0 {
+	if s.retired {
 		return 0
 	}
-	return s.row().sndNxt - s.row().sndUna
+	return s.sndNxt - s.sndUna
 }
 
 // SRTT returns the smoothed RTT (0 before the first sample).
@@ -245,7 +245,7 @@ func (s *Sender) Supply(n int64) {
 	if n <= 0 || s.finished {
 		return
 	}
-	s.row().supplied += n
+	s.supplied += n
 	s.trySend()
 }
 
@@ -264,12 +264,11 @@ func (s *Sender) Finished() bool { return s.finished }
 func (s *Sender) Stats() *web100.Live { return &s.stats }
 
 // Snapshot returns the full Web100 instrument set as of now, its window and
-// RTT gauges read from the sender's own state (zero windows once the row is
-// released).
+// RTT gauges read from the sender's own state (zero windows once retired).
 func (s *Sender) Snapshot(now sim.Time) web100.Stats {
 	g := web100.Gauges{Cwnd: s.Cwnd(), Ssthresh: s.Ssthresh(), SRTT: s.est.SRTT(), RTO: s.est.RTO()}
-	if s.slot >= 0 && s.stats.SegsIn > 0 {
-		g.Rwnd = s.row().rwnd
+	if !s.retired && s.stats.SegsIn > 0 {
+		g.Rwnd = s.rwnd
 	}
 	return s.stats.Snapshot(now, g)
 }
@@ -279,18 +278,18 @@ func (s *Sender) Controller() cc.Controller { return s.ctrl }
 
 // SndUna returns the oldest unacknowledged sequence number.
 func (s *Sender) SndUna() int64 {
-	if s.slot < 0 {
+	if s.retired {
 		return 0
 	}
-	return s.row().sndUna
+	return s.sndUna
 }
 
 // SndNxt returns the next sequence number to be sent.
 func (s *Sender) SndNxt() int64 {
-	if s.slot < 0 {
+	if s.retired {
 		return 0
 	}
-	return s.row().sndNxt
+	return s.sndNxt
 }
 
 // InRecovery reports whether fast recovery is in progress.
@@ -300,6 +299,12 @@ func (s *Sender) InRecovery() bool { return s.inRecovery }
 func (s *Sender) RTO() time.Duration { return s.est.RTO() }
 
 // --- transmission ---
+
+// maxSent returns the transmission high-water mark, which survives an RTO's
+// rewind of snd.nxt: the RTO raises rtxHigh to snd.nxt before the rewind,
+// snd.nxt only passes rtxHigh again by sending, and an ACK moves it up to at
+// most the mark, so the mark is always the larger of the two.
+func (s *Sender) maxSent() int64 { return max(s.rtxHigh, s.sndNxt) }
 
 // trySend transmits as much as windows, data and the IFQ allow.
 func (s *Sender) trySend() {
@@ -326,7 +331,7 @@ func (s *Sender) trySend() {
 			// Burst cap: later ACKs (or the NIC waker) release more.
 			return
 		}
-		avail := s.row().supplied - s.row().sndNxt
+		avail := s.supplied - s.sndNxt
 		if avail <= 0 {
 			// Nothing from the application: sender-limited.
 			s.stats.SetSndLim(web100.SndLimSender, s.Now())
@@ -334,7 +339,7 @@ func (s *Sender) trySend() {
 		}
 		n := int(min(int64(s.cfg.MSS), avail))
 		// No RFC 3042 limited transmit: duplicate ACKs release no new data.
-		wnd := min(s.row().cwnd, s.row().rwnd)
+		wnd := min(s.cwnd, s.rwnd)
 		inFlight := s.FlightSize()
 		if s.inRecovery && s.cfg.SACK {
 			// RFC 6675: during SACK recovery transmission is governed
@@ -343,14 +348,14 @@ func (s *Sender) trySend() {
 			inFlight = s.pipe()
 		}
 		if inFlight+int64(n) > wnd {
-			if r := s.row(); r.cwnd <= r.rwnd {
+			if s.cwnd <= s.rwnd {
 				s.stats.SetSndLim(web100.SndLimCwnd, s.Now())
 			} else {
 				s.stats.SetSndLim(web100.SndLimRwnd, s.Now())
 			}
 			return
 		}
-		seq := s.row().sndNxt
+		seq := s.sndNxt
 		rtx := seq < s.rtxHigh
 		if !s.send(seq, n, rtx) {
 			return
@@ -358,14 +363,12 @@ func (s *Sender) trySend() {
 		// Slide before growing, when the dead prefix is at least as long as
 		// the window. A deep window (head*2 < len) fails the guard and
 		// grows, so the copy stays amortized O(1) per record.
-		if head := int(s.row().segHead); len(s.segs) == cap(s.segs) && head > 0 && head*2 >= len(s.segs) {
+		if head := int(s.segHead); len(s.segs) == cap(s.segs) && head > 0 && head*2 >= len(s.segs) {
 			s.segs = s.segs[:copy(s.segs, s.segs[head:])]
-			s.row().segHead = 0
+			s.segHead = 0
 		}
 		s.segs = append(s.segs, sentRecord{seq: seq, sentAt: s.Now(), length: int32(n), rtx: rtx})
-		r := s.row()
-		r.sndNxt += int64(n)
-		r.maxSent = max(r.maxSent, r.sndNxt)
+		s.sndNxt += int64(n)
 		burst++
 		if !s.rto.Armed() {
 			s.rto.Arm(s.est.RTO())
@@ -408,7 +411,7 @@ func (s *Sender) resend(rec *sentRecord) bool {
 	rec.rtx = true
 	rec.rtxDone = true
 	rec.sentAt = s.Now()
-	s.row().rtxOut += int64(rec.length)
+	s.rtxOut += int64(rec.length)
 	return true
 }
 
@@ -417,21 +420,21 @@ func (s *Sender) resend(rec *sentRecord) bool {
 func (s *Sender) onSendStall() {
 	s.stats.SendStall++
 	s.stats.SetSndLim(web100.SndLimSender, s.Now())
-	s.cfg.FR.Record(s.Now(), telemetry.KindStall, int32(s.flow), -1, s.row().sndNxt, s.row().cwnd)
-	if s.OnStall != nil {
-		s.OnStall()
+	s.cfg.FR.Record(s.Now(), telemetry.KindStall, int32(s.flow), -1, s.sndNxt, s.cwnd)
+	if s.cfg.OnStall != nil {
+		s.cfg.OnStall(s)
 	}
-	if s.cfg.Stall == StallCongestion && s.row().sndUna >= s.stallCwrHigh {
+	if s.cfg.Stall == StallCongestion && s.sndUna >= s.stallCwrHigh {
 		// At most one window collapse per RTT: suppress further stall
 		// signals until the current flight is acknowledged.
-		s.stallCwrHigh = s.row().sndNxt
+		s.stallCwrHigh = s.sndNxt
 		s.stats.CongSignals++
 		s.stats.LocalCongCwnd++
 		wasSS := s.ctrl.InSlowStart()
 		s.ctrl.OnLocalStall()
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.cwnd, s.ssthresh)
 		}
 	}
 	// One waker at a time: several code paths (each arriving ACK, the
@@ -486,9 +489,9 @@ func (s *Sender) sendSACKRetransmissions() bool {
 		}
 		if rec.rtxDone {
 			// Lost retransmission: it is no longer in the pipe.
-			s.row().rtxOut -= int64(rec.length)
+			s.rtxOut -= int64(rec.length)
 		}
-		if s.pipe()+int64(rec.length) > min(s.row().cwnd, s.row().rwnd) {
+		if s.pipe()+int64(rec.length) > min(s.cwnd, s.rwnd) {
 			break
 		}
 		if !s.resend(rec) {
@@ -505,10 +508,9 @@ func (s *Sender) sendSACKRetransmissions() bool {
 // Counting lost bytes as in-flight (the naive flight − sacked) starves deep
 // -loss recovery behind the window check.
 func (s *Sender) pipe() int64 {
-	r := s.row()
-	high := max(r.fack, r.sndUna)
-	inFlight := max(r.sndNxt-high, 0)
-	return inFlight + r.rtxOut
+	high := max(s.fack, s.sndUna)
+	inFlight := max(s.sndNxt-high, 0)
+	return inFlight + s.rtxOut
 }
 
 // firstRetransmittable returns a pointer into s.segs; it is only valid
@@ -534,20 +536,20 @@ func (s *Sender) Receive(seg *packet.Segment) {
 		return
 	}
 	s.stats.SegsIn++
-	s.row().rwnd = seg.Wnd
+	s.rwnd = seg.Wnd
 	newSACK := int64(0)
 	if s.cfg.SACK && len(seg.SACK) > 0 {
 		s.stats.SACKsRcvd++
 		newSACK = s.applySACK(seg.SACK)
 	}
 	switch {
-	case seg.Ack > s.row().maxSent:
+	case seg.Ack > s.maxSent():
 		// Acks data never sent: ignore. (Acks above the post-RTO sndNxt
 		// but within the pre-RTO flight are legitimate — the receiver
 		// had the data all along.)
-	case seg.Ack > s.row().sndUna:
+	case seg.Ack > s.sndUna:
 		s.onNewAck(seg.Ack)
-	case seg.Ack == s.row().sndUna && s.FlightSize() > 0 && seg.IsPureAck():
+	case seg.Ack == s.sndUna && s.FlightSize() > 0 && seg.IsPureAck():
 		// With SACK, a duplicate ACK only signals a missing segment if
 		// it carries new scoreboard information; echoes of duplicate
 		// arrivals (e.g. from go-back-N resends) carry none and are
@@ -562,13 +564,12 @@ func (s *Sender) Receive(seg *packet.Segment) {
 }
 
 func (s *Sender) onNewAck(ack int64) {
-	r := s.row()
-	acked := ack - r.sndUna
-	r.sndUna = ack
-	if r.sndNxt < ack {
+	acked := ack - s.sndUna
+	s.sndUna = ack
+	if s.sndNxt < ack {
 		// An ACK above the rewound sndNxt (post-RTO): the receiver held
 		// the data; skip ahead rather than resending it.
-		r.sndNxt = ack
+		s.sndNxt = ack
 	}
 	s.stats.ThruOctetsAcked += acked
 	if sample, ok := s.popAcked(ack); ok {
@@ -603,7 +604,7 @@ func (s *Sender) onNewAck(ack int64) {
 		s.ctrl.OnAck(acked)
 		if wasSS && !s.ctrl.InSlowStart() {
 			s.stats.SlowStartExits++
-			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+			s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.cwnd, s.ssthresh)
 		}
 	}
 	if s.FlightSize() == 0 {
@@ -631,7 +632,7 @@ func (s *Sender) onDupAck() {
 		// retransmitted during that recovery; re-entering would cut the
 		// window twice for one loss event. SACK flows discriminate via
 		// new-scoreboard-information instead (see Receive).
-		if !s.cfg.SACK && s.row().sndUna <= s.recover && s.recover > 0 {
+		if !s.cfg.SACK && s.sndUna <= s.recover && s.recover > 0 {
 			return
 		}
 		s.enterRecovery()
@@ -640,15 +641,15 @@ func (s *Sender) onDupAck() {
 
 func (s *Sender) enterRecovery() {
 	s.inRecovery = true
-	s.recover = s.row().sndNxt
+	s.recover = s.sndNxt
 	s.stats.CongSignals++
 	s.stats.FastRetran++
-	s.cfg.FR.Record(s.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.row().sndUna, s.recover)
+	s.cfg.FR.Record(s.Now(), telemetry.KindLossDetect, int32(s.flow), -1, s.sndUna, s.recover)
 	wasSS := s.ctrl.InSlowStart()
 	s.ctrl.OnEnterRecovery()
 	if wasSS {
 		s.stats.SlowStartExits++
-		s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.row().cwnd, s.row().ssthresh)
+		s.cfg.FR.Record(s.Now(), telemetry.KindSlowStartExit, int32(s.flow), -1, s.cwnd, s.ssthresh)
 	}
 	s.rtxPending = true
 	s.rto.Arm(s.est.RTO())
@@ -667,9 +668,9 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 			break
 		}
 		if rec.sacked {
-			s.row().sackedBytes -= int64(rec.length)
+			s.sackedBytes -= int64(rec.length)
 		} else if rec.rtxDone {
-			s.row().rtxOut -= int64(rec.length)
+			s.rtxOut -= int64(rec.length)
 		}
 		// RTT samples come only from records that are neither
 		// retransmissions (Karn) nor previously SACKed: a SACKed record
@@ -682,7 +683,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 	}
 	// Consume the acked prefix by advancing the window head; compact the
 	// backing array only once the dead prefix dominates (amortized O(1)).
-	head := int(s.row().segHead) + i
+	head := int(s.segHead) + i
 	if head == len(s.segs) {
 		s.segs, head = s.segs[:0], 0 // everything acked: rewind, nothing to copy
 	} else if head > 64 && head*2 >= len(s.segs) {
@@ -690,7 +691,7 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 		s.segs = s.segs[:n]
 		head = 0
 	}
-	s.row().segHead = int32(head)
+	s.segHead = int32(head)
 	// Partial coverage of the front record (ack inside a segment) cannot
 	// happen with MSS-aligned acks, but trim defensively.
 	if live = s.live(); len(live) > 0 && live[0].seq < ack {
@@ -706,18 +707,18 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 // number of newly covered bytes (zero for a SACK that repeats known state).
 func (s *Sender) applySACK(blocks []packet.SACKBlock) int64 {
 	var fresh int64
-	live, r := s.live(), s.row()
+	live := s.live()
 	for _, b := range blocks {
 		for i := range live {
 			rec := &live[i]
 			if !rec.sacked && rec.seq >= b.Start && rec.end() <= b.End {
 				rec.sacked = true
-				r.sackedBytes += int64(rec.length)
+				s.sackedBytes += int64(rec.length)
 				fresh += int64(rec.length)
 				if rec.rtxDone {
-					r.rtxOut -= int64(rec.length)
+					s.rtxOut -= int64(rec.length)
 				}
-				r.fack = max(r.fack, rec.end())
+				s.fack = max(s.fack, rec.end())
 			}
 		}
 	}
@@ -737,19 +738,18 @@ func (s *Sender) onRTO() {
 	}
 	s.stats.Timeouts++
 	s.stats.CongSignals++
-	s.cfg.FR.Record(s.Now(), telemetry.KindRTO, int32(s.flow), -1, s.row().sndUna, s.row().sndNxt-s.row().sndUna)
+	s.cfg.FR.Record(s.Now(), telemetry.KindRTO, int32(s.flow), -1, s.sndUna, s.sndNxt-s.sndUna)
 	s.ctrl.OnRTO()
 	s.est.Backoff(s.cfg)
 	// Go-back-N: everything beyond snd.una is resent under the collapsed
 	// window; mark the range so Karn's rule skips its RTT samples.
-	r := s.row()
-	s.rtxHigh = max(s.rtxHigh, r.sndNxt)
-	r.sndNxt = r.sndUna
+	s.rtxHigh = max(s.rtxHigh, s.sndNxt)
+	s.sndNxt = s.sndUna
 	s.segs = s.segs[:0]
-	r.segHead = 0
-	r.sackedBytes = 0
-	r.fack = r.sndUna
-	r.rtxOut = 0
+	s.segHead = 0
+	s.sackedBytes = 0
+	s.fack = s.sndUna
+	s.rtxOut = 0
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rtxPending = false
@@ -758,7 +758,7 @@ func (s *Sender) onRTO() {
 }
 
 func (s *Sender) checkComplete() {
-	if s.finished || !s.closed || s.row().sndUna < s.row().supplied {
+	if s.finished || !s.closed || s.sndUna < s.supplied {
 		return
 	}
 	s.finished = true

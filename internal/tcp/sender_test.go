@@ -313,7 +313,12 @@ func TestSenderStallRaisesSignalAndCollapses(t *testing.T) {
 	ackUpTo(s, 4000)
 	cwndBefore := s.Cwnd()
 	stalls := 0
-	s.OnStall = func() { stalls++ }
+	s.cfg.OnStall = func(snd *Sender) {
+		if snd != s {
+			t.Errorf("stall hook got sender %p, want %p", snd, s)
+		}
+		stalls++
+	}
 	path.failNext = 1
 	ackUpTo(s, 6000) // triggers trySend, which hits the stall
 	st := s.Stats()
@@ -485,7 +490,7 @@ func TestSenderRecordListFollowsWindow(t *testing.T) {
 	// The other rule: the ACK that empties the list rewinds it.
 	ack = packet.Segment{Flags: packet.FlagACK, Ack: s.SndNxt(), Wnd: 0}
 	s.Receive(&ack)
-	if head := s.row().segHead; head != 0 || len(s.segs) != 0 {
+	if head := s.segHead; head != 0 || len(s.segs) != 0 {
 		t.Errorf("fully acknowledged list sits at head=%d len=%d, want 0/0", head, len(s.segs))
 	}
 }
@@ -512,7 +517,7 @@ func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 		ackUpTo(s, s.SndUna()+1000)
 		// Slow start sends two segments per ACK, so the dead prefix (one
 		// more record per ACK) stays shorter than the live window.
-		if head := int(s.row().segHead); head != acks {
+		if head := int(s.segHead); head != acks {
 			t.Fatalf("after %d ACKs the head is at %d: the live window was moved", acks, head)
 		}
 		if cap(s.segs) > before {
@@ -530,5 +535,44 @@ func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 func TestSentRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(sentRecord{}); got != 24 {
 		t.Errorf("sentRecord is %d B, want 24", got)
+	}
+}
+
+type nullPath struct{}
+
+func (nullPath) Send(seg *packet.Segment) bool { seg.Release(); return true }
+func (nullPath) SetWaker(func())               {}
+
+// TestSenderRetire: a retired sender's window and sequence accessors and its
+// snapshot's window gauges go quiet, Retire panics on a running sender, and
+// Init makes a retired sender a new connection again.
+func TestSenderRetire(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	s := NewSender(eng, cfg, 1, cc.NewReno(cc.RenoConfig{}), nullPath{})
+	s.Supply(1000)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Retire on a running sender did not panic")
+			}
+		}()
+		s.Retire()
+	}()
+	if s.SndNxt() == 0 || s.Cwnd() == 0 {
+		t.Fatalf("running sender reports snd.nxt=%d cwnd=%d", s.SndNxt(), s.Cwnd())
+	}
+	s.Stop()
+	s.Retire()
+	s.Retire() // idempotent
+	st := s.Snapshot(eng.Now())
+	if s.Cwnd() != 0 || s.Ssthresh() != 0 || s.FlightSize() != 0 || s.SndUna() != 0 || s.SndNxt() != 0 ||
+		st.CurCwnd != 0 || st.CurSsthresh != 0 || st.CurRwnd != 0 {
+		t.Fatalf("retired sender still reports cwnd=%d ssthresh=%d flight=%d una=%d nxt=%d snapshot %d/%d/%d",
+			s.Cwnd(), s.Ssthresh(), s.FlightSize(), s.SndUna(), s.SndNxt(), st.CurCwnd, st.CurSsthresh, st.CurRwnd)
+	}
+	s.Init(s.cfg, 2, 1, cc.NewReno(cc.RenoConfig{}), nullPath{})
+	if s.Cwnd() == 0 || s.Ssthresh() == 0 {
+		t.Fatalf("re-initialized sender reports cwnd=%d ssthresh=%d", s.Cwnd(), s.Ssthresh())
 	}
 }

@@ -62,7 +62,7 @@ const (
 
 // Config carries the connection parameters shared by sender and receiver,
 // and the wiring every connection of a simulation shares: engine, segment
-// pool, timer wheel, flow table, flight recorder, completion hook. Endpoints
+// pool, timer wheel, flight recorder, stall and completion hooks. Endpoints
 // built with Init hold a pointer to it rather than a copy, so one Config
 // serves every connection configured alike: a scenario keeps one per
 // distinct configuration for all of its flows. It must stay unchanged while
@@ -101,12 +101,12 @@ type Config struct {
 	// Eng is the engine the endpoints run on (NewSender and NewReceiver set
 	// it on their copy).
 	Eng *sim.Engine
-	// Table holds the senders' hot-state rows (FlowTable): one per
-	// many-flows scenario, so per-ACK state sits in one contiguous slice.
-	// NewSender gives a config without one a private one-row table.
-	Table *FlowTable
 	// FR, when non-nil, records the senders' congestion events.
 	FR *telemetry.FlightRecorder
+	// OnStall, when non-nil, fires on every send-stall of a sender, after
+	// its Stats().SendStall counts it: a traced scenario's Figure-1 series
+	// hooks here.
+	OnStall func(*Sender)
 	// OnComplete, when non-nil, fires once per sender when all supplied
 	// data is acknowledged after Close.
 	OnComplete func(*Sender)

@@ -100,7 +100,7 @@ func TestBuildExposesComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Flows[0].Sender == nil || s.Flows[0].NIC == nil || s.Flows[0].RSS == nil {
+	if s.Flows[0].Sender.Controller() == nil || s.Flows[0].NIC() == nil || s.Flows[0].RSS == nil {
 		t.Error("scenario components not exposed")
 	}
 	res := s.Run()

@@ -28,7 +28,7 @@ var inventory = []struct {
 }{
 	{"tcp.Config", reflect.TypeFor[tcp.Config](),
 		[]string{"MSS", "RcvWnd", "AckEvery", "DelAckTimeout", "SACK", "MinRTO", "MaxRTO", "InitialRTO", "RTOGranularity", "Stall"},
-		[]string{"Pool", "Wheel", "Eng", "Table", "FR", "OnComplete"}},
+		[]string{"Pool", "Wheel", "Eng", "FR", "OnStall", "OnComplete"}},
 	{"cc.RenoConfig", reflect.TypeFor[cc.RenoConfig](), []string{"IW", "InitialSsthresh"}, []string{"FR"}},
 	{"cc.HyStart", reflect.TypeFor[cc.HyStart](), nil, nil},
 	{"core.Config", reflect.TypeFor[core.Config](),
