@@ -331,7 +331,9 @@ func gridCells() []Config {
 // IFQs, hop queues, propagation FIFOs and ACK lines (and, on the shapes
 // appended to the grid, in the reverse link and in deferred reorder
 // deliveries). Reset must hand every one back to the scenario's pool, or a
-// reused context leaks a few segments per replicate forever.
+// reused context leaks a few segments per replicate forever. The same holds
+// for the range nodes the run's receivers still hold: Reset gives them back
+// to the scenario's tcp.Store.
 func TestResetReturnsCheckedOutSegments(t *testing.T) {
 	t.Parallel()
 	cells := gridCells()
@@ -347,20 +349,24 @@ func TestResetReturnsCheckedOutSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := int64(0)
+	held, heldNodes := int64(0), 0
 	for i := 0; i < 200; i++ {
 		s.Run()
 		gets, releases := s.SegCounters()
 		held += gets - releases
+		heldNodes += s.nodes.Stats().Out
 		if err := s.Reset(cells[(i+1)%len(cells)]); err != nil {
 			t.Fatal(err)
 		}
 		if gets, releases = s.SegCounters(); gets != releases {
 			t.Fatalf("cycle %d: %d segments still checked out right after Reset", i, gets-releases)
 		}
+		if out := s.nodes.Stats().Out; out != 0 {
+			t.Fatalf("cycle %d: %d ranges still out right after Reset", i, out)
+		}
 	}
-	if held == 0 {
-		t.Fatal("no run ended with segments in flight — bad test premise")
+	if held == 0 || heldNodes == 0 {
+		t.Fatalf("runs ended with %d segments and %d range nodes held — bad test premise", held, heldNodes)
 	}
 }
 
@@ -647,13 +653,13 @@ func TestResetSharedConfigMatchesFreshBuild(t *testing.T) {
 	chain = append(chain, mixed, chain[0])
 
 	// The shared specs and their configs' parameters, without the
-	// scenario's own wiring: engine, pool, wheel, flight recorder and stall
-	// and completion hooks.
+	// scenario's own wiring: engine, pool, node store, wheel, flight
+	// recorder and stall and completion hooks.
 	params := func(shared []*sharedSpec) []sharedSpec {
 		var out []sharedSpec
 		for _, sh := range shared {
 			v := *sh
-			v.tcp.Eng, v.tcp.Pool, v.tcp.Wheel = nil, nil, nil
+			v.tcp.Eng, v.tcp.Pool, v.tcp.Store, v.tcp.Wheel = nil, nil, nil, nil
 			v.tcp.FR, v.tcp.OnStall, v.tcp.OnComplete, v.reno.FR = nil, nil, nil, nil
 			out = append(out, v)
 		}

@@ -438,6 +438,10 @@ type Scenario struct {
 	// so campaign replicates after the first run entirely on recycled
 	// segments.
 	segs *packet.Pool
+	// nodes lends every receiver's out-of-order range nodes (tcp.Store); it
+	// survives Reset like segs, and Reset takes back what the previous
+	// run's receivers still held.
+	nodes *tcp.Store
 
 	// wheel is the endpoint-timer wheel, allocated on the first
 	// Cfg.TimerWheel run and kept (reset) across replicates like the
@@ -610,7 +614,7 @@ func (s *Scenario) reclaim() {
 
 // Build assembles the testbed described by cfg.
 func Build(cfg Config) (*Scenario, error) {
-	s := &Scenario{Eng: sim.NewEngine(), hosts: map[int]sharedHost{}, segs: packet.NewPool()}
+	s := &Scenario{Eng: sim.NewEngine(), hosts: map[int]sharedHost{}, segs: packet.NewPool(), nodes: tcp.NewStore()}
 	if err := cfg.validate(&s.churn.src, &s.churn.dist); err != nil {
 		return nil, err
 	}
@@ -648,10 +652,12 @@ func (s *Scenario) Reset(cfg Config) error {
 		s.park.flows, s.park.held = append(s.park.flows, s.park.held), nil
 	}
 	// Every NIC of the run is some flow's: attached, detached static, or
-	// draining. A flow on a shared host flushes the host's NIC.
+	// draining. A flow on a shared host flushes the host's NIC. A running
+	// flow's receiver gives its range nodes back to the store.
 	for k, set := range [3][]*Flow{s.Flows, s.churn.live, s.park.draining} {
 		for i, f := range set {
 			f.NIC().Flush()
+			f.Receiver.FreeRanges()
 			// A draining flow's controller was parked when it detached.
 			if k < 2 && f.RSS != nil && f.Spec.Host == 0 {
 				s.park.rss = append(s.park.rss, f.RSS)
@@ -960,7 +966,7 @@ func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
 	sh.spec, sh.tcp, sh.reno = want, tcp.DefaultConfig(), cc.DefaultRenoConfig()
 	sh.reno.FR = s.FR
 	c := &sh.tcp
-	c.Eng, c.Pool, c.FR, c.OnComplete = s.Eng, s.segs, s.FR, s.complete
+	c.Eng, c.Pool, c.Store, c.FR, c.OnComplete = s.Eng, s.segs, s.nodes, s.FR, s.complete
 	if s.Rec != nil {
 		c.OnStall = s.stalled
 	}

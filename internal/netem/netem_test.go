@@ -3,6 +3,7 @@ package netem
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestDropTailUnlimited(t *testing.T) {
 }
 
 func TestDropTailCompaction(t *testing.T) {
-	// Heavy churn exercises the ring-compaction path.
+	// Heavy churn through one queue: order holds and nothing stays behind.
 	q := NewDropTail(0)
 	next := int64(0)
 	for round := 0; round < 100; round++ {
@@ -103,7 +104,9 @@ func TestDropTailCompaction(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 100; i++ {
-			q.Dequeue()
+			if got, want := q.Dequeue().Seq, next-100+int64(i); got != want {
+				t.Fatalf("round %d: dequeued seq %d, want %d", round, got, want)
+			}
 		}
 	}
 	if q.Len() != 0 {
@@ -394,16 +397,19 @@ func TestLinkAvgQueueLen(t *testing.T) {
 	}
 }
 
-// TestDropTailRingFollowsOccupancy: a queue that never holds more than two
-// segments keeps a ring sized for two, however many pass through it, and
-// cycles without allocating. When the dead prefix was only reclaimed past 64
-// entries the same traffic grew the ring to 128 slots in eight reallocations.
-func TestDropTailRingFollowsOccupancy(t *testing.T) {
+// TestDropTailOwnsNoStorage: a drop-tail queue holds its segments by their
+// own links, so its value carries no slice, map or channel at any depth, and
+// cycling segments through it allocates nothing. While it kept a ring, a
+// queue that never held more than two segments could grow it to 128 slots.
+func TestDropTailOwnsNoStorage(t *testing.T) {
+	if path, ok := holdsStorage(reflect.TypeFor[DropTail](), "DropTail"); ok {
+		t.Errorf("%s can hold storage of its own", path)
+	}
 	q := NewDropTail(1000)
 	a, b := seg(1), seg(2)
 	q.Enqueue(a)
 	cycle := func() {
-		// Occupancy 1 → 2 → 1, never empty: only the slide can reclaim.
+		// Occupancy 1 → 2 → 1, never empty.
 		q.Enqueue(b)
 		q.Dequeue()
 		a, b = b, a
@@ -411,28 +417,40 @@ func TestDropTailRingFollowsOccupancy(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		cycle()
 	}
-	if c := cap(q.q.items); c > 8 {
-		t.Errorf("ring capacity %d after 10000 cycles at occupancy ≤ 2, want ≤ 8", c)
-	}
 	if q.Len() != 1 || q.Stats().MaxLen != 2 {
 		t.Fatalf("Len=%d MaxLen=%d, want 1 and 2", q.Len(), q.Stats().MaxLen)
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("a warm enqueue/dequeue cycle allocates %.1f objects, want 0", allocs)
 	}
-	// The other rule: a dequeue that empties the queue rewinds it.
-	q.Dequeue()
-	if q.q.head != 0 || len(q.q.items) != 0 {
-		t.Errorf("emptied queue sits at head=%d len=%d, want 0/0", q.q.head, len(q.q.items))
+}
+
+// holdsStorage reports the first field path under t whose kind owns a
+// backing store (slice, map, channel), following structs and arrays; it
+// stops at pointers, which the queue holds into the segments it links.
+func holdsStorage(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Chan:
+		return path, true
+	case reflect.Array:
+		return holdsStorage(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if p, ok := holdsStorage(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
 	}
+	return "", false
 }
 
 // FuzzDropTailAgainstModel drives random enqueue/dequeue/Flush/Init sequences
 // against a plain-slice FIFO: same segments in the same order, same Len and
-// Stats, drops exactly at capacity. On top of the model it checks
-// what the growth rule promises — the ring never exceeds four times the
-// occupancy high-water of its lifetime (Init keeps the ring, so the mark
-// survives it) — and that no slot outside the live part pins a segment.
+// Stats, drops exactly at capacity, and a Flush that releases every held
+// segment back to its pool exactly once. The segments come from a pool; the
+// test releases what it dequeues or has refused, so the pool balances at the
+// end.
 func FuzzDropTailAgainstModel(f *testing.F) {
 	churn := make([]byte, 0, 600)
 	for i := 0; i < 300; i++ {
@@ -442,20 +460,22 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 200, 6, 200, 200, 200, 200, 7})
 	f.Add(uint8(0), []byte{1, 2, 3, 251, 4, 255, 5, 200, 6, 7, 8, 9, 200, 200})
 	f.Fuzz(func(t *testing.T, limit uint8, ops []byte) {
+		pool := packet.NewPool()
 		q := NewDropTail(int(limit))
 		var model []*packet.Segment
 		var want QueueStats
-		high := 0
 		for i, op := range ops {
 			switch {
 			case op < 160:
-				s := &packet.Segment{Seq: int64(i), Len: int(op)}
+				s := pool.Get()
+				s.Seq, s.Len = int64(i), int(op)+1
 				full := limit > 0 && len(model) >= int(limit)
 				if ok := q.Enqueue(s); ok == full {
 					t.Fatalf("op %d: Enqueue = %v with %d queued, capacity %d", i, ok, len(model), limit)
 				}
 				if full {
 					want.Dropped++
+					s.Release()
 					break
 				}
 				model = append(model, s)
@@ -472,10 +492,20 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 				if got != model[0] {
 					t.Fatalf("op %d: Dequeue returned seq %d, model says %d", i, got.Seq, model[0].Seq)
 				}
+				got.Release()
 				want.Dequeued++
 				model = model[1:]
 			default:
+				_, before := pool.Counters()
 				q.Flush()
+				if _, after := pool.Counters(); after-before != int64(len(model)) {
+					t.Fatalf("op %d: Flush of %d segments made %d releases", i, len(model), after-before)
+				}
+				for _, s := range model {
+					if s.Len != 0 {
+						t.Fatalf("op %d: Flush left seq %d unreleased", i, s.Seq)
+					}
+				}
 				want.Dequeued += int64(len(model))
 				model = nil
 				if op >= 253 {
@@ -483,50 +513,60 @@ func FuzzDropTailAgainstModel(f *testing.F) {
 					want = QueueStats{}
 				}
 			}
-			high = max(high, len(model))
 			if q.Len() != len(model) || q.Stats() != want {
 				t.Fatalf("op %d: Len=%d Stats=%+v, model has %d, %+v",
 					i, q.Len(), q.Stats(), len(model), want)
 			}
-			if c := cap(q.q.items); c > 4*max(1, high) {
-				t.Fatalf("op %d: ring capacity %d with occupancy high-water %d", i, c, high)
-			}
 		}
-		for j, s := range q.q.items[:cap(q.q.items)] {
-			if live := j >= q.q.head && j < len(q.q.items); !live && s != nil {
-				t.Fatalf("slot %d outside the live part [%d, %d) still holds a segment", j, q.q.head, len(q.q.items))
-			}
+		q.Flush()
+		if gets, rels := pool.Counters(); gets != rels {
+			t.Fatalf("pool imbalance at the end: %d gets, %d releases", gets, rels)
 		}
 	})
 }
 
-// TestArenaQueueFollowsOccupancy replays a committed FuzzDropTailAgainstModel
-// input through hop 0 of an arena and holds the hop's buffer to the bound
-// the fuzzer holds DropTail to: capacity at most four times the occupancy
-// high-water. Drains stand in for Flush, and a re-Configure of the same
-// shape for Init (it flushes the hop and keeps its ring).
-func TestArenaQueueFollowsOccupancy(t *testing.T) {
+// TestArenaQueueOwnsNoStorage replays a committed FuzzDropTailAgainstModel
+// input through hop 0 of an arena, on segments from a warm pool: a replay
+// allocates nothing, however deep the hop's queue gets, and leaves the pool
+// balanced. Drains stand in for Flush, and a re-Configure of the same shape
+// for Init (it flushes the hop).
+func TestArenaQueueOwnsNoStorage(t *testing.T) {
 	limit, ops := readDropTailCorpus(t, "7798add6733aabe9")
 	specs := []HopSpec{{Rate: 100 * unit.Mbps, Queue: limit}}
 	a := NewHopArena(sim.NewEngine())
-	a.Configure(specs, &Sink{}, nil)
+	pool, sink := packet.NewPool(), &Sink{}
 	high := 0
-	for i, op := range ops {
-		q := a.Port(0).q
-		switch {
-		case op < 160:
-			a.enqueue(0, seg(int(op)))
-		case op < 250:
-			q.Dequeue()
-		case op < 253:
-			q.Flush()
-		default:
-			a.Configure(specs, &Sink{}, nil)
+	replay := func() {
+		a.Configure(specs, sink, nil)
+		for _, op := range ops {
+			q := a.Port(0).q
+			switch {
+			case op < 160:
+				s := pool.Get()
+				s.Len = int(op)
+				if !a.enqueue(0, s) {
+					s.Release()
+				}
+			case op < 250:
+				q.Dequeue().Release() // nil-safe on an empty queue
+			case op < 253:
+				q.Flush()
+			default:
+				a.Configure(specs, sink, nil)
+			}
+			high = max(high, q.Len())
 		}
-		high = max(high, q.Len())
-		if c := cap(q.q.items); c > 4*max(1, high) {
-			t.Fatalf("op %d: hop queue capacity %d with occupancy high-water %d", i, c, high)
-		}
+		a.Port(0).q.Flush()
+	}
+	replay() // warms the pool to the replay's high-water
+	if high < 2 {
+		t.Fatalf("the corpus input never queued more than %d segments: bad test premise", high)
+	}
+	if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+		t.Errorf("a replay through the hop's queue allocates %.1f objects, want 0", allocs)
+	}
+	if gets, rels := pool.Counters(); gets != rels {
+		t.Errorf("pool imbalance after the replays: %d gets, %d releases", gets, rels)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 // fifo is a head-indexed queue: the live items are items[head:]. Its backing
 // array is sized by what it has held at once, not by what has passed
 // through: a pop that empties it rewinds to the front, and a full array
-// slides before it grows (see push). DropTail and DelayLine both keep their
-// items in one.
+// slides before it grows (see push). DelayLine keeps its entries in one,
+// since each carries a due time and a reserved sequence number besides the
+// segment; DropTail needs only the segments and links them (packet.Queue).
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -90,10 +91,11 @@ type QueueStats struct {
 }
 
 // DropTail is a FIFO queue with a fixed packet-count capacity, the classic
-// router discipline and the model for the Linux pfifo qdisc.
+// router discipline and the model for the Linux pfifo qdisc. Its segments
+// are linked through themselves (packet.Queue), so it owns no storage.
 type DropTail struct {
 	cap   int
-	q     fifo[*packet.Segment]
+	q     packet.Queue
 	stats QueueStats
 }
 
@@ -106,44 +108,44 @@ func NewDropTail(capPackets int) *DropTail {
 }
 
 // Init (re)initializes the queue in place as an empty FIFO of capPackets
-// with zeroed counters, keeping only the FIFO's backing array. A used queue
-// must be emptied first (Flush): Init does not release what it still holds.
+// with zeroed counters. A used queue must be emptied first (Flush): Init
+// does not release what it still holds.
 func (q *DropTail) Init(capPackets int) {
-	items := q.q.items[:0]
 	*q = DropTail{cap: capPackets}
-	q.q.items = items
 }
 
 // Flush empties a queue whose owner is being torn down, releasing every
-// segment it still holds back to its pool.
+// segment it still holds back to its pool, oldest first.
 func (q *DropTail) Flush() {
-	q.stats.Dequeued += int64(q.q.len())
-	q.q.flush((*packet.Segment).Release)
+	q.stats.Dequeued += int64(q.q.Len())
+	for seg := q.q.Pop(); seg != nil; seg = q.q.Pop() {
+		seg.Release()
+	}
 }
 
 // Enqueue appends the segment, or drops it when the queue is full.
 func (q *DropTail) Enqueue(seg *packet.Segment) bool {
-	if q.cap > 0 && q.q.len() >= q.cap {
+	if q.cap > 0 && q.q.Len() >= q.cap {
 		q.stats.Dropped++
 		return false
 	}
-	q.q.push(seg)
+	q.q.Push(seg)
 	q.stats.Enqueued++
-	q.stats.MaxLen = max(q.stats.MaxLen, q.q.len())
+	q.stats.MaxLen = max(q.stats.MaxLen, q.q.Len())
 	return true
 }
 
 // Dequeue removes the oldest segment, or returns nil when empty.
 func (q *DropTail) Dequeue() *packet.Segment {
-	if q.q.len() == 0 {
-		return nil
+	seg := q.q.Pop()
+	if seg != nil {
+		q.stats.Dequeued++
 	}
-	q.stats.Dequeued++
-	return q.q.pop()
+	return seg
 }
 
 // Len returns the number of queued packets.
-func (q *DropTail) Len() int { return q.q.len() }
+func (q *DropTail) Len() int { return q.q.Len() }
 
 // Capacity returns the packet capacity (0 = unlimited).
 func (q *DropTail) Capacity() int { return q.cap }

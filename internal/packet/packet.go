@@ -86,6 +86,12 @@ type Segment struct {
 	Ack int64
 	// Flags carries the TCP flag bits.
 	Flags Flags
+	// Retransmit marks the segment as a retransmission (excluded from
+	// RTT sampling per Karn's algorithm).
+	Retransmit bool
+	// linked is set while the segment is threaded onto a Queue or a pool's
+	// freelist through next (see Queue); it sits in the word Flags starts.
+	linked bool
 	// Wnd is the advertised receive window in bytes.
 	Wnd int64
 	// SACK holds up to 4 selective-acknowledgment blocks (RFC 2018).
@@ -93,15 +99,14 @@ type Segment struct {
 	// SentAt is stamped by the sender host when the segment enters the
 	// wire; echoes into RTT sampling.
 	SentAt sim.Time
-	// Retransmit marks the segment as a retransmission (excluded from
-	// RTT sampling per Karn's algorithm).
-	Retransmit bool
 
 	// owner is the Pool the segment is checked out of. Release returns it
 	// there, so components never need to know which allocator fed them.
 	// Segments built by hand (tests, injectors) and segments resting in a
 	// freelist leave it nil, so Release on them is a no-op.
 	owner *Pool
+	// next links the segment to the one behind it in its Queue or freelist.
+	next *Segment
 }
 
 // FlowID names a connection; direction is carried by the segment type.
@@ -132,7 +137,8 @@ func (s *Segment) String() string {
 // Clone returns a deep copy (SACK slice included); injectors that duplicate
 // packets use it so the copies do not alias. The copy is checked out of the
 // original's Pool and follows the usual ownership protocol; a hand-built
-// segment clones to a hand-built one.
+// segment clones to a hand-built one. The copy is in no Queue, whatever the
+// original is in.
 func (s *Segment) Clone() *Segment {
 	var c *Segment
 	if s.owner != nil {
@@ -143,5 +149,6 @@ func (s *Segment) Clone() *Segment {
 	sack := c.SACK
 	*c = *s
 	c.SACK = append(sack[:0], s.SACK...)
+	c.next, c.linked = nil, false
 	return c
 }

@@ -17,6 +17,8 @@ package packet
 //     across Release.
 //   - Release on a hand-built (non-pool) segment is a no-op, so tests and
 //     one-off injectors can keep building Segment literals.
+//   - A segment is in at most one Queue at a time (see Queue): pushing a
+//     queued segment, or releasing one, panics.
 //   - A holder that is torn down with segments still in it releases them:
 //     Scenario.Reset flushes every queue, serializer and delay line, so a
 //     reused scenario's gets and releases balance right after each Reset.
@@ -24,10 +26,14 @@ package packet
 // Release zeroes the segment (keeping SACK capacity) and returns it to the
 // Pool it came from. Releasing a segment that did not come from a Pool — or
 // releasing one twice — is a safe no-op, so double-release bugs cannot
-// poison a pool with aliased entries.
+// poison a pool with aliased entries. Releasing a pooled segment that is
+// still in a Queue panics: the queue would hand it out again.
 func (s *Segment) Release() {
 	if s == nil || s.owner == nil {
 		return
+	}
+	if s.linked {
+		panic("packet: Release of a queued segment")
 	}
 	owner := s.owner
 	sack := s.SACK[:0]
@@ -42,7 +48,7 @@ func (s *Segment) Release() {
 // zero value is ready to use; a Pool must not be shared across concurrently
 // running simulations.
 type Pool struct {
-	free     []*Segment
+	free     Queue // released segments, most recent first
 	gets     int64
 	releases int64
 }
@@ -55,12 +61,8 @@ func NewPool() *Pool { return &Pool{} }
 // whatever the previous run still held), so campaign replicates after the
 // first run on recycled segments only.
 func (p *Pool) Get() *Segment {
-	var seg *Segment
-	if n := len(p.free); n > 0 {
-		seg = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	} else {
+	seg := p.free.Pop()
+	if seg == nil {
 		seg = new(Segment)
 	}
 	seg.owner = p
@@ -71,7 +73,7 @@ func (p *Pool) Get() *Segment {
 // put takes back a zeroed segment (called by Segment.Release).
 func (p *Pool) put(s *Segment) {
 	p.releases++
-	p.free = append(p.free, s)
+	p.free.pushFront(s)
 }
 
 // Counters reports how many segments this pool has handed out and taken

@@ -16,8 +16,8 @@ type Receiver struct {
 	gen     uint32 // stamped on every ACK sent
 	out     netem.Receiver
 	rcvNxt  int64
-	ooo     []packet.SACKBlock // sorted, disjoint
-	pending int32              // in-order segments since last ACK
+	ooo     *oooRange // out-of-order ranges, sorted and disjoint, lent by cfg.Store
+	pending int32     // in-order segments since last ACK
 	stopped bool
 	delack  sim.Timer
 }
@@ -34,32 +34,44 @@ func NewReceiver(eng *sim.Engine, cfg Config, flow packet.FlowID, out netem.Rece
 }
 
 // Init (re)initializes the receiver in place as a fresh connection; a used
-// receiver keeps only its reassembly list's backing array. cfg and gen are
-// held and stamped as by Sender.Init.
+// receiver gives any ranges it still holds back to its old Config's store.
+// cfg and gen are held and stamped as by Sender.Init.
 func (r *Receiver) Init(cfg *Config, flow packet.FlowID, gen uint32, out netem.Receiver) {
 	if out == nil {
 		panic("tcp: receiver with nil ACK path")
 	}
-	ooo := r.ooo[:0]
+	r.FreeRanges()
 	*r = Receiver{} // zero, then set (see Sender.Init)
 	r.cfg, r.flow, r.gen, r.out = cfg, flow, gen, out
-	r.ooo = ooo
 	r.delack.InitHook(cfg.Eng, cfg.Wheel, (*delAckExpiry)(r))
+}
+
+// FreeRanges gives the out-of-order ranges back to the store, leaving the
+// list empty. Scenario.Reset calls it for every flow it parks, since the
+// receiver is not stopped then; the receiver must not receive again before
+// Init.
+func (r *Receiver) FreeRanges() {
+	for r.ooo != nil {
+		n := r.ooo
+		r.ooo = n.next
+		r.cfg.Store.putRange(n)
+	}
 }
 
 // RcvNxt returns the next expected sequence number.
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 
 // Stop tears the receiver down for detach: the delayed-ACK timer is
-// cancelled and any stray late segment is released unprocessed, so a
-// detached receiver holds no live calendar entries and emits no further
-// ACKs. Idempotent.
+// cancelled, the ranges go back to the store and any stray late segment is
+// released unprocessed, so a detached receiver holds no live calendar
+// entries and no nodes, and emits no further ACKs. Idempotent.
 func (r *Receiver) Stop() {
 	if r.stopped {
 		return
 	}
 	r.stopped = true
 	r.delack.Stop()
+	r.FreeRanges()
 }
 
 // Receive processes an arriving data segment (netem.Receiver). The receiver
@@ -79,13 +91,13 @@ func (r *Receiver) Receive(seg *packet.Segment) {
 	case segSeq <= r.rcvNxt:
 		// In-order (possibly partially duplicate) data.
 		r.rcvNxt = segEnd
-		hadHole := len(r.ooo) > 0
+		hadHole := r.ooo != nil
 		r.mergeContiguous()
 		r.pending++
 		// An ACK must go out immediately while holes exist or were just
 		// filled (loss recovery depends on it), or at the delayed-ACK
 		// threshold.
-		if hadHole || len(r.ooo) > 0 || int(r.pending) >= r.cfg.AckEvery {
+		if hadHole || r.ooo != nil || int(r.pending) >= r.cfg.AckEvery {
 			r.sendAck(-1)
 		} else if !r.delack.Armed() {
 			r.delack.Arm(r.cfg.DelAckTimeout)
@@ -93,25 +105,18 @@ func (r *Receiver) Receive(seg *packet.Segment) {
 	default:
 		// Out of order: store the range and emit an immediate duplicate
 		// ACK advertising the hole.
-		r.ooo = insertBlock(r.ooo, packet.SACKBlock{Start: segSeq, End: segEnd})
+		insertBlock(&r.ooo, r.cfg.Store, segSeq, segEnd)
 		r.sendAck(segSeq)
 	}
 }
 
-// mergeContiguous absorbs out-of-order ranges that rcv.nxt has reached.
-// Remaining ranges shift down in place so the block buffer keeps its
-// capacity across recovery episodes.
+// mergeContiguous absorbs the out-of-order ranges that rcv.nxt has reached
+// and gives their nodes back.
 func (r *Receiver) mergeContiguous() {
-	i := 0
-	for i < len(r.ooo) && r.ooo[i].Start <= r.rcvNxt {
-		if r.ooo[i].End > r.rcvNxt {
-			r.rcvNxt = r.ooo[i].End
-		}
-		i++
-	}
-	if i > 0 {
-		n := copy(r.ooo, r.ooo[i:])
-		r.ooo = r.ooo[:n]
+	for n := r.ooo; n != nil && n.start <= r.rcvNxt; n = r.ooo {
+		r.rcvNxt = max(r.rcvNxt, n.end)
+		r.ooo = n.next
+		r.cfg.Store.putRange(n)
 	}
 }
 
@@ -138,26 +143,22 @@ func (r *Receiver) sendAck(recentSeq int64) {
 	ack.Flags = packet.FlagACK
 	ack.Wnd = r.cfg.RcvWnd
 	ack.SentAt = r.cfg.Eng.Now()
-	if r.cfg.SACK && len(r.ooo) > 0 {
+	if r.cfg.SACK && r.ooo != nil {
 		// Blocks go straight into the pooled segment's SACK buffer, whose
 		// capacity survives recycling — no per-ACK slice allocation.
 		blocks := ack.SACK[:0]
 		if recentSeq >= 0 {
-			for _, b := range r.ooo {
-				if b.Contains(recentSeq) {
+			for n := r.ooo; n != nil; n = n.next {
+				if b := n.block(); b.Contains(recentSeq) {
 					blocks = append(blocks, b)
 					break
 				}
 			}
 		}
-		for _, b := range r.ooo {
-			if len(blocks) >= 4 {
-				break
+		for n := r.ooo; n != nil && len(blocks) < 4; n = n.next {
+			if b := n.block(); len(blocks) == 0 || b != blocks[0] {
+				blocks = append(blocks, b)
 			}
-			if len(blocks) > 0 && b == blocks[0] {
-				continue
-			}
-			blocks = append(blocks, b)
 		}
 		ack.SACK = blocks
 	}
@@ -166,39 +167,31 @@ func (r *Receiver) sendAck(recentSeq int64) {
 	r.out.Receive(ack)
 }
 
-// insertBlock adds b to a sorted, disjoint block list, merging overlaps and
-// adjacencies. The merge is performed in place: a receiver riding out a
-// deep-loss episode inserts thousands of ranges and must not allocate a
-// fresh list per arrival.
-func insertBlock(blocks []packet.SACKBlock, b packet.SACKBlock) []packet.SACKBlock {
-	if b.Len() <= 0 {
-		return blocks
+// insertBlock adds the range [start, end) to the sorted, disjoint list at
+// *head, merging overlaps and adjacencies; it takes a node from st only when
+// the range touches none, and gives back the nodes a merge absorbs. A
+// receiver riding out a deep-loss episode inserts thousands of ranges, each
+// in a walk to its place and no copying.
+func insertBlock(head **oooRange, st *Store, start, end int64) {
+	if end <= start {
+		return
 	}
-	// lo is the first block that could merge with b (End >= b.Start);
-	// [lo, hi) is the run of blocks overlapping or touching b.
-	lo := 0
-	for lo < len(blocks) && blocks[lo].End < b.Start {
-		lo++
+	// Skip the ranges wholly before [start, end) and not touching it.
+	p := head
+	for *p != nil && (*p).end < start {
+		p = &(*p).next
 	}
-	hi := lo
-	for hi < len(blocks) && blocks[hi].Start <= b.End {
-		if blocks[hi].Start < b.Start {
-			b.Start = blocks[hi].Start
-		}
-		if blocks[hi].End > b.End {
-			b.End = blocks[hi].End
-		}
-		hi++
+	n := *p
+	if n == nil || n.start > end {
+		*p = st.newRange(start, end, n)
+		return
 	}
-	if hi == lo {
-		// Nothing to merge: open a slot at lo.
-		blocks = append(blocks, packet.SACKBlock{})
-		copy(blocks[lo+1:], blocks[lo:])
-		blocks[lo] = b
-		return blocks
+	// n overlaps or touches the range: widen it, then absorb every later
+	// range the widened one reaches.
+	n.start, n.end = min(n.start, start), max(n.end, end)
+	for m := n.next; m != nil && m.start <= n.end; m = n.next {
+		n.end = max(n.end, m.end)
+		n.next = m.next
+		st.putRange(m)
 	}
-	// Replace the merged run with b and close the gap.
-	blocks[lo] = b
-	n := copy(blocks[lo+1:], blocks[hi:])
-	return blocks[:lo+1+n]
 }

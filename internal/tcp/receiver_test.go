@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,53 +186,126 @@ func TestReceiverAdvertisedWindowConstant(t *testing.T) {
 	}
 }
 
-func TestInsertBlockMergesAndSorts(t *testing.T) {
-	var blocks []packet.SACKBlock
-	blocks = insertBlock(blocks, packet.SACKBlock{Start: 10, End: 20})
-	blocks = insertBlock(blocks, packet.SACKBlock{Start: 30, End: 40})
-	blocks = insertBlock(blocks, packet.SACKBlock{Start: 0, End: 5})
-	if len(blocks) != 3 {
-		t.Fatalf("blocks = %v, want 3 disjoint", blocks)
+// blocksOf returns a range list as blocks, front to back.
+func blocksOf(head *oooRange) []packet.SACKBlock {
+	var out []packet.SACKBlock
+	for n := head; n != nil; n = n.next {
+		out = append(out, n.block())
 	}
-	// Bridge 20..30: merges the middle.
-	blocks = insertBlock(blocks, packet.SACKBlock{Start: 20, End: 30})
+	return out
+}
+
+func TestInsertBlockMergesAndSorts(t *testing.T) {
+	st := NewStore()
+	var head *oooRange
+	insertBlock(&head, st, 10, 20)
+	insertBlock(&head, st, 30, 40)
+	insertBlock(&head, st, 0, 5)
+	if blocks := blocksOf(head); len(blocks) != 3 || blocks[0].Start != 0 {
+		t.Fatalf("blocks = %v, want 3 disjoint, sorted", blocks)
+	}
+	// Bridge 20..30: merges the middle, and the absorbed node goes back.
+	insertBlock(&head, st, 20, 30)
+	blocks := blocksOf(head)
 	if len(blocks) != 2 {
 		t.Fatalf("blocks after merge = %v, want 2", blocks)
 	}
 	if blocks[1] != (packet.SACKBlock{Start: 10, End: 40}) {
 		t.Errorf("merged block = %+v, want [10,40)", blocks[1])
 	}
-}
-
-func TestInsertBlockIgnoresEmpty(t *testing.T) {
-	blocks := insertBlock(nil, packet.SACKBlock{Start: 5, End: 5})
-	if len(blocks) != 0 {
-		t.Errorf("empty block inserted: %v", blocks)
+	if ranges := st.Stats(); ranges.Out != 2 || ranges.Peak != 3 {
+		t.Errorf("store has %d ranges out (peak %d), want 2 (3)", ranges.Out, ranges.Peak)
 	}
 }
 
+func TestInsertBlockIgnoresEmpty(t *testing.T) {
+	st := NewStore()
+	var head *oooRange
+	insertBlock(&head, st, 5, 5)
+	insertBlock(&head, st, 7, 6)
+	if head != nil {
+		t.Errorf("empty block inserted: %v", blocksOf(head))
+	}
+	if ranges := st.Stats(); ranges.Allocated != 0 {
+		t.Errorf("empty inserts allocated %d ranges", ranges.Allocated)
+	}
+}
+
+// TestInsertBlockProperty: after arbitrary insertions the list is sorted and
+// disjoint (touching ranges merge), covers exactly the bytes inserted, and
+// holds every range the store has out.
 func TestInsertBlockProperty(t *testing.T) {
-	// Property: after arbitrary insertions the list is sorted and disjoint.
 	err := quick.Check(func(raw []uint8) bool {
-		var blocks []packet.SACKBlock
+		st := NewStore()
+		var head *oooRange
+		var covered [256 + 16]bool
 		for i := 0; i+1 < len(raw); i += 2 {
 			start := int64(raw[i])
 			end := start + int64(raw[i+1]%16) + 1
-			blocks = insertBlock(blocks, packet.SACKBlock{Start: start, End: end})
-		}
-		for i := 0; i < len(blocks); i++ {
-			if blocks[i].Len() <= 0 {
-				return false
-			}
-			if i > 0 && blocks[i-1].End >= blocks[i].Start {
-				return false
+			insertBlock(&head, st, start, end)
+			for b := start; b < end; b++ {
+				covered[b] = true
 			}
 		}
-		return true
+		blocks := blocksOf(head)
+		var got [256 + 16]bool
+		for i, b := range blocks {
+			if b.Len() <= 0 || i > 0 && blocks[i-1].End >= b.Start {
+				return false
+			}
+			for x := b.Start; x < b.End; x++ {
+				got[x] = true
+			}
+		}
+		ranges := st.Stats()
+		return got == covered && ranges.Out == len(blocks)
 	}, nil)
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReceiverGivesRangesBack: the ranges an out-of-order episode takes go
+// back to the store as rcv.nxt reaches them, and a stopped receiver holds
+// none.
+func TestReceiverGivesRangesBack(t *testing.T) {
+	eng := sim.NewEngine()
+	r, _ := newTestReceiver(eng, Config{MSS: 1000, SACK: true})
+	st := r.cfg.Store
+	r.Receive(data(2000, 1000))
+	r.Receive(data(4000, 1000))
+	if ranges := st.Stats(); ranges.Out != 2 {
+		t.Fatalf("two holes: %d ranges out, want 2", ranges.Out)
+	}
+	r.Receive(data(0, 1000))
+	r.Receive(data(1000, 1000)) // fills the first hole, absorbs [2000,3000)
+	if ranges := st.Stats(); ranges.Out != 1 || r.RcvNxt() != 3000 {
+		t.Fatalf("first hole filled: %d ranges out, rcv.nxt %d; want 1 and 3000", ranges.Out, r.RcvNxt())
+	}
+	r.Stop()
+	if ranges := st.Stats(); ranges.Out != 0 || r.ooo != nil {
+		t.Errorf("stopped receiver holds %d ranges", ranges.Out)
+	}
+}
+
+// TestReceiverOwnsNoArray: a receiver holds no slice, map or channel at any
+// depth of its value, so what a connection keeps for reassembly is its range
+// nodes, which the store lends and takes back.
+func TestReceiverOwnsNoArray(t *testing.T) {
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Chan:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Receiver](), "Receiver")
 }
 
 func TestReceiverPanicsOnNilOut(t *testing.T) {

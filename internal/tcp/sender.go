@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"time"
 
 	"rsstcp/internal/cc"
@@ -52,9 +53,8 @@ type Sender struct {
 	supplied int64 // bytes the application has made available
 
 	// SACK scoreboard aggregates
-	sackedBytes int64 // bytes of outstanding records marked SACKed
-	fack        int64 // forward ACK: highest SACKed sequence end
-	rtxOut      int64 // retransmitted bytes not yet (S)ACKed
+	fack   int64 // forward ACK: highest SACKed sequence end
+	rtxOut int64 // retransmitted bytes not yet (S)ACKed
 
 	segHead int32 // live-window head index into segs (see live)
 	dupAcks int32 // duplicate ACKs since the last advance of snd.una
@@ -667,9 +667,8 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 		if rec.end() > ack {
 			break
 		}
-		if rec.sacked {
-			s.sackedBytes -= int64(rec.length)
-		} else if rec.rtxDone {
+		// A SACKed retransmission left rtxOut when its SACK arrived.
+		if rec.rtxDone && !rec.sacked {
 			s.rtxOut -= int64(rec.length)
 		}
 		// RTT samples come only from records that are neither
@@ -705,22 +704,41 @@ func (s *Sender) popAcked(ack int64) (time.Duration, bool) {
 
 // applySACK marks records covered by the blocks as SACKed and returns the
 // number of newly covered bytes (zero for a SACK that repeats known state).
+// A record is covered when one block holds all of it. The blocks are sorted
+// by Start, so one walk of the records, which are sorted by seq, decides
+// every record against the running maximum End of the blocks that start at
+// or before it, and stops once no block is left that could cover more. A
+// scan of the window per block took about 60 % of
+// BenchmarkLoopTransferSACKUnderLoss's time.
 func (s *Sender) applySACK(blocks []packet.SACKBlock) int64 {
-	var fresh int64
-	live := s.live()
-	for _, b := range blocks {
-		for i := range live {
-			rec := &live[i]
-			if !rec.sacked && rec.seq >= b.Start && rec.end() <= b.End {
-				rec.sacked = true
-				s.sackedBytes += int64(rec.length)
-				fresh += int64(rec.length)
-				if rec.rtxDone {
-					s.rtxOut -= int64(rec.length)
-				}
-				s.fack = max(s.fack, rec.end())
-			}
+	var buf [4]packet.SACKBlock
+	sorted := append(buf[:0], blocks...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
+	}
+	var fresh int64
+	reach, j := int64(math.MinInt64), 0
+	live := s.live()
+	for i := range live {
+		rec := &live[i]
+		for j < len(sorted) && sorted[j].Start <= rec.seq {
+			reach = max(reach, sorted[j].End)
+			j++
+		}
+		if j == len(sorted) && rec.seq >= reach {
+			break
+		}
+		if rec.sacked || rec.end() > reach {
+			continue
+		}
+		rec.sacked = true
+		fresh += int64(rec.length)
+		if rec.rtxDone {
+			s.rtxOut -= int64(rec.length)
+		}
+		s.fack = max(s.fack, rec.end())
 	}
 	return fresh
 }
@@ -747,7 +765,6 @@ func (s *Sender) onRTO() {
 	s.sndNxt = s.sndUna
 	s.segs = s.segs[:0]
 	s.segHead = 0
-	s.sackedBytes = 0
 	s.fack = s.sndUna
 	s.rtxOut = 0
 	s.dupAcks = 0

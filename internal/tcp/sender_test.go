@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -531,10 +532,14 @@ func TestSenderDeepWindowGrowsWithoutSliding(t *testing.T) {
 
 // TestSentRecordSize pins the record list's element at 24 bytes: a 32-bit
 // length with the three flags packed after it. With an int length it was 32,
-// and the lists are a sizeable share of a many-flows run's per-flow heap.
+// and the lists are a sizeable share of a many-flows run's per-flow heap. A
+// receiver's range node is its link and two sequence numbers, also 24.
 func TestSentRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(sentRecord{}); got != 24 {
 		t.Errorf("sentRecord is %d B, want 24", got)
+	}
+	if got := unsafe.Sizeof(oooRange{}); got != 24 {
+		t.Errorf("oooRange is %d B, want 24", got)
 	}
 }
 
@@ -574,5 +579,89 @@ func TestSenderRetire(t *testing.T) {
 	s.Init(s.cfg, 2, 1, cc.NewReno(cc.RenoConfig{}), nullPath{})
 	if s.Cwnd() == 0 || s.Ssthresh() == 0 {
 		t.Fatalf("re-initialized sender reports cwnd=%d ssthresh=%d", s.Cwnd(), s.Ssthresh())
+	}
+}
+
+// TestPopAckedSubtractsUnSACKedRetransmissions: a cumulative ACK takes out
+// of rtxOut only the retransmitted records that were not SACKed; a SACKed
+// one left rtxOut when its SACK arrived.
+func TestPopAckedSubtractsUnSACKedRetransmissions(t *testing.T) {
+	s := &Sender{cfg: &Config{Eng: sim.NewEngine()}}
+	for i, flags := range []struct{ sacked, rtxDone bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
+		s.segs = append(s.segs, sentRecord{seq: int64(1000 * i), length: 1000,
+			rtx: flags.rtxDone, sacked: flags.sacked, rtxDone: flags.rtxDone})
+	}
+	s.rtxOut = 1000 // the second record's retransmission
+	if _, ok := s.popAcked(4000); !ok {
+		t.Error("no RTT sample from the one record neither retransmitted nor SACKed")
+	}
+	if s.rtxOut != 0 || len(s.live()) != 0 {
+		t.Errorf("after the ACK: rtxOut %d, %d records live, want 0 and 0", s.rtxOut, len(s.live()))
+	}
+}
+
+// applySACKPerBlock is the scoreboard update as one scan of the window per
+// block, the reference applySACK's single walk must match.
+func applySACKPerBlock(recs []sentRecord, blocks []packet.SACKBlock, rtxOut, fack *int64) int64 {
+	var fresh int64
+	for _, b := range blocks {
+		for i := range recs {
+			rec := &recs[i]
+			if !rec.sacked && rec.seq >= b.Start && rec.end() <= b.End {
+				rec.sacked = true
+				fresh += int64(rec.length)
+				if rec.rtxDone {
+					*rtxOut -= int64(rec.length)
+				}
+				*fack = max(*fack, rec.end())
+			}
+		}
+	}
+	return fresh
+}
+
+// TestApplySACKMatchesPerBlockScan: over random windows (record lengths,
+// SACKed and retransmitted marks, a consumed prefix) and random block sets
+// — overlapping, duplicated, empty, inverted, out of order, inside and
+// beyond the window — the one-walk applySACK marks the same records and
+// returns the same fresh bytes, rtxOut and fack as the per-block scan.
+func TestApplySACKMatchesPerBlockScan(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 5000; trial++ {
+		s := &Sender{cfg: &Config{}}
+		seq := int64(rng.Intn(3000))
+		for range rng.Intn(40) {
+			rec := sentRecord{seq: seq, length: int32(1 + rng.Intn(1500)),
+				sacked: rng.Intn(4) == 0, rtxDone: rng.Intn(3) == 0}
+			seq = rec.end()
+			s.segs = append(s.segs, rec)
+		}
+		s.segHead = int32(rng.Intn(len(s.segs) + 1))
+		ref := slices.Clone(s.live())
+		s.rtxOut, s.fack = int64(rng.Intn(10000)), int64(rng.Intn(20000))
+		var blocks []packet.SACKBlock
+		for range rng.Intn(5) {
+			var b packet.SACKBlock
+			if len(blocks) > 0 && rng.Intn(4) == 0 {
+				b = blocks[rng.Intn(len(blocks))] // a duplicate
+			} else {
+				b.Start = int64(rng.Intn(int(seq) + 2000))
+				b.End = b.Start + int64(rng.Intn(8000)) - 500 // some empty or inverted
+			}
+			blocks = append(blocks, b)
+		}
+		wantOut, wantFack := s.rtxOut, s.fack
+		want := applySACKPerBlock(ref, blocks, &wantOut, &wantFack)
+		got := s.applySACK(slices.Clone(blocks))
+		if got != want || s.rtxOut != wantOut || s.fack != wantFack {
+			t.Fatalf("trial %d, blocks %v: fresh %d rtxOut %d fack %d, per-block scan %d %d %d",
+				trial, blocks, got, s.rtxOut, s.fack, want, wantOut, wantFack)
+		}
+		for i, rec := range s.live() {
+			if rec.sacked != ref[i].sacked {
+				t.Fatalf("trial %d, blocks %v: record %d [%d, %d) sacked=%v, per-block scan says %v",
+					trial, blocks, i, rec.seq, rec.end(), rec.sacked, ref[i].sacked)
+			}
+		}
 	}
 }

@@ -62,11 +62,11 @@ const (
 
 // Config carries the connection parameters shared by sender and receiver,
 // and the wiring every connection of a simulation shares: engine, segment
-// pool, timer wheel, flight recorder, stall and completion hooks. Endpoints
-// built with Init hold a pointer to it rather than a copy, so one Config
-// serves every connection configured alike: a scenario keeps one per
-// distinct configuration for all of its flows. It must stay unchanged while
-// an endpoint built on it runs.
+// pool, node store, timer wheel, flight recorder, stall and completion
+// hooks. Endpoints built with Init hold a pointer to it rather than a copy,
+// so one Config serves every connection configured alike: a scenario keeps
+// one per distinct configuration for all of its flows. It must stay
+// unchanged while an endpoint built on it runs.
 type Config struct {
 	// MSS is the maximum segment payload in bytes. 1448 matches an
 	// Ethernet MTU minus IP/TCP headers with timestamps.
@@ -92,6 +92,10 @@ type Config struct {
 	// shares one across its flows so the freelist stays warm over resets;
 	// nil gives the endpoint a private pool at construction.
 	Pool *packet.Pool
+	// Store lends the nodes of the receivers' out-of-order range lists. A
+	// scenario shares one across its flows, as it does Pool; nil gives the
+	// endpoint a private store at construction.
+	Store *Store
 	// Wheel, when non-nil, hosts the endpoint timers (the sender's RTO,
 	// the receiver's delayed ACK) on a timer wheel over the calendar
 	// instead of on the calendar itself (sim.Wheel). Firing order is
@@ -158,5 +162,8 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Pool == nil {
 		c.Pool = packet.NewPool()
+	}
+	if c.Store == nil {
+		c.Store = NewStore()
 	}
 }
