@@ -142,33 +142,64 @@ type execEnv struct {
 	cells []PlanCell
 	opts  Options
 	self  *SelfMetrics
+	// free carries folded spans' buffers from the collector back to the
+	// workers. Both ends are non-blocking: a worker that finds it empty
+	// allocates, a collector that finds it full drops the buffers.
+	free chan spanBufs
+}
+
+// spanBufs is a span's storage: the replicates, their wall times, and the
+// backing arrays that every replicate's Values and HopDrops slice into.
+// Its cycle is worker fills, collector folds, free list, worker — except
+// under Options.RetainRuns, where the folded replicates keep referencing
+// the arrays and the buffers are never recycled.
+type spanBufs struct {
+	reps     []Replicate
+	wall     []time.Duration // per-run build+run wall time, for the cell cost account
+	values   []stats.JSONFloat
+	hopDrops []int64
+}
+
+// spanBuffers returns storage for a span of n runs: a recycled set when the
+// free list holds one big enough, fresh arrays otherwise. The arrays of one
+// set are made together, so values holds nm entries per replicate slot.
+func (env *execEnv) spanBuffers(n int) (b spanBufs) {
+	select {
+	case b = <-env.free:
+	default:
+	}
+	nm := len(env.p.Metrics)
+	if cap(b.reps) < n {
+		b = spanBufs{reps: make([]Replicate, n), wall: make([]time.Duration, n), values: make([]stats.JSONFloat, n*nm)}
+	}
+	b.reps, b.wall, b.values, b.hopDrops = b.reps[:n], b.wall[:n], b.values[:n*nm], b.hopDrops[:0]
+	return b
 }
 
 // spanResult is what a worker hands the collector: the replicates of one
 // dispatched span, runs [lo, lo+len(reps)) in canonical order. err is the
 // failure of run lo+len(reps), which ended the span early.
 type spanResult struct {
-	lo   int
-	reps []Replicate
-	wall []time.Duration // per-run build+run wall time, for the cell cost account
-	err  error
+	lo int
+	spanBufs
+	err error
 }
 
 // runSpan runs the replicates [lo, hi) back to back on the worker's context.
 // The span is the unit of everything that is not simulation: one result
-// message, one backing array each for every replicate's Values and HopDrops,
-// one update of the shared self-metrics — a 50 ms replicate is a few
-// microseconds of events, and a channel hand-off per run cost as much again.
+// message, one set of buffers (spanBufs), one update of the shared
+// self-metrics — a 50 ms replicate is a few microseconds of events, and a
+// channel hand-off per run cost as much again.
 func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 	n, nm, reps := hi-lo, len(env.p.Metrics), env.p.Replicates
-	sp := spanResult{lo: lo, reps: make([]Replicate, n), wall: make([]time.Duration, n)}
-	values := make([]stats.JSONFloat, n*nm)
-	var hopDrops []int64
+	sp := spanResult{lo: lo, spanBufs: env.spanBuffers(n)}
 	var build, run time.Duration
 	var ran, events int64
 	for i := range sp.reps {
 		g := lo + i
-		sp.reps[i].Values = values[i*nm : (i+1)*nm : (i+1)*nm]
+		// A whole new value: a recycled slot keeps no HopDrops or Web100
+		// that this replicate would not rewrite.
+		sp.reps[i] = Replicate{Values: sp.values[i*nm : (i+1)*nm : (i+1)*nm]}
 		b, r, err := rc.runReplicate(env, &env.cells[g/reps], g%reps, &sp.reps[i])
 		ran++
 		if err != nil {
@@ -178,13 +209,14 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 		build, run, sp.wall[i] = build+b, run+r, b+r
 		events += int64(rc.s.Eng.Processed())
 		if hops := rc.res.Hops; len(hops) > 1 { // a dumbbell's one figure is router_drops
-			if cap(hopDrops)-len(hopDrops) < len(hops) {
-				hopDrops = make([]int64, 0, len(hops)*(n-i))
+			if cap(sp.hopDrops)-len(sp.hopDrops) < len(hops) {
+				sp.hopDrops = make([]int64, 0, len(hops)*n) // room for a whole recycled span
 			}
 			for _, h := range hops {
-				hopDrops = append(hopDrops, h.Drops)
+				sp.hopDrops = append(sp.hopDrops, h.Drops)
 			}
-			sp.reps[i].HopDrops = hopDrops[len(hopDrops)-len(hops) : len(hopDrops) : len(hopDrops)]
+			end := len(sp.hopDrops)
+			sp.reps[i].HopDrops = sp.hopDrops[end-len(hops) : end : end]
 		}
 	}
 	env.self.Runs.Add(ran)
@@ -334,11 +366,15 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		workers = total
 	}
 	span := dispatchSpan(total, workers)
+	window := spanWindow * workers
 	env := &execEnv{
 		p:     p,
 		cells: cells,
 		opts:  opts,
 		self:  opts.Self,
+	}
+	if !opts.RetainRuns {
+		env.free = make(chan spanBufs, window)
 	}
 	if env.self == nil {
 		env.self = NewSelfMetrics()
@@ -356,8 +392,9 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 	// collector folds eagerly, so the lowest unfolded span is always in
 	// flight or queued, never stuck in the buffer. After a failure the
 	// collector keeps its tokens and closes failed: the dispatcher hands
-	// out at most the window it already held, then stops.
-	window := spanWindow * workers
+	// out at most the window it already held, then stops. The free list
+	// has the window's capacity, so the span buffers alive at once — in
+	// flight, parked in the ring or free — are at most twice the window.
 	tokens := make(chan struct{}, window)
 	failed := make(chan struct{})
 
@@ -424,6 +461,10 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 				f.fail(cur.lo+len(cur.reps), cur.err)
 				close(failed)
 				continue
+			}
+			select { // free is nil under RetainRuns: the retained runs own the arrays
+			case env.free <- cur.spanBufs:
+			default:
 			}
 			<-tokens
 		}

@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +74,7 @@ const slowestCap = 8
 
 // NewSelfMetrics returns a zeroed instrument set with the clock started.
 func NewSelfMetrics() *SelfMetrics {
-	return &SelfMetrics{started: time.Now()}
+	return &SelfMetrics{started: time.Now(), slowest: make([]CellWall, 0, slowestCap)}
 }
 
 // Elapsed returns wall time since construction.
@@ -116,15 +116,22 @@ func (m *SelfMetrics) observeWheel(cur sim.WheelStats, prev *sim.WheelStats) {
 }
 
 // ObserveCellWall attributes a completed cell's cumulative replicate wall
-// time, retaining the slowest slowestCap cells.
+// time, retaining the slowest slowestCap cells: an insertion into the
+// bounded list, most expensive first, after any cells of equal wall.
 func (m *SelfMetrics) ObserveCellWall(key string, wall time.Duration) {
 	m.cellMu.Lock()
 	defer m.cellMu.Unlock()
-	m.slowest = append(m.slowest, CellWall{Key: key, Wall: wall})
-	sort.Slice(m.slowest, func(i, j int) bool { return m.slowest[i].Wall > m.slowest[j].Wall })
-	if len(m.slowest) > slowestCap {
-		m.slowest = m.slowest[:slowestCap]
+	i := len(m.slowest)
+	for i > 0 && m.slowest[i-1].Wall < wall {
+		i--
 	}
+	if i == slowestCap {
+		return
+	}
+	if len(m.slowest) == slowestCap {
+		m.slowest = m.slowest[:slowestCap-1] // the fastest gives way
+	}
+	m.slowest = slices.Insert(m.slowest, i, CellWall{Key: key, Wall: wall})
 }
 
 // SlowestCells returns the slowest observed cells, most expensive first.

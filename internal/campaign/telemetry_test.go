@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -303,5 +305,39 @@ func TestReportTelemetryTail(t *testing.T) {
 	prefix := strings.TrimSuffix(plain.String(), "\n}\n")
 	if !strings.HasPrefix(tailed.String(), prefix) {
 		t.Error("telemetry tail perturbed the cells/plan prefix")
+	}
+}
+
+// TestSlowestCellsKeepsLargestWalls: after every observation of a sequence
+// with ties, repeats and more cells than the list holds, SlowestCells is the
+// slowestCap largest walls seen so far, most expensive first, each under the
+// key it was observed with.
+func TestSlowestCellsKeepsLargestWalls(t *testing.T) {
+	m := NewSelfMetrics()
+	var seen []time.Duration
+	x := uint64(7)
+	for i := 0; i < 200; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		wall := time.Duration(x>>59) * time.Millisecond // 32 values: many ties
+		key := fmt.Sprintf("cell%d", i)
+		m.ObserveCellWall(key, wall)
+		seen = append(seen, wall)
+
+		want := slices.Clone(seen)
+		slices.SortFunc(want, func(a, b time.Duration) int { return cmp.Compare(b, a) })
+		want = want[:min(len(want), slowestCap)]
+		got := m.SlowestCells()
+		if len(got) != len(want) {
+			t.Fatalf("after %d observations: %d slowest cells, want %d", i+1, len(got), len(want))
+		}
+		for j, c := range got {
+			var idx int
+			if _, err := fmt.Sscanf(c.Key, "cell%d", &idx); err != nil || idx > i || seen[idx] != c.Wall {
+				t.Fatalf("after %d observations: entry %d is %s/%v, not an observed cell", i+1, j, c.Key, c.Wall)
+			}
+			if c.Wall != want[j] {
+				t.Fatalf("after %d observations: walls %v, want %v", i+1, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -96,8 +97,7 @@ func (a *Accumulator) Summary() Summary {
 		Max:  a.w.Max(),
 	}
 	if !a.approx {
-		sorted := append(make([]float64, 0, len(a.exact)), a.exact...)
-		sort.Float64s(sorted)
+		sorted := a.sorted()
 		s.P50 = percentileSorted(sorted, 0.50)
 		s.P90 = percentileSorted(sorted, 0.90)
 	} else {
@@ -117,9 +117,20 @@ func (a *Accumulator) Percentile(p float64) (q float64, ok bool) {
 	if a.approx || len(a.exact) == 0 {
 		return math.NaN(), false
 	}
-	sorted := append(make([]float64, 0, len(a.exact)), a.exact...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), true
+	return percentileSorted(a.sorted(), p), true
+}
+
+// sorted returns the exact buffer's values in ascending order. It sorts a
+// copy in the buffer's spare capacity, grown to hold one once and kept, so a
+// summary does not allocate one. That scratch is not state: State neither
+// writes nor reads it, and the buffer itself is never sorted, since overflow
+// replays it in insertion order.
+func (a *Accumulator) sorted() []float64 {
+	n := len(a.exact)
+	a.exact = slices.Grow(a.exact, n)
+	s := append(a.exact[n:n], a.exact...)
+	sort.Float64s(s)
+	return s
 }
 
 // P2 estimates a single quantile online in constant space with the P²

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -85,6 +86,36 @@ func TestAccumulatorOverflowKeepsMomentsExact(t *testing.T) {
 	}
 	if d := math.Abs(got.P90 - want.P90); d > 3 {
 		t.Errorf("P90 estimate %v vs exact %v (|d|=%v)", got.P90, want.P90, d)
+	}
+}
+
+// TestAccumulatorSummaryInterleaved: summaries and percentiles asked for
+// between observations sort a scratch copy, never the buffer, so the state
+// keeps insertion order, the overflow replay and every later summary match
+// an accumulator that was never asked, and a warm summary allocates nothing.
+func TestAccumulatorSummaryInterleaved(t *testing.T) {
+	xs := synth(300)
+	asked, quiet := Accumulator{MaxExact: 128}, Accumulator{MaxExact: 128}
+	for i, x := range xs {
+		asked.Add(x)
+		quiet.Add(x)
+		if i%7 == 0 {
+			asked.Summary()
+			asked.Percentile(0.99)
+		}
+		if got, want := asked.State(), quiet.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d observations the state differs from an unasked accumulator", i+1)
+		}
+		if got, want := asked.Summary(), quiet.Summary(); !summariesBitEqual(got, want) {
+			t.Fatalf("after %d observations: summary %+v, unasked %+v", i+1, got, want)
+		}
+	}
+	var a Accumulator
+	for _, x := range synth(640) {
+		a.Add(x)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Summary(); a.Percentile(0.5) }); allocs != 0 {
+		t.Errorf("a warm Summary and Percentile allocate %v objects, want 0", allocs)
 	}
 }
 

@@ -33,8 +33,9 @@ const minRing = 16
 // A recorder belongs to one simulation (one logical thread); it is not safe
 // for concurrent use — exactly like the engine that feeds it.
 type FlightRecorder struct {
-	buf   []Event // held events; once len(buf) == limit, index is n % limit
+	buf   []Event // held events
 	limit int     // capacity
+	next  int     // once len(buf) == limit: the oldest entry, overwritten next (n % limit)
 	n     uint64  // total events ever recorded
 }
 
@@ -57,7 +58,10 @@ func (r *FlightRecorder) Record(t sim.Time, k Kind, flow, hop int32, a, b int64)
 	ev := Event{T: t, Kind: k, Flow: flow, Hop: hop, A: a, B: b}
 	switch {
 	case len(r.buf) == r.limit:
-		r.buf[r.n%uint64(r.limit)] = ev
+		r.buf[r.next] = ev
+		if r.next++; r.next == r.limit {
+			r.next = 0
+		}
 	case len(r.buf) == cap(r.buf): // double: to minRing at first, never past limit
 		grown := make([]Event, 0, min(max(2*cap(r.buf), minRing), r.limit))
 		r.buf = append(append(grown, r.buf...), ev)
@@ -73,7 +77,7 @@ func (r *FlightRecorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.buf, r.n = r.buf[:0], 0
+	r.buf, r.next, r.n = r.buf[:0], 0, 0
 }
 
 // Cap returns the ring capacity (0 for a nil recorder), however much of it
@@ -118,14 +122,8 @@ func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	var line []byte
-	n := r.Len()
-	capN := uint64(len(r.buf))
-	start := uint64(0)
-	if r.n > capN {
-		start = r.n % capN
-	}
-	for i := 0; i < n; i++ {
-		ev := &r.buf[(start+uint64(i))%capN]
+	for i := range r.buf {
+		ev := &r.buf[(r.next+i)%len(r.buf)] // next is 0 until the ring wraps
 		line = line[:0]
 		line = append(line, `{"t_ns":`...)
 		line = strconv.AppendInt(line, int64(ev.T), 10)

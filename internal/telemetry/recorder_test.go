@@ -143,7 +143,7 @@ func (f *fixedRing) jsonl() []byte {
 func TestRecorderMatchesFixedRing(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 16, 17, 2048} {
 		r := NewFlightRecorder(capacity)
-		for _, count := range []int{0, 1, capacity - 1, capacity, capacity + 1, 3*capacity + 5} {
+		for _, count := range []int{0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity, 2*capacity + 1, 3*capacity + 5} {
 			r.Reset()
 			f := &fixedRing{buf: make([]Event, capacity)}
 			for i := 0; i < count; i++ {
