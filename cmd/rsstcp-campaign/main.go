@@ -65,9 +65,10 @@ import (
 	"rsstcp/internal/telemetry"
 )
 
-// axisFlags are the flags that are stock campaign axes of the same name, in
-// canonical order: topology, churn, then the classic seven.
-var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "loss", "alg", "flows"}
+// axisFlags are the flags the campaign's flag compiler registers: the stock
+// axes of the same name in canonical order (topology, churn, then the
+// classic seven), and -hop and -rev.
+var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "loss", "alg", "flows", "hop", "rev"}
 
 func main() {
 	defaults := map[string]string{"bw": "10,100,500", "rtt": "20ms,60ms", "rq": "250",
@@ -82,9 +83,8 @@ func main() {
 		csvPath    = flag.String("csv", "", "write the aggregate table as CSV to this file, or - for stdout")
 		quiet      = flag.Bool("quiet", false, "suppress progress reporting on stderr")
 
-		// The metric columns, and a reverse channel for every cell.
+		// The report's columns, and its raw replicates.
 		metrics    = flag.String("metrics", "", "metric columns to report, in order (comma list; known: "+strings.Join(rsstcp.MetricNames(), ",")+")")
-		rev        = flag.String("rev", "", "real reverse channel for every cell as rate=Mbps[,delay=D][,queue=N] (adds an 'rbw' axis value)")
 		retainRuns = flag.Bool("retain-runs", false, "keep every raw replicate in the JSON report (memory grows with run count)")
 
 		// Observability flags.
@@ -105,15 +105,6 @@ func main() {
 		axes.Extra(s)
 		return nil
 	})
-	var customHops []rsstcp.Hop
-	flag.Func("hop", "add one forward hop to a custom topology for every cell, as rate=Mbps,delay=D,queue=N[,aqm=red][,loss=P][,reorder=P:D][,dup=P] (repeatable; adds a single-valued 'topo' axis)", func(s string) error {
-		h, err := rsstcp.ParseHop(s)
-		if err != nil {
-			fatalf("%v", err) // exit 1 with one line; returning it gets flag's usage dump and 2
-		}
-		customHops = append(customHops, h)
-		return nil
-	})
 	flag.Parse()
 
 	stop, err := telemetry.StartProfiling(*cpuProfile, *memProfile)
@@ -125,26 +116,11 @@ func main() {
 
 	// A dynamic workload replaces the default single static flow, unless
 	// -flows was set on purpose to keep that many static flows as background
-	// load. -hop builds one custom topology for every cell, which takes the
-	// place of -topo and carries -rev; otherwise -rev is an "rbw" axis after
-	// the -axis ones.
+	// load.
 	if axes.Set("load") || axes.Set("arrivals") || axes.Set("fsize") {
 		delete(defaults, "flows")
 	}
-	var reverse rsstcp.Reverse
-	var trail []rsstcp.Axis
-	if *rev != "" {
-		if reverse, err = rsstcp.ParseReverse(*rev); err != nil {
-			fatalf("%v", err)
-		}
-		if len(customHops) == 0 {
-			trail = append(trail, rsstcp.ReverseAxis(reverse))
-		}
-	}
-	if len(customHops) > 0 {
-		axes.Pin(rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: customHops, Reverse: reverse}))
-	}
-	plan := rsstcp.Plan{Axes: axes.Axes(trail...), Replicates: *replicates, Duration: *duration, BaseSeed: *seed}
+	plan := rsstcp.Plan{Axes: axes.Axes(), Replicates: *replicates, Duration: *duration, BaseSeed: *seed}
 	if *metrics != "" {
 		if plan.Metrics, err = rsstcp.MetricsByName(split(*metrics)...); err != nil {
 			fatalf("%v", err)

@@ -18,19 +18,28 @@ import (
 var validToken = map[string]string{
 	"topo": "parking-lot", "load": "0.5", "arrivals": "poisson:10", "fsize": "exp:100k",
 	"bw": "100", "rtt": "60ms", "rq": "250", "ifq": "100", "loss": "0",
-	"alg": "standard", "flows": "1",
+	"alg": "standard", "flows": "1", "rev": "rate=5",
 }
 
-// TestAxisFlagsFollowCanonicalOrder: every axis flag names a stock axis, and
-// with all of them set the flag compiler stacks them in list order — so the
-// list is a sub-sequence of the canonical order — where any two either
-// compose or conflict, and none fails the rule table's order check.
+// TestAxisFlagsFollowCanonicalOrder: every axis flag but -hop and -rev names
+// a stock axis, and with all of them set but -hop (whose chain is a "topo"
+// axis, as -topo's value is) the flag compiler stacks them in list order —
+// so the list is a sub-sequence of the canonical order — with -rev's "rbw"
+// axis last, where any two either compose or conflict, and none fails the
+// rule table's order check.
 func TestAxisFlagsFollowCanonicalOrder(t *testing.T) {
 	stock := campaign.StockAxisNames()
-	var args []string
+	var args, want []string
 	for _, n := range axisFlags {
-		if !slices.Contains(stock, n) {
+		switch {
+		case n == "hop":
+			continue
+		case n == "rev":
+			want = append(want, "rbw")
+		case !slices.Contains(stock, n):
 			t.Errorf("-%s is not a stock axis", n)
+		default:
+			want = append(want, n)
 		}
 		args = append(args, "-"+n, validToken[n])
 	}
@@ -44,8 +53,8 @@ func TestAxisFlagsFollowCanonicalOrder(t *testing.T) {
 	for _, a := range compiled {
 		names = append(names, a.Name)
 	}
-	if !slices.Equal(names, axisFlags) {
-		t.Fatalf("compiled axis order %v, flag list %v: not a sub-sequence of the canonical order", names, axisFlags)
+	if !slices.Equal(names, want) {
+		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, want)
 	}
 	for i, a := range compiled {
 		for _, b := range compiled[i+1:] {
@@ -87,14 +96,33 @@ func TestProfilesFlushedOnFailure(t *testing.T) {
 // it. Each used to run its default: 25 s per replicate, one replicate, the
 // default pool.
 func TestNegativeCountsFailCleanly(t *testing.T) {
+	const cell = "-bw 10 -rtt 20ms -ifq 50 -alg standard -duration 100ms "
+	failsCleanly(t, cell, "-duration -1s", "-replicates -3", "-workers -2", "-replicates -3 -workers -2")
+}
+
+// TestBadPathFlagsFailCleanly: a -hop or -rev value that does not parse or
+// is out of its domain, and a -hop chain whose delays sum past a duration's
+// range (which used to run, its one-way delay wrapped negative), are one
+// line on stderr and exit 1.
+func TestBadPathFlagsFailCleanly(t *testing.T) {
+	const hop = "-hop rate=100,delay=1000000h,queue=50 "
+	failsCleanly(t, "-alg standard -duration 100ms ",
+		"-hop rate=100,delay=10ms,queue=50,loss=NaN", "-hop rate=100,delay=10ms",
+		"-rev rate=10,queue=-5", "-rev rate=Inf", "-hop rate=100,delay=10ms,queue=50 -rev delay=1ms",
+		hop+hop+hop, "-hop rate=100,delay=10ms,queue=50 -topo parking-lot")
+}
+
+// failsCleanly runs the command with each args after prefix and wants exit
+// 1 with one line on stderr and nothing on stdout.
+func failsCleanly(t *testing.T, prefix string, argss ...string) {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "rsstcp-campaign")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	const cell = "-bw 10 -rtt 20ms -ifq 50 -alg standard -duration 100ms "
-	for _, args := range []string{"-duration -1s", "-replicates -3", "-workers -2", "-replicates -3 -workers -2"} {
+	for _, args := range argss {
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, strings.Fields(cell+args)...)
+		cmd := exec.Command(bin, strings.Fields(prefix+args)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError

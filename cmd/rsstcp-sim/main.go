@@ -36,15 +36,15 @@ import (
 	"rsstcp/internal/unit"
 )
 
-// axisFlags are the flags that are stock campaign axes of the same name, in
-// canonical order: topology, churn, path, then per-flow.
-var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "nic", "hops", "aqm", "alg", "setpoint", "bytes", "sack"}
+// axisFlags are the flags the campaign's flag compiler registers: the stock
+// axes of the same name in canonical order (topology, churn, path, then
+// per-flow), and -hop and -rev.
+var axisFlags = []string{"topo", "load", "arrivals", "fsize", "bw", "rtt", "rq", "ifq", "nic", "hops", "aqm", "alg", "setpoint", "bytes", "sack", "hop", "rev"}
 
 func main() {
 	// alg alone has a default.
 	axes := campaign.NewAxisFlags(flag.CommandLine, axisFlags, map[string]string{"alg": "restricted"}, false)
 	var (
-		rev      = flag.String("rev", "", "real reverse channel as rate=Mbps[,delay=D][,queue=N] (default: ideal wire)")
 		duration = flag.Duration("duration", 25*time.Second, "run length")
 		maxflows = flag.Int("maxflows", 0, "admission cap on concurrently live dynamic flows (0 = unbounded)")
 		wheel    = flag.Bool("wheel", false, "run flow timers on the hierarchical timer wheel (byte-identical results, cheaper at high flow counts)")
@@ -58,15 +58,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	var hopSpecs []rsstcp.Hop
-	flag.Func("hop", "add one forward hop as rate=Mbps,delay=D,queue=N[,aqm=red][,loss=P][,reorder=P:D][,dup=P] (repeatable)", func(s string) error {
-		h, err := rsstcp.ParseHop(s)
-		if err != nil {
-			fatal(err) // exit 1 with one line; returning it gets flag's usage dump and 2
-		}
-		hopSpecs = append(hopSpecs, h)
-		return nil
-	})
 	flag.Parse()
 
 	stop, err := telemetry.StartProfiling(*cpuProfile, *memProfile)
@@ -76,20 +67,7 @@ func main() {
 	stopProfiling = stop
 	defer stopProfiling()
 
-	// The -hop chain is a "topo" axis, so it takes -topo's place; the reverse
-	// channel refines whichever path the axes before it built.
-	if len(hopSpecs) > 0 {
-		axes.Pin(rsstcp.TopologyAxis("custom", rsstcp.Topology{Hops: hopSpecs}))
-	}
-	var trail []rsstcp.Axis
-	if *rev != "" {
-		r, err := rsstcp.ParseReverse(*rev)
-		if err != nil {
-			fatal(err)
-		}
-		trail = append(trail, rsstcp.ReverseAxis(r))
-	}
-	plan := rsstcp.Plan{Axes: axes.Axes(trail...), Duration: *duration, Base: rsstcp.Options{
+	plan := rsstcp.Plan{Axes: axes.Axes(), Duration: *duration, Base: rsstcp.Options{
 		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
 	if *maxflows != 0 {
 		// -maxflows is no axis, so the rule table cannot see it meet -bytes;
@@ -167,7 +145,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := res.Rec.WriteCSV(f); err != nil {
+		if err := s.Rec.WriteCSV(f); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace            %s\n", *csvPath)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"rsstcp"
 	"rsstcp/internal/campaign"
 )
 
@@ -20,13 +19,17 @@ var validToken = map[string]string{
 	"topo": "parking-lot", "load": "0.5", "arrivals": "poisson:10", "fsize": "exp:100k",
 	"bw": "100", "rtt": "60ms", "rq": "250", "ifq": "100", "nic": "200", "hops": "2",
 	"aqm": "red", "alg": "standard", "setpoint": "0.9", "bytes": "1000000", "sack": "true",
+	"rev": "rate=5",
 }
 
-// TestAxisFlagsAreStockAxes: every axis flag names a stock axis, and its help
-// line comes from the axis declaration.
+// TestAxisFlagsAreStockAxes: every axis flag but -hop and -rev names a stock
+// axis, and its help line comes from the axis declaration.
 func TestAxisFlagsAreStockAxes(t *testing.T) {
 	stock := campaign.StockAxisNames()
 	for _, n := range axisFlags {
+		if n == "hop" || n == "rev" {
+			continue
+		}
 		if !slices.Contains(stock, n) {
 			t.Errorf("-%s is not a stock axis", n)
 		}
@@ -36,27 +39,35 @@ func TestAxisFlagsAreStockAxes(t *testing.T) {
 	}
 }
 
-// TestAxisFlagOrderFollowsRules: with every axis flag set, the flag compiler
-// stacks them in list order — so the list is a sub-sequence of the canonical
-// order — and -rev's "rbw" axis after them, and any two either compose or
-// conflict; none fails the rule table's order check, which would reject an
-// invocation only for where the compiler put the axis.
+// TestAxisFlagOrderFollowsRules: with every axis flag set but -hop (whose
+// chain is a "topo" axis, as -topo's value is), the flag compiler stacks them
+// in list order — so the list is a sub-sequence of the canonical order — with
+// -rev's "rbw" axis last, and any two either compose or conflict; none fails
+// the rule table's order check, which would reject an invocation only for
+// where the compiler put the axis.
 func TestAxisFlagOrderFollowsRules(t *testing.T) {
-	var args []string
+	var args, want []string
 	for _, n := range axisFlags {
+		if n == "hop" {
+			continue
+		}
 		args = append(args, "-"+n+"="+validToken[n])
+		if n == "rev" {
+			n = "rbw"
+		}
+		want = append(want, n)
 	}
 	fs := flag.NewFlagSet("rsstcp-sim", flag.ContinueOnError)
 	axes := campaign.NewAxisFlags(fs, axisFlags, nil, false)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	compiled := axes.Axes(rsstcp.ReverseAxis(rsstcp.Reverse{Rate: 5 * rsstcp.Mbps}))
+	compiled := axes.Axes()
 	var names []string
 	for _, a := range compiled {
 		names = append(names, a.Name)
 	}
-	if want := append(slices.Clone(axisFlags), "rbw"); !slices.Equal(names, want) {
+	if !slices.Equal(names, want) {
 		t.Fatalf("compiled axis order %v, want %v: the flag list is not a sub-sequence of the canonical order", names, want)
 	}
 	for i, a := range compiled {
@@ -80,6 +91,11 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		"-topo parking-lot -hop rate=100,delay=10ms,queue=50", "-arrivals poisson:10 -bytes 1000",
 		"-maxflows 5 -bytes 1000", "-arrivals poisson:1e10 -maxflows 10 -duration 1ms",
 		"-duration -1s", "-load 0.5 -maxflows -4", "-retain -7",
+		"-hop rate=100,delay=10ms,queue=50,loss=NaN", "-hop rate=100,delay=10ms", "-rev rate=10,queue=-5",
+		"-rev rate=Inf", "-hop rate=100,delay=10ms,queue=50 -rev delay=1ms",
+		// Delays that sum past a duration's range used to run, the one-way
+		// delay printed wrapped negative.
+		"-hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50",
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(args)...)

@@ -161,22 +161,20 @@ func (m meanFieldPath) config(dur time.Duration) Config {
 const meanFieldSample = 25 * time.Millisecond
 
 // runMeanField is Scenario.Run at meanFieldSample: the same recorder
-// calls, in the same order, at a finer period.
-func runMeanField(s *Scenario) Result {
-	s.Rec.ReserveSamples(int(s.Cfg.Duration/meanFieldSample) + 1)
+// call at a finer period, without the summary.
+func runMeanField(s *Scenario) {
 	s.Rec.Sample(meanFieldSample)
 	s.Eng.RunUntil(sim.At(s.Cfg.Duration))
-	return s.ResultFor(0)
 }
 
 // queueSeries extracts the RED hop's sampled queue length after the warmup
 // cut, as (seconds, packets) series.
-func queueSeries(t *testing.T, res Result, warmup time.Duration) (xs, ys []float64) {
+func queueSeries(t *testing.T, sc *Scenario, warmup time.Duration) (xs, ys []float64) {
 	t.Helper()
-	if res.Rec == nil {
+	if sc.Rec == nil {
 		t.Fatal("mean-field run was traceless; no hop queue series")
 	}
-	s := res.Rec.Series("hopq/1")
+	s := sc.Rec.Series("hopq/1")
 	if len(s.Points) == 0 {
 		t.Fatal("hopq/1 series missing")
 	}
@@ -228,8 +226,8 @@ func TestMeanFieldREDFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runMeanField(s)
-		_, ys := queueSeries(t, res, warmup)
+		runMeanField(s)
+		_, ys := queueSeries(t, s, warmup)
 		qbar, qstd := meanStd(ys)
 		t.Logf("N=%d: q̄ sim %.0f pkts (%.3f/flow), fixed point %.0f pkts (p̄* %.4f, κ %.1f); σ/q̄ = %.3f; live %d",
 			n, qbar, qbar/float64(n), qstar, pstar, m.loopGain(), qstd/qbar, s.LiveFlows())
@@ -294,8 +292,8 @@ func TestMeanFieldREDOscillationOnset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runMeanField(s)
-		xs, ys := queueSeries(t, res, warmup)
+		runMeanField(s)
+		xs, ys := queueSeries(t, s, warmup)
 		qbar, qstd := meanStd(ys)
 		osc := stats.AnalyzeOscillation(xs, ys, qstd, 0.5)
 		rows = append(rows, row{mbps, m.loopGain(), osc, qstd / qbar})

@@ -68,7 +68,6 @@ func resultDigest(t *testing.T, cfg Config) string {
 		t.Fatal(err)
 	}
 	res := s.Run()
-	res.Rec = nil
 	if len(res.Flows) == 0 {
 		t.Fatal("golden run completed no flow — bad test premise")
 	}
@@ -76,6 +75,9 @@ func resultDigest(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The digests were captured while Result still ended in a recorder
+	// field, null on every run here; its bytes keep their place.
+	js = append(js[:len(js)-1], `,"Rec":null}`...)
 	sum := sha256.Sum256(js)
 	return hex.EncodeToString(sum[:])
 }

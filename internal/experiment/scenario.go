@@ -254,7 +254,11 @@ func (c *Config) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) erro
 		neg("Path.ReverseQueue", p.ReverseQueue), neg("Duration", c.Duration), fraction("Path.Loss", p.Loss)); err != nil {
 		return err
 	}
+	owd := p.RTT / 2
+	rev := cmp.Or(p.ReverseDelay, owd)
 	switch {
+	case owd+rev < 0:
+		return fmt.Errorf("Path.ReverseDelay: round trip %v + %v overflows a duration", owd, rev)
 	case p.Hops > MaxHops:
 		return fmt.Errorf("Path.Hops %d exceeds the limit of %d per path", p.Hops, MaxHops)
 	case !knownDiscipline(p.AQM):
@@ -1153,17 +1157,14 @@ type Result struct {
 	FlowsActive int `json:",omitempty"`
 	// FlowsRefused counts arrivals turned away by ChurnSpec.MaxLive.
 	FlowsRefused int64 `json:",omitempty"`
-	// Rec exposes the recorder for figure generation; nil when traceless.
-	Rec *trace.Recorder
 }
 
 // Run executes the scenario for its configured duration and summarizes the
 // primary flow.
 func (s *Scenario) Run() Result {
 	if s.Rec != nil {
-		// The run length and sample period are both known: pre-size every
-		// gauge series so sampling never reallocates mid-run.
-		s.Rec.ReserveSamples(int(s.Cfg.Duration/samplePeriod) + 1)
+		// The series grow with what the run samples: a reservation sized by
+		// Duration would hold a long run's whole trace before its first event.
 		s.Rec.Sample(samplePeriod)
 	}
 	s.Eng.RunUntil(sim.At(s.Cfg.Duration))
@@ -1216,7 +1217,6 @@ func (s *Scenario) ResultFor(i int) Result {
 		Hops:            slices.Clip(s.hopStats),
 		FlowsActive:     len(s.churn.live),
 		FlowsRefused:    s.churn.refused,
-		Rec:             s.Rec,
 	}
 	if s.rev != nil {
 		res.ReverseDrops = s.rev.QueueStats().Dropped

@@ -4,12 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
-	"rsstcp/internal/lifecycle"
 	"rsstcp/internal/netem"
 	"rsstcp/internal/sim"
 	"rsstcp/internal/unit"
@@ -150,20 +147,27 @@ func (t Topology) Validate() error {
 	if n := len(t.Hops); n > MaxHops {
 		return fmt.Errorf("experiment: %d hops exceeds the limit of %d per path", n, MaxHops)
 	}
+	var fwd time.Duration
 	for i := range t.Hops {
-		if err := t.Hops[i].validate(); err != nil {
+		if err := t.Hops[i].Validate(); err != nil {
 			return fmt.Errorf("experiment: hop %d: %w", i, err)
 		}
+		if fwd += t.Hops[i].Delay; fwd < 0 {
+			return fmt.Errorf("experiment: hop %d: Delay summed through it overflows a duration", i)
+		}
 	}
-	if err := t.Reverse.validate(); err != nil {
+	if err := t.Reverse.Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
+	}
+	if rev := cmp.Or(t.Reverse.Delay, fwd); fwd+rev < 0 {
+		return fmt.Errorf("experiment: Reverse.Delay: round trip %v + %v overflows a duration", fwd, rev)
 	}
 	return nil
 }
 
-// validate is Validate's per-hop half, which ParseHop applies to outside
-// input.
-func (h *Hop) validate() error {
+// Validate is Topology.Validate's per-hop half, which a parser of outside
+// input applies to each hop it reads.
+func (h *Hop) Validate() error {
 	if h.Rate <= 0 {
 		return fmt.Errorf("non-positive rate %v", h.Rate)
 	}
@@ -177,7 +181,8 @@ func (h *Hop) validate() error {
 		fraction("reorder probability", h.ReorderP), fraction("duplicate probability", h.DuplicateP))
 }
 
-func (r Reverse) validate() error {
+// Validate is Topology.Validate's reverse-channel half.
+func (r Reverse) Validate() error {
 	return cmp.Or(neg("reverse rate", r.Rate), neg("reverse delay", r.Delay), neg("reverse queue", r.Queue))
 }
 
@@ -340,129 +345,4 @@ func ApplyPreset(cfg *Config, name string) error {
 			name, strings.Join(TopologyPresets(), ", "))
 	}
 	return nil
-}
-
-// --- CLI hop/reverse parsing ---
-
-// parseKV walks comma-separated key=value pairs, dispatching each value to
-// its field setter, rejecting unknown and duplicate keys and enforcing the
-// required set. ParseHop and ParseReverse are field tables over it.
-func parseKV(what, s string, required []string, fields map[string]func(string) error) error {
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return fmt.Errorf("%s: want key=value, got %q", what, part)
-		}
-		if seen[key] {
-			return fmt.Errorf("%s: duplicate key %q", what, key)
-		}
-		seen[key] = true
-		set, ok := fields[key]
-		if !ok {
-			known := make([]string, 0, len(fields))
-			for k := range fields {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return fmt.Errorf("%s: unknown key %q (want %s)", what, key, strings.Join(known, ", "))
-		}
-		if err := set(val); err != nil {
-			return fmt.Errorf("%s: bad %s value %q: %v", what, key, val, err)
-		}
-	}
-	for _, req := range required {
-		if !seen[req] {
-			return fmt.Errorf("%s: missing required key %q", what, req)
-		}
-	}
-	return nil
-}
-
-// Field setters shared by the parsers.
-func setMbps(dst *unit.Bandwidth) func(string) error {
-	return func(val string) error {
-		mbps, err := lifecycle.ParseFinite(val)
-		*dst = unit.Bandwidth(mbps * float64(unit.Mbps))
-		return err
-	}
-}
-
-func setDuration(dst *time.Duration) func(string) error {
-	return func(val string) error {
-		d, err := time.ParseDuration(val)
-		*dst = d
-		return err
-	}
-}
-
-func setInt(dst *int) func(string) error {
-	return func(val string) error {
-		n, err := strconv.Atoi(val)
-		*dst = n
-		return err
-	}
-}
-
-func setFloat(dst *float64) func(string) error {
-	return func(val string) error {
-		f, err := lifecycle.ParseFinite(val)
-		*dst = f
-		return err
-	}
-}
-
-// ParseHop parses one -hop flag value: comma-separated key=value pairs
-//
-//	rate=100,delay=10ms,queue=250[,aqm=red][,loss=0.01][,reorder=0.02:2ms][,dup=0.001]
-//
-// with rate in Mbps. rate, delay and queue are required.
-func ParseHop(s string) (Hop, error) {
-	var h Hop
-	err := parseKV("hop", s, []string{"rate", "delay", "queue"}, map[string]func(string) error{
-		"rate":  setMbps(&h.Rate),
-		"delay": setDuration(&h.Delay),
-		"queue": setInt(&h.Queue),
-		"aqm":   func(val string) error { h.Discipline = QueueDiscipline(val); return nil },
-		"loss":  setFloat(&h.Loss),
-		"reorder": func(val string) error {
-			p, d, hasDelay := strings.Cut(val, ":")
-			if err := setFloat(&h.ReorderP)(p); err != nil {
-				return err
-			}
-			if hasDelay {
-				return setDuration(&h.ReorderDelay)(d)
-			}
-			return nil
-		},
-		"dup": setFloat(&h.DuplicateP),
-	})
-	if err != nil {
-		return Hop{}, err
-	}
-	if err := h.validate(); err != nil {
-		return Hop{}, fmt.Errorf("hop: %w", err)
-	}
-	return h, nil
-}
-
-// ParseReverse parses one -rev flag value: comma-separated key=value pairs
-//
-//	rate=10[,delay=30ms][,queue=50]
-//
-// with rate in Mbps (required).
-func ParseReverse(s string) (Reverse, error) {
-	var r Reverse
-	err := parseKV("rev", s, []string{"rate"}, map[string]func(string) error{
-		"rate":  setMbps(&r.Rate),
-		"delay": setDuration(&r.Delay),
-		"queue": setInt(&r.Queue),
-	})
-	if err != nil {
-		return Reverse{}, err
-	}
-	if err := r.validate(); err != nil {
-		return Reverse{}, fmt.Errorf("rev: %w", err)
-	}
-	return r, nil
 }

@@ -22,6 +22,7 @@ import (
 func TestValidateRejectsOutOfDomain(t *testing.T) {
 	t.Parallel()
 	std := FlowSpec{Alg: AlgStandard}
+	longHop := Hop{Rate: unit.Mbps, Delay: 2_000_000 * time.Hour, Queue: 5}
 	churn := func(edit func(*ChurnSpec)) Config {
 		ch := ChurnSpec{Arrivals: "poisson:40", Size: "exp:50k", Flow: FlowSpec{Alg: AlgStandard}}
 		edit(&ch)
@@ -59,6 +60,14 @@ func TestValidateRejectsOutOfDomain(t *testing.T) {
 			"experiment: Flows[0].Route.FirstHop -1 is negative"},
 		{churn(func(c *ChurnSpec) { c.Flow.Route.Hops = -2 }), "experiment: Churn.Flow.Route.Hops -2 is negative"},
 		{churn(func(c *ChurnSpec) { c.Flow.Route.FirstHop = -1 }), "experiment: Churn.Flow.Route.FirstHop -1 is negative"},
+		// Delays whose sums wrap past a duration's range: the path line, the
+		// reverse link's delay and churn's base RTT used to read them negative.
+		{Config{Path: PathConfig{RTT: 2_000_000 * time.Hour, ReverseDelay: 2_000_000 * time.Hour}},
+			"experiment: Path.ReverseDelay: round trip 1000000h0m0s + 2000000h0m0s overflows a duration"},
+		{Config{Topology: &Topology{Hops: []Hop{longHop, longHop}}},
+			"experiment: hop 1: Delay summed through it overflows a duration"},
+		{Config{Topology: &Topology{Hops: []Hop{longHop}, Reverse: Reverse{Delay: 1_000_000 * time.Hour}}},
+			"experiment: Reverse.Delay: round trip 2000000h0m0s + 1000000h0m0s overflows a duration"},
 	} {
 		row.cfg.Traceless = true
 		if err := row.cfg.Validate(); err == nil || err.Error() != row.want {

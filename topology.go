@@ -82,11 +82,11 @@ func ApplyPreset(opts *Options, name string) error {
 
 // ParseHop parses a CLI -hop value ("rate=100,delay=10ms,queue=250[,aqm=red]
 // [,loss=0.01][,reorder=0.02:2ms][,dup=0.001]", rate in Mbps).
-func ParseHop(s string) (Hop, error) { return experiment.ParseHop(s) }
+func ParseHop(s string) (Hop, error) { return campaign.ParseHop(s) }
 
 // ParseReverse parses a CLI -rev value ("rate=10[,delay=30ms][,queue=50]",
 // rate in Mbps).
-func ParseReverse(s string) (Reverse, error) { return experiment.ParseReverse(s) }
+func ParseReverse(s string) (Reverse, error) { return campaign.ParseReverse(s) }
 
 // TopologyAxis builds a single-valued "topo" axis from an explicit topology,
 // labeled for the cell key — how a plan pins a custom hop graph built with
