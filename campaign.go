@@ -64,7 +64,7 @@ var (
 var (
 	// NewAxis builds a stock axis by name from loosely typed values; an
 	// unknown name or a bad value is the axis's error, which RunPlan and
-	// Plan.Validate report.
+	// Plan.Compile report.
 	NewAxis = campaign.NewAxis
 	// StockAxisNames lists the stock axis names NewAxis accepts.
 	StockAxisNames = campaign.StockAxisNames

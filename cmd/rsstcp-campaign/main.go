@@ -96,7 +96,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	// A bad -axis value, like a bad flag value, rides on its axis to
-	// Plan.Validate: one line and exit 1, not a usage dump.
+	// Plan.Compile: one line and exit 1, not a usage dump.
 	axisUsage := "extra sweep axis as name=v1,v2 (repeatable), name and values one of:"
 	for _, n := range rsstcp.StockAxisNames() {
 		axisUsage += "\n" + n + ": " + campaign.AxisHelp(n)
@@ -126,7 +126,8 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	if err := plan.Validate(); err != nil {
+	// RunPlan compiles it again; this refuses a bad cell before "runs on".
+	if _, err := plan.Compile(); err != nil {
 		fatalf("%v", err)
 	}
 	if *workers < 0 {

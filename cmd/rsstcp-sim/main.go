@@ -70,17 +70,13 @@ func main() {
 	plan := rsstcp.Plan{Axes: axes.Axes(), Duration: *duration, Base: rsstcp.Options{
 		EventLog: *eventsCap, TimerWheel: *wheel, RetainFlows: *retain}}
 	if *maxflows != 0 {
-		// -maxflows is no axis, so the rule table cannot see it meet -bytes;
-		// a negative cap is Validate's to refuse.
-		if axes.Set("bytes") {
-			fatal(fmt.Errorf("-bytes conflicts with a dynamic workload; transfer sizes come from -fsize"))
-		}
 		plan.Base.Churn = &rsstcp.Churn{MaxLive: *maxflows}
 	}
-	if err := plan.Validate(); err != nil {
+	cells, err := plan.Compile()
+	if err != nil {
 		fatal(err)
 	}
-	opts := plan.Cells()[0].Config
+	opts := cells[0].Config
 	opts.Seed = *seed
 
 	s, err := rsstcp.Build(opts)

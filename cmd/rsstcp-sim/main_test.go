@@ -82,9 +82,16 @@ func TestAxisFlagOrderFollowsRules(t *testing.T) {
 
 // TestOutOfDomainFlagsFailCleanly: a value outside its axis's domain, or a
 // flag the rule table forbids beside another, is one line on stderr and exit
-// 1 before anything runs.
+// 1 before anything runs. Where the line must say more, named says what: a
+// refusal only two flags trigger together names the cell (it used to be
+// Build's, without it), and -bytes under -maxflows names its axis.
 func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 	bin := buildSim(t)
+	const composed = "-rev rate=1,delay=2000000h -rtt 2000000h -bw 10 -ifq 50 -alg standard -duration 1ms"
+	named := map[string]string{
+		composed:                  "rsstcp-sim: campaign: cell bw=10Mbps/rtt=2000000h0m0s/ifq=50/alg=standard/rbw=1Mbps: ",
+		"-maxflows 5 -bytes 1000": `rsstcp-sim: campaign: axis "bytes": `,
+	}
 	for _, args := range []string{
 		"-bw -5", "-ifq -3", "-setpoint 7", "-topo parking-lot -bw 50", "-rtt 60",
 		"-hops 0", "-hops 2000000000", "-alg bogus", "-topo bogus", "-load 0",
@@ -96,6 +103,7 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		// Delays that sum past a duration's range used to run, the one-way
 		// delay printed wrapped negative.
 		"-hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50",
+		composed,
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(args)...)
@@ -107,6 +115,8 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		}
 		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "rsstcp-sim: ") {
 			t.Errorf("%s: stderr %q, want one rsstcp-sim line", args, msg)
+		} else if want := named[args]; !strings.HasPrefix(msg, want) {
+			t.Errorf("%s: stderr %q, want it to start %q", args, msg, want)
 		}
 		if stdout.Len() > 0 {
 			t.Errorf("%s: printed %q before failing", args, stdout.String())

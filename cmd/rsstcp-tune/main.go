@@ -46,10 +46,11 @@ func main() {
 	defer stopProfiling()
 
 	plan := rsstcp.Plan{Axes: axes.Axes(), Base: rsstcp.Options{Path: rsstcp.PaperPath()}}
-	if err := plan.Validate(); err != nil {
+	cells, err := plan.Compile()
+	if err != nil {
 		fatal(err)
 	}
-	path := plan.Cells()[0].Config.Path
+	path := cells[0].Config.Path
 	if *duration < 0 {
 		// Tune rejects it too, but only after the header line.
 		fatal(fmt.Errorf("-probe %v is negative (0 means 30s)", *duration))

@@ -37,8 +37,8 @@ type Axis struct {
 	// err records the first construction error: an unknown stock name, a
 	// value that does not convert, or one its dimension's check refuses (a
 	// zero that would run the default under a "0" label, say). Plan.Validate
-	// surfaces it before anything runs; whether a value's config is in the
-	// domain, Plan.Validate asks experiment.Config.Validate.
+	// surfaces it before anything runs; whether a cell's config is in the
+	// domain, Plan.Compile asks experiment.Config.Validate.
 	err error
 }
 
@@ -97,14 +97,14 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
-// Validate rejects plans whose axes or metrics would corrupt cell keys or
-// crash the runner: duplicate or malformed axis names, stock axes the rule
-// table (rules.go) forbids together or in that order, empty axes, duplicate
-// or malformed value labels, nil mutators, unnamed or nil metrics, and a
-// negative Replicates or Duration (zero means the default). It also rejects
-// a plan that would run a config experiment.Config.Validate refuses: the
-// Base, and each axis value applied to a copy of it — once per value, not
-// per cell.
+// Validate checks the plan's shape: it rejects plans whose axes or metrics
+// would corrupt cell keys or crash the runner — duplicate or malformed axis
+// names, stock axes the rule table (rules.go) forbids together or in that
+// order, empty axes, duplicate or malformed value labels, nil mutators,
+// unnamed or nil metrics, a negative Replicates or Duration (zero means the
+// default) — and a Base that experiment.Config.Validate refuses. Whether
+// the cells that run are in the domain is Compile's to check; Validate
+// expands no cell, so it stays cheap.
 func (p Plan) Validate() error {
 	if p.Replicates < 0 {
 		return fmt.Errorf("campaign: negative replicate count %d", p.Replicates)
@@ -152,16 +152,6 @@ func (p Plan) Validate() error {
 	if err := base.Validate(); err != nil {
 		return fmt.Errorf("campaign: base config: %v", err)
 	}
-	var cfg experiment.Config
-	for _, a := range p.Axes {
-		for _, v := range a.Values {
-			cloneConfig(&cfg, &base)
-			v.Set(&cfg)
-			if err := cfg.Validate(); err != nil {
-				return fmt.Errorf("campaign: axis %q: %v", a.Name, err)
-			}
-		}
-	}
 	seenMetric := map[string]bool{}
 	for _, m := range p.Metrics {
 		if m.Name == "" {
@@ -176,6 +166,37 @@ func (p Plan) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Compile is Validate, then Cells, then experiment.Config.Validate on every
+// cell in canonical order, before anything runs. The first refused cell is
+// its error, naming the first axis whose value Base refuses alone
+// ("campaign: axis "bw": ..."), else the cell's key.
+func (p Plan) Compile() ([]PlanCell, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	cells := p.Cells()
+	for i := range cells {
+		if err := cells[i].Config.Validate(); err != nil {
+			return nil, p.cellError(&cells[i], err)
+		}
+	}
+	return cells, nil
+}
+
+// cellError puts cell c's refusal err in context (Compile's error path).
+func (p Plan) cellError(c *PlanCell, err error) error {
+	stride := p.Size()
+	for _, a := range p.Axes {
+		stride /= len(a.Values) // the last axis varies fastest
+		v := a.Values[c.Index/stride%len(a.Values)]
+		one := Plan{Axes: []Axis{{Name: a.Name, Values: []Value{v}}}, Duration: p.Duration, Base: p.Base}
+		if alone := one.Cells()[0].Config.Validate(); alone != nil {
+			return fmt.Errorf("campaign: axis %q: %v", a.Name, alone)
+		}
+	}
+	return fmt.Errorf("campaign: cell %s: %v", c.Key, err)
 }
 
 // PlanCell is one point of the expanded axis product: the canonical key, the

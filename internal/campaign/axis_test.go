@@ -237,7 +237,7 @@ func TestNegativeCountsRejected(t *testing.T) {
 
 // TestPlanValidateRejectsOutOfDomainValues: an axis value whose config
 // experiment.Config.Validate refuses, or whose zero would run the default
-// under a "0" label, fails Plan.Validate before anything runs; neither may
+// under a "0" label, fails Plan.Compile before anything runs; neither may
 // run a default while its label claims the value.
 func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 	bad := []Axis{
@@ -253,7 +253,7 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 		dimFlows.axis(3_000_000_000), // the mutator would allocate the list
 	}
 	for i, a := range bad {
-		if err := (Plan{Axes: []Axis{a}}).Validate(); err == nil {
+		if err := compileErr(Plan{Axes: []Axis{a}}); err == nil {
 			t.Errorf("axis %d (%s) accepted an out-of-domain value", i, a.Name)
 		}
 	}
@@ -271,13 +271,57 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 		{"matchup", []experiment.Algorithm{"bogus"}},
 		{"bytes", int64(-1)},
 	} {
-		if err := (Plan{Axes: []Axis{NewAxis(c.name, c.v)}}).Validate(); err == nil {
+		if err := compileErr(Plan{Axes: []Axis{NewAxis(c.name, c.v)}}); err == nil {
 			t.Errorf("NewAxis accepted %s %v", c.name, c.v)
 		}
 	}
 	if ParseAxis("bw", []string{"0"}).err == nil {
 		t.Error("ParseAxis accepted bw 0")
 	}
+}
+
+// TestPlanCompileChecksComposedCells: what runs is the composed cell, so a
+// refusal that only two axes trigger together — a one-way delay and a
+// reverse delay whose round trip overflows a duration, rsstcp-campaign's
+// -rtt 2000000h -rev rate=1,delay=2000000h — is Compile's error naming the
+// cell, and ExecutePlan's before any run. Each axis passes alone. Plan.Validate
+// used to ask about each value alone, so the refusal surfaced in a worker's
+// Build after the campaign had started. A value refused alone still names
+// its axis.
+func TestPlanCompileChecksComposedCells(t *testing.T) {
+	_, f := compileFlags(t, []string{"bw", "rtt", "rev"}, nil,
+		[]string{"-rev", "rate=1,delay=2000000h", "-rtt", "20ms,2000000h", "-bw", "10"})
+	axes := f.Axes()
+	for _, alone := range axes {
+		if cells, err := (Plan{Axes: []Axis{alone}}).Compile(); err != nil || len(cells) != len(alone.Values) {
+			t.Errorf("axis %q alone: Compile = %d cells, %v", alone.Name, len(cells), err)
+		}
+	}
+	p := Plan{Axes: axes, Replicates: 2, Duration: time.Millisecond}
+	const want = "campaign: cell bw=10Mbps/rtt=2000000h0m0s/rbw=1Mbps: experiment: Path.ReverseDelay: " +
+		"round trip 1000000h0m0s + 2000000h0m0s overflows a duration"
+	if cells, err := p.Compile(); err == nil || err.Error() != want || cells != nil {
+		t.Errorf("Compile = %d cells, %v, want %q", len(cells), err, want)
+	}
+	self := NewSelfMetrics()
+	progress := func(done, total int) { t.Errorf("Progress(%d, %d) called on a refused plan", done, total) }
+	if rep, err := ExecutePlan(p, Options{Self: self, Progress: progress}); err == nil || err.Error() != want || rep != nil {
+		t.Errorf("ExecutePlan = %v, want %q", err, want)
+	}
+	if n := self.Runs.Value(); n != 0 {
+		t.Errorf("ExecutePlan ran %d replicates of a refused plan", n)
+	}
+	p.Axes[0] = dimBW.axis(-unit.Mbps)
+	const wantBW = `campaign: axis "bw": experiment: Path.Bottleneck -1000000bps is negative`
+	if _, err := p.Compile(); err == nil || err.Error() != wantBW {
+		t.Errorf("Compile = %v, want %q", err, wantBW)
+	}
+}
+
+// compileErr is Plan.Compile's error.
+func compileErr(p Plan) error {
+	_, err := p.Compile()
+	return err
 }
 
 // TestPlanValidateRejectsMatchupConflicts: matchup replaces the flow list,
@@ -303,11 +347,10 @@ func TestPlanValidateRejectsMatchupConflicts(t *testing.T) {
 	if err := (Plan{Axes: []Axis{perFlow, matchup}}).Validate(); err == nil {
 		t.Error("setpoint before matchup accepted — its values would be discarded")
 	}
-	after := Plan{Axes: []Axis{matchup, perFlow}}
-	if err := after.Validate(); err != nil {
+	cells, err := (Plan{Axes: []Axis{matchup, perFlow}}).Compile()
+	if err != nil {
 		t.Errorf("matchup before setpoint rejected: %v", err)
 	}
-	cells := after.Cells()
 	if len(cells) != 2 || cells[0].Config.Flows[0].SetpointFraction != 0.5 ||
 		cells[0].Config.Flows[1].SetpointFraction != 0.5 {
 		t.Errorf("setpoint did not decorate matchup flows: %+v", cells)
@@ -328,9 +371,9 @@ func TestNewAxisRegistry(t *testing.T) {
 	if NewAxis("setpoint").err == nil {
 		t.Error("empty value list accepted")
 	}
-	if err := (Plan{Axes: []Axis{NewAxis("alg", "nope")}}).Validate(); err == nil ||
+	if err := compileErr(Plan{Axes: []Axis{NewAxis("alg", "nope")}}); err == nil ||
 		!strings.Contains(err.Error(), `unknown algorithm "nope"`) {
-		t.Errorf("unknown algorithm: Validate = %v", err)
+		t.Errorf("unknown algorithm: Compile = %v", err)
 	}
 	if NewAxis("rtt", "not-a-duration").err == nil {
 		t.Error("bad duration accepted")

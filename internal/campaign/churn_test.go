@@ -83,7 +83,7 @@ func TestChurnAxisSpecValidation(t *testing.T) {
 		{"load", math.NaN()},
 		{"load", math.Inf(1)},
 	} {
-		if (Plan{Axes: []Axis{NewAxis(bad.name, bad.v)}}).Validate() == nil {
+		if compileErr(Plan{Axes: []Axis{NewAxis(bad.name, bad.v)}}) == nil {
 			t.Errorf("bad churn axis value %s=%v accepted", bad.name, bad.v)
 		}
 	}

@@ -57,7 +57,7 @@ var declCases = map[string]struct {
 
 // TestStockAxisDeclarations holds every registered axis to the contract of
 // its one declaration: NewAxis and ParseAxis agree on label and effect, a
-// domain violation rides on the axis to Plan.Validate however the axis was
+// domain violation rides on the axis to Plan.Compile however the axis was
 // built, labels re-parse to themselves, and the help text is there —
 // listing, where the values belong to another package, all of them.
 func TestStockAxisDeclarations(t *testing.T) {
@@ -86,15 +86,15 @@ func TestStockAxisDeclarations(t *testing.T) {
 		}
 		if c.badNative != nil {
 			for _, bad := range []Axis{NewAxis(name, c.badNative), ParseAxis(name, []string{c.badText})} {
-				if err := (Plan{Axes: []Axis{bad}}).Validate(); err == nil || !strings.Contains(err.Error(), name) {
-					t.Errorf("%s: Plan.Validate on %+v = %v", name, bad.Values, err)
+				if err := compileErr(Plan{Axes: []Axis{bad}}); err == nil || !strings.Contains(err.Error(), name) {
+					t.Errorf("%s: Plan.Compile on %+v = %v", name, bad.Values, err)
 				}
 			}
 			if len(c.badBuilt.Values) != 1 {
 				t.Errorf("%s: an out-of-domain value built in code should still yield its value, got %d", name, len(c.badBuilt.Values))
 			}
-			if err := (Plan{Axes: []Axis{c.badBuilt}}).Validate(); err == nil || !strings.Contains(err.Error(), name) {
-				t.Errorf("%s: Plan.Validate on an out-of-domain axis built in code = %v", name, err)
+			if err := compileErr(Plan{Axes: []Axis{c.badBuilt}}); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: Plan.Compile on an out-of-domain axis built in code = %v", name, err)
 			}
 		}
 		if AxisHelp(name) == "" {

@@ -14,7 +14,7 @@ import (
 // AxisFlags is the stock-axis surface of a command line: one flag per named
 // stock axis, each value parsed by that axis's declaration, compiled into a
 // plan's axes in canonical order, and the path flags -hop and -rev. Errors
-// ride on the axes, so a bad value reaches Plan.Validate as a one-line error
+// ride on the axes, so a bad value reaches Plan.Compile as a one-line error
 // instead of flag's usage dump.
 type AxisFlags struct {
 	lists    bool

@@ -97,7 +97,7 @@ func TestAxisFlagsDefaults(t *testing.T) {
 }
 
 // TestAxisFlagsErrorsRideOnAxes: a bad value or -axis spec parses without
-// error (no usage dump) and reaches Plan.Validate as one line naming it; two
+// error (no usage dump) and reaches Plan.Compile as one line naming it; two
 // set flags the rule table forbids together are the plan's error too.
 func TestAxisFlagsErrorsRideOnAxes(t *testing.T) {
 	names := []string{"topo", "bw", "alg", "sack"}
@@ -115,9 +115,9 @@ func TestAxisFlagsErrorsRideOnAxes(t *testing.T) {
 		{[]string{"-alg", "standard"}, []string{"alg=restricted"}, `duplicate axis "alg"`},
 	} {
 		_, f := compileFlags(t, names, nil, c.args, c.specs...)
-		err := Plan{Axes: f.Axes()}.Validate()
+		err := compileErr(Plan{Axes: f.Axes()})
 		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
-			t.Errorf("%v %v: Validate = %v, want one line containing %s", c.args, c.specs, err, c.want)
+			t.Errorf("%v %v: Compile = %v, want one line containing %s", c.args, c.specs, err, c.want)
 		}
 	}
 	// Single-valued flags take the whole value as one token, and a boolean
@@ -193,7 +193,8 @@ func TestAxisFlagsPathFlags(t *testing.T) {
 
 	p := compile("-hop", "rate=100,delay=10ms,queue=250", "-alg", "restricted",
 		"-rev", "rate=5,queue=50", "-hop", "rate=50,delay=20ms,queue=120,aqm=red")
-	if err := p.Validate(); err != nil {
+	cells, err := p.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := names(p); !slices.Equal(got, []string{"topo", "alg"}) {
@@ -203,7 +204,7 @@ func TestAxisFlagsPathFlags(t *testing.T) {
 		{Rate: 100 * unit.Mbps, Delay: 10 * time.Millisecond, Queue: 250, Discipline: experiment.DiscDropTail},
 		{Rate: 50 * unit.Mbps, Delay: 20 * time.Millisecond, Queue: 120, Discipline: experiment.DiscRED},
 	}, Reverse: experiment.Reverse{Rate: 5 * unit.Mbps, Queue: 50}}
-	if cfg := p.Cells()[0].Config; cfg.Topology == nil || !reflect.DeepEqual(*cfg.Topology, want) {
+	if cfg := cells[0].Config; cfg.Topology == nil || !reflect.DeepEqual(*cfg.Topology, want) {
 		t.Errorf("cell topology %+v, want %+v", cfg.Topology, want)
 	}
 

@@ -12,11 +12,11 @@ import (
 
 // FuzzParseAxis: the CLIs' one axis parser never panics, an axis it rejects
 // carries its error to Plan.Validate, and for an axis it accepts (a) a value
-// Plan.Validate rejects is one that outOfRange flags, and vice versa, and
+// Plan.Compile rejects is one that outOfRange flags, and vice versa, and
 // (b) — except for the bandwidth axes, whose labels carry a unit the parser
 // does not take — the axis re-parses from its own labels to the same labels.
 // outOfRange is written apart from experiment.Config.Validate, which
-// Plan.Validate asks, so the two hold each other to one domain. The
+// Plan.Compile asks, so the two hold each other to one domain. The
 // non-finite seeds in testdata/fuzz used to be accepted: `-loss NaN` ran and
 // printed a NaN cell, `-load Inf` hung; so did the two -huge ones, whose
 // mutators then died allocating (`-flows 3000000000` asked for a 408 GB flow
@@ -38,11 +38,11 @@ func FuzzParseAxis(f *testing.F) {
 			if v.Label == "" || strings.ContainsAny(v.Label, "=/") {
 				continue // label syntax is Plan.Validate's own rule, not the domain's
 			}
-			err := (Plan{Axes: []Axis{{Name: a.Name, Values: []Value{v}}}}).Validate()
+			err := compileErr(Plan{Axes: []Axis{{Name: a.Name, Values: []Value{v}}}})
 			var cfg experiment.Config
 			v.Set(&cfg)
 			if msg := outOfRange(cfg); (err != nil) != (msg != "") {
-				t.Fatalf("%s=%q value %q: Plan.Validate = %v, outOfRange = %q", name, csv, v.Label, err, msg)
+				t.Fatalf("%s=%q value %q: Plan.Compile = %v, outOfRange = %q", name, csv, v.Label, err, msg)
 			}
 		}
 		if name == "bw" || name == "nic" || name == "rbw" {

@@ -68,8 +68,8 @@ func (g Grid) withDefaults() Grid {
 // stock axes in canonical order — bandwidth outermost, then RTT, router
 // queue, txqueuelen, loss, algorithm, and flow count innermost — plus the
 // stock metrics. Replicates, Duration and BaseSeed pass through as they are:
-// the plan defaults their zeros and Plan.Validate refuses what is out of
-// domain, axis values included, before anything runs.
+// the plan defaults their zeros and Plan.Compile refuses what is out of
+// domain, every cell included, before anything runs.
 func (g Grid) Plan() Plan {
 	g = g.withDefaults()
 	return Plan{

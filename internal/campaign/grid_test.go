@@ -92,7 +92,7 @@ func TestGridValidate(t *testing.T) {
 		{LossRates: []float64{math.NaN()}},
 	}
 	for i, g := range bad {
-		if err := g.Plan().Validate(); err == nil {
+		if err := compileErr(g.Plan()); err == nil {
 			t.Errorf("grid %d accepted: %+v", i, g)
 		}
 	}

@@ -125,7 +125,7 @@ func TestLossRateOneIsValid(t *testing.T) {
 		t.Fatalf("loss rate 1.0 rejected: %v", err)
 	}
 	g.LossRates = []float64{1.1}
-	if err := g.Plan().Validate(); err == nil {
+	if err := compileErr(g.Plan()); err == nil {
 		t.Fatal("loss rate 1.1 accepted")
 	}
 }

@@ -39,7 +39,7 @@ func recyclePlan(t testing.TB) Plan {
 		Duration:   500 * time.Millisecond,
 		BaseSeed:   5,
 	}
-	if err := p.Validate(); err != nil {
+	if _, err := p.Compile(); err != nil {
 		t.Fatal(err)
 	}
 	return p.withDefaults()

@@ -333,14 +333,14 @@ const spanWindow = 8
 // they are folded. A failed replicate ends the campaign: nothing further is
 // dispatched, and the error returned is the canonically first one.
 func ExecutePlan(p Plan, opts Options) (*Report, error) {
-	if err := p.Validate(); err != nil {
+	cells, err := p.Compile()
+	if err != nil {
 		return nil, err
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("campaign: negative worker count %d", opts.Workers)
 	}
 	p = p.withDefaults()
-	cells := p.Cells()
 	out, err := executeCells(p, cells, opts, nil)
 	if err != nil {
 		return nil, err
@@ -361,10 +361,7 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		// A shard can legitimately own zero cells (more shards than cells).
 		return []ReportCell{}, nil
 	}
-	workers := opts.workers()
-	if workers > total {
-		workers = total
-	}
+	workers := min(opts.workers(), total)
 	span := dispatchSpan(total, workers)
 	window := spanWindow * workers
 	env := &execEnv{

@@ -90,11 +90,11 @@ func validateShardArgs(shards, shard int) error {
 // given the identical plan (same axes, same BaseSeed); each re-derives the
 // canonical cell list and takes its span.
 func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error) {
-	if err := p.Validate(); err != nil {
+	cells, err := p.Compile()
+	if err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()
-	cells := p.Cells()
 	if err := validateShardArgs(shards, shard); err != nil {
 		return nil, err
 	}
@@ -146,11 +146,11 @@ func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error)
 // summaries in canonical cell order — so the resulting
 // JSON export is byte-identical at any shard count.
 func MergeShards(p Plan, reports []*ShardReport) (*Report, error) {
-	if err := p.Validate(); err != nil {
+	cells, err := p.Compile()
+	if err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()
-	cells := p.Cells()
 
 	// Index the incoming cells, validating partition coordinates.
 	byIndex := make(map[int]*ShardCell, len(cells))
@@ -225,11 +225,7 @@ func ExecuteSharded(p Plan, shards int, opts Options) (*Report, error) {
 
 	// Split the worker budget so total concurrency matches the unsharded
 	// run; every shard gets at least one worker.
-	workers := opts.workers()
-	perShard := workers / shards
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max(opts.workers()/shards, 1)
 
 	// Progress arrives per shard; fold the per-shard counts into one
 	// campaign-wide monotone stream.

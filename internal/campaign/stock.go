@@ -45,8 +45,8 @@ type dim[T any] struct {
 	kind[T]
 	// check returns why a value cannot be a point of this axis although the
 	// config it sets may be valid. Whether a config is in the domain is
-	// experiment.Config.Validate's to say, and Plan.Validate asks it about
-	// every value; check holds only what a config cannot express: a zero
+	// experiment.Config.Validate's to say, and Plan.Compile asks it about
+	// every cell; check holds only what a config cannot express: a zero
 	// that would run the default under a "0" label (nonzero), the flow count
 	// that sizes the mutator's allocation (flows), an empty algorithm set
 	// (matchup) and a preset name (topo). Nil means no such check.
@@ -549,7 +549,7 @@ func AxisHelp(name string) string {
 // (unit.Bandwidth, time.Duration, int, float64, bool, Algorithm, ...) or
 // their string forms, freely mixed. An unknown name, no values, a value that
 // does not convert or one outside the domain is the axis's error, which
-// Plan.Validate and ExecutePlan report before anything runs.
+// Plan.Compile and ExecutePlan report before anything runs.
 func NewAxis(name string, values ...any) Axis {
 	d, ok := stockAxes[name]
 	if !ok {

@@ -37,7 +37,7 @@ func TestTopologyAxesParse(t *testing.T) {
 	for _, bad := range [][2]string{
 		{"hops", "0"}, {"hops", "2000000000"}, {"rbw", "-1"}, {"aqm", "codel"}, {"topo", "clos"},
 	} {
-		if (Plan{Axes: []Axis{ParseAxis(bad[0], []string{bad[1]})}}).Validate() == nil {
+		if compileErr(Plan{Axes: []Axis{ParseAxis(bad[0], []string{bad[1]})}}) == nil {
 			t.Errorf("%s=%s accepted", bad[0], bad[1])
 		}
 	}

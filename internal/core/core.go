@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rsstcp/internal/cc"
@@ -200,14 +201,7 @@ func (r *RestrictedSlowStart) Name() string { return "restricted" }
 // several attached windows (shared per-interface controller) the dynamic
 // state is cleared only by the first.
 func (r *RestrictedSlowStart) Reset(w cc.Window) {
-	known := false
-	for _, have := range r.windows {
-		if have == w {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(r.windows, w) {
 		r.windows = append(r.windows, w)
 	}
 	if len(r.windows) == 1 {

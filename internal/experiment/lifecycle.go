@@ -30,8 +30,8 @@ type ChurnSpec struct {
 	// Size is a lifecycle.ParseSizeDist spec — "fixed:64k", "exp:100k",
 	// "pareto:1.3:10k:10M", "lognorm:100k:1.5" (default "exp:100k").
 	Size string `json:",omitempty"`
-	// Flow is the template each arrival instantiates; Bytes and StartAt
-	// are replaced per arrival (size draw, birth time).
+	// Flow is the template each arrival instantiates; its Bytes and StartAt
+	// must be 0 (an arrival draws its size from Size and starts on arrival).
 	Flow FlowSpec
 	// MaxLive caps concurrently live dynamic flows; arrivals beyond the
 	// cap are refused and counted in Result.FlowsRefused (0 = unlimited).
@@ -55,6 +55,12 @@ func (c *ChurnSpec) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) e
 	}
 	if err := c.Flow.check(); err != nil {
 		return fmt.Errorf("Churn.Flow.%v", err)
+	}
+	if c.Flow.Bytes != 0 {
+		return fmt.Errorf("Churn.Flow.Bytes %d is not 0: each arrival draws its size from Churn.Size", c.Flow.Bytes)
+	}
+	if c.Flow.StartAt != 0 {
+		return fmt.Errorf("Churn.Flow.StartAt %v is not 0: each arrival starts when it arrives", c.Flow.StartAt)
 	}
 	if src != nil {
 		*src, *dist = arrivals, sizes
@@ -326,7 +332,6 @@ func (s *Scenario) launchChurnFlow() {
 	}
 	spec := s.churn.tmpl
 	spec.Bytes = s.churn.dist.Sample(s.churn.sizeRNG)
-	spec.StartAt = 0
 	if _, err := s.attach(spec); err != nil {
 		// The template was validated at init; a failure here is a
 		// scenario-construction bug, not a configuration error.

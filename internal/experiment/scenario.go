@@ -132,9 +132,9 @@ type FlowSpec struct {
 	// Bytes fixes the transfer size; zero keeps the flow backlogged for
 	// the whole run.
 	Bytes int64
-	// Gains overrides the PID gains for AlgRestricted (zero = defaults).
+	// Gains overrides the PID gains for AlgRestricted (zero: core.Config.withDefaults).
 	Gains pid.Gains
-	// SetpointFraction overrides the IFQ set point (zero = 0.9).
+	// SetpointFraction overrides the IFQ set point (zero: core.Config.withDefaults).
 	SetpointFraction float64
 	// AllowShrink enables the RSS shrink ablation.
 	AllowShrink bool
@@ -226,7 +226,7 @@ type Config struct {
 
 // Validate returns why c is outside the domain a run accepts, as one line
 // naming the field, or nil. Zero means the default in every field. Build,
-// Reset and the campaign's Plan.Validate ask it first, so defaulting fills
+// Reset and the campaign's Plan.Compile ask it first, so defaulting fills
 // exact zeros only and a valid config compiles to a valid topology. It
 // allocates nothing unless it fails or has a Churn spec to parse.
 func (c *Config) Validate() error { return c.validate(nil, nil) }
@@ -316,26 +316,11 @@ func (c *Config) fillDefaults() {
 		churn := c.Churn.withDefaults()
 		c.Churn = &churn
 	}
-	if len(c.Flows) == 0 {
-		// A churn-only run measures its dynamic flows; only a fully static
-		// empty config gets the default measured flow.
-		if c.Churn == nil {
-			c.Flows = []FlowSpec{{Alg: AlgStandard}}
-		}
-	} else {
-		// Cross traffic alone (e.g. a topology preset applied before any
-		// flow axis) still needs a measured flow in front — unless churn
-		// provides the measured (dynamic) flows.
-		primary := false
-		for _, f := range c.Flows {
-			if !f.Cross {
-				primary = true
-				break
-			}
-		}
-		if !primary && c.Churn == nil {
-			c.Flows = append([]FlowSpec{{Alg: AlgStandard}}, c.Flows...)
-		}
+	// No flow, or cross traffic alone (e.g. a topology preset applied
+	// before any flow axis), gets a default measured flow in front, unless
+	// churn provides the measured (dynamic) flows.
+	if c.Churn == nil && !slices.ContainsFunc(c.Flows, func(f FlowSpec) bool { return !f.Cross }) {
+		c.Flows = append([]FlowSpec{{Alg: AlgStandard}}, c.Flows...)
 	}
 	if c.Duration == 0 {
 		c.Duration = 25 * time.Second

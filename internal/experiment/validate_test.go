@@ -16,7 +16,8 @@ import (
 // template's MSS or tick), no override and no cap at all (a negative Load or
 // MaxLive, a RetainFlows below -1), or, a negative start time, panic in the
 // calendar ("schedule in the past"). A negative Route.Hops ran the whole
-// path, as 0 does. Each is now one line naming the field,
+// path, as 0 does. The churn template's Bytes and StartAt were dropped
+// silently: every arrival overwrites them. Each is now one line naming the field,
 // from Validate, Build and Reset alike, and the scenario a refused Reset
 // leaves still runs.
 func TestValidateRejectsOutOfDomain(t *testing.T) {
@@ -48,6 +49,10 @@ func TestValidateRejectsOutOfDomain(t *testing.T) {
 		{churn(func(c *ChurnSpec) { c.Flow.Tick = -1 }), "experiment: Churn.Flow.Tick -1ns is negative"},
 		{churn(func(c *ChurnSpec) { c.Load = -0.5 }), "experiment: Churn.Load -0.5 is not a finite number ≥ 0"},
 		{churn(func(c *ChurnSpec) { c.MaxLive = -4 }), "experiment: Churn.MaxLive -4 is negative"},
+		{churn(func(c *ChurnSpec) { c.Flow.Bytes = 1000 }),
+			"experiment: Churn.Flow.Bytes 1000 is not 0: each arrival draws its size from Churn.Size"},
+		{churn(func(c *ChurnSpec) { c.Flow.StartAt = time.Second }),
+			"experiment: Churn.Flow.StartAt 1s is not 0: each arrival starts when it arrives"},
 		{Config{RetainFlows: -7}, "experiment: RetainFlows -7 is below -1"},
 		{Config{Flows: []FlowSpec{std, {Alg: AlgStandard, StartAt: -time.Second}}},
 			"experiment: Flows[1].StartAt -1s is negative"},

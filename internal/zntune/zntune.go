@@ -15,6 +15,7 @@ package zntune
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rsstcp/internal/pid"
@@ -34,48 +35,46 @@ type PlantFunc func(kp float64) (t, pv []float64)
 // RunP invokes the function.
 func (f PlantFunc) RunP(kp float64) (t, pv []float64) { return f(kp) }
 
-// Options tunes the search.
+// Options tunes the search. Tune has no defaults: it refuses a field it
+// cannot use. experiment.TuneOptions holds the IFQ loop's values.
 type Options struct {
-	// KpStart is the first gain tried (default 0.01).
+	// KpStart is the first gain tried.
 	KpStart float64
-	// KpMax aborts the sweep (default 1000).
+	// KpMax aborts the sweep; it must exceed KpStart.
 	KpMax float64
-	// Factor is the geometric sweep multiplier (default 1.5).
+	// Factor is the geometric sweep multiplier, above 1.
 	Factor float64
 	// Refine is the number of bisection steps once the critical gain is
-	// bracketed (default 5).
+	// bracketed.
 	Refine int
 	// MinProminence filters oscillation ripple, in process-variable
-	// units (default 1.0).
+	// units.
 	MinProminence float64
 	// DecayTol is the tolerated deviation of the peak decay ratio from 1
-	// for "sustained" (default 0.3).
+	// for "sustained".
 	DecayTol float64
 }
 
 // settleFraction of each trajectory is discarded as transient.
 const settleFraction = 0.25
 
-func (o Options) withDefaults() Options {
-	if o.KpStart <= 0 {
-		o.KpStart = 0.01
+// check returns the first field Tune cannot use, as one line naming it.
+func (o Options) check() error {
+	switch {
+	case !(o.KpStart > 0): // NaN too
+		return fmt.Errorf("zntune: KpStart %g is not positive", o.KpStart)
+	case !(o.KpMax > o.KpStart) || math.IsInf(o.KpMax, 1): // an endless sweep
+		return fmt.Errorf("zntune: KpMax %g is not finite and above KpStart %g", o.KpMax, o.KpStart)
+	case !(o.Factor > 1):
+		return fmt.Errorf("zntune: Factor %g is not above 1", o.Factor)
+	case o.Refine <= 0:
+		return fmt.Errorf("zntune: Refine %d is not positive", o.Refine)
+	case !(o.MinProminence > 0):
+		return fmt.Errorf("zntune: MinProminence %g is not positive", o.MinProminence)
+	case !(o.DecayTol > 0):
+		return fmt.Errorf("zntune: DecayTol %g is not positive", o.DecayTol)
 	}
-	if o.KpMax <= 0 {
-		o.KpMax = 1000
-	}
-	if o.Factor <= 1 {
-		o.Factor = 1.5
-	}
-	if o.Refine <= 0 {
-		o.Refine = 5
-	}
-	if o.MinProminence <= 0 {
-		o.MinProminence = 1.0
-	}
-	if o.DecayTol <= 0 {
-		o.DecayTol = 0.3
-	}
-	return o
+	return nil
 }
 
 // Trial records one gain probe.
@@ -98,10 +97,12 @@ func (r Result) Gains(rule pid.Rule) pid.Gains { return rule.Apply(r.Critical) }
 
 // Tune sweeps the proportional gain geometrically until the loop sustains
 // oscillation, then bisects to sharpen the critical gain, and reports Kc
-// and Tc.
+// and Tc. Options it cannot use are its error before the first probe.
 func Tune(plant Plant, opt Options) (Result, error) {
-	opt = opt.withDefaults()
 	var res Result
+	if err := opt.check(); err != nil {
+		return res, err
+	}
 
 	probe := func(kp float64) Trial {
 		t, pv := plant.RunP(kp)

@@ -41,7 +41,7 @@ func (p *delayedIntegrator) RunP(kp float64) ([]float64, []float64) {
 
 func TestTuneFindsTheoreticalCriticalPoint(t *testing.T) {
 	plant := &delayedIntegrator{L: 0.1, dt: 0.001, duration: 60, setpoint: 10}
-	res, err := Tune(plant, Options{KpStart: 0.5, MinProminence: 0.2})
+	res, err := Tune(plant, options(func(o *Options) { o.KpStart, o.MinProminence = 0.5, 0.2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTuneFindsTheoreticalCriticalPoint(t *testing.T) {
 
 func TestTuneGainsRules(t *testing.T) {
 	plant := &delayedIntegrator{L: 0.05, dt: 0.001, duration: 30, setpoint: 10}
-	res, err := Tune(plant, Options{KpStart: 1, MinProminence: 0.2})
+	res, err := Tune(plant, options(func(o *Options) { o.KpStart, o.MinProminence = 1, 0.2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,18 @@ func TestTuneErrorsWhenNothingOscillates(t *testing.T) {
 		}
 		return ts, pv
 	})
-	if _, err := Tune(stable, Options{KpMax: 50}); err == nil {
+	if _, err := Tune(stable, options(func(o *Options) { o.KpMax = 50 })); err == nil {
 		t.Error("Tune succeeded on a plant that cannot oscillate")
 	}
 }
 
 func TestTuneBisectionTightensBracket(t *testing.T) {
 	plant := &delayedIntegrator{L: 0.1, dt: 0.001, duration: 40, setpoint: 10}
-	coarse, err := Tune(plant, Options{KpStart: 0.5, Factor: 4, Refine: 1, MinProminence: 0.2})
+	coarse, err := Tune(plant, options(func(o *Options) { o.KpStart, o.Factor, o.Refine, o.MinProminence = 0.5, 4, 1, 0.2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := Tune(plant, Options{KpStart: 0.5, Factor: 4, Refine: 8, MinProminence: 0.2})
+	fine, err := Tune(plant, options(func(o *Options) { o.KpStart, o.Factor, o.Refine, o.MinProminence = 0.5, 4, 8, 0.2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTuneBisectionTightensBracket(t *testing.T) {
 
 func TestTrialsRecordSweepShape(t *testing.T) {
 	plant := &delayedIntegrator{L: 0.1, dt: 0.001, duration: 30, setpoint: 10}
-	res, err := Tune(plant, Options{KpStart: 0.5, MinProminence: 0.2})
+	res, err := Tune(plant, options(func(o *Options) { o.KpStart, o.MinProminence = 0.5, 0.2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,39 @@ func TestTrialsRecordSweepShape(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.KpStart <= 0 || o.KpMax <= o.KpStart || o.Factor <= 1 ||
-		o.Refine <= 0 || o.MinProminence <= 0 || o.DecayTol <= 0 {
-		t.Errorf("bad defaults: %+v", o)
+// TestTuneRefusesUnusableOptions: Tune has no defaults of its own, so a
+// field it cannot use — zero included — is one line naming it, before the
+// first probe. A zero used to run a second set of defaults.
+func TestTuneRefusesUnusableOptions(t *testing.T) {
+	never := PlantFunc(func(float64) ([]float64, []float64) {
+		t.Fatal("Tune probed the plant")
+		return nil, nil
+	})
+	for _, row := range []struct {
+		edit func(*Options)
+		want string
+	}{
+		{func(o *Options) { o.KpStart = 0 }, "zntune: KpStart 0 is not positive"},
+		{func(o *Options) { o.KpStart = math.NaN() }, "zntune: KpStart NaN is not positive"},
+		{func(o *Options) { o.KpMax = 0.01 }, "zntune: KpMax 0.01 is not finite and above KpStart 0.01"},
+		{func(o *Options) { o.KpMax = math.Inf(1) }, "zntune: KpMax +Inf is not finite and above KpStart 0.01"},
+		{func(o *Options) { o.Factor = 1 }, "zntune: Factor 1 is not above 1"},
+		{func(o *Options) { o.Refine = 0 }, "zntune: Refine 0 is not positive"},
+		{func(o *Options) { o.MinProminence = -1 }, "zntune: MinProminence -1 is not positive"},
+		{func(o *Options) { o.DecayTol = 0 }, "zntune: DecayTol 0 is not positive"},
+	} {
+		if _, err := Tune(never, options(row.edit)); err == nil || err.Error() != row.want {
+			t.Errorf("Tune = %v, want %q", err, row.want)
+		}
 	}
+}
+
+// options are full search options, the values a plant here tunes with
+// unless edit changes them.
+func options(edit func(*Options)) Options {
+	o := Options{KpStart: 0.01, KpMax: 1000, Factor: 1.5, Refine: 5, MinProminence: 1, DecayTol: 0.3}
+	edit(&o)
+	return o
 }
 
 func TestDiscardTransient(t *testing.T) {

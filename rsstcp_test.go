@@ -185,14 +185,15 @@ func TestPlanLiteralExtendsGrid(t *testing.T) {
 }
 
 func TestPlanLiteralSurfacesErrors(t *testing.T) {
-	// An axis carries its construction error; RunPlan and Validate report it.
+	// An axis carries its construction error; RunPlan and Validate report it,
+	// and Compile reports a value out of domain.
 	if _, err := rsstcp.RunPlan(rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("bogus-axis", 1)}}, rsstcp.CampaignOptions{}); err == nil {
 		t.Error("unknown axis accepted")
 	}
 	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("rtt", "not-a-duration")}}).Validate(); err == nil {
 		t.Error("bad axis value accepted")
 	}
-	if err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("bw", "-5")}}).Validate(); err == nil {
+	if _, err := (rsstcp.Plan{Axes: []rsstcp.Axis{rsstcp.NewAxis("bw", "-5")}}).Compile(); err == nil {
 		t.Error("out-of-domain axis value accepted")
 	}
 	if _, err := rsstcp.MetricsByName("bogus-metric"); err == nil {
