@@ -103,16 +103,18 @@ func TestNegativeCountsFailCleanly(t *testing.T) {
 // TestBadPathFlagsFailCleanly: a -hop or -rev value that does not parse or
 // is out of its domain, a -hop chain whose delays sum past a duration's
 // range (which used to run, its one-way delay wrapped negative), and a -rev
-// delay whose round trip with -rtt's overflows (refused by no flag alone:
-// it used to print the "runs on" line and then fail in a worker) are one
-// line on stderr and exit 1.
+// delay whose round trip with -rtt's overflows, or a -load whose arrival
+// rate over -fsize's mean is unusable (each refused by no flag alone: it
+// used to print the "runs on" line and then fail in a worker) are one line
+// on stderr and exit 1.
 func TestBadPathFlagsFailCleanly(t *testing.T) {
 	const hop = "-hop rate=100,delay=1000000h,queue=50 "
 	failsCleanly(t, "-alg standard -duration 100ms ",
 		"-hop rate=100,delay=10ms,queue=50,loss=NaN", "-hop rate=100,delay=10ms",
 		"-rev rate=10,queue=-5", "-rev rate=Inf", "-hop rate=100,delay=10ms,queue=50 -rev delay=1ms",
 		hop+hop+hop, "-hop rate=100,delay=10ms,queue=50 -topo parking-lot",
-		"-rev rate=1,delay=2000000h -rtt 2000000h -bw 10 -ifq 50")
+		"-rev rate=1,delay=2000000h -rtt 2000000h -bw 10 -ifq 50",
+		"-load 0.5 -fsize pareto:1e300:1k:10M -bw 10 -rtt 20ms -ifq 50 -replicates 1")
 }
 
 // failsCleanly runs the command with each args after prefix and wants exit

@@ -87,9 +87,14 @@ func TestAxisFlagOrderFollowsRules(t *testing.T) {
 // Build's, without it), and -bytes under -maxflows names its axis.
 func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 	bin := buildSim(t)
-	const composed = "-rev rate=1,delay=2000000h -rtt 2000000h -bw 10 -ifq 50 -alg standard -duration 1ms"
+	const (
+		composed = "-rev rate=1,delay=2000000h -rtt 2000000h -bw 10 -ifq 50 -alg standard -duration 1ms"
+		// A Pareto tail index of 1e300 has no usable mean.
+		load = "-load 0.5 -fsize pareto:1e300:1k:10M -bw 10 -rtt 20ms -ifq 50 -alg standard -duration 100ms"
+	)
 	named := map[string]string{
 		composed:                  "rsstcp-sim: campaign: cell bw=10Mbps/rtt=2000000h0m0s/ifq=50/alg=standard/rbw=1Mbps: ",
+		load:                      "rsstcp-sim: campaign: cell load=0.5/fsize=pareto:1e300:1k:10M/bw=10Mbps/rtt=20ms/ifq=50/alg=standard: experiment: Churn.Load 0.5 ",
 		"-maxflows 5 -bytes 1000": `rsstcp-sim: campaign: axis "bytes": `,
 	}
 	for _, args := range []string{
@@ -103,7 +108,7 @@ func TestOutOfDomainFlagsFailCleanly(t *testing.T) {
 		// Delays that sum past a duration's range used to run, the one-way
 		// delay printed wrapped negative.
 		"-hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50 -hop rate=100,delay=1000000h,queue=50",
-		composed,
+		composed, load,
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(args)...)

@@ -286,8 +286,10 @@ func TestPlanValidateRejectsOutOfDomainValues(t *testing.T) {
 // -rtt 2000000h -rev rate=1,delay=2000000h — is Compile's error naming the
 // cell, and ExecutePlan's before any run. Each axis passes alone. Plan.Validate
 // used to ask about each value alone, so the refusal surfaced in a worker's
-// Build after the campaign had started. A value refused alone still names
-// its axis.
+// Build after the campaign had started. So did a churn load whose arrival
+// rate, rescaled over the size distribution's mean, is unusable
+// (rsstcp-campaign -load 0.5 -fsize pareto:1e300:1k:10M, a NaN mean). A value
+// refused alone still names its axis.
 func TestPlanCompileChecksComposedCells(t *testing.T) {
 	_, f := compileFlags(t, []string{"bw", "rtt", "rev"}, nil,
 		[]string{"-rev", "rate=1,delay=2000000h", "-rtt", "20ms,2000000h", "-bw", "10"})
@@ -315,6 +317,18 @@ func TestPlanCompileChecksComposedCells(t *testing.T) {
 	const wantBW = `campaign: axis "bw": experiment: Path.Bottleneck -1000000bps is negative`
 	if _, err := p.Compile(); err == nil || err.Error() != wantBW {
 		t.Errorf("Compile = %v, want %q", err, wantBW)
+	}
+
+	_, f = compileFlags(t, []string{"load", "fsize"}, nil, []string{"-load", "0.5", "-fsize", "pareto:1e300:1k:10M"})
+	p = Plan{Axes: f.Axes(), Replicates: 1, Duration: 100 * time.Millisecond}
+	const wantLoad = `campaign: cell load=0.5/fsize=pareto:1e300:1k:10M: experiment: Churn.Load 0.5 over Churn.Size ` +
+		`"pareto:1e300:1k:10M" gives an unusable arrival rate: rate NaN/s outside (0, 1e9]: arrivals are scheduled at 1 ns resolution`
+	self = NewSelfMetrics()
+	if rep, err := ExecutePlan(p, Options{Self: self, Progress: progress}); err == nil || err.Error() != wantLoad || rep != nil {
+		t.Errorf("ExecutePlan = %v, want %q", err, wantLoad)
+	}
+	if n := self.Runs.Value(); n != 0 {
+		t.Errorf("ExecutePlan ran %d replicates of a refused plan", n)
 	}
 }
 

@@ -57,11 +57,7 @@ func soloRuns(t *testing.T, p Plan, cells []PlanCell, web bool) []Replicate {
 	out := make([]Replicate, len(cells)*p.Replicates)
 	for g := range out {
 		var rc runContext
-		sp := rc.runSpan(env, g, g+1)
-		if sp.err != nil {
-			t.Fatal(sp.err)
-		}
-		out[g] = sp.reps[0]
+		out[g] = rc.runSpan(env, g, g+1).reps[0]
 	}
 	return out
 }
@@ -107,10 +103,7 @@ func TestSpanBufferRecyclingMatchesSoloRuns(t *testing.T) {
 						}
 					}
 				}
-				out, err := executeCells(p, cells, opts, onCell)
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := executeCells(p, cells, opts, onCell)
 				for ci, c := range out {
 					if retain != (len(c.Runs) == p.Replicates) || !retain && c.Runs != nil {
 						t.Fatalf("%s: cell %s retained %d runs", run, c.Key, len(c.Runs))

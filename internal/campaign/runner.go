@@ -119,8 +119,7 @@ type Replicate struct {
 // builds a scenario; every later one resets it in place, which recycles the
 // previous replicate's whole testbed (experiment.Scenario.Reset): from a
 // worker's second replicate on, the testbed costs no allocation and runs on
-// queues already grown. A failed Reset discards the context, parked parts
-// included.
+// queues already grown.
 type runContext struct {
 	s *experiment.Scenario
 	// res is the last run's Result, kept here so Extract(&res) does not escape.
@@ -177,12 +176,10 @@ func (env *execEnv) spanBuffers(n int) (b spanBufs) {
 }
 
 // spanResult is what a worker hands the collector: the replicates of one
-// dispatched span, runs [lo, lo+len(reps)) in canonical order. err is the
-// failure of run lo+len(reps), which ended the span early.
+// dispatched span, runs [lo, lo+len(reps)) in canonical order.
 type spanResult struct {
 	lo int
 	spanBufs
-	err error
 }
 
 // runSpan runs the replicates [lo, hi) back to back on the worker's context.
@@ -194,18 +191,13 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 	n, nm, reps := hi-lo, len(env.p.Metrics), env.p.Replicates
 	sp := spanResult{lo: lo, spanBufs: env.spanBuffers(n)}
 	var build, run time.Duration
-	var ran, events int64
+	var events int64
 	for i := range sp.reps {
 		g := lo + i
 		// A whole new value: a recycled slot keeps no HopDrops or Web100
 		// that this replicate would not rewrite.
 		sp.reps[i] = Replicate{Values: sp.values[i*nm : (i+1)*nm : (i+1)*nm]}
-		b, r, err := rc.runReplicate(env, &env.cells[g/reps], g%reps, &sp.reps[i])
-		ran++
-		if err != nil {
-			sp.reps, sp.wall, sp.err = sp.reps[:i], sp.wall[:i], err
-			break
-		}
+		b, r := rc.runReplicate(env, &env.cells[g/reps], g%reps, &sp.reps[i])
 		build, run, sp.wall[i] = build+b, run+r, b+r
 		events += int64(rc.s.Eng.Processed())
 		if hops := rc.res.Hops; len(hops) > 1 { // a dumbbell's one figure is router_drops
@@ -219,15 +211,13 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 			sp.reps[i].HopDrops = sp.hopDrops[end-len(hops) : end : end]
 		}
 	}
-	env.self.Runs.Add(ran)
+	env.self.Runs.Add(int64(n))
 	env.self.phaseBuild.Add(int64(build))
 	env.self.phaseRun.Add(int64(run))
 	env.self.SimEvents.Add(events)
-	if rc.s != nil {
-		env.self.observeSched(rc.s.Eng.SchedStats(), &rc.lastSched)
-		if ws, ok := rc.s.WheelStats(); ok {
-			env.self.observeWheel(ws, &rc.lastWheel)
-		}
+	env.self.observeSched(rc.s.Eng.SchedStats(), &rc.lastSched)
+	if ws, ok := rc.s.WheelStats(); ok {
+		env.self.observeWheel(ws, &rc.lastWheel)
 	}
 	return sp
 }
@@ -237,7 +227,9 @@ func (rc *runContext) runSpan(env *execEnv, lo, hi int) spanResult {
 // out.Values, which the caller sized; the run's Result stays in rc.res until
 // the next replicate. It reads the clock three times, the boundaries of the
 // two phases it reports: building or resetting the scenario, and running it.
-func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Replicate) (build, run time.Duration, err error) {
+// Plan.Compile has validated the cell, so a Build or Reset that refuses it
+// is a bug, and it panics naming the cell.
+func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Replicate) (build, run time.Duration) {
 	// Plan.Config without its deep copy: a scenario only reads the flow
 	// list, topology and churn spec it is given (clipping makes the one
 	// append it may do reallocate), so replicates — on any number of
@@ -250,17 +242,16 @@ func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Repl
 	cfg.Seed = mixSeed(env.p.BaseSeed, rc.digest, rep)
 	cfg.Traceless = true
 	t0 := time.Now()
+	var err error
 	if rc.s == nil {
-		s, err := experiment.Build(cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		rc.s = s
+		rc.s, err = experiment.Build(cfg)
 		// Fresh engine, fresh counters: restart the telemetry deltas.
 		rc.lastSched, rc.lastWheel = sim.SchedStats{}, sim.WheelStats{}
-	} else if err := rc.s.Reset(cfg); err != nil {
-		rc.s = nil // half-built context: rebuild on the next job
-		return 0, 0, err
+	} else {
+		err = rc.s.Reset(cfg)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("campaign: cell %s passed Plan.Compile but did not build: %v", c.Key, err))
 	}
 	t1 := time.Now()
 	rc.res = rc.s.Run()
@@ -297,7 +288,7 @@ func (rc *runContext) runReplicate(env *execEnv, c *PlanCell, rep int, out *Repl
 		env.opts.AnomalySink(c.Key, rep, rc.s.FR.AppendJSONL(nil))
 		env.self.Anomalies.Inc()
 	}
-	return t1.Sub(t0), t2.Sub(t1), nil
+	return t1.Sub(t0), t2.Sub(t1)
 }
 
 // dispatchSpan sizes the contiguous run spans handed to workers: long
@@ -330,8 +321,8 @@ const spanWindow = 8
 // count — so summaries are bit-identical to a batch Describe over the
 // replicates in order, independent of worker count, and (with
 // Options.RetainRuns off) the replicates themselves are dropped as soon as
-// they are folded. A failed replicate ends the campaign: nothing further is
-// dispatched, and the error returned is the canonically first one.
+// they are folded. Its errors are the plan's and the options': a plan that
+// compiles runs to the end.
 func ExecutePlan(p Plan, opts Options) (*Report, error) {
 	cells, err := p.Compile()
 	if err != nil {
@@ -341,25 +332,21 @@ func ExecutePlan(p Plan, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("campaign: negative worker count %d", opts.Workers)
 	}
 	p = p.withDefaults()
-	out, err := executeCells(p, cells, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Plan: p, Cells: out}, nil
+	return &Report{Plan: p, Cells: executeCells(p, cells, opts, nil)}, nil
 }
 
 // executeCells is the execution core: it runs every replicate of the given
 // cells (any contiguous or arbitrary subset of the plan's canonical cell
 // list) on a bounded worker pool and returns one finished ReportCell per
 // input cell, in input order. The plan must already be defaulted and
-// validated. onCell, when non-nil, observes each cell's metric accumulators
+// compiled. onCell, when non-nil, observes each cell's metric accumulators
 // the moment the cell completes, before they are recycled — the shard
 // executor uses it to capture exact aggregation state for the merge.
-func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int, accs []stats.Accumulator)) ([]ReportCell, error) {
+func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int, accs []stats.Accumulator)) []ReportCell {
 	total := len(cells) * p.Replicates
 	if total == 0 {
 		// A shard can legitimately own zero cells (more shards than cells).
-		return []ReportCell{}, nil
+		return []ReportCell{}
 	}
 	workers := min(opts.workers(), total)
 	span := dispatchSpan(total, workers)
@@ -387,13 +374,10 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 	// — the bound is O(workers × span) runs (a couple of MB at the
 	// defaults' ceiling), flat in campaign size. Deadlock-free because the
 	// collector folds eagerly, so the lowest unfolded span is always in
-	// flight or queued, never stuck in the buffer. After a failure the
-	// collector keeps its tokens and closes failed: the dispatcher hands
-	// out at most the window it already held, then stops. The free list
-	// has the window's capacity, so the span buffers alive at once — in
-	// flight, parked in the ring or free — are at most twice the window.
+	// flight or queued, never stuck in the buffer. The free list has the
+	// window's capacity, so the span buffers alive at once — in flight,
+	// parked in the ring or free — are at most twice the window.
 	tokens := make(chan struct{}, window)
-	failed := make(chan struct{})
 
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -413,11 +397,7 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 			close(results)
 		}()
 		for lo := 0; lo < total; lo += span {
-			select {
-			case tokens <- struct{}{}:
-			case <-failed:
-				return
-			}
+			tokens <- struct{}{}
 			jobs <- [2]int{lo, min(lo+span, total)}
 		}
 	}()
@@ -448,16 +428,8 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 			*slot = spanResult{}
 			waiting -= len(cur.reps)
 			next++
-			if f.err != nil {
-				continue // failed: only drain what was already out
-			}
 			for i := range cur.reps {
 				f.fold(cur.lo+i, &cur.reps[i], cur.wall[i])
-			}
-			if cur.err != nil {
-				f.fail(cur.lo+len(cur.reps), cur.err)
-				close(failed)
-				continue
 			}
 			select { // free is nil under RetainRuns: the retained runs own the arrays
 			case env.free <- cur.spanBufs:
@@ -468,10 +440,7 @@ func executeCells(p Plan, cells []PlanCell, opts Options, onCell func(local int,
 		env.self.phaseFold.Add(int64(time.Since(foldStart)))
 		env.self.reorderDepth.Store(int64(waiting))
 	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return out, nil
+	return out
 }
 
 // folder accumulates one cell at a time. Because folding is in canonical
@@ -492,14 +461,6 @@ type folder struct {
 	self     *SelfMetrics
 	cellWall time.Duration // current cell's cumulative replicate wall time
 	done     int
-	err      error
-}
-
-// fail records the campaign's error: run idx, the first failure in canonical
-// order because folding is.
-func (f *folder) fail(idx int, err error) {
-	ci, ri := idx/f.p.Replicates, idx%f.p.Replicates
-	f.err = fmt.Errorf("campaign: cell %d (%s) replicate %d: %w", ci, f.cells[ci].Key, ri, err)
 }
 
 func (f *folder) fold(idx int, r *Replicate, wall time.Duration) {

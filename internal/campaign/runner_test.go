@@ -1,15 +1,11 @@
 package campaign
 
 import (
-	"fmt"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"rsstcp/internal/experiment"
-	"rsstcp/internal/stats"
 	"rsstcp/internal/unit"
 )
 
@@ -207,70 +203,6 @@ func TestTableHasOneRowPerCell(t *testing.T) {
 	}
 }
 
-// TestWorkerRecoversFromFailedReset drives the path Scenario.Reset documents
-// ("on error the scenario is left half-built and must be discarded"): one
-// worker context runs valid → invalid → valid → valid cells. The invalid
-// cell must cost only its own replicate — the context is dropped, and the
-// replicates after it (one on the rebuilt scenario, one Reset onto it) equal
-// fresh-Build runs of the same configs field for field, with no calendar
-// entry leaked. Two invalid shapes: one init rejects before touching the
-// engine, one it rejects after hops and hosts are wired.
-func TestWorkerRecoversFromFailedReset(t *testing.T) {
-	t.Parallel()
-	valid := func(alg experiment.Algorithm, key string) PlanCell {
-		return PlanCell{Key: key, Config: experiment.Config{
-			Path:     experiment.PathConfig{Loss: 0.004},
-			Flows:    []experiment.FlowSpec{{Alg: alg}, {Alg: experiment.AlgStandard, SACK: true}},
-			Duration: time.Second,
-		}}
-	}
-	badPath := valid(experiment.AlgStandard, "bad")
-	badPath.Config.Path.Loss = 1.5 // fails Topology.Validate
-	badFlow := valid(experiment.AlgStandard, "bad")
-	badFlow.Config.Flows[1].Alg = "nope"
-
-	env := &execEnv{
-		p:    Plan{Metrics: []Metric{MetricThroughputMbps, MetricFairness}, BaseSeed: 7},
-		opts: Options{ExportWeb100: true},
-		self: NewSelfMetrics(),
-	}
-	runOn := func(rc *runContext, c PlanCell, rep int) (Replicate, error) {
-		out := Replicate{Values: make([]stats.JSONFloat, len(env.p.Metrics))}
-		_, _, err := rc.runReplicate(env, &c, rep, &out)
-		return out, err
-	}
-	for name, bad := range map[string]PlanCell{"before wiring": badPath, "after wiring": badFlow} {
-		var rc runContext
-		first := valid(experiment.AlgRestricted, "first")
-		if _, err := runOn(&rc, first, 0); err != nil {
-			t.Fatalf("%s: first cell: %v", name, err)
-		}
-		if _, err := runOn(&rc, bad, 0); err == nil {
-			t.Fatalf("%s: invalid cell ran", name)
-		}
-		if rc.s != nil {
-			t.Fatalf("%s: worker kept the half-built scenario", name)
-		}
-		for i, c := range []PlanCell{valid(experiment.AlgStandard, "third"), valid(experiment.AlgRestricted, "fourth")} {
-			got, err := runOn(&rc, c, 1)
-			if err != nil {
-				t.Fatalf("%s: cell %d after the failure: %v", name, i, err)
-			}
-			var fresh runContext
-			want, err := runOn(&fresh, c, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: cell %d after the failure diverged from a fresh build\n got: %+v\nwant: %+v", name, i, got, want)
-			}
-			if n := rc.s.Eng.Leaked(); n != 0 {
-				t.Errorf("%s: cell %d after the failure leaked %d calendar entries", name, i, n)
-			}
-		}
-	}
-}
-
 // TestRunnerSeedsMatchDeriveSeed: a worker hashes a cell key once and mixes
 // in each replicate, so its seeds must still equal DeriveSeed's bit for bit —
 // for every paper-suite cell and replicates 0–4, on two workers whose spans
@@ -291,49 +223,6 @@ func TestRunnerSeedsMatchDeriveSeed(t *testing.T) {
 					t.Errorf("%s %s replicate %d: runner seed %d, DeriveSeed %d", st.ID, c.Key, r.Replicate, r.Seed, want)
 				}
 			}
-		}
-	}
-}
-
-// TestFailedReplicateStopsDispatch: once the collector has folded a failure
-// the campaign is lost, so nothing further may be dispatched — the runs that
-// happen are those before the failure plus the spans already out, bounded by
-// the token window, not the rest of a 128 000-run plan. Dispatch and folding
-// are both in canonical order, so the error reported is the canonically
-// first one (cell 1, replicate 0) at every worker count. The bad route is
-// in the config's domain, so Validate passes it; Build, which resolves it
-// against the path, rejects it.
-func TestFailedReplicateStopsDispatch(t *testing.T) {
-	t.Parallel()
-	vals := make([]Value, 64)
-	for i := range vals {
-		var route experiment.Route
-		if i == 1 {
-			route.FirstHop = 5
-		}
-		vals[i] = Val(fmt.Sprintf("v%02d", i), func(c *experiment.Config) {
-			c.Flows = []experiment.FlowSpec{{Alg: experiment.AlgStandard, Route: route}}
-		})
-	}
-	p := Plan{
-		Axes:       []Axis{{Name: "shape", Values: vals}},
-		Metrics:    []Metric{MetricThroughputMbps},
-		Replicates: 2000,
-		Duration:   10 * time.Millisecond,
-	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		self := NewSelfMetrics()
-		_, err := ExecutePlan(p, Options{Workers: workers, Self: self})
-		if err == nil || !strings.Contains(err.Error(), "cell 1 (shape=v01) replicate 0:") {
-			t.Fatalf("workers=%d: err = %v, want the cell 1 / replicate 0 failure", workers, err)
-		}
-		// The failing span, everything dispatched before it, and one
-		// window of spans that may already have been out.
-		span := dispatchSpan(p.Runs(), workers)
-		bound := int64((p.Replicates/span + 1 + spanWindow*workers) * span)
-		if got := self.Runs.Value(); got < int64(p.Replicates) || got > bound {
-			t.Errorf("workers=%d: %d runs executed, want between %d and %d (plan: %d)",
-				workers, got, p.Replicates, bound, p.Runs())
 		}
 	}
 }

@@ -110,10 +110,7 @@ func ExecuteShard(p Plan, shards, shard int, opts Options) (*ShardReport, error)
 		}
 		states[local] = sts
 	}
-	out, err := executeCells(p, owned, opts, onCell)
-	if err != nil {
-		return nil, err
-	}
+	out := executeCells(p, owned, opts, onCell)
 
 	rep := &ShardReport{
 		Schema: ShardSchema,

@@ -34,12 +34,14 @@ type QueueSensor interface {
 	Capacity() int
 }
 
-// DefaultCritical is the Ziegler-Nichols critical point measured by the
-// autotuner on the paper's path (100 Mbps, 60 ms RTT, IFQ 100);
-// cmd/rsstcp-tune re-derives it. The controller output is a growth rate in
-// segments/second, so Kc is large; the loop is strongly self-damped because
-// window growth lands in the IFQ immediately (no full-RTT dead time), and
-// the oscillation period at the critical gain is ~14 RTTs.
+// DefaultCritical is the Ziegler-Nichols critical point every restricted
+// flow without explicit gains is tuned from (PaperGains of it), for the
+// paper's path (100 Mbps, 60 ms RTT, IFQ 100). It is a fixed constant that
+// nothing re-derives: cmd/rsstcp-tune on that path does not reproduce it
+// (its default 30 s probes give Kc ≈ 2849, Tc ≈ 1.34 s, and the critical
+// point moves with the probe length), and which value is right is ROADMAP
+// item 9. The controller output is a growth rate in segments/second, so Kc
+// is large.
 var DefaultCritical = pid.Critical{Kc: 2340, Tc: 870 * time.Millisecond}
 
 // allowanceCapSegments bounds the accumulated unspent growth budget: one
@@ -102,12 +104,14 @@ func (c Config) withDefaults() Config {
 }
 
 // alphaFor converts a filter time constant into the per-step EWMA
-// coefficient for the given step: alpha = tau / (tau + dt).
+// coefficient for the given step: alpha = tau / (tau + dt), in [0, 1). The
+// sum is taken in float64, so a step near the largest duration cannot wrap
+// it negative; below 2⁵³ ns that is the integer sum, exactly.
 func alphaFor(tau, dt time.Duration) float64 {
 	if tau <= 0 {
 		return 0
 	}
-	return float64(tau) / float64(tau+dt)
+	return float64(tau) / (float64(tau) + float64(dt))
 }
 
 // RestrictedSlowStart is the PID-paced slow-start policy. Create one per

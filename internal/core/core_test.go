@@ -59,6 +59,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestAlphaForHugeTick: the EWMA coefficient of a tick near the largest
+// duration. tau+dt used to wrap negative in integer arithmetic, so the
+// derivative filter's alpha read below 0 and Init refused a config that
+// Config.Validate had accepted. Below 2⁵³ ns the coefficient is the one the
+// integer sum gives, bit for bit.
+func TestAlphaForHugeTick(t *testing.T) {
+	for _, tau := range []time.Duration{10 * time.Millisecond, 15 * time.Millisecond} {
+		for _, dt := range []time.Duration{math.MaxInt64, math.MaxInt64 - tau + 1, 1 << 62} {
+			if a := alphaFor(tau, dt); !(a >= 0 && a < 1) {
+				t.Errorf("alphaFor(%v, %v) = %v, want it in [0, 1)", tau, dt, a)
+			}
+		}
+		for _, dt := range []time.Duration{1, 5 * time.Millisecond, time.Hour, 1<<53 - tau} {
+			if a, want := alphaFor(tau, dt), float64(tau)/float64(tau+dt); a != want {
+				t.Errorf("alphaFor(%v, %v) = %v, want %v", tau, dt, a, want)
+			}
+		}
+	}
+	if _, err := New(sim.NewEngine(), Config{Sensor: &fakeSensor{cap: 100}, Tick: math.MaxInt64}); err != nil {
+		t.Errorf("a tick of %v refused: %v", time.Duration(math.MaxInt64), err)
+	}
+}
+
 func TestSetpointIs90PercentOfCapacity(t *testing.T) {
 	eng := sim.NewEngine()
 	r := newRSS(t, eng, &fakeSensor{cap: 100}, Config{})

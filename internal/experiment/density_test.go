@@ -66,7 +66,7 @@ func TestFlowBundleSizeClass(t *testing.T) {
 
 	// Flows 0 and 1 differ only in what a shared spec clears (Bytes and
 	// StartAt); flow 2 differs in MSS and flow 3 in its algorithm. The churn
-	// flows share the template's spec, a NaN field notwithstanding.
+	// flows share the template's spec.
 	cfg := churnCfg()
 	cfg.Flows = []FlowSpec{
 		{Alg: AlgStandard},
@@ -75,7 +75,6 @@ func TestFlowBundleSizeClass(t *testing.T) {
 		{Alg: AlgRestricted},
 	}
 	cfg.Churn.Flow.SACK = true
-	cfg.Churn.Flow.Gains.Kp = math.NaN() // read only by a restricted flow
 	cfg.Churn.Arrivals = "poisson:400"
 	cfg.Duration = 200 * time.Millisecond
 	s, err := Build(cfg)

@@ -25,7 +25,8 @@ type ChurnSpec struct {
 	Arrivals string
 	// Load, when > 0, overrides the spec's arrival rate so the offered
 	// load — rate × E[size] — equals this fraction of the template
-	// route's bottleneck rate.
+	// route's bottleneck rate. The rate it gives, and the source's slowest
+	// and fastest gap rates scaled with it, must pass lifecycle.CheckRate.
 	Load float64 `json:",omitempty"`
 	// Size is a lifecycle.ParseSizeDist spec — "fixed:64k", "exp:100k",
 	// "pareto:1.3:10k:10M", "lognorm:100k:1.5" (default "exp:100k").
@@ -38,9 +39,10 @@ type ChurnSpec struct {
 	MaxLive int `json:",omitempty"`
 }
 
-// check is Validate's churn part; the error starts with the field name. It
-// parses the specs, defaults included, and hands them to src and dist.
-func (c *ChurnSpec) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+// check is Validate's churn part on the config's path r; the error starts
+// with the field name. It parses the specs, defaults included, applies Load's
+// rate and hands them to src and dist.
+func (c *ChurnSpec) check(r *routes, src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
 	if !(c.Load >= 0) || math.IsInf(c.Load, 1) {
 		return fmt.Errorf("Churn.Load %v is not a finite number ≥ 0", c.Load)
 	}
@@ -53,7 +55,8 @@ func (c *ChurnSpec) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) e
 	if err := cmp.Or(aerr, serr); err != nil {
 		return fmt.Errorf("Churn: %v", err)
 	}
-	if err := c.Flow.check(); err != nil {
+	first, last, err := r.enter(&c.Flow)
+	if err != nil {
 		return fmt.Errorf("Churn.Flow.%v", err)
 	}
 	if c.Flow.Bytes != 0 {
@@ -61,6 +64,22 @@ func (c *ChurnSpec) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) e
 	}
 	if c.Flow.StartAt != 0 {
 		return fmt.Errorf("Churn.Flow.StartAt %v is not 0: each arrival starts when it arrives", c.Flow.StartAt)
+	}
+	if c.Load > 0 {
+		// A finite spec can still have no usable mean (a Pareto tail index
+		// of 1e300 yields NaN), and a slow phase can scale to 0: check the
+		// rates the sources' constructors would otherwise panic on.
+		// Rescaling multiplies every gap rate of the source by the same
+		// factor.
+		rate := c.Load * r.bottleneck(first, last).BytesPerSecond() / sizes.Mean()
+		lo, hi := arrivals.Span()
+		scale := rate / arrivals.Rate()
+		if err := cmp.Or(lifecycle.CheckRate(rate), lifecycle.CheckRate(lo*scale), lifecycle.CheckRate(hi*scale)); err != nil {
+			return fmt.Errorf("Churn.Load %g over Churn.Size %q gives an unusable arrival rate: %v", c.Load, d.Size, err)
+		}
+		if src != nil {
+			arrivals = arrivals.WithRate(rate)
+		}
 	}
 	if src != nil {
 		*src, *dist = arrivals, sizes
@@ -276,49 +295,23 @@ func (c *churnState) reset() {
 
 // initChurn starts the arrival process of the (validated) churn spec on the
 // freshly built scenario.
-func (s *Scenario) initChurn() error {
+func (s *Scenario) initChurn() {
 	cfg := &s.Cfg
-	spec := *cfg.Churn
-	src, dist := s.churn.src, s.churn.dist // parsed by Config.validate
-	tmpl := spec.Flow
-	first, last, err := tmpl.Route.span(len(s.Topo.Hops))
-	if err != nil {
-		return err
-	}
+	s.churn.tmpl = cfg.Churn.Flow
+	first, last, _ := s.churn.tmpl.Route.span(len(s.Topo.Hops))
 	// Ideal-time model: the slowest hop on the template's route bounds the
 	// rate; propagation is the route's forward delay plus the reverse
 	// delay (symmetric when unset).
-	bottleneck := s.Topo.Hops[first].Rate
 	var fwd time.Duration
-	for i := first; i <= last; i++ {
-		fwd += s.Topo.Hops[i].Delay
-		if r := s.Topo.Hops[i].Rate; r < bottleneck {
-			bottleneck = r
-		}
+	for _, h := range s.Topo.Hops[first : last+1] {
+		fwd += h.Delay
 	}
-	rev := s.Topo.Reverse.Delay
-	if rev == 0 {
-		rev = fwd
-	}
-	s.churn.baseRTT = fwd + rev
-	s.churn.perByte = 1 / bottleneck.BytesPerSecond()
+	s.churn.baseRTT = fwd + cmp.Or(s.Topo.Reverse.Delay, fwd)
+	s.churn.perByte = 1 / (&routes{hops: s.Topo.Hops}).bottleneck(first, last).BytesPerSecond()
 
-	if spec.Load > 0 {
-		// A finite spec can still have no usable mean (a Pareto tail index
-		// of 1e300 yields NaN), and Load is a plain field: check the rates
-		// the sources' constructors would otherwise panic on. Rescaling
-		// multiplies every gap rate of the source by the same factor.
-		rate := spec.Load * bottleneck.BytesPerSecond() / dist.Mean()
-		if err := cmp.Or(lifecycle.CheckRate(rate), lifecycle.CheckRate(src.Peak()*(rate/src.Rate()))); err != nil {
-			return fmt.Errorf("load %g over size dist %q gives an unusable arrival rate: %w", spec.Load, spec.Size, err)
-		}
-		src = src.WithRate(rate)
-	}
-
-	s.churn.src, s.churn.dist, s.churn.tmpl = src, dist, tmpl
 	s.churn.sizeRNG = sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltSizes))
-	src.Start(s.Eng, sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltArrivals)), s.launchChurnFlow)
-	return nil
+	// The source Config.validate parsed, Load's rate applied.
+	s.churn.src.Start(s.Eng, sim.NewRNG(lifecycle.StreamSeed(cfg.Seed, lifecycle.SaltArrivals)), s.launchChurnFlow)
 }
 
 // launchChurnFlow is the arrival callback: draw a size, attach a flow.
@@ -332,11 +325,7 @@ func (s *Scenario) launchChurnFlow() {
 	}
 	spec := s.churn.tmpl
 	spec.Bytes = s.churn.dist.Sample(s.churn.sizeRNG)
-	if _, err := s.attach(spec); err != nil {
-		// The template was validated at init; a failure here is a
-		// scenario-construction bug, not a configuration error.
-		panic(fmt.Sprintf("experiment: churn attach: %v", err))
-	}
+	s.attach(spec)
 }
 
 // AttachFlow binds a new dynamic flow to the warm engine mid-run: a
@@ -349,18 +338,23 @@ func (s *Scenario) launchChurnFlow() {
 // only the configured flow list. The returned *Flow is valid until the flow
 // completes or is detached: after that the bundle belongs to the store and
 // then to a later arrival (as Reset invalidates Scenario.Flows). A spec that
-// Config.Validate would refuse in Flows is refused here, with one line that
-// names the field.
+// Config.Validate would refuse in Flows — a route off the built path or into
+// another hop than its host's flows enter at included — is refused here,
+// with one line that names the field.
 func (s *Scenario) AttachFlow(spec FlowSpec) (*Flow, error) {
-	if err := spec.check(); err != nil {
+	r := routes{n: len(s.Topo.Hops)}
+	if h, ok := s.hosts[spec.Host]; ok {
+		r.hosts = map[int]int{spec.Host: h.first}
+	}
+	if _, _, err := r.enter(&spec); err != nil {
 		return nil, fmt.Errorf("experiment: AttachFlow: FlowSpec.%v", err)
 	}
-	return s.attach(spec)
+	return s.attach(spec), nil
 }
 
 // attach is AttachFlow on a checked spec: churn arrivals instantiate the
 // template Validate checked, so an arrival pays for no second check.
-func (s *Scenario) attach(spec FlowSpec) (*Flow, error) {
+func (s *Scenario) attach(spec FlowSpec) *Flow {
 	// Recycle a detached flow's ID when one is free — the route tables then
 	// stay sized to the peak live population.
 	// buildFlow gives the incarnation a fresh generation, so stray
@@ -371,13 +365,7 @@ func (s *Scenario) attach(spec FlowSpec) (*Flow, error) {
 		id, fromFree = s.churn.freeIDs[n-1], true
 		s.churn.freeIDs = s.churn.freeIDs[:n-1]
 	}
-	f, err := buildFlow(s, &spec, id, true)
-	if err != nil {
-		if fromFree {
-			s.churn.freeIDs = append(s.churn.freeIDs, id)
-		}
-		return nil, err
-	}
+	f := buildFlow(s, &spec, id, true)
 	if !fromFree {
 		s.churn.nextID++
 	}
@@ -386,7 +374,7 @@ func (s *Scenario) attach(spec FlowSpec) (*Flow, error) {
 	s.aggValid = false
 	s.FR.Record(s.Eng.Now(), telemetry.KindFlowStart, int32(id), -1,
 		spec.Bytes, int64(len(s.churn.live)))
-	return f, nil
+	return f
 }
 
 // completeChurnFlow is every sender's completion hook (tcp.Config.OnComplete):

@@ -456,6 +456,8 @@ func TestResetRunAllocBudget(t *testing.T) {
 	red.MaxP = 0.2
 	tuned.Topology = &Topology{Hops: []Hop{{Rate: 100 * unit.Mbps, Delay: 20 * time.Millisecond, Queue: 100,
 		Discipline: DiscRED, RED: &red}}}
+	shared := base("")
+	shared.Flows = append(shared.Flows, FlowSpec{Alg: AlgRestricted, Host: 1}, FlowSpec{Alg: AlgStandard, Host: 1})
 
 	type shape struct {
 		name string
@@ -472,6 +474,7 @@ func TestResetRunAllocBudget(t *testing.T) {
 		shape{"1% loss + SACK", lossy},
 		shape{"loss, reorder and duplicate", faulty},
 		shape{"explicit RED parameters", tuned},
+		shape{"two flows on one host", shared},
 	)
 	for _, tc := range shapes {
 		s, err := Build(tc.cfg)

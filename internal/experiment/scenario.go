@@ -6,7 +6,6 @@ package experiment
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -104,23 +103,15 @@ func PaperPath() PathConfig {
 	}
 }
 
-// fillDefaults resolves zero fields; Config.Validate refused negative ones.
+// fillDefaults resolves zero fields to the paper path's, a zero NICRate to
+// the bottleneck's; Config.Validate refused negative ones.
 func (p *PathConfig) fillDefaults() {
-	if p.Bottleneck == 0 {
-		p.Bottleneck = 100 * unit.Mbps
-	}
-	if p.RTT == 0 {
-		p.RTT = 60 * time.Millisecond
-	}
-	if p.RouterQueue == 0 {
-		p.RouterQueue = 250
-	}
-	if p.NICRate == 0 {
-		p.NICRate = p.Bottleneck
-	}
-	if p.TxQueueLen == 0 {
-		p.TxQueueLen = 100
-	}
+	d := PaperPath()
+	p.Bottleneck = cmp.Or(p.Bottleneck, d.Bottleneck)
+	p.RTT = cmp.Or(p.RTT, d.RTT)
+	p.RouterQueue = cmp.Or(p.RouterQueue, d.RouterQueue)
+	p.NICRate = cmp.Or(p.NICRate, p.Bottleneck)
+	p.TxQueueLen = cmp.Or(p.TxQueueLen, d.TxQueueLen)
 }
 
 // FlowSpec describes one sender/receiver pair.
@@ -132,7 +123,9 @@ type FlowSpec struct {
 	// Bytes fixes the transfer size; zero keeps the flow backlogged for
 	// the whole run.
 	Bytes int64
-	// Gains overrides the PID gains for AlgRestricted (zero: core.Config.withDefaults).
+	// Gains overrides the PID gains for AlgRestricted (zero:
+	// core.Config.withDefaults). Every flow is held to pid.Gains.Validate,
+	// whichever its algorithm.
 	Gains pid.Gains
 	// SetpointFraction overrides the IFQ set point (zero: core.Config.withDefaults).
 	SetpointFraction float64
@@ -150,7 +143,8 @@ type FlowSpec struct {
 	MSS int
 	// Host groups flows onto a shared sending host: flows with the same
 	// non-zero Host value share one NIC and IFQ (parallel streams, as in
-	// GridFTP). Zero gives the flow a host of its own.
+	// GridFTP), so their routes must enter at one hop. Zero gives the flow a
+	// host of its own.
 	Host int
 	// Route pins the flow to a contiguous hop span of the topology; the
 	// zero value traverses the whole path. Hop-local cross traffic in a
@@ -225,28 +219,32 @@ type Config struct {
 }
 
 // Validate returns why c is outside the domain a run accepts, as one line
-// naming the field, or nil. Zero means the default in every field. Build,
-// Reset and the campaign's Plan.Compile ask it first, so defaulting fills
-// exact zeros only and a valid config compiles to a valid topology. It
-// allocates nothing unless it fails or has a Churn spec to parse.
-func (c *Config) Validate() error { return c.validate(nil, nil) }
+// naming the field, or nil. Zero means the default in every field. It is
+// the only refusal: Build, Reset and the campaign's Plan.Compile ask it
+// first, and a config it accepts builds, so defaulting fills exact zeros
+// only and a valid config compiles to a valid topology. Every route is
+// resolved against the path. It allocates nothing unless it fails, has a
+// Churn spec to parse or a flow with a Host.
+func (c *Config) Validate() error { return c.validate(nil, nil, nil) }
 
-// validate is Validate that also hands a churn spec's parsed arrivals and
-// sizes to non-nil src and dist, so Build and Reset parse each spec once.
-func (c *Config) validate(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+// validate is Validate that also hands a churn spec's parsed arrivals (with
+// Load's rate applied) and sizes to non-nil src and dist, so Build and Reset
+// parse each spec once. A non-nil hosts is the scratch for routes.hosts, so
+// a Reset allocates nothing for it.
+func (c *Config) validate(src *lifecycle.FlowSource, dist *lifecycle.SizeDist, hosts map[int]int) error {
 	if c.Topology != nil {
 		if err := c.Topology.Validate(); err != nil {
 			return err
 		}
 	}
-	if err := c.check(src, dist); err != nil {
+	if err := c.check(src, dist, hosts); err != nil {
 		return fmt.Errorf("experiment: %v", err)
 	}
 	return nil
 }
 
 // check is validate but for the explicit topology and the package prefix.
-func (c *Config) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) error {
+func (c *Config) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist, hosts map[int]int) error {
 	p := &c.Path
 	if err := cmp.Or(neg("Path.Bottleneck", p.Bottleneck), neg("Path.RTT", p.RTT),
 		neg("Path.RouterQueue", p.RouterQueue), neg("Path.NICRate", p.NICRate), neg("Path.TxQueueLen", p.TxQueueLen),
@@ -270,21 +268,73 @@ func (c *Config) check(src *lifecycle.FlowSource, dist *lifecycle.SizeDist) erro
 	case c.RetainFlows < -1:
 		return fmt.Errorf("RetainFlows %d is below -1", c.RetainFlows)
 	}
+	clear(hosts)
+	r := routes{n: max(p.Hops, 1), rate: cmp.Or(p.Bottleneck, PaperPath().Bottleneck), hosts: hosts}
+	if c.Topology != nil {
+		r.hops, r.n = c.Topology.Hops, len(c.Topology.Hops)
+	}
 	for i := range c.Flows {
-		if err := c.Flows[i].check(); err != nil {
+		if _, _, err := r.enter(&c.Flows[i]); err != nil {
 			return fmt.Errorf("Flows[%d].%v", i, err)
 		}
 	}
 	if c.Churn != nil {
-		return c.Churn.check(src, dist)
+		return c.Churn.check(&r, src, dist)
 	}
 	return nil
+}
+
+// routes is the path flows enter: n hops, the explicit topology's or, with
+// hops nil, n of Path's at rate. hosts is the hop each FlowSpec.Host's flows
+// enter at: Reset's scratch, or made at the first flow with a Host.
+type routes struct {
+	hops  []Hop
+	n     int
+	rate  unit.Bandwidth
+	hosts map[int]int
+}
+
+// enter checks f and resolves its route, returning the inclusive span of
+// hops it runs; the error starts with the field's name.
+func (r *routes) enter(f *FlowSpec) (first, last int, err error) {
+	if err := f.check(); err != nil {
+		return 0, 0, err
+	}
+	first, last, ok := f.Route.span(r.n)
+	if !ok {
+		return 0, 0, fmt.Errorf("Route %+v is outside the %d-hop path", f.Route, r.n)
+	}
+	if have, seen := r.hosts[f.Host]; seen && first != have {
+		return 0, 0, fmt.Errorf("Host %d: its flows enter at hop %d, this one at hop %d", f.Host, have, first)
+	}
+	if f.Host != 0 {
+		if r.hosts == nil {
+			r.hosts = make(map[int]int)
+		}
+		r.hosts[f.Host] = first
+	}
+	return first, last, nil
+}
+
+// bottleneck is the lowest rate on hops [first, last].
+func (r *routes) bottleneck(first, last int) unit.Bandwidth {
+	if r.hops == nil {
+		return r.rate
+	}
+	rate := r.hops[first].Rate
+	for _, h := range r.hops[first+1 : last+1] {
+		rate = min(rate, h.Rate)
+	}
+	return rate
 }
 
 // check is Validate's per-flow part; the error starts with the field name.
 func (f *FlowSpec) check() error {
 	if f.Alg != "" && !slices.Contains(Algorithms(), f.Alg) {
 		return fmt.Errorf("Alg: unknown algorithm %q", f.Alg)
+	}
+	if err := f.Gains.Validate(); err != nil {
+		return fmt.Errorf("Gains.%v", err)
 	}
 	return cmp.Or(neg("StartAt", f.StartAt), neg("Bytes", f.Bytes), neg("MSS", f.MSS), neg("Tick", f.Tick),
 		fraction("SetpointFraction", f.SetpointFraction),
@@ -540,10 +590,11 @@ type parked struct {
 	// detached in the last few transmission times; Reset flushes their NICs
 	// and parks them all.
 	draining []*Flow
-	// hops, specs and reds are init's topology scratch.
-	hops  []Hop
-	specs []netem.HopSpec
-	reds  []netem.REDConfig
+	// specs and reds are init's topology scratch, hostHops Reset's
+	// Validate's (routes.hosts).
+	specs    []netem.HopSpec
+	reds     []netem.REDConfig
+	hostHops map[int]int
 }
 
 // take pops a parked component, or returns a zero one for Init to shape.
@@ -601,16 +652,15 @@ func (s *Scenario) reclaim() {
 	s.park.draining = busy
 }
 
-// Build assembles the testbed described by cfg.
+// Build assembles the testbed described by cfg. Its one error is
+// Config.Validate's.
 func Build(cfg Config) (*Scenario, error) {
 	s := &Scenario{Eng: sim.NewEngine(), hosts: map[int]sharedHost{}, segs: packet.NewPool(), nodes: tcp.NewStore()}
-	if err := cfg.validate(&s.churn.src, &s.churn.dist); err != nil {
+	if err := cfg.validate(&s.churn.src, &s.churn.dist, nil); err != nil {
 		return nil, err
 	}
 	s.complete = s.completeChurnFlow
-	if err := s.init(&cfg); err != nil {
-		return nil, err
-	}
+	s.init(&cfg)
 	return s, nil
 }
 
@@ -627,13 +677,15 @@ func Build(cfg Config) (*Scenario, error) {
 // it before (TestResetMatchesFreshBuild,
 // TestResetAcrossShapesMatchesFreshBuild), which is what lets campaign
 // workers run replicates back to back on one context. The previous run's
-// Flows are invalid afterwards. A cfg that Validate refuses leaves the
-// scenario as it was; on any later error it is left half-built and must be
-// discarded.
+// Flows are invalid afterwards. Its one error is Config.Validate's, and a
+// cfg that Validate refuses leaves the scenario as it was.
 func (s *Scenario) Reset(cfg Config) error {
 	var src lifecycle.FlowSource
 	var dist lifecycle.SizeDist
-	if err := cfg.validate(&src, &dist); err != nil {
+	if s.park.hostHops == nil {
+		s.park.hostHops = make(map[int]int)
+	}
+	if err := cfg.validate(&src, &dist, s.park.hostHops); err != nil {
 		return err
 	}
 	s.Eng.Reset()
@@ -677,14 +729,15 @@ func (s *Scenario) Reset(cfg Config) error {
 	s.churn.reset()
 	s.churn.src, s.churn.dist = src, dist
 	s.FR.Reset()
-	return s.init(&cfg)
+	s.init(&cfg)
+	return nil
 }
 
 // init wires the testbed into the scenario's (fresh or reset) engine, with
 // a new recorder when cfg is traced. Everything the simulation can observe
 // is rebuilt from cfg, so a run is bit-identical whether its context is new
-// or reused. in has passed Validate.
-func (s *Scenario) init(in *Config) error {
+// or reused. in has passed Validate, which is why nothing here can fail.
+func (s *Scenario) init(in *Config) {
 	s.Cfg = *in
 	cfg := &s.Cfg
 	cfg.fillDefaults()
@@ -715,15 +768,15 @@ func (s *Scenario) init(in *Config) error {
 	if cfg.TimerWheel && s.wheel == nil {
 		s.wheel = sim.NewWheel(eng, sim.DefaultWheelGran, sim.DefaultWheelSlots)
 	}
-	// The network, in the hop scratch: an explicit Topology wins, else the
-	// PathConfig compiles to one (Validate has bounded its split count).
+	// The network, in the previous run's hop list: an explicit Topology
+	// wins, else the PathConfig compiles to one (Validate has bounded its
+	// split count).
 	if cfg.Topology != nil {
-		s.Topo = cfg.Topology.cloneInto(s.park.hops)
+		s.Topo = cfg.Topology.cloneInto(s.Topo.Hops)
 	} else {
-		s.Topo = cfg.Path.compileInto(s.park.hops)
+		s.Topo = cfg.Path.compileInto(s.Topo.Hops)
 	}
 	topo := &s.Topo
-	s.park.hops = topo.Hops
 
 	// Forward path: the hop chain flattened into the arena — one row per
 	// hop with its serializer, queue/RED, propagation and injector chain
@@ -779,18 +832,11 @@ func (s *Scenario) init(in *Config) error {
 	}
 
 	for i := range cfg.Flows {
-		id := packet.FlowID(i + 1)
-		flow, err := buildFlow(s, &cfg.Flows[i], id, false)
-		if err != nil {
-			return fmt.Errorf("experiment: flow %d: %w", i, err)
-		}
-		s.Flows = append(s.Flows, flow)
+		s.Flows = append(s.Flows, buildFlow(s, &cfg.Flows[i], packet.FlowID(i+1), false))
 	}
 	s.churn.nextID = packet.FlowID(len(cfg.Flows) + 1)
 	if cfg.Churn != nil {
-		if err := s.initChurn(); err != nil {
-			return fmt.Errorf("experiment: churn: %w", err)
-		}
+		s.initChurn()
 	}
 
 	if rec != nil {
@@ -813,7 +859,6 @@ func (s *Scenario) init(in *Config) error {
 			rec.Gauge("revq", func() float64 { return float64(l.Len()) })
 		}
 	}
-	return nil
 }
 
 // bottleneck returns the index of the hop whose serializer has the highest
@@ -866,25 +911,19 @@ func (s *Scenario) nextGen(id packet.FlowID) uint32 {
 // flows (dynamic=false) register traced series and start their workload at
 // StartAt; dynamic flows — churn arrivals attached mid-run — record no
 // series (a short-lived flow must not grow the recorder's series set), and
-// start their workload synchronously at attach time.
-func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Flow, error) {
+// start their workload synchronously at attach time. The spec's route fits
+// the path, and enters at its host's hop: Config.Validate or AttachFlow
+// checked both.
+func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) *Flow {
 	eng := s.Eng
 	cfg := &s.Cfg
 
-	first, last, err := spec.Route.span(len(s.Topo.Hops))
-	if err != nil {
-		return nil, err
-	}
+	first, last, _ := spec.Route.span(len(s.Topo.Hops))
 	s.arena.SetSpan(id, first, last)
 	gen := s.nextGen(id)
 	shared := s.share(spec)
 
-	h := s.hosts[spec.Host]
-	nic := h.nic
-	if nic != nil && h.first != first {
-		return nil, fmt.Errorf("host %d is attached to hop %d, flow routes from hop %d",
-			spec.Host, h.first, first)
-	}
+	nic := s.hosts[spec.Host].nic
 	flow := s.takeFlow()
 	if nic == nil {
 		// The flow's own NIC; a shared host's first flow lends it to the host.
@@ -898,9 +937,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 		}
 	}
 	flow.Spec, flow.Bytes, flow.ID = &shared.spec, spec.Bytes, id
-	if err := buildController(s, flow, nic, shared); err != nil {
-		return nil, err
-	}
+	buildController(s, flow, nic, shared)
 
 	// Reverse path: receiver -> reverse channel -> sender. With a real
 	// reverse link the ACKs join the shared queue; otherwise they ride the
@@ -937,7 +974,7 @@ func buildFlow(s *Scenario, spec *FlowSpec, id packet.FlowID, dynamic bool) (*Fl
 	} else {
 		eng.ScheduleArg(sim.At(spec.StartAt), startFlow, flow)
 	}
-	return flow, nil
+	return flow
 }
 
 // share returns this run's shared spec for spec, filling a parked (or new)
@@ -947,7 +984,7 @@ func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
 	want := *spec
 	want.Bytes, want.StartAt = 0, 0
 	for _, sh := range s.shared {
-		if sameSpec(sh.spec, want) {
+		if sh.spec == want {
 			return sh
 		}
 	}
@@ -971,17 +1008,6 @@ func (s *Scenario) share(spec *FlowSpec) *sharedSpec {
 	}
 	s.shared = append(s.shared, sh)
 	return sh
-}
-
-// sameSpec is == on FlowSpecs with the float fields compared by bits: a NaN
-// never equals itself, so each flow of a NaN spec would take an entry.
-func sameSpec(x, y FlowSpec) bool {
-	bits := func(f *FlowSpec) [2]uint64 {
-		return [2]uint64{math.Float64bits(f.Gains.Kp), math.Float64bits(f.SetpointFraction)}
-	}
-	bx, by := bits(&x), bits(&y)
-	x.Gains.Kp, x.SetpointFraction, y.Gains.Kp, y.SetpointFraction = 0, 0, 0, 0
-	return bx == by && x == y
 }
 
 // stalled is a traced run's stall hook (tcp.Config.OnStall): it appends
@@ -1026,7 +1052,8 @@ func (f *Flow) startWorkload() {
 // buildController initializes the flow's Reno on the shared spec's config
 // with the slow-start policy the spec selects, wiring a (parked or new)
 // restricted-slow-start controller to nic, the flow's NIC, for AlgRestricted.
-func buildController(s *Scenario, flow *Flow, nic *host.Interface, shared *sharedSpec) error {
+// Validate has checked the spec's algorithm and gains.
+func buildController(s *Scenario, flow *Flow, nic *host.Interface, shared *sharedSpec) {
 	spec := flow.Spec
 	var ss cc.SlowStartPolicy // nil: Reno's standard slow-start
 	switch spec.Alg {
@@ -1046,7 +1073,7 @@ func buildController(s *Scenario, flow *Flow, nic *host.Interface, shared *share
 				AllowShrink:      spec.AllowShrink,
 			})
 			if err != nil {
-				return err
+				panic(err) // Validate accepted the spec, so this is a bug
 			}
 			if spec.Host != 0 {
 				h.rss = rss
@@ -1060,12 +1087,8 @@ func buildController(s *Scenario, flow *Flow, nic *host.Interface, shared *share
 		ss = cc.StdSlowStart{ABC: true}
 	case AlgHyStart:
 		ss = cc.NewHyStart()
-	case AlgStandard, AlgStallWait, "":
-	default:
-		return fmt.Errorf("unknown algorithm %q", spec.Alg)
 	}
 	flow.reno.Init(&shared.reno, ss, int32(flow.ID))
-	return nil
 }
 
 // Totals aggregates counters over every flow of the scenario; the rest of

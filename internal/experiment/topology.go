@@ -177,6 +177,17 @@ func (h *Hop) Validate() error {
 	if !knownDiscipline(h.Discipline) {
 		return fmt.Errorf("unknown queue discipline %q", h.Discipline)
 	}
+	if r := h.RED; h.Discipline == DiscRED && r != nil {
+		if r.Capacity <= 0 {
+			return fmt.Errorf("non-positive RED capacity %d", r.Capacity)
+		}
+		if !(r.MaxThreshold > r.MinThreshold) {
+			return fmt.Errorf("RED MaxThreshold %v does not exceed MinThreshold %v", r.MaxThreshold, r.MinThreshold)
+		}
+		if err := cmp.Or(fraction("RED MaxP", r.MaxP), fraction("RED Weight", r.Weight)); err != nil {
+			return err
+		}
+	}
 	return cmp.Or(neg("delay", h.Delay), neg("reorder delay", h.ReorderDelay), fraction("loss", h.Loss),
 		fraction("reorder probability", h.ReorderP), fraction("duplicate probability", h.DuplicateP))
 }
@@ -215,17 +226,14 @@ type Route struct {
 }
 
 // span resolves the route against an n-hop path, returning the inclusive
-// [first, last] hop indexes.
-func (r Route) span(n int) (first, last int, err error) {
+// [first, last] hop indexes and whether they lie on the path.
+func (r Route) span(n int) (first, last int, ok bool) {
 	first = r.FirstHop
 	last = n - 1
 	if r.Hops > 0 {
 		last = first + r.Hops - 1
 	}
-	if first < 0 || first >= n || last >= n || last < first {
-		return 0, 0, fmt.Errorf("route [first %d, hops %d] outside the %d-hop path", r.FirstHop, r.Hops, n)
-	}
-	return first, last, nil
+	return first, last, first >= 0 && first < n && last < n && last >= first
 }
 
 // Topology compiles the dumbbell descriptor into an explicit topology. With

@@ -16,16 +16,16 @@ import (
 // handful of live calendar entries, and cancel every one of them in Stop —
 // a stopped source leaves the calendar exactly as it found it.
 //
-// Rate reports the long-run arrival rate in flows/sec and Peak the highest
-// rate the process draws arrival gaps at; WithRate returns a copy rescaled to
-// the given rate (the load axis uses it to convert an offered-load fraction
-// into arrivals) and panics, like the constructors, when CheckRate refuses a
-// rescaled rate.
+// Rate reports the long-run arrival rate in flows/sec and Span the lowest
+// and highest rates the process draws arrival gaps at; WithRate returns a
+// copy rescaled to the given rate (the load axis uses it to convert an
+// offered-load fraction into arrivals) and panics, like the constructors,
+// when CheckRate refuses a rescaled rate.
 type FlowSource interface {
 	Start(eng *sim.Engine, rng *sim.RNG, launch func())
 	Stop()
 	Rate() float64
-	Peak() float64
+	Span() (lo, hi float64)
 	WithRate(r float64) FlowSource
 }
 
@@ -96,9 +96,9 @@ func (p *Poisson) Stop() {
 	p.eng.Cancel(p.ev)
 }
 
-// Rate returns the arrival rate in flows/sec; Peak is the same rate.
-func (p *Poisson) Rate() float64 { return p.PerSecond }
-func (p *Poisson) Peak() float64 { return p.PerSecond }
+// Rate returns the arrival rate in flows/sec; Span is that rate twice.
+func (p *Poisson) Rate() float64          { return p.PerSecond }
+func (p *Poisson) Span() (lo, hi float64) { return p.PerSecond, p.PerSecond }
 
 // WithRate returns a fresh Poisson source at the given rate.
 func (p *Poisson) WithRate(r float64) FlowSource { return NewPoisson(r) }
@@ -191,8 +191,8 @@ func (m *MMPP) Stop() {
 // mean sojourn, so the process spends half its time in each.
 func (m *MMPP) Rate() float64 { return (m.Lo + m.Hi) / 2 }
 
-// Peak returns the faster phase's rate.
-func (m *MMPP) Peak() float64 { return max(m.Lo, m.Hi) }
+// Span returns the slower and the faster phase's rate.
+func (m *MMPP) Span() (lo, hi float64) { return min(m.Lo, m.Hi), max(m.Lo, m.Hi) }
 
 // WithRate returns a fresh MMPP with both phase rates scaled so the
 // average hits r; the burstiness ratio Hi/Lo and the sojourn are kept.
@@ -322,8 +322,8 @@ func (w *WebSession) Rate() float64 {
 	return w.SessionsPerSec * float64(w.FlowsPerSession)
 }
 
-// Peak returns the session rate, the one gap rate WithRate scales.
-func (w *WebSession) Peak() float64 { return w.SessionsPerSec }
+// Span returns the session rate twice, the one gap rate WithRate scales.
+func (w *WebSession) Span() (lo, hi float64) { return w.SessionsPerSec, w.SessionsPerSec }
 
 // WithRate returns a fresh source with the session rate scaled so the
 // aggregate flow rate hits r; flows per session and think time are kept.

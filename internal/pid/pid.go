@@ -26,6 +26,21 @@ type Gains struct {
 	Td time.Duration
 }
 
+// Validate returns why g is outside the domain a controller accepts, as one
+// line that starts with the field's name, or nil: Kp must be ≥ 0 (NaN is
+// not), Ti and Td must not be negative.
+func (g Gains) Validate() error {
+	switch {
+	case !(g.Kp >= 0):
+		return fmt.Errorf("Kp %v is negative or NaN", g.Kp)
+	case g.Ti < 0:
+		return fmt.Errorf("Ti %v is negative", g.Ti)
+	case g.Td < 0:
+		return fmt.Errorf("Td %v is negative", g.Td)
+	}
+	return nil
+}
+
 // String renders the gains compactly.
 func (g Gains) String() string {
 	return fmt.Sprintf("Kp=%.4g Ti=%v Td=%v", g.Kp, g.Ti, g.Td)
@@ -72,14 +87,11 @@ func New(cfg Config) (*Controller, error) {
 // Init validates the configuration and (re)initializes the controller in
 // place with cleared dynamic state; on error the controller is unchanged.
 func (c *Controller) Init(cfg Config) error {
-	if !(cfg.Gains.Kp >= 0) {
-		return fmt.Errorf("pid: Kp %v is negative or NaN", cfg.Gains.Kp)
+	if err := cfg.Gains.Validate(); err != nil {
+		return fmt.Errorf("pid: %w", err)
 	}
 	if math.IsNaN(cfg.Setpoint) {
 		return fmt.Errorf("pid: NaN set point")
-	}
-	if cfg.Gains.Ti < 0 || cfg.Gains.Td < 0 {
-		return fmt.Errorf("pid: negative time constant (Ti=%v Td=%v)", cfg.Gains.Ti, cfg.Gains.Td)
 	}
 	if cfg.OutMax <= cfg.OutMin {
 		return fmt.Errorf("pid: OutMax %v must exceed OutMin %v", cfg.OutMax, cfg.OutMin)

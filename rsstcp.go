@@ -129,8 +129,10 @@ const (
 // 60 ms RTT, txqueuelen 100.
 func PaperPath() Path { return experiment.PaperPath() }
 
-// DefaultCritical returns the measured Ziegler-Nichols critical point of
-// the cwnd→IFQ loop on the paper path.
+// DefaultCritical returns the Ziegler-Nichols critical point of the
+// cwnd→IFQ loop that default-tuned restricted flows use on the paper path.
+// It is a fixed constant, not what Tune measures there today (see
+// core.DefaultCritical).
 func DefaultCritical() Critical { return core.DefaultCritical }
 
 // Run builds and executes a scenario, returning the primary flow's result.
